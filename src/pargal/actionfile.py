@@ -28,16 +28,45 @@ class ActionFileError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _need(doc: dict, key: str, where: str):
-    if key not in doc:
+def _need(doc, key: str, where: str):
+    if key not in _object(doc, where):
         raise ActionFileError(where, f"missing key {key!r}")
     return doc[key]
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ActionFileError(where, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, where: str, length=None) -> list:
+    if not isinstance(value, list):
+        raise ActionFileError(where, f"expected a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise ActionFileError(where, f"expected {length} entries, got {len(value)}")
+    return value
+
+
+def _labels(value, where: str) -> list:
+    if not all(isinstance(lab, str) for lab in _list(value, where)):
+        raise ActionFileError(where, "labels must be strings")
+    return value
+
+
+def _scalar(ring, value, where: str):
+    try:
+        return ring.scalar_from_str(str(value))
+    except ValueError as exc:
+        raise ActionFileError(where, str(exc)) from None
+
+
+def _scalars(ring, values, where: str, length: int) -> list:
+    return [_scalar(ring, v, where) for v in _list(values, where, length)]
+
+
 def _load_group(spec, where: str) -> FiniteGroup:
-    if not isinstance(spec, dict):
-        raise ActionFileError(where, "group must be an object")
-    if "cyclic" in spec:
+    if "cyclic" in _object(spec, where):
         orders = spec["cyclic"]
         if not isinstance(orders, list) or not orders or not all(isinstance(n, int) for n in orders):
             raise ActionFileError(where, "cyclic spec must be a non-empty list of integers")
@@ -46,9 +75,13 @@ def _load_group(spec, where: str) -> FiniteGroup:
         except GroupError as exc:
             raise ActionFileError(where, str(exc)) from None
     if "table" in spec:
-        labels = _need(spec, "labels", where)
+        labels = _labels(_need(spec, "labels", where), f"{where}/labels")
+        n = len(labels)
+        table = _list(spec["table"], f"{where}/table", n)
+        if not all(isinstance(row, list) and all(isinstance(x, int) and 0 <= x < n for x in row) for row in table):
+            raise ActionFileError(f"{where}/table", "rows must be lists of element indices")
         try:
-            return FiniteGroup(labels, spec["table"])
+            return FiniteGroup(labels, table)
         except GroupError as exc:
             raise ActionFileError(where, str(exc)) from None
     raise ActionFileError(where, "group needs either 'cyclic' or 'table'")
@@ -70,32 +103,34 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
     if _need(doc, "format", where) != FORMAT_VERSION:
         raise ActionFileError(where, f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}")
     try:
-        ring = parse_ring(_need(doc, "base", where))
+        ring = parse_ring(str(_need(doc, "base", where)))
     except ValueError as exc:
         raise ActionFileError(f"{where}/base", str(exc)) from None
 
+    alg_where = f"{where}/algebra"
     alg_spec = _need(doc, "algebra", where)
-    labels = _need(alg_spec, "labels", f"{where}/algebra")
+    labels = _labels(_need(alg_spec, "labels", alg_where), f"{alg_where}/labels")
     rank = len(labels)
-    constants = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for entry in _need(alg_spec, "constants", f"{where}/algebra"):
-        if len(entry) != 4:
-            raise ActionFileError(f"{where}/algebra/constants", f"bad quadruple {entry!r}")
+    # sparse (i, j) -> {k: c}; a repeated quadruple overrides the earlier one
+    constants = {}
+    for n, entry in enumerate(_list(_need(alg_spec, "constants", alg_where), f"{alg_where}/constants")):
+        entry_where = f"{alg_where}/constants/{n}"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise ActionFileError(entry_where, f"bad quadruple {entry!r}")
         i, j, k, value = entry
-        if not all(0 <= t < rank for t in (i, j, k)):
-            raise ActionFileError(f"{where}/algebra/constants", f"index out of range in {entry!r}")
-        constants[i][j][k] = ring.scalar_from_str(str(value))
-    unit = [ring.scalar_from_str(str(v)) for v in _need(alg_spec, "unit", f"{where}/algebra")]
-    if len(unit) != rank:
-        raise ActionFileError(f"{where}/algebra/unit", f"unit length {len(unit)} != rank {rank}")
+        if not all(isinstance(t, int) and 0 <= t < rank for t in (i, j, k)):
+            raise ActionFileError(entry_where, f"index out of range in {entry!r}")
+        constants.setdefault((i, j), {})[k] = _scalar(ring, value, entry_where)
+    table = {ij: tuple(row.items()) for ij, row in constants.items()}
+    unit = _scalars(ring, _need(alg_spec, "unit", alg_where), f"{alg_where}/unit", rank)
     try:
-        algebra = Algebra(ring, labels, constants, unit, validate=True)
+        algebra = Algebra(ring, labels, table, unit, validate=True)
     except AlgebraError as exc:
-        raise ActionFileError(f"{where}/algebra", str(exc)) from None
+        raise ActionFileError(alg_where, str(exc)) from None
 
     group = _load_group(_need(doc, "group", where), f"{where}/group")
 
-    action_spec = _need(doc, "action", where)
+    action_spec = _object(_need(doc, "action", where), f"{where}/action")
     if set(action_spec) != set(group.labels):
         missing = sorted(set(group.labels) - set(action_spec))
         extra = sorted(set(action_spec) - set(group.labels))
@@ -104,16 +139,13 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         )
     idems = []
     maps = []
-    for g, label in enumerate(group.labels):
+    for label in group.labels:
         entry = action_spec[label]
-        coords = [ring.scalar_from_str(str(v)) for v in _need(entry, "idempotent", f"{where}/action/{label}")]
-        if len(coords) != rank:
-            raise ActionFileError(f"{where}/action/{label}", "idempotent length mismatch")
-        rows = _need(entry, "matrix", f"{where}/action/{label}")
-        if len(rows) != rank or any(len(r) != rank for r in rows):
-            raise ActionFileError(f"{where}/action/{label}", "matrix is not rank x rank")
+        entry_where = f"{where}/action/{label}"
+        coords = _scalars(ring, _need(entry, "idempotent", entry_where), f"{entry_where}/idempotent", rank)
+        rows = _list(_need(entry, "matrix", entry_where), f"{entry_where}/matrix", rank)
         idems.append(algebra.element(coords))
-        maps.append(Matrix(ring, [[ring.scalar_from_str(str(v)) for v in r] for r in rows], rank))
+        maps.append(Matrix(ring, [_scalars(ring, r, f"{entry_where}/matrix/{i}", rank) for i, r in enumerate(rows)], rank))
     act = PartialAction(group, algebra, idems, maps)
     if verify:
         report = verify_partial_action(act)
@@ -121,10 +153,6 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
             bad = report.failures()[0]
             raise ActionFileError(f"{where}/action", f"axiom failure: {bad.name} [{bad.witness}]")
     return act
-
-
-def _ring_tag(ring) -> str:
-    return "Q" if ring.kind == "rationals" else f"Z/{ring.n}"
 
 
 def action_to_document(act: PartialAction) -> dict:
@@ -138,7 +166,7 @@ def action_to_document(act: PartialAction) -> dict:
                 constants.append([i, j, k, s(c)])
     return {
         "format": FORMAT_VERSION,
-        "base": _ring_tag(ring),
+        "base": repr(ring),
         "algebra": {
             "labels": list(act.algebra.labels),
             "constants": constants,

@@ -11,11 +11,13 @@ are built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
 from .scalars import (
     BaseRing,
+    LinearSystem,
     Matrix,
     Modular,
     canonical_row_form,
@@ -119,14 +121,12 @@ class Algebra:
         cols = [self.mul_coords(coords, [1 if t == j else 0 for t in range(self.rank)]) for j in range(self.rank)]
         return Matrix(self.ring, [list(r) for r in zip(*cols)]) if cols else Matrix(self.ring, [])
 
-    def dense_constants(self):
-        n = self.rank
-        dense = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k, c in self.table[i][j]:
-                    dense[i][j][k] = c
-        return dense
+    def over(self, ring: BaseRing) -> "Algebra":
+        """The same structure constants and unit coerced into ``ring``
+        (zeros dropped).  Not validated: a caller holding outside input
+        calls :meth:`validate` on the result."""
+        table = {(i, j): entries for i, row in enumerate(self.table) for j, entries in enumerate(row) if entries}
+        return Algebra(ring, self.labels, table, self.unit, validate=False)
 
     # -- validation ----------------------------------------------------------
 
@@ -269,18 +269,6 @@ class AlgebraMorphism:
             raise AlgebraError("morphism applied to element of the wrong algebra")
         return Element(self.target, self.matrix.matvec(list(elem.coords)))
 
-    def apply_coords(self, coords):
-        return self.matrix.matvec(list(coords))
-
-    def compose(self, inner: "AlgebraMorphism") -> "AlgebraMorphism":
-        if inner.target != self.source:
-            raise AlgebraError("morphism composition mismatch")
-        return AlgebraMorphism(inner.source, self.target, self.matrix.mul(inner.matrix))
-
-    @classmethod
-    def identity(cls, a: Algebra) -> "AlgebraMorphism":
-        return cls(a, a, Matrix.identity(a.ring, a.rank))
-
     def multiplicative_failure(self):
         """A witness basis pair where f(xy) != f(x)f(y), or None."""
         src, tgt = self.source, self.target
@@ -297,9 +285,6 @@ class AlgebraMorphism:
                     return (src.labels[i], src.labels[j])
         return None
 
-    def is_multiplicative(self) -> bool:
-        return self.multiplicative_failure() is None
-
     def is_unital(self) -> bool:
         return tuple(self.matrix.matvec(list(self.source.unit))) == self.target.unit
 
@@ -313,14 +298,12 @@ class AlgebraMorphism:
 # unital ideals and direct products
 # ---------------------------------------------------------------------------
 
-def _free_basis_or_raise(rows: Matrix, what: str):
-    """Rows must be a free module basis (no relations); Z/n can fail this."""
-    if rows.nrows == 0:
-        return
-    left_kernel = kernel(rows.transpose())
-    if left_kernel.nrows != 0:
+def _free_basis_or_raise(system: LinearSystem, what: str):
+    """The system of a row basis B^T must have no kernel: the rows of B are a
+    free module basis (no relations); Z/n can fail this."""
+    if system.kernel.nrows != 0:
         raise AlgebraError(
-            f"{what}: generating rows are not a free basis over {rows.ring}; "
+            f"{what}: generating rows are not a free basis over {system.ring}; "
             "non-free modules are not supported as algebra carriers"
         )
 
@@ -337,10 +320,10 @@ class UnitalIdeal:
     def rank(self) -> int:
         return self.basis.nrows
 
-    def contains_coords(self, coords) -> bool:
-        from .scalars import module_contains
-
-        return module_contains(self.basis, list(coords))
+    @cached_property
+    def system(self) -> LinearSystem:
+        """Expresses ideal elements over the basis rows."""
+        return LinearSystem(self.basis.transpose())
 
 
 def unital_ideal(parent: Algebra, generator: Element) -> UnitalIdeal:
@@ -366,14 +349,15 @@ class SubAlgebra:
     parent: Algebra
     basis: Matrix
     inclusion: AlgebraMorphism
+    system: LinearSystem  # of basis^T, factored once
 
     def express(self, coords):
         """Parent coordinates -> sub coordinates, or None if outside."""
-        sol = solve(self.basis.transpose(), list(coords))
+        sol = self.system.solve(list(coords))
         return None if sol is None else sol.particular
 
     def include_coords(self, coords):
-        return self.inclusion.apply_coords(coords)
+        return self.inclusion.matrix.matvec(list(coords))
 
 
 def _labels_for_rows(parent: Algebra, rows) -> list:
@@ -388,17 +372,18 @@ def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "s
     """
     ring = parent.ring
     rows = canonical_row_form(rows)
-    _free_basis_or_raise(rows, what)
     k = rows.nrows
     bt = rows.transpose()
-    unit_sol = solve(bt, list(unit_coords))
+    system = LinearSystem(bt)
+    _free_basis_or_raise(system, what)
+    unit_sol = system.solve(list(unit_coords))
     if unit_sol is None:
         raise AlgebraError(f"{what}: unit {parent.format_coords(unit_coords)} is absent from the span")
     table = {}
     for i in range(k):
         for j in range(i, k):
             prod = parent.mul_coords(rows.rows[i], rows.rows[j])
-            sol = solve(bt, prod)
+            sol = system.solve(prod)
             if sol is None:
                 raise AlgebraError(
                     f"{what}: not multiplicatively closed at basis pair ({i}, {j}): "
@@ -414,7 +399,7 @@ def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "s
     for i in range(k):
         if sub.mul_coords(sub.unit, [1 if t == i else 0 for t in range(k)]) != [1 if t == i else 0 for t in range(k)]:
             raise AlgebraError(f"{what}: provided unit does not act as identity on the span")
-    return SubAlgebra(sub, parent, rows, incl)
+    return SubAlgebra(sub, parent, rows, incl, system)
 
 
 def subalgebra_from_constraints(parent: Algebra, constraints: Matrix) -> SubAlgebra:
@@ -470,18 +455,10 @@ class ProductAlgebra:
                     out[t] = add(out[t], mul(c, v))
         return out
 
-    def projection(self, idx: int) -> AlgebraMorphism:
-        cols = [
-            self.project_coords(idx, [1 if t == j else 0 for t in range(self.algebra.rank)])
-            for j in range(self.algebra.rank)
-        ]
-        mat = Matrix(self.parent.ring, [list(r) for r in zip(*cols)], self.algebra.rank)
-        return AlgebraMorphism(self.algebra, self.parent, mat)
-
     def embed_component(self, idx: int, parent_coords):
         """Parent coordinates (in component idx's ideal) -> product coords."""
         comp = self.components[idx]
-        sol = solve(comp.ideal.basis.transpose(), list(parent_coords))
+        sol = comp.ideal.system.solve(list(parent_coords))
         if sol is None:
             raise AlgebraError(f"element is outside ideal component {idx}")
         out = [0] * self.algebra.rank
@@ -494,7 +471,7 @@ class ProductAlgebra:
         out = [0] * self.algebra.rank
         for idx, coords in enumerate(parent_coord_list):
             comp = self.components[idx]
-            sol = solve(comp.ideal.basis.transpose(), list(coords))
+            sol = comp.ideal.system.solve(list(coords))
             if sol is None:
                 raise AlgebraError(f"component {idx} is outside its ideal")
             out[comp.offset : comp.offset + comp.rank] = sol.particular
@@ -513,7 +490,7 @@ def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
     components = []
     offset = 0
     for ideal in ideals:
-        _free_basis_or_raise(ideal.basis, "product_over_ideals")
+        _free_basis_or_raise(ideal.system, "product_over_ideals")
         components.append(ProductComponent(ideal, offset))
         offset += ideal.rank
     total = offset
@@ -524,8 +501,8 @@ def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
         k = comp.rank
         if k == 0:
             continue
-        bt = comp.ideal.basis.transpose()
-        sol = solve(bt, list(comp.ideal.generator.coords))
+        system = comp.ideal.system
+        sol = system.solve(list(comp.ideal.generator.coords))
         if sol is None:
             raise AlgebraError(f"ideal generator escapes its own basis at component {idx}")
         unit[comp.offset : comp.offset + k] = sol.particular
@@ -535,7 +512,7 @@ def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
         for i in range(k):
             for j in range(i, k):
                 prod = parent.mul_coords(comp.ideal.basis.rows[i], comp.ideal.basis.rows[j])
-                psol = solve(bt, prod)
+                psol = system.solve(prod)
                 if psol is None:
                     raise AlgebraError(f"ideal component {idx} is not multiplicatively closed")
                 entries = tuple((comp.offset + t, c) for t, c in enumerate(psol.particular) if c != 0)
@@ -777,14 +754,14 @@ def _split_over_field(algebra: Algebra):
         if k == 1:
             final.append(e)
             continue
-        bt = basis.transpose()
+        system = LinearSystem(basis.transpose())
         refined = False
         for gi in range(algebra.rank):
             gen = algebra.mul_coords(e.coords, [1 if t == gi else 0 for t in range(algebra.rank)])
             cols = []
             for row in basis.rows:
                 prod = algebra.mul_coords(gen, row)
-                sol = solve(bt, prod)
+                sol = system.solve(prod)
                 assert sol is not None, "ideal not closed under multiplication"
                 cols.append(sol.particular)
             op = Matrix(ring, [list(r) for r in zip(*cols)], k)
@@ -832,17 +809,7 @@ def _split_over_zn(algebra: Algebra):
             assert g == 1
             u = (m * x) % n
         crt_units.append(u)
-        sub_ring = Modular(q) if q > 1 else None
-        if q == n:
-            local = algebra
-        else:
-            table = {}
-            for i in range(algebra.rank):
-                for j in range(algebra.rank):
-                    entries = tuple((k, c % q) for k, c in algebra.table[i][j] if c % q != 0)
-                    if entries:
-                        table[(i, j)] = entries
-            local = Algebra(sub_ring, algebra.labels, table, [u0 % q for u0 in algebra.unit], validate=False)
+        local = algebra if q == n else algebra.over(Modular(q))
         if local.ring.is_field:
             idems = _split_over_field(local)
         else:
@@ -884,15 +851,7 @@ def _split_over_zn(algebra: Algebra):
 def _split_mod_prime_power(algebra: Algebra, p: int):
     """Split over Z/p^k by splitting mod p and Hensel-lifting idempotents."""
     q = algebra.ring.n
-    fp = Modular(p)
-    table = {}
-    for i in range(algebra.rank):
-        for j in range(algebra.rank):
-            entries = tuple((k, c % p) for k, c in algebra.table[i][j] if c % p != 0)
-            if entries:
-                table[(i, j)] = entries
-    reduced = Algebra(fp, algebra.labels, table, [u % p for u in algebra.unit], validate=False)
-    mod_p = _split_over_field(reduced)
+    mod_p = _split_over_field(algebra.over(Modular(p)))
     if mod_p is None:
         return None
     lifted = []

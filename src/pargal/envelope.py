@@ -24,7 +24,7 @@ from .algebra import (
     subalgebra_from_constraints,
 )
 from .groups import Subgroup
-from .paction import ActionReport, IsoResult, PartialAction, iso_check
+from .paction import ActionReport, IsoResult, PartialAction, _enumerate_iso_witnesses, _first_iso, global_action
 
 
 @dataclass
@@ -51,17 +51,8 @@ class GlobalizationData:
     def group(self):
         return self.action.group
 
-    def beta_morphism(self, g: int) -> AlgebraMorphism:
-        return AlgebraMorphism(self.algebra, self.algebra, self.beta[g])
-
-    def down_matrix(self) -> Matrix:
-        return self.down
-
     def down_element(self, t: Element) -> Element:
         return Element(self.action.algebra, self.down.matvec(list(t.coords)))
-
-    def embed_module(self) -> Matrix:
-        return canonical_row_form(self.embed.matrix.transpose())
 
 
 def _function_algebra(act: PartialAction, slot_order) -> Algebra:
@@ -177,7 +168,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
 
     ok, witness = True, None
     for g in G.elements():
-        mor = gd.beta_morphism(g)
+        mor = AlgebraMorphism(T, T, gd.beta[g])
         fail = mor.multiplicative_failure()
         if fail is not None or not mor.is_unital() or not mor.is_bijective():
             ok, witness = False, f"beta_{G.labels[g]} is not an automorphism"
@@ -199,7 +190,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
     rep.add("beta is a group action", ok, witness)
 
     emb = gd.embed.matrix
-    emb_module = gd.embed_module()
+    emb_module = canonical_row_form(emb.transpose())
     ok, witness = True, None
     for j in range(T.rank):
         for i in range(act.algebra.rank):
@@ -253,8 +244,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
     # restricting the globalization reproduces the action matrix-for-matrix:
     # beta_g on iota(S_{g^-1}) equals iota alpha_g, already (G3); idempotents
     # are recovered by the previous check; the down map splits the embedding.
-    down = gd.down_matrix()
-    ok = down.mul(emb).is_identity()
+    ok = gd.down.mul(emb).is_identity()
     rep.add("pull-down splits the embedding", ok, None if ok else "down o iota != id")
     return rep
 
@@ -363,7 +353,7 @@ def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
     th = fixed_ring(gd, sub)
     s_ah = invariants(restrict(gd.action, sub))
     # T^H 1_S = S^{alpha_H} as modules of S
-    down = gd.down_matrix()
+    down = gd.down
     th_rows = [down.matvec(T.mul_coords(row_coords, list(gd.one_s.coords))) for row_coords in _sub_coords(th)]
     lhs = canonical_row_form(Matrix.from_rows(gd.action.algebra.ring, th_rows, gd.action.algebra.rank))
     rep.add("T^H 1_S = S^(alpha_H)", lhs == canonical_row_form(s_ah.basis), None)
@@ -403,31 +393,9 @@ def global_iso_check(gd1: GlobalizationData, gd2: GlobalizationData) -> IsoResul
     """Global G-isomorphism search: beta-equivariant with f(1_S) = 1_S'."""
     if gd1.group != gd2.group:
         raise AlgebraError("global_iso_check: different groups")
-    t1 = PartialAction(
-        gd1.group,
-        gd1.algebra,
-        [gd1.algebra.one()] * gd1.group.order,
-        list(gd1.beta),
-    )
-    t2 = PartialAction(
-        gd2.group,
-        gd2.algebra,
-        [gd2.algebra.one()] * gd2.group.order,
-        list(gd2.beta),
-    )
-    res = iso_check(t1, t2)
-    if res.status != "iso":
-        return res
-    # re-search with the unit-of-S condition among all witnesses
-    if res.morphism(gd1.one_s) == gd2.one_s:
-        return res
-    return _iso_with_one_s(t1, t2, gd1, gd2)
-
-
-def _iso_with_one_s(t1, t2, gd1, gd2) -> IsoResult:
-    from .paction import _enumerate_iso_witnesses
-
-    for morphism in _enumerate_iso_witnesses(t1, t2):
-        if morphism(gd1.one_s) == gd2.one_s:
-            return IsoResult("iso", morphism)
-    return IsoResult("none")
+    t1 = global_action(gd1.group, gd1.algebra, gd1.beta)
+    t2 = global_action(gd2.group, gd2.algebra, gd2.beta)
+    witnesses = _enumerate_iso_witnesses(t1, t2)
+    if witnesses is not None:
+        witnesses = (f for f in witnesses if f(gd1.one_s) == gd2.one_s)
+    return _first_iso(witnesses)

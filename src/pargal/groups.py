@@ -147,9 +147,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, a: int) -> bool:
-        return a in set(self.members)
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as a group of its own, elements in member order."""
         pos = {m: i for i, m in enumerate(self.members)}
@@ -199,9 +196,6 @@ class QuotientData:
 
     def coset_of(self, a: int) -> int:
         return self.coset_index[a]
-
-    def rep(self, q: int) -> int:
-        return self.transversal[q]
 
 
 def quotient(group: FiniteGroup, sub: Subgroup, transversal=None) -> QuotientData:

@@ -156,12 +156,6 @@ class HatAction:
     product: ProductAlgebra
     action: PartialAction  # of G x G on the product algebra
 
-    def component_idem(self, l: int, t: int, g: int):
-        """S-coordinates of the (l,t) ideal's g-component generator."""
-        act = self.base
-        gi = act.group.mul(act.group.inv(t), g)
-        return (act.idems[g] * act.idems[l] * act.idems[gi]).coords
-
 
 def hat_action(act: PartialAction) -> HatAction:
     """The action of G x G on prod_g S_g:
@@ -338,21 +332,6 @@ class SuiteReport:
         return [(n, note) for n, status, note in self.checks if status != "pass"]
 
 
-class _ProductCache:
-    def __init__(self):
-        self.cache = {}
-
-    def mul(self, a: ExtensionClass, b: ExtensionClass) -> ExtensionClass:
-        key = (id(a), id(b))
-        if key not in self.cache:
-            self.cache[key] = harrison_product(a, b)
-        return self.cache[key]
-
-
-def _classes_iso(a: ExtensionClass, b: ExtensionClass):
-    return iso_check(a.action, b.action)
-
-
 def star_product_suite(classes) -> SuiteReport:
     """Inverse-semigroup law checks over a corpus of classes.
 
@@ -368,11 +347,17 @@ def star_product_suite(classes) -> SuiteReport:
             rep.add(f"class {i} valid", False, f"{bad.name} [{bad.witness}]")
             return rep
         rep.add(f"class {i} valid", True)
-    cache = _ProductCache()
-    mul = cache.mul
+    # keyed on identity: every class below is held alive by the suite
+    products = {}
+
+    def mul(a: ExtensionClass, b: ExtensionClass) -> ExtensionClass:
+        key = (id(a), id(b))
+        if key not in products:
+            products[key] = harrison_product(a, b)
+        return products[key]
 
     def iso_ok(x, y, label) -> bool:
-        res = _classes_iso(x, y)
+        res = iso_check(x.action, y.action)
         if res.status == "undecided":
             rep.add(label, "undecided", "carrier admits no split presentation")
             return False

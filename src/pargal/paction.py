@@ -53,12 +53,6 @@ class PartialAction:
                 raise AlgebraError("action matrix shape mismatch")
         self._idem_mats = [None] * group.order
 
-    def idem(self, g: int) -> Element:
-        return self.idems[g]
-
-    def map(self, g: int) -> Matrix:
-        return self.maps[g]
-
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
             self._idem_mats[g] = self.algebra.mult_matrix(self.idems[g].coords)
@@ -70,10 +64,6 @@ class PartialAction:
 
     def ideal(self, g: int):
         return unital_ideal(self.algebra, self.idems[g])
-
-    def is_global(self) -> bool:
-        one = self.algebra.one()
-        return all(e == one for e in self.idems)
 
     def __eq__(self, other):
         return (
@@ -401,6 +391,21 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     the base ring), are filtered by f(S_g) <= S'_g and f alpha_g = alpha'_g f,
     and the first witness in canonical order is returned.
     """
+    return _first_iso(_enumerate_iso_witnesses(a, b))
+
+
+def _first_iso(witnesses) -> IsoResult:
+    """The first witness of an enumeration; None (a non-split carrier) is
+    "undecided" and an empty enumeration "none"."""
+    if witnesses is None:
+        return IsoResult("undecided")
+    morphism = next(witnesses, None)
+    return IsoResult("none" if morphism is None else "iso", morphism)
+
+
+def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
+    """Every partial G-isomorphism witness a -> b in canonical order, lazily;
+    None when a carrier admits no split presentation."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -408,20 +413,9 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     pa = find_split_presentation(a.algebra)
     pb = find_split_presentation(b.algebra)
     if pa is None or pb is None:
-        return IsoResult("undecided")
-    for morphism in _enumerate_iso_witnesses(a, b, pa, pb):
-        return IsoResult("iso", morphism)
-    return IsoResult("none")
-
-
-def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction, pa=None, pb=None):
-    """Yield every partial G-isomorphism witness in canonical order."""
-    pa = pa or find_split_presentation(a.algebra)
-    pb = pb or find_split_presentation(b.algebra)
-    if pa is None or pb is None:
-        raise AlgebraError("iso witness enumeration needs split carriers")
+        return None
     if a.algebra.rank != b.algebra.rank:
-        return
+        return iter(())
     r = a.algebra.rank
     ring = a.algebra.ring
     ps = [list(e.coords) for e in pa.idempotents]
@@ -469,21 +463,24 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction, pa=None, pb=Non
             img = Matrix(ring, [list(row) for row in zip(*cols)], r)
             yield img.mul(to_p)
 
-    for fmat in candidate_matrices():
-        ok = True
-        for g in a.group.elements():
-            gi = a.group.inv(g)
-            if emt[g].mul(fmat).mul(ems[g]) != fmat.mul(ems[g]):
-                ok = False
-                break
-            if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(ems[gi]):
-                ok = False
-                break
-        if not ok:
-            continue
-        if not invertible(fmat):
-            continue
-        morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
-        if morphism.multiplicative_failure() is not None or not morphism.is_unital():
-            continue
-        yield morphism
+    def witnesses():
+        for fmat in candidate_matrices():
+            ok = True
+            for g in a.group.elements():
+                gi = a.group.inv(g)
+                if emt[g].mul(fmat).mul(ems[g]) != fmat.mul(ems[g]):
+                    ok = False
+                    break
+                if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(ems[gi]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if not invertible(fmat):
+                continue
+            morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+            if morphism.multiplicative_failure() is not None or not morphism.is_unital():
+                continue
+            yield morphism
+
+    return witnesses()

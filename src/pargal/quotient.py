@@ -106,11 +106,15 @@ def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
     return QuotientAction(act, sub, qdata, carrier, action, tilde)
 
 
-def quotient_action(act: PartialAction, sub: Subgroup, transversal=None, certify: bool = True) -> QuotientAction:
-    """The induced partial action of G/H on S^{alpha_H} via the closed forms."""
+def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
+    """The induced partial action of G/H on S^{alpha_H} via the closed forms.
+
+    Uncertified: callers that need the theorem-level invariants run
+    :meth:`QuotientAction.certify`.
+    """
     qdata = quotient(act.group, sub, transversal)
     carrier = invariants(restrict(act, sub))
-    qa = _build_quotient_action(
+    return _build_quotient_action(
         act,
         sub,
         qdata,
@@ -118,19 +122,11 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None, certify
         lambda rep, x: induced_map_apply(act, sub, rep, x),
         lambda rep: quotient_idempotent(act, sub, rep),
     )
-    if certify:
-        rep = qa.certify()
-        if not rep.passed:
-            raise AssertionError(
-                "quotient action certificate failed (bug trap): "
-                + "; ".join(c.name for c in rep.failures())
-            )
-    return qa
 
 
 def quotient_via_globalization(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
     """alpha_{G/H} through the enveloping action: m_{1_S} o beta_g o psi_H."""
-    from .envelope import fixed_ring, globalize, psi_h, subgroup_idempotents
+    from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
     qdata = quotient(act.group, sub, transversal)
@@ -205,6 +201,12 @@ def quotient_galois_check(act: PartialAction, sub: Subgroup, transversal=None):
     if base_witness is None:
         raise AlgebraError("quotient_galois_check: the input action is not partial Galois")
     qa = quotient_action(act, sub, transversal)
+    rep = qa.certify()
+    if not rep.passed:
+        raise AssertionError(
+            "quotient action certificate failed (bug trap): "
+            + "; ".join(c.name for c in rep.failures())
+        )
     witness = galois_coordinates(qa.action)
     if witness is None:
         raise AssertionError(

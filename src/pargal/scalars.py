@@ -41,25 +41,18 @@ class BaseRing:
     def neg(self, a):
         raise NotImplementedError
 
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def scalar_to_str(self, a) -> str:
         return str(a)
 
     def scalar_from_str(self, s: str):
-        raise NotImplementedError
+        """Parse "3", "-3/4" or "0.5"; a malformed scalar raises ValueError."""
+        try:
+            return self.coerce(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"bad scalar {s!r}: zero denominator") from None
 
 
 class Rationals(BaseRing):
@@ -86,9 +79,6 @@ class Rationals(BaseRing):
     def neg(self, a):
         return -a
 
-    def is_unit(self, a) -> bool:
-        return a != 0
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
@@ -98,9 +88,6 @@ class Rationals(BaseRing):
     def div(self, a, b):
         f = Fraction(a) / Fraction(b)
         return f.numerator if f.denominator == 1 else f
-
-    def scalar_from_str(self, s: str):
-        return self.coerce(Fraction(s))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -153,18 +140,11 @@ class Modular(BaseRing):
     def neg(self, a):
         return (-a) % self.n
 
-    def is_unit(self, a) -> bool:
-        return gcd(a, self.n) == 1
-
     def inv(self, a):
         return pow(a, -1, self.n)
 
     def div(self, a, b):
         return (a * pow(b, -1, self.n)) % self.n
-
-    def scalar_from_str(self, s: str):
-        f = Fraction(s)
-        return self.coerce(f)
 
     def __eq__(self, other):
         return isinstance(other, Modular) and other.n == self.n
@@ -228,9 +208,6 @@ class Matrix:
     @property
     def ncols(self) -> int:
         return self._ncols
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ring, self.rows)
 
     def transpose(self) -> "Matrix":
         if not self.rows:
@@ -456,13 +433,7 @@ def _reduce_vector(vec, rows, pivots, ring):
 def module_contains(canonical: Matrix, vec) -> bool:
     """Membership of vec in the row module given by its canonical form."""
     rows = canonical.rows
-    pivots = []
-    for i, row in enumerate(rows):
-        for j, a in enumerate(row):
-            if a != 0:
-                pivots.append((i, j))
-                break
-    rem, _ = _reduce_vector(vec, rows, pivots, canonical.ring)
+    rem, _ = _reduce_vector(vec, rows, _pivots_of(rows), canonical.ring)
     return all(x == 0 for x in rem)
 
 
@@ -478,35 +449,51 @@ class LinearSolution:
     kernel: Matrix
 
 
-def _solve_with_kernel(a: Matrix, b):
-    ring = a.ring
-    m, k = a.nrows, a.ncols
-    if len(b) != m:
-        raise ShapeError(f"solve: {m}x{k} system with rhs of length {len(b)}")
-    # Row-reduce [A^T | I]; rows with zero left block give the kernel, and
-    # expressing b over the left blocks recovers a particular solution.
-    aug = []
-    for i in range(k):
-        row = [a.rows[j][i] for j in range(m)] + [1 if t == i else 0 for t in range(k)]
-        aug.append(row)
-    rows, pivots = _canonical_rows(aug, m + k, ring)
-    kernel_rows = [row[m:] for row in rows if all(x == 0 for x in row[:m])]
-    kernel = Matrix.from_rows(ring, kernel_rows, k)
-    target = list(b) + [0] * k
-    lead_pivots = [(r, c) for (r, c) in pivots if c < m]
-    rem, _ = _reduce_vector(target, rows, lead_pivots, ring)
-    if any(x != 0 for x in rem[:m]):
-        return None, kernel
-    particular = [ring.neg(x) for x in rem[m:]]
-    # normalize the particular solution against the kernel for determinism
-    kpivots = []
-    for i, row in enumerate(kernel_rows):
+def _pivots_of(rows):
+    """(row, column) of the leading nonzero entry of each row."""
+    out = []
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if x != 0:
-                kpivots.append((i, j))
+                out.append((i, j))
                 break
-    particular, _ = _reduce_vector(particular, kernel_rows, kpivots, ring)
-    return particular, kernel
+    return out
+
+
+class LinearSystem:
+    """A x = b for one fixed A: [A^T | I] is reduced once, then any b is solved.
+
+    Rows of the reduced form with a zero left block give the kernel;
+    expressing b over the left blocks recovers a particular solution, which
+    is normalized against the kernel so the answer is deterministic.
+    """
+
+    __slots__ = ("ring", "nrows", "kernel", "_rows", "_lead_pivots", "_kernel_pivots")
+
+    def __init__(self, a: Matrix):
+        ring = a.ring
+        m, k = a.nrows, a.ncols
+        aug = [[a.rows[j][i] for j in range(m)] + [1 if t == i else 0 for t in range(k)] for i in range(k)]
+        rows, pivots = _canonical_rows(aug, m + k, ring)
+        kernel_rows = [row[m:] for row in rows if all(x == 0 for x in row[:m])]
+        self.ring = ring
+        self.nrows = m
+        self.kernel = Matrix.from_rows(ring, kernel_rows, k)
+        self._rows = rows
+        self._lead_pivots = [(r, c) for (r, c) in pivots if c < m]
+        self._kernel_pivots = _pivots_of(kernel_rows)
+
+    def solve(self, b) -> "LinearSolution | None":
+        """Solve A x = b exactly; None when unsolvable."""
+        ring, m = self.ring, self.nrows
+        if len(b) != m:
+            raise ShapeError(f"solve: {m}x{self.kernel.ncols} system with rhs of length {len(b)}")
+        rem, _ = _reduce_vector(list(b) + [0] * self.kernel.ncols, self._rows, self._lead_pivots, ring)
+        if any(x != 0 for x in rem[:m]):
+            return None
+        particular = [ring.neg(x) for x in rem[m:]]
+        particular, _ = _reduce_vector(particular, self.kernel.rows, self._kernel_pivots, ring)
+        return LinearSolution(particular, self.kernel)
 
 
 def solve(a: Matrix, b) -> "LinearSolution | None":
@@ -514,16 +501,12 @@ def solve(a: Matrix, b) -> "LinearSolution | None":
 
     The kernel of the returned solution generates all homogeneous solutions.
     """
-    particular, kernel = _solve_with_kernel(a, b)
-    if particular is None:
-        return None
-    return LinearSolution(particular, kernel)
+    return LinearSystem(a).solve(b)
 
 
 def kernel(a: Matrix) -> Matrix:
     """Canonical generating set of {x : A x = 0}."""
-    _, ker = _solve_with_kernel(a, [0] * a.nrows)
-    return ker
+    return LinearSystem(a).kernel
 
 
 def intersect_modules(u: Matrix, v: Matrix) -> Matrix:
@@ -552,9 +535,10 @@ def invert(a: Matrix) -> Matrix:
     n = a.nrows
     if n != a.ncols:
         raise ShapeError("invert: matrix not square")
+    system = LinearSystem(a)
     cols = []
     for j in range(n):
-        sol = solve(a, [1 if i == j else 0 for i in range(n)])
+        sol = system.solve([1 if i == j else 0 for i in range(n)])
         if sol is None:
             raise ValueError("matrix is not invertible")
         cols.append(sol.particular)

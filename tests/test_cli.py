@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,76 @@ def test_golden_reports_are_reproduced(name, capsys):
     out = capsys.readouterr().out
     assert out == golden
     assert rc in (0, 1)
+
+
+def _set(path, value):
+    """A document edit: replace the value at a key path of ex2.json."""
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+VERIFY = ("verify",)
+
+
+@pytest.mark.parametrize(
+    "edit, argv, located",
+    [
+        (_set(["algebra"], 5), VERIFY, "/algebra: expected an object"),
+        (_set(["algebra", "constants", 0], 7), VERIFY, "/algebra/constants/0: bad quadruple 7"),
+        (_set(["algebra", "constants", 0], ["0", 0, 0, "1"]), VERIFY, "/algebra/constants/0: index out of range"),
+        (_set(["action", "g", "matrix"], 3), VERIFY, "/action/g/matrix: expected a list"),
+        (_set(["algebra", "unit", 1], "1/0"), VERIFY, "/algebra/unit: bad scalar '1/0'"),
+        (_set(["action", "g", "matrix", 1, 0], "1/0"), VERIFY, "/action/g/matrix/1: bad scalar '1/0'"),
+        (None, ("trace", "--element", "1/0,1"), "bad scalar '1/0'"),
+    ],
+    ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
+         "unit-zero-denominator", "matrix-zero-denominator", "trace-element"],
+)
+def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):
+    with open(fixture("ex2"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(argv[0], str(path), *argv[1:]) == 2
+    assert located in capsys.readouterr().err
+
+
+def test_many_labels_fail_before_any_cube(tmp_path, capsys):
+    # validation reads the sparse constants directly; a dense rank^3 table
+    # for 400 labels would hold 64 million entries
+    rank = 400
+    doc = {
+        "format": 1,
+        "base": "Q",
+        "algebra": {"labels": [f"b{i}" for i in range(rank)], "constants": [], "unit": ["1"] * rank},
+        "group": {"cyclic": [1]},
+        "action": {},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.perf_counter()
+    assert run_cli("verify", str(path)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "unit does not fix basis vector b0" in capsys.readouterr().err
+
+
+def test_worked_examples_script_runs():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "worked_examples.py")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "class map at g2 swaps v and w: True" in proc.stdout
 
 
 def test_cli_entry_point_subprocess():

@@ -121,7 +121,7 @@ def test_fixed_ring_times_one_s_is_invariants():
     gd = globalize(example1())
     h = subgroup_closure(gd.group, [2])
     th = fixed_ring(gd, h)
-    down = gd.down_matrix()
+    down = gd.down
     rows = [down.matvec(gd.algebra.mul_coords(list(r), list(gd.one_s.coords))) for r in th.basis.rows]
     lhs = canonical_row_form(Matrix.from_rows(gd.action.algebra.ring, rows, 3))
     s_ah = invariants(restrict(gd.action, h))

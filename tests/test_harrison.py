@@ -12,7 +12,7 @@ from pargal.corpus import (
     global_swap,
     trivial_action,
 )
-from pargal.groups import make_cyclic, make_product
+from pargal.groups import Subgroup, make_cyclic, make_product
 from pargal.harrison import (
     CertificationError,
     ExtensionClass,
@@ -36,6 +36,7 @@ from pargal.paction import (
     iso_check,
     verify_partial_action,
 )
+from pargal.quotient import quotient_action
 
 
 def cls(act):
@@ -314,3 +315,36 @@ def test_certification_rejects_non_galois():
     )
     with pytest.raises(CertificationError, match="fixed ring has rank 2"):
         ExtensionClass.certify(ident)
+
+
+# The theorem-level check (S^alpha_H)^(alpha_G/H) = S^alpha of each quotient
+# that the class arithmetic builds.  harrison_product and cyclic_decompose
+# certify their results only as extension classes, so it runs here.
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2)], ids=["Q", "F2"])
+def test_delta_quotients_certify_on_criterion_6_pairs(ring):
+    ex1, ex2 = cls(example1(ring)), cls(example2(ring))
+    classes = [ex1, ex1.star(), ex2, ex2.star(), trivial_extension(make_cyclic(4), ring)]
+    for i, a in enumerate(classes):
+        for j, b in enumerate(classes):
+            qa = _quotient_by_delta(tensor_action(a.action, b.action), a.group)
+            rep = qa.certify()
+            assert rep.passed, (i, j, [c.name for c in rep.failures()])
+
+
+def test_factor_quotients_certify_on_criterion_7_candidates():
+    z2 = make_cyclic(2)
+    swap = cls(global_swap())
+    candidates = [
+        trivial_extension(make_product([z2, z2])),
+        cyclic_compose([swap, swap]),
+        cyclic_compose([swap, trivial_extension(z2)]),
+    ]
+    # cyclic_decompose's factor subgroups and transversals for orders [2, 2],
+    # with (a, b) in Z2 x Z2 at index 2a + b
+    factors = [((0, 1), (0, 2)), ((0, 2), (0, 1))]
+    for c in candidates:
+        for members, transversal in factors:
+            qa = quotient_action(c.action, Subgroup(c.group, members), transversal)
+            rep = qa.certify()
+            assert rep.passed, (c, members, [f.name for f in rep.failures()])

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from pargal.scalars import (
     QQ,
+    LinearSystem,
     Matrix,
     Modular,
     ShapeError,
@@ -205,6 +206,40 @@ def test_intersection_matches_bruteforce(nm1, nm2):
         [[x % n for x in r] for r in rows2], n
     )
     assert enumerate_row_module(got.rows, n, got.ncols) == expected
+
+
+@st.composite
+def systems(draw):
+    """A ring among Q, F_5 and Z/6, a matrix over it and several right-hand
+    sides; entries are small so Z/6 draws non-free columns and every ring
+    draws unsolvable b."""
+    ring = draw(st.sampled_from([QQ, Modular(5), Modular(6)]))
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2) if ring == QQ else st.integers(0, ring.n - 1)
+    a = Matrix(ring, [[ring.coerce(draw(entry)) for _ in range(cols)] for _ in range(rows)])
+    rhs = [[ring.coerce(draw(entry)) for _ in range(rows)] for _ in range(draw(st.integers(2, 4)))]
+    return a, rhs
+
+
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_linear_system_reuse_matches_solve(case):
+    a, rhs = case
+    system = LinearSystem(a)
+    for b in rhs:
+        got = system.solve(b)
+        assert got == solve(a, b)
+        if got is not None:
+            assert a.matvec(got.particular) == b
+        elif a.ring == QQ:
+            # unsolvable over a field: b raises the rank of the columns
+            cols = a.transpose().rows
+            assert canonical_row_form(Matrix(QQ, cols + [b])).nrows > canonical_row_form(a.transpose()).nrows
+        else:
+            n = a.ring.n
+            assert all(a.matvec(list(x)) != b for x in product(range(n), repeat=a.ncols))
+    assert system.kernel == kernel(a)
 
 
 def test_modules_equal_distinguishes():
