@@ -306,13 +306,12 @@ def cmd_inverse(args, report):
 
 def cmd_idempotent(args, report):
     from .harrison import harrison_product, idempotent_class
-    from .paction import iso_check as pa_iso
 
     act = _load(args.files[0], args.base)
     e = idempotent_class(act)
     report.check("E(S,alpha) certified partial Galois", True)
     c = _certified_class(act)
-    res = pa_iso(e.action, harrison_product(c, c.star()).action)
+    res = iso_check(e.action, harrison_product(c, c.star()).action)
     report.check("E(S,alpha) iso to [alpha]*[alpha*]", res.status == "iso")
     alg = e.action.algebra
     report.data["rank"] = alg.rank
@@ -356,7 +355,6 @@ def cmd_suite(args, report):
 
 def cmd_decompose(args, report):
     from .harrison import cyclic_compose, cyclic_decompose
-    from .paction import iso_check as pa_iso
 
     act = _load(args.files[0], args.base)
     if not args.factors:
@@ -368,7 +366,7 @@ def cmd_decompose(args, report):
         report.check(f"factor {i} certified partial Galois", True)
         report.data[f"factor {i} rank"] = part.action.algebra.rank
     recomposed = cyclic_compose(parts)
-    res = pa_iso(recomposed.action, c.action)
+    res = iso_check(recomposed.action, c.action)
     report.check("compose of the factors is iso to the input", res.status == "iso")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .scalars import Matrix, canonical_row_form, intersect_modules, modules_equal
+from .scalars import Matrix, canonical_row_form, intersect_modules, module_contains, modules_equal
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -190,13 +190,12 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
     rep.add("beta is a group action", ok, witness)
 
     emb = gd.embed.matrix
+    iota_cols = emb.transpose().rows  # iota(s_i) for the basis s_i of S
     emb_module = canonical_row_form(emb.transpose())
     ok, witness = True, None
     for j in range(T.rank):
-        for i in range(act.algebra.rank):
-            prod = T.mul_coords([1 if t == j else 0 for t in range(T.rank)], emb.matvec([1 if t == i else 0 for t in range(act.algebra.rank)]))
-            from .scalars import module_contains
-
+        for i, col in enumerate(iota_cols):
+            prod = T.mul_coords([1 if t == j else 0 for t in range(T.rank)], col)
             if not module_contains(emb_module, prod):
                 ok, witness = False, f"T*iota({act.algebra.labels[i]}) escapes iota(S)"
                 break
@@ -208,8 +207,8 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
     for g in G.elements():
         ideal_rows = [emb.matvec(list(row)) for row in act.ideal(g).basis.rows]
         lhs = Matrix.from_rows(ring, ideal_rows, T.rank)
-        beta_s = Matrix.from_rows(ring, [gd.beta[g].matvec(emb.matvec([1 if t == i else 0 for t in range(act.algebra.rank)])) for i in range(act.algebra.rank)], T.rank)
-        rhs = intersect_modules(canonical_row_form(Matrix.from_rows(ring, [emb.matvec([1 if t == i else 0 for t in range(act.algebra.rank)]) for i in range(act.algebra.rank)], T.rank)), canonical_row_form(beta_s))
+        beta_s = Matrix.from_rows(ring, [gd.beta[g].matvec(col) for col in iota_cols], T.rank)
+        rhs = intersect_modules(emb_module, canonical_row_form(beta_s))
         if not modules_equal(lhs, rhs):
             ok, witness = False, f"g={G.labels[g]}"
             break
@@ -225,10 +224,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
             break
     rep.add("(G3) beta_g extends alpha_g on S_(g^-1)", ok, witness)
 
-    span = []
-    for g in G.elements():
-        for i in range(act.algebra.rank):
-            span.append(gd.beta[g].matvec(emb.matvec([1 if t == i else 0 for t in range(act.algebra.rank)])))
+    span = [gd.beta[g].matvec(col) for g in G.elements() for col in iota_cols]
     ok = modules_equal(Matrix.from_rows(ring, span, T.rank), Matrix.identity(ring, T.rank))
     rep.add("(G4) T = sum_g beta_g(iota(S))", ok, None if ok else "span of translates is a proper submodule")
 
@@ -282,12 +278,14 @@ def subgroup_idempotents(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempo
     return out
 
 
-def psi_h(gd: GlobalizationData, sub: Subgroup) -> AlgebraMorphism:
+def psi_h(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempotents | None = None) -> AlgebraMorphism:
     """psi_H(t) = sum_i beta_{h_i}(t) e_i, cross-checked against the defining
-    inclusion-exclusion double sum (disagreement is a bug trap)."""
+    inclusion-exclusion double sum (disagreement is a bug trap).  ``idems``
+    are the subgroup idempotents of ``sub`` when the caller has them."""
     T = gd.algebra
     ring = T.ring
-    idems = subgroup_idempotents(gd, sub)
+    if idems is None:
+        idems = subgroup_idempotents(gd, sub)
     total = Matrix.zero(ring, T.rank, T.rank)
     for h, e in zip(sub.members, idems.eis):
         total = total.add(T.mult_matrix(e.coords).mul(gd.beta[h]))
@@ -323,14 +321,14 @@ def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
 def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
     """The psi_H property suite (injectivity on S, e_H, fixed-ring identities)."""
     from .paction import invariants, restrict
-    from .scalars import kernel, module_contains
+    from .scalars import kernel
 
     T = gd.algebra
     ring = T.ring
     G = gd.group
     rep = ActionReport()
-    psi = psi_h(gd, sub)
     idems = subgroup_idempotents(gd, sub)
+    psi = psi_h(gd, sub, idems)
     e_h = idems.e_h
 
     rep.add(

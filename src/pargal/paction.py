@@ -11,9 +11,9 @@ multiplication-by-1_g matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from functools import partial
 
-from .scalars import Matrix, invertible, ring_idempotents, solve
+from .scalars import Matrix, invert, invertible, ring_idempotents, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -386,10 +386,14 @@ def _base_ring_units(ring):
 def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     """Search for a partial G-isomorphism between two actions.
 
-    Requires split carriers (returns "undecided" otherwise).  Candidate maps
-    send primitive idempotents to primitive idempotents (per CRT factor of
-    the base ring), are filtered by f(S_g) <= S'_g and f alpha_g = alpha'_g f,
-    and the first witness in canonical order is returned.
+    Requires split carriers (returns "undecided" otherwise).  A candidate
+    sends the split idempotent p_i of a to sum_t u_t q_{sigma_t(i)}: one
+    permutation sigma_t of b's split idempotents per CRT factor u_t of the
+    base ring.  It is a witness when f(S_g) <= S'_g, f alpha_g = alpha'_g f
+    and f is an invertible unital algebra map.  A pruned depth-first search
+    finds the candidates (see :func:`_enumerate_iso_witnesses`), and the
+    first witness in lexicographic order of (sigma_0, sigma_1, ...) is
+    returned.
     """
     return _first_iso(_enumerate_iso_witnesses(a, b))
 
@@ -404,8 +408,24 @@ def _first_iso(witnesses) -> IsoResult:
 
 
 def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
-    """Every partial G-isomorphism witness a -> b in canonical order, lazily;
-    None when a carrier admits no split presentation."""
+    """Every partial G-isomorphism witness a -> b, lazily, in lexicographic
+    order of (sigma_0, sigma_1, ...); None when a carrier admits no split
+    presentation.
+
+    In coordinates over the split idempotents the filter equations
+    E'_g f E_g = f E_g and f M_g = M'_g f E_{g^-1} hold exactly when every
+    column of each, multiplied by every CRT unit u_t, vanishes.  Column i
+    reads sigma_t only at the indices where the i-th coordinate columns of
+    E_g, M_g and E_{g^-1} are nonzero (i itself and the image of p_i under
+    alpha_g for a partial G-set).  Per unit, a depth-first search fixes
+    sigma_t(0), sigma_t(1), ... in turn, tries targets in increasing order,
+    and drops a prefix as soon as a column check it completes fails; checks
+    that read one index become the allowed targets of that index, and no
+    candidate is tried when those admit no perfect matching.  Pruning removes
+    only candidates that fail a filter, so the candidates come in the order
+    of the full (r!)^u enumeration, and each still passes the matrix filters,
+    invertibility, multiplicativity and unitality before it is yielded.
+    """
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -421,42 +441,25 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
     ps = [list(e.coords) for e in pa.idempotents]
     qs = [list(e.coords) for e in pb.idempotents]
     # change of basis: source coords -> coefficients over the ps
-    from .scalars import invert
-
-    p_mat = Matrix(ring, [list(col) for col in zip(*ps)], r)
-    to_p = invert(p_mat)
-    sig_a = [tuple(1 if a.algebra.mul_coords(p, list(a.idems[g].coords)) == p else 0 for g in a.group.elements()) for p in ps]
-    sig_b = [tuple(1 if b.algebra.mul_coords(q, list(b.idems[g].coords)) == q else 0 for g in b.group.elements()) for q in qs]
+    to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
     units = _base_ring_units(ring)
+    pools = []
+    for allowed, later in _column_checks(a, ps, to_p, b, qs, units):
+        if not _has_perfect_matching(allowed):
+            return iter(())
+        pools.append(partial(_pruned_permutations, allowed, later, ring))
     ems = {g: a.idem_matrix(g) for g in a.group.elements()}
     emt = {g: b.idem_matrix(g) for g in b.group.elements()}
 
     def candidate_matrices():
-        perms = [sigma for sigma in permutations(range(r))]
-        if len(units) == 1:
-            pools = [perms]
-        else:
-            pools = [perms] * len(units)
-        from itertools import product as iproduct
-
-        for combo in iproduct(*pools):
+        for combo in _lazy_product(pools):
             # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
-            ok = True
-            for t, sigma in enumerate(combo):
-                for i in range(r):
-                    if any(sa > sb for sa, sb in zip(sig_a[i], sig_b[sigma[i]])):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
             cols = []
             for i in range(r):
                 col = [0] * r
                 for t, sigma in enumerate(combo):
                     u = units[t]
-                    q = qs[combo[t][i]]
+                    q = qs[sigma[i]]
                     for s in range(r):
                         col[s] = ring.add(col[s], ring.mul(u, q[s]))
                 cols.append(col)
@@ -484,3 +487,143 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
             yield morphism
 
     return witnesses()
+
+
+def _sparse_columns(to_coords: Matrix, vectors):
+    """The coordinates of each vector under ``to_coords`` as its nonzero
+    (index, value) pairs."""
+    return [tuple((s, x) for s, x in enumerate(to_coords.matvec(v)) if x != 0) for v in vectors]
+
+
+def _column_checks(a, ps, to_p, b, qs, units):
+    """Per CRT unit u_t, the filter equations of the iso search as column
+    checks on sigma_t: (allowed, later), where allowed[i] lists the targets
+    that pass every check reading only index i and later[d] holds the checks
+    reading several indices, the largest of them d.
+
+    Column i of f E_g is sum_j E_g[j, i] q_{sigma(j)} in coordinates over
+    the qs, so E'_g f E_g = f E_g reads sum_j E_g[j, i] (E'_g - I) e_{sigma(j)}
+    and f M_g = M'_g f E_{g^-1} reads sum_j M_g[j, i] e_{sigma(j)} -
+    sum_j E_{g^-1}[j, i] M'_g e_{sigma(j)}.  A check is a list of terms
+    (j, coefficient, family), family[k] being a sparse vector; terms on the
+    same (j, family) are merged, so M'_g = I with equal coefficient columns
+    and E'_g = I leave no check at all.
+    """
+    group = a.group
+    ring = a.algebra.ring
+    r = len(ps)
+    to_q = invert(Matrix(ring, [list(col) for col in zip(*qs)], r))
+    ident = [((k, 1),) for k in range(r)]
+    e_src = {g: _sparse_columns(to_p, [a.algebra.mul_coords(p, list(a.idems[g].coords)) for p in ps]) for g in group.elements()}
+    e_tgt = {g: _sparse_columns(to_q, [b.algebra.mul_coords(q, list(b.idems[g].coords)) for q in qs]) for g in group.elements()}
+    # the signature filter: p_i in S_g forces q_{sigma(i)} in S'_g
+    fixed_src = [[e_src[g][i] == ((i, 1),) for g in group.elements()] for i in range(r)]
+    fixed_tgt = [[e_tgt[g][k] == ((k, 1),) for g in group.elements()] for k in range(r)]
+    by_signature = [[k for k in range(r) if all(t or not s for s, t in zip(fixed_src[i], fixed_tgt[k]))] for i in range(r)]
+    checks = []
+    for g in group.elements():
+        gi = group.inv(g)
+        shift = []
+        for k in range(r):
+            vec = dict(e_tgt[g][k])
+            vec[k] = ring.sub(vec.get(k, 0), 1)
+            shift.append(tuple((s, x) for s, x in sorted(vec.items()) if x != 0))
+        if not any(shift):
+            shift = None  # E'_g = I
+        if b.maps[g].is_identity():
+            m_tgt = ident
+        else:
+            m_tgt = _sparse_columns(to_q, [b.maps[g].matvec(q) for q in qs])
+        m_src = _sparse_columns(to_p, [a.maps[g].matvec(p) for p in ps])
+        for i in range(r):
+            if shift is not None:
+                checks.append([(j, c, shift) for j, c in e_src[g][i]])
+            terms = {}
+            for j, c, fam in [(j, c, ident) for j, c in m_src[i]] + [(j, ring.neg(c), m_tgt) for j, c in e_src[gi][i]]:
+                key = (j, id(fam))
+                terms[key] = (j, ring.add(terms[key][1], c) if key in terms else c, fam)
+            checks.append(list(terms.values()))
+    out = []
+    for u in units:
+        allowed = list(by_signature)
+        later = [[] for _ in range(r)]
+        for check in checks:
+            terms = [(j, ring.mul(u, c), fam) for j, c, fam in check]
+            terms = [term for term in terms if term[1] != 0]
+            reads = {j for j, _, _ in terms}
+            if len(reads) == 1:
+                (i,) = reads
+                allowed[i] = [k for k in allowed[i] if _vanishes(terms, ring, {i: k})]
+            elif reads:
+                later[max(reads)].append(terms)
+        out.append((allowed, later))
+    return out
+
+
+def _vanishes(terms, ring, sigma) -> bool:
+    """Whether sum over the terms (j, c, family) of c * family[sigma[j]] is zero."""
+    acc = {}
+    for j, c, fam in terms:
+        for s, x in fam[sigma[j]]:
+            acc[s] = ring.add(acc.get(s, 0), ring.mul(c, x))
+    return not any(acc.values())
+
+
+def _has_perfect_matching(allowed) -> bool:
+    """Whether some permutation sigma has sigma[i] in allowed[i] for every i
+    (augmenting paths)."""
+    owner = {}
+
+    def augment(i, seen):
+        for k in allowed[i]:
+            if k not in seen:
+                seen.add(k)
+                if k not in owner or augment(owner[k], seen):
+                    owner[k] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(allowed)))
+
+
+def _pruned_permutations(allowed, later, ring):
+    """Permutations sigma of range(len(allowed)) in lexicographic order with
+    sigma[i] in allowed[i] (each list increasing), dropping the prefix
+    sigma[:d + 1] as soon as a check in later[d] fails on it."""
+    r = len(allowed)
+    sigma = [0] * r
+    used = [False] * r
+
+    def extend(d):
+        if d == r:
+            yield tuple(sigma)
+            return
+        for k in allowed[d]:
+            if used[k]:
+                continue
+            sigma[d] = k
+            if all(_vanishes(terms, ring, sigma) for terms in later[d]):
+                used[k] = True
+                yield from extend(d + 1)
+                used[k] = False
+
+    return extend(0)
+
+
+def _lazy_product(pools):
+    """The tuples of itertools.product over the pools, first pool outermost,
+    where each pool is a function returning a fresh iterator: a later pool is
+    walked again for each head instead of being materialised up front.
+    Empty at once when a later pool is empty."""
+    if any(next(pool(), None) is None for pool in pools[1:]):
+        return iter(())
+
+    def walk(t):
+        if t == len(pools):
+            yield ()
+            return
+        for head in pools[t]():
+            for rest in walk(t + 1):
+                yield (head,) + rest
+
+    return walk(0)

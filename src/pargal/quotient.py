@@ -131,13 +131,14 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup, transversal=No
     gd = globalize(act)
     qdata = quotient(act.group, sub, transversal)
     carrier = invariants(restrict(act, sub))
-    psi = psi_h(gd, sub)
+    idems = subgroup_idempotents(gd, sub)
+    psi = psi_h(gd, sub, idems)
     T = gd.algebra
     down = gd.down
     emb = gd.embed.matrix
     one_s = list(gd.one_s.coords)
 
-    e_h = subgroup_idempotents(gd, sub).e_h
+    e_h = idems.e_h
 
     def tilde_for_rep(rep):
         moved = T.mul_coords(gd.beta[rep].matvec(list(e_h.coords)), one_s)

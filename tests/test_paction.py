@@ -1,5 +1,7 @@
 """Partial-action axioms and Galois machinery on the worked examples."""
 
+import random
+import time
 from math import lcm
 
 import pytest
@@ -339,3 +341,192 @@ def test_transport_relabels_group():
     assert verify_partial_action(moved).passed
     with pytest.raises(AlgebraError):
         transport(act, z4, [0, 2, 1, 3])
+
+
+# -- iso search: differential oracle and scale --------------------------------
+
+
+def gset_action(ring, n, orbits, points):
+    """Z_n acting by translation on R^points, inside the global Z_n-set with
+    these orbit sizes; a point's position in ``points`` is its basis index,
+    and points left out make the action partial."""
+    from pargal.algebra import Algebra
+
+    group = make_cyclic(n)
+    pos = {p: k for k, p in enumerate(points)}
+    r = len(points)
+    algebra = Algebra.split(ring, [f"x{o}_{i}" for o, i in points])
+    idems, maps = [], []
+    for g in group.elements():
+        coords = [0] * r
+        rows = [[0] * r for _ in range(r)]
+        for (o, i), k in pos.items():
+            image = pos.get((o, (i + g) % orbits[o]))
+            if image is not None:
+                rows[image][k] = 1
+                coords[image] = 1
+        idems.append(algebra.element(coords))
+        maps.append(Matrix(ring, rows, r))
+    return PartialAction(group, algebra, idems, maps)
+
+
+def gset_points(orbits):
+    return [(o, i) for o, d in enumerate(orbits) for i in range(d)]
+
+
+def reference_iso_witnesses(a, b):
+    """The full (r!)^u enumeration that the pruned search replaced: every
+    combination of permutations of b's split idempotents, one per CRT unit,
+    through the signature filter and the matrix filters, in itertools order.
+    None when a carrier has no split presentation."""
+    from itertools import permutations, product
+
+    from pargal.algebra import AlgebraMorphism, find_split_presentation
+    from pargal.paction import _base_ring_units
+    from pargal.scalars import invert, invertible
+
+    pa = find_split_presentation(a.algebra)
+    pb = find_split_presentation(b.algebra)
+    if pa is None or pb is None:
+        return None
+    if a.algebra.rank != b.algebra.rank:
+        return []
+    r = a.algebra.rank
+    ring = a.algebra.ring
+    group = a.group
+    ps = [list(e.coords) for e in pa.idempotents]
+    qs = [list(e.coords) for e in pb.idempotents]
+    to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
+    sig_a = [[a.algebra.mul_coords(p, list(a.idems[g].coords)) == p for g in group.elements()] for p in ps]
+    sig_b = [[b.algebra.mul_coords(q, list(b.idems[g].coords)) == q for g in group.elements()] for q in qs]
+    units = _base_ring_units(ring)
+    out = []
+    for combo in product(list(permutations(range(r))), repeat=len(units)):
+        if any(sa and not sb for sigma in combo for i in range(r) for sa, sb in zip(sig_a[i], sig_b[sigma[i]])):
+            continue
+        cols = []
+        for i in range(r):
+            col = [0] * r
+            for u, sigma in zip(units, combo):
+                col = [ring.add(c, ring.mul(u, x)) for c, x in zip(col, qs[sigma[i]])]
+            cols.append(col)
+        fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(to_p)
+        if any(
+            b.idem_matrix(g).mul(fmat).mul(a.idem_matrix(g)) != fmat.mul(a.idem_matrix(g))
+            or fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(group.inv(g)))
+            for g in group.elements()
+        ):
+            continue
+        if not invertible(fmat):
+            continue
+        morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+        if morphism.multiplicative_failure() is None and morphism.is_unital():
+            out.append(morphism)
+    return out
+
+
+Z6 = Modular(6)
+
+
+@st.composite
+def gset_pairs(draw):
+    """Two partial G-sets of one rank as actions: random partial Z_n-sets
+    (n <= 5) or multi-orbit global Z_4-sets, the second either unrelated or a
+    relabelling of the first, either one possibly replaced by its star."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Z6]))
+    max_rank = 4 if ring == Z6 else 5
+    if draw(st.booleans()):
+        n = 4
+        shapes = [o for o in ([4], [2, 2], [2, 1, 1], [1, 1, 1, 1], [4, 1], [2, 2, 1], [2, 1, 1, 1], [1] * 5)
+                  if sum(o) <= max_rank]
+        oa = draw(st.sampled_from(shapes))
+        ob = draw(st.sampled_from([o for o in shapes if sum(o) == sum(oa)]))
+        pts_a = draw(st.permutations(gset_points(oa)))
+        pts_b = draw(st.permutations(gset_points(ob)))
+    else:
+        n = draw(st.integers(2, 5))
+        r = draw(st.integers(1, max_rank))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+
+        def draw_side():
+            orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+            orbits += [1] * max(0, r - sum(orbits))
+            return orbits, draw(st.permutations(gset_points(orbits)))[:r]
+
+        oa, pts_a = draw_side()
+        ob, pts_b = draw_side()
+    if draw(st.booleans()):
+        ob, pts_b = oa, draw(st.permutations(pts_a))
+    a = gset_action(ring, n, oa, pts_a)
+    b = gset_action(ring, n, ob, pts_b)
+    if draw(st.booleans()):
+        a = inverse_action(a)
+    if draw(st.booleans()):
+        b = inverse_action(b)
+    return a, b
+
+
+@given(gset_pairs())
+@settings(max_examples=80, deadline=None)
+def test_pruned_iso_search_matches_full_enumeration(pair):
+    # the pruned search must yield the same witnesses in the same order as
+    # the r! enumeration, not just the same answer
+    from pargal.paction import _enumerate_iso_witnesses
+
+    a, b = pair
+    assert verify_partial_action(a).passed and verify_partial_action(b).passed
+    expected = [m.matrix for m in reference_iso_witnesses(a, b)]
+    assert [m.matrix for m in _enumerate_iso_witnesses(a, b)] == expected
+    res = iso_check(a, b)
+    assert res.status == ("iso" if expected else "none")
+    assert res.status == "none" or res.morphism.matrix == expected[0]
+
+
+def _timed_iso(a, b):
+    start = time.perf_counter()
+    res = iso_check(a, b)
+    return res, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
+def test_iso_check_rank_12_regular_against_two_orbits(ring):
+    # 12! = 4.8e8 candidates for the full enumeration ((12!)^2 over Z/6)
+    rng = random.Random(12)
+    pts_a, pts_b = gset_points([12]), gset_points([6, 6])
+    rng.shuffle(pts_a)
+    rng.shuffle(pts_b)
+    res, elapsed = _timed_iso(gset_action(ring, 12, [12], pts_a), gset_action(ring, 12, [6, 6], pts_b))
+    assert res.status == "none"
+    assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
+def test_iso_check_rank_12_regular_against_relabelling(ring):
+    rng = random.Random(21)
+    pts_a = gset_points([12])
+    rng.shuffle(pts_a)
+    pts_b = list(pts_a)
+    rng.shuffle(pts_b)
+    a, b = gset_action(ring, 12, [12], pts_a), gset_action(ring, 12, [12], pts_b)
+    res, elapsed = _timed_iso(a, b)
+    assert res.status == "iso"
+    assert elapsed < 2.0, elapsed
+    f = res.morphism
+    assert f.multiplicative_failure() is None and f.is_unital()
+    for g in a.group.elements():
+        assert f.matrix.mul(a.maps[g]) == b.maps[g].mul(f.matrix)
+
+
+@pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
+def test_iso_check_rank_14_interchangeable_points(ring):
+    # Z_2 with 12 fixed points and one 2-orbit against 10 fixed points and
+    # two 2-orbits: the search alone would try every arrangement of the
+    # interchangeable fixed points; the one-index checks admit no matching
+    rng = random.Random(14)
+    oa, ob = [1] * 12 + [2], [1] * 10 + [2, 2]
+    pts_a, pts_b = gset_points(oa), gset_points(ob)
+    rng.shuffle(pts_a)
+    rng.shuffle(pts_b)
+    res, elapsed = _timed_iso(gset_action(ring, 2, oa, pts_a), gset_action(ring, 2, ob, pts_b))
+    assert res.status == "none"
+    assert elapsed < 2.0, elapsed
