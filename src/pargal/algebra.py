@@ -21,6 +21,7 @@ from .scalars import (
     Matrix,
     Modular,
     canonical_row_form,
+    crt_components,
     kernel,
     solve,
 )
@@ -554,15 +555,6 @@ class TensorProduct:
             raise AlgebraError("tensor factors from the wrong algebras")
         return Element(self.algebra, self.pair_coords(list(x.coords), list(y.coords)))
 
-    def swap_morphism(self, other: "TensorProduct") -> AlgebraMorphism:
-        """Coordinate swap A(x)B -> B(x)A (other must be the swapped product)."""
-        n, m = self.left.rank, self.right.rank
-        mat = Matrix.zero(self.algebra.ring, n * m, n * m)
-        for i in range(n):
-            for j in range(m):
-                mat.rows[other.index(j, i)][self.index(i, j)] = 1
-        return AlgebraMorphism(self.algebra, other.algebra, mat)
-
 
 def tensor(a: Algebra, b: Algebra, sep: str = "(x)") -> TensorProduct:
     """Tensor product over the base ring: (x(x)y)(x'(x)y') = xx'(x)yy'."""
@@ -794,20 +786,9 @@ def _split_over_field(algebra: Algebra):
 
 def _split_over_zn(algebra: Algebra):
     n = algebra.ring.n
-    from .scalars import _factorize, _ext_gcd
-
-    factors = _factorize(n)
     per_prime = []
     crt_units = []
-    for p, e in factors.items():
-        q = p ** e
-        m = n // q
-        if m == 1:
-            u = 1
-        else:
-            g, x, _ = _ext_gcd(m, q)
-            assert g == 1
-            u = (m * x) % n
+    for p, q, u in crt_components(n):
         crt_units.append(u)
         local = algebra if q == n else algebra.over(Modular(q))
         if local.ring.is_field:

@@ -32,9 +32,7 @@ class GlobalizationData:
     """A certified global action (T, beta) enveloping a partial action.
 
     ``down`` maps T coordinates to S coordinates of t * 1_S (composed with
-    the inverse of the embedding; defined on all of T).  ``ambient``,
-    ``basis`` and ``slot_order`` describe the function-algebra model and are
-    None for globalizations obtained by other routes (e.g. quotients).
+    the inverse of the embedding; defined on all of T).
     """
 
     action: PartialAction
@@ -43,16 +41,10 @@ class GlobalizationData:
     embed: AlgebraMorphism  # S -> T (non-unital; image is the ideal T*iota(1_S))
     one_s: Element  # iota(1_S) as an element of T
     down: Matrix  # T coords -> S coords of t(1) = iota^{-1}(t * iota(1_S))
-    ambient: Algebra | None = None
-    basis: Matrix | None = None
-    slot_order: tuple | None = None
 
     @property
     def group(self):
         return self.action.group
-
-    def down_element(self, t: Element) -> Element:
-        return Element(self.action.algebra, self.down.matvec(list(t.coords)))
 
 
 def _function_algebra(act: PartialAction, slot_order) -> Algebra:
@@ -147,7 +139,7 @@ def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
     slot = slot_order.index(G.identity)
     down = Matrix(ring, [[t_rows.rows[j][slot * n + i] for j in range(k)] for i in range(n)], k)
 
-    gd = GlobalizationData(act, T, beta_t, embed, one_s, down, F, t_rows, slot_order)
+    gd = GlobalizationData(act, T, beta_t, embed, one_s, down)
     rep = certify_globalization(gd)
     if not rep.passed:
         raise AssertionError(

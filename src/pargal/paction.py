@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .scalars import Matrix, invert, invertible, ring_idempotents, solve
+from .scalars import Matrix, crt_components, invert, invertible, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -368,19 +368,11 @@ class IsoResult:
 
 
 def _base_ring_units(ring):
-    """Primitive idempotents of the base ring (CRT factors); fields give [1]."""
+    """The CRT units of the base ring (its primitive idempotents), ascending;
+    fields give [1]."""
     if ring.kind == "rationals" or ring.is_field:
         return [1]
-    idems = ring_idempotents(ring)
-    prims = []
-    for e in idems:
-        if e == 0:
-            continue
-        if any(e != f and (e * f) % ring.n == f for f in idems if f != 0):
-            continue  # not minimal
-        prims.append(e)
-    # minimal nonzero idempotents; they sum to 1
-    return prims
+    return sorted(u for _, _, u in crt_components(ring.n))
 
 
 def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
@@ -389,11 +381,11 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     Requires split carriers (returns "undecided" otherwise).  A candidate
     sends the split idempotent p_i of a to sum_t u_t q_{sigma_t(i)}: one
     permutation sigma_t of b's split idempotents per CRT factor u_t of the
-    base ring.  It is a witness when f(S_g) <= S'_g, f alpha_g = alpha'_g f
-    and f is an invertible unital algebra map.  A pruned depth-first search
-    finds the candidates (see :func:`_enumerate_iso_witnesses`), and the
-    first witness in lexicographic order of (sigma_0, sigma_1, ...) is
-    returned.
+    base ring.  It is a witness when f(S_g) = S'_g, f alpha_g = alpha'_g f
+    and f is an invertible unital algebra map.  A depth-first search over
+    the partial G-set of each CRT component finds the witnesses (see
+    :func:`_enumerate_iso_witnesses`), and the first one in lexicographic
+    order of (sigma_0, sigma_1, ...) is returned.
     """
     return _first_iso(_enumerate_iso_witnesses(a, b))
 
@@ -412,19 +404,16 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
     order of (sigma_0, sigma_1, ...); None when a carrier admits no split
     presentation.
 
-    In coordinates over the split idempotents the filter equations
-    E'_g f E_g = f E_g and f M_g = M'_g f E_{g^-1} hold exactly when every
-    column of each, multiplied by every CRT unit u_t, vanishes.  Column i
-    reads sigma_t only at the indices where the i-th coordinate columns of
-    E_g, M_g and E_{g^-1} are nonzero (i itself and the image of p_i under
-    alpha_g for a partial G-set).  Per unit, a depth-first search fixes
-    sigma_t(0), sigma_t(1), ... in turn, tries targets in increasing order,
-    and drops a prefix as soon as a column check it completes fails; checks
-    that read one index become the allowed targets of that index, and no
-    candidate is tried when those admit no perfect matching.  Pruning removes
-    only candidates that fail a filter, so the candidates come in the order
-    of the full (r!)^u enumeration, and each still passes the matrix filters,
-    invertibility, multiplicativity and unitality before it is yielded.
+    Over the connected CRT component u_t of the base ring both carriers are
+    partial G-sets on their split idempotents (see :func:`_partial_gset`).
+    The filter equations E'_g f = f E_g (that is, f(S_g) = S'_g) and
+    f M_g = M'_g f E_{g^-1} then say, for the candidate sigma_t, that
+    i in D_g iff sigma_t(i) in D'_g and that sigma_t(a_g(i)) = a'_g(sigma_t(i)).
+    Per unit, a depth-first search fixes sigma_t(0), sigma_t(1), ... in turn,
+    tries targets in increasing order, and drops a prefix as soon as a pair
+    (i, a_g(i)) it completes fails; no candidate is tried when the one-index
+    conditions admit no perfect matching.  The search decides the filters
+    exactly, so each yielded f is certified once, and a failure is a bug.
     """
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
@@ -438,20 +427,33 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
         return iter(())
     r = a.algebra.rank
     ring = a.algebra.ring
+    group = a.group
     ps = [list(e.coords) for e in pa.idempotents]
     qs = [list(e.coords) for e in pb.idempotents]
     # change of basis: source coords -> coefficients over the ps
     to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
+    to_q = invert(Matrix(ring, [list(col) for col in zip(*qs)], r))
     units = _base_ring_units(ring)
     pools = []
-    for allowed, later in _column_checks(a, ps, to_p, b, qs, units):
+    for u in units:
+        dom_a, act_a = _partial_gset(a, ps, to_p, u)
+        dom_b, act_b = _partial_gset(b, qs, to_q, u)
+        allowed = [
+            [k for k in range(r)
+             if all((i in dom_a[g]) == (k in dom_b[g]) and (act_a[g][i] == i) == (act_b[g][k] == k)
+                    for g in group.elements())]
+            for i in range(r)
+        ]
         if not _has_perfect_matching(allowed):
             return iter(())
-        pools.append(partial(_pruned_permutations, allowed, later, ring))
-    ems = {g: a.idem_matrix(g) for g in a.group.elements()}
-    emt = {g: b.idem_matrix(g) for g in b.group.elements()}
+        later = [[] for _ in range(r)]
+        for g in group.elements():
+            for i, j in enumerate(act_a[g]):
+                if j is not None and j != i:
+                    later[max(i, j)].append((i, j, act_b[g]))
+        pools.append(partial(_pruned_permutations, allowed, later))
 
-    def candidate_matrices():
+    def witnesses():
         for combo in _lazy_product(pools):
             # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
             cols = []
@@ -464,109 +466,61 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
                         col[s] = ring.add(col[s], ring.mul(u, q[s]))
                 cols.append(col)
             img = Matrix(ring, [list(row) for row in zip(*cols)], r)
-            yield img.mul(to_p)
-
-    def witnesses():
-        for fmat in candidate_matrices():
-            ok = True
-            for g in a.group.elements():
-                gi = a.group.inv(g)
-                if emt[g].mul(fmat).mul(ems[g]) != fmat.mul(ems[g]):
-                    ok = False
-                    break
-                if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(ems[gi]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not invertible(fmat):
-                continue
-            morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
-            if morphism.multiplicative_failure() is not None or not morphism.is_unital():
-                continue
-            yield morphism
+            yield _certified_witness(a, b, img.mul(to_p))
 
     return witnesses()
 
 
-def _sparse_columns(to_coords: Matrix, vectors):
-    """The coordinates of each vector under ``to_coords`` as its nonzero
-    (index, value) pairs."""
-    return [tuple((s, x) for s, x in enumerate(to_coords.matvec(v)) if x != 0) for v in vectors]
+def _partial_gset(act: PartialAction, idems, to_coords: Matrix, u):
+    """The partial G-set that ``act`` induces on the idempotents u p_i, for
+    the split idempotents p_i (coordinate lists ``idems``, ``to_coords``
+    sending coordinates to coefficients over them) and a CRT unit u.
 
-
-def _column_checks(a, ps, to_p, b, qs, units):
-    """Per CRT unit u_t, the filter equations of the iso search as column
-    checks on sigma_t: (allowed, later), where allowed[i] lists the targets
-    that pass every check reading only index i and later[d] holds the checks
-    reading several indices, the largest of them d.
-
-    Column i of f E_g is sum_j E_g[j, i] q_{sigma(j)} in coordinates over
-    the qs, so E'_g f E_g = f E_g reads sum_j E_g[j, i] (E'_g - I) e_{sigma(j)}
-    and f M_g = M'_g f E_{g^-1} reads sum_j M_g[j, i] e_{sigma(j)} -
-    sum_j E_{g^-1}[j, i] M'_g e_{sigma(j)}.  A check is a list of terms
-    (j, coefficient, family), family[k] being a sparse vector; terms on the
-    same (j, family) are merged, so M'_g = I with equal coefficient columns
-    and E'_g = I leave no check at all.
+    Returns (domains, maps): domains[g] = D_g = {i : u p_i in S_g} and
+    maps[g][i] = j when alpha_g(u p_i) = u p_j, None off D_{g^-1}.  Raises
+    AlgebraError when 1_g or alpha_g does not come from a partial G-set, so
+    the input is not a partial action.
     """
-    group = a.group
-    ring = a.algebra.ring
-    r = len(ps)
-    to_q = invert(Matrix(ring, [list(col) for col in zip(*qs)], r))
-    ident = [((k, 1),) for k in range(r)]
-    e_src = {g: _sparse_columns(to_p, [a.algebra.mul_coords(p, list(a.idems[g].coords)) for p in ps]) for g in group.elements()}
-    e_tgt = {g: _sparse_columns(to_q, [b.algebra.mul_coords(q, list(b.idems[g].coords)) for q in qs]) for g in group.elements()}
-    # the signature filter: p_i in S_g forces q_{sigma(i)} in S'_g
-    fixed_src = [[e_src[g][i] == ((i, 1),) for g in group.elements()] for i in range(r)]
-    fixed_tgt = [[e_tgt[g][k] == ((k, 1),) for g in group.elements()] for k in range(r)]
-    by_signature = [[k for k in range(r) if all(t or not s for s, t in zip(fixed_src[i], fixed_tgt[k]))] for i in range(r)]
-    checks = []
+    ring = act.algebra.ring
+    group = act.group
+    label = group.labels
+    r = len(idems)
+    domains = []
     for g in group.elements():
-        gi = group.inv(g)
-        shift = []
-        for k in range(r):
-            vec = dict(e_tgt[g][k])
-            vec[k] = ring.sub(vec.get(k, 0), 1)
-            shift.append(tuple((s, x) for s, x in sorted(vec.items()) if x != 0))
-        if not any(shift):
-            shift = None  # E'_g = I
-        if b.maps[g].is_identity():
-            m_tgt = ident
-        else:
-            m_tgt = _sparse_columns(to_q, [b.maps[g].matvec(q) for q in qs])
-        m_src = _sparse_columns(to_p, [a.maps[g].matvec(p) for p in ps])
+        coeffs = [ring.mul(u, x) for x in to_coords.matvec(list(act.idems[g].coords))]
+        bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
+        if bad is not None:
+            raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
+        domains.append({i for i, x in enumerate(coeffs) if x == u})
+    maps = []
+    for g in group.elements():
+        images = []
         for i in range(r):
-            if shift is not None:
-                checks.append([(j, c, shift) for j, c in e_src[g][i]])
-            terms = {}
-            for j, c, fam in [(j, c, ident) for j, c in m_src[i]] + [(j, ring.neg(c), m_tgt) for j, c in e_src[gi][i]]:
-                key = (j, id(fam))
-                terms[key] = (j, ring.add(terms[key][1], c) if key in terms else c, fam)
-            checks.append(list(terms.values()))
-    out = []
-    for u in units:
-        allowed = list(by_signature)
-        later = [[] for _ in range(r)]
-        for check in checks:
-            terms = [(j, ring.mul(u, c), fam) for j, c, fam in check]
-            terms = [term for term in terms if term[1] != 0]
-            reads = {j for j, _, _ in terms}
-            if len(reads) == 1:
-                (i,) = reads
-                allowed[i] = [k for k in allowed[i] if _vanishes(terms, ring, {i: k})]
-            elif reads:
-                later[max(reads)].append(terms)
-        out.append((allowed, later))
-    return out
+            col = [ring.mul(u, x) for x in to_coords.matvec(act.maps[g].matvec(idems[i]))]
+            support = [s for s, x in enumerate(col) if x != 0]
+            if i in domains[group.inv(g)]:
+                ok = len(support) == 1 and col[support[0]] == u
+            else:
+                ok = not support
+            if not ok:
+                raise AlgebraError(f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {i})")
+            images.append(support[0] if support else None)
+        maps.append(images)
+    return domains, maps
 
 
-def _vanishes(terms, ring, sigma) -> bool:
-    """Whether sum over the terms (j, c, family) of c * family[sigma[j]] is zero."""
-    acc = {}
-    for j, c, fam in terms:
-        for s, x in fam[sigma[j]]:
-            acc[s] = ring.add(acc.get(s, 0), ring.mul(c, x))
-    return not any(acc.values())
+def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix) -> AlgebraMorphism:
+    """The morphism of a candidate the search accepted, after checking that
+    it is a partial G-isomorphism; a failure is a bug in the search."""
+    morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+    for g in a.group.elements():
+        if b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g)):
+            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={a.group.labels[g]} (bug trap)")
+        if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(a.group.inv(g))):
+            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={a.group.labels[g]} (bug trap)")
+    if not invertible(fmat) or morphism.multiplicative_failure() is not None or not morphism.is_unital():
+        raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
+    return morphism
 
 
 def _has_perfect_matching(allowed) -> bool:
@@ -586,10 +540,11 @@ def _has_perfect_matching(allowed) -> bool:
     return all(augment(i, set()) for i in range(len(allowed)))
 
 
-def _pruned_permutations(allowed, later, ring):
+def _pruned_permutations(allowed, later):
     """Permutations sigma of range(len(allowed)) in lexicographic order with
     sigma[i] in allowed[i] (each list increasing), dropping the prefix
-    sigma[:d + 1] as soon as a check in later[d] fails on it."""
+    sigma[:d + 1] as soon as a pair (i, j, target) in later[d] has
+    sigma[j] != target[sigma[i]]."""
     r = len(allowed)
     sigma = [0] * r
     used = [False] * r
@@ -599,10 +554,8 @@ def _pruned_permutations(allowed, later, ring):
             yield tuple(sigma)
             return
         for k in allowed[d]:
-            if used[k]:
-                continue
             sigma[d] = k
-            if all(_vanishes(terms, ring, sigma) for terms in later[d]):
+            if not used[k] and all(sigma[j] == target[sigma[i]] for i, j, target in later[d]):
                 used[k] = True
                 yield from extend(d + 1)
                 used[k] = False

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import Matrix, canonical_row_form
-from .algebra import AlgebraError, AlgebraMorphism, Element, SubAlgebra
+from .algebra import AlgebraError, Element, SubAlgebra
 from .groups import Subgroup, QuotientData, quotient
 from .paction import (
     ActionReport,
@@ -150,47 +150,6 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup, transversal=No
         return Element(act.algebra, down.matvec(T.mul_coords(y, one_s)))
 
     return _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
-
-
-def quotient_globalization_data(act: PartialAction, sub: Subgroup, transversal=None):
-    """(T^H, beta_{G/H}) packaged as certifiable globalization data for the
-    induced action: it is the enveloping action of alpha_{G/H}."""
-    from .envelope import GlobalizationData, fixed_ring, globalize, psi_h
-
-    gd = globalize(act)
-    qa = quotient_via_globalization(act, sub, transversal)
-    th = fixed_ring(gd, sub)
-    TH = th.algebra
-    ring = TH.ring
-    psi = psi_h(gd, sub)
-
-    def to_th(vec):
-        got = th.express(vec)
-        if got is None:
-            raise AssertionError("beta_g left T^H although H is normal (bug trap)")
-        return got
-
-    beta_q = []
-    for rep in qa.qdata.transversal:
-        cols = [to_th(gd.beta[rep].matvec(list(row))) for row in th.basis.rows]
-        beta_q.append(Matrix(ring, [list(r) for r in zip(*cols)], TH.rank))
-    # embed S^{alpha_H} -> T^H via psi_H o iota
-    emb_cols = []
-    for row in qa.carrier.basis.rows:
-        emb_cols.append(to_th(psi.matrix.matvec(gd.embed.matrix.matvec(list(row)))))
-    embed = AlgebraMorphism(qa.carrier.algebra, TH, Matrix(ring, [list(r) for r in zip(*emb_cols)], qa.carrier.algebra.rank))
-    one_s_q = Element(TH, to_th(psi.matrix.matvec(list(gd.one_s.coords))))
-    # pull-down: t in T^H -> t * 1_S read inside S^{alpha_H}
-    down_rows = []
-    for i in range(TH.rank):
-        t = th.include_coords([1 if j == i else 0 for j in range(TH.rank)])
-        s = gd.down.matvec(gd.algebra.mul_coords(t, list(gd.one_s.coords)))
-        c = qa.carrier.express(s)
-        if c is None:
-            raise AssertionError("T^H 1_S escaped S^{alpha_H} (bug trap)")
-        down_rows.append(c)
-    down_q = Matrix(ring, [list(r) for r in zip(*down_rows)], TH.rank)
-    return GlobalizationData(qa.action, TH, beta_q, embed, one_s_q, down_q)
 
 
 def quotient_galois_check(act: PartialAction, sub: Subgroup, transversal=None):

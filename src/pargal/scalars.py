@@ -558,23 +558,13 @@ def _factorize(n: int) -> dict:
     return out
 
 
-def ring_idempotents(ring: BaseRing) -> list:
-    """All x with x^2 = x in a modular ring, sorted.
-
-    Requesting the idempotents of Q is refused: the ring is infinite and its
-    idempotents are just {0, 1}.
-    """
-    if ring.kind == "rationals":
-        raise ValueError("infinite ring: idempotents are {0,1}")
-    n = ring.n
-    primes = _factorize(n)
-    powers = [p ** e for p, e in primes.items()]
-    idems = [0]
-    for q in powers:
+def crt_components(n: int):
+    """Yield (p, q, u) for each prime power q = p^e exactly dividing n, in
+    increasing p, where u is the idempotent of Z/n that is 1 mod q and 0
+    mod n/q (the CRT unit of the factor Z/q)."""
+    for p, e in _factorize(n).items():
+        q = p ** e
         m = n // q
-        # CRT element that is 1 mod q and 0 mod n/q
         g, x, _ = _ext_gcd(m, q)
         assert g == 1
-        e = (m * x) % n
-        idems = [r for r in idems] + [(r + e) % n for r in idems]
-    return sorted(set(idems))
+        yield p, q, (m * x) % n

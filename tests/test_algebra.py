@@ -10,6 +10,7 @@ from pargal.scalars import QQ, Matrix, Modular
 from pargal.algebra import (
     Algebra,
     AlgebraError,
+    AlgebraMorphism,
     find_split_presentation,
     make_algebra,
     product_over_ideals,
@@ -111,12 +112,22 @@ def test_tensor_orthogonality_across_factors():
     assert (t.pair(e1, e2) * t.pair(e2, e1)).is_zero()
 
 
+def swap_morphism(t_ab, t_ba):
+    """Coordinate swap A(x)B -> B(x)A (t_ba must be the swapped product)."""
+    n, m = t_ab.left.rank, t_ab.right.rank
+    mat = Matrix.zero(t_ab.algebra.ring, n * m, n * m)
+    for i in range(n):
+        for j in range(m):
+            mat.rows[t_ba.index(j, i)][t_ab.index(i, j)] = 1
+    return AlgebraMorphism(t_ab.algebra, t_ba.algebra, mat)
+
+
 def test_tensor_swap_is_multiplicative():
     a = Algebra.split(QQ, ["a1", "a2"])
     b = make_algebra(QQ, ["1", "s"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0])
     t_ab = tensor(a, b)
     t_ba = tensor(b, a)
-    swap = t_ab.swap_morphism(t_ba)
+    swap = swap_morphism(t_ab, t_ba)
     assert swap.multiplicative_failure() is None
     assert swap.is_unital()
 

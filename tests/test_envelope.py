@@ -1,6 +1,7 @@
 """Globalization certificates and the psi_H property suite."""
 
 from pargal.scalars import Modular, canonical_row_form, Matrix
+from pargal.algebra import Element
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
     certify_globalization,
@@ -13,6 +14,11 @@ from pargal.envelope import (
 )
 from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
 from pargal.paction import invariants, restrict
+
+
+def down_element(gd, t):
+    """Pull t in T down to S: iota^-1(t * iota(1_S))."""
+    return Element(gd.action.algebra, gd.down.matvec(list(t.coords)))
 
 
 def test_globalize_certificates_on_corpus():
@@ -59,7 +65,7 @@ def test_beta_g_e1_recovers_idempotents():
     gd = globalize(example1())
     for g in gd.group.elements():
         moved = gd.algebra.element(gd.beta[g].matvec(list(gd.one_s.coords))) * gd.one_s
-        assert gd.down_element(moved) == gd.action.idems[g]
+        assert down_element(gd, moved) == gd.action.idems[g]
 
 
 def test_subgroup_idempotents_full_group_on_global():

@@ -16,7 +16,6 @@ from pargal.groups import Subgroup, make_cyclic, make_product
 from pargal.harrison import (
     CertificationError,
     ExtensionClass,
-    class_map_closed_form,
     cyclic_compose,
     cyclic_decompose,
     delta_fixed_ring,
@@ -223,6 +222,38 @@ def test_regularity_collapses_to_trivial_class():
         triple = harrison_product(harrison_product(x, xs), x)
         assert iso_check(triple.action, x.action).status == "none"
         assert iso_check(triple.action, triv.action).status == "iso"
+
+
+def class_map_closed_form(act, prod, x, l):
+    """The specialized idempotent-class action formula at coset (l,1) delta G.
+
+    Componentwise, with output component u and source component g = l^-1 u:
+
+        out_u = d_g 1_u
+              + sum_{i=2}^m prod_{j=1}^{i-1} (1_u - 1_u 1_{h_j} 1_{h_j g})
+                            * alpha_{h_i}(d_g 1_{h_i^-1 u} 1_{h_i^-1}) 1_u
+
+    (h runs over G itself, enumerating delta G = {(h, h^-1)}).  Derived
+    componentwise from the generic quotient closed form at H = delta G,
+    representative (1, l); tested to agree with the generic evaluation.
+    """
+    G = act.group
+    A = act.algebra
+    out = []
+    for u in G.elements():
+        g = G.mul(G.inv(l), u)
+        d_g = Element(A, prod.project_coords(g, list(x.coords)))
+        one_u = act.idems[u]
+        term = d_g * one_u
+        prod_factor = one_u
+        for i in range(1, G.order):
+            hj = i - 1
+            prod_factor = prod_factor * (one_u - one_u * act.idems[hj] * act.idems[G.mul(hj, g)])
+            hi = i
+            pre = act.idems[G.mul(G.inv(hi), u)] * d_g
+            term = term + prod_factor * (Element(A, act.maps[hi].matvec(list(pre.coords))) * one_u)
+        out.append(list(term.coords))
+    return prod.from_components(out)
 
 
 def test_class_map_closed_form_agrees_with_generic_quotient():

@@ -25,6 +25,7 @@ from pargal.paction import (
     GaloisCoordinates,
     PartialAction,
     galois_coordinates,
+    global_action,
     invariants,
     inverse_action,
     iso_check,
@@ -279,6 +280,52 @@ def test_iso_symmetry_on_corpus_pairs():
             assert iso_check(a, b).status == iso_check(b, a).status
 
 
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_iso_check_requires_equal_domains(ring):
+    # a partial G-isomorphism has f(S_g) = S'_g, not only f(S_g) <= S'_g:
+    # Z_2 on a rank-1 carrier with S_g = 0 is not isomorphic to the global one
+    from pargal.algebra import Algebra
+
+    z2 = make_cyclic(2)
+    line = Algebra.split(ring, ["e"])
+    one = Matrix.identity(ring, 1)
+    glob = global_action(z2, line, [one, one])
+    empty = PartialAction(z2, line, [line.one(), line.zero()], [one, Matrix.zero(ring, 1, 1)])
+    assert verify_partial_action(glob).passed and verify_partial_action(empty).passed
+    assert iso_check(glob, empty).status == "none"
+    assert iso_check(empty, glob).status == "none"
+
+
+def test_iso_check_symmetric_over_composite_zn():
+    # over Z/6 = Z/2 x Z/3 the domain S_g may sit on different split
+    # idempotents in the two components: 1_g = (3,4) is e1 on Z/2 and e2 on
+    # Z/3, so the witness swaps e1 and e2 on the Z/3 component only
+    from pargal.algebra import Algebra
+
+    z2 = make_cyclic(2)
+    carrier = Algebra.split(Z6, ["e1", "e2"])
+
+    def restricted(d):
+        return PartialAction(z2, carrier, [carrier.one(), carrier.element(d)],
+                             [Matrix.identity(Z6, 2), Matrix(Z6, [[d[0], 0], [0, d[1]]])])
+
+    a, b = restricted([1, 0]), restricted([3, 4])
+    assert verify_partial_action(a).passed and verify_partial_action(b).passed
+    assert iso_check(a, b).status == "iso"
+    res = iso_check(b, a)
+    assert res.status == "iso"
+    assert res.morphism.matrix.rows == [[3, 4], [4, 3]]
+
+
+def test_iso_check_rejects_a_non_partial_action():
+    # the search reads the carrier as a partial G-set; data that is not one
+    # is refused with the element and split index instead of a wrong answer
+    act = example2()
+    broken = PartialAction(act.group, act.algebra, act.idems, [act.maps[0], act.maps[0], act.maps[2], act.maps[3]])
+    with pytest.raises(AlgebraError, match=r"alpha_g does not permute the split idempotents \(index 0\)"):
+        iso_check(broken, act)
+
+
 def test_partial_bijectivity_matrix_identity():
     for name, act in standard_corpus().items():
         for g in act.group.elements():
@@ -377,8 +424,8 @@ def gset_points(orbits):
 def reference_iso_witnesses(a, b):
     """The full (r!)^u enumeration that the pruned search replaced: every
     combination of permutations of b's split idempotents, one per CRT unit,
-    through the signature filter and the matrix filters, in itertools order.
-    None when a carrier has no split presentation."""
+    through the matrix filters, in itertools order.  None when a carrier has
+    no split presentation."""
     from itertools import permutations, product
 
     from pargal.algebra import AlgebraMorphism, find_split_presentation
@@ -397,13 +444,9 @@ def reference_iso_witnesses(a, b):
     ps = [list(e.coords) for e in pa.idempotents]
     qs = [list(e.coords) for e in pb.idempotents]
     to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
-    sig_a = [[a.algebra.mul_coords(p, list(a.idems[g].coords)) == p for g in group.elements()] for p in ps]
-    sig_b = [[b.algebra.mul_coords(q, list(b.idems[g].coords)) == q for g in group.elements()] for q in qs]
     units = _base_ring_units(ring)
     out = []
     for combo in product(list(permutations(range(r))), repeat=len(units)):
-        if any(sa and not sb for sigma in combo for i in range(r) for sa, sb in zip(sig_a[i], sig_b[sigma[i]])):
-            continue
         cols = []
         for i in range(r):
             col = [0] * r
@@ -412,7 +455,7 @@ def reference_iso_witnesses(a, b):
             cols.append(col)
         fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(to_p)
         if any(
-            b.idem_matrix(g).mul(fmat).mul(a.idem_matrix(g)) != fmat.mul(a.idem_matrix(g))
+            b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g))
             or fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(group.inv(g)))
             for g in group.elements()
         ):
@@ -428,21 +471,37 @@ def reference_iso_witnesses(a, b):
 Z6 = Modular(6)
 
 
+def crt_glue(x, y):
+    """The action 3 x + 4 y over Z/6: x on the Z/2 component and y on the
+    Z/3 component, carried by x's algebra (x and y of one group and rank)."""
+    ring, algebra = x.algebra.ring, x.algebra
+
+    def glue(u, v):
+        return [ring.add(ring.mul(3, s), ring.mul(4, t)) for s, t in zip(u, v)]
+
+    idems = [algebra.element(glue(e.coords, f.coords)) for e, f in zip(x.idems, y.idems)]
+    maps = [Matrix(ring, [glue(rx, ry) for rx, ry in zip(mx.rows, my.rows)], mx.ncols) for mx, my in zip(x.maps, y.maps)]
+    return PartialAction(x.group, algebra, idems, maps)
+
+
 @st.composite
 def gset_pairs(draw):
     """Two partial G-sets of one rank as actions: random partial Z_n-sets
     (n <= 5) or multi-orbit global Z_4-sets, the second either unrelated or a
-    relabelling of the first, either one possibly replaced by its star."""
+    relabelling of the first, either one possibly replaced by its star.  Over
+    Z/6 both actions may be CRT-glued from two such pairs, so that the two
+    components carry different partial G-sets."""
     ring = draw(st.sampled_from([QQ, Modular(2), Z6]))
     max_rank = 4 if ring == Z6 else 5
     if draw(st.booleans()):
         n = 4
         shapes = [o for o in ([4], [2, 2], [2, 1, 1], [1, 1, 1, 1], [4, 1], [2, 2, 1], [2, 1, 1, 1], [1] * 5)
                   if sum(o) <= max_rank]
-        oa = draw(st.sampled_from(shapes))
-        ob = draw(st.sampled_from([o for o in shapes if sum(o) == sum(oa)]))
-        pts_a = draw(st.permutations(gset_points(oa)))
-        pts_b = draw(st.permutations(gset_points(ob)))
+        r = sum(draw(st.sampled_from(shapes)))
+
+        def draw_side():
+            orbits = draw(st.sampled_from([o for o in shapes if sum(o) == r]))
+            return orbits, draw(st.permutations(gset_points(orbits)))
     else:
         n = draw(st.integers(2, 5))
         r = draw(st.integers(1, max_rank))
@@ -453,16 +512,23 @@ def gset_pairs(draw):
             orbits += [1] * max(0, r - sum(orbits))
             return orbits, draw(st.permutations(gset_points(orbits)))[:r]
 
+    def draw_pair():
         oa, pts_a = draw_side()
         ob, pts_b = draw_side()
-    if draw(st.booleans()):
-        ob, pts_b = oa, draw(st.permutations(pts_a))
-    a = gset_action(ring, n, oa, pts_a)
-    b = gset_action(ring, n, ob, pts_b)
-    if draw(st.booleans()):
-        a = inverse_action(a)
-    if draw(st.booleans()):
-        b = inverse_action(b)
+        if draw(st.booleans()):
+            ob, pts_b = oa, draw(st.permutations(pts_a))
+        a = gset_action(ring, n, oa, pts_a)
+        b = gset_action(ring, n, ob, pts_b)
+        if draw(st.booleans()):
+            a = inverse_action(a)
+        if draw(st.booleans()):
+            b = inverse_action(b)
+        return a, b
+
+    a, b = draw_pair()
+    if ring == Z6 and draw(st.booleans()):
+        a2, b2 = draw_pair()
+        a, b = crt_glue(a, a2), crt_glue(b, b2)
     return a, b
 
 
@@ -480,6 +546,7 @@ def test_pruned_iso_search_matches_full_enumeration(pair):
     res = iso_check(a, b)
     assert res.status == ("iso" if expected else "none")
     assert res.status == "none" or res.morphism.matrix == expected[0]
+    assert iso_check(b, a).status == res.status
 
 
 def _timed_iso(a, b):

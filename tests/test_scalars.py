@@ -14,13 +14,13 @@ from pargal.scalars import (
     Modular,
     ShapeError,
     canonical_row_form,
+    crt_components,
     intersect_modules,
     invertible,
     kernel,
     module_contains,
     modules_equal,
     parse_ring,
-    ring_idempotents,
     solve,
 )
 
@@ -116,19 +116,17 @@ def test_intersect_mod4_matches_bruteforce():
     assert enumerate_row_module(got.rows, 4) == expected
 
 
-def test_ring_idempotents_z6():
-    assert {x for x in range(6) if (x * x) % 6 == x} == {0, 1, 3, 4}
-    assert ring_idempotents(Modular(6)) == [0, 1, 3, 4]
-
-
-def test_ring_idempotents_fields():
-    assert ring_idempotents(Modular(5)) == [0, 1]
-    assert ring_idempotents(Modular(2)) == [0, 1]
-
-
-def test_ring_idempotents_rationals_refused():
-    with pytest.raises(ValueError, match=r"infinite ring: idempotents are \{0,1\}"):
-        ring_idempotents(QQ)
+def test_crt_components():
+    # (p, p^e, u): u is 1 mod p^e and 0 mod n/p^e, and the units sum to 1
+    assert list(crt_components(6)) == [(2, 2, 3), (3, 3, 4)]
+    assert list(crt_components(12)) == [(2, 4, 9), (3, 3, 4)]
+    assert list(crt_components(9)) == [(3, 9, 1)]
+    for n in (6, 12, 30, 36, 77):
+        comps = list(crt_components(n))
+        assert sum(u for _, _, u in comps) % n == 1
+        for p, q, u in comps:
+            assert q % p == 0 and (n // q) % p != 0
+            assert u % q == 1 % q and u % (n // q) == 0 and u * u % n == u
 
 
 def test_parse_ring():
