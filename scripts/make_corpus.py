@@ -13,8 +13,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pargal.actionfile import save_action
 from pargal.corpus import corrupted_p4, standard_corpus
-from pargal.groups import FiniteGroup
-from pargal.scalars import QQ
+from pargal.algebra import Algebra
+from pargal.groups import FiniteGroup, make_cyclic
+from pargal.paction import PartialAction
+from pargal.scalars import QQ, Matrix
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 CORPUS = os.path.join(ROOT, "corpus")
@@ -35,6 +37,11 @@ GOLDEN_COMMANDS = {
     "ex2-star-times-ex2.product": ["product", "corpus/ex2-star.json", "corpus/ex2.json"],
     "trivial-vs-swap.iso": ["iso", "corpus/trivial-Z2.json", "corpus/global-Z2-swap.json"],
     "ex2.idempotent": ["idempotent", "corpus/ex2.json"],
+    "ex2-printed-product.verify": ["verify", "corpus/ex2-printed-product.json"],
+    "z3-regularity-witness.verify": ["verify", "corpus/z3-regularity-witness.json"],
+    "z3-regularity-witness-squared.product": [
+        "product", "corpus/z3-regularity-witness.json", "corpus/z3-regularity-witness.json"
+    ],
 }
 
 
@@ -49,6 +56,33 @@ def s3_regular():
     return trivial_action(group, QQ)
 
 
+def ex2_printed_product():
+    """Criterion 2's printed product table read as an action of Z4 on split
+    Q^3 = <u, v, w> with 1_g = u+v, 1_g2 = v+w, 1_g3 = u+w and alpha_g:
+    u -> u, w -> v; alpha_g2: v <-> w; alpha_g3: u -> u, v -> w.  It is not
+    a partial action: (P3) and (P4) fail, a negative control."""
+    z4 = make_cyclic(4)
+    a = Algebra.split(QQ, ["u", "v", "w"])
+    u, v, w = a.basis()
+    maps = [
+        Matrix.identity(QQ, 3),
+        Matrix(QQ, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
+        Matrix(QQ, [[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 1, 0]]),
+    ]
+    return PartialAction(z4, a, [a.one(), u + v, v + w, u + w], maps)
+
+
+def z3_regularity_witness():
+    """Z3 on Q^2 with 1_g = e1, 1_g2 = e2 and alpha_g(e2) = e1: the least
+    class whose signature {1, g} is not a coset, so x x* x != x."""
+    z3 = make_cyclic(3)
+    a = Algebra.split(QQ, ["e1", "e2"])
+    e1, e2 = a.basis()
+    maps = [Matrix.identity(QQ, 2), Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [1, 0]])]
+    return PartialAction(z3, a, [a.one(), e1, e2], maps)
+
+
 def main():
     os.makedirs(CORPUS, exist_ok=True)
     os.makedirs(GOLDEN, exist_ok=True)
@@ -56,6 +90,8 @@ def main():
         save_action(act, os.path.join(CORPUS, f"{name}.json"))
     save_action(corrupted_p4(), os.path.join(CORPUS, "corrupted-p4.json"))
     save_action(s3_regular(), os.path.join(CORPUS, "s3-regular.json"))
+    save_action(ex2_printed_product(), os.path.join(CORPUS, "ex2-printed-product.json"))
+    save_action(z3_regularity_witness(), os.path.join(CORPUS, "z3-regularity-witness.json"))
     # a fixture requesting the excluded base ring Z
     with open(os.path.join(CORPUS, "bad-base-Z.json"), "w", encoding="utf-8") as fh:
         json.dump(

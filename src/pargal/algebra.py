@@ -34,7 +34,7 @@ class AlgebraError(ValueError):
 class Algebra:
     """Commutative unital algebra of finite rank over an exact base ring."""
 
-    __slots__ = ("ring", "labels", "rank", "unit", "table", "_hash")
+    __slots__ = ("ring", "labels", "rank", "unit", "table", "_hash", "_split")
 
     def __init__(self, ring: BaseRing, labels, table, unit, validate: bool = True):
         """table maps (i, j) to a sparse row: tuple of (k, c_ijk) with c != 0.
@@ -60,6 +60,7 @@ class Algebra:
         if len(self.unit) != n:
             raise AlgebraError(f"unit vector has length {len(self.unit)}, rank is {n}")
         self._hash = None
+        self._split = None
         if validate:
             self.validate()
 
@@ -713,19 +714,21 @@ def find_split_presentation(algebra: Algebra):
     Complete over Q and F_p (simultaneous eigen-splitting of the commuting
     multiplication operators); over composite Z/n complete when the algebra
     is a finite product of copies of the base ring (per-prime splitting with
-    idempotent lifting).
+    idempotent lifting).  Computed once per algebra and kept on it.
     """
-    ring = algebra.ring
-    if ring.is_field or ring.kind == "rationals":
-        idems = _split_over_field(algebra)
-    else:
-        idems = _split_over_zn(algebra)
-    if idems is None:
-        return None
-    idems.sort(key=lambda e: tuple(e.coords))
-    pres = SplitPresentation(algebra, idems)
-    pres.check()
-    return pres
+    if algebra._split is None:
+        ring = algebra.ring
+        if ring.is_field or ring.kind == "rationals":
+            idems = _split_over_field(algebra)
+        else:
+            idems = _split_over_zn(algebra)
+        pres = None
+        if idems is not None:
+            idems.sort(key=lambda e: tuple(e.coords))
+            pres = SplitPresentation(algebra, idems)
+            pres.check()
+        algebra._split = (pres,)
+    return algebra._split[0]
 
 
 def _ideal_rows(algebra: Algebra, e: Element) -> Matrix:

@@ -13,7 +13,7 @@ class GroupError(ValueError):
 class FiniteGroup:
     """Group on indices 0..order-1 with label strings and a Cayley table."""
 
-    __slots__ = ("labels", "table", "identity", "inverse", "_hash")
+    __slots__ = ("labels", "table", "identity", "inverse", "_hash", "_square")
 
     def __init__(self, labels, table, validate: bool = True):
         self.labels = list(labels)
@@ -39,6 +39,7 @@ class FiniteGroup:
                 raise GroupError(f"element {self.labels[a]} has no two-sided inverse")
         self.inverse = tuple(inverse)
         self._hash = None
+        self._square = None
         if validate:
             for a in range(n):
                 for b in range(n):
@@ -240,19 +241,36 @@ def quotient(group: FiniteGroup, sub: Subgroup, transversal=None) -> QuotientDat
     return QuotientData(group, sub, transversal, q, tuple(coset_index))
 
 
+def direct_square(group: FiniteGroup) -> FiniteGroup:
+    """G x G, built once per group and kept on it."""
+    return _square_data(group)[0]
+
+
+def _square_data(group: FiniteGroup):
+    """(G x G, delta G, the transversal {(g, 1)}) of ``group``, built once per
+    group; delta G is None when G is not abelian."""
+    if group._square is None:
+        pair = [group, group]
+        gxg = make_product(pair)
+        delta = None
+        if group.is_abelian():
+            members = [product_index(pair, (g, group.inv(g))) for g in group.elements()]
+            delta = Subgroup(gxg, tuple([members[0]] + sorted(members[1:])))
+        transversal = tuple(product_index(pair, (g, group.identity)) for g in group.elements())
+        group._square = (gxg, delta, transversal)
+    return group._square
+
+
 def delta_subgroup(group: FiniteGroup) -> Subgroup:
     """The anti-diagonal {(g, g^-1)} inside G x G, for abelian G."""
     if not group.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    gxg = make_product([group, group])
-    members = [product_index([group, group], (g, group.inv(g))) for g in range(group.order)]
-    members = [members[0]] + sorted(members[1:])
-    return Subgroup(gxg, tuple(members))
+    return _square_data(group)[1]
 
 
 def delta_transversal(group: FiniteGroup) -> tuple:
     """Coset representatives {(g, 1)} of delta G in G x G, identity first."""
-    return tuple(product_index([group, group], (g, group.identity)) for g in range(group.order))
+    return _square_data(group)[2]
 
 
 def all_subgroups(group: FiniteGroup):

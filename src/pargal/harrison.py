@@ -10,14 +10,16 @@ with coset representatives fixed as {(g, 1)} so the identification of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .scalars import Matrix, kernel, modules_equal
 from .algebra import AlgebraError, ProductAlgebra, SubAlgebra, product_over_ideals
-from .groups import FiniteGroup, make_cyclic, make_product, delta_subgroup, delta_transversal
+from .groups import FiniteGroup, direct_square, make_cyclic, make_product, delta_subgroup, delta_transversal
 from .paction import (
     ActionReport,
     GaloisCoordinates,
     PartialAction,
+    canonical_key,
     galois_coordinates,
     invariants,
     inverse_action,
@@ -57,7 +59,7 @@ def tensor_action(a: PartialAction, b: PartialAction) -> PartialAction:
 
     if a.algebra.ring != b.algebra.ring:
         raise AlgebraError("tensor_action: base ring mismatch")
-    grp = make_product([a.group, b.group])
+    grp = direct_square(a.group) if a.group == b.group else make_product([a.group, b.group])
     t = tensor(a.algebra, b.algebra)
     idems = []
     maps = []
@@ -99,6 +101,12 @@ class ExtensionClass:
         if witness is None:
             raise CertificationError("no partial Galois coordinates exist")
         return ExtensionClass(action, witness, fixed)
+
+    @cached_property
+    def key(self):
+        """The class up to isomorphism, as :func:`canonical_key` of its
+        action; computed on first use, never by :meth:`certify`."""
+        return canonical_key(self.action)
 
     def star(self) -> "ExtensionClass":
         return ExtensionClass.certify(inverse_action(self.action))
@@ -165,7 +173,7 @@ def hat_action(act: PartialAction) -> HatAction:
     ring = A.ring
     prod = product_over_ideals([act.ideal(g) for g in G.elements()], labels=G.labels)
     P = prod.algebra
-    gxg = make_product([G, G])
+    gxg = direct_square(G)
     idems = []
     maps = []
     idem_mats = {g: act.idem_matrix(g) for g in G.elements()}
@@ -305,7 +313,8 @@ def star_product_suite(classes) -> SuiteReport:
 
     Pairwise commutativity and triple associativity up to verified iso,
     regularity through the star classes, and idempotent-class behavior.
-    Undecided iso outcomes abort with a distinct status.
+    Undecided iso outcomes abort with a distinct status.  Each pair of
+    classes is multiplied once up to isomorphism.
     """
     rep = SuiteReport()
     for i, c in enumerate(classes):
@@ -315,11 +324,19 @@ def star_product_suite(classes) -> SuiteReport:
             rep.add(f"class {i} valid", False, f"{bad.name} [{bad.witness}]")
             return rep
         rep.add(f"class {i} valid", True)
-    # keyed on identity: every class below is held alive by the suite
+    # the keys ignore the group and the base ring, so one of each
+    if any(c.group != classes[0].group for c in classes):
+        raise AlgebraError("star_product_suite: classes over different groups")
+    if any(c.action.algebra.ring != classes[0].action.algebra.ring for c in classes):
+        raise AlgebraError("star_product_suite: classes over different base rings")
+    # the product is well defined on iso classes and every law below is
+    # checked up to iso, so products are keyed on the classes' canonical
+    # keys; a class without a key is keyed on identity, which is sound
+    # because the suite holds every class alive
     products = {}
 
     def mul(a: ExtensionClass, b: ExtensionClass) -> ExtensionClass:
-        key = (id(a), id(b))
+        key = (id(a), id(b)) if a.key is None or b.key is None else (a.key, b.key)
         if key not in products:
             products[key] = harrison_product(a, b)
         return products[key]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 from .scalars import Matrix, crt_components, invert, invertible, solve
 from .algebra import (
@@ -34,7 +35,7 @@ from .groups import FiniteGroup, Subgroup
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -52,6 +53,7 @@ class PartialAction:
             if m.nrows != algebra.rank or m.ncols != algebra.rank:
                 raise AlgebraError("action matrix shape mismatch")
         self._idem_mats = [None] * group.order
+        self._split = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -405,7 +407,7 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
     presentation.
 
     Over the connected CRT component u_t of the base ring both carriers are
-    partial G-sets on their split idempotents (see :func:`_partial_gset`).
+    partial G-sets on their split idempotents (see :func:`_partial_gsets`).
     The filter equations E'_g f = f E_g (that is, f(S_g) = S'_g) and
     f M_g = M'_g f E_{g^-1} then say, for the candidate sigma_t, that
     i in D_g iff sigma_t(i) in D'_g and that sigma_t(a_g(i)) = a'_g(sigma_t(i)).
@@ -419,25 +421,18 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
         raise AlgebraError("iso_check: actions over different base rings")
-    pa = find_split_presentation(a.algebra)
-    pb = find_split_presentation(b.algebra)
-    if pa is None or pb is None:
+    sa, sb = _split_data(a), _split_data(b)
+    if sa is None or sb is None:
         return None
     if a.algebra.rank != b.algebra.rank:
         return iter(())
     r = a.algebra.rank
     ring = a.algebra.ring
     group = a.group
-    ps = [list(e.coords) for e in pa.idempotents]
-    qs = [list(e.coords) for e in pb.idempotents]
-    # change of basis: source coords -> coefficients over the ps
-    to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
-    to_q = invert(Matrix(ring, [list(col) for col in zip(*qs)], r))
+    qs = sb.idems
     units = _base_ring_units(ring)
     pools = []
-    for u in units:
-        dom_a, act_a = _partial_gset(a, ps, to_p, u)
-        dom_b, act_b = _partial_gset(b, qs, to_q, u)
+    for (dom_a, act_a), (dom_b, act_b) in zip(sa.gsets, sb.gsets):
         allowed = [
             [k for k in range(r)
              if all((i in dom_a[g]) == (k in dom_b[g]) and (act_a[g][i] == i) == (act_b[g][k] == k)
@@ -466,47 +461,127 @@ def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
                         col[s] = ring.add(col[s], ring.mul(u, q[s]))
                 cols.append(col)
             img = Matrix(ring, [list(row) for row in zip(*cols)], r)
-            yield _certified_witness(a, b, img.mul(to_p))
+            yield _certified_witness(a, b, img.mul(sa.to_coords))
 
     return witnesses()
 
 
-def _partial_gset(act: PartialAction, idems, to_coords: Matrix, u):
+class _SplitData(NamedTuple):
+    """An action read off the split presentation of its carrier."""
+
+    idems: list  # coordinate lists of the split idempotents p_i
+    to_coords: Matrix  # coordinates -> coefficients over the p_i
+    gsets: list  # the partial G-set of each CRT unit, see _partial_gsets
+
+
+def _split_data(act: PartialAction) -> _SplitData | None:
+    """The split data of ``act``, or None when its carrier has no split
+    presentation; built once per action and kept on it.  Raises
+    AlgebraError when the action does not permute the split idempotents."""
+    if act._split is None:
+        data = None
+        pres = find_split_presentation(act.algebra)
+        if pres is not None:
+            ring = act.algebra.ring
+            idems = [list(e.coords) for e in pres.idempotents]
+            to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], act.algebra.rank))
+            gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+            data = _SplitData(idems, to_coords, gsets)
+        act._split = (data,)
+    return act._split[0]
+
+
+def canonical_key(act: PartialAction):
+    """A key equal for two actions of one group over one base ring exactly
+    when ``iso_check`` finds them isomorphic; None when the carrier has no
+    split presentation (``iso_check`` is then "undecided").
+
+    For each CRT unit the key holds the sorted codes of the connected
+    components of the partial G-set; a component's code is its least
+    breadth-first labelling over all roots.
+    """
+    data = _split_data(act)
+    if data is None:
+        return None
+    return tuple(_gset_code(maps) for _, maps in data.gsets)
+
+
+def _gset_code(maps):
+    """Canonical form of a partial G-set given as one partial map per g
+    (maps[g][i] = j, or None off the domain): the sorted component codes."""
+    codes, seen = [], set()
+    for x in range(len(maps[0])):
+        if x not in seen:
+            component = _breadth_first(maps, x)
+            seen.update(component)
+            codes.append(min(_component_code(maps, _breadth_first(maps, root)) for root in component))
+    return tuple(sorted(codes))
+
+
+def _breadth_first(maps, root):
+    """The component of ``root`` in breadth-first order from it; the maps
+    include each inverse, so following them forward reaches the component."""
+    order, seen = [root], {root}
+    for x in order:
+        for f in maps:
+            y = f[x]
+            if y is not None and y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def _component_code(maps, order):
+    """The component labelled by position in ``order``: the image labels
+    (-1 off the domain) of each point under each map."""
+    label = {x: k for k, x in enumerate(order)}
+    return tuple(tuple(-1 if f[x] is None else label[f[x]] for f in maps) for x in order)
+
+
+def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     """The partial G-set that ``act`` induces on the idempotents u p_i, for
     the split idempotents p_i (coordinate lists ``idems``, ``to_coords``
-    sending coordinates to coefficients over them) and a CRT unit u.
+    sending coordinates to coefficients over them) and each CRT unit u in
+    ``units``; the coefficients are computed once for all units.
 
-    Returns (domains, maps): domains[g] = D_g = {i : u p_i in S_g} and
-    maps[g][i] = j when alpha_g(u p_i) = u p_j, None off D_{g^-1}.  Raises
-    AlgebraError when 1_g or alpha_g does not come from a partial G-set, so
-    the input is not a partial action.
+    Returns one (domains, maps) per unit: domains[g] = D_g = {i : u p_i in
+    S_g} and maps[g][i] = j when alpha_g(u p_i) = u p_j, None off D_{g^-1}.
+    Raises AlgebraError when 1_g or alpha_g does not come from a partial
+    G-set, so the input is not a partial action.
     """
     ring = act.algebra.ring
     group = act.group
     label = group.labels
     r = len(idems)
-    domains = []
-    for g in group.elements():
-        coeffs = [ring.mul(u, x) for x in to_coords.matvec(list(act.idems[g].coords))]
-        bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
-        if bad is not None:
-            raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
-        domains.append({i for i, x in enumerate(coeffs) if x == u})
-    maps = []
-    for g in group.elements():
-        images = []
-        for i in range(r):
-            col = [ring.mul(u, x) for x in to_coords.matvec(act.maps[g].matvec(idems[i]))]
-            support = [s for s, x in enumerate(col) if x != 0]
-            if i in domains[group.inv(g)]:
-                ok = len(support) == 1 and col[support[0]] == u
-            else:
-                ok = not support
-            if not ok:
-                raise AlgebraError(f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {i})")
-            images.append(support[0] if support else None)
-        maps.append(images)
-    return domains, maps
+    idem_coeffs = [to_coords.matvec(list(act.idems[g].coords)) for g in group.elements()]
+    image_coeffs = [[to_coords.matvec(act.maps[g].matvec(p)) for p in idems] for g in group.elements()]
+    out = []
+    for u in units:
+        domains = []
+        for g in group.elements():
+            coeffs = [ring.mul(u, x) for x in idem_coeffs[g]]
+            bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
+            if bad is not None:
+                raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
+            domains.append({i for i, x in enumerate(coeffs) if x == u})
+        maps = []
+        for g in group.elements():
+            images = []
+            for i in range(r):
+                col = [ring.mul(u, x) for x in image_coeffs[g][i]]
+                support = [s for s, x in enumerate(col) if x != 0]
+                if i in domains[group.inv(g)]:
+                    ok = len(support) == 1 and col[support[0]] == u
+                else:
+                    ok = not support
+                if not ok:
+                    raise AlgebraError(
+                        f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {i})"
+                    )
+                images.append(support[0] if support else None)
+            maps.append(images)
+        out.append((domains, maps))
+    return out
 
 
 def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix) -> AlgebraMorphism:

@@ -1,5 +1,7 @@
 """Harrison product, hat action, idempotent classes, inverse-semigroup laws."""
 
+import time
+
 import pytest
 
 from pargal.scalars import QQ, Modular, Matrix
@@ -373,6 +375,77 @@ def test_minimal_regularity_witness():
     triple = harrison_product(xx, x)
     assert triple.action.algebra.rank == 3
     assert iso_check(triple.action, x.action).status == "none"
+
+
+def test_suite_multiplies_each_class_pair_once_up_to_iso(monkeypatch):
+    import pargal.harrison as harrison
+
+    calls = []
+    product = harrison.harrison_product
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(harrison, "harrison_product", counted)
+    rep = star_product_suite(five_class_corpus(Modular(2)))
+    # ex1 ~ ex1* and ex2 ~ ex2* leave three classes up to iso; their nine
+    # ordered pairs close the products the suite asks for
+    assert len(calls) == 9
+    assert rep.witnesses > 0
+
+
+def test_suite_rejects_classes_over_different_groups():
+    classes = [trivial_extension(make_cyclic(2)), trivial_extension(make_cyclic(4))]
+    with pytest.raises(AlgebraError, match="different groups"):
+        star_product_suite(classes)
+
+
+# The signature laboratory: over a connected base ring every nonempty
+# subset A of Z_n is a split partial Galois class, Z_n acting by
+# translation restricted to A.  The coset classes are exactly the regular
+# ones, so a suite over them alone passes every law.
+
+
+def subset_class(n, subset):
+    """Z_n acting by translation restricted to ``subset`` on Q^|subset|,
+    with D_g the intersection of A and g + A."""
+    group = make_cyclic(n)
+    points = sorted(subset)
+    pos = {x: k for k, x in enumerate(points)}
+    r = len(points)
+    a = Algebra.split(QQ, [f"x{x}" for x in points])
+    idems, maps = [], []
+    for g in group.elements():
+        coords = [0] * r
+        rows = [[0] * r for _ in range(r)]
+        for x, k in pos.items():
+            image = pos.get((x + g) % n)
+            if image is not None:
+                rows[image][k] = 1
+                coords[image] = 1
+        idems.append(a.element(coords))
+        maps.append(Matrix(QQ, rows, r))
+    return cls(PartialAction(group, a, idems, maps))
+
+
+@pytest.mark.parametrize(
+    "n, cosets",
+    [(4, [{0}, {0, 2}, {1, 3}, {0, 1, 2, 3}]), (6, [{0}, {0, 3}, {0, 2, 4}, {1, 4}, set(range(6))])],
+    ids=["Z4", "Z6"],
+)
+def test_coset_classes_satisfy_every_law(n, cosets):
+    start = time.perf_counter()
+    rep = star_product_suite([subset_class(n, c) for c in cosets])
+    elapsed = time.perf_counter() - start
+    assert rep.passed, rep.failures()
+    assert elapsed < 5.0, elapsed
+
+
+def test_non_coset_class_is_not_regular():
+    rep = star_product_suite([subset_class(4, {0, 1})])
+    status = {name: s for name, s, _ in rep.checks}
+    assert status["x x* x = x (0)"] == "fail"
 
 
 def test_cyclic_compose_of_trivials_is_trivial():

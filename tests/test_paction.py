@@ -24,6 +24,7 @@ from pargal.groups import make_cyclic, subgroup_closure
 from pargal.paction import (
     GaloisCoordinates,
     PartialAction,
+    canonical_key,
     galois_coordinates,
     global_action,
     invariants,
@@ -547,6 +548,49 @@ def test_pruned_iso_search_matches_full_enumeration(pair):
     assert res.status == ("iso" if expected else "none")
     assert res.status == "none" or res.morphism.matrix == expected[0]
     assert iso_check(b, a).status == res.status
+
+
+def relabel(act, perm):
+    """The same action on a permuted basis: basis vector i becomes perm[i]."""
+    from pargal.algebra import Algebra
+
+    alg, r = act.algebra, act.algebra.rank
+    inv = sorted(range(r), key=perm.__getitem__)
+
+    def move(v):
+        return [v[inv[j]] for j in range(r)]
+
+    table = {
+        (perm[i], perm[j]): tuple((perm[k], c) for k, c in alg.table[i][j])
+        for i in range(r) for j in range(r) if alg.table[i][j]
+    }
+    algebra = Algebra(alg.ring, move(alg.labels), table, move(alg.unit), validate=False)
+    idems = [algebra.element(move(e.coords)) for e in act.idems]
+    maps = [Matrix(alg.ring, [[m.rows[inv[x]][inv[y]] for y in range(r)] for x in range(r)], r) for m in act.maps]
+    return PartialAction(act.group, algebra, idems, maps)
+
+
+@given(gset_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_canonical_key_agrees_with_iso_check(pair, rnd):
+    a, b = pair
+    status = iso_check(a, b).status
+    ka, kb = canonical_key(a), canonical_key(b)
+    assert (ka is None or kb is None) == (status == "undecided")
+    assert (ka is not None and ka == kb) == (status == "iso")
+    perm = list(range(a.algebra.rank))
+    rnd.shuffle(perm)
+    moved = relabel(a, perm)
+    assert verify_partial_action(moved).passed
+    assert canonical_key(moved) == ka
+
+
+def test_canonical_key_is_none_on_a_nonsplit_carrier():
+    from pargal.algebra import make_algebra
+
+    nil = make_algebra(QQ, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    act = PartialAction(make_cyclic(1), nil, [nil.one()], [Matrix.identity(QQ, 2)])
+    assert canonical_key(act) is None
 
 
 def _timed_iso(a, b):
