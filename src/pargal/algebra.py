@@ -159,22 +159,7 @@ class Algebra:
     # -- formatting / identity -----------------------------------------------
 
     def format_coords(self, coords) -> str:
-        parts = []
-        for c, lab in zip(coords, self.labels):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(lab)
-            elif c == -1:
-                parts.append(f"-{lab}")
-            else:
-                parts.append(f"({c})*{lab}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return format_coords(self.labels, coords)
 
     def __eq__(self, other):
         return (
@@ -193,6 +178,26 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.ring}, rank {self.rank}, basis {self.labels})"
+
+
+def format_coords(labels, coords) -> str:
+    """A coordinate vector as a signed sum of the basis labels."""
+    parts = []
+    for c, lab in zip(coords, labels):
+        if c == 0:
+            continue
+        if c == 1:
+            parts.append(lab)
+        elif c == -1:
+            parts.append(f"-{lab}")
+        else:
+            parts.append(f"({c})*{lab}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 class Element:
@@ -557,13 +562,18 @@ class TensorProduct:
         return Element(self.algebra, self.pair_coords(list(x.coords), list(y.coords)))
 
 
+def tensor_labels(a: Algebra, b: Algebra, sep: str = "(x)") -> list:
+    """The labels of the basis b_i (x) b'_j of a (x) b, index i |b| + j."""
+    return [f"{la}{sep}{lb}" for la in a.labels for lb in b.labels]
+
+
 def tensor(a: Algebra, b: Algebra, sep: str = "(x)") -> TensorProduct:
     """Tensor product over the base ring: (x(x)y)(x'(x)y') = xx'(x)yy'."""
     if a.ring != b.ring:
         raise AlgebraError("tensor factors over different base rings")
     ring = a.ring
     rb = b.rank
-    labels = [f"{la}{sep}{lb}" for la in a.labels for lb in b.labels]
+    labels = tensor_labels(a, b, sep)
     table = {}
     for i in range(a.rank):
         for j in range(a.rank):
@@ -700,7 +710,8 @@ def _field_roots(coeffs, ring):
         for r in candidates:
             if _poly_eval(work, r, ring) == 0:
                 quot, rem = _poly_divide_linear(work, r, ring)
-                assert rem == 0
+                if rem != 0:
+                    raise AssertionError("_field_roots: a root left a remainder (bug trap)")
                 roots.append(r)
                 work = quot
                 progress = True
@@ -757,7 +768,8 @@ def _split_over_field(algebra: Algebra):
             for row in basis.rows:
                 prod = algebra.mul_coords(gen, row)
                 sol = system.solve(prod)
-                assert sol is not None, "ideal not closed under multiplication"
+                if sol is None:
+                    raise AssertionError("_split_over_field: ideal not closed under multiplication (bug trap)")
                 cols.append(sol.particular)
             op = Matrix(ring, [list(r) for r in zip(*cols)], k)
             minpoly = _minimal_polynomial(op)

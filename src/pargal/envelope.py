@@ -266,7 +266,8 @@ def subgroup_idempotents(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempo
     out = SubgroupIdempotents(sub, eis, sum(eis[1:], eis[0]))
     out.check()
     for ui, ei in zip(translates, eis):
-        assert ui * ei == ei, "beta_{h_i}(1_S) e_i = e_i fails"
+        if ui * ei != ei:
+            raise AssertionError("subgroup_idempotents: beta_{h_i}(1_S) e_i = e_i fails (bug trap)")
     return out
 
 

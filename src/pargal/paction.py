@@ -217,7 +217,8 @@ def trace(act: PartialAction, x: Element) -> Element:
     """tr(x) = sum_g alpha_g(x 1_{g^-1}); always lands in the invariants."""
     out = Element(act.algebra, trace_map(act).matvec(list(x.coords)))
     for g in act.group.elements():
-        assert act.apply(g, out) == out * act.idems[g], "trace left the invariant subalgebra"
+        if act.apply(g, out) != out * act.idems[g]:
+            raise AssertionError("trace left the invariant subalgebra (bug trap)")
     return out
 
 
@@ -280,7 +281,8 @@ def galois_coordinates(act: PartialAction):
         if any(c != 0 for c in ycoords):
             pairs.append((A.basis_element(i), A.element(ycoords)))
     coords = GaloisCoordinates(act, pairs)
-    assert coords.verify(), "solver produced a non-witness"
+    if not coords.verify():
+        raise AssertionError("galois_coordinates: the solver produced a non-witness (bug trap)")
     return coords
 
 

@@ -39,7 +39,8 @@ def quotient_idempotent(act: PartialAction, sub: Subgroup, g: int) -> Element:
     for i in range(1, len(members)):
         prod = prod * (one - act.idems[G.mul(g, members[i - 1])])
         total = total + prod * act.idems[G.mul(g, members[i])]
-    assert total.is_idempotent(), "1~_{gH} failed to be idempotent"
+    if not total.is_idempotent():
+        raise AssertionError("1~_{gH} failed to be idempotent (bug trap)")
     return total
 
 

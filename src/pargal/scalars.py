@@ -566,5 +566,6 @@ def crt_components(n: int):
         q = p ** e
         m = n // q
         g, x, _ = _ext_gcd(m, q)
-        assert g == 1
+        if g != 1:
+            raise AssertionError(f"crt_components: {m} and {q} are not coprime (bug trap)")
         yield p, q, (m * x) % n

@@ -3,8 +3,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from pargal.scalars import QQ, Modular, Matrix
+from pargal.scalars import QQ, Modular, Matrix, invert
 from pargal.algebra import Algebra, AlgebraError, Element, find_split_presentation
 from pargal.corpus import (
     corrupted_p4,
@@ -29,6 +31,7 @@ from pargal.harrison import (
     star_product_suite,
     tensor_action,
     trivial_extension,
+    _gset_product,
     _identify_with_group,
     _quotient_by_delta,
 )
@@ -407,14 +410,15 @@ def test_suite_rejects_classes_over_different_groups():
 # ones, so a suite over them alone passes every law.
 
 
-def subset_class(n, subset):
-    """Z_n acting by translation restricted to ``subset`` on Q^|subset|,
-    with D_g the intersection of A and g + A."""
+def subset_class(n, subset, ring=QQ):
+    """Z_n acting by translation restricted to ``subset`` on R^|subset|,
+    with D_g the intersection of A and g + A.  The basis follows ``subset``
+    when it is a sequence and ascending order when it is a set."""
     group = make_cyclic(n)
-    points = sorted(subset)
+    points = sorted(subset) if isinstance(subset, (set, frozenset)) else list(subset)
     pos = {x: k for k, x in enumerate(points)}
     r = len(points)
-    a = Algebra.split(QQ, [f"x{x}" for x in points])
+    a = Algebra.split(ring, [f"x{x}" for x in points])
     idems, maps = [], []
     for g in group.elements():
         coords = [0] * r
@@ -425,7 +429,7 @@ def subset_class(n, subset):
                 rows[image][k] = 1
                 coords[image] = 1
         idems.append(a.element(coords))
-        maps.append(Matrix(QQ, rows, r))
+        maps.append(Matrix(ring, rows, r))
     return cls(PartialAction(group, a, idems, maps))
 
 
@@ -446,6 +450,164 @@ def test_non_coset_class_is_not_regular():
     rep = star_product_suite([subset_class(4, {0, 1})])
     status = {name: s for name, s, _ in rep.checks}
     assert status["x x* x = x (0)"] == "fail"
+
+
+def test_suite_skips_the_search_on_identical_sides(monkeypatch):
+    import pargal.harrison as harrison
+
+    calls = []
+    search = harrison.iso_check
+
+    def counted(a, b):
+        calls.append((a, b))
+        return search(a, b)
+
+    monkeypatch.setattr(harrison, "iso_check", counted)
+    rep = star_product_suite(five_class_corpus(Modular(2)))
+    # 23 of the 185 laws compare one memoised product with itself; they pass
+    # with the identity as witness and no search
+    assert len(calls) == 162
+    assert all(a is not b for a, b in calls)
+    assert len(rep.checks) == 190
+    assert rep.witnesses == 175
+    assert len(rep.failures()) == 10
+
+
+# The set route of harrison_product against the matrix route that every
+# other carrier takes (tensor_action, the delta-G quotient, the
+# identification with G): both must give one presentation, not merely one
+# class up to isomorphism.
+
+
+def matrix_product(a, b):
+    g = a.group
+    return cls(_identify_with_group(_quotient_by_delta(tensor_action(a.action, b.action), g), g))
+
+
+def assert_same_presentation(got, expected):
+    x, y = got.action, expected.action
+    assert x.algebra.labels == y.algebra.labels
+    assert x.algebra == y.algebra
+    assert x.idems == y.idems
+    assert x.maps == y.maps
+
+
+@pytest.fixture
+def tensor_calls(monkeypatch):
+    """The tensor actions that harrison_product builds (matrix route only)."""
+    import pargal.harrison as harrison
+
+    calls = []
+    build = harrison.tensor_action
+
+    def counted(a, b):
+        calls.append((a, b))
+        return build(a, b)
+
+    monkeypatch.setattr(harrison, "tensor_action", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_set_route_matches_matrix_route_on_corpus_pairs(ring, tensor_calls):
+    classes = five_class_corpus(ring)
+    for a in classes:
+        for b in classes:
+            assert_same_presentation(harrison_product(a, b), matrix_product(a, b))
+    assert not tensor_calls
+
+
+@st.composite
+def subset_class_pairs(draw):
+    """Two partial Z_n-classes (n <= 6) over Q, F_2 or Z/6: nonempty subsets
+    of Z_n in a drawn basis order, each possibly replaced by its star."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
+    n = draw(st.integers(1, 6))
+
+    def draw_class():
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        c = subset_class(n, points, ring)
+        return c.star() if draw(st.booleans()) else c
+
+    return draw_class(), draw_class()
+
+
+@given(subset_class_pairs())
+@settings(max_examples=150, deadline=None)
+def test_set_route_matches_matrix_route_on_partial_zn_sets(pair):
+    a, b = pair
+    assert _gset_product(a.action, b.action) is not None
+    assert_same_presentation(harrison_product(a, b), matrix_product(a, b))
+
+
+def rebased(act, cols: Matrix):
+    """The same action on the basis whose vectors, in the old coordinates,
+    are the columns of the invertible matrix ``cols``."""
+    A, ring, r = act.algebra, act.algebra.ring, act.algebra.rank
+    to_new = invert(cols)
+    basis = [list(col) for col in zip(*cols.rows)]
+    table = {}
+    for i in range(r):
+        for j in range(r):
+            prod = to_new.matvec(A.mul_coords(basis[i], basis[j]))
+            if any(c != 0 for c in prod):
+                table[(i, j)] = tuple((k, c) for k, c in enumerate(prod) if c != 0)
+    B = Algebra(ring, [f"b{i}" for i in range(r)], table, to_new.matvec(list(A.unit)))
+    idems = [B.element(to_new.matvec(list(e.coords))) for e in act.idems]
+    maps = [to_new.mul(m).mul(cols) for m in act.maps]
+    return PartialAction(act.group, B, idems, maps)
+
+
+def test_non_permutation_basis_takes_the_matrix_route(tensor_calls):
+    x, y = cls(example2()), cls(example2_star())
+    # Q^2 on the basis 1 = e1 + e2, e2
+    z = cls(rebased(x.action, Matrix(QQ, [[1, 0], [1, 1]])))
+    expected = harrison_product(x, y)
+    assert not tensor_calls
+    got = harrison_product(z, y)
+    assert len(tensor_calls) == 1
+    assert got.key == expected.key
+
+
+def test_nonsplit_carrier_with_0_1_data_takes_the_matrix_route(tensor_calls):
+    from pargal.algebra import make_algebra
+
+    # F_4 = F_2[x]/(x^2 + x + 1) under Frobenius x -> x + 1: every 1_g and
+    # M_g is 0/1 on the basis 1, x, but the table is not the split one
+    f2 = Modular(2)
+    f4 = make_algebra(f2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [1, 0])
+    maps = [Matrix.identity(f2, 2), Matrix(f2, [[1, 1], [0, 1]])]
+    frobenius = cls(PartialAction(make_cyclic(2), f4, [f4.one()] * 2, maps))
+    assert_same_presentation(harrison_product(frobenius, frobenius), matrix_product(frobenius, frobenius))
+    assert len(tensor_calls) == 1
+
+
+def test_crt_glued_action_takes_the_matrix_route(tensor_calls):
+    from test_paction import crt_glue
+
+    z6 = Modular(6)
+    x, y = subset_class(6, {0, 1}, z6), subset_class(6, {0, 2}, z6)
+    xx, yy = harrison_product(x, x), harrison_product(y, y)
+    assert not tensor_calls
+    glued = cls(crt_glue(x.action, y.action))
+    got = harrison_product(glued, glued)
+    assert len(tensor_calls) == 1
+    # x on the Z/2 component (unit 3) and y on the Z/3 component (unit 4);
+    # {0,1} + {0,1} is no coset but {0,2} + {0,2} is, so the two differ
+    assert got.key == (xx.key[0], yy.key[1])
+    assert xx.key[0] != yy.key[1]
+
+
+def test_regular_z16_class_squared_on_its_point_set(tensor_calls):
+    regular = subset_class(16, range(16))
+    start = time.perf_counter()
+    square = harrison_product(regular, regular)
+    elapsed = time.perf_counter() - start
+    # 256 points of X x Y in 16 delta-G components; certified as a class
+    assert not tensor_calls
+    assert square.action.algebra.rank == 16
+    assert square.key == regular.key
+    assert elapsed < 2.0, elapsed
 
 
 def test_cyclic_compose_of_trivials_is_trivial():
