@@ -74,6 +74,61 @@ def test_corrupted_p4_fails_with_witness():
     assert lhs == act.algebra.basis_element(0)  # alpha_g(alpha_g(e3)) = e1
 
 
+def perturbed(act, maps=None, idems=None):
+    """``act`` with the matrices (rows) and idempotents (coordinates) given
+    for some group elements replaced; nothing is checked."""
+    ring = act.algebra.ring
+    new_maps = list(act.maps)
+    new_idems = list(act.idems)
+    for g, rows in (maps or {}).items():
+        new_maps[g] = Matrix(ring, rows, act.algebra.rank)
+    for g, coords in (idems or {}).items():
+        new_idems[g] = act.algebra.element(coords)
+    return PartialAction(act.group, act.algebra, new_idems, new_maps)
+
+
+P1 = "(P1) alpha_g: S_(g^-1) -> S_g is an algebra isomorphism"
+P3 = "(P3) alpha_g(S_(g^-1) /\\ S_h) = S_g /\\ S_gh"
+# an involution of Q^3 fixing 1 = (1,1,1) that keeps e1 idempotent but sends
+# e1 e2 = 0 to e1 (e1 + e3) = e1
+NON_MULTIPLICATIVE = [[1, 1, -1], [0, 0, 1], [0, 1, 0]]
+
+
+def regular_z3():
+    return gset_action(QQ, 3, [3], gset_points([3]))
+
+
+# one minimal failing action per sub-check of (P1), in the order the check
+# runs them, and one for (P3); each fails first at g (not at the identity)
+AXIOM_WITNESSES = [
+    ("kills-complement", lambda: perturbed(example2(), maps={1: [[0, 0], [1, 1]]}),
+     P1, "g=g: M_g != M_g E_(g^-1)"),
+    ("lands-in-S_g", lambda: perturbed(example2(), maps={1: [[1, 0], [1, 0]]}),
+     P1, "g=g: image of alpha_g escapes S_g"),
+    ("unital", lambda: perturbed(example2(), maps={1: [[0, 0], [2, 0]]}),
+     P1, "g=g: alpha_g(1_(g^-1)) != 1_g"),
+    ("inverse", lambda: perturbed(example2(), maps={3: [[0, 0], [0, 0]]}),
+     P1, "g=g: alpha_g alpha_(g^-1) is not multiplication by 1_g"),
+    ("multiplicative", lambda: perturbed(regular_z3(), maps={1: NON_MULTIPLICATIVE, 2: NON_MULTIPLICATIVE}),
+     P1, "g=g: alpha_g not multiplicative on S_(g^-1) basis pair (0,1)"),
+    ("p3", lambda: perturbed(example2(), maps={2: [[1, 0], [0, 0]]}, idems={2: [1, 0]}),
+     P3, "g=g, h=g2"),
+]
+
+
+@pytest.mark.parametrize("build, name, witness", [c[1:] for c in AXIOM_WITNESSES],
+                         ids=[c[0] for c in AXIOM_WITNESSES])
+def test_each_axiom_check_names_its_witness(build, name, witness):
+    rep = verify_partial_action(build())
+    found = [c for c in rep.checks if c.name == name]
+    assert len(found) == 1
+    assert not found[0].passed
+    assert found[0].witness == witness
+    if name == P3:
+        # (P1) holds, so (P3) is reached on a family of algebra isomorphisms
+        assert next(c for c in rep.checks if c.name == P1).passed
+
+
 def test_restrict_to_identity_and_full():
     act = example1()
     triv = restrict(act, subgroup_closure(act.group, []))
