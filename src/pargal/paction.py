@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .scalars import Matrix, crt_components, invert, invertible, solve
+from .scalars import Matrix, Modular, crt_components, invert, invertible, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -132,6 +132,9 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
 
     # (P1): M_g kills (1 - 1_{g^-1}), lands in S_g, is multiplicative and
     # unital on S_{g^-1}, and M_{g^-1} M_g is multiplication by 1_{g^-1}.
+    # Multiplicativity is checked on the pairs of basis rows b_i, b_j of
+    # S_{g^-1} against the images M_g b_i, computed once per g.
+    zero = [0] * A.rank
     witness = None
     for g in act.group.elements():
         gi = act.group.inv(g)
@@ -148,19 +151,13 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
         if mg.mul(act.maps[gi]) != act.idem_matrix(g):
             witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
             break
-        ideal = act.ideal(gi)
-        rows = ideal.basis.rows
-        done = False
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                prod = A.mul_coords(rows[i], rows[j])
-                lhs = mg.matvec(prod)
-                rhs = A.mul_coords(mg.matvec(rows[i]), mg.matvec(rows[j]))
-                if lhs != rhs:
-                    witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
-                    done = True
-                    break
-            if done:
+        rows = act.ideal(gi).basis.rows
+        images = [mg.matvec(b) for b in rows]
+        for i, j in ((i, j) for i in range(len(rows)) for j in range(i, len(rows))):
+            prod = A.mul_coords(rows[i], rows[j])
+            lhs = zero if prod == zero else mg.matvec(prod)
+            if lhs != A.mul_coords(images[i], images[j]):
+                witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
                 break
         if witness:
             break
@@ -258,21 +255,10 @@ def galois_coordinates(act: PartialAction):
     """
     A = act.algebra
     r = A.rank
-    ring = A.ring
-    cols = []
-    basis = [[1 if t == i else 0 for t in range(r)] for i in range(r)]
-    images = {g: [act.maps[g].matvec(basis[j]) for j in range(r)] for g in act.group.elements()}
-    for i in range(r):
-        for j in range(r):
-            col = []
-            for g in act.group.elements():
-                col.extend(A.mul_coords(basis[i], images[g][j]))
-            cols.append(col)
     rhs = []
     for g in act.group.elements():
         rhs.extend(A.unit if g == act.group.identity else (0,) * r)
-    mat = Matrix(ring, [list(row) for row in zip(*cols)], r * r)
-    sol = solve(mat, list(rhs))
+    sol = solve(_galois_matrix(act), list(rhs))
     if sol is None:
         return None
     pairs = []
@@ -284,6 +270,31 @@ def galois_coordinates(act: PartialAction):
     if not coords.verify():
         raise AssertionError("galois_coordinates: the solver produced a non-witness (bug trap)")
     return coords
+
+
+def _galois_matrix(act: PartialAction) -> Matrix:
+    """The system of :func:`galois_coordinates`: row (g, k), column (i, j)
+    holds coordinate k of e_i alpha_g(e_j) = sum_l c_{ilk} M_g[l][j], read off
+    the sparse table and summed in the order of ``Algebra.mul_coords``."""
+    A = act.algebra
+    r = A.rank
+    rows = [[0] * (r * r) for _ in range(act.group.order * r)]
+    for g in act.group.elements():
+        m = act.maps[g].rows
+        out = rows[g * r : (g + 1) * r]
+        for i in range(r):
+            for l, entries in enumerate(A.table[i]):
+                if not entries:
+                    continue
+                for j, y in enumerate(m[l]):
+                    if y == 0:
+                        continue
+                    for k, c in entries:
+                        out[k][i * r + j] += y if c == 1 else y * c
+    if isinstance(A.ring, Modular):
+        n = A.ring.n
+        rows = [[v % n for v in row] for row in rows]
+    return Matrix(A.ring, rows, r * r)
 
 
 @dataclass

@@ -218,11 +218,14 @@ class Matrix:
         if len(v) != self.ncols:
             raise ShapeError(f"matvec: {self.nrows}x{self.ncols} with vector of length {len(v)}")
         mul, add = self.ring.mul, self.ring.add
+        # sum over the nonzero entries of v only: a unit vector costs O(rows)
+        support = [(j, x) for j, x in enumerate(v) if x != 0]
         out = []
         for row in self.rows:
             acc = 0
-            for a, x in zip(row, v):
-                if a != 0 and x != 0:
+            for j, x in support:
+                a = row[j]
+                if a != 0:
                     acc = add(acc, mul(a, x))
             out.append(acc)
         return out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pargal.scalars import QQ, Modular, Matrix, invert
+from pargal.scalars import QQ, Modular, Matrix
 from pargal.algebra import Algebra, AlgebraError, Element, find_split_presentation
 from pargal.corpus import (
     corrupted_p4,
@@ -540,25 +540,9 @@ def test_set_route_matches_matrix_route_on_partial_zn_sets(pair):
     assert_same_presentation(harrison_product(a, b), matrix_product(a, b))
 
 
-def rebased(act, cols: Matrix):
-    """The same action on the basis whose vectors, in the old coordinates,
-    are the columns of the invertible matrix ``cols``."""
-    A, ring, r = act.algebra, act.algebra.ring, act.algebra.rank
-    to_new = invert(cols)
-    basis = [list(col) for col in zip(*cols.rows)]
-    table = {}
-    for i in range(r):
-        for j in range(r):
-            prod = to_new.matvec(A.mul_coords(basis[i], basis[j]))
-            if any(c != 0 for c in prod):
-                table[(i, j)] = tuple((k, c) for k, c in enumerate(prod) if c != 0)
-    B = Algebra(ring, [f"b{i}" for i in range(r)], table, to_new.matvec(list(A.unit)))
-    idems = [B.element(to_new.matvec(list(e.coords))) for e in act.idems]
-    maps = [to_new.mul(m).mul(cols) for m in act.maps]
-    return PartialAction(act.group, B, idems, maps)
-
-
 def test_non_permutation_basis_takes_the_matrix_route(tensor_calls):
+    from test_paction import rebased
+
     x, y = cls(example2()), cls(example2_star())
     # Q^2 on the basis 1 = e1 + e2, e2
     z = cls(rebased(x.action, Matrix(QQ, [[1, 0], [1, 1]])))
@@ -608,6 +592,18 @@ def test_regular_z16_class_squared_on_its_point_set(tensor_calls):
     assert square.action.algebra.rank == 16
     assert square.key == regular.key
     assert elapsed < 2.0, elapsed
+
+
+def test_regular_z32_class_squared_on_its_point_set(tensor_calls):
+    # 1,024 points; the certificate of the rank-32 result is most of the time
+    regular = subset_class(32, range(32))
+    start = time.perf_counter()
+    square = harrison_product(regular, regular)
+    elapsed = time.perf_counter() - start
+    assert not tensor_calls
+    assert square.action.algebra.rank == 32
+    assert square.key == regular.key
+    assert elapsed < 3.0, elapsed
 
 
 def test_cyclic_compose_of_trivials_is_trivial():

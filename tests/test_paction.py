@@ -625,6 +625,27 @@ def relabel(act, perm):
     return PartialAction(act.group, algebra, idems, maps)
 
 
+def rebased(act, cols: Matrix):
+    """The same action on the basis whose vectors, in the old coordinates,
+    are the columns of the invertible matrix ``cols``."""
+    A, ring, r = act.algebra, act.algebra.ring, act.algebra.rank
+    from pargal.algebra import Algebra
+    from pargal.scalars import invert
+
+    to_new = invert(cols)
+    basis = [list(col) for col in zip(*cols.rows)]
+    table = {}
+    for i in range(r):
+        for j in range(r):
+            prod = to_new.matvec(A.mul_coords(basis[i], basis[j]))
+            if any(c != 0 for c in prod):
+                table[(i, j)] = tuple((k, c) for k, c in enumerate(prod) if c != 0)
+    B = Algebra(ring, [f"b{i}" for i in range(r)], table, to_new.matvec(list(A.unit)))
+    idems = [B.element(to_new.matvec(list(e.coords))) for e in act.idems]
+    maps = [to_new.mul(m).mul(cols) for m in act.maps]
+    return PartialAction(act.group, B, idems, maps)
+
+
 @given(gset_pairs(), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_canonical_key_agrees_with_iso_check(pair, rnd):
@@ -696,3 +717,220 @@ def test_iso_check_rank_14_interchangeable_points(ring):
     res, elapsed = _timed_iso(gset_action(ring, 2, oa, pts_a), gset_action(ring, 2, ob, pts_b))
     assert res.status == "none"
     assert elapsed < 2.0, elapsed
+
+
+# -- the certificate against the dense route it replaced ----------------------
+
+
+def dense_apply(m, v):
+    """M v summed over every column, as the certificate did before it read
+    only the nonzero entries of v."""
+    ring = m.ring
+    out = []
+    for row in m.rows:
+        acc = 0
+        for a, x in zip(row, v):
+            if a != 0 and x != 0:
+                acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def reference_verify_partial_action(act):
+    """The axiom checks with the dense (P1) loop: three dense products per
+    basis pair (i, j), i <= j, of S_(g^-1), the images recomputed for each."""
+    from pargal.paction import ActionReport
+    from pargal.algebra import Element
+
+    def apply(g, x):
+        return Element(A, dense_apply(act.maps[g], list(x.coords)))
+
+    g_labels = act.group.labels
+    A = act.algebra
+    rep = ActionReport()
+
+    bad = [g_labels[g] for g in act.group.elements() if not act.idems[g].is_idempotent()]
+    rep.add("unital: each 1_g is idempotent", not bad, None if not bad else f"1_{bad[0]} not idempotent")
+
+    p2 = act.idems[act.group.identity] == A.one() and act.maps[act.group.identity].is_identity()
+    rep.add("(P2) S_1 = S and alpha_1 = id", p2, None if p2 else "identity component is not the identity")
+
+    witness = None
+    for g in act.group.elements():
+        gi = act.group.inv(g)
+        mg = act.maps[g]
+        if mg.mul(act.idem_matrix(gi)) != mg:
+            witness = f"g={g_labels[g]}: M_g != M_g E_(g^-1)"
+            break
+        if act.idem_matrix(g).mul(mg) != mg:
+            witness = f"g={g_labels[g]}: image of alpha_g escapes S_g"
+            break
+        if apply(g, act.idems[gi]) != act.idems[g]:
+            witness = f"g={g_labels[g]}: alpha_g(1_(g^-1)) != 1_g"
+            break
+        if mg.mul(act.maps[gi]) != act.idem_matrix(g):
+            witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
+            break
+        rows = act.ideal(gi).basis.rows
+        done = False
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                lhs = dense_apply(mg, A.mul_coords(rows[i], rows[j]))
+                rhs = A.mul_coords(dense_apply(mg, rows[i]), dense_apply(mg, rows[j]))
+                if lhs != rhs:
+                    witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
+                    done = True
+                    break
+            if done:
+                break
+        if witness:
+            break
+    rep.add("(P1) alpha_g: S_(g^-1) -> S_g is an algebra isomorphism", witness is None, witness)
+
+    witness = None
+    for g in act.group.elements():
+        gi = act.group.inv(g)
+        for h in act.group.elements():
+            lhs = apply(g, act.idems[gi] * act.idems[h])
+            rhs = act.idems[g] * act.idems[act.group.mul(g, h)]
+            if lhs != rhs:
+                witness = f"g={g_labels[g]}, h={g_labels[h]}"
+                break
+        if witness:
+            break
+    rep.add("(P3) alpha_g(S_(g^-1) /\\ S_h) = S_g /\\ S_gh", witness is None, witness)
+
+    witness = None
+    for g in act.group.elements():
+        for h in act.group.elements():
+            lhs = act.maps[g].mul(act.maps[h])
+            rhs = act.idem_matrix(g).mul(act.maps[act.group.mul(g, h)])
+            if lhs != rhs:
+                col = next(
+                    j for j in range(A.rank) if [r[j] for r in lhs.rows] != [r[j] for r in rhs.rows]
+                )
+                witness = f"g={g_labels[g]}, h={g_labels[h]}, basis={A.labels[col]}"
+                break
+        if witness:
+            break
+    rep.add("(P4) alpha_g alpha_h extends to alpha_gh", witness is None, witness)
+    return rep
+
+
+def reference_galois_matrix(act):
+    """The Galois system column by column: column (i, j) stacks
+    e_i alpha_g(e_j) over g, through mul_coords and a dense product."""
+    A = act.algebra
+    r = A.rank
+    basis = [[1 if t == i else 0 for t in range(r)] for i in range(r)]
+    images = {g: [dense_apply(act.maps[g], basis[j]) for j in range(r)] for g in act.group.elements()}
+    cols = []
+    for i in range(r):
+        for j in range(r):
+            col = []
+            for g in act.group.elements():
+                col.extend(A.mul_coords(basis[i], images[g][j]))
+            cols.append(col)
+    return Matrix(A.ring, [list(row) for row in zip(*cols)], r * r)
+
+
+def reference_galois_pairs(act):
+    """The pairs of galois_coordinates read off the reference system; None
+    when it has no solution."""
+    from pargal.scalars import solve
+
+    A, r = act.algebra, act.algebra.rank
+    rhs = []
+    for g in act.group.elements():
+        rhs.extend(A.unit if g == act.group.identity else (0,) * r)
+    sol = solve(reference_galois_matrix(act), rhs)
+    if sol is None:
+        return None
+    return [
+        (A.basis_element(i), A.element(sol.particular[i * r : (i + 1) * r]))
+        for i in range(r)
+        if any(c != 0 for c in sol.particular[i * r : (i + 1) * r])
+    ]
+
+
+ORACLE_RINGS = [QQ, Modular(2), Z6]
+_corpus_cache = {}
+
+
+def oracle_corpus(ring):
+    """The shipped fixtures over ``ring`` and the corrupted (P4) control."""
+    if ring not in _corpus_cache:
+        _corpus_cache[ring] = list(standard_corpus(ring).values()) + [corrupted_p4(ring)]
+    return _corpus_cache[ring]
+
+
+def frobenius_f4():
+    """F_4 = F_2[x]/(x^2 + x + 1) under Frobenius x -> x + 1: a global Z_2
+    action on a carrier without a split table."""
+    from pargal.algebra import make_algebra
+
+    f2 = Modular(2)
+    f4 = make_algebra(f2, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [1, 0])
+    return global_action(make_cyclic(2), f4, [Matrix.identity(f2, 2), Matrix(f2, [[1, 1], [0, 1]])])
+
+
+@st.composite
+def unitriangular(draw, ring, r):
+    """An invertible change of basis over any ring: a permutation of a unit
+    upper triangular matrix."""
+    rows = [[1 if i == j else (draw(st.integers(0, 2)) if j > i else 0) for j in range(r)] for i in range(r)]
+    order = draw(st.permutations(range(r)))
+    return Matrix(ring, [[ring.coerce(x) for x in rows[k]] for k in order], r)
+
+
+@st.composite
+def oracle_actions(draw):
+    """Actions, valid or not, for the certificate's differential oracle:
+    corpus actions over Q, F_2 and Z/6, their copies on other bases, the
+    non-split F_4 Frobenius action, CRT-glued Z_n-sets over Z/6 and the
+    pinned failing actions; each possibly with one entry of one M_g changed."""
+    source = draw(st.sampled_from(["corpus", "rebased", "frobenius", "crt", "pinned"]))
+    if source == "pinned":
+        act = draw(st.sampled_from(AXIOM_WITNESSES))[1]()
+    elif source == "frobenius":
+        act = frobenius_f4()
+    elif source == "crt":
+        n, r = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+
+        def zn_set():
+            orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+            orbits += [1] * max(0, r - sum(orbits))
+            return gset_action(Z6, n, orbits, draw(st.permutations(gset_points(orbits)))[:r])
+
+        act = crt_glue(zn_set(), zn_set())
+    else:
+        act = draw(st.sampled_from(oracle_corpus(draw(st.sampled_from(ORACLE_RINGS)))))
+        if source == "rebased":
+            act = rebased(act, draw(unitriangular(act.algebra.ring, act.algebra.rank)))
+    if draw(st.booleans()):
+        ring, r = act.algebra.ring, act.algebra.rank
+        g = draw(st.sampled_from(list(act.group.elements())))
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        rows = [list(row) for row in act.maps[g].rows]
+        rows[i][j] = ring.coerce(draw(st.integers(-2, 2)))
+        act = perturbed(act, maps={g: rows})
+    return act
+
+
+def report_of(rep):
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+@given(oracle_actions())
+@settings(max_examples=150, deadline=None)
+def test_certificate_matches_the_dense_reference(act):
+    from pargal.paction import _galois_matrix
+
+    assert report_of(verify_partial_action(act)) == report_of(reference_verify_partial_action(act))
+    assert _galois_matrix(act) == reference_galois_matrix(act)
+    found = galois_coordinates(act)
+    expected = reference_galois_pairs(act)
+    assert (found is None) == (expected is None)
+    assert found is None or found.pairs == expected
+

@@ -252,3 +252,56 @@ def test_kernel_and_invertible():
     assert not invertible(Matrix(ring, [[2, 0], [0, 1]]))
     k = kernel(Matrix(ring, [[2, 0], [0, 1]]))
     assert enumerate_row_module(k.rows, 6) == {(0, 0), (3, 0)}
+
+
+# -- matvec against the dense textbook product ------------------------------------
+
+
+def dense_matvec(m, v):
+    """sum_j m[i][j] v[j] over every column, in the ring's arithmetic."""
+    ring = m.ring
+    out = []
+    for row in m.rows:
+        acc = 0
+        for a, x in zip(row, v):
+            acc = ring.add(acc, ring.mul(a, x))
+        out.append(acc)
+    return out
+
+
+@st.composite
+def matvec_cases(draw):
+    """A matrix over Q, F_5 or Z/6 (possibly with no rows) and a zero, unit
+    or dense vector of its width."""
+    ring = draw(st.sampled_from([QQ, Modular(5), Modular(6)]))
+    if ring == QQ:
+        scalar = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).map(ring.coerce)
+    else:
+        scalar = st.integers(0, ring.n - 1)
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    m = Matrix.from_rows(ring, [[draw(scalar) for _ in range(ncols)] for _ in range(nrows)], ncols)
+    kind = draw(st.sampled_from(["zero", "unit", "dense"]))
+    if kind == "zero":
+        v = [0] * ncols
+    elif kind == "unit":
+        v = [0] * ncols
+        v[draw(st.integers(0, ncols - 1))] = draw(scalar.filter(lambda x: x != 0))
+    else:
+        v = [draw(scalar) for _ in range(ncols)]
+    return m, v
+
+
+@given(matvec_cases())
+@settings(max_examples=200, deadline=None)
+def test_matvec_matches_the_dense_product(case):
+    m, v = case
+    assert m.matvec(v) == dense_matvec(m, v)
+    assert m.matvec(list(v)) == m.matvec(tuple(v))
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(5), Modular(6)], ids=["Q", "F5", "Z6"])
+def test_matvec_rejects_a_vector_of_the_wrong_length(ring):
+    m = Matrix(ring, [[1, 2, 0], [0, 1, 1]])
+    for v in ([1, 0], [0, 0, 0, 1], []):
+        with pytest.raises(ShapeError):
+            m.matvec(v)
