@@ -321,11 +321,12 @@ def phi_map(act: PartialAction) -> PhiMap:
     t = tensor(A, A)
     prod = product_over_ideals([act.ideal(g) for g in act.group.elements()], labels=act.group.labels)
     basis = [[1 if t0 == i else 0 for t0 in range(r)] for i in range(r)]
+    # column (i, j) of the Galois system stacks the components e_i alpha_g(e_j)
+    system = _galois_matrix(act).rows
     cols = []
-    for i in range(r):
-        for j in range(r):
-            comps = [A.mul_coords(basis[i], act.maps[g].matvec(basis[j])) for g in act.group.elements()]
-            cols.append(prod.from_components(comps).coords)
+    for c in range(r * r):
+        comps = [[system[g * r + k][c] for k in range(r)] for g in act.group.elements()]
+        cols.append(prod.from_components(comps).coords)
     mat = Matrix(A.ring, [list(row) for row in zip(*cols)], r * r)
     morphism = AlgebraMorphism(t.algebra, prod.algebra, mat)
     # S^alpha-bilinearity relations (a x) (x) y - x (x) (a y) span the kernel
