@@ -628,10 +628,10 @@ def relabel(act, perm):
 def rebased(act, cols: Matrix):
     """The same action on the basis whose vectors, in the old coordinates,
     are the columns of the invertible matrix ``cols``."""
-    A, ring, r = act.algebra, act.algebra.ring, act.algebra.rank
     from pargal.algebra import Algebra
     from pargal.scalars import invert
 
+    A, ring, r = act.algebra, act.algebra.ring, act.algebra.rank
     to_new = invert(cols)
     basis = [list(col) for col in zip(*cols.rows)]
     table = {}
@@ -854,14 +854,11 @@ def reference_galois_pairs(act):
 
 
 ORACLE_RINGS = [QQ, Modular(2), Z6]
-_corpus_cache = {}
 
 
 def oracle_corpus(ring):
     """The shipped fixtures over ``ring`` and the corrupted (P4) control."""
-    if ring not in _corpus_cache:
-        _corpus_cache[ring] = list(standard_corpus(ring).values()) + [corrupted_p4(ring)]
-    return _corpus_cache[ring]
+    return list(standard_corpus(ring).values()) + [corrupted_p4(ring)]
 
 
 def frobenius_f4():
