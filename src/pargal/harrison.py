@@ -142,7 +142,7 @@ def _identify_with_group(qa: QuotientAction, base_group: FiniteGroup) -> Partial
 
 
 def _standard_gset(act: PartialAction):
-    """The partial G-set (domains, maps) of ``act`` (see :func:`_partial_gsets`)
+    """The partial G-set (its maps) of ``act`` (see :func:`_partial_gsets`)
     when its carrier is R^n on its standard basis: the table of
     :meth:`Algebra.split`, a unit of all ones, and every 1_g and M_g 0/1 on
     that basis.  None for any other carrier."""
@@ -170,10 +170,9 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     (a_{gs} x, a'_{s^-1} y) for the first s whose domain holds its least point
     (x, y); 1_g marks the components where the coset of (g^-1, 1) is defined.
     """
-    sa, sb = _standard_gset(a), _standard_gset(b)
-    if sa is None or sb is None:
+    map_a, map_b = _standard_gset(a), _standard_gset(b)
+    if map_a is None or map_b is None:
         return None
-    (_, map_a), (_, map_b) = sa, sb
     G = a.group
     ny = b.algebra.rank
     root = list(range(a.algebra.rank * ny))

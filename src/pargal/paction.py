@@ -424,7 +424,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     ring = a.algebra.ring
     units = _base_ring_units(ring)
     sigmas = []
-    for u, (_, maps_a), (_, maps_b) in zip(units, sa.gsets, sb.gsets):
+    for u, maps_a, maps_b in zip(units, sa.gsets, sb.gsets):
         if marked is not None:
             maps_a = maps_a + [_colour(ring, u, sa, marked[0])]
             maps_b = maps_b + [_colour(ring, u, sb, marked[1])]
@@ -519,7 +519,7 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(maps) for _, maps in data.gsets)
+    return tuple(_gset_code(maps) for maps in data.gsets)
 
 
 def _gset_code(maps):
@@ -560,8 +560,8 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     sending coordinates to coefficients over them) and each CRT unit u in
     ``units``; the coefficients are computed once for all units.
 
-    Returns one (domains, maps) per unit: domains[g] = D_g = {i : u p_i in
-    S_g} and maps[g][i] = j when alpha_g(u p_i) = u p_j, None off D_{g^-1}.
+    Returns the maps of each unit: maps[g][i] = j when alpha_g(u p_i) =
+    u p_j, None off D_{g^-1} = {i : u p_i in S_{g^-1}}.
     Raises AlgebraError when 1_g or alpha_g does not come from a partial
     G-set, so the input is not a partial action.
     """
@@ -596,7 +596,7 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
                     )
                 images.append(support[0] if support else None)
             maps.append(images)
-        out.append((domains, maps))
+        out.append(maps)
     return out
 
 
