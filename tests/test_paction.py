@@ -721,7 +721,7 @@ def test_iso_check_rank_14_interchangeable_points(ring):
 @pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
 def test_iso_check_rank_32_interchangeable_orbits(ring):
     # 16 Z_2 orbits against a relabelling: every point passes every
-    # one-index check, so a permutation search backtracks through the
+    # one-index check, so a permutation search would backtrack through the
     # arrangements of the orbits
     rng = random.Random(32)
     orbits = [2] * 16
