@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Matrix, Modular, crt_components, invert, invertible, solve
+from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, invertible, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -118,44 +118,67 @@ class ActionReport:
 
 
 def verify_partial_action(act: PartialAction) -> ActionReport:
-    """Check the unital partial-action axioms; failures carry witnesses."""
-    g_labels = act.group.labels
+    """Check the unital partial-action axioms; failures carry witnesses.
+
+    Every check runs on sparse columns: the nonzero entries of each column
+    of M_g and E_g and of each 1_g are read once, and products and
+    applications sum over them only (see :func:`_combine` and
+    :func:`_sparse_mul`), so a 0/1 partial permutation costs O(1) a column.
+    Sums are reduced like the ring's own, so each equality is the dense one.
+    """
+    group = act.group
+    g_labels = group.labels
     A = act.algebra
+    n = A.ring.n if isinstance(A.ring, Modular) else None
+    # the stored M_g and 1_g as given, and reduced mod n for the sums; a
+    # stored entry outside [0, n) equals no sum, as in the dense comparison
+    maps_given = [_sparse_columns(m.rows, A.rank) for m in act.maps]
+    ones_given = [_sparse_vector(e.coords) for e in act.idems]
+    if n:
+        maps = [[_reduced(col, n) for col in cols] for cols in maps_given]
+        ones = [_reduced(v, n) for v in ones_given]
+    else:
+        maps, ones = maps_given, ones_given
+    idem_cols = [_sparse_columns(act.idem_matrix(g).rows, A.rank) for g in group.elements()]
+    table = [[(j, entries) for j, entries in enumerate(row) if entries] for row in A.table]
     rep = ActionReport()
 
-    bad = [g_labels[g] for g in act.group.elements() if not act.idems[g].is_idempotent()]
+    idempotent = [_sparse_mul(table, one, one, n) == given for one, given in zip(ones, ones_given)]
+    bad = [g_labels[g] for g in group.elements() if not idempotent[g]]
     rep.add("unital: each 1_g is idempotent", not bad, None if not bad else f"1_{bad[0]} not idempotent")
 
-    p2 = act.idems[act.group.identity] == A.one() and act.maps[act.group.identity].is_identity()
+    p2 = act.idems[group.identity] == A.one() and act.maps[group.identity].is_identity()
     rep.add("(P2) S_1 = S and alpha_1 = id", p2, None if p2 else "identity component is not the identity")
 
     # (P1): M_g kills (1 - 1_{g^-1}), lands in S_g, is multiplicative and
     # unital on S_{g^-1}, and M_{g^-1} M_g is multiplication by 1_{g^-1}.
     # Multiplicativity is checked on the pairs of basis rows b_i, b_j of
     # S_{g^-1} against the images M_g b_i, computed once per g.
-    zero = [0] * A.rank
     witness = None
-    for g in act.group.elements():
-        gi = act.group.inv(g)
-        mg = act.maps[g]
-        if mg.mul(act.idem_matrix(gi)) != mg:
+    for g in group.elements():
+        gi = group.inv(g)
+        mg = maps[g]
+        if any(_combine(mg, col, n) != given for col, given in zip(idem_cols[gi], maps_given[g])):
             witness = f"g={g_labels[g]}: M_g != M_g E_(g^-1)"
             break
-        if act.idem_matrix(g).mul(mg) != mg:
+        if any(_combine(idem_cols[g], col, n) != given for col, given in zip(mg, maps_given[g])):
             witness = f"g={g_labels[g]}: image of alpha_g escapes S_g"
             break
-        if act.apply(g, act.idems[gi]) != act.idems[g]:
+        if _combine(mg, ones[gi], n) != ones_given[g]:
             witness = f"g={g_labels[g]}: alpha_g(1_(g^-1)) != 1_g"
             break
-        if mg.mul(act.maps[gi]) != act.idem_matrix(g):
+        if any(_combine(mg, col, n) != e for col, e in zip(maps[gi], idem_cols[g])):
             witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
             break
-        rows = act.ideal(gi).basis.rows
-        images = [mg.matvec(b) for b in rows]
+        # the basis of S_(g^-1) = unital_ideal(A, 1_(g^-1)), read off E_(g^-1)
+        if not idempotent[gi]:
+            raise AlgebraError(f"ideal generator {act.idems[gi]!r} is not idempotent")
+        rows = [_sparse_vector(b) for b in canonical_row_form(act.idem_matrix(gi).transpose()).rows]
+        images = [_combine(mg, b, n) for b in rows]
         for i, j in ((i, j) for i in range(len(rows)) for j in range(i, len(rows))):
-            prod = A.mul_coords(rows[i], rows[j])
-            lhs = zero if prod == zero else mg.matvec(prod)
-            if lhs != A.mul_coords(images[i], images[j]):
+            prod = _sparse_mul(table, rows[i], rows[j], n)
+            lhs = _combine(mg, prod, n) if prod else prod
+            if lhs != _sparse_mul(table, images[i], images[j], n):
                 witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
                 break
         if witness:
@@ -163,33 +186,86 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     rep.add("(P1) alpha_g: S_(g^-1) -> S_g is an algebra isomorphism", witness is None, witness)
 
     witness = None
-    for g in act.group.elements():
-        gi = act.group.inv(g)
-        for h in act.group.elements():
-            lhs = act.apply(g, act.idems[gi] * act.idems[h])
-            rhs = act.idems[g] * act.idems[act.group.mul(g, h)]
-            if lhs != rhs:
+    for g in group.elements():
+        gi = group.inv(g)
+        for h in group.elements():
+            lhs = _combine(maps[g], _sparse_mul(table, ones[gi], ones[h], n), n)
+            if lhs != _sparse_mul(table, ones[g], ones[group.mul(g, h)], n):
                 witness = f"g={g_labels[g]}, h={g_labels[h]}"
                 break
         if witness:
             break
     rep.add("(P3) alpha_g(S_(g^-1) /\\ S_h) = S_g /\\ S_gh", witness is None, witness)
 
+    # (P4): M_g M_h = E_g M_gh column by column; the first column that
+    # differs names the witness basis vector
     witness = None
-    for g in act.group.elements():
-        for h in act.group.elements():
-            lhs = act.maps[g].mul(act.maps[h])
-            rhs = act.idem_matrix(g).mul(act.maps[act.group.mul(g, h)])
-            if lhs != rhs:
-                col = next(
-                    j for j in range(A.rank) if [r[j] for r in lhs.rows] != [r[j] for r in rhs.rows]
-                )
+    for g in group.elements():
+        for h in group.elements():
+            gh = maps[group.mul(g, h)]
+            col = next(
+                (j for j in range(A.rank) if _combine(maps[g], maps[h][j], n) != _combine(idem_cols[g], gh[j], n)),
+                None,
+            )
+            if col is not None:
                 witness = f"g={g_labels[g]}, h={g_labels[h]}, basis={A.labels[col]}"
                 break
         if witness:
             break
     rep.add("(P4) alpha_g alpha_h extends to alpha_gh", witness is None, witness)
     return rep
+
+
+def _sparse_vector(coords) -> dict:
+    """The nonzero coordinates of a vector, {index: value}."""
+    return {i: x for i, x in enumerate(coords) if x != 0}
+
+
+def _sparse_columns(rows, ncols: int) -> list:
+    """The nonzero entries of each column of a matrix given by its rows,
+    one {row: value} dict per column."""
+    cols = [{} for _ in range(ncols)]
+    for k, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x != 0:
+                cols[j][k] = x
+    return cols
+
+
+def _reduced(vec: dict, n) -> dict:
+    """A sparse vector with its values reduced mod n (when n is set) and
+    the zeros dropped."""
+    if n:
+        return {k: v % n for k, v in vec.items() if v % n}
+    return {k: v for k, v in vec.items() if v != 0}
+
+
+def _combine(cols, vec: dict, n) -> dict:
+    """sum_l vec[l] cols[l] for sparse columns ``cols`` and vector ``vec``,
+    reduced by :func:`_reduced`; a unit vector returns its column."""
+    if len(vec) == 1:
+        ((l, b),) = vec.items()
+        if b == 1:
+            return cols[l]
+    out = {}
+    for l, b in vec.items():
+        for k, a in cols[l].items():
+            out[k] = out.get(k, 0) + a * b
+    return _reduced(out, n)
+
+
+def _sparse_mul(table, x: dict, y: dict, n) -> dict:
+    """The product of sparse vectors x and y, with ``table[i]`` the nonzero
+    entries (j, ((k, c_ijk), ...)) of row i of the structure constants;
+    the same sum as ``Algebra.mul_coords``, reduced by :func:`_reduced`."""
+    out = {}
+    for i, a in x.items():
+        for j, entries in table[i]:
+            b = y.get(j)
+            if b is not None:
+                for k, c in entries:
+                    out[k] = out.get(k, 0) + a * b * c
+    return _reduced(out, n)
 
 
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
@@ -313,7 +389,7 @@ class PhiMap:
 
 
 def phi_map(act: PartialAction) -> PhiMap:
-    from .scalars import canonical_row_form, kernel as kernel_of, modules_equal
+    from .scalars import kernel as kernel_of, modules_equal
 
     A = act.algebra
     r = A.rank
