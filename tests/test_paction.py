@@ -2,6 +2,7 @@
 
 import random
 import time
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -127,6 +128,20 @@ def test_each_axiom_check_names_its_witness(build, name, witness):
     if name == P3:
         # (P1) holds, so (P3) is reached on a family of algebra isomorphisms
         assert next(c for c in rep.checks if c.name == P1).passed
+
+
+def test_non_idempotent_domain_unit_raises_like_the_dense_reference():
+    # 1_(g2) = e1 + 2 e2 is not idempotent, yet the first four (P1) checks
+    # pass at g, so the basis of S_(g2) is asked of a non-idempotent
+    from pargal.algebra import Algebra
+
+    A = Algebra.split(QQ, ["e1", "e2"])
+    idems = [A.element([1, 1]), A.element([1, 0]), A.element([1, 2])]
+    maps = [Matrix.identity(QQ, 2), Matrix(QQ, [[1, 0], [0, 0]], 2), Matrix(QQ, [[1, 0], [5, 7]], 2)]
+    act = PartialAction(make_cyclic(3), A, idems, maps)
+    for verify in (verify_partial_action, reference_verify_partial_action):
+        with pytest.raises(AlgebraError, match=r"ideal generator e1 \+ \(2\)\*e2 is not idempotent"):
+            verify(act)
 
 
 def test_restrict_to_identity_and_full():
@@ -916,12 +931,21 @@ def unitriangular(draw, ring, r):
 
 
 @st.composite
+def diagonal(draw, r):
+    """A change of basis over Q that scales each basis vector, by 1/2, 3,
+    -2/3, ..., so that the rebased M_g and 1_g hold fractions."""
+    scales = [draw(st.sampled_from([Fraction(1, 2), 3, Fraction(-2, 3), 1, Fraction(5, 4)])) for _ in range(r)]
+    return Matrix(QQ, [[QQ.coerce(scales[i]) if i == j else 0 for j in range(r)] for i in range(r)], r)
+
+
+@st.composite
 def oracle_actions(draw):
     """Actions, valid or not, for the certificate's differential oracle:
-    corpus actions over Q, F_2 and Z/6, their copies on other bases, the
-    non-split F_4 Frobenius action, CRT-glued Z_n-sets over Z/6 and the
-    pinned failing actions; each possibly with one entry of one M_g changed."""
-    source = draw(st.sampled_from(["corpus", "rebased", "frobenius", "crt", "pinned"]))
+    corpus actions over Q, F_2 and Z/6, their copies on other bases (over Q
+    also scaled to fractions), the non-split F_4 Frobenius action, CRT-glued
+    Z_n-sets over Z/6 and the pinned failing actions; each possibly with one
+    entry of one M_g changed (to a fraction over Q)."""
+    source = draw(st.sampled_from(["corpus", "rebased", "scaled", "frobenius", "crt", "pinned"]))
     if source == "pinned":
         act = draw(st.sampled_from(AXIOM_WITNESSES))[1]()
     elif source == "frobenius":
@@ -936,6 +960,9 @@ def oracle_actions(draw):
             return gset_action(Z6, n, orbits, draw(st.permutations(gset_points(orbits)))[:r])
 
         act = crt_glue(zn_set(), zn_set())
+    elif source == "scaled":
+        act = draw(st.sampled_from(oracle_corpus(QQ)))
+        act = rebased(act, draw(diagonal(act.algebra.rank)))
     else:
         act = draw(st.sampled_from(oracle_corpus(draw(st.sampled_from(ORACLE_RINGS)))))
         if source == "rebased":
@@ -945,7 +972,10 @@ def oracle_actions(draw):
         g = draw(st.sampled_from(list(act.group.elements())))
         i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
         rows = [list(row) for row in act.maps[g].rows]
-        rows[i][j] = ring.coerce(draw(st.integers(-2, 2)))
+        if ring == QQ:
+            rows[i][j] = ring.coerce(draw(st.fractions(-2, 2, max_denominator=3)))
+        else:
+            rows[i][j] = ring.coerce(draw(st.integers(-2, 2)))
         act = perturbed(act, maps={g: rows})
     return act
 
@@ -966,3 +996,31 @@ def test_certificate_matches_the_dense_reference(act):
     assert (found is None) == (expected is None)
     assert found is None or found.pairs == expected
 
+
+def test_certificate_drops_sums_that_vanish_mod_6():
+    # example 1 over Z/6 on the basis (e2, e2 + e3, e1 + 4 e2): column e1 of
+    # M_g M_g has the integer sums (6, 0, 6), which are 0 mod 6, so it must
+    # equal the empty column of E_g M_g2 and the action passes
+    act = rebased(example1(Z6), Matrix(Z6, [[0, 0, 1], [1, 1, 4], [0, 1, 0]], 3))
+    m = act.maps[1].rows
+    assert [sum(m[k][l] * m[l][0] for l in range(3)) for k in range(3)] == [6, 0, 6]
+    rep = verify_partial_action(act)
+    assert rep.passed
+    assert report_of(rep) == report_of(reference_verify_partial_action(act))
+
+
+@pytest.mark.parametrize("maps, idems, witness", [
+    ({1: [[0, 0], [7, 0]]}, None, "g=g: M_g != M_g E_(g^-1)"),
+    (None, {1: (0, 7)}, "g=g: alpha_g(1_(g^-1)) != 1_g"),
+], ids=["matrix", "idempotent"])
+def test_certificate_reads_unreduced_entries_like_the_dense_reference(maps, idems, witness):
+    # a stored 7 over Z/6 is not the residue 1: no reduced sum equals it
+    from pargal.algebra import Element
+
+    act = perturbed(example2(Z6), maps=maps)
+    if idems:
+        act = PartialAction(act.group, act.algebra,
+                            [Element(act.algebra, idems.get(g, e.coords)) for g, e in enumerate(act.idems)], act.maps)
+    rep = verify_partial_action(act)
+    assert report_of(rep) == report_of(reference_verify_partial_action(act))
+    assert next(c for c in rep.checks if c.name == P1).witness == witness
