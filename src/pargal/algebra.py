@@ -725,11 +725,15 @@ def find_split_presentation(algebra: Algebra):
     Complete over Q and F_p (simultaneous eigen-splitting of the commuting
     multiplication operators); over composite Z/n complete when the algebra
     is a finite product of copies of the base ring (per-prime splitting with
-    idempotent lifting).  Computed once per algebra and kept on it.
+    idempotent lifting).  On R^n with its standard basis the split
+    idempotents are the basis vectors, read off without splitting.
+    Computed once per algebra and kept on it.
     """
     if algebra._split is None:
         ring = algebra.ring
-        if ring.is_field or ring.kind == "rationals":
+        if algebra == Algebra.split(ring, algebra.labels):
+            idems = algebra.basis()
+        elif ring.is_field or ring.kind == "rationals":
             idems = _split_over_field(algebra)
         else:
             idems = _split_over_zn(algebra)

@@ -227,6 +227,24 @@ def test_split_presentation_over_z6():
     assert [e.coords for e in pres.idempotents] == [(0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+@pytest.mark.parametrize("perm", [[0], [1, 0], [3, 0, 4, 2, 1]], ids=["rank1", "rank2", "rank5"])
+def test_standard_basis_presentation_matches_the_splitting(ring, perm):
+    # R^r with the split table entered in permuted order under other labels
+    # is Algebra.split, so its presentation is read off the basis; the
+    # general splitting of the same carrier must give the same idempotents
+    from pargal.algebra import _split_over_field, _split_over_zn
+
+    r = len(perm)
+    labels = [f"x{p}" for p in perm]
+    a = Algebra(ring, labels, {(p, p): ((p, 1),) for p in perm}, [1] * r)
+    assert a == Algebra.split(ring, labels)
+    pres = find_split_presentation(a)
+    pres.check()
+    general = _split_over_field(a) if ring.is_field or ring.kind == "rationals" else _split_over_zn(a)
+    assert [e.coords for e in pres.idempotents] == sorted(e.coords for e in general)
+
+
 small_ranks = st.integers(1, 3)
 
 

@@ -752,6 +752,25 @@ def test_iso_check_rank_32_interchangeable_orbits(ring):
     assert elapsed < 1.0, elapsed
 
 
+@pytest.mark.parametrize("ring", [QQ, Z6], ids=["Q", "Z6"])
+def test_canonical_key_and_iso_check_rank_60_standard_carrier(ring):
+    # 30 Z_2 orbits against a relabelling, on R^60 with its standard basis:
+    # the split presentation is the basis, so building the split data stays
+    # as cheap as the match (it took 7.5 s when it was eigen-split)
+    rng = random.Random(60)
+    orbits = [2] * 30
+    pts_a = gset_points(orbits)
+    rng.shuffle(pts_a)
+    pts_b = list(pts_a)
+    rng.shuffle(pts_b)
+    a, b = gset_action(ring, 2, orbits, pts_a), gset_action(ring, 2, orbits, pts_b)
+    start = time.perf_counter()
+    assert canonical_key(a) == canonical_key(b)
+    assert iso_check(a, b).status == "iso"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, elapsed
+
+
 def test_iso_check_rank_36_differs_in_one_component():
     # six restrictions of the regular Z_8-set; b's last one is restricted to
     # a set that is no translate of the others'
