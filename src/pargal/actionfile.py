@@ -48,6 +48,11 @@ def _list(value, where: str, length=None) -> list:
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: JSON booleans load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _labels(value, where: str) -> list:
     if not all(isinstance(lab, str) for lab in _list(value, where)):
         raise ActionFileError(where, "labels must be strings")
@@ -68,7 +73,7 @@ def _scalars(ring, values, where: str, length: int) -> list:
 def _load_group(spec, where: str) -> FiniteGroup:
     if "cyclic" in _object(spec, where):
         orders = spec["cyclic"]
-        if not isinstance(orders, list) or not orders or not all(isinstance(n, int) for n in orders):
+        if not isinstance(orders, list) or not orders or not all(_is_int(n) for n in orders):
             raise ActionFileError(where, "cyclic spec must be a non-empty list of integers")
         try:
             return make_product([make_cyclic(n) for n in orders])
@@ -78,7 +83,7 @@ def _load_group(spec, where: str) -> FiniteGroup:
         labels = _labels(_need(spec, "labels", where), f"{where}/labels")
         n = len(labels)
         table = _list(spec["table"], f"{where}/table", n)
-        if not all(isinstance(row, list) and all(isinstance(x, int) and 0 <= x < n for x in row) for row in table):
+        if not all(isinstance(row, list) and all(_is_int(x) and 0 <= x < n for x in row) for row in table):
             raise ActionFileError(f"{where}/table", "rows must be lists of element indices")
         try:
             return FiniteGroup(labels, table)
@@ -96,12 +101,15 @@ def load_action(path: str, verify: bool = True) -> PartialAction:
         raise ActionFileError(path, str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ActionFileError(f"{path}:{exc.lineno}", exc.msg) from None
+    except UnicodeDecodeError as exc:
+        raise ActionFileError(path, f"not UTF-8 text: {exc}") from None
     return action_from_document(doc, path, verify=verify)
 
 
 def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialAction:
-    if _need(doc, "format", where) != FORMAT_VERSION:
-        raise ActionFileError(where, f"unsupported format {doc['format']!r}, expected {FORMAT_VERSION}")
+    version = _need(doc, "format", where)
+    if not _is_int(version) or version != FORMAT_VERSION:
+        raise ActionFileError(where, f"unsupported format {version!r}, expected {FORMAT_VERSION}")
     try:
         ring = parse_ring(str(_need(doc, "base", where)))
     except ValueError as exc:
@@ -118,7 +126,7 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         if not isinstance(entry, list) or len(entry) != 4:
             raise ActionFileError(entry_where, f"bad quadruple {entry!r}")
         i, j, k, value = entry
-        if not all(isinstance(t, int) and 0 <= t < rank for t in (i, j, k)):
+        if not all(_is_int(t) and 0 <= t < rank for t in (i, j, k)):
             raise ActionFileError(entry_where, f"index out of range in {entry!r}")
         constants.setdefault((i, j), {})[k] = _scalar(ring, value, entry_where)
     table = {ij: tuple(row.items()) for ij, row in constants.items()}

@@ -181,9 +181,16 @@ VERIFY = ("verify",)
         (_set(["algebra", "unit", 1], "1/0"), VERIFY, "/algebra/unit: bad scalar '1/0'"),
         (_set(["action", "g", "matrix", 1, 0], "1/0"), VERIFY, "/action/g/matrix/1: bad scalar '1/0'"),
         (None, ("trace", "--element", "1/0,1"), "bad scalar '1/0'"),
+        # JSON booleans load as Python bools, which are ints
+        (_set(["format"], True), VERIFY, "bad.json: unsupported format True, expected 1"),
+        (_set(["group", "table", 0, 1], True), VERIFY, "/group/table: rows must be lists of element indices"),
+        (_set(["algebra", "constants", 0], [False, False, False, "1"]), VERIFY,
+         "/algebra/constants/0: index out of range"),
+        (_set(["group"], {"cyclic": [True]}), VERIFY, "/group: cyclic spec must be a non-empty list of integers"),
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
-         "unit-zero-denominator", "matrix-zero-denominator", "trace-element"],
+         "unit-zero-denominator", "matrix-zero-denominator", "trace-element",
+         "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):
     with open(fixture("ex2"), encoding="utf-8") as fh:
@@ -194,6 +201,13 @@ def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, ca
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli(argv[0], str(path), *argv[1:]) == 2
     assert located in capsys.readouterr().err
+
+
+def test_undecodable_file_exits_2_with_location(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert run_cli("verify", str(path)) == 2
+    assert f"pargal verify: {path}: not UTF-8 text: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_many_labels_fail_before_any_cube(tmp_path, capsys):
