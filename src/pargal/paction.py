@@ -29,12 +29,13 @@ from .algebra import (
     unital_ideal,
 )
 from .groups import FiniteGroup, Subgroup
+from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, sparse_vector
 
 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -53,6 +54,7 @@ class PartialAction:
                 raise AlgebraError("action matrix shape mismatch")
         self._idem_mats = [None] * group.order
         self._split = None
+        self._sparse = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -120,30 +122,25 @@ class ActionReport:
 def verify_partial_action(act: PartialAction) -> ActionReport:
     """Check the unital partial-action axioms; failures carry witnesses.
 
-    Every check runs on sparse columns: the nonzero entries of each column
-    of M_g and E_g and of each 1_g are read once, and products and
-    applications sum over them only (see :func:`_combine` and
-    :func:`_sparse_mul`), so a 0/1 partial permutation costs O(1) a column.
-    Sums are reduced like the ring's own, so each equality is the dense one.
+    Every check runs on sparse columns (:func:`_sparse_data`): products and
+    applications sum over the nonzero entries only (see
+    :func:`~pargal.sparse.combine` and :func:`~pargal.sparse.sparse_mul`),
+    so a 0/1 partial permutation costs O(1) a column.  Sums are reduced like
+    the ring's own, so each equality is the dense one.
     """
     group = act.group
     g_labels = group.labels
     A = act.algebra
-    n = A.ring.n if isinstance(A.ring, Modular) else None
+    # the columns the iso bug trap keeps on the action, or a fresh read
+    n, table, maps, idem_cols = act._sparse or _read_sparse(act)
     # the stored M_g and 1_g as given, and reduced mod n for the sums; a
     # stored entry outside [0, n) equals no sum, as in the dense comparison
-    maps_given = [_sparse_columns(m.rows, A.rank) for m in act.maps]
-    ones_given = [_sparse_vector(e.coords) for e in act.idems]
-    if n:
-        maps = [[_reduced(col, n) for col in cols] for cols in maps_given]
-        ones = [_reduced(v, n) for v in ones_given]
-    else:
-        maps, ones = maps_given, ones_given
-    idem_cols = [_sparse_columns(act.idem_matrix(g).rows, A.rank) for g in group.elements()]
-    table = [[(j, entries) for j, entries in enumerate(row) if entries] for row in A.table]
+    maps_given = [sparse_columns(m.rows, A.rank) for m in act.maps] if n else maps
+    ones_given = [sparse_vector(e.coords) for e in act.idems]
+    ones = [reduced(v, n) for v in ones_given] if n else ones_given
     rep = ActionReport()
 
-    idempotent = [_sparse_mul(table, one, one, n) == given for one, given in zip(ones, ones_given)]
+    idempotent = [sparse_mul(table, one, one, n) == given for one, given in zip(ones, ones_given)]
     bad = [g_labels[g] for g in group.elements() if not idempotent[g]]
     rep.add("unital: each 1_g is idempotent", not bad, None if not bad else f"1_{bad[0]} not idempotent")
 
@@ -153,32 +150,33 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     # (P1): M_g kills (1 - 1_{g^-1}), lands in S_g, is multiplicative and
     # unital on S_{g^-1}, and M_{g^-1} M_g is multiplication by 1_{g^-1}.
     # Multiplicativity is checked on the pairs of basis rows b_i, b_j of
-    # S_{g^-1} against the images M_g b_i, computed once per g.
+    # S_{g^-1} against the images M_g b_i, computed once per g; without an
+    # idempotent 1_{g^-1}, S_{g^-1} is no unital ideal and (P1) fails.
     witness = None
     for g in group.elements():
         gi = group.inv(g)
         mg = maps[g]
-        if any(_combine(mg, col, n) != given for col, given in zip(idem_cols[gi], maps_given[g])):
+        if any(combine(mg, col, n) != given for col, given in zip(idem_cols[gi], maps_given[g])):
             witness = f"g={g_labels[g]}: M_g != M_g E_(g^-1)"
             break
-        if any(_combine(idem_cols[g], col, n) != given for col, given in zip(mg, maps_given[g])):
+        if any(combine(idem_cols[g], col, n) != given for col, given in zip(mg, maps_given[g])):
             witness = f"g={g_labels[g]}: image of alpha_g escapes S_g"
             break
-        if _combine(mg, ones[gi], n) != ones_given[g]:
+        if combine(mg, ones[gi], n) != ones_given[g]:
             witness = f"g={g_labels[g]}: alpha_g(1_(g^-1)) != 1_g"
             break
-        if any(_combine(mg, col, n) != e for col, e in zip(maps[gi], idem_cols[g])):
+        if any(combine(mg, col, n) != e for col, e in zip(maps[gi], idem_cols[g])):
             witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
             break
-        # the basis of S_(g^-1) = unital_ideal(A, 1_(g^-1)), read off E_(g^-1)
         if not idempotent[gi]:
-            raise AlgebraError(f"ideal generator {act.idems[gi]!r} is not idempotent")
-        rows = [_sparse_vector(b) for b in canonical_row_form(act.idem_matrix(gi).transpose()).rows]
-        images = [_combine(mg, b, n) for b in rows]
+            witness = f"g={g_labels[g]}: 1_(g^-1) is not idempotent"
+            break
+        rows = _ideal_basis(A.ring, idem_cols[gi])
+        images = [combine(mg, b, n) for b in rows]
         for i, j in ((i, j) for i in range(len(rows)) for j in range(i, len(rows))):
-            prod = _sparse_mul(table, rows[i], rows[j], n)
-            lhs = _combine(mg, prod, n) if prod else prod
-            if lhs != _sparse_mul(table, images[i], images[j], n):
+            prod = sparse_mul(table, rows[i], rows[j], n)
+            lhs = combine(mg, prod, n) if prod else prod
+            if lhs != sparse_mul(table, images[i], images[j], n):
                 witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
                 break
         if witness:
@@ -189,8 +187,8 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     for g in group.elements():
         gi = group.inv(g)
         for h in group.elements():
-            lhs = _combine(maps[g], _sparse_mul(table, ones[gi], ones[h], n), n)
-            if lhs != _sparse_mul(table, ones[g], ones[group.mul(g, h)], n):
+            lhs = combine(maps[g], sparse_mul(table, ones[gi], ones[h], n), n)
+            if lhs != sparse_mul(table, ones[g], ones[group.mul(g, h)], n):
                 witness = f"g={g_labels[g]}, h={g_labels[h]}"
                 break
         if witness:
@@ -204,7 +202,7 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
         for h in group.elements():
             gh = maps[group.mul(g, h)]
             col = next(
-                (j for j in range(A.rank) if _combine(maps[g], maps[h][j], n) != _combine(idem_cols[g], gh[j], n)),
+                (j for j in range(A.rank) if combine(maps[g], maps[h][j], n) != combine(idem_cols[g], gh[j], n)),
                 None,
             )
             if col is not None:
@@ -216,56 +214,48 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     return rep
 
 
-def _sparse_vector(coords) -> dict:
-    """The nonzero coordinates of a vector, {index: value}."""
-    return {i: x for i, x in enumerate(coords) if x != 0}
+class _SparseAction(NamedTuple):
+    """An action read as sparse columns (see :mod:`pargal.sparse`)."""
+
+    n: int | None  # the modulus over Z/n, None over Q
+    table: list  # the carrier's structure constants, see sparse_table
+    maps: list  # the columns of each M_g, reduced mod n
+    idems: list  # the columns of each E_g
 
 
-def _sparse_columns(rows, ncols: int) -> list:
-    """The nonzero entries of each column of a matrix given by its rows,
-    one {row: value} dict per column."""
-    cols = [{} for _ in range(ncols)]
-    for k, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x != 0:
-                cols[j][k] = x
-    return cols
+def _sparse_data(act: PartialAction) -> _SparseAction:
+    """The sparse columns of ``act`` (:func:`_read_sparse`), read once per
+    action and kept on it."""
+    if act._sparse is None:
+        act._sparse = _read_sparse(act)
+    return act._sparse
 
 
-def _reduced(vec: dict, n) -> dict:
-    """A sparse vector with its values reduced mod n (when n is set) and
-    the zeros dropped."""
+def _read_sparse(act: PartialAction) -> _SparseAction:
+    """The columns of each M_g and E_g of ``act``; column j of E_g is
+    1_g e_j, summed like ``Algebra.mult_matrix``."""
+    A = act.algebra
+    n = A.ring.n if isinstance(A.ring, Modular) else None
+    table = sparse_table(A)
+    maps = [sparse_columns(m.rows, A.rank) for m in act.maps]
+    ones = [sparse_vector(e.coords) for e in act.idems]
     if n:
-        return {k: v % n for k, v in vec.items() if v % n}
-    return {k: v for k, v in vec.items() if v != 0}
+        maps = [[reduced(col, n) for col in cols] for cols in maps]
+        ones = [reduced(one, n) for one in ones]
+    idems = [[sparse_mul(table, one, {j: 1}, n) for j in range(A.rank)] for one in ones]
+    return _SparseAction(n, table, maps, idems)
 
 
-def _combine(cols, vec: dict, n) -> dict:
-    """sum_l vec[l] cols[l] for sparse columns ``cols`` and vector ``vec``,
-    reduced by :func:`_reduced`; a unit vector returns its column."""
-    if len(vec) == 1:
-        ((l, b),) = vec.items()
-        if b == 1:
-            return cols[l]
-    out = {}
-    for l, b in vec.items():
-        for k, a in cols[l].items():
-            out[k] = out.get(k, 0) + a * b
-    return _reduced(out, n)
-
-
-def _sparse_mul(table, x: dict, y: dict, n) -> dict:
-    """The product of sparse vectors x and y, with ``table[i]`` the nonzero
-    entries (j, ((k, c_ijk), ...)) of row i of the structure constants;
-    the same sum as ``Algebra.mul_coords``, reduced by :func:`_reduced`."""
-    out = {}
-    for i, a in x.items():
-        for j, entries in table[i]:
-            b = y.get(j)
-            if b is not None:
-                for k, c in entries:
-                    out[k] = out.get(k, 0) + a * b * c
-    return _reduced(out, n)
+def _ideal_basis(ring, cols) -> list:
+    """The basis rows of the unital ideal whose multiplication matrix has
+    the sparse columns ``cols``, as sparse vectors: the canonical row form
+    of the columns, the rows ``unital_ideal`` builds.  When the matrix is a
+    0/1 diagonal these are the unit rows of its support, ascending, read off
+    without a row reduction."""
+    if all(not col or col == {j: 1} for j, col in enumerate(cols)):
+        return [{j: 1} for j, col in enumerate(cols) if col]
+    rows = Matrix(ring, [[col.get(k, 0) for k in range(len(cols))] for col in cols], len(cols))
+    return [sparse_vector(b) for b in canonical_row_form(rows).rows]
 
 
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
@@ -679,15 +669,40 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
 def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=None) -> AlgebraMorphism:
     """The morphism of a matched candidate, after checking that it is a
     partial G-isomorphism (carrying marked[0] to marked[1] when given); a
-    failure is a bug in the match."""
+    failure is a bug in the match.
+
+    E'_g f = f E_g, f M_g = M'_g f E_(g^-1) and f(e_i e_j) = f(e_i) f(e_j)
+    are compared column by column on the sparse columns of f and of the two
+    actions (:func:`_sparse_data`), so each costs O(nnz)."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+    sa, sb = _sparse_data(a), _sparse_data(b)
+    n = sa.n
+    f = sparse_columns(fmat.rows, fmat.ncols)
+    if n:
+        f = [reduced(col, n) for col in f]
     for g in a.group.elements():
-        if b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g)):
+        if any(combine(sb.idems[g], col, n) != combine(f, e, n) for col, e in zip(f, sa.idems[g])):
             raise AssertionError(f"iso_check: f(S_g) != S'_g at g={a.group.labels[g]} (bug trap)")
-        if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(a.group.inv(g))):
+        domain = sa.idems[a.group.inv(g)]
+        if any(combine(f, m, n) != combine(sb.maps[g], combine(f, e, n), n) for m, e in zip(sa.maps[g], domain)):
             raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={a.group.labels[g]} (bug trap)")
-    if not invertible(fmat) or morphism.multiplicative_failure() is not None or not morphism.is_unital():
+    if (
+        not invertible(fmat)
+        or not _multiplicative(sa.table, sb.table, f, n)
+        or combine(f, sparse_vector(a.algebra.unit), n) != sparse_vector(b.algebra.unit)
+    ):
         raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
     if marked is not None and morphism(marked[0]) != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
+
+
+def _multiplicative(table_a, table_b, f, n) -> bool:
+    """Whether the map with sparse columns ``f`` satisfies f(e_i e_j) =
+    f(e_i) f(e_j) on every basis pair i <= j, for the tables of
+    :func:`~pargal.sparse.sparse_table` of its source and target."""
+    return all(
+        combine(f, sparse_mul(table_a, {i: 1}, {j: 1}, n), n) == sparse_mul(table_b, f[i], f[j], n)
+        for i in range(len(f))
+        for j in range(i, len(f))
+    )

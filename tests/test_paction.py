@@ -130,18 +130,26 @@ def test_each_axiom_check_names_its_witness(build, name, witness):
         assert next(c for c in rep.checks if c.name == P1).passed
 
 
-def test_non_idempotent_domain_unit_raises_like_the_dense_reference():
-    # 1_(g2) = e1 + 2 e2 is not idempotent, yet the first four (P1) checks
-    # pass at g, so the basis of S_(g2) is asked of a non-idempotent
+def non_idempotent_domain_unit():
+    """Z_3 on Q^2 with 1_(g2) = e1 + 2 e2, which is not idempotent, though
+    the first four (P1) checks pass at g."""
     from pargal.algebra import Algebra
 
     A = Algebra.split(QQ, ["e1", "e2"])
     idems = [A.element([1, 1]), A.element([1, 0]), A.element([1, 2])]
     maps = [Matrix.identity(QQ, 2), Matrix(QQ, [[1, 0], [0, 0]], 2), Matrix(QQ, [[1, 0], [5, 7]], 2)]
-    act = PartialAction(make_cyclic(3), A, idems, maps)
-    for verify in (verify_partial_action, reference_verify_partial_action):
-        with pytest.raises(AlgebraError, match=r"ideal generator e1 \+ \(2\)\*e2 is not idempotent"):
-            verify(act)
+    return PartialAction(make_cyclic(3), A, idems, maps)
+
+
+def test_non_idempotent_domain_unit_fails_p1_like_the_dense_reference():
+    # S_(g2) has no basis as a unital ideal, so (P1) fails at g with a
+    # report instead of an AlgebraError
+    act = non_idempotent_domain_unit()
+    rep = verify_partial_action(act)
+    assert report_of(rep) == report_of(reference_verify_partial_action(act))
+    failed = [(c.name, c.witness) for c in rep.failures()]
+    assert failed[:2] == [("unital: each 1_g is idempotent", "1_g2 not idempotent"),
+                          (P1, "g=g: 1_(g^-1) is not idempotent")]
 
 
 def test_restrict_to_identity_and_full():
@@ -840,6 +848,9 @@ def reference_verify_partial_action(act):
         if mg.mul(act.maps[gi]) != act.idem_matrix(g):
             witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
             break
+        if not act.idems[gi].is_idempotent():
+            witness = f"g={g_labels[g]}: 1_(g^-1) is not idempotent"
+            break
         rows = act.ideal(gi).basis.rows
         done = False
         for i in range(len(rows)):
@@ -1043,3 +1054,142 @@ def test_certificate_reads_unreduced_entries_like_the_dense_reference(maps, idem
     rep = verify_partial_action(act)
     assert report_of(rep) == report_of(reference_verify_partial_action(act))
     assert next(c for c in rep.checks if c.name == P1).witness == witness
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_unit_row_basis_matches_the_row_reduction(ring):
+    # the basis of S_(g^-1) read off a 0/1 diagonal E_(g^-1) is the
+    # canonical row form of E^T that unital_ideal builds, on every support
+    from itertools import product
+
+    from pargal.paction import _ideal_basis
+    from pargal.scalars import canonical_row_form
+    from pargal.sparse import sparse_columns, sparse_vector
+
+    for r in range(1, 6):
+        for support in product([0, 1], repeat=r):
+            e = Matrix(ring, [[support[i] if i == j else 0 for j in range(r)] for i in range(r)], r)
+            expected = [sparse_vector(b) for b in canonical_row_form(e.transpose()).rows]
+            assert _ideal_basis(ring, sparse_columns(e.rows, r)) == expected
+
+
+# -- the iso bug trap against the dense trap it replaced -----------------------
+
+
+def reference_certified_witness(a, b, fmat, marked=None):
+    """The trap with dense r x r products: E'_g f = f E_g and
+    f M_g = M'_g f E_(g^-1) for every g, then invertibility, multiplicativity
+    on every basis pair and unitality, then the marked idempotent."""
+    from pargal.algebra import AlgebraMorphism
+    from pargal.scalars import invertible
+
+    morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+    for g in a.group.elements():
+        if b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g)):
+            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={a.group.labels[g]} (bug trap)")
+        if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(a.group.inv(g))):
+            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={a.group.labels[g]} (bug trap)")
+    if not invertible(fmat) or morphism.multiplicative_failure() is not None or not morphism.is_unital():
+        raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
+    if marked is not None and morphism(marked[0]) != marked[1]:
+        raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
+    return morphism
+
+
+def trap_outcome(trap, a, b, fmat, marked=None):
+    """The morphism matrix a trap returns, or the message it raises."""
+    try:
+        return trap(a, b, fmat, marked).matrix
+    except AssertionError as exc:
+        return str(exc)
+
+
+def trap_pairs(ring):
+    """Iso pairs of actions with the witness iso_check found: each corpus
+    action against itself and against a relabelled copy of its carrier,
+    and one CRT-glued pair over Z/6."""
+    pairs = []
+    for act in standard_corpus(ring).values():
+        r = act.algebra.rank
+        perm = Matrix(ring, [[1 if i == (j + 1) % r else 0 for j in range(r)] for i in range(r)], r)
+        for other in (act, rebased(act, perm)):
+            res = iso_check(act, other)
+            assert res.status == "iso"
+            pairs.append((act, other, res.morphism.matrix))
+    if ring == Z6:
+        x = gset_action(Z6, 4, [4], gset_points([4])[:3])
+        y = gset_action(Z6, 4, [2, 1], gset_points([2, 1]))
+        glued = crt_glue(x, y)
+        res = iso_check(glued, glued)
+        pairs.append((glued, glued, res.morphism.matrix))
+    return pairs
+
+
+def corrupted_witnesses(ring, fmat):
+    """f with its first two columns swapped, with its first column zeroed
+    and zero (both singular), and scaled by 5 (not unital unless 5 = 1)."""
+    rows = [list(row) for row in fmat.rows]
+    return {
+        "swapped": [[row[1], row[0], *row[2:]] for row in rows],
+        "singular": [[0, *row[1:]] for row in rows],
+        "zero": [[0] * len(row) for row in rows],
+        "scaled": [[ring.mul(5, x) for x in row] for row in rows],
+    }
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_iso_trap_matches_the_dense_trap(ring):
+    from pargal.paction import _certified_witness
+
+    messages = set()
+    for a, b, fmat in trap_pairs(ring):
+        assert trap_outcome(_certified_witness, a, b, fmat) == fmat
+        assert trap_outcome(reference_certified_witness, a, b, fmat) == fmat
+        if a.algebra.rank < 2:
+            continue
+        for rows in corrupted_witnesses(ring, fmat).values():
+            bad = Matrix(ring, rows, fmat.ncols)
+            got = trap_outcome(_certified_witness, a, b, bad)
+            assert got == trap_outcome(reference_certified_witness, a, b, bad)
+            if isinstance(got, str):
+                messages.add(got.split(" at ")[0])
+    assert messages == {
+        "iso_check: f(S_g) != S'_g",
+        "iso_check: f alpha_g != alpha'_g f",
+        "iso_check: f is not a unital algebra isomorphism (bug trap)",
+    }
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_iso_trap_fires_on_a_witness_missing_the_marked_idempotent(ring):
+    # beta_g of the globalization of example 2 is a global G-automorphism of
+    # T (the group is abelian), but it moves 1_S, which global_iso_check marks
+    from pargal.envelope import globalize
+    from pargal.paction import _certified_witness
+
+    gd = globalize(example2(ring))
+    t = global_action(gd.group, gd.algebra, gd.beta)
+    marked = (gd.one_s, gd.one_s)
+    for g in gd.group.elements():
+        fmat = gd.beta[g]
+        expected = trap_outcome(reference_certified_witness, t, t, fmat, marked)
+        assert trap_outcome(_certified_witness, t, t, fmat, marked) == expected
+        if g == gd.group.identity:
+            assert expected == fmat
+        else:
+            assert expected == "iso_check: f does not carry the marked idempotent (bug trap)"
+            assert trap_outcome(_certified_witness, t, t, fmat) == fmat
+
+
+def test_iso_trap_fires_on_a_non_multiplicative_witness():
+    # f = 2 - swap commutes with the global swap, fixes 1 = e1 + e2 and is
+    # invertible over Q, but f(e1)^2 = (4, 1) != f(e1) = (2, -1)
+    from pargal.paction import _certified_witness
+    from pargal.scalars import invertible
+
+    act = global_swap()
+    fmat = Matrix(QQ, [[2, -1], [-1, 2]], 2)
+    assert invertible(fmat)
+    expected = "iso_check: f is not a unital algebra isomorphism (bug trap)"
+    for trap in (_certified_witness, reference_certified_witness):
+        assert trap_outcome(trap, act, act, fmat) == expected
