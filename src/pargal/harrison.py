@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .scalars import Matrix, kernel, modules_equal
+from .scalars import Matrix
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -22,7 +22,7 @@ from .algebra import (
     product_over_ideals,
     tensor_labels,
 )
-from .groups import FiniteGroup, direct_square, make_cyclic, make_product, delta_subgroup, delta_transversal
+from .groups import FiniteGroup, GroupError, direct_square, make_cyclic, make_product, delta_subgroup, delta_transversal
 from .paction import (
     ActionReport,
     GaloisCoordinates,
@@ -162,20 +162,75 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     the point set X x Y when both carriers are on their standard bases
     (:func:`_standard_gset`); None otherwise.
 
-    Point (x, y) is the tensor basis index x |Y| + y.  The components of
-    delta G = {(g, g^-1)}, which joins (x, y) to (a_g x, a'_{g^-1} y), are the
-    basis of the invariants, ordered by least point and labelled by their
-    indicator vectors, as the kernel of the matrix route presents them.  The
-    coset of (g, 1) sends a component to the component of
-    (a_{gs} x, a'_{s^-1} y) for the first s whose domain holds its least point
-    (x, y); 1_g marks the components where the coset of (g^-1, 1) is defined.
+    Point (x, y) is the tensor basis index x |Y| + y, and (l, t) sends it to
+    (a_l x, a'_t y); see :func:`_delta_quotient`.
     """
     map_a, map_b = _standard_gset(a), _standard_gset(b)
     if map_a is None or map_b is None:
         return None
-    G = a.group
     ny = b.algebra.rank
-    root = list(range(a.algebra.rank * ny))
+
+    def move(l, t, p):
+        x, y = divmod(p, ny)
+        u, v = map_a[l][x], map_b[t][y]
+        return None if u is None or v is None else u * ny + v
+
+    labels = tensor_labels(a.algebra, b.algebra)
+    return _delta_quotient(a.group, a.algebra.ring, len(labels), move, labels)
+
+
+def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
+    """E(S, alpha) computed on the point set of prod_g S_g when the carrier
+    is on its standard basis (:func:`_standard_gset`); None otherwise.
+
+    prod_g S_g is then R^P for the points P = {(g, i) : i in D_g}, ordered
+    by g and then i and labelled [g]<label of e_i>, as
+    :func:`~pargal.algebra.product_over_ideals` presents it.  The hat action
+    of (l, t) sends (g, i) to (ltg, a_l(i)) when i lies in D_tg and D_(l^-1)
+    and a_l(i) lies in D_ltg, which is what E_h M_l E_tg does in
+    :func:`hat_action` (on a partial action, (P3) already puts i in D_tg);
+    see :func:`_delta_quotient`.
+    """
+    maps = _standard_gset(act)
+    if maps is None:
+        return None
+    G, A = act.group, act.algebra
+    index, points, labels = {}, [], []
+    for g in G.elements():
+        for i, c in enumerate(act.idems[g].coords):
+            if c == 1:
+                index[g, i] = len(points)
+                points.append((g, i))
+                labels.append(f"[{G.labels[g]}]{A.labels[i]}")
+
+    def move(l, t, p):
+        g, i = points[p]
+        tg = G.mul(t, g)
+        j = maps[l][i]
+        if j is None or (tg, i) not in index:
+            return None
+        return index.get((G.mul(l, tg), j))
+
+    return _delta_quotient(G, A.ring, len(points), move, labels)
+
+
+def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> PartialAction:
+    """The delta-G quotient of a partial G x G-set on the points
+    0 .. npoints - 1, as a partial action of G on R^(components): the
+    route of the matrix quotient (:func:`_quotient_by_delta` and
+    :func:`_identify_with_group`) read off the points.
+
+    ``move(l, t, p)`` is the image of point p under (l, t), or None off its
+    domain.  The components of delta G = {(g, g^-1)} are the basis of the
+    invariants, ordered by least point and labelled by their indicator
+    vectors, as the kernel of the matrix route presents them.  The coset of
+    (g, 1) sends a component to the component of (gs, s^-1) p for the first
+    s whose domain holds its least point p; 1_g marks the components where
+    the coset of (g^-1, 1) is defined.
+    """
+    if not G.is_abelian():
+        raise GroupError("delta subgroup requires an abelian group")
+    root = list(range(npoints))
 
     def find(p):
         # the root of a component is its least point
@@ -184,35 +239,32 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
             p = root[p]
         return p
 
-    for g in G.elements():
-        moved_y = [(y, t) for y, t in enumerate(map_b[G.inv(g)]) if t is not None]
-        for x, s in enumerate(map_a[g]):
-            if s is None:
-                continue
-            for y, t in moved_y:
-                p, q = find(x * ny + y), find(s * ny + t)
+    for s in G.elements():
+        si = G.inv(s)
+        for p in range(npoints):
+            q = move(s, si, p)
+            if q is not None:
+                p, q = find(p), find(q)
                 if p != q:
                     root[max(p, q)] = min(p, q)
-    rep = [find(p) for p in range(len(root))]
+    rep = [find(p) for p in range(npoints)]
     least = [p for p, q in enumerate(rep) if p == q]
     index = {p: k for k, p in enumerate(least)}
     comp = [index[q] for q in rep]
     points = [[] for _ in least]
     for p, k in enumerate(comp):
         points[k].append(p)
-    point_labels = tensor_labels(a.algebra, b.algebra)
     labels = [format_coords([point_labels[p] for p in pts], [1] * len(pts)) for pts in points]
-    carrier = Algebra.split(a.algebra.ring, labels)
+    carrier = Algebra.split(ring, labels)
     r = carrier.rank
     images = []
     for g in G.elements():
         image = [None] * r
         for k, p in enumerate(least):
-            x, y = divmod(p, ny)
             for s in G.elements():
-                u, v = map_a[G.mul(g, s)][x], map_b[G.inv(s)][y]
-                if u is not None and v is not None:
-                    image[k] = comp[u * ny + v]
+                q = move(G.mul(g, s), G.inv(s), p)
+                if q is not None:
+                    image[k] = comp[q]
                     break
         images.append(image)
     idems = [carrier.element([int(k is not None) for k in images[G.inv(g)]]) for g in G.elements()]
@@ -338,45 +390,21 @@ def hat_iso(act: PartialAction):
     return phi.morphism, rep
 
 
-def delta_invariant_module(act: PartialAction, prod: ProductAlgebra) -> Matrix:
-    """Solutions of alpha_l(d_g 1_{l^-1}) 1_g = d_g 1_l 1_{lg} inside prod_g S_g."""
-    G = act.group
-    A = act.algebra
-    ring = A.ring
-    rows = []
-    incl_cols = []
-    for g in G.elements():
-        comp = prod.components[g]
-        for j in range(comp.rank):
-            incl_cols.append((g, list(comp.ideal.basis.rows[j])))
-    for l in G.elements():
-        e_l = act.idem_matrix(l)
-        for g in G.elements():
-            e_g = act.idem_matrix(g)
-            e_lg = act.idem_matrix(G.mul(l, g))
-            op = e_g.mul(act.maps[l]).sub(e_l.mul(e_lg))
-            block_rows = [[0] * prod.algebra.rank for _ in range(A.rank)]
-            for col_idx, (gg, vec) in enumerate(incl_cols):
-                if gg != g:
-                    continue
-                out = op.matvec(vec)
-                for r in range(A.rank):
-                    block_rows[r][col_idx] = out[r]
-            rows.extend(block_rows)
-    return kernel(Matrix.from_rows(ring, rows, prod.algebra.rank))
-
-
 def idempotent_class(act: PartialAction) -> ExtensionClass:
-    """E(S, alpha) = (prod_g S_g)^{delta G} with the induced G-action."""
+    """E(S, alpha) = (prod_g S_g)^{delta G} with the induced G-action.
+
+    A carrier on its standard basis takes the point set of prod_g S_g
+    (:func:`_hat_gset_quotient`); any other carrier takes the matrix route
+    through :func:`hat_action` and the delta-G quotient.  Both routes give
+    the same presentation, and the result is certified once either way.
+    """
     if galois_coordinates(act) is None:
         raise CertificationError("idempotent_class needs a partial Galois action")
-    hat = hat_action(act)
-    qa = _quotient_by_delta(hat.action, act.group)
-    cls = ExtensionClass.certify(_identify_with_group(qa, act.group))
-    direct = delta_invariant_module(act, hat.product)
-    if not modules_equal(direct, qa.carrier.basis):
-        raise AssertionError("E(S,alpha): delta-G invariants disagree with the componentwise linear system")
-    return cls
+    G = act.group
+    quotient = _hat_gset_quotient(act)
+    if quotient is None:
+        quotient = _identify_with_group(_quotient_by_delta(hat_action(act).action, G), G)
+    return ExtensionClass.certify(quotient)
 
 
 # ---------------------------------------------------------------------------

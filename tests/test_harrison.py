@@ -1,12 +1,13 @@
 """Harrison product, hat action, idempotent classes, inverse-semigroup laws."""
 
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pargal.scalars import QQ, Modular, Matrix
+from pargal.scalars import QQ, Modular, Matrix, canonical_row_form, kernel, modules_equal
 from pargal.algebra import Algebra, AlgebraError, Element, find_split_presentation
 from pargal.corpus import (
     corrupted_p4,
@@ -26,12 +27,12 @@ from pargal.harrison import (
     harrison_product,
     hat_action,
     hat_iso,
-    delta_invariant_module,
     idempotent_class,
     star_product_suite,
     tensor_action,
     trivial_extension,
     _gset_product,
+    _hat_gset_quotient,
     _identify_with_group,
     _quotient_by_delta,
 )
@@ -173,6 +174,35 @@ def test_hat_iso_certificates():
     for act in (example2(), example1(), global_swap()):
         morphism, rep = hat_iso(act)
         assert rep.passed, [c.name for c in rep.failures()]
+
+
+def delta_invariant_module(act, prod):
+    """Solutions of alpha_l(d_g 1_{l^-1}) 1_g = d_g 1_l 1_{lg} inside
+    prod_g S_g: the delta-G invariants of the hat action by a linear system
+    of their own, the oracle of both routes of idempotent_class."""
+    G = act.group
+    A = act.algebra
+    rows = []
+    incl_cols = []
+    for g in G.elements():
+        comp = prod.components[g]
+        for j in range(comp.rank):
+            incl_cols.append((g, list(comp.ideal.basis.rows[j])))
+    for l in G.elements():
+        e_l = act.idem_matrix(l)
+        for g in G.elements():
+            e_g = act.idem_matrix(g)
+            e_lg = act.idem_matrix(G.mul(l, g))
+            op = e_g.mul(act.maps[l]).sub(e_l.mul(e_lg))
+            block_rows = [[0] * prod.algebra.rank for _ in range(A.rank)]
+            for col_idx, (gg, vec) in enumerate(incl_cols):
+                if gg != g:
+                    continue
+                out = op.matvec(vec)
+                for r in range(A.rank):
+                    block_rows[r][col_idx] = out[r]
+            rows.extend(block_rows)
+    return kernel(Matrix.from_rows(A.ring, rows, prod.algebra.rank))
 
 
 def test_delta_invariant_module_global_swap():
@@ -604,6 +634,110 @@ def test_regular_z32_class_squared_on_its_point_set(tensor_calls):
     assert square.action.algebra.rank == 32
     assert square.key == regular.key
     assert elapsed < 3.0, elapsed
+
+
+# The point-set route of idempotent_class against the matrix route that
+# every other carrier takes (hat_action, the delta-G quotient, the
+# identification with G), and both against the delta-G invariants solved as
+# a linear system of their own (delta_invariant_module).
+
+
+def matrix_idempotent(act):
+    """E(S, alpha) by the matrix route: the action, and the checks of its
+    delta-G invariants against delta_invariant_module."""
+    g = act.group
+    hat = hat_action(act)
+    qa = _quotient_by_delta(hat.action, g)
+    assert modules_equal(delta_invariant_module(act, hat.product), qa.carrier.basis)
+    return _identify_with_group(qa, g)
+
+
+def assert_idempotent_routes_agree(act):
+    got = _hat_gset_quotient(act)
+    assert got is not None
+    assert got == matrix_idempotent(act)
+    assert idempotent_class(act).action == got
+    # each component is labelled by its points [g]<label> of prod_g S_g, so
+    # its label is its indicator vector; they span the delta-G invariants
+    # (the labels of act's carrier hold no "[")
+    hat = hat_action(act)
+    position = {label: k for k, label in enumerate(hat.product.algebra.labels)}
+    rows = [[0] * len(position) for _ in got.algebra.labels]
+    for row, label in zip(rows, got.algebra.labels):
+        for point in re.split(r" \+ (?=\[)", label):
+            row[position[point]] = 1
+    indicators = Matrix(act.algebra.ring, rows, len(position))
+    assert modules_equal(delta_invariant_module(act, hat.product), indicators)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_idempotent_set_route_matches_matrix_route_on_the_corpus(ring, hat_calls):
+    from pargal.corpus import standard_corpus
+
+    for act in standard_corpus(ring).values():
+        if act.group.is_abelian():
+            assert_idempotent_routes_agree(act)
+    # idempotent_class itself never took the matrix route
+    assert not hat_calls
+
+
+@st.composite
+def subset_classes_and_squares(draw):
+    """A partial Z_n-class (n <= 6) over Q, F_2 or Z/6 from a nonempty subset
+    in a drawn basis order, possibly replaced by its star, its square or
+    both."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
+    n = draw(st.integers(1, 6))
+    points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    c = subset_class(n, points, ring)
+    if draw(st.booleans()):
+        c = c.star()
+    return harrison_product(c, c) if draw(st.booleans()) else c
+
+
+@given(subset_classes_and_squares())
+@settings(max_examples=60, deadline=None)
+def test_idempotent_set_route_matches_matrix_route_on_partial_zn_sets(c):
+    assert_idempotent_routes_agree(c.action)
+
+
+@pytest.fixture
+def hat_calls(monkeypatch):
+    """The hat actions that harrison builds (matrix route only)."""
+    import pargal.harrison as harrison
+
+    calls = []
+    build = harrison.hat_action
+
+    def counted(act):
+        calls.append(act)
+        return build(act)
+
+    monkeypatch.setattr(harrison, "hat_action", counted)
+    return calls
+
+
+def test_non_permutation_basis_takes_the_idempotent_matrix_route(hat_calls):
+    from test_paction import rebased
+
+    # Q^2 on the basis 1 = e1 + e2, e2
+    act = rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]]))
+    assert _hat_gset_quotient(act) is None
+    e = idempotent_class(act)
+    assert len(hat_calls) == 1
+    assert e.action == matrix_idempotent(act)
+    assert e.key == idempotent_class(example2()).key
+
+
+def test_regular_z16_idempotent_class_on_its_point_set(hat_calls):
+    # 256 points of prod_g S_g; the matrix route would build 256 hat maps
+    regular = subset_class(16, range(16))
+    start = time.perf_counter()
+    e = idempotent_class(regular.action)
+    elapsed = time.perf_counter() - start
+    assert not hat_calls
+    assert e.action.algebra.rank == 16
+    assert elapsed < 1.0, elapsed
 
 
 def test_cyclic_compose_of_trivials_is_trivial():
