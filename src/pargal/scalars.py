@@ -48,7 +48,13 @@ class BaseRing:
         return str(a)
 
     def scalar_from_str(self, s: str):
-        """Parse "3", "-3/4" or "0.5"; a malformed scalar raises ValueError."""
+        """Parse "3", "-3/4" or "0.5"; a malformed scalar raises ValueError.
+
+        ASCII digits, with at most a leading minus sign, are read by ``int``;
+        any other string goes through ``Fraction``."""
+        digits = s[1:] if s[:1] == "-" else s
+        if digits.isascii() and digits.isdigit():
+            return self.coerce(int(s))
         try:
             return self.coerce(Fraction(s))
         except ZeroDivisionError:

@@ -305,3 +305,27 @@ def test_matvec_rejects_a_vector_of_the_wrong_length(ring):
     for v in ([1, 0], [0, 0, 0, 1], []):
         with pytest.raises(ShapeError):
             m.matvec(v)
+
+
+def fraction_route(ring, s):
+    """scalar_from_str before integer literals bypassed Fraction: the
+    value, or the type and text of the error."""
+    try:
+        return ring.coerce(Fraction(s))
+    except ZeroDivisionError:
+        return ("ValueError", f"bad scalar {s!r}: zero denominator")
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+@pytest.mark.parametrize("s", ["0", "007", "-3", "+1", " 1", "1_0", "²", "1/0", "0.5", "True", ""],
+                         ids=["zero", "leading-zeros", "negative", "plus", "space", "underscore",
+                              "superscript", "zero-denominator", "decimal", "word", "empty"])
+def test_integer_literals_parse_like_fractions(ring, s):
+    try:
+        got = ring.scalar_from_str(s)
+    except ValueError as exc:
+        got = ("ValueError", str(exc))
+    assert got == fraction_route(ring, s)
+    assert type(got) is type(fraction_route(ring, s))
