@@ -44,6 +44,12 @@ GOLDEN_COMMANDS = {
     ],
 }
 
+# action files written by --out, kept next to the reports as NAME.action.json
+GOLDEN_ACTIONS = {
+    "ex1.idempotent": ["idempotent", "corpus/ex1.json"],
+    "ex2.idempotent": ["idempotent", "corpus/ex2.json"],
+}
+
 
 def s3_regular():
     perms = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)]
@@ -120,7 +126,18 @@ def main():
             raise SystemExit(f"golden command {name} failed: {proc.stderr}")
         with open(os.path.join(GOLDEN, f"{name}.json"), "w", encoding="utf-8") as fh:
             fh.write(proc.stdout)
-    print(f"wrote {len(GOLDEN_COMMANDS)} golden reports and the corpus files")
+    for name, argv in GOLDEN_ACTIONS.items():
+        out = os.path.join(GOLDEN, f"{name}.action.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pargal.cli", *argv, "--out", out],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env=env,
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"golden action {name} failed: {proc.stderr}")
+    print(f"wrote {len(GOLDEN_COMMANDS)} golden reports, {len(GOLDEN_ACTIONS)} golden actions and the corpus files")
 
 
 if __name__ == "__main__":

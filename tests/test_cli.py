@@ -135,7 +135,12 @@ def test_missing_file_is_usage_error(capsys):
     assert run_cli("verify", os.path.join(CORPUS, "no-such.json")) == 2
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(GOLDEN)))
+# the golden action files that --out writes, NAME.action.json, sit next to
+# the golden reports
+GOLDEN_ACTIONS = sorted(name for name in os.listdir(GOLDEN) if name.endswith(".action.json"))
+
+
+@pytest.mark.parametrize("name", sorted(set(os.listdir(GOLDEN)) - set(GOLDEN_ACTIONS)))
 def test_golden_reports_are_reproduced(name, capsys):
     with open(os.path.join(GOLDEN, name), "r", encoding="utf-8") as fh:
         golden = fh.read()
@@ -154,6 +159,16 @@ def test_golden_reports_are_reproduced(name, capsys):
     out = capsys.readouterr().out
     assert out == golden
     assert rc in (0, 1)
+
+
+@pytest.mark.parametrize("name", GOLDEN_ACTIONS)
+def test_golden_actions_are_reproduced(name, tmp_path, capsys):
+    # ex1.idempotent.action.json is `pargal idempotent corpus/ex1.json --out`
+    fixture_name, command = name.split(".")[:2]
+    out = tmp_path / name
+    assert run_cli(command, fixture(fixture_name), "--out", str(out)) == 0
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def _set(path, value):
@@ -251,3 +266,15 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_verify_reports_a_non_idempotent_domain_unit(tmp_path, capsys):
+    # Z_3 on Q^2 with 1_g2 = e1 + 2 e2: a failed report, not a usage error
+    from test_paction import non_idempotent_domain_unit
+
+    path = tmp_path / "z3.json"
+    save_action(non_idempotent_domain_unit(), str(path))
+    assert run_cli("verify", str(path)) == 1
+    out = capsys.readouterr().out
+    assert "FAIL      unital: each 1_g is idempotent  [1_g2 not idempotent]" in out
+    assert "[g=g: 1_(g^-1) is not idempotent]" in out
