@@ -131,7 +131,8 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     group = act.group
     g_labels = group.labels
     A = act.algebra
-    # the columns the iso bug trap keeps on the action, or a fresh read
+    # the columns the iso bug trap keeps on the action, or a fresh read that
+    # is not kept: most actions are verified once and never reach the trap
     n, table, maps, idem_cols = act._sparse or _read_sparse(act)
     # the stored M_g and 1_g as given, and reduced mod n for the sums; a
     # stored entry outside [0, n) equals no sum, as in the dense comparison
@@ -232,18 +233,15 @@ def _sparse_data(act: PartialAction) -> _SparseAction:
 
 
 def _read_sparse(act: PartialAction) -> _SparseAction:
-    """The columns of each M_g and E_g of ``act``; column j of E_g is
-    1_g e_j, summed like ``Algebra.mult_matrix``."""
+    """The columns of each M_g and E_g of ``act``; E_g is
+    :meth:`PartialAction.idem_matrix`, which ``invariants`` shares."""
     A = act.algebra
     n = A.ring.n if isinstance(A.ring, Modular) else None
-    table = sparse_table(A)
     maps = [sparse_columns(m.rows, A.rank) for m in act.maps]
-    ones = [sparse_vector(e.coords) for e in act.idems]
     if n:
         maps = [[reduced(col, n) for col in cols] for cols in maps]
-        ones = [reduced(one, n) for one in ones]
-    idems = [[sparse_mul(table, one, {j: 1}, n) for j in range(A.rank)] for one in ones]
-    return _SparseAction(n, table, maps, idems)
+    idems = [sparse_columns(act.idem_matrix(g).rows, A.rank) for g in act.group.elements()]
+    return _SparseAction(n, sparse_table(A), maps, idems)
 
 
 def _ideal_basis(ring, cols) -> list:
