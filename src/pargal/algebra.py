@@ -25,6 +25,7 @@ from .scalars import (
     kernel,
     solve,
 )
+from .sparse import reduced
 
 
 class AlgebraError(ValueError):
@@ -140,17 +141,28 @@ class Algebra:
                     raise AlgebraError(
                         f"not commutative: {self.labels[i]}*{self.labels[j]} != {self.labels[j]}*{self.labels[i]}"
                     )
+        # products composed on the sparse table rows, reduced like mul_coords
+        table = self.table
+        modulus = self.ring.n if isinstance(self.ring, Modular) else None
+
+        def total(terms):
+            # sum_m c d b_m over the terms (c, ((m, d), ...))
+            out = {}
+            for c, entries in terms:
+                for m, d in entries:
+                    out[m] = out.get(m, 0) + c * d
+            return reduced(out, modulus)
+
+        unit = [(l, u) for l, u in enumerate(self.unit) if u != 0]
         for i in range(n):
-            got = self.mul_coords(self.unit, [1 if t == i else 0 for t in range(n)])
-            if tuple(got) != tuple(1 if t == i else 0 for t in range(n)):
+            if total((u, table[l][i]) for l, u in unit) != {i: 1}:
                 raise AlgebraError(f"unit does not fix basis vector {self.labels[i]}")
-        basis = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                ij = self.mul_coords(basis[i], basis[j])
                 for l in range(n):
-                    left = self.mul_coords(ij, basis[l])
-                    right = self.mul_coords(basis[i], self.mul_coords(basis[j], basis[l]))
+                    # (b_i b_j) b_l against b_i (b_j b_l)
+                    left = total((c, table[k][l]) for k, c in table[i][j])
+                    right = total((c, table[i][m]) for m, c in table[j][l])
                     if left != right:
                         raise AlgebraError(
                             f"not associative on ({self.labels[i]}, {self.labels[j]}, {self.labels[l]})"

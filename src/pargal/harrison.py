@@ -27,7 +27,7 @@ from .paction import (
     ActionReport,
     GaloisCoordinates,
     PartialAction,
-    _partial_gsets,
+    _point_set,
     canonical_key,
     galois_coordinates,
     invariants,
@@ -142,19 +142,11 @@ def _identify_with_group(qa: QuotientAction, base_group: FiniteGroup) -> Partial
 
 
 def _standard_gset(act: PartialAction):
-    """The partial G-set (its maps) of ``act`` (see :func:`_partial_gsets`)
-    when its carrier is R^n on its standard basis: the table of
-    :meth:`Algebra.split`, a unit of all ones, and every 1_g and M_g 0/1 on
-    that basis.  None for any other carrier."""
-    A = act.algebra
-    if A != Algebra.split(A.ring, A.labels):
-        return None
-    if any(c not in (0, 1) for e in act.idems for c in e.coords):
-        return None
-    if any(c not in (0, 1) for m in act.maps for row in m.rows for c in row):
-        return None
-    basis = Matrix.identity(A.ring, A.rank)
-    return _partial_gsets(act, basis.rows, basis, [1])[0]
+    """The partial G-set (its maps) of ``act`` when its carrier is R^n on
+    its standard basis with 0/1 data and the point maps pass the point-set
+    certificate (:func:`~pargal.paction._point_set`); None otherwise."""
+    points = _point_set(act)
+    return points.maps if points is not None and points.certified else None
 
 
 def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
@@ -470,13 +462,20 @@ def star_product_suite(classes) -> SuiteReport:
             products[key] = harrison_product(a, b)
         return products[key]
 
+    # iso answers by the pair of actions compared, each asked once; keying on
+    # identity is sound for the same reason
+    answers = {}
+
     def iso_ok(x, y, label) -> bool:
         if x.action is y.action:
             # one memoised object on both sides: the identity is the witness
             rep.add(label, "pass")
             rep.witnesses += 1
             return True
-        res = iso_check(x.action, y.action)
+        pair = (id(x.action), id(y.action))
+        if pair not in answers:
+            answers[pair] = iso_check(x.action, y.action)
+        res = answers[pair]
         if res.status == "undecided":
             rep.add(label, "undecided", "carrier admits no split presentation")
             return False

@@ -22,6 +22,7 @@ from .algebra import (
     SubAlgebra,
     ProductAlgebra,
     TensorProduct,
+    algebra_on_module,
     find_split_presentation,
     product_over_ideals,
     subalgebra_from_constraints,
@@ -35,7 +36,7 @@ from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -55,6 +56,7 @@ class PartialAction:
         self._idem_mats = [None] * group.order
         self._split = None
         self._sparse = None
+        self._points = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -119,14 +121,38 @@ class ActionReport:
         return out
 
 
+# the checks of verify_partial_action, in the order it reports them
+_UNITAL = "unital: each 1_g is idempotent"
+_P2 = "(P2) S_1 = S and alpha_1 = id"
+_P1 = "(P1) alpha_g: S_(g^-1) -> S_g is an algebra isomorphism"
+_P3 = "(P3) alpha_g(S_(g^-1) /\\ S_h) = S_g /\\ S_gh"
+_P4 = "(P4) alpha_g alpha_h extends to alpha_gh"
+
+
 def verify_partial_action(act: PartialAction) -> ActionReport:
     """Check the unital partial-action axioms; failures carry witnesses.
 
-    Every check runs on sparse columns (:func:`_sparse_data`): products and
-    applications sum over the nonzero entries only (see
-    :func:`~pargal.sparse.combine` and :func:`~pargal.sparse.sparse_mul`),
-    so a 0/1 partial permutation costs O(1) a column.  Sums are reduced like
-    the ring's own, so each equality is the dense one.
+    A standard carrier whose partial G-set passes the point-set certificate
+    (:func:`_point_set`) passes every check.  Any other action, and one
+    that fails there, runs the checks on sparse columns
+    (:func:`_verify_on_columns`), which name the witness of each failure.
+    """
+    points = _point_set(act)
+    if points is not None and points.certified:
+        rep = ActionReport()
+        for name in (_UNITAL, _P2, _P1, _P3, _P4):
+            rep.add(name, True)
+        return rep
+    return _verify_on_columns(act)
+
+
+def _verify_on_columns(act: PartialAction) -> ActionReport:
+    """The checks of :func:`verify_partial_action` on sparse columns
+    (:func:`_read_sparse`): products and applications sum over the nonzero
+    entries only (see :func:`~pargal.sparse.combine` and
+    :func:`~pargal.sparse.sparse_mul`), so a 0/1 partial permutation costs
+    O(1) a column.  Sums are reduced like the ring's own, so each equality
+    is the dense one.
     """
     group = act.group
     g_labels = group.labels
@@ -143,10 +169,10 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
 
     idempotent = [sparse_mul(table, one, one, n) == given for one, given in zip(ones, ones_given)]
     bad = [g_labels[g] for g in group.elements() if not idempotent[g]]
-    rep.add("unital: each 1_g is idempotent", not bad, None if not bad else f"1_{bad[0]} not idempotent")
+    rep.add(_UNITAL, not bad, None if not bad else f"1_{bad[0]} not idempotent")
 
     p2 = act.idems[group.identity] == A.one() and act.maps[group.identity].is_identity()
-    rep.add("(P2) S_1 = S and alpha_1 = id", p2, None if p2 else "identity component is not the identity")
+    rep.add(_P2, p2, None if p2 else "identity component is not the identity")
 
     # (P1): M_g kills (1 - 1_{g^-1}), lands in S_g, is multiplicative and
     # unital on S_{g^-1}, and M_{g^-1} M_g is multiplication by 1_{g^-1}.
@@ -182,7 +208,7 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
                 break
         if witness:
             break
-    rep.add("(P1) alpha_g: S_(g^-1) -> S_g is an algebra isomorphism", witness is None, witness)
+    rep.add(_P1, witness is None, witness)
 
     witness = None
     for g in group.elements():
@@ -194,7 +220,7 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
                 break
         if witness:
             break
-    rep.add("(P3) alpha_g(S_(g^-1) /\\ S_h) = S_g /\\ S_gh", witness is None, witness)
+    rep.add(_P3, witness is None, witness)
 
     # (P4): M_g M_h = E_g M_gh column by column; the first column that
     # differs names the witness basis vector
@@ -211,7 +237,7 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
                 break
         if witness:
             break
-    rep.add("(P4) alpha_g alpha_h extends to alpha_gh", witness is None, witness)
+    rep.add(_P4, witness is None, witness)
     return rep
 
 
@@ -233,15 +259,113 @@ def _sparse_data(act: PartialAction) -> _SparseAction:
 
 
 def _read_sparse(act: PartialAction) -> _SparseAction:
-    """The columns of each M_g and E_g of ``act``; E_g is
-    :meth:`PartialAction.idem_matrix`, which ``invariants`` shares."""
+    """The columns of each M_g and E_g of ``act``.  On R^n with its standard
+    basis E_g is the diagonal of 1_g, read off its coordinates; on any other
+    carrier E_g is :meth:`PartialAction.idem_matrix`, which ``invariants``
+    shares."""
     A = act.algebra
     n = A.ring.n if isinstance(A.ring, Modular) else None
     maps = [sparse_columns(m.rows, A.rank) for m in act.maps]
     if n:
         maps = [[reduced(col, n) for col in cols] for cols in maps]
-    idems = [sparse_columns(act.idem_matrix(g).rows, A.rank) for g in act.group.elements()]
+    if A == Algebra.split(A.ring, A.labels):
+        idems = [[reduced({j: c}, n) for j, c in enumerate(e.coords)] for e in act.idems]
+    else:
+        idems = [sparse_columns(act.idem_matrix(g).rows, A.rank) for g in act.group.elements()]
     return _SparseAction(n, sparse_table(A), maps, idems)
+
+
+class _PointSet(NamedTuple):
+    """A standard-carrier action read as a partial G-set of the basis
+    points, see :func:`_point_set`."""
+
+    maps: list  # maps[g][i] = j when M_g e_i = e_j, None when column i is 0
+    domains: list  # domains[g][i]: whether 1_g has coordinate 1 at e_i
+    certified: bool  # whether the maps pass :func:`_points_certified`
+
+
+def _point_set(act: PartialAction) -> _PointSet | None:
+    """The partial G-set of ``act`` on its basis points, or None unless the
+    carrier is R^n on its standard basis (:meth:`Algebra.split`), every
+    stored entry of each 1_g and M_g is 0 or 1, and no column of an M_g
+    holds two 1s; read once per action in O(|G| r^2) and kept on it."""
+    if act._points is None:
+        act._points = (_read_points(act),)
+    return act._points[0]
+
+
+def _read_points(act: PartialAction) -> _PointSet | None:
+    A = act.algebra
+    if A != Algebra.split(A.ring, A.labels):
+        return None
+    r = A.rank
+    domains = []
+    for e in act.idems:
+        if e.coords.count(0) + e.coords.count(1) != r:
+            return None
+        domains.append([c == 1 for c in e.coords])
+    maps = []
+    for m in act.maps:
+        image = [None] * r
+        for k, row in enumerate(m.rows):
+            zeros = row.count(0)
+            if zeros == r:
+                continue
+            if zeros + row.count(1) != r:
+                return None
+            j = -1
+            for _ in range(r - zeros):
+                j = row.index(1, j + 1)
+                if image[j] is not None:
+                    return None
+                image[j] = k
+        maps.append(image)
+    return _PointSet(maps, domains, _points_certified(act.group, maps, domains))
+
+
+def _points_certified(group: FiniteGroup, maps, domains) -> bool:
+    """Whether the partial maps a_g = ``maps[g]`` and the domains D_g =
+    ``domains[g]`` form a partial G-set (Exel; Kellendonk-Lawson), the
+    checks of :func:`verify_partial_action` on R^X read as statements about
+    points:
+
+    - unital and (P2): a_1 = id on D_1 = X (a 0/1 vector is idempotent);
+    - (P1): a_g is defined exactly on D_(g^-1), lands in D_g, and
+      a_g a_(g^-1) = id on D_g, so a_g is a bijection D_(g^-1) -> D_g;
+    - (P3): a_g(D_(g^-1) /\\ D_h) = D_g /\\ D_gh;
+    - (P4): a_g a_h(j) = a_gh(j) when a_gh(j) lies in D_g, and is undefined
+      otherwise.
+
+    When they hold, every check of :func:`_verify_on_columns` passes.
+    """
+    e = group.identity
+    if not all(domains[e]) or any(j != i for i, j in enumerate(maps[e])):
+        return False
+    for g in group.elements():
+        dst, src = domains[g], domains[group.inv(g)]
+        if any((j is not None) != d or (j is not None and not dst[j]) for j, d in zip(maps[g], src)):
+            return False
+    for g in group.elements():
+        a, back = maps[g], maps[group.inv(g)]
+        if any(a[back[i]] != i for i, d in enumerate(domains[g]) if d):
+            return False
+    points = [{i for i, d in enumerate(dom) if d} for dom in domains]
+    for g in group.elements():
+        a, src = maps[g], points[group.inv(g)]
+        if any({a[i] for i in src & points[h]} != points[g] & points[group.mul(g, h)] for h in group.elements()):
+            return False
+    # a_g extended by None -> None, and the identity on D_g extended likewise
+    compose, restrict_to = [], []
+    for a, dom in zip(maps, domains):
+        compose.append(dict(enumerate(a)))
+        restrict_to.append({i: i if d else None for i, d in enumerate(dom)})
+        compose[-1][None] = restrict_to[-1][None] = None
+    for g in group.elements():
+        for h in group.elements():
+            gh = maps[group.mul(g, h)]
+            if [compose[g][x] for x in maps[h]] != [restrict_to[g][k] for k in gh]:
+                return False
+    return True
 
 
 def _ideal_basis(ring, cols) -> list:
@@ -283,8 +407,23 @@ def trace(act: PartialAction, x: Element) -> Element:
 
 
 def invariants(act: PartialAction) -> SubAlgebra:
-    """S^alpha = {x : alpha_g(x 1_{g^-1}) = x 1_g for all g} as an algebra."""
+    """S^alpha = {x : alpha_g(x 1_{g^-1}) = x 1_g for all g} as an algebra.
+
+    On a certified point set (:func:`_point_set`) these are the functions
+    constant on the components of the partial G-set: one indicator row per
+    component, ordered by least point, which the kernel of the constraints
+    spans on any other carrier."""
     ring = act.algebra.ring
+    points = _point_set(act)
+    if points is not None and points.certified:
+        r = act.algebra.rank
+        rows, seen = [], set()
+        for x in range(r):
+            if x not in seen:
+                component = _breadth_first(points.maps, x)
+                seen.update(component)
+                rows.append([int(y in component) for y in range(r)])
+        return algebra_on_module(act.algebra, Matrix(ring, rows, r), list(act.algebra.unit))
     rows = []
     for g in act.group.elements():
         diff = act.maps[g].sub(act.idem_matrix(g))
@@ -299,13 +438,18 @@ class GaloisCoordinates:
     pairs: list  # of (Element, Element)
 
     def verify(self) -> bool:
-        A = self.action.algebra
-        for g in self.action.group.elements():
-            acc = A.zero()
-            for x, y in self.pairs:
-                acc = acc + x * self.action.apply(g, y)
-            target = A.one() if g == self.action.group.identity else A.zero()
-            if acc != target:
+        """Whether sum_i x_i alpha_g(y_i 1_{g^-1}) = delta_{1,g} 1_S for
+        every g, summed on sparse columns (:func:`_read_sparse`)."""
+        act = self.action
+        n, table, maps, _ = act._sparse or _read_sparse(act)
+        pairs = [(sparse_vector(x.coords), sparse_vector(y.coords)) for x, y in self.pairs]
+        one = reduced(sparse_vector(act.algebra.unit), n)
+        for g in act.group.elements():
+            acc = {}
+            for x, y in pairs:
+                for k, v in sparse_mul(table, x, combine(maps[g], y, n), n).items():
+                    acc[k] = acc.get(k, 0) + v
+            if reduced(acc, n) != (one if g == act.group.identity else {}):
                 return False
         return True
 
@@ -314,25 +458,37 @@ def galois_coordinates(act: PartialAction):
     """Partial Galois coordinates, or None when the extension is not Galois.
 
     Finds an element of S (x) S with sum_i x_i alpha_g(y_i 1_{g^-1}) =
-    delta_{1,g} 1_S by one linear solve in rank^2 unknowns.
+    delta_{1,g} 1_S by one linear solve in rank^2 unknowns.  On a certified
+    point set (:func:`_point_set`) where no a_g with g != 1 fixes a point,
+    the solver's particular solution is the pairs (e_i, e_i), taken
+    without the solve.
     """
     A = act.algebra
     r = A.rank
-    rhs = []
-    for g in act.group.elements():
-        rhs.extend(A.unit if g == act.group.identity else (0,) * r)
-    sol = solve(_galois_matrix(act), list(rhs))
-    if sol is None:
-        return None
-    pairs = []
-    for i in range(r):
-        ycoords = sol.particular[i * r : (i + 1) * r]
-        if any(c != 0 for c in ycoords):
-            pairs.append((A.basis_element(i), A.element(ycoords)))
+    points = _point_set(act)
+    if points is not None and points.certified and not _has_fixed_point(act.group, points.maps):
+        pairs = [(e, e) for e in A.basis()]
+    else:
+        rhs = []
+        for g in act.group.elements():
+            rhs.extend(A.unit if g == act.group.identity else (0,) * r)
+        sol = solve(_galois_matrix(act), list(rhs))
+        if sol is None:
+            return None
+        pairs = []
+        for i in range(r):
+            ycoords = sol.particular[i * r : (i + 1) * r]
+            if any(c != 0 for c in ycoords):
+                pairs.append((A.basis_element(i), A.element(ycoords)))
     coords = GaloisCoordinates(act, pairs)
     if not coords.verify():
-        raise AssertionError("galois_coordinates: the solver produced a non-witness (bug trap)")
+        raise AssertionError("galois_coordinates: the coordinates found are no witness (bug trap)")
     return coords
+
+
+def _has_fixed_point(group: FiniteGroup, maps) -> bool:
+    """Whether some a_g with g != 1 of the point maps fixes a point."""
+    return any(j == i for g in group.elements() if g != group.identity for i, j in enumerate(maps[g]))
 
 
 def _galois_matrix(act: PartialAction) -> Matrix:
@@ -557,16 +713,45 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     presentation; built once per action and kept on it.  Raises
     AlgebraError when the action does not permute the split idempotents."""
     if act._split is None:
-        data = None
-        pres = find_split_presentation(act.algebra)
-        if pres is not None:
-            ring = act.algebra.ring
-            idems = [list(e.coords) for e in pres.idempotents]
-            to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], act.algebra.rank))
-            gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
-            data = _SplitData(idems, to_coords, gsets)
+        points = _point_set(act)
+        if points is not None:
+            data = _split_points(act, points)
+        else:
+            data = None
+            pres = find_split_presentation(act.algebra)
+            if pres is not None:
+                ring = act.algebra.ring
+                idems = [list(e.coords) for e in pres.idempotents]
+                to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], act.algebra.rank))
+                gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+                data = _SplitData(idems, to_coords, gsets)
         act._split = (data,)
     return act._split[0]
+
+
+def _split_points(act: PartialAction, points: _PointSet) -> _SplitData:
+    """The split data of a standard carrier read off its point maps, in the
+    order of :func:`find_split_presentation`, which sorts the basis vectors
+    by their coordinates: p_i = e_(r-1-i).  Every CRT unit gets the same
+    maps, and the maps are checked as :func:`_partial_gsets` checks them."""
+    r = act.algebra.rank
+    group = act.group
+    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
+    maps = []
+    for g in group.elements():
+        source = points.domains[group.inv(g)]
+        images = []
+        for i in range(r):
+            j = points.maps[g][r - 1 - i]
+            if (j is not None) != source[r - 1 - i]:
+                raise AlgebraError(
+                    f"iso_check: alpha_{group.labels[g]} does not permute the split idempotents (index {i})"
+                )
+            images.append(None if j is None else r - 1 - j)
+        maps.append(images)
+    # the matrix with columns p_i is its own inverse
+    to_coords = Matrix(act.algebra.ring, [list(p) for p in idems], r)
+    return _SplitData(idems, to_coords, [maps] * len(_base_ring_units(act.algebra.ring)))
 
 
 def canonical_key(act: PartialAction):

@@ -258,3 +258,88 @@ def test_tensor_of_split_is_split(n, m):
     assert pres is not None
     assert len(pres.idempotents) == n * m
     pres.check()
+
+
+# -- validate on the sparse table against the dense loops it replaced ---------
+
+
+def reference_validate(algebra):
+    """The checks of Algebra.validate through dense mul_coords products,
+    in the same loop order; the message of the first failure, or None."""
+    n = algebra.rank
+    table = algebra.table
+    for i in range(n):
+        for j in range(i, n):
+            if sorted(table[i][j]) != sorted(table[j][i]):
+                return f"not commutative: {algebra.labels[i]}*{algebra.labels[j]} != {algebra.labels[j]}*{algebra.labels[i]}"
+    basis = [[1 if t == i else 0 for t in range(n)] for i in range(n)]
+    for i in range(n):
+        if tuple(algebra.mul_coords(algebra.unit, basis[i])) != tuple(basis[i]):
+            return f"unit does not fix basis vector {algebra.labels[i]}"
+    for i in range(n):
+        for j in range(n):
+            ij = algebra.mul_coords(basis[i], basis[j])
+            for l in range(n):
+                left = algebra.mul_coords(ij, basis[l])
+                right = algebra.mul_coords(basis[i], algebra.mul_coords(basis[j], basis[l]))
+                if left != right:
+                    return f"not associative on ({algebra.labels[i]}, {algebra.labels[j]}, {algebra.labels[l]})"
+    return None
+
+
+def validate_message(algebra):
+    try:
+        algebra.validate()
+    except AlgebraError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def structure_tables(draw):
+    """Rank 1-3 tables over Q, F_2 and Z/6: a split, tensor or F_4 table
+    with some constants changed symmetrically (so that the unit and
+    associativity checks are reached) and perhaps one more changed, with
+    its unit or a drawn one; or b_0 = 1 with random symmetric products of
+    the other basis vectors, which reach the associativity check."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
+    values = st.sampled_from([0, 1, 2, -1, Fraction(1, 2)]) if ring == QQ else st.integers(0, 6)
+    kind = draw(st.sampled_from(["split", "tensor", "f4", "random", "unital"]))
+    if kind == "unital":
+        n = draw(st.integers(2, 3))
+        dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            dense[0][i][i] = dense[i][0][i] = 1
+        for i in range(1, n):
+            for j in range(i, n):
+                for k in range(n):
+                    dense[i][j][k] = dense[j][i][k] = draw(values)
+        return Algebra(ring, [f"b{i}" for i in range(n)], dense, [1] + [0] * (n - 1), validate=False)
+    if kind == "split":
+        base = Algebra.split(ring, [f"e{i}" for i in range(draw(st.integers(1, 3)))])
+    elif kind == "tensor":
+        base = tensor(Algebra.split(ring, ["a"]), Algebra.split(ring, ["b", "c"])).algebra
+    elif kind == "f4":
+        base = make_algebra(ring, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [1, 1]]], [1, 0])
+    else:
+        base = Algebra.split(ring, [f"e{i}" for i in range(draw(st.integers(1, 3)))])
+    n = base.rank
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in base.table[i][j]:
+                dense[i][j][k] = c
+    for _ in range(draw(st.integers(0 if kind != "random" else n, n + 1))):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        dense[i][j][k] = dense[j][i][k] = draw(values)
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        dense[i][j][k] = draw(values)
+    unit = list(base.unit) if draw(st.booleans()) else [draw(values) for _ in range(n)]
+    return Algebra(ring, base.labels, dense, unit, validate=False)
+
+
+@given(structure_tables())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_the_dense_loops(algebra):
+    assert validate_message(algebra) == reference_validate(algebra)

@@ -428,6 +428,30 @@ def test_suite_multiplies_each_class_pair_once_up_to_iso(monkeypatch):
     assert rep.witnesses > 0
 
 
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_suite_answers_each_iso_pair_once(ring, monkeypatch):
+    import pargal.harrison as harrison
+
+    answers = []
+    search = harrison.iso_check
+
+    def recorded(a, b):
+        res = search(a, b)
+        answers.append((a, b, res.status))
+        return res
+
+    monkeypatch.setattr(harrison, "iso_check", recorded)
+    rep = star_product_suite(five_class_corpus(ring))
+    pairs = [(id(a), id(b)) for a, b, _ in answers]
+    assert len(pairs) == len(set(pairs)) == 36
+    # the laws that share a pair take its one answer, which a second search
+    # repeats; every law still adds its own line and witness
+    assert all(search(a, b).status == status for a, b, status in answers)
+    assert len(rep.checks) == 190
+    assert rep.witnesses == 175
+    assert len(rep.failures()) == 10
+
+
 def test_suite_rejects_classes_over_different_groups():
     classes = [trivial_extension(make_cyclic(2)), trivial_extension(make_cyclic(4))]
     with pytest.raises(AlgebraError, match="different groups"):
@@ -495,8 +519,10 @@ def test_suite_skips_the_search_on_identical_sides(monkeypatch):
     monkeypatch.setattr(harrison, "iso_check", counted)
     rep = star_product_suite(five_class_corpus(Modular(2)))
     # 23 of the 185 laws compare one memoised product with itself; they pass
-    # with the identity as witness and no search
-    assert len(calls) == 162
+    # with the identity as witness and no search.  The other 162 compare 36
+    # distinct pairs of actions, and each pair is searched once
+    assert len(calls) == 36
+    assert len({(id(a), id(b)) for a, b in calls}) == 36
     assert all(a is not b for a, b in calls)
     assert len(rep.checks) == 190
     assert rep.witnesses == 175
@@ -634,6 +660,31 @@ def test_regular_z32_class_squared_on_its_point_set(tensor_calls):
     assert square.action.algebra.rank == 32
     assert square.key == regular.key
     assert elapsed < 3.0, elapsed
+
+
+def test_regular_z64_class_squared_is_built_and_certified_within_a_second(tensor_calls):
+    # 4,096 points of X x Y; the certificate of the rank-64 result is read
+    # off its partial G-set, with no row reduction
+    x, y = subset_class(64, range(64)), subset_class(64, range(64))
+    start = time.perf_counter()
+    square = harrison_product(x, y)
+    elapsed = time.perf_counter() - start
+    assert not tensor_calls
+    assert square.action.algebra.rank == 64
+    assert elapsed < 1.0, elapsed
+
+
+def test_galois_coordinates_of_the_regular_z48_class_need_no_solve(monkeypatch):
+    import pargal.paction as paction
+
+    def refused(*args):
+        raise AssertionError("galois_coordinates called solve")
+
+    monkeypatch.setattr(paction, "solve", refused)
+    act = subset_class(48, range(48)).action
+    coords = paction.galois_coordinates(act)
+    basis = act.algebra.basis()
+    assert coords.pairs == list(zip(basis, basis))
 
 
 # The point-set route of idempotent_class against the matrix route that

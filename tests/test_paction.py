@@ -1193,3 +1193,201 @@ def test_iso_trap_fires_on_a_non_multiplicative_witness():
     expected = "iso_check: f is not a unital algebra isomorphism (bug trap)"
     for trap in (_certified_witness, reference_certified_witness):
         assert trap_outcome(trap, act, act, fmat) == expected
+
+
+# -- the point-set route against the sparse route and the dense reference -----
+
+
+def kernel_invariants(act):
+    """The invariants as the kernel of the stacked M_g - E_g, the route
+    every carrier took before the point-set certificate."""
+    from pargal.algebra import subalgebra_from_constraints
+
+    rows = []
+    for g in act.group.elements():
+        rows.extend(act.maps[g].sub(act.idem_matrix(g)).rows)
+    return subalgebra_from_constraints(act.algebra, Matrix.from_rows(act.algebra.ring, rows, act.algebra.rank))
+
+
+def presentation_split_data(act):
+    """The split data of find_split_presentation and _partial_gsets, the
+    route every carrier took before the point-set reader."""
+    from pargal.algebra import find_split_presentation
+    from pargal.paction import _base_ring_units, _partial_gsets
+    from pargal.scalars import invert
+
+    ring, r = act.algebra.ring, act.algebra.rank
+    idems = [list(e.coords) for e in find_split_presentation(act.algebra).idempotents]
+    to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
+    return idems, to_coords, _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+
+
+def dense_galois_verify(coords):
+    """GaloisCoordinates.verify through dense apply and Element arithmetic."""
+    act = coords.action
+    A = act.algebra
+    for g in act.group.elements():
+        acc = A.zero()
+        for x, y in coords.pairs:
+            acc = acc + x * act.apply(g, y)
+        if acc != (A.one() if g == act.group.identity else A.zero()):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of the AlgebraError it
+    raises."""
+    try:
+        return fn(*args)
+    except AlgebraError as exc:
+        return ("AlgebraError", str(exc))
+
+
+def with_entry(act, g, maps=None, idem=None):
+    """``act`` with M_g (rows) or 1_g (coordinates) replaced as stored,
+    unreduced and unchecked."""
+    from pargal.algebra import Element
+
+    new_maps, new_idems = list(act.maps), list(act.idems)
+    if maps is not None:
+        new_maps[g] = Matrix(act.algebra.ring, maps, act.algebra.rank)
+    if idem is not None:
+        new_idems[g] = Element(act.algebra, tuple(idem))
+    return PartialAction(act.group, act.algebra, new_idems, new_maps)
+
+
+@st.composite
+def point_set_actions(draw):
+    """0/1 actions of Z_1-Z_4 on R^r, r <= 4, over Q, F_2 and Z/6: a
+    Z_n-set restricted to r of its points (a partial action), possibly on a
+    permuted basis, and possibly with a flipped entry of M_g, a flipped
+    coordinate of 1_g, a stored 7 or 2, or a second 1 in a column of M_g."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    n = draw(st.integers(1, 4))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+    points = draw(st.permutations(gset_points(orbits)))
+    r = draw(st.integers(1, min(4, len(points))))
+    act = gset_action(ring, n, orbits, points[:r])
+    if draw(st.booleans()):
+        act = relabel(act, draw(st.permutations(range(r))))
+    g = draw(st.sampled_from(list(act.group.elements())))
+    i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+    rows = [list(row) for row in act.maps[g].rows]
+    coords = list(act.idems[g].coords)
+    kind = draw(st.sampled_from(["none", "entry", "domain", "stored", "double"]))
+    if kind == "entry":
+        rows[i][j] = 1 - rows[i][j]
+    elif kind == "domain":
+        coords[i] = 1 - coords[i]
+    elif kind == "stored" and draw(st.booleans()):
+        rows[i][j] = draw(st.sampled_from([7, 2]))
+    elif kind == "stored":
+        coords[i] = draw(st.sampled_from([7, 2]))
+    elif kind == "double":
+        rows[i][j] = 1
+        rows[(i + 1) % r][j] = 1
+    return with_entry(act, g, maps=rows, idem=coords)
+
+
+def subalgebra_of(sub):
+    return sub.basis, sub.algebra, sub.algebra.labels
+
+
+@given(point_set_actions(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_point_set_route_matches_the_sparse_and_dense_routes(act, rnd):
+    from pargal.paction import _verify_on_columns
+
+    report = report_of(verify_partial_action(act))
+    assert report == report_of(_verify_on_columns(act))
+    assert report == report_of(reference_verify_partial_action(act))
+    inv = outcome(invariants, act)
+    expected = outcome(kernel_invariants, act)
+    assert inv == expected if isinstance(expected, tuple) else subalgebra_of(inv) == subalgebra_of(expected)
+    found = galois_coordinates(act)
+    pairs = reference_galois_pairs(act)
+    assert (found is None) == (pairs is None)
+    assert found is None or found.pairs == pairs
+    if not all(passed for _, passed, _ in report):
+        return
+    perm = list(range(act.algebra.rank))
+    rnd.shuffle(perm)
+    other = relabel(act, perm)
+    res = iso_check(act, other)
+    assert res.status == "iso"
+    assert res.morphism.matrix == reference_iso_witnesses(act, other)[0].matrix
+
+
+@given(point_set_actions())
+@settings(max_examples=150, deadline=None)
+def test_split_data_matches_the_presentation_route(act):
+    from pargal.paction import _point_set, _split_data
+
+    assert act.algebra == type(act.algebra).split(act.algebra.ring, act.algebra.labels)
+    got = outcome(lambda a: tuple(_split_data(a)), act)
+    assert got == outcome(presentation_split_data, act)
+    # the reader takes every action with 0/1 data and no column with two 1s
+    stored = [x for m in act.maps for row in m.rows for x in row] + [x for e in act.idems for x in e.coords]
+    columns = [list(col) for m in act.maps for col in zip(*m.rows)]
+    readable = all(x in (0, 1) for x in stored) and all(col.count(1) <= 1 for col in columns)
+    assert (_point_set(act) is not None) == readable
+
+
+def test_point_set_reader_refuses_all_but_0_1_permutation_data():
+    from pargal.paction import _point_set
+
+    z6 = example2(Z6)
+    assert _point_set(z6).certified
+    # an unreduced 7 over Z/6 is stored data, not the residue 1
+    assert _point_set(with_entry(z6, 1, maps=[[0, 0], [7, 0]])) is None
+    assert _point_set(with_entry(z6, 1, idem=(0, 7))) is None
+    # a column with two 1s sends a point to two points
+    assert _point_set(with_entry(z6, 0, maps=[[1, 0], [1, 1]])) is None
+    # a row with two 1s is two points sent to one: read, and not certified
+    merged = _point_set(with_entry(z6, 0, maps=[[1, 1], [0, 0]]))
+    assert merged.maps[0] == [0, 0] and not merged.certified
+    # a carrier on another basis has no point set
+    assert _point_set(rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]], 2))) is None
+    assert _point_set(frobenius_f4()) is None
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_sparse_columns_of_e_g_read_off_1_g_on_split_carriers(ring):
+    # any stored 1_g, idempotent or not, 0/1 or not: the diagonal read off
+    # the coordinates is the sparse form of the dense idem_matrix
+    from itertools import product
+
+    from pargal.paction import _read_sparse
+    from pargal.sparse import sparse_columns
+
+    act = example1(ring)
+    r = act.algebra.rank
+    for coords in product([0, 1, 2, 7, -1], repeat=r):
+        probe = with_entry(act, 1, idem=coords)
+        expected = [sparse_columns(probe.idem_matrix(g).rows, r) for g in probe.group.elements()]
+        assert _read_sparse(probe).idems == expected
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_sparse_galois_verify_matches_the_dense_sums(ring):
+    # the witness of each Galois corpus action, and corrupted copies: one y
+    # scaled by 2 or by 7 (unreduced), one pair dropped, one pair doubled
+    from pargal.algebra import Element
+
+    for act in standard_corpus(ring).values():
+        coords = galois_coordinates(act)
+        if coords is None:
+            continue
+        assert coords.verify() and dense_galois_verify(coords)
+        A = act.algebra
+        (x, y), rest = coords.pairs[0], coords.pairs[1:]
+        for pairs in (
+            [(x, A.element([2 * c for c in y.coords]))] + rest,
+            [(x, Element(A, tuple(7 * c for c in y.coords)))] + rest,
+            rest,
+            coords.pairs + coords.pairs[:1],
+        ):
+            probe = GaloisCoordinates(act, pairs)
+            assert probe.verify() == dense_galois_verify(probe)
