@@ -1353,6 +1353,46 @@ def test_point_set_reader_refuses_all_but_0_1_permutation_data():
     assert _point_set(frobenius_f4()) is None
 
 
+def points_action(ring, n, domains, maps):
+    """Z_n on R^r from its point data: ``domains[g]`` the 0/1 coordinates of
+    1_g and ``maps[g][i]`` the image of point i under a_g, or None."""
+    from pargal.algebra import Algebra
+
+    r = len(domains[0])
+    A = Algebra.split(ring, [f"x{i}" for i in range(r)])
+    mats = []
+    for m in maps:
+        rows = [[0] * r for _ in range(r)]
+        for i, j in enumerate(m):
+            if j is not None:
+                rows[j][i] = 1
+        mats.append(Matrix(ring, rows, r))
+    return PartialAction(make_cyclic(n), A, [A.element(d) for d in domains], mats)
+
+
+# a_1 = id and (P4) on points are the whole point-set certificate; one
+# action for each that passes the other and fails the column checks
+POINT_SET_FAILURES = [
+    # Z_1 on R^2 with a_1 sending both points to the first: (P4) holds
+    ("a_1 not id", 1, [(1, 1)], [(0, 0)], "(P2) S_1 = S and alpha_1 = id"),
+    # Z_3 on R^2, every D_g = X, a_g = a_g2 = the swap: a_g a_g != a_g2
+    ("P4 only", 3, [(1, 1)] * 3, [(0, 1), (1, 0), (1, 0)], "(P4) alpha_g alpha_h extends to alpha_gh"),
+]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+@pytest.mark.parametrize("n, domains, maps, name", [c[1:] for c in POINT_SET_FAILURES],
+                         ids=[c[0] for c in POINT_SET_FAILURES])
+def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, maps, name):
+    from pargal.paction import _point_set, _verify_on_columns
+
+    act = points_action(ring, n, domains, maps)
+    assert not _point_set(act).certified
+    report = report_of(verify_partial_action(act))
+    assert report == report_of(_verify_on_columns(act)) == report_of(reference_verify_partial_action(act))
+    assert [check for check, passed, _ in report if not passed][0] == name
+
+
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_sparse_columns_of_e_g_read_off_1_g_on_split_carriers(ring):
     # any stored 1_g, idempotent or not, 0/1 or not: the diagonal read off
