@@ -77,14 +77,16 @@ def test_corrupted_p4_fails_with_witness():
 
 def perturbed(act, maps=None, idems=None):
     """``act`` with the matrices (rows) and idempotents (coordinates) given
-    for some group elements replaced; nothing is checked."""
+    for some group elements replaced as stored: unreduced and unchecked."""
+    from pargal.algebra import Element
+
     ring = act.algebra.ring
     new_maps = list(act.maps)
     new_idems = list(act.idems)
     for g, rows in (maps or {}).items():
         new_maps[g] = Matrix(ring, rows, act.algebra.rank)
     for g, coords in (idems or {}).items():
-        new_idems[g] = act.algebra.element(coords)
+        new_idems[g] = Element(act.algebra, tuple(coords))
     return PartialAction(act.group, act.algebra, new_idems, new_maps)
 
 
@@ -1244,19 +1246,6 @@ def outcome(fn, *args):
         return ("AlgebraError", str(exc))
 
 
-def with_entry(act, g, maps=None, idem=None):
-    """``act`` with M_g (rows) or 1_g (coordinates) replaced as stored,
-    unreduced and unchecked."""
-    from pargal.algebra import Element
-
-    new_maps, new_idems = list(act.maps), list(act.idems)
-    if maps is not None:
-        new_maps[g] = Matrix(act.algebra.ring, maps, act.algebra.rank)
-    if idem is not None:
-        new_idems[g] = Element(act.algebra, tuple(idem))
-    return PartialAction(act.group, act.algebra, new_idems, new_maps)
-
-
 @st.composite
 def point_set_actions(draw):
     """0/1 actions of Z_1-Z_4 on R^r, r <= 4, over Q, F_2 and Z/6: a
@@ -1288,7 +1277,7 @@ def point_set_actions(draw):
     elif kind == "double":
         rows[i][j] = 1
         rows[(i + 1) % r][j] = 1
-    return with_entry(act, g, maps=rows, idem=coords)
+    return perturbed(act, maps={g: rows}, idems={g: coords})
 
 
 def subalgebra_of(sub):
@@ -1341,12 +1330,12 @@ def test_point_set_reader_refuses_all_but_0_1_permutation_data():
     z6 = example2(Z6)
     assert _point_set(z6).certified
     # an unreduced 7 over Z/6 is stored data, not the residue 1
-    assert _point_set(with_entry(z6, 1, maps=[[0, 0], [7, 0]])) is None
-    assert _point_set(with_entry(z6, 1, idem=(0, 7))) is None
+    assert _point_set(perturbed(z6, maps={1: [[0, 0], [7, 0]]})) is None
+    assert _point_set(perturbed(z6, idems={1: (0, 7)})) is None
     # a column with two 1s sends a point to two points
-    assert _point_set(with_entry(z6, 0, maps=[[1, 0], [1, 1]])) is None
+    assert _point_set(perturbed(z6, maps={0: [[1, 0], [1, 1]]})) is None
     # a row with two 1s is two points sent to one: read, and not certified
-    merged = _point_set(with_entry(z6, 0, maps=[[1, 1], [0, 0]]))
+    merged = _point_set(perturbed(z6, maps={0: [[1, 1], [0, 0]]}))
     assert merged.maps[0] == [0, 0] and not merged.certified
     # a carrier on another basis has no point set
     assert _point_set(rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]], 2))) is None
@@ -1405,7 +1394,7 @@ def test_sparse_columns_of_e_g_read_off_1_g_on_split_carriers(ring):
     act = example1(ring)
     r = act.algebra.rank
     for coords in product([0, 1, 2, 7, -1], repeat=r):
-        probe = with_entry(act, 1, idem=coords)
+        probe = perturbed(act, idems={1: coords})
         expected = [sparse_columns(probe.idem_matrix(g).rows, r) for g in probe.group.elements()]
         assert _read_sparse(probe).idems == expected
 
