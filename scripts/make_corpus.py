@@ -33,6 +33,9 @@ GOLDEN_COMMANDS = {
     "corrupted-p4.verify": ["verify", "corpus/corrupted-p4.json"],
     "ex1.quotient-g2": ["quotient", "corpus/ex1.json", "--subgroup", "g2"],
     "ex1.invariants-g2": ["invariants", "corpus/ex1.json", "--subgroup", "g2"],
+    "ex1.psi-g2": ["psi", "corpus/ex1.json", "--subgroup", "g2"],
+    "ex1.globalize": ["globalize", "corpus/ex1.json"],
+    "s3-regular.globalize": ["globalize", "corpus/s3-regular.json"],
     "ex2.galois": ["galois", "corpus/ex2.json"],
     "ex2-star-times-ex2.product": ["product", "corpus/ex2-star.json", "corpus/ex2.json"],
     "trivial-vs-swap.iso": ["iso", "corpus/trivial-Z2.json", "corpus/global-Z2-swap.json"],

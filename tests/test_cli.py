@@ -146,7 +146,7 @@ def test_golden_reports_are_reproduced(name, capsys):
         golden = fh.read()
     doc = json.loads(golden)
     argv = [doc["command"], *doc["args"], "--json"]
-    if doc["command"] == "quotient" or doc["command"] == "invariants":
+    if doc["command"] in ("quotient", "invariants", "psi"):
         # the recorded args omit flags; recover them from the golden name
         if name.endswith("-g2.json"):
             argv += ["--subgroup", "g2"]
