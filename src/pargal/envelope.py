@@ -6,6 +6,14 @@ the span of the translates of the embedded copy.  The model is irrelevant to
 callers; what is certified is (G1)-(G4) plus the identities 1_g =
 beta_g(1_S) 1_S.  Pulling an element of T down to S is reading its slot at
 the group identity, since t * iota(1_S) = iota(t(1)).
+
+On a standard carrier whose partial G-set X passes the point-set
+certificate, the translates are the indicators of the classes of the
+enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), so T, beta and the
+embedding are read off the classes without a row reduction, and the
+certificate checks each condition on the classes.  Every other action
+takes the span of translates and the matrix checks; so does data that fails
+the checks on classes, so every report and witness is the matrix one.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .algebra import (
     subalgebra_from_constraints,
 )
 from .groups import Subgroup
-from .paction import ActionReport, IsoResult, PartialAction, _match_iso, global_action
+from .paction import ActionReport, IsoResult, PartialAction, _match_iso, _point_set, global_action
 
 
 @dataclass
@@ -68,18 +76,95 @@ def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
 
     ``slot_order`` permutes the internal presentation only (used to exercise
     uniqueness up to global isomorphism); the certificates are independent
-    of it.
+    of it.  A standard carrier whose partial G-set passes the point-set
+    certificate (:func:`~pargal.paction._point_set`) is globalized on its
+    enveloping set (:func:`_globalize_points`); any other action goes
+    through the span of translates in S^G (:func:`_globalize_matrices`).
+    Both build the same data.
     """
     G = act.group
-    S = act.algebra
-    ring = S.ring
-    n = S.rank
     if slot_order is None:
         slot_order = tuple(G.elements())
     else:
         slot_order = tuple(slot_order)
         if sorted(slot_order) != list(G.elements()):
             raise AlgebraError("slot_order must permute the group elements")
+    points = _point_set(act)
+    if points is not None and points.certified:
+        gd = _globalize_points(act, points.maps, slot_order)
+    else:
+        gd = _globalize_matrices(act, slot_order)
+    rep = certify_globalization(gd)
+    if not rep.passed:
+        raise AssertionError(
+            "globalization certificate failed (bug trap): "
+            + "; ".join(f"{c.name}: {c.witness}" for c in rep.failures())
+        )
+    return gd
+
+
+def _globalize_points(act: PartialAction, maps, slot_order) -> GlobalizationData:
+    """The globalization of a partial G-set X (point maps ``maps``, see
+    :func:`~pargal.paction._point_set`) as the enveloping set G x X / ~.
+
+    Point (g, y) of G x X is basis vector y of slot g of S^G.  The vector
+    beta_h iota(e_x) has the support {(k h^-1, a_k(x)) : x in D_(k^-1)},
+    and since a_g a_h is contained in a_gh, any two such supports are equal
+    or disjoint.  They partition G x X; the class of (g, y) is
+    {(kg, a_k(y)) : y in D_(k^-1)}.  The class indicators, in the order of
+    their least points, are the rows of the canonical row form that
+    :func:`_globalize_matrices` computes, so T is split on their labels,
+    beta_h permutes the classes, sending the class of (g, y) to the class
+    of (gh^-1, y), and e_x embeds as the class of (1, x).
+    """
+    G = act.group
+    S = act.algebra
+    ring = S.ring
+    n = S.rank
+    slot_of = {g: s for s, g in enumerate(slot_order)}
+    point_labels = [f"{G.labels[g]}:{lab}" for g in slot_order for lab in S.labels]
+    # cls[s n + y] is the class of (slot_order[s], y); least[j] the least
+    # point of class j
+    cls, least, labels = [None] * (len(slot_order) * n), [], []
+    for s, g in enumerate(slot_order):
+        for y in range(n):
+            if cls[s * n + y] is None:
+                members = sorted(slot_of[G.mul(k, g)] * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
+                for p in members:
+                    cls[p] = len(least)
+                least.append(s * n + y)
+                labels.append(" + ".join(point_labels[p] for p in members))
+    T = Algebra.split(ring, labels)
+    k = T.rank
+
+    def permutation(image):
+        rows = [[0] * k for _ in range(k)]
+        for j, i in enumerate(image):
+            rows[i][j] = 1
+        return Matrix(ring, rows, k)
+
+    beta = []
+    for h in G.elements():
+        hi = G.inv(h)
+        beta.append(permutation([cls[slot_of[G.mul(slot_order[p // n], hi)] * n + p % n] for p in least]))
+    home = [cls[slot_of[G.identity] * n + x] for x in range(n)]
+    embed = [[0] * n for _ in range(k)]
+    down = [[0] * k for _ in range(n)]
+    one_s = [0] * k
+    for x, j in enumerate(home):
+        embed[j][x] = down[x][j] = one_s[j] = 1
+    return GlobalizationData(
+        act, T, beta, AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)
+    )
+
+
+def _globalize_matrices(act: PartialAction, slot_order) -> GlobalizationData:
+    """The globalization of any unital partial action, as the span of the
+    translates of iota(S) inside S^G."""
+    G = act.group
+    S = act.algebra
+    ring = S.ring
+    n = S.rank
     F = _function_algebra(act, slot_order)
     slot_of = {g: i for i, g in enumerate(slot_order)}
 
@@ -138,20 +223,127 @@ def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
     one_s = Element(T, to_t(iota.matvec(list(S.unit))))
     slot = slot_order.index(G.identity)
     down = Matrix(ring, [[t_rows.rows[j][slot * n + i] for j in range(k)] for i in range(n)], k)
+    return GlobalizationData(act, T, beta_t, embed, one_s, down)
 
-    gd = GlobalizationData(act, T, beta_t, embed, one_s, down)
-    rep = certify_globalization(gd)
-    if not rep.passed:
-        raise AssertionError(
-            "globalization certificate failed (bug trap): "
-            + "; ".join(f"{c.name}: {c.witness}" for c in rep.failures())
-        )
-    return gd
+
+# the checks of certify_globalization, in the order it reports them
+_AUTOMORPHISMS = "beta_g are algebra automorphisms"
+_GROUP_ACTION = "beta is a group action"
+_G1 = "(G1) iota(S) is an ideal of T"
+_G2 = "(G2) iota(S_g) = iota(S) /\\ beta_g(iota(S))"
+_G3 = "(G3) beta_g extends alpha_g on S_(g^-1)"
+_G4 = "(G4) T = sum_g beta_g(iota(S))"
+_UNITS = "1_g = beta_g(1_S) 1_S"
+_PULL_DOWN = "pull-down splits the embedding"
 
 
 def certify_globalization(gd: GlobalizationData) -> ActionReport:
     """Check that beta is a global action satisfying (G1)-(G4) and Eq-style
-    compatibility 1_g = beta_g(1_S) 1_S."""
+    compatibility 1_g = beta_g(1_S) 1_S.
+
+    Data that :func:`_certified_on_points` reads as a partial G-set and its
+    enveloping set passes every check.  Any other data, and data that fails
+    there, runs the checks on matrices (:func:`_certify_on_matrices`), which
+    name the witness of each failure.
+    """
+    if _certified_on_points(gd):
+        rep = ActionReport()
+        for name in (_AUTOMORPHISMS, _GROUP_ACTION, _G1, _G2, _G3, _G4, _UNITS, _PULL_DOWN):
+            rep.add(name, True)
+        return rep
+    return _certify_on_matrices(gd)
+
+
+def _certified_on_points(gd: GlobalizationData) -> bool:
+    """Whether ``gd`` reads as the enveloping set of a partial G-set and
+    passes every check of :func:`_certify_on_matrices` there, in
+    O(|G|^2 k) after reading the matrices.
+
+    It reads ``gd`` when the action has a certified point set X
+    (:func:`~pargal.paction._point_set`), T is split on its labels, each
+    beta_g is a k x k permutation matrix pi_g, the embedding is k x n with
+    a single 1 in each column, at class c(x), and c is injective, 1_S is
+    0/1 with support O, and ``down`` is n x k.  Write C = c(X).  Then each
+    matrix check is the statement on classes that this function tests:
+
+    - A permutation matrix is a unital automorphism of a split algebra.
+    - beta_1 = id and beta_g beta_h = beta_gh compare the products of
+      permutation matrices entry by entry: pi_1 = id, pi_g pi_h = pi_gh.
+    - (G1) passes: T e_c(x) is spanned by e_c(x).
+    - (G2): the ideal S_g has the basis e_x, x in D_g, and a span of unit
+      vectors is read off its support, so (G2) is c(D_g) = C /\\ pi_g(C).
+    - (G3): column x of beta_g iota E_(g^-1) is e_(pi_g(c(x))) for x in
+      D_(g^-1) and 0 off it; column x of iota M_g is e_(c(a_g(x))) where
+      a_g(x) is defined and 0 elsewhere.  So (G3) holds when a_g is
+      defined exactly on D_(g^-1) and pi_g(c(x)) = c(a_g(x)) there.
+    - (G4): the translates span T when the pi_g(C) cover the k classes.
+    - 1_g: beta_g(1_S) 1_S is the indicator of pi_g(O) /\\ O and iota(1_g)
+      that of c(D_g).
+    - The pull-down: entry (i, x) of ``down`` iota is down[i][c(x)], which
+      must be 1 when i = x and 0 otherwise.
+
+    So passing here implies that every matrix check passes.  A failure
+    here proves nothing; the caller then runs the matrix checks.
+    """
+    act = gd.action
+    points = _point_set(act)
+    T = gd.algebra
+    G = act.group
+    n, k = act.algebra.rank, T.rank
+    if points is None or not points.certified or len(gd.beta) != G.order or T != Algebra.split(T.ring, T.labels):
+        return False
+    pis = [_permutation(m, k) for m in gd.beta]
+    emb = gd.embed.matrix
+    if None in pis or emb.nrows != k or emb.ncols != n or gd.down.nrows != n or gd.down.ncols != k:
+        return False
+    c = [None] * n
+    for j, row in enumerate(emb.rows):
+        if row.count(0) + row.count(1) != n:
+            return False
+        for x, v in enumerate(row):
+            if v == 1:
+                c[x] = j if c[x] is None else -1
+    one = gd.one_s.coords
+    if None in c or -1 in c or len(set(c)) != n or len(one) != k or one.count(0) + one.count(1) != k:
+        return False
+    C = set(c)
+    O = {j for j, v in enumerate(one) if v == 1}
+    if any(j != i for i, j in enumerate(pis[G.identity])):
+        return False
+    for g in G.elements():
+        pi, a = pis[g], points.maps[g]
+        if any(pi[pis[h][j]] != pis[G.mul(g, h)][j] for h in G.elements() for j in range(k)):
+            return False
+        in_g = {c[x] for x in range(n) if points.domains[g][x]}
+        if in_g != C & {pi[j] for j in C} or in_g != O & {pi[j] for j in O}:
+            return False
+        source = points.domains[G.inv(g)]
+        if any((y is None) == source[x] or y is not None and pi[c[x]] != c[y] for x, y in enumerate(a)):
+            return False
+    if {pi[j] for pi in pis for j in C} != set(range(k)):
+        return False
+    return all(gd.down.rows[i][c[x]] == (1 if i == x else 0) for i in range(n) for x in range(n))
+
+
+def _permutation(m: Matrix, k: int):
+    """pi with m e_j = e_(pi(j)) when ``m`` is a k x k permutation matrix,
+    else None."""
+    if m.nrows != k or m.ncols != k:
+        return None
+    image = [None] * k
+    for i, row in enumerate(m.rows):
+        if row.count(0) != k - 1 or row.count(1) != 1:
+            return None
+        j = row.index(1)
+        if image[j] is not None:
+            return None
+        image[j] = i
+    return image
+
+
+def _certify_on_matrices(gd: GlobalizationData) -> ActionReport:
+    """The checks of :func:`certify_globalization` on the matrices of
+    ``gd``."""
     act = gd.action
     G = act.group
     T = gd.algebra
@@ -165,7 +357,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
         if fail is not None or not mor.is_unital() or not mor.is_bijective():
             ok, witness = False, f"beta_{G.labels[g]} is not an automorphism"
             break
-    rep.add("beta_g are algebra automorphisms", ok, witness)
+    rep.add(_AUTOMORPHISMS, ok, witness)
 
     ok = gd.beta[G.identity].is_identity()
     witness = None
@@ -179,7 +371,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
                 break
     else:
         witness = "beta_1 != id"
-    rep.add("beta is a group action", ok, witness)
+    rep.add(_GROUP_ACTION, ok, witness)
 
     emb = gd.embed.matrix
     iota_cols = emb.transpose().rows  # iota(s_i) for the basis s_i of S
@@ -193,7 +385,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
                 break
         if not ok:
             break
-    rep.add("(G1) iota(S) is an ideal of T", ok, witness)
+    rep.add(_G1, ok, witness)
 
     ok, witness = True, None
     for g in G.elements():
@@ -204,7 +396,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
         if not modules_equal(lhs, rhs):
             ok, witness = False, f"g={G.labels[g]}"
             break
-    rep.add("(G2) iota(S_g) = iota(S) /\\ beta_g(iota(S))", ok, witness)
+    rep.add(_G2, ok, witness)
 
     ok, witness = True, None
     for g in G.elements():
@@ -214,11 +406,11 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
         if lhs != rhs:
             ok, witness = False, f"g={G.labels[g]}"
             break
-    rep.add("(G3) beta_g extends alpha_g on S_(g^-1)", ok, witness)
+    rep.add(_G3, ok, witness)
 
     span = [gd.beta[g].matvec(col) for g in G.elements() for col in iota_cols]
     ok = modules_equal(Matrix.from_rows(ring, span, T.rank), Matrix.identity(ring, T.rank))
-    rep.add("(G4) T = sum_g beta_g(iota(S))", ok, None if ok else "span of translates is a proper submodule")
+    rep.add(_G4, ok, None if ok else "span of translates is a proper submodule")
 
     ok, witness = True, None
     for g in G.elements():
@@ -227,13 +419,13 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
         if lhs != rhs:
             ok, witness = False, f"g={G.labels[g]}"
             break
-    rep.add("1_g = beta_g(1_S) 1_S", ok, witness)
+    rep.add(_UNITS, ok, witness)
 
     # restricting the globalization reproduces the action matrix-for-matrix:
     # beta_g on iota(S_{g^-1}) equals iota alpha_g, already (G3); idempotents
     # are recovered by the previous check; the down map splits the embedding.
     ok = gd.down.mul(emb).is_identity()
-    rep.add("pull-down splits the embedding", ok, None if ok else "down o iota != id")
+    rep.add(_PULL_DOWN, ok, None if ok else "down o iota != id")
     return rep
 
 

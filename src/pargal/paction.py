@@ -36,7 +36,7 @@ from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points", "_codes")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -57,6 +57,7 @@ class PartialAction:
         self._split = None
         self._sparse = None
         self._points = None
+        self._codes = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -424,15 +425,33 @@ class GaloisCoordinates:
 
     def verify(self) -> bool:
         """Whether sum_i x_i alpha_g(y_i 1_{g^-1}) = delta_{1,g} 1_S for
-        every g, summed on sparse columns (:func:`_read_sparse`)."""
+        every g.  On a certified point set (:func:`_point_set`) coordinate k
+        of x alpha_g(y 1_{g^-1}) is x_k y_(a_g^-1(k)), summed through the
+        point maps; any other action is summed on sparse columns
+        (:func:`_read_sparse`)."""
         act = self.action
-        n, table, maps, _ = act._sparse or _read_sparse(act)
+        ring = act.algebra.ring
+        n = ring.n if isinstance(ring, Modular) else None
         pairs = [(sparse_vector(x.coords), sparse_vector(y.coords)) for x, y in self.pairs]
         one = reduced(sparse_vector(act.algebra.unit), n)
+        points = _point_set(act)
+        if points is not None and points.certified:
+            sources = [{j: i for i, j in enumerate(a) if j is not None} for a in points.maps]
+
+            def product(g, x, y):
+                source = sources[g]
+                return ((k, v * y[source[k]]) for k, v in x.items() if source.get(k) in y)
+
+        else:
+            _, table, maps, _ = act._sparse or _read_sparse(act)
+
+            def product(g, x, y):
+                return sparse_mul(table, x, combine(maps[g], y, n), n).items()
+
         for g in act.group.elements():
             acc = {}
             for x, y in pairs:
-                for k, v in sparse_mul(table, x, combine(maps[g], y, n), n).items():
+                for k, v in product(g, x, y):
                     acc[k] = acc.get(k, 0) + v
             if reduced(acc, n) != (one if g == act.group.identity else {}):
                 return False
@@ -628,12 +647,17 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     r = a.algebra.rank
     ring = a.algebra.ring
     units = _base_ring_units(ring)
+    if marked is None:
+        gsets_a, gsets_b = sa.gsets, sb.gsets
+        codes_a, codes_b = _point_codes(a), _point_codes(b)
+    else:
+        gsets_a = [maps + [_colour(ring, u, sa, marked[0])] for u, maps in zip(units, sa.gsets)]
+        gsets_b = [maps + [_colour(ring, u, sb, marked[1])] for u, maps in zip(units, sb.gsets)]
+        codes_a = [_codes_from_each_point(maps) for maps in gsets_a]
+        codes_b = [_codes_from_each_point(maps) for maps in gsets_b]
     sigmas = []
-    for u, maps_a, maps_b in zip(units, sa.gsets, sb.gsets):
-        if marked is not None:
-            maps_a = maps_a + [_colour(ring, u, sa, marked[0])]
-            maps_b = maps_b + [_colour(ring, u, sb, marked[1])]
-        sigma = _match_components(maps_a, maps_b)
+    for maps_a, maps_b, ca, cb in zip(gsets_a, gsets_b, codes_a, codes_b):
+        sigma = _match_components(maps_a, maps_b, ca, cb)
         if sigma is None:
             return IsoResult("none")
         sigmas.append(sigma)
@@ -657,12 +681,14 @@ def _colour(ring, u, data, e):
     return [i if ring.mul(u, x) == u else None for i, x in enumerate(coeffs)]
 
 
-def _match_components(maps_a, maps_b):
+def _match_components(maps_a, maps_b, codes_a, codes_b):
     """The lexicographically first bijection sigma of the points with
     sigma(f_a(i)) = f_b(sigma(i)) for each pair of maps (both None off the
     domains), or None when there is none.  For the maps of
     :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
-    also carries D_g onto D'_g.
+    also carries D_g onto D'_g.  ``codes_a`` and ``codes_b`` hold the code
+    of the component of each point read from it
+    (:func:`_codes_from_each_point`).
 
     The image of one point fixes sigma on its component, and components with
     equal codes are interchangeable.  So sending the least unmapped point of a
@@ -670,17 +696,13 @@ def _match_components(maps_a, maps_b):
     same code always extends to a full isomorphism when one exists.
     """
     r = len(maps_a[0])
-    targets = [_breadth_first(maps_b, k) for k in range(r)]
-    codes = [_component_code(maps_b, order) for order in targets]
     sigma, used = [None] * r, [False] * r
     for i in range(r):
         if sigma[i] is None:
-            order = _breadth_first(maps_a, i)
-            code = _component_code(maps_a, order)
-            k = next((k for k in range(r) if not used[k] and codes[k] == code), None)
+            k = next((k for k in range(r) if not used[k] and codes_b[k] == codes_a[i]), None)
             if k is None:
                 return None
-            for x, y in zip(order, targets[k]):
+            for x, y in zip(_breadth_first(maps_a, i), _breadth_first(maps_b, k)):
                 sigma[x], used[y] = y, True
     return sigma
 
@@ -753,19 +775,44 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(maps) for maps in data.gsets)
+    return tuple(_gset_code(maps, codes) for maps, codes in zip(data.gsets, _point_codes(act)))
 
 
-def _gset_code(maps):
+def _gset_code(maps, codes):
     """Canonical form of a partial G-set given as one partial map per g
-    (maps[g][i] = j, or None off the domain): the sorted component codes."""
-    codes, seen = [], set()
+    (maps[g][i] = j, or None off the domain), for the codes of
+    :func:`_codes_from_each_point`: the sorted component codes, each the
+    least code read from a point of the component."""
+    out, seen = [], set()
     for x in range(len(maps[0])):
         if x not in seen:
             component = _breadth_first(maps, x)
             seen.update(component)
-            codes.append(min(_component_code(maps, _breadth_first(maps, root)) for root in component))
-    return tuple(sorted(codes))
+            out.append(min(codes[root] for root in component))
+    return tuple(sorted(out))
+
+
+def _point_codes(act: PartialAction):
+    """:func:`_codes_from_each_point` for the partial G-set of each CRT unit
+    of the split data of ``act`` (:func:`_split_data`, not None); computed
+    once per action and kept on it.  Units that share their maps share the
+    codes."""
+    if act._codes is None:
+        done = {}
+        for maps in _split_data(act).gsets:
+            if id(maps) not in done:
+                done[id(maps)] = _codes_from_each_point(maps)
+        act._codes = [done[id(maps)] for maps in _split_data(act).gsets]
+    return act._codes
+
+
+def _codes_from_each_point(maps):
+    """The code of the component of each point, read from it
+    (:func:`_component_code` of its :func:`_breadth_first` order); equal
+    codes are one object."""
+    interned = {}
+    codes = (_component_code(maps, _breadth_first(maps, x)) for x in range(len(maps[0])))
+    return [interned.setdefault(code, code) for code in codes]
 
 
 def _breadth_first(maps, root):

@@ -1,6 +1,10 @@
 """Globalization certificates and the psi_H property suite."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
 from pargal.algebra import Element
@@ -15,7 +19,10 @@ from pargal.envelope import (
     subgroup_idempotents,
 )
 from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
+from pargal.harrison import harrison_product
 from pargal.paction import global_action, inverse_action, invariants, restrict
+from test_harrison import subset_class
+from test_paction import crt_glue, rebased, relabel, report_of
 
 
 def down_element(gd, t):
@@ -178,3 +185,119 @@ def test_global_iso_check_matches_the_reference_enumeration(ring):
 def test_globalize_over_f2():
     gd = globalize(example1(Modular(2)))
     assert certify_globalization(gd).passed
+
+
+# The point route builds the enveloping set G x X / ~ of a standard carrier;
+# the matrix route, the span of translates in S^G, is its oracle.
+
+
+def routes_of(act, slot_order):
+    from pargal.envelope import _globalize_matrices, _globalize_points
+    from pargal.paction import _point_set
+
+    def fields(gd):
+        return gd.algebra, gd.beta, gd.embed.source, gd.embed.target, gd.embed.matrix, gd.one_s, gd.down
+
+    points = _point_set(act)
+    assert points is not None and points.certified
+    return fields(_globalize_points(act, points.maps, slot_order)), fields(_globalize_matrices(act, slot_order))
+
+
+@st.composite
+def subset_classes_and_products(draw):
+    """A partial Z_n-class (n <= 5) over Q, F_2 or Z/6 from a nonempty subset,
+    possibly starred, possibly multiplied by a second one, on a permuted
+    basis, with a drawn slot order."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
+    n = draw(st.integers(1, 5))
+
+    def draw_class():
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        c = subset_class(n, points, ring)
+        return c.star() if draw(st.booleans()) else c
+
+    c = draw_class()
+    if draw(st.booleans()):
+        c = harrison_product(c, draw_class())
+    act = relabel(c.action, draw(st.permutations(range(c.action.algebra.rank))))
+    return act, draw(st.permutations(list(act.group.elements())))
+
+
+def mutations(gd):
+    """Copies of ``gd`` with two beta columns swapped, beta_1 replaced, an
+    embed entry zeroed and a down entry flipped, each with whether it must
+    fail the certificate."""
+    G, k = gd.group, gd.algebra.rank
+
+    def edited(m, edit):
+        rows = [list(row) for row in m.rows]
+        edit(rows)
+        return Matrix(m.ring, rows, m.ncols)
+
+    def swap(rows):
+        for row in rows:
+            row[0], row[-1] = row[-1], row[0]
+
+    def zero(rows):
+        rows[next(j for j, row in enumerate(rows) if row[0] == 1)][0] = 0
+
+    def flip(rows):
+        rows[0][rows[0].index(1)] = 0
+
+    g = G.order - 1
+    if k > 1:
+        yield False, replace(gd, beta=[edited(m, swap) if h == g else m for h, m in enumerate(gd.beta)])
+    one = G.identity
+    other = edited(gd.beta[one], swap) if k > 1 else gd.beta[g]
+    yield other != gd.beta[one], replace(gd, beta=[other if h == one else m for h, m in enumerate(gd.beta)])
+    yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, zero)))
+    yield True, replace(gd, down=edited(gd.down, flip))
+
+
+@given(subset_classes_and_products())
+@settings(max_examples=60, deadline=None)
+def test_point_route_matches_the_matrix_route(drawn):
+    from pargal.envelope import _certified_on_points, _certify_on_matrices
+
+    act, slot_order = drawn
+    points, matrices = routes_of(act, slot_order)
+    assert points == matrices
+    gd = globalize(act, slot_order)
+    assert _certified_on_points(gd)
+    assert report_of(certify_globalization(gd)) == report_of(_certify_on_matrices(gd))
+    for must_fail, bad in mutations(gd):
+        report = report_of(_certify_on_matrices(bad))
+        assert report_of(certify_globalization(bad)) == report
+        assert not must_fail or not all(passed for _, passed, _ in report)
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """The routes that globalize takes, by name."""
+    import pargal.envelope as envelope
+
+    calls = []
+    for name in ("_globalize_points", "_globalize_matrices"):
+        build = getattr(envelope, name)
+        monkeypatch.setattr(envelope, name, lambda *args, name=name, build=build: calls.append(name) or build(*args))
+    return calls
+
+
+def test_standard_carriers_take_the_point_route(route_calls):
+    for act in standard_corpus(Modular(6)).values():
+        globalize(act)
+    assert set(route_calls) == {"_globalize_points"}
+
+
+def test_non_standard_carriers_take_the_matrix_route(route_calls):
+    from pargal.envelope import _certified_on_points
+
+    # the swap on the Z/2 component and the identity on the Z/3 component
+    swap = standard_corpus(Modular(6))["global-Z2-swap"]
+    glued = crt_glue(swap, global_action(swap.group, swap.algebra, [Matrix.identity(Modular(6), 2)] * 2))
+    base = Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3)
+    for act in (rebased(example1(), base), glued):
+        gd = globalize(act)
+        assert not _certified_on_points(gd)
+        assert certify_globalization(gd).passed
+    assert route_calls == ["_globalize_matrices"] * 2

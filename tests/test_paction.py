@@ -1420,3 +1420,44 @@ def test_sparse_galois_verify_matches_the_dense_sums(ring):
         ):
             probe = GaloisCoordinates(act, pairs)
             assert probe.verify() == dense_galois_verify(probe)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_galois_verify_sums_through_the_point_maps(ring, monkeypatch):
+    # the corpus actions are certified point sets: verify reads no sparse
+    # columns and still rejects a pair whose y is moved to another point,
+    # or scaled by 7 unreduced
+    import pargal.paction as paction
+    from pargal.algebra import Element
+
+    def unread(act):
+        raise AssertionError("sparse columns read")
+
+    monkeypatch.setattr(paction, "_read_sparse", unread)
+    for act in standard_corpus(ring).values():
+        coords = galois_coordinates(act)
+        if coords is None:
+            continue
+        assert coords.verify()
+        A = act.algebra
+        (x, y), rest = coords.pairs[0], coords.pairs[1:]
+        moved = [(x, A.basis_element(1 % A.rank))] + rest
+        scaled = [(x, Element(A, tuple(7 * c for c in y.coords)))] + rest
+        for pairs in (moved, scaled):
+            probe = GaloisCoordinates(act, pairs)
+            assert probe.verify() == dense_galois_verify(probe)
+        assert not GaloisCoordinates(act, moved).verify() or A.rank == 1
+
+
+def test_iso_check_reuses_the_codes_of_canonical_key(monkeypatch):
+    import pargal.paction as paction
+
+    a = standard_corpus()["ex2"]
+    b = relabel(a, list(reversed(range(a.algebra.rank))))
+    assert canonical_key(a) == canonical_key(b)
+    calls = []
+    code = paction._component_code
+    monkeypatch.setattr(paction, "_component_code", lambda *args: calls.append(args) or code(*args))
+    assert iso_check(a, b).status == "iso"
+    assert iso_check(b, a).status == "iso"
+    assert not calls
