@@ -36,7 +36,7 @@ from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points", "_codes")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points", "_components")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -57,7 +57,7 @@ class PartialAction:
         self._split = None
         self._sparse = None
         self._points = None
-        self._codes = None
+        self._components = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -649,15 +649,15 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     units = _base_ring_units(ring)
     if marked is None:
         gsets_a, gsets_b = sa.gsets, sb.gsets
-        codes_a, codes_b = _point_codes(a), _point_codes(b)
+        kept_a, kept_b = _kept_components(a), _kept_components(b)
     else:
         gsets_a = [maps + [_colour(ring, u, sa, marked[0])] for u, maps in zip(units, sa.gsets)]
         gsets_b = [maps + [_colour(ring, u, sb, marked[1])] for u, maps in zip(units, sb.gsets)]
-        codes_a = [_codes_from_each_point(maps) for maps in gsets_a]
-        codes_b = [_codes_from_each_point(maps) for maps in gsets_b]
+        kept_a = [[None] * r for _ in gsets_a]
+        kept_b = [[None] * r for _ in gsets_b]
     sigmas = []
-    for maps_a, maps_b, ca, cb in zip(gsets_a, gsets_b, codes_a, codes_b):
-        sigma = _match_components(maps_a, maps_b, ca, cb)
+    for maps_a, maps_b, ka, kb in zip(gsets_a, gsets_b, kept_a, kept_b):
+        sigma = _match_components(maps_a, maps_b, ka, kb)
         if sigma is None:
             return IsoResult("none")
         sigmas.append(sigma)
@@ -681,14 +681,13 @@ def _colour(ring, u, data, e):
     return [i if ring.mul(u, x) == u else None for i, x in enumerate(coeffs)]
 
 
-def _match_components(maps_a, maps_b, codes_a, codes_b):
+def _match_components(maps_a, maps_b, kept_a, kept_b):
     """The lexicographically first bijection sigma of the points with
     sigma(f_a(i)) = f_b(sigma(i)) for each pair of maps (both None off the
     domains), or None when there is none.  For the maps of
     :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
-    also carries D_g onto D'_g.  ``codes_a`` and ``codes_b`` hold the code
-    of the component of each point read from it
-    (:func:`_codes_from_each_point`).
+    also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the
+    component of each point read from it (:func:`_component_from`).
 
     The image of one point fixes sigma on its component, and components with
     equal codes are interchangeable.  So sending the least unmapped point of a
@@ -699,10 +698,11 @@ def _match_components(maps_a, maps_b, codes_a, codes_b):
     sigma, used = [None] * r, [False] * r
     for i in range(r):
         if sigma[i] is None:
-            k = next((k for k in range(r) if not used[k] and codes_b[k] == codes_a[i]), None)
+            order, code = _component_from(maps_a, kept_a, i)
+            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k)[1] == code), None)
             if k is None:
                 return None
-            for x, y in zip(_breadth_first(maps_a, i), _breadth_first(maps_b, k)):
+            for x, y in zip(order, kept_b[k][0]):
                 sigma[x], used[y] = y, True
     return sigma
 
@@ -775,44 +775,44 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(maps, codes) for maps, codes in zip(data.gsets, _point_codes(act)))
+    return tuple(_gset_code(maps, kept) for maps, kept in zip(data.gsets, _kept_components(act)))
 
 
-def _gset_code(maps, codes):
+def _gset_code(maps, kept):
     """Canonical form of a partial G-set given as one partial map per g
-    (maps[g][i] = j, or None off the domain), for the codes of
-    :func:`_codes_from_each_point`: the sorted component codes, each the
-    least code read from a point of the component."""
-    out, seen = [], set()
+    (maps[g][i] = j, or None off the domain), with the components kept in
+    ``kept`` (:func:`_component_from`): the sorted component codes, each
+    the least code read from a point of the component."""
+    codes, seen = [], set()
     for x in range(len(maps[0])):
         if x not in seen:
-            component = _breadth_first(maps, x)
+            component = _component_from(maps, kept, x)[0]
             seen.update(component)
-            out.append(min(codes[root] for root in component))
-    return tuple(sorted(out))
+            codes.append(min(_component_from(maps, kept, root)[1] for root in component))
+    return tuple(sorted(codes))
 
 
-def _point_codes(act: PartialAction):
-    """:func:`_codes_from_each_point` for the partial G-set of each CRT unit
-    of the split data of ``act`` (:func:`_split_data`, not None); computed
-    once per action and kept on it.  Units that share their maps share the
-    codes."""
-    if act._codes is None:
-        done = {}
-        for maps in _split_data(act).gsets:
-            if id(maps) not in done:
-                done[id(maps)] = _codes_from_each_point(maps)
-        act._codes = [done[id(maps)] for maps in _split_data(act).gsets]
-    return act._codes
+def _kept_components(act: PartialAction):
+    """For the partial G-set of each CRT unit of the split data of ``act``
+    (:func:`_split_data`, not None), the list that keeps the component of
+    each point read from it (:func:`_component_from`), kept on the action
+    so that ``canonical_key`` and ``iso_check`` read each one once.  Units
+    that share their maps share the list."""
+    if act._components is None:
+        gsets = _split_data(act).gsets
+        lists = {id(maps): [None] * len(maps[0]) for maps in gsets}
+        act._components = [lists[id(maps)] for maps in gsets]
+    return act._components
 
 
-def _codes_from_each_point(maps):
-    """The code of the component of each point, read from it
-    (:func:`_component_code` of its :func:`_breadth_first` order); equal
-    codes are one object."""
-    interned = {}
-    codes = (_component_code(maps, _breadth_first(maps, x)) for x in range(len(maps[0])))
-    return [interned.setdefault(code, code) for code in codes]
+def _component_from(maps, kept, x):
+    """The component of point x in breadth-first order from x
+    (:func:`_breadth_first`) and its code (:func:`_component_code`),
+    computed once and kept in ``kept[x]``."""
+    if kept[x] is None:
+        order = _breadth_first(maps, x)
+        kept[x] = (order, _component_code(maps, order))
+    return kept[x]
 
 
 def _breadth_first(maps, root):
