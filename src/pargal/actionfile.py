@@ -70,11 +70,29 @@ def _scalars(ring, values, where: str, length: int) -> list:
     return [_scalar(ring, v, where) for v in _list(values, where, length)]
 
 
-def _load_group(spec, where: str) -> FiniteGroup:
+def _capped(labels: list, cap: int = 10) -> str:
+    """A label list for a message, cut after ``cap`` entries."""
+    more = len(labels) - cap
+    return f"{labels[:cap]}" + (f" and {more} more" if more > 0 else "")
+
+
+def _load_group(spec, where: str, order: int) -> FiniteGroup:
+    """The group of ``spec``; a cyclic product is checked against the
+    ``order`` the action lists before its Cayley table is built."""
     if "cyclic" in _object(spec, where):
         orders = spec["cyclic"]
         if not isinstance(orders, list) or not orders or not all(_is_int(n) for n in orders):
             raise ActionFileError(where, "cyclic spec must be a non-empty list of integers")
+        bad = next((n for n in orders if n < 1), None)
+        if bad is not None:
+            raise ActionFileError(where, f"cyclic group order must be >= 1, got {bad}")
+        size = 1
+        for n in orders:
+            size *= n
+            if size > order:
+                break
+        if size != order:
+            raise ActionFileError(where, f"the cyclic orders do not multiply to {order}, the number of action entries")
         try:
             return make_product([make_cyclic(n) for n in orders])
         except GroupError as exc:
@@ -103,6 +121,10 @@ def load_action(path: str, verify: bool = True) -> PartialAction:
         raise ActionFileError(f"{path}:{exc.lineno}", exc.msg) from None
     except UnicodeDecodeError as exc:
         raise ActionFileError(path, f"not UTF-8 text: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the digit limit, or arrays nested past the
+        # recursion limit
+        raise ActionFileError(path, f"not readable as JSON: {exc}") from None
     return action_from_document(doc, path, verify=verify)
 
 
@@ -136,14 +158,15 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
     except AlgebraError as exc:
         raise ActionFileError(alg_where, str(exc)) from None
 
-    group = _load_group(_need(doc, "group", where), f"{where}/group")
-
+    group_spec = _need(doc, "group", where)
     action_spec = _object(_need(doc, "action", where), f"{where}/action")
+    group = _load_group(group_spec, f"{where}/group", len(action_spec))
     if set(action_spec) != set(group.labels):
         missing = sorted(set(group.labels) - set(action_spec))
         extra = sorted(set(action_spec) - set(group.labels))
         raise ActionFileError(
-            f"{where}/action", f"element keys do not match the group (missing {missing}, extra {extra})"
+            f"{where}/action",
+            f"element keys do not match the group (missing {_capped(missing)}, extra {_capped(extra)})",
         )
     idems = []
     maps = []

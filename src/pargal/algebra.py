@@ -10,7 +10,7 @@ are built here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
@@ -78,6 +78,21 @@ class Algebra:
     def base(cls, ring: BaseRing, label: str = "1") -> "Algebra":
         return cls.split(ring, [label])
 
+    def is_split(self) -> bool:
+        """Whether this is :meth:`split` on its own labels: R^n on its
+        standard basis, with unit (1, ..., 1).  O(rank^2), building nothing."""
+        one = self.ring.coerce(1)
+        if any(u != one for u in self.unit):
+            return False
+        for i, row in enumerate(self.table):
+            for j, entries in enumerate(row):
+                if i != j:
+                    if entries:
+                        return False
+                elif len(entries) != 1 or entries[0][0] != i or entries[0][1] != one:
+                    return False
+        return True
+
     # -- arithmetic ----------------------------------------------------------
 
     def zero(self) -> "Element":
@@ -134,6 +149,9 @@ class Algebra:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
+        # R^n with unit (1, ..., 1) is commutative and associative
+        if self.is_split():
+            return
         n = self.rank
         for i in range(n):
             for j in range(i, n):
@@ -368,7 +386,14 @@ class SubAlgebra:
     parent: Algebra
     basis: Matrix
     inclusion: AlgebraMorphism
-    system: LinearSystem  # of basis^T, factored once
+    _system: LinearSystem | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def system(self) -> LinearSystem:
+        """The linear system of basis^T, factored on first use."""
+        if self._system is None:
+            self._system = LinearSystem(self.basis.transpose())
+        return self._system
 
     def express(self, coords):
         """Parent coordinates -> sub coordinates, or None if outside."""
@@ -743,7 +768,7 @@ def find_split_presentation(algebra: Algebra):
     """
     if algebra._split is None:
         ring = algebra.ring
-        if algebra == Algebra.split(ring, algebra.labels):
+        if algebra.is_split():
             idems = algebra.basis()
         elif ring.is_field or ring.kind == "rationals":
             idems = _split_over_field(algebra)

@@ -32,7 +32,7 @@ from .algebra import (
     subalgebra_from_constraints,
 )
 from .groups import Subgroup
-from .paction import ActionReport, IsoResult, PartialAction, _match_iso, _point_set, global_action
+from .paction import ActionReport, IsoResult, PartialAction, _match_iso, _point_matrix, _point_set, global_action
 
 
 @dataclass
@@ -136,17 +136,10 @@ def _globalize_points(act: PartialAction, maps, slot_order) -> GlobalizationData
                 labels.append(" + ".join(point_labels[p] for p in members))
     T = Algebra.split(ring, labels)
     k = T.rank
-
-    def permutation(image):
-        rows = [[0] * k for _ in range(k)]
-        for j, i in enumerate(image):
-            rows[i][j] = 1
-        return Matrix(ring, rows, k)
-
     beta = []
     for h in G.elements():
         hi = G.inv(h)
-        beta.append(permutation([cls[slot_of[G.mul(slot_order[p // n], hi)] * n + p % n] for p in least]))
+        beta.append(_point_matrix(ring, [cls[slot_of[G.mul(slot_order[p // n], hi)] * n + p % n] for p in least]))
     home = [cls[slot_of[G.identity] * n + x] for x in range(n)]
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]
@@ -290,7 +283,7 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     T = gd.algebra
     G = act.group
     n, k = act.algebra.rank, T.rank
-    if points is None or not points.certified or len(gd.beta) != G.order or T != Algebra.split(T.ring, T.labels):
+    if points is None or not points.certified or len(gd.beta) != G.order or not T.is_split():
         return False
     pis = [_permutation(m, k) for m in gd.beta]
     emb = gd.embed.matrix

@@ -14,7 +14,6 @@ from functools import cached_property
 
 from .scalars import Matrix
 from .algebra import (
-    Algebra,
     AlgebraError,
     ProductAlgebra,
     SubAlgebra,
@@ -27,6 +26,7 @@ from .paction import (
     ActionReport,
     GaloisCoordinates,
     PartialAction,
+    _action_on_points,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -218,56 +218,55 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     vectors, as the kernel of the matrix route presents them.  The coset of
     (g, 1) sends a component to the component of (gs, s^-1) p for the first
     s whose domain holds its least point p; 1_g marks the components where
-    the coset of (g^-1, 1) is defined.
+    the coset of (g^-1, 1) is defined.  The result keeps its point set
+    (:func:`~pargal.paction._action_on_points`).
+
+    The component of p is its delta-G orbit {(s, s^-1) p}, read with one
+    move per s.  The relation q = (s, s^-1) p is an equivalence on both
+    sets that call this, because their inputs are certified partial G-sets
+    (:func:`_standard_gset`); (1, 1) is the identity on the points.
+    - On X x Y (:func:`_gset_product`), (l, t) acts as a_l x a'_t on
+      D_(l^-1) x D'_(t^-1), a partial G x G-set, and so is its restriction
+      to delta G: (s, s^-1) p = q gives (s^-1, s) q = p, and (t, t^-1) q =
+      u gives (ts, (ts)^-1) p = u, since a_t a_s is contained in a_ts.
+    - On the points (g, i), i in D_g, of :func:`_hat_gset_quotient`,
+      (s, s^-1) sends (g, i) to (g, a_s(i)) when i lies in D_(s^-1) and
+      D_(s^-1 g) (a_s(i) then lies in D_g).  (P3) on points,
+      a_s(D_(s^-1) /\\ D_h) = D_s /\\ D_sh, puts j = a_s(i) in D_s, D_g
+      and D_sg, so (s^-1, s) sends (g, j) back to (g, i).  If (t, t^-1)
+      then sends (g, j) to (g, a_t(j)), j lies in D_(t^-1) and D_(t^-1 g),
+      and a_(s^-1) carries D_s /\\ D_(t^-1) and D_s /\\ D_(t^-1 g) onto
+      D_(s^-1) /\\ D_((ts)^-1) and D_(s^-1) /\\ D_((ts)^-1 g).  So i lies
+      in the domain of (ts, (ts)^-1), which sends (g, i) to
+      (g, a_ts(i)) = (g, a_t(j)).
+    So the unvisited point p of least index is the least point of its
+    component, and the orbit read visits each (component, s) once, where a
+    union-find over the points would visit each (point, s).
     """
     if not G.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    root = list(range(npoints))
-
-    def find(p):
-        # the root of a component is its least point
-        while root[p] != p:
-            root[p] = root[root[p]]
-            p = root[p]
-        return p
-
-    for s in G.elements():
-        si = G.inv(s)
-        for p in range(npoints):
-            q = move(s, si, p)
-            if q is not None:
-                p, q = find(p), find(q)
-                if p != q:
-                    root[max(p, q)] = min(p, q)
-    rep = [find(p) for p in range(npoints)]
-    least = [p for p, q in enumerate(rep) if p == q]
-    index = {p: k for k, p in enumerate(least)}
-    comp = [index[q] for q in rep]
-    points = [[] for _ in least]
-    for p, k in enumerate(comp):
-        points[k].append(p)
+    elements = list(G.elements())
+    inverse = [G.inv(s) for s in elements]
+    comp = [None] * npoints
+    points = []  # the points of each component, ascending
+    for p in range(npoints):
+        if comp[p] is None:
+            orbit = sorted({q for s in elements if (q := move(s, inverse[s], p)) is not None})
+            for q in orbit:
+                comp[q] = len(points)
+            points.append(orbit)
     labels = [format_coords([point_labels[p] for p in pts], [1] * len(pts)) for pts in points]
-    carrier = Algebra.split(ring, labels)
-    r = carrier.rank
     images = []
-    for g in G.elements():
-        image = [None] * r
-        for k, p in enumerate(least):
-            for s in G.elements():
-                q = move(G.mul(g, s), G.inv(s), p)
+    for g in elements:
+        image = [None] * len(points)
+        for k, pts in enumerate(points):
+            for s in elements:
+                q = move(G.mul(g, s), inverse[s], pts[0])
                 if q is not None:
                     image[k] = comp[q]
                     break
         images.append(image)
-    idems = [carrier.element([int(k is not None) for k in images[G.inv(g)]]) for g in G.elements()]
-    maps = []
-    for image in images:
-        rows = [[0] * r for _ in range(r)]
-        for k, j in enumerate(image):
-            if j is not None:
-                rows[j][k] = 1
-        maps.append(Matrix(carrier.ring, rows, r))
-    return PartialAction(G, carrier, idems, maps)
+    return _action_on_points(G, ring, labels, images)
 
 
 def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:

@@ -22,7 +22,6 @@ from .algebra import (
     SubAlgebra,
     ProductAlgebra,
     TensorProduct,
-    algebra_on_module,
     find_split_presentation,
     product_over_ideals,
     subalgebra_from_constraints,
@@ -269,7 +268,7 @@ def _read_sparse(act: PartialAction) -> _SparseAction:
     maps = [sparse_columns(m.rows, A.rank) for m in act.maps]
     if n:
         maps = [[reduced(col, n) for col in cols] for cols in maps]
-    if A == Algebra.split(A.ring, A.labels):
+    if A.is_split():
         idems = [[reduced({j: c}, n) for j, c in enumerate(e.coords)] for e in act.idems]
     else:
         idems = [sparse_columns(act.idem_matrix(g).rows, A.rank) for g in act.group.elements()]
@@ -297,7 +296,7 @@ def _point_set(act: PartialAction) -> _PointSet | None:
 
 def _read_points(act: PartialAction) -> _PointSet | None:
     A = act.algebra
-    if A != Algebra.split(A.ring, A.labels):
+    if not A.is_split():
         return None
     r = A.rank
     domains = []
@@ -322,6 +321,37 @@ def _read_points(act: PartialAction) -> _PointSet | None:
                 image[j] = k
         maps.append(image)
     return _PointSet(maps, domains, _points_certified(act.group, maps, domains))
+
+
+def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
+    """The partial action of ``group`` on R^X, :meth:`Algebra.split` on
+    ``labels``, by the partial maps a_g = ``maps[g]`` of the points X
+    (maps[g][i] = j, None off the domain of a_g): 1_g is the indicator of
+    the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
+
+    The point set is kept on the action as :func:`_read_points` reads it off
+    these matrices: the maps and domains, certified by
+    :func:`_points_certified`, or None when some a_g is not injective.
+    """
+    algebra = Algebra.split(ring, labels)
+    domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
+    idems = [Element(algebra, tuple(int(d) for d in dom)) for dom in domains]
+    act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
+    injective = all(len(set(a) - {None}) == len(a) - a.count(None) for a in maps)
+    points = _PointSet(maps, domains, _points_certified(group, maps, domains)) if injective else None
+    act._points = (points,)
+    return act
+
+
+def _point_matrix(ring, image) -> Matrix:
+    """The square 0/1 matrix sending e_i to e_(image[i]), and e_i to 0 where
+    image[i] is None."""
+    k = len(image)
+    rows = [[0] * k for _ in range(k)]
+    for i, j in enumerate(image):
+        if j is not None:
+            rows[j][i] = 1
+    return Matrix(ring, rows, k)
 
 
 def _points_certified(group: FiniteGroup, maps, domains) -> bool:
@@ -396,20 +426,30 @@ def invariants(act: PartialAction) -> SubAlgebra:
     """S^alpha = {x : alpha_g(x 1_{g^-1}) = x 1_g for all g} as an algebra.
 
     On a certified point set (:func:`_point_set`) these are the functions
-    constant on the components of the partial G-set: one indicator row per
-    component, ordered by least point, which the kernel of the constraints
-    spans on any other carrier."""
-    ring = act.algebra.ring
+    constant on the components of the partial G-set.  Their indicators,
+    ordered by least point, are the canonical row form of the kernel of the
+    constraints that any other carrier solves, and they multiply as
+    orthogonal idempotents summing to the unit.  So the invariants are
+    :meth:`Algebra.split` on the labels that
+    :func:`~pargal.algebra.algebra_on_module` gives these rows, with no row
+    reduction or solve, and their linear system is factored on first use."""
+    A = act.algebra
+    ring = A.ring
     points = _point_set(act)
     if points is not None and points.certified:
-        r = act.algebra.rank
-        rows, seen = [], set()
+        r = A.rank
+        seen = [False] * r
+        rows = []
         for x in range(r):
-            if x not in seen:
-                component = _breadth_first(points.maps, x)
-                seen.update(component)
-                rows.append([int(y in component) for y in range(r)])
-        return algebra_on_module(act.algebra, Matrix(ring, rows, r), list(act.algebra.unit))
+            if not seen[x]:
+                row = [0] * r
+                for y in _breadth_first(points.maps, x):
+                    seen[y] = True
+                    row[y] = 1
+                rows.append(row)
+        basis = Matrix(ring, rows, r)
+        fixed = Algebra.split(ring, [A.format_coords(row) for row in rows])
+        return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
     rows = []
     for g in act.group.elements():
         diff = act.maps[g].sub(act.idem_matrix(g))

@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
 
 from pargal import cli
 from pargal.actionfile import load_action, save_action
@@ -278,3 +280,157 @@ def test_verify_reports_a_non_idempotent_domain_unit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL      unital: each 1_g is idempotent  [1_g2 not idempotent]" in out
     assert "[g=g: 1_(g^-1) is not idempotent]" in out
+
+
+def _ex2_document():
+    with open(fixture("ex2"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("orders", [[100000], [2, 50000], [10**12, 10**12]])
+def test_oversized_cyclic_order_fails_before_any_group_is_built(orders, tmp_path, capsys, monkeypatch):
+    # ex2 lists 4 action entries; a Cayley table of order 100000 would hold
+    # 10^10 entries
+    import pargal.actionfile as actionfile
+
+    def refused(n, *args):
+        raise AssertionError(f"make_cyclic({n}) was called")
+
+    monkeypatch.setattr(actionfile, "make_cyclic", refused)
+    doc = _ex2_document()
+    doc["group"] = {"cyclic": orders}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(actionfile.ActionFileError, match="/group: the cyclic orders do not multiply to 4"):
+        load_action(str(path))
+    assert run_cli("verify", str(path)) == 2
+    assert "big.json/group: the cyclic orders do not multiply to 4, the number of action entries" in capsys.readouterr().err
+
+
+def test_key_mismatch_message_caps_the_label_lists(tmp_path, capsys):
+    doc = _ex2_document()
+    entry = doc["action"]["1"]
+    doc["group"] = {"cyclic": [40]}
+    doc["action"] = {f"h{k:02}": entry for k in range(40)}
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("verify", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "element keys do not match the group (missing ['1', 'g', 'g10'," in err
+    assert "'g17'] and 30 more, extra ['h00'," in err
+    assert "'h09'] and 30 more)" in err
+    assert len(err) < 400
+
+
+# Loader fuzz: mutations of every corpus document that no loader may
+# accept.  Each one must be an ActionFileError, and exit 2 from the CLI,
+# never a traceback.  Scalars may be JSON numbers ("1" and 1 load alike),
+# so a shape mutation of a string never puts a number there.
+
+CORPUS_FILES = sorted(name for name in os.listdir(CORPUS) if name.endswith(".json"))
+# placeholders that the text mutations replace after json.dumps
+BIG, DEEP = "\u0000big", "\u0000deep"
+
+
+def _paths(node, path=()):
+    """Every key path of a JSON document, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _wrong_kinds(value):
+    """JSON values of another kind than ``value`` that its place rejects."""
+    others = [None, True, False, [], {}, ["1"], {"1": "1"}, "1", 7]
+    if isinstance(value, str):
+        return [v for v in others if not isinstance(v, (str, int)) or isinstance(v, bool)]
+    if isinstance(value, bool) or not isinstance(value, (dict, list, int)):
+        return [v for v in others if type(v) is not type(value)]
+    kind = dict if isinstance(value, dict) else list if isinstance(value, list) else int
+    return [v for v in others if not isinstance(v, kind) or isinstance(v, bool)]
+
+
+@st.composite
+def broken_documents(draw):
+    """The text of a corpus document after one mutation that breaks it."""
+    name = draw(st.sampled_from(CORPUS_FILES))
+    with open(os.path.join(CORPUS, name), encoding="utf-8") as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(
+        ["truncated", "shape", "boolean", "deleted", "scalar", "non-split", "non-group", "cyclic"]
+    ))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, text.rindex("}") - 1))]
+    if kind in ("shape", "boolean"):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        pool = [True, False] if kind == "boolean" else _wrong_kinds(_at(doc, path))
+        doc = _replaced(doc, path, draw(st.sampled_from(pool)))
+    elif kind == "deleted":
+        path = draw(st.sampled_from([p for p in _paths(doc) if p and isinstance(_at(doc, p[:-1]), dict)]))
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "scalar":
+        entries = doc["action"].values()
+        places = [("algebra", "unit", i) for i in range(len(doc["algebra"]["unit"]))]
+        places += [("algebra", "constants", n, 3) for n in range(len(doc["algebra"]["constants"]))]
+        places += [("action", g, "idempotent", i) for g, e in doc["action"].items() for i in range(len(e["idempotent"]))]
+        places += [("action", g, "matrix", i, j) for g, e in doc["action"].items()
+                   for i, row in enumerate(e["matrix"]) for j in range(len(row))]
+        assert entries
+        bad = draw(st.sampled_from(["1/0", "x", "", "1/", "--1", "0x1", "1e", "nan", "inf", "9" * 5000, BIG, DEEP]))
+        doc = _replaced(doc, draw(st.sampled_from(places)), bad)
+    elif kind == "non-split":
+        # the corpus carriers are split: only e_i e_i = e_i is set, so
+        # zeroing it breaks the unit, and a one-sided e_i e_j commutativity
+        rank = len(doc["algebra"]["labels"])
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        doc["algebra"]["constants"].append([i, j, i, "0" if i == j else "1"])
+    elif kind == "non-group":
+        # row 0 constant: element 0 has no inverse, or there is no identity
+        labels = sorted(doc["action"])
+        n = len(labels)
+        rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+        doc["group"] = {"labels": labels, "table": [[0] * n] + rows[1:]}
+    else:
+        orders = draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=3))
+        if orders == [len(doc["action"])]:
+            orders.append(2)
+        doc["group"] = {"cyclic": orders}
+    text = json.dumps(doc)
+    return text.replace(json.dumps(BIG), "1" * 5000).replace(json.dumps(DEEP), "[" * 100000 + "]" * 100000)
+
+
+@given(text=broken_documents())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_broken_documents_are_located_errors(text, tmp_path, capsys, monkeypatch):
+    import pargal.actionfile as actionfile
+
+    build = actionfile.make_cyclic
+
+    def bounded(n, *args):
+        # no corpus group needs more; a larger one is the blow-up under test
+        assert n <= 64, f"make_cyclic({n}) was called"
+        return build(n, *args)
+
+    monkeypatch.setattr(actionfile, "make_cyclic", bounded)
+    path = tmp_path / "broken.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(actionfile.ActionFileError):
+        load_action(str(path))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"pargal verify: {path}")

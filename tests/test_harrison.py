@@ -2,13 +2,21 @@
 
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Modular, Matrix, canonical_row_form, kernel, modules_equal
-from pargal.algebra import Algebra, AlgebraError, Element, find_split_presentation
+from pargal.algebra import (
+    Algebra,
+    AlgebraError,
+    Element,
+    find_split_presentation,
+    format_coords,
+    subalgebra_from_constraints,
+)
 from pargal.corpus import (
     corrupted_p4,
     example1,
@@ -38,8 +46,11 @@ from pargal.harrison import (
 )
 from pargal.paction import (
     PartialAction,
+    _read_points,
+    invariants,
     inverse_action,
     iso_check,
+    restrict,
     verify_partial_action,
 )
 from pargal.quotient import quotient_action
@@ -871,3 +882,134 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
             qa = quotient_action(c.action, Subgroup(c.group, members), transversal)
             rep = qa.certify()
             assert rep.passed, (c, members, [f.name for f in rep.failures()])
+
+
+# The orbit read of harrison._delta_quotient against the union-find over
+# every (s, point) pair that it replaced, on both routes that call it (the
+# product and idempotent_class); the point set each result keeps against a
+# fresh read of its matrices; and the split invariants of a certified point
+# set against the constraint solve that every other carrier takes.
+
+
+def union_find_quotient(G, ring, npoints, move, point_labels):
+    """The delta-G quotient of harrison._delta_quotient with its components
+    found by a union-find over all |G| npoints (s, point) pairs, and the
+    action built from matrices with no point set kept."""
+    root = list(range(npoints))
+
+    def find(p):
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
+    for s in G.elements():
+        si = G.inv(s)
+        for p in range(npoints):
+            q = move(s, si, p)
+            if q is not None:
+                p, q = find(p), find(q)
+                if p != q:
+                    root[max(p, q)] = min(p, q)
+    rep = [find(p) for p in range(npoints)]
+    least = [p for p, q in enumerate(rep) if p == q]
+    index = {p: k for k, p in enumerate(least)}
+    comp = [index[q] for q in rep]
+    points = [[] for _ in least]
+    for p, k in enumerate(comp):
+        points[k].append(p)
+    labels = [format_coords([point_labels[p] for p in pts], [1] * len(pts)) for pts in points]
+    carrier = Algebra.split(ring, labels)
+    r = carrier.rank
+    images = []
+    for g in G.elements():
+        image = [None] * r
+        for k, p in enumerate(least):
+            for s in G.elements():
+                q = move(G.mul(g, s), G.inv(s), p)
+                if q is not None:
+                    image[k] = comp[q]
+                    break
+        images.append(image)
+    idems = [carrier.element([int(k is not None) for k in images[G.inv(g)]]) for g in G.elements()]
+    maps = []
+    for image in images:
+        rows = [[0] * r for _ in range(r)]
+        for k, j in enumerate(image):
+            if j is not None:
+                rows[j][k] = 1
+        maps.append(Matrix(carrier.ring, rows, r))
+    return PartialAction(G, carrier, idems, maps)
+
+
+def checked_delta_quotients(calls):
+    """harrison._delta_quotient, checked on every call against the
+    union-find oracle and _read_points; each result goes to ``calls``."""
+    import pargal.harrison as harrison
+
+    orbit_read = harrison._delta_quotient
+
+    def checked(*args):
+        got = orbit_read(*args)
+        expected = union_find_quotient(*args)
+        assert got.algebra.labels == expected.algebra.labels
+        assert got.algebra == expected.algebra
+        assert got.idems == expected.idems
+        assert got.maps == expected.maps
+        kept = got._points[0]
+        assert kept is not None and kept.certified
+        assert kept == _read_points(PartialAction(got.group, got.algebra, got.idems, got.maps))
+        calls.append(got)
+        return got
+
+    return mock.patch.object(harrison, "_delta_quotient", checked)
+
+
+@given(subset_class_pairs())
+@settings(max_examples=120, deadline=None)
+def test_orbit_read_matches_the_union_find_oracle(pair):
+    a, b = pair
+    calls = []
+    with checked_delta_quotients(calls):
+        product = harrison_product(a, b)
+        idems = [idempotent_class(a.action), idempotent_class(b.action)]
+        square = harrison_product(product, product)
+    assert [c.action for c in [product, *idems, square]] == calls
+
+
+def cyclic_subgroups(G):
+    """Every subgroup of Z_n as make_cyclic orders it: the multiples of d."""
+    n = G.order
+    return [Subgroup(G, tuple(range(0, n, d))) for d in range(1, n + 1) if n % d == 0]
+
+
+def constraint_invariants(act):
+    """The invariants solved from the constraints M_g - E_g, the route of
+    every carrier without a certified point set."""
+    rows = []
+    for g in act.group.elements():
+        rows.extend(act.maps[g].sub(act.idem_matrix(g)).rows)
+    return subalgebra_from_constraints(act.algebra, Matrix.from_rows(act.algebra.ring, rows, act.algebra.rank))
+
+
+@given(subset_class_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_split_invariants_match_the_constraint_solve(pair, rnd):
+    a, b = pair
+    for c in (harrison_product(a, b), idempotent_class(a.action)):
+        for sub in cyclic_subgroups(c.group):
+            act = restrict(c.action, sub)
+            got, expected = invariants(act), constraint_invariants(act)
+            assert got.algebra.labels == expected.algebra.labels
+            assert got.algebra == expected.algebra
+            assert got.basis == expected.basis
+            assert got.inclusion.matrix == expected.inclusion.matrix
+            A = act.algebra
+            for _ in range(4):
+                inside = [rnd.randint(-3, 3) for _ in range(got.algebra.rank)]
+                vectors = [
+                    A.element(rnd.randint(-3, 3) for _ in range(A.rank)).coords,
+                    A.element(got.include_coords(inside)).coords,
+                ]
+                for v in vectors:
+                    assert got.express(v) == expected.express(v)
