@@ -83,13 +83,11 @@ def _load_group(spec, where: str, order: int) -> FiniteGroup:
         orders = spec["cyclic"]
         if not isinstance(orders, list) or not orders or not all(_is_int(n) for n in orders):
             raise ActionFileError(where, "cyclic spec must be a non-empty list of integers")
-        bad = next((n for n in orders if n < 1), None)
-        if bad is not None:
-            raise ActionFileError(where, f"cyclic group order must be >= 1, got {bad}")
+        # |size| never shrinks, so a huge order stops the product early
         size = 1
         for n in orders:
             size *= n
-            if size > order:
+            if abs(size) > order:
                 break
         if size != order:
             raise ActionFileError(where, f"the cyclic orders do not multiply to {order}, the number of action entries")

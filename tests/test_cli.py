@@ -287,7 +287,7 @@ def _ex2_document():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("orders", [[100000], [2, 50000], [10**12, 10**12]])
+@pytest.mark.parametrize("orders", [[100000], [2, 50000], [10**12, 10**12], [-1, 100000], [100000, 0]])
 def test_oversized_cyclic_order_fails_before_any_group_is_built(orders, tmp_path, capsys, monkeypatch):
     # ex2 lists 4 action entries; a Cayley table of order 100000 would hold
     # 10^10 entries
@@ -354,14 +354,14 @@ def _replaced(doc, path, value):
 
 
 def _wrong_kinds(value):
-    """JSON values of another kind than ``value`` that its place rejects."""
-    others = [None, True, False, [], {}, ["1"], {"1": "1"}, "1", 7]
-    if isinstance(value, str):
-        return [v for v in others if not isinstance(v, (str, int)) or isinstance(v, bool)]
-    if isinstance(value, bool) or not isinstance(value, (dict, list, int)):
-        return [v for v in others if type(v) is not type(value)]
-    kind = dict if isinstance(value, dict) else list if isinstance(value, list) else int
-    return [v for v in others if not isinstance(v, kind) or isinstance(v, bool)]
+    """JSON values of another kind than ``value``, the kinds the corpus
+    documents hold; never a number in place of a string."""
+    return {
+        dict: [[], ["1"], "1", 7, None, True],
+        list: [{}, {"1": "1"}, "1", 7, None, False],
+        str: [[], ["1"], {}, None, True],
+        int: ["1", [], {}, None, False],
+    }[type(value)]
 
 
 @st.composite
@@ -384,18 +384,17 @@ def broken_documents(draw):
         path = draw(st.sampled_from([p for p in _paths(doc) if p and isinstance(_at(doc, p[:-1]), dict)]))
         del _at(doc, path[:-1])[path[-1]]
     elif kind == "scalar":
-        entries = doc["action"].values()
         places = [("algebra", "unit", i) for i in range(len(doc["algebra"]["unit"]))]
         places += [("algebra", "constants", n, 3) for n in range(len(doc["algebra"]["constants"]))]
         places += [("action", g, "idempotent", i) for g, e in doc["action"].items() for i in range(len(e["idempotent"]))]
         places += [("action", g, "matrix", i, j) for g, e in doc["action"].items()
                    for i, row in enumerate(e["matrix"]) for j in range(len(row))]
-        assert entries
         bad = draw(st.sampled_from(["1/0", "x", "", "1/", "--1", "0x1", "1e", "nan", "inf", "9" * 5000, BIG, DEEP]))
         doc = _replaced(doc, draw(st.sampled_from(places)), bad)
     elif kind == "non-split":
         # the corpus carriers are split: only e_i e_i = e_i is set, so
-        # zeroing it breaks the unit, and a one-sided e_i e_j commutativity
+        # zeroing it breaks the unit, and a one-sided e_i e_j (i != j)
+        # breaks commutativity
         rank = len(doc["algebra"]["labels"])
         i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
         doc["algebra"]["constants"].append([i, j, i, "0" if i == j else "1"])
@@ -406,6 +405,8 @@ def broken_documents(draw):
         rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
         doc["group"] = {"labels": labels, "table": [[0] * n] + rows[1:]}
     else:
+        # only [n] itself can name the action's labels; any other product
+        # equal to n gives tuple labels, and a key mismatch
         orders = draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=3))
         if orders == [len(doc["action"])]:
             orders.append(2)
