@@ -478,7 +478,7 @@ def star_product_suite(classes) -> SuiteReport:
         if res.status == "undecided":
             rep.add(label, "undecided", "carrier admits no split presentation")
             return False
-        rep.add(label, res.status == "iso", None if res.status == "iso" else "no witness")
+        rep.add(label, res.status == "iso", res.obstruction)
         if res.status == "iso":
             rep.witnesses += 1
         return True

@@ -157,8 +157,9 @@ def _verify_on_columns(act: PartialAction) -> ActionReport:
     group = act.group
     g_labels = group.labels
     A = act.algebra
-    # the columns the iso bug trap keeps on the action, or a fresh read that
-    # is not kept: most actions are verified once and never reach the trap
+    # the columns the iso bug trap keeps on an action that is no certified
+    # point set, or a fresh read that is not kept: most actions are verified
+    # once and never reach the column trap
     n, table, maps, idem_cols = act._sparse or _read_sparse(act)
     # the stored M_g and 1_g as given, and reduced mod n for the sums; a
     # stored entry outside [0, n) equals no sum, as in the dense comparison
@@ -644,6 +645,7 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
 class IsoResult:
     status: str  # "iso" | "none" | "undecided"
     morphism: AlgebraMorphism | None = None
+    obstruction: str | None = None  # why the answer is "none"
 
 
 def _base_ring_units(ring):
@@ -664,7 +666,11 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
     components by the codes that :func:`canonical_key` compares, so the two
     agree by construction; the witness returned is the first in lexicographic
-    order of (sigma_0, sigma_1, ...).
+    order of (sigma_0, sigma_1, ...).  On two standard carriers the witness
+    is built and checked on the point maps (:func:`_certified_witness`),
+    with no matrix product.  A "none" answer names its obstruction: the two
+    ranks, or the CRT unit and the size of the first component of ``a``
+    with no partner in ``b``.
     """
     return _match_iso(a, b)
 
@@ -683,7 +689,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     if sa is None or sb is None:
         return IsoResult("undecided")
     if a.algebra.rank != b.algebra.rank:
-        return IsoResult("none")
+        return IsoResult("none", obstruction=f"rank {a.algebra.rank} != rank {b.algebra.rank}")
     r = a.algebra.rank
     ring = a.algebra.ring
     units = _base_ring_units(ring)
@@ -696,35 +702,51 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         kept_a = [[None] * r for _ in gsets_a]
         kept_b = [[None] * r for _ in gsets_b]
     sigmas = []
-    for maps_a, maps_b, ka, kb in zip(gsets_a, gsets_b, kept_a, kept_b):
-        sigma = _match_components(maps_a, maps_b, ka, kb)
+    for u, maps_a, maps_b, ka, kb in zip(units, gsets_a, gsets_b, kept_a, kept_b):
+        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb)
         if sigma is None:
-            return IsoResult("none")
+            return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
-    # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
-    cols = []
-    for i in range(r):
-        col = [0] * r
+    if sa.idems is None and sb.idems is None:
+        # p_i = e_(r-1-i) and q_j = e_(r-1-j), so f e_x = f(p_(r-1-x)) is
+        # sum_t unit_t * e_(r-1-sigma_t(r-1-x)): a permutation matrix when
+        # every unit gets the same sigma
+        rows = [[0] * r for _ in range(r)]
         for u, sigma in zip(units, sigmas):
-            q = sb.idems[sigma[i]]
-            for s in range(r):
-                col[s] = ring.add(col[s], ring.mul(u, q[s]))
-        cols.append(col)
-    img = Matrix(ring, [list(row) for row in zip(*cols)], r)
-    return IsoResult("iso", _certified_witness(a, b, img.mul(sa.to_coords), marked))
+            for x in range(r):
+                y = r - 1 - sigma[r - 1 - x]
+                rows[y][x] = ring.add(rows[y][x], u)
+        fmat = Matrix(ring, rows, r)
+    else:
+        # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
+        idems_b = _split_basis(sb, ring, r)[0]
+        cols = []
+        for i in range(r):
+            col = [0] * r
+            for u, sigma in zip(units, sigmas):
+                q = idems_b[sigma[i]]
+                for s in range(r):
+                    col[s] = ring.add(col[s], ring.mul(u, q[s]))
+            cols.append(col)
+        fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(_split_basis(sa, ring, r)[1])
+    return IsoResult("iso", _certified_witness(a, b, fmat, marked))
 
 
 def _colour(ring, u, data, e):
     """The identity on the points i with u p_i under the idempotent e, None
     elsewhere."""
-    coeffs = data.to_coords.matvec(list(e.coords))
+    if data.to_coords is None:
+        coeffs = e.coords[::-1]  # the coefficient of p_i = e_(r-1-i)
+    else:
+        coeffs = data.to_coords.matvec(list(e.coords))
     return [i if ring.mul(u, x) == u else None for i, x in enumerate(coeffs)]
 
 
 def _match_components(maps_a, maps_b, kept_a, kept_b):
     """The lexicographically first bijection sigma of the points with
     sigma(f_a(i)) = f_b(sigma(i)) for each pair of maps (both None off the
-    domains), or None when there is none.  For the maps of
+    domains), as (sigma, None); or (None, k) when there is none, with k the
+    size of the first component of a that has no partner.  For the maps of
     :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
     also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the
     component of each point read from it (:func:`_component_from`).
@@ -741,18 +763,32 @@ def _match_components(maps_a, maps_b, kept_a, kept_b):
             order, code = _component_from(maps_a, kept_a, i)
             k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k)[1] == code), None)
             if k is None:
-                return None
+                return None, len(order)
             for x, y in zip(order, kept_b[k][0]):
                 sigma[x], used[y] = y, True
-    return sigma
+    return sigma, None
 
 
 class _SplitData(NamedTuple):
-    """An action read off the split presentation of its carrier."""
+    """An action read off the split presentation of its carrier.  On a
+    standard carrier (:func:`_split_points`) the split idempotents are the
+    basis points in reverse, p_i = e_(r-1-i), and no dense data is kept:
+    ``idems`` and ``to_coords`` are None, and :func:`_split_basis` writes
+    them out where a carrier on another basis needs them."""
 
-    idems: list  # coordinate lists of the split idempotents p_i
-    to_coords: Matrix  # coordinates -> coefficients over the p_i
+    idems: list | None  # coordinate lists of the split idempotents p_i
+    to_coords: Matrix | None  # coordinates -> coefficients over the p_i
     gsets: list  # the partial G-set of each CRT unit, see _partial_gsets
+
+
+def _split_basis(data: _SplitData, ring, r: int):
+    """The split idempotents of ``data`` as coordinate lists and the matrix
+    sending coordinates to coefficients over them; on a standard carrier
+    p_i = e_(r-1-i), and the matrix with columns p_i is its own inverse."""
+    if data.idems is not None:
+        return data.idems, data.to_coords
+    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
+    return idems, Matrix(ring, [list(p) for p in idems], r)
 
 
 def _split_data(act: PartialAction) -> _SplitData | None:
@@ -780,10 +816,12 @@ def _split_points(act: PartialAction, points: _PointSet) -> _SplitData:
     """The split data of a standard carrier read off its point maps, in the
     order of :func:`find_split_presentation`, which sorts the basis vectors
     by their coordinates: p_i = e_(r-1-i).  Every CRT unit gets the same
-    maps, and the maps are checked as :func:`_partial_gsets` checks them."""
+    maps, and the maps are checked as :func:`_partial_gsets` checks them.
+    The r x r idempotents and coefficient matrix are not built (see
+    :class:`_SplitData`): coefficient i of a vector is its coordinate
+    r-1-i."""
     r = act.algebra.rank
     group = act.group
-    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
     maps = []
     for g in group.elements():
         source = points.domains[group.inv(g)]
@@ -796,9 +834,7 @@ def _split_points(act: PartialAction, points: _PointSet) -> _SplitData:
                 )
             images.append(None if j is None else r - 1 - j)
         maps.append(images)
-    # the matrix with columns p_i is its own inverse
-    to_coords = Matrix(act.algebra.ring, [list(p) for p in idems], r)
-    return _SplitData(idems, to_coords, [maps] * len(_base_ring_units(act.algebra.ring)))
+    return _SplitData(None, None, [maps] * len(_base_ring_units(act.algebra.ring)))
 
 
 def canonical_key(act: PartialAction):
@@ -926,10 +962,67 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     partial G-isomorphism (carrying marked[0] to marked[1] when given); a
     failure is a bug in the match.
 
-    E'_g f = f E_g, f M_g = M'_g f E_(g^-1) and f(e_i e_j) = f(e_i) f(e_j)
-    are compared column by column on the sparse columns of f and of the two
-    actions (:func:`_sparse_data`), so each costs O(nnz)."""
+    When both actions are certified point sets (:func:`_point_set`) and f
+    is a 0/1 permutation matrix, f e_x = e_pi(x) for a bijection pi of the
+    points (:func:`_read_permutation`), and the trap runs on the point maps
+    (:func:`_trap_on_points`) in O(|G| r).  There E'_g f = f E_g says
+    pi(D_g) = D'_g, and f M_g = M'_g f E_(g^-1) says a'_g(pi(x)) =
+    pi(a_g(x)) for x in D_(g^-1), both sides 0 elsewhere: a certified
+    a_g is defined exactly on D_(g^-1).  The other checks hold for any
+    bijection pi between split algebras: f is invertible with inverse
+    e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x) e_pi(y)
+    because pi is injective, and f(1) = sum_x e_pi(x) = 1 because it is
+    onto.  So the point route passes or fails exactly as the column route.
+
+    Any other f or carrier runs :func:`_trap_on_columns`."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
+    pa, pb = _point_set(a), _point_set(b)
+    certified = pa is not None and pa.certified and pb is not None and pb.certified
+    pi = _read_permutation(fmat) if certified else None
+    if pi is None:
+        _trap_on_columns(a, b, fmat)
+    else:
+        _trap_on_points(a.group, pa, pb, pi)
+    if marked is not None and morphism(marked[0]) != marked[1]:
+        raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
+    return morphism
+
+
+def _read_permutation(fmat: Matrix):
+    """pi with f e_x = e_pi(x) when the square matrix f has one 1 and
+    otherwise 0s in each row, in distinct columns; None for any other f.
+    One pass over the rows, as :func:`_read_points` reads an M_g."""
+    r = fmat.ncols
+    pi = [None] * r
+    for y, row in enumerate(fmat.rows):
+        if row.count(1) != 1 or row.count(0) != r - 1:
+            return None
+        x = row.index(1)
+        if pi[x] is not None:
+            return None
+        pi[x] = y
+    return pi
+
+
+def _trap_on_points(group: FiniteGroup, pa: _PointSet, pb: _PointSet, pi) -> None:
+    """The checks of :func:`_certified_witness` for f e_x = e_pi(x) between
+    certified point sets, in the order and with the messages of
+    :func:`_trap_on_columns`."""
+    for g in group.elements():
+        domain_b = pb.domains[g]
+        if any(domain_b[pi[x]] != d for x, d in enumerate(pa.domains[g])):
+            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={group.labels[g]} (bug trap)")
+        image_b = pb.maps[g]
+        if any(j is not None and image_b[pi[x]] != pi[j] for x, j in enumerate(pa.maps[g])):
+            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={group.labels[g]} (bug trap)")
+
+
+def _trap_on_columns(a: PartialAction, b: PartialAction, fmat: Matrix) -> None:
+    """The checks of :func:`_certified_witness` but the marked idempotent:
+    E'_g f = f E_g, f M_g = M'_g f E_(g^-1) and f(e_i e_j) = f(e_i) f(e_j)
+    compared column by column on the sparse columns of f and of the two
+    actions (:func:`_sparse_data`), so each costs O(nnz), then
+    invertibility and f(1) = 1."""
     sa, sb = _sparse_data(a), _sparse_data(b)
     n = sa.n
     f = sparse_columns(fmat.rows, fmat.ncols)
@@ -947,9 +1040,6 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
         or combine(f, sparse_vector(a.algebra.unit), n) != sparse_vector(b.algebra.unit)
     ):
         raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
-    if marked is not None and morphism(marked[0]) != marked[1]:
-        raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
-    return morphism
 
 
 def _multiplicative(table_a, table_b, f, n) -> bool:

@@ -515,6 +515,9 @@ def test_non_coset_class_is_not_regular():
     rep = star_product_suite([subset_class(4, {0, 1})])
     status = {name: s for name, s, _ in rep.checks}
     assert status["x x* x = x (0)"] == "fail"
+    # the note names the obstruction of the iso "none"
+    notes = {name: note for name, _, note in rep.checks}
+    assert notes["x x* x = x (0)"] == "rank 4 != rank 2"
 
 
 def test_suite_skips_the_search_on_identical_sides(monkeypatch):

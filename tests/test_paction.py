@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Matrix, Modular
@@ -37,6 +37,7 @@ from pargal.paction import (
     transport,
     verify_partial_action,
 )
+from test_harrison import subset_class
 
 
 def test_example1_satisfies_all_axioms():
@@ -312,7 +313,9 @@ def test_iso_check_relabeled_example1():
 
 
 def test_iso_check_rank_obstruction():
-    assert iso_check(example1(), example2()).status == "none"
+    res = iso_check(example1(), example2())
+    assert res.status == "none"
+    assert res.obstruction == "rank 3 != rank 2"
 
 
 def test_iso_check_group_mismatch():
@@ -339,8 +342,22 @@ def test_iso_check_none_without_rank_obstruction():
         [Matrix.identity(QQ, 2)] * 2,
     )
     assert verify_partial_action(ident).passed
+    # the obstruction names the first component of the first action that
+    # has no partner: the 2-orbit of the swap, or a fixed point
     assert iso_check(triv, ident).status == "none"
+    assert iso_check(triv, ident).obstruction == "CRT unit 1: a component of size 2 has no partner"
     assert iso_check(ident, triv).status == "none"
+    assert iso_check(ident, triv).obstruction == "CRT unit 1: a component of size 1 has no partner"
+
+
+def test_iso_check_names_the_crt_unit_without_a_partner():
+    # over Z/6 the Z/2 components (unit 3) agree and the Z/3 components
+    # (unit 4) are a 2-orbit against two fixed points
+    swap = gset_action(Z6, 2, [2], gset_points([2]))
+    fixed = gset_action(Z6, 2, [1, 1], gset_points([1, 1]))
+    res = iso_check(crt_glue(swap, swap), crt_glue(swap, fixed))
+    assert res.status == "none"
+    assert res.obstruction == "CRT unit 4: a component of size 2 has no partner"
 
 
 def test_iso_check_undecided_on_nonsplit_carrier():
@@ -1197,6 +1214,249 @@ def test_iso_trap_fires_on_a_non_multiplicative_witness():
         assert trap_outcome(trap, act, act, fmat) == expected
 
 
+# -- the iso witness on the point maps of standard carriers --------------------
+
+
+def is_permutation_matrix(rows):
+    return all(sorted(line) == [0] * (len(line) - 1) + [1] for line in [*rows, *zip(*rows)])
+
+
+def swap_columns(rows, x, y):
+    out = [list(row) for row in rows]
+    for row in out:
+        row[x], row[y] = row[y], row[x]
+    return out
+
+
+def breaks_some_map(maps, x, y):
+    """Whether the transposition of points x and y fails to commute with
+    some partial map (None off its domain)."""
+    swap = {x: y, y: x, None: None}
+
+    def t(z):
+        return swap.get(z, z)
+
+    return any(f[t(z)] != t(f[z]) for f in maps for z in range(len(f)))
+
+
+@st.composite
+def point_trap_cases(draw):
+    """A subset class of Z_1-Z_6 over Q, F_2 or Z/6, possibly its star and
+    possibly times a second one, against a relabelled copy ("mixed": one of
+    the two rebased instead), with the witness iso_check found, changed by
+    one drawn corruption: two columns swapped; a transposition of two
+    points of one component with the same domains that breaks some a_g;
+    or a column zeroed, an entry flipped or an entry 2, which leave no
+    permutation matrix."""
+    from pargal.harrison import harrison_product
+    from pargal.paction import _breadth_first, _point_set
+
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    n = draw(st.integers(1, 6))
+
+    def draw_class():
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        c = subset_class(n, points, ring)
+        return c.star() if draw(st.booleans()) else c
+
+    c = draw_class()
+    if draw(st.booleans()):
+        c = harrison_product(c, draw_class())
+    a, r = c.action, c.action.algebra.rank
+    b = relabel(a, draw(st.permutations(range(r))))
+    kind = draw(st.sampled_from(["correct", "swapped", "transposition", "not a permutation", "mixed"]))
+    if kind == "mixed":
+        b = rebased(b, draw(unitriangular(ring, r)))
+        if draw(st.booleans()):
+            a, b = b, a
+    res = iso_check(a, b)
+    # some rebased carriers over Z/6 get no split presentation
+    assume(res.status == "iso")
+    fmat = res.morphism.matrix
+    rows = fmat.rows
+    if kind == "swapped" and r > 1:
+        x, y = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        rows = swap_columns(rows, x, y)
+    elif kind == "transposition":
+        points = _point_set(a)
+        pairs = [
+            (x, y)
+            for x in range(r)
+            for y in _breadth_first(points.maps, x)
+            if x < y
+            and all(d[x] == d[y] for d in points.domains)
+            and breaks_some_map(points.maps, x, y)
+        ]
+        if pairs:
+            rows = swap_columns(rows, *draw(st.sampled_from(pairs)))
+        else:
+            kind = "correct"
+    elif kind == "not a permutation":
+        x, y = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        change = draw(st.sampled_from(["zero column", "flipped entry", "entry 2"]))
+        rows = [list(row) for row in rows]
+        if change == "zero column":
+            for row in rows:
+                row[x] = 0
+        elif change == "entry 2" and ring.coerce(2) != 0:
+            rows[y][x] = 2
+        else:
+            rows[y][x] = 1 - rows[y][x]
+    return kind, a, b, Matrix(ring, rows, r)
+
+
+@given(point_trap_cases())
+@settings(max_examples=150, deadline=None)
+def test_point_trap_matches_the_dense_trap(case):
+    # the trap reads f on the points when both carriers are certified point
+    # sets and f is a permutation matrix; the sparse columns are then never
+    # read, and every other f or carrier runs the column trap
+    from pargal.paction import _certified_witness, _point_set
+
+    kind, a, b, fmat = case
+    got = trap_outcome(_certified_witness, a, b, fmat)
+    certified = all(p is not None and p.certified for p in (_point_set(a), _point_set(b)))
+    on_points = certified and is_permutation_matrix(fmat.rows)
+    assert (a._sparse is None and b._sparse is None) == on_points
+    assert got == trap_outcome(reference_certified_witness, a, b, fmat)
+    if kind == "correct":
+        assert got == fmat
+    elif kind == "transposition":
+        assert on_points and got.startswith("iso_check: f alpha_g != alpha'_g f at g=")
+    elif kind == "not a permutation":
+        assert not on_points
+    elif kind == "mixed":
+        assert got == fmat
+
+
+def presentation_witness(a, b, sigmas):
+    """The witness as iso_check built it before it read point maps: f(p_i)
+    = sum_t u_t q_(sigma_t(i)) on the split data of presentation_split_data,
+    times the coordinates -> coefficients matrix of a."""
+    from pargal.paction import _base_ring_units
+
+    ring, r = a.algebra.ring, a.algebra.rank
+    to_coords = presentation_split_data(a)[1]
+    idems_b = presentation_split_data(b)[0]
+    cols = []
+    for i in range(r):
+        col = [0] * r
+        for u, sigma in zip(_base_ring_units(ring), sigmas):
+            col = [ring.add(c, ring.mul(u, x)) for c, x in zip(col, idems_b[sigma[i]])]
+        cols.append(col)
+    return Matrix(ring, [list(row) for row in zip(*cols)], r).mul(to_coords)
+
+
+@pytest.fixture
+def matched_sigmas(monkeypatch):
+    """The bijections sigma_t that _match_components returns, in order."""
+    import pargal.paction as paction
+
+    calls = []
+    match = paction._match_components
+
+    def recorded(*args):
+        sigma, unmatched = match(*args)
+        calls.append(sigma)
+        return sigma, unmatched
+
+    monkeypatch.setattr(paction, "_match_components", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
+    # corpus actions and their stars against relabelled copies, and the
+    # globalizations of the corpus under two slot orders through
+    # global_iso_check; over Z/6 also a marked pair whose two CRT units
+    # take different sigmas
+    from dataclasses import replace
+
+    from pargal.envelope import global_iso_check, globalize
+    from pargal.paction import _point_set
+
+    def assert_presentation_witness(a, b, res):
+        assert _point_set(a).certified and _point_set(b).certified
+        if res.status == "iso":
+            expected = presentation_witness(a, b, matched_sigmas)
+            assert repr(res.morphism.matrix) == repr(expected)
+        matched_sigmas.clear()
+
+    rng = random.Random(15)
+    corpus = standard_corpus(ring)
+    for act in corpus.values():
+        for a in (act, inverse_action(act)):
+            perm = list(range(a.algebra.rank))
+            for _ in range(3):
+                other = relabel(a, perm)
+                assert_presentation_witness(a, other, iso_check(a, other))
+                rng.shuffle(perm)
+    envelopes = []
+    for name in ("ex1", "ex2", "ex2-star", "trivial-Z4"):
+        for order in ((0, 1, 2, 3), (3, 1, 0, 2)):
+            envelopes.append(globalize(corpus[name], slot_order=order))
+    for gd1 in envelopes:
+        for gd2 in envelopes:
+            if gd1.group == gd2.group:
+                t1 = global_action(gd1.group, gd1.algebra, gd1.beta)
+                t2 = global_action(gd2.group, gd2.algebra, gd2.beta)
+                assert_presentation_witness(t1, t2, global_iso_check(gd1, gd2))
+    if ring == Z6:
+        # 1_S = (3, 4) is e_0 on Z/2 and e_1 on Z/3, and (1, 0) is e_0 on
+        # both: the two CRT units take different sigmas, and the witness
+        # 3 id + 4 swap is no permutation matrix
+        gd = globalize(corpus["trivial-Z2"])
+        gd1 = replace(gd, one_s=gd.algebra.element([3, 4]))
+        gd2 = replace(gd, one_s=gd.algebra.element([1, 0]))
+        res = global_iso_check(gd1, gd2)
+        assert res.status == "iso" and matched_sigmas[0] != matched_sigmas[1]
+        assert res.morphism.matrix.rows == [[3, 4], [4, 3]]
+        t = global_action(gd.group, gd.algebra, gd.beta)
+        assert_presentation_witness(t, t, res)
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
+def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
+    # the match, the witness and the trap all run on the point maps: no
+    # matrix product, invertibility test or row reduction, and no sparse
+    # columns read or kept; a mixed pair shows that the counters see calls
+    import sys
+
+    import pargal.paction as paction
+
+    pairs = []
+    for act in standard_corpus(ring).values():
+        for a in (act, inverse_action(act)):
+            pairs.append((a, relabel(a, list(reversed(range(a.algebra.rank))))))
+    pairs.append((example1(ring), example2(ring)))
+    pairs.append((gset_action(ring, 2, [2], gset_points([2])), gset_action(ring, 2, [1, 1], gset_points([1, 1]))))
+    mixed = rebased(example2(ring), Matrix(ring, [[1, 0], [1, 1]], 2))
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Matrix, "mul", counted("Matrix.mul", Matrix.mul))
+    monkeypatch.setattr(paction, "_read_sparse", counted("_read_sparse", paction._read_sparse))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pargal"):
+            for fn in ("invertible", "canonical_row_form"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+    statuses = set()
+    for a, b in pairs:
+        statuses.add(iso_check(a, b).status)
+        assert a._sparse is None and b._sparse is None
+    assert statuses == {"iso", "none"}
+    assert calls == []
+    assert iso_check(example2(ring), mixed).status == "iso"
+    assert {"Matrix.mul", "invertible", "_read_sparse"} <= set(calls)
+
+
 # -- the point-set route against the sparse route and the dense reference -----
 
 
@@ -1312,11 +1572,19 @@ def test_point_set_route_matches_the_sparse_and_dense_routes(act, rnd):
 @given(point_set_actions())
 @settings(max_examples=150, deadline=None)
 def test_split_data_matches_the_presentation_route(act):
-    from pargal.paction import _point_set, _split_data
+    from pargal.paction import _point_set, _split_basis, _split_data
+
+    def split_fields(a):
+        # a point set keeps no dense split data; compare what _split_basis
+        # writes out for the routes that read it
+        data = _split_data(a)
+        return (*_split_basis(data, a.algebra.ring, a.algebra.rank), data.gsets)
 
     assert act.algebra == type(act.algebra).split(act.algebra.ring, act.algebra.labels)
-    got = outcome(lambda a: tuple(_split_data(a)), act)
+    got = outcome(split_fields, act)
     assert got == outcome(presentation_split_data, act)
+    if got[0] != "AlgebraError":
+        assert (_split_data(act).idems is None) == (_point_set(act) is not None)
     # the reader takes every action with 0/1 data and no column with two 1s
     stored = [x for m in act.maps for row in m.rows for x in row] + [x for e in act.idems for x in e.coords]
     columns = [list(col) for m in act.maps for col in zip(*m.rows)]
