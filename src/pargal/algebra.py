@@ -485,20 +485,6 @@ class ProductAlgebra:
     def arity(self) -> int:
         return len(self.components)
 
-    def project_coords(self, idx: int, coords):
-        """Product coordinates -> parent coordinates of component idx."""
-        comp = self.components[idx]
-        block = list(coords[comp.offset : comp.offset + comp.rank])
-        out = [0] * self.parent.rank
-        add, mul = self.parent.ring.add, self.parent.ring.mul
-        for c, row in zip(block, comp.ideal.basis.rows):
-            if c == 0:
-                continue
-            for t, v in enumerate(row):
-                if v != 0:
-                    out[t] = add(out[t], mul(c, v))
-        return out
-
     def embed_component(self, idx: int, parent_coords):
         """Parent coordinates (in component idx's ideal) -> product coords."""
         comp = self.components[idx]
@@ -841,6 +827,21 @@ def _split_over_field(algebra: Algebra):
 
 
 def _split_over_zn(algebra: Algebra):
+    """The split idempotents of a free algebra A over composite Z/n, glued
+    by CRT: e = sum_t u_t e_t from one split idempotent e_t of each
+    component A_t = A / q_t A, for the CRT units u_t of the prime powers
+    q_t of n; None when some component does not split, or the components
+    split into different numbers of idempotents.
+
+    Each e is a free rank-1 ideal generator by construction, with no test.
+    A is free over Z/n, so by CRT A e is the direct sum of the A_t e_t.
+    Over a field A_t e_t is a rank-1 block of the splitting.  Over Z/p^k it
+    is a direct summand of the free module A_t over a local ring, hence
+    free, and its rank is its rank mod p, which is 1.  So A e is the sum of
+    the Z/q_t, which is Z/n.  The e are idempotent, orthogonal and sum to 1
+    because the e_t are so in each component; ``find_split_presentation``
+    checks that (:meth:`SplitPresentation.check`).
+    """
     n = algebra.ring.n
     per_prime = []
     crt_units = []
@@ -865,23 +866,7 @@ def _split_over_zn(algebra: Algebra):
             vec = sorted(idems)[idx]
             for t in range(algebra.rank):
                 coords[t] = (coords[t] + u * vec[t]) % n
-        cand = algebra.element(coords)
-        if not cand.is_idempotent():
-            return None
-        rows = _ideal_rows(algebra, cand)
-        if rows.nrows != 1:
-            return None
-        content = n
-        for v in rows.rows[0]:
-            content = gcd(content, v)
-        if content != 1:
-            return None  # R*e is a proper cyclic module, not free of rank 1
-        out.append(cand)
-    total = algebra.zero()
-    for e in out:
-        total = total + e
-    if total != algebra.one():
-        return None
+        out.append(algebra.element(coords))
     return out
 
 

@@ -32,7 +32,16 @@ from .algebra import (
     subalgebra_from_constraints,
 )
 from .groups import Subgroup
-from .paction import ActionReport, IsoResult, PartialAction, _match_iso, _point_matrix, _point_set, global_action
+from .paction import (
+    ActionReport,
+    IsoResult,
+    PartialAction,
+    _match_iso,
+    _point_matrix,
+    _point_set,
+    _read_permutation,
+    global_action,
+)
 
 
 @dataclass
@@ -90,8 +99,8 @@ def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
         if sorted(slot_order) != list(G.elements()):
             raise AlgebraError("slot_order must permute the group elements")
     points = _point_set(act)
-    if points is not None and points.certified:
-        gd = _globalize_points(act, points.maps, slot_order)
+    if points is not None:
+        gd = _globalize_points(act, points, slot_order)
     else:
         gd = _globalize_matrices(act, slot_order)
     rep = certify_globalization(gd)
@@ -256,8 +265,12 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     (:func:`~pargal.paction._point_set`), T is split on its labels, each
     beta_g is a k x k permutation matrix pi_g, the embedding is k x n with
     a single 1 in each column, at class c(x), and c is injective, 1_S is
-    0/1 with support O, and ``down`` is n x k.  Write C = c(X).  Then each
-    matrix check is the statement on classes that this function tests:
+    0/1 with support O, and ``down`` is n x k.  Write C = c(X).  The point
+    certificate defines a_g exactly on D_(g^-1)
+    (:func:`~pargal.paction._points_certified`), so D_g is read as the
+    domain of a_(g^-1), and no test of where a_g is defined is needed.
+    Then each matrix check is the statement on classes that this function
+    tests:
 
     - A permutation matrix is a unital automorphism of a split algebra.
     - beta_1 = id and beta_g beta_h = beta_gh compare the products of
@@ -267,8 +280,8 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
       vectors is read off its support, so (G2) is c(D_g) = C /\\ pi_g(C).
     - (G3): column x of beta_g iota E_(g^-1) is e_(pi_g(c(x))) for x in
       D_(g^-1) and 0 off it; column x of iota M_g is e_(c(a_g(x))) where
-      a_g(x) is defined and 0 elsewhere.  So (G3) holds when a_g is
-      defined exactly on D_(g^-1) and pi_g(c(x)) = c(a_g(x)) there.
+      a_g(x) is defined and 0 elsewhere.  Both supports are D_(g^-1), so
+      (G3) holds when pi_g(c(x)) = c(a_g(x)) wherever a_g is defined.
     - (G4): the translates span T when the pi_g(C) cover the k classes.
     - 1_g: beta_g(1_S) 1_S is the indicator of pi_g(O) /\\ O and iota(1_g)
       that of c(D_g).
@@ -283,9 +296,9 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     T = gd.algebra
     G = act.group
     n, k = act.algebra.rank, T.rank
-    if points is None or not points.certified or len(gd.beta) != G.order or not T.is_split():
+    if points is None or len(gd.beta) != G.order or not T.is_split():
         return False
-    pis = [_permutation(m, k) for m in gd.beta]
+    pis = [_read_permutation(m) if m.ncols == k else None for m in gd.beta]
     emb = gd.embed.matrix
     if None in pis or emb.nrows != k or emb.ncols != n or gd.down.nrows != n or gd.down.ncols != k:
         return False
@@ -304,34 +317,17 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     if any(j != i for i, j in enumerate(pis[G.identity])):
         return False
     for g in G.elements():
-        pi, a = pis[g], points.maps[g]
+        pi = pis[g]
         if any(pi[pis[h][j]] != pis[G.mul(g, h)][j] for h in G.elements() for j in range(k)):
             return False
-        in_g = {c[x] for x in range(n) if points.domains[g][x]}
+        in_g = {c[x] for x, y in enumerate(points[G.inv(g)]) if y is not None}
         if in_g != C & {pi[j] for j in C} or in_g != O & {pi[j] for j in O}:
             return False
-        source = points.domains[G.inv(g)]
-        if any((y is None) == source[x] or y is not None and pi[c[x]] != c[y] for x, y in enumerate(a)):
+        if any(y is not None and pi[c[x]] != c[y] for x, y in enumerate(points[g])):
             return False
     if {pi[j] for pi in pis for j in C} != set(range(k)):
         return False
     return all(gd.down.rows[i][c[x]] == (1 if i == x else 0) for i in range(n) for x in range(n))
-
-
-def _permutation(m: Matrix, k: int):
-    """pi with m e_j = e_(pi(j)) when ``m`` is a k x k permutation matrix,
-    else None."""
-    if m.nrows != k or m.ncols != k:
-        return None
-    image = [None] * k
-    for i, row in enumerate(m.rows):
-        if row.count(0) != k - 1 or row.count(1) != 1:
-            return None
-        j = row.index(1)
-        if image[j] is not None:
-            return None
-        image[j] = i
-    return image
 
 
 def _certify_on_matrices(gd: GlobalizationData) -> ActionReport:

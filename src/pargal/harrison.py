@@ -141,23 +141,15 @@ def _identify_with_group(qa: QuotientAction, base_group: FiniteGroup) -> Partial
     return transport(qa.action, base_group, list(base_group.elements()))
 
 
-def _standard_gset(act: PartialAction):
-    """The partial G-set (its maps) of ``act`` when its carrier is R^n on
-    its standard basis with 0/1 data and the point maps pass the point-set
-    certificate (:func:`~pargal.paction._point_set`); None otherwise."""
-    points = _point_set(act)
-    return points.maps if points is not None and points.certified else None
-
-
 def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     """The delta-G quotient of the tensor action of ``a`` and ``b``, computed on
-    the point set X x Y when both carriers are on their standard bases
-    (:func:`_standard_gset`); None otherwise.
+    the point set X x Y when both operands are certified point sets
+    (:func:`~pargal.paction._point_set`); None otherwise.
 
     Point (x, y) is the tensor basis index x |Y| + y, and (l, t) sends it to
     (a_l x, a'_t y); see :func:`_delta_quotient`.
     """
-    map_a, map_b = _standard_gset(a), _standard_gset(b)
+    map_a, map_b = _point_set(a), _point_set(b)
     if map_a is None or map_b is None:
         return None
     ny = b.algebra.rank
@@ -172,8 +164,9 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
 
 
 def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
-    """E(S, alpha) computed on the point set of prod_g S_g when the carrier
-    is on its standard basis (:func:`_standard_gset`); None otherwise.
+    """E(S, alpha) computed on the point set of prod_g S_g when ``act`` is a
+    certified point set (:func:`~pargal.paction._point_set`); None
+    otherwise.
 
     prod_g S_g is then R^P for the points P = {(g, i) : i in D_g}, ordered
     by g and then i and labelled [g]<label of e_i>, as
@@ -183,7 +176,7 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     :func:`hat_action` (on a partial action, (P3) already puts i in D_tg);
     see :func:`_delta_quotient`.
     """
-    maps = _standard_gset(act)
+    maps = _point_set(act)
     if maps is None:
         return None
     G, A = act.group, act.algebra
@@ -224,7 +217,8 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     The component of p is its delta-G orbit {(s, s^-1) p}, read with one
     move per s.  The relation q = (s, s^-1) p is an equivalence on both
     sets that call this, because their inputs are certified partial G-sets
-    (:func:`_standard_gset`); (1, 1) is the identity on the points.
+    (:func:`~pargal.paction._point_set`); (1, 1) is the identity on the
+    points.
     - On X x Y (:func:`_gset_product`), (l, t) acts as a_l x a'_t on
       D_(l^-1) x D'_(t^-1), a partial G x G-set, and so is its restriction
       to delta G: (s, s^-1) p = q gives (s^-1, s) q = p, and (t, t^-1) q =

@@ -35,7 +35,7 @@ from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points", "_components")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -56,7 +56,6 @@ class PartialAction:
         self._split = None
         self._sparse = None
         self._points = None
-        self._components = None
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -137,8 +136,7 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     that fails there, runs the checks on sparse columns
     (:func:`_verify_on_columns`), which name the witness of each failure.
     """
-    points = _point_set(act)
-    if points is not None and points.certified:
+    if _point_set(act) is not None:
         rep = ActionReport()
         for name in (_UNITAL, _P2, _P1, _P3, _P4):
             rep.add(name, True)
@@ -276,26 +274,24 @@ def _read_sparse(act: PartialAction) -> _SparseAction:
     return _SparseAction(n, sparse_table(A), maps, idems)
 
 
-class _PointSet(NamedTuple):
-    """A standard-carrier action read as a partial G-set of the basis
-    points, see :func:`_point_set`."""
+def _point_set(act: PartialAction) -> list | None:
+    """The partial G-set of ``act`` on its basis points, certified: the
+    maps a_g, maps[g][i] = j when M_g e_i = e_j and None when column i is
+    0.  None unless the carrier is R^n on its standard basis
+    (:meth:`Algebra.split`), every stored entry of each 1_g and M_g is 0 or
+    1, no column of an M_g holds two 1s, and the maps with the domains D_g
+    = supp 1_g pass :func:`_points_certified`.  Read once per action in
+    O(|G| r^2) and kept on it.
 
-    maps: list  # maps[g][i] = j when M_g e_i = e_j, None when column i is 0
-    domains: list  # domains[g][i]: whether 1_g has coordinate 1 at e_i
-    certified: bool  # whether the maps pass :func:`_points_certified`
-
-
-def _point_set(act: PartialAction) -> _PointSet | None:
-    """The partial G-set of ``act`` on its basis points, or None unless the
-    carrier is R^n on its standard basis (:meth:`Algebra.split`), every
-    stored entry of each 1_g and M_g is 0 or 1, and no column of an M_g
-    holds two 1s; read once per action in O(|G| r^2) and kept on it."""
+    A certified a_g is defined exactly on D_(g^-1) (see
+    :func:`_points_certified`), so D_g is the domain of a_(g^-1), and every
+    reader of a point set takes it from there."""
     if act._points is None:
         act._points = (_read_points(act),)
     return act._points[0]
 
 
-def _read_points(act: PartialAction) -> _PointSet | None:
+def _read_points(act: PartialAction) -> list | None:
     A = act.algebra
     if not A.is_split():
         return None
@@ -321,7 +317,7 @@ def _read_points(act: PartialAction) -> _PointSet | None:
                     return None
                 image[j] = k
         maps.append(image)
-    return _PointSet(maps, domains, _points_certified(act.group, maps, domains))
+    return maps if _points_certified(act.group, maps, domains) else None
 
 
 def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
@@ -331,16 +327,14 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
 
     The point set is kept on the action as :func:`_read_points` reads it off
-    these matrices: the maps and domains, certified by
-    :func:`_points_certified`, or None when some a_g is not injective.
+    these matrices: the maps when :func:`_points_certified` passes them,
+    else None.  The certificate fails on a map that is not injective.
     """
     algebra = Algebra.split(ring, labels)
     domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
     idems = [Element(algebra, tuple(int(d) for d in dom)) for dom in domains]
     act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
-    injective = all(len(set(a) - {None}) == len(a) - a.count(None) for a in maps)
-    points = _PointSet(maps, domains, _points_certified(group, maps, domains)) if injective else None
-    act._points = (points,)
+    act._points = (maps if _points_certified(group, maps, domains) else None,)
     return act
 
 
@@ -362,11 +356,13 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     which is the identity M_g M_h = E_g M_gh of (P4) read on points.
 
     On R^X with 0/1 data every other check of :func:`verify_partial_action`
-    follows.  (P4) at (g, 1) puts the image of a_g in D_g, and at (g^-1, g)
-    and (g, g^-1) it makes a_g a bijection D_(g^-1) -> D_g with inverse
-    a_(g^-1), which is (P1).  At (1, 1) it gives D_1 = X, which with a_1 =
-    id is (P2).  At (g, h) and (g^-1, gh) it gives (P3).  A 0/1 vector is
-    idempotent.  So the certificate holds exactly when the checks of
+    follows.  (P4) at (g, 1) puts the image of a_g in D_g.  At (g^-1, g)
+    it makes a_(g^-1) a_g the identity on D_(g^-1), undefined off it; as
+    (g, g^-1) defines a_(g^-1) on all of D_g, a_g is defined exactly on
+    D_(g^-1), a bijection onto D_g with inverse a_(g^-1), which is (P1).
+    So D_g is the domain of a_(g^-1).  At (1, 1) it gives D_1 = X, which
+    with a_1 = id is (P2).  At (g, h) and (g^-1, gh) it gives (P3).  A 0/1
+    vector is idempotent.  So the certificate holds exactly when the checks of
     :func:`_verify_on_columns` pass.
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
@@ -437,14 +433,14 @@ def invariants(act: PartialAction) -> SubAlgebra:
     A = act.algebra
     ring = A.ring
     points = _point_set(act)
-    if points is not None and points.certified:
+    if points is not None:
         r = A.rank
         seen = [False] * r
         rows = []
         for x in range(r):
             if not seen[x]:
                 row = [0] * r
-                for y in _breadth_first(points.maps, x):
+                for y in _breadth_first(points, x):
                     seen[y] = True
                     row[y] = 1
                 rows.append(row)
@@ -467,8 +463,9 @@ class GaloisCoordinates:
     def verify(self) -> bool:
         """Whether sum_i x_i alpha_g(y_i 1_{g^-1}) = delta_{1,g} 1_S for
         every g.  On a certified point set (:func:`_point_set`) coordinate k
-        of x alpha_g(y 1_{g^-1}) is x_k y_(a_g^-1(k)), summed through the
-        point maps; any other action is summed on sparse columns
+        of x alpha_g(y 1_{g^-1}) is x_k y_(a_(g^-1)(k)), summed through the
+        point maps: a_(g^-1) inverts a_g and is defined exactly on its
+        image.  Any other action is summed on sparse columns
         (:func:`_read_sparse`)."""
         act = self.action
         ring = act.algebra.ring
@@ -476,12 +473,11 @@ class GaloisCoordinates:
         pairs = [(sparse_vector(x.coords), sparse_vector(y.coords)) for x, y in self.pairs]
         one = reduced(sparse_vector(act.algebra.unit), n)
         points = _point_set(act)
-        if points is not None and points.certified:
-            sources = [{j: i for i, j in enumerate(a) if j is not None} for a in points.maps]
+        if points is not None:
 
             def product(g, x, y):
-                source = sources[g]
-                return ((k, v * y[source[k]]) for k, v in x.items() if source.get(k) in y)
+                source = points[act.group.inv(g)]
+                return ((k, v * y[source[k]]) for k, v in x.items() if source[k] in y)
 
         else:
             _, table, maps, _ = act._sparse or _read_sparse(act)
@@ -511,7 +507,7 @@ def galois_coordinates(act: PartialAction):
     A = act.algebra
     r = A.rank
     points = _point_set(act)
-    if points is not None and points.certified and not _has_fixed_point(act.group, points.maps):
+    if points is not None and not _has_fixed_point(act.group, points):
         pairs = [(e, e) for e in A.basis()]
     else:
         rhs = []
@@ -695,7 +691,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     units = _base_ring_units(ring)
     if marked is None:
         gsets_a, gsets_b = sa.gsets, sb.gsets
-        kept_a, kept_b = _kept_components(a), _kept_components(b)
+        kept_a, kept_b = sa.kept, sb.kept
     else:
         gsets_a = [maps + [_colour(ring, u, sa, marked[0])] for u, maps in zip(units, sa.gsets)]
         gsets_b = [maps + [_colour(ring, u, sb, marked[1])] for u, maps in zip(units, sb.gsets)]
@@ -771,7 +767,7 @@ def _match_components(maps_a, maps_b, kept_a, kept_b):
 
 class _SplitData(NamedTuple):
     """An action read off the split presentation of its carrier.  On a
-    standard carrier (:func:`_split_points`) the split idempotents are the
+    certified point set (:func:`_split_points`) the split idempotents are the
     basis points in reverse, p_i = e_(r-1-i), and no dense data is kept:
     ``idems`` and ``to_coords`` are None, and :func:`_split_basis` writes
     them out where a carrier on another basis needs them."""
@@ -779,6 +775,10 @@ class _SplitData(NamedTuple):
     idems: list | None  # coordinate lists of the split idempotents p_i
     to_coords: Matrix | None  # coordinates -> coefficients over the p_i
     gsets: list  # the partial G-set of each CRT unit, see _partial_gsets
+    # per unit, the component of each point read from it (_component_from),
+    # filled on demand so that canonical_key and iso_check read each once;
+    # units that share their maps share the list
+    kept: list
 
 
 def _split_basis(data: _SplitData, ring, r: int):
@@ -803,38 +803,26 @@ def _split_data(act: PartialAction) -> _SplitData | None:
             data = None
             pres = find_split_presentation(act.algebra)
             if pres is not None:
-                ring = act.algebra.ring
+                ring, r = act.algebra.ring, act.algebra.rank
                 idems = [list(e.coords) for e in pres.idempotents]
-                to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], act.algebra.rank))
+                to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
                 gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
-                data = _SplitData(idems, to_coords, gsets)
+                data = _SplitData(idems, to_coords, gsets, [[None] * r for _ in gsets])
         act._split = (data,)
     return act._split[0]
 
 
-def _split_points(act: PartialAction, points: _PointSet) -> _SplitData:
-    """The split data of a standard carrier read off its point maps, in the
+def _split_points(act: PartialAction, points) -> _SplitData:
+    """The split data of a certified point set (:func:`_point_set`), in the
     order of :func:`find_split_presentation`, which sorts the basis vectors
-    by their coordinates: p_i = e_(r-1-i).  Every CRT unit gets the same
-    maps, and the maps are checked as :func:`_partial_gsets` checks them.
-    The r x r idempotents and coefficient matrix are not built (see
-    :class:`_SplitData`): coefficient i of a vector is its coordinate
-    r-1-i."""
+    by their coordinates: p_i = e_(r-1-i), so coefficient i of a vector is
+    its coordinate r-1-i.  Every CRT unit gets the same maps, the point
+    maps with the indices reversed.  The r x r idempotents and coefficient
+    matrix are not built (see :class:`_SplitData`)."""
     r = act.algebra.rank
-    group = act.group
-    maps = []
-    for g in group.elements():
-        source = points.domains[group.inv(g)]
-        images = []
-        for i in range(r):
-            j = points.maps[g][r - 1 - i]
-            if (j is not None) != source[r - 1 - i]:
-                raise AlgebraError(
-                    f"iso_check: alpha_{group.labels[g]} does not permute the split idempotents (index {i})"
-                )
-            images.append(None if j is None else r - 1 - j)
-        maps.append(images)
-    return _SplitData(None, None, [maps] * len(_base_ring_units(act.algebra.ring)))
+    gset = [[None if j is None else r - 1 - j for j in reversed(a)] for a in points]
+    units = len(_base_ring_units(act.algebra.ring))
+    return _SplitData(None, None, [gset] * units, [[None] * r] * units)
 
 
 def canonical_key(act: PartialAction):
@@ -851,7 +839,7 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(maps, kept) for maps, kept in zip(data.gsets, _kept_components(act)))
+    return tuple(_gset_code(maps, kept) for maps, kept in zip(data.gsets, data.kept))
 
 
 def _gset_code(maps, kept):
@@ -866,19 +854,6 @@ def _gset_code(maps, kept):
             seen.update(component)
             codes.append(min(_component_from(maps, kept, root)[1] for root in component))
     return tuple(sorted(codes))
-
-
-def _kept_components(act: PartialAction):
-    """For the partial G-set of each CRT unit of the split data of ``act``
-    (:func:`_split_data`, not None), the list that keeps the component of
-    each point read from it (:func:`_component_from`), kept on the action
-    so that ``canonical_key`` and ``iso_check`` read each one once.  Units
-    that share their maps share the list."""
-    if act._components is None:
-        gsets = _split_data(act).gsets
-        lists = {id(maps): [None] * len(maps[0]) for maps in gsets}
-        act._components = [lists[id(maps)] for maps in gsets]
-    return act._components
 
 
 def _component_from(maps, kept, x):
@@ -977,8 +952,7 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     Any other f or carrier runs :func:`_trap_on_columns`."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
     pa, pb = _point_set(a), _point_set(b)
-    certified = pa is not None and pa.certified and pb is not None and pb.certified
-    pi = _read_permutation(fmat) if certified else None
+    pi = _read_permutation(fmat) if pa is not None and pb is not None else None
     if pi is None:
         _trap_on_columns(a, b, fmat)
     else:
@@ -989,10 +963,12 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
 
 
 def _read_permutation(fmat: Matrix):
-    """pi with f e_x = e_pi(x) when the square matrix f has one 1 and
-    otherwise 0s in each row, in distinct columns; None for any other f.
-    One pass over the rows, as :func:`_read_points` reads an M_g."""
+    """pi with f e_x = e_pi(x) when f is square with one 1 and otherwise 0s
+    in each row, in distinct columns; None for any other f.  One pass over
+    the rows, as :func:`_read_points` reads an M_g."""
     r = fmat.ncols
+    if fmat.nrows != r:
+        return None
     pi = [None] * r
     for y, row in enumerate(fmat.rows):
         if row.count(1) != 1 or row.count(0) != r - 1:
@@ -1004,16 +980,17 @@ def _read_permutation(fmat: Matrix):
     return pi
 
 
-def _trap_on_points(group: FiniteGroup, pa: _PointSet, pb: _PointSet, pi) -> None:
+def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:
     """The checks of :func:`_certified_witness` for f e_x = e_pi(x) between
-    certified point sets, in the order and with the messages of
-    :func:`_trap_on_columns`."""
+    the certified point sets ``pa`` and ``pb``, in the order and with the
+    messages of :func:`_trap_on_columns`.  pi(D_g) = D'_g is read off the
+    domains of a_(g^-1) and a'_(g^-1)."""
     for g in group.elements():
-        domain_b = pb.domains[g]
-        if any(domain_b[pi[x]] != d for x, d in enumerate(pa.domains[g])):
+        source_b = pb[group.inv(g)]
+        if any((source_b[pi[x]] is None) != (y is None) for x, y in enumerate(pa[group.inv(g)])):
             raise AssertionError(f"iso_check: f(S_g) != S'_g at g={group.labels[g]} (bug trap)")
-        image_b = pb.maps[g]
-        if any(j is not None and image_b[pi[x]] != pi[j] for x, j in enumerate(pa.maps[g])):
+        image_b = pb[g]
+        if any(j is not None and image_b[pi[x]] != pi[j] for x, j in enumerate(pa[g])):
             raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={group.labels[g]} (bug trap)")
 
 

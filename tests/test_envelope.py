@@ -199,8 +199,8 @@ def routes_of(act, slot_order):
         return gd.algebra, gd.beta, gd.embed.source, gd.embed.target, gd.embed.matrix, gd.one_s, gd.down
 
     points = _point_set(act)
-    assert points is not None and points.certified
-    return fields(_globalize_points(act, points.maps, slot_order)), fields(_globalize_matrices(act, slot_order))
+    assert points is not None
+    return fields(_globalize_points(act, points, slot_order)), fields(_globalize_matrices(act, slot_order))
 
 
 @st.composite

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Matrix, Modular
@@ -37,6 +37,7 @@ from pargal.paction import (
     transport,
     verify_partial_action,
 )
+from test_algebra import project_coords
 from test_harrison import subset_class
 
 
@@ -267,7 +268,7 @@ def test_phi_bijective_iff_galois_on_restrictions():
 def test_product_unit_example2():
     phi = phi_map(example2())
     prod = phi.product
-    unit_components = [prod.project_coords(i, prod.algebra.unit) for i in range(4)]
+    unit_components = [project_coords(prod, i, prod.algebra.unit) for i in range(4)]
     assert unit_components == [[1, 1], [0, 1], [0, 0], [1, 0]]
 
 
@@ -417,11 +418,39 @@ def test_iso_check_symmetric_over_composite_zn():
 
 def test_iso_check_rejects_a_non_partial_action():
     # the search reads the carrier as a partial G-set; data that is not one
-    # is refused with the element and split index instead of a wrong answer
-    act = example2()
-    broken = PartialAction(act.group, act.algebra, act.idems, [act.maps[0], act.maps[0], act.maps[2], act.maps[3]])
-    with pytest.raises(AlgebraError, match=r"alpha_g does not permute the split idempotents \(index 0\)"):
-        iso_check(broken, act)
+    # is refused with the element and split index instead of a wrong answer,
+    # on either side and over each ring; this 0/1 data fails the point-set
+    # certificate and is read through find_split_presentation
+    for ring in (QQ, Modular(2), Modular(6)):
+        act = example2(ring)
+        broken = PartialAction(act.group, act.algebra, act.idems, [act.maps[0], act.maps[0], *act.maps[2:]])
+        for a, b in ((broken, act), (act, broken)):
+            with pytest.raises(AlgebraError) as exc:
+                iso_check(a, b)
+            assert str(exc.value) == "iso_check: alpha_g does not permute the split idempotents (index 0)"
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_iso_check_on_uncertified_point_data_takes_the_presentation_route(ring):
+    # 0/1 data that fails the point-set certificate but sends each split
+    # idempotent in D_(g^-1) to one split idempotent: iso_check does not
+    # verify its input, so it reads these G-sets off find_split_presentation
+    # and answers "iso" with the witnesses pinned here
+    from pargal.paction import _point_set, _split_data
+
+    expected = {
+        "a_1 not id": ([[1, 0], [0, 1]], [[0, 1], [1, 0]]),
+        "P4 only": ([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    }
+    for name, n, domains, maps, _ in POINT_SET_FAILURES:
+        act = points_action(ring, n, domains, maps)
+        witnesses = []
+        for other in (act, relabel(act, [1, 0])):
+            res = iso_check(act, other)
+            assert res.status == "iso" and res.obstruction is None
+            witnesses.append(res.morphism.matrix.rows)
+        assert _point_set(act) is None and _split_data(act).idems is not None
+        assert tuple(witnesses) == expected[name], name
 
 
 def test_partial_bijectivity_matrix_identity():
@@ -708,6 +737,26 @@ def test_canonical_key_is_none_on_a_nonsplit_carrier():
     nil = make_algebra(QQ, ["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
     act = PartialAction(make_cyclic(1), nil, [nil.one()], [Matrix.identity(QQ, 2)])
     assert canonical_key(act) is None
+
+
+def test_every_rebasing_over_z6_keeps_its_key_and_iso():
+    # the Z_2-set with orbits [2, 1] on (Z/6)^3 on each of the 162 bases
+    # that permute the rows of a unit upper triangular matrix with entries
+    # 0-2: the mod-2 and mod-3 split idempotents glued by CRT always give a
+    # split presentation, so none is "undecided"
+    from itertools import permutations, product
+
+    base = gset_action(Z6, 2, [2, 1], gset_points([2, 1]))
+    key = canonical_key(base)
+    count = 0
+    for upper in product(range(3), repeat=3):
+        rows = [[1, upper[0], upper[1]], [0, 1, upper[2]], [0, 0, 1]]
+        for order in permutations(range(3)):
+            act = rebased(base, Matrix(Z6, [rows[k] for k in order], 3))
+            assert canonical_key(act) == key
+            assert iso_check(base, act).status == "iso"
+            count += 1
+    assert count == 162
 
 
 def _timed_iso(a, b):
@@ -1200,6 +1249,21 @@ def test_iso_trap_fires_on_a_witness_missing_the_marked_idempotent(ring):
             assert trap_outcome(_certified_witness, t, t, fmat) == fmat
 
 
+def test_read_permutation_refuses_all_but_square_permutation_matrices():
+    from pargal.paction import _read_permutation
+
+    # f e_x = e_pi(x): column x holds its 1 in row pi(x)
+    assert _read_permutation(Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)) == [2, 0, 1]
+    # one 1 in each row, in distinct columns, but not square
+    assert _read_permutation(Matrix(QQ, [[1, 0, 0], [0, 1, 0]], 3)) is None
+    assert _read_permutation(Matrix(QQ, [[1, 0], [0, 1], [0, 0]], 2)) is None
+    # two rows with their 1 in one column
+    assert _read_permutation(Matrix(QQ, [[0, 1], [0, 1]], 2)) is None
+    # a 2 or a second 1 in a row
+    assert _read_permutation(Matrix(QQ, [[2, 0], [0, 1]], 2)) is None
+    assert _read_permutation(Matrix(QQ, [[1, 1], [0, 1]], 2)) is None
+
+
 def test_iso_trap_fires_on_a_non_multiplicative_witness():
     # f = 2 - swap commutes with the global swap, fixes 1 = e1 + e2 and is
     # invertible over Q, but f(e1)^2 = (4, 1) != f(e1) = (2, -1)
@@ -1270,22 +1334,24 @@ def point_trap_cases(draw):
         if draw(st.booleans()):
             a, b = b, a
     res = iso_check(a, b)
-    # some rebased carriers over Z/6 get no split presentation
-    assume(res.status == "iso")
+    # every rebased carrier over Z/6 gets a split presentation
+    assert res.status == "iso"
     fmat = res.morphism.matrix
     rows = fmat.rows
     if kind == "swapped" and r > 1:
         x, y = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
         rows = swap_columns(rows, x, y)
     elif kind == "transposition":
+        # D_g is the domain of a_(g^-1), so x and y lie in the same D_g when
+        # every map is defined at both or at neither
         points = _point_set(a)
         pairs = [
             (x, y)
             for x in range(r)
-            for y in _breadth_first(points.maps, x)
+            for y in _breadth_first(points, x)
             if x < y
-            and all(d[x] == d[y] for d in points.domains)
-            and breaks_some_map(points.maps, x, y)
+            and all((f[x] is None) == (f[y] is None) for f in points)
+            and breaks_some_map(points, x, y)
         ]
         if pairs:
             rows = swap_columns(rows, *draw(st.sampled_from(pairs)))
@@ -1315,7 +1381,7 @@ def test_point_trap_matches_the_dense_trap(case):
 
     kind, a, b, fmat = case
     got = trap_outcome(_certified_witness, a, b, fmat)
-    certified = all(p is not None and p.certified for p in (_point_set(a), _point_set(b)))
+    certified = _point_set(a) is not None and _point_set(b) is not None
     on_points = certified and is_permutation_matrix(fmat.rows)
     assert (a._sparse is None and b._sparse is None) == on_points
     assert got == trap_outcome(reference_certified_witness, a, b, fmat)
@@ -1376,7 +1442,7 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
     from pargal.paction import _point_set
 
     def assert_presentation_witness(a, b, res):
-        assert _point_set(a).certified and _point_set(b).certified
+        assert _point_set(a) is not None and _point_set(b) is not None
         if res.status == "iso":
             expected = presentation_witness(a, b, matched_sigmas)
             assert repr(res.morphism.matrix) == repr(expected)
@@ -1473,7 +1539,8 @@ def kernel_invariants(act):
 
 def presentation_split_data(act):
     """The split data of find_split_presentation and _partial_gsets, the
-    route every carrier took before the point-set reader."""
+    route every carrier took before the point-set reader, with the unfilled
+    component list of each unit."""
     from pargal.algebra import find_split_presentation
     from pargal.paction import _base_ring_units, _partial_gsets
     from pargal.scalars import invert
@@ -1481,7 +1548,8 @@ def presentation_split_data(act):
     ring, r = act.algebra.ring, act.algebra.rank
     idems = [list(e.coords) for e in find_split_presentation(act.algebra).idempotents]
     to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
-    return idems, to_coords, _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+    gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+    return idems, to_coords, gsets, [[None] * r for _ in gsets]
 
 
 def dense_galois_verify(coords):
@@ -1578,33 +1646,35 @@ def test_split_data_matches_the_presentation_route(act):
         # a point set keeps no dense split data; compare what _split_basis
         # writes out for the routes that read it
         data = _split_data(a)
-        return (*_split_basis(data, a.algebra.ring, a.algebra.rank), data.gsets)
+        return (*_split_basis(data, a.algebra.ring, a.algebra.rank), data.gsets, data.kept)
 
     assert act.algebra == type(act.algebra).split(act.algebra.ring, act.algebra.labels)
     got = outcome(split_fields, act)
     assert got == outcome(presentation_split_data, act)
     if got[0] != "AlgebraError":
         assert (_split_data(act).idems is None) == (_point_set(act) is not None)
-    # the reader takes every action with 0/1 data and no column with two 1s
+    # the reader keeps every action with 0/1 data and no column with two
+    # 1s that is a partial action, as the dense reference checks it
     stored = [x for m in act.maps for row in m.rows for x in row] + [x for e in act.idems for x in e.coords]
     columns = [list(col) for m in act.maps for col in zip(*m.rows)]
     readable = all(x in (0, 1) for x in stored) and all(col.count(1) <= 1 for col in columns)
-    assert (_point_set(act) is not None) == readable
+    certified = readable and all(passed for _, passed, _ in report_of(reference_verify_partial_action(act)))
+    assert (_point_set(act) is not None) == certified
 
 
 def test_point_set_reader_refuses_all_but_0_1_permutation_data():
     from pargal.paction import _point_set
 
     z6 = example2(Z6)
-    assert _point_set(z6).certified
+    assert _point_set(z6) is not None
     # an unreduced 7 over Z/6 is stored data, not the residue 1
     assert _point_set(perturbed(z6, maps={1: [[0, 0], [7, 0]]})) is None
     assert _point_set(perturbed(z6, idems={1: (0, 7)})) is None
     # a column with two 1s sends a point to two points
     assert _point_set(perturbed(z6, maps={0: [[1, 0], [1, 1]]})) is None
-    # a row with two 1s is two points sent to one: read, and not certified
-    merged = _point_set(perturbed(z6, maps={0: [[1, 1], [0, 0]]}))
-    assert merged.maps[0] == [0, 0] and not merged.certified
+    # a row with two 1s is two points sent to one: no injective a_1, so
+    # the certificate fails
+    assert _point_set(perturbed(z6, maps={0: [[1, 1], [0, 0]]})) is None
     # a carrier on another basis has no point set
     assert _point_set(rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]], 2))) is None
     assert _point_set(frobenius_f4()) is None
@@ -1641,10 +1711,12 @@ POINT_SET_FAILURES = [
 @pytest.mark.parametrize("n, domains, maps, name", [c[1:] for c in POINT_SET_FAILURES],
                          ids=[c[0] for c in POINT_SET_FAILURES])
 def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, maps, name):
-    from pargal.paction import _point_set, _verify_on_columns
+    from pargal.paction import _point_set, _points_certified, _verify_on_columns
 
     act = points_action(ring, n, domains, maps)
-    assert not _point_set(act).certified
+    # 0/1 data with one 1 at most in each column, refused by the certificate
+    assert not _points_certified(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains])
+    assert _point_set(act) is None
     report = report_of(verify_partial_action(act))
     assert report == report_of(_verify_on_columns(act)) == report_of(reference_verify_partial_action(act))
     assert [check for check, passed, _ in report if not passed][0] == name
