@@ -70,10 +70,10 @@ def _scalars(ring, values, where: str, length: int) -> list:
     return [_scalar(ring, v, where) for v in _list(values, where, length)]
 
 
-def _capped(labels: list, cap: int = 10) -> str:
-    """A label list for a message, cut after ``cap`` entries."""
-    more = len(labels) - cap
-    return f"{labels[:cap]}" + (f" and {more} more" if more > 0 else "")
+def _capped(labels: list) -> str:
+    """A label list for a message, cut after 10 entries."""
+    more = len(labels) - 10
+    return f"{labels[:10]}" + (f" and {more} more" if more > 0 else "")
 
 
 def _load_group(spec, where: str, order: int) -> FiniteGroup:

@@ -75,8 +75,8 @@ class Algebra:
         return cls(ring, labels, table, [1] * n, validate=False)
 
     @classmethod
-    def base(cls, ring: BaseRing, label: str = "1") -> "Algebra":
-        return cls.split(ring, [label])
+    def base(cls, ring: BaseRing) -> "Algebra":
+        return cls.split(ring, ["1"])
 
     def is_split(self) -> bool:
         """Whether this is :meth:`split` on its own labels: R^n on its
@@ -585,18 +585,18 @@ class TensorProduct:
         return Element(self.algebra, self.pair_coords(list(x.coords), list(y.coords)))
 
 
-def tensor_labels(a: Algebra, b: Algebra, sep: str = "(x)") -> list:
+def tensor_labels(a: Algebra, b: Algebra) -> list:
     """The labels of the basis b_i (x) b'_j of a (x) b, index i |b| + j."""
-    return [f"{la}{sep}{lb}" for la in a.labels for lb in b.labels]
+    return [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
 
 
-def tensor(a: Algebra, b: Algebra, sep: str = "(x)") -> TensorProduct:
+def tensor(a: Algebra, b: Algebra) -> TensorProduct:
     """Tensor product over the base ring: (x(x)y)(x'(x)y') = xx'(x)yy'."""
     if a.ring != b.ring:
         raise AlgebraError("tensor factors over different base rings")
     ring = a.ring
     rb = b.rank
-    labels = tensor_labels(a, b, sep)
+    labels = tensor_labels(a, b)
     table = {}
     for i in range(a.rank):
         for j in range(a.rank):

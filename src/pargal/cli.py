@@ -33,26 +33,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 
-COMMANDS = (
-    "verify",
-    "galois",
-    "trace",
-    "invariants",
-    "restrict",
-    "globalize",
-    "psi",
-    "quotient",
-    "quotient-check",
-    "tensor",
-    "product",
-    "inverse",
-    "idempotent",
-    "iso",
-    "suite",
-    "decompose",
-    "compose",
-)
-
 
 class Report:
     def __init__(self, command: str, args):
@@ -409,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pargal",
         description="Exact computations with unital partial Galois actions.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("files", nargs="*", help="action files (JSON)")
     parser.add_argument("--subgroup", help="generator labels, e.g. 'g2' or 'g,g2'")
     parser.add_argument("--base", help="override base ring: Q or Z/<n>")

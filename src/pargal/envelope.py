@@ -64,45 +64,38 @@ class GlobalizationData:
         return self.action.group
 
 
-def _function_algebra(act: PartialAction, slot_order) -> Algebra:
+def _function_algebra(act: PartialAction) -> Algebra:
     S = act.algebra
     n = S.rank
     table = {}
-    for slot in range(len(slot_order)):
-        base = slot * n
+    for g in act.group.elements():
+        base = g * n
         for i in range(n):
             for j in range(n):
                 entries = S.table[i][j]
                 if entries:
                     table[(base + i, base + j)] = tuple((base + k, c) for k, c in entries)
-    labels = [f"{act.group.labels[g]}:{lab}" for g in slot_order for lab in S.labels]
-    unit = list(S.unit) * len(slot_order)
+    labels = [f"{g}:{lab}" for g in act.group.labels for lab in S.labels]
+    unit = list(S.unit) * act.group.order
     return Algebra(S.ring, labels, table, unit, validate=False)
 
 
-def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
+def globalize(act: PartialAction) -> GlobalizationData:
     """Construct and certify the enveloping action of a unital partial action.
 
-    ``slot_order`` permutes the internal presentation only (used to exercise
-    uniqueness up to global isomorphism); the certificates are independent
-    of it.  A standard carrier whose partial G-set passes the point-set
-    certificate (:func:`~pargal.paction._point_set`) is globalized on its
-    enveloping set (:func:`_globalize_points`); any other action goes
-    through the span of translates in S^G (:func:`_globalize_matrices`).
-    Both build the same data.
+    The globalization is unique up to global isomorphism (Abadie;
+    Dokuchaev-Exel), so one presentation is built: slot g of S^G is the
+    g-th block of n coordinates.  A standard carrier whose partial G-set
+    passes the point-set certificate (:func:`~pargal.paction._point_set`)
+    is globalized on its enveloping set (:func:`_globalize_points`); any
+    other action goes through the span of translates in S^G
+    (:func:`_globalize_matrices`).  Both build the same data.
     """
-    G = act.group
-    if slot_order is None:
-        slot_order = tuple(G.elements())
-    else:
-        slot_order = tuple(slot_order)
-        if sorted(slot_order) != list(G.elements()):
-            raise AlgebraError("slot_order must permute the group elements")
     points = _point_set(act)
     if points is not None:
-        gd = _globalize_points(act, points, slot_order)
+        gd = _globalize_points(act, points)
     else:
-        gd = _globalize_matrices(act, slot_order)
+        gd = _globalize_matrices(act)
     rep = certify_globalization(gd)
     if not rep.passed:
         raise AssertionError(
@@ -112,7 +105,7 @@ def globalize(act: PartialAction, slot_order=None) -> GlobalizationData:
     return gd
 
 
-def _globalize_points(act: PartialAction, maps, slot_order) -> GlobalizationData:
+def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     """The globalization of a partial G-set X (point maps ``maps``, see
     :func:`~pargal.paction._point_set`) as the enveloping set G x X / ~.
 
@@ -130,26 +123,24 @@ def _globalize_points(act: PartialAction, maps, slot_order) -> GlobalizationData
     S = act.algebra
     ring = S.ring
     n = S.rank
-    slot_of = {g: s for s, g in enumerate(slot_order)}
-    point_labels = [f"{G.labels[g]}:{lab}" for g in slot_order for lab in S.labels]
-    # cls[s n + y] is the class of (slot_order[s], y); least[j] the least
-    # point of class j
-    cls, least, labels = [None] * (len(slot_order) * n), [], []
-    for s, g in enumerate(slot_order):
+    point_labels = [f"{g}:{lab}" for g in G.labels for lab in S.labels]
+    # cls[g n + y] is the class of (g, y); least[j] the least point of class j
+    cls, least, labels = [None] * (G.order * n), [], []
+    for g in G.elements():
         for y in range(n):
-            if cls[s * n + y] is None:
-                members = sorted(slot_of[G.mul(k, g)] * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
+            if cls[g * n + y] is None:
+                members = sorted(G.mul(k, g) * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
                 for p in members:
                     cls[p] = len(least)
-                least.append(s * n + y)
+                least.append(g * n + y)
                 labels.append(" + ".join(point_labels[p] for p in members))
     T = Algebra.split(ring, labels)
     k = T.rank
     beta = []
     for h in G.elements():
         hi = G.inv(h)
-        beta.append(_point_matrix(ring, [cls[slot_of[G.mul(slot_order[p // n], hi)] * n + p % n] for p in least]))
-    home = [cls[slot_of[G.identity] * n + x] for x in range(n)]
+        beta.append(_point_matrix(ring, [cls[G.mul(p // n, hi) * n + p % n] for p in least]))
+    home = [cls[G.identity * n + x] for x in range(n)]
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]
     one_s = [0] * k
@@ -160,21 +151,20 @@ def _globalize_points(act: PartialAction, maps, slot_order) -> GlobalizationData
     )
 
 
-def _globalize_matrices(act: PartialAction, slot_order) -> GlobalizationData:
+def _globalize_matrices(act: PartialAction) -> GlobalizationData:
     """The globalization of any unital partial action, as the span of the
     translates of iota(S) inside S^G."""
     G = act.group
     S = act.algebra
     ring = S.ring
     n = S.rank
-    F = _function_algebra(act, slot_order)
-    slot_of = {g: i for i, g in enumerate(slot_order)}
+    F = _function_algebra(act)
 
     # iota(s)(g) = alpha_g(s 1_{g^-1}): block at slot g is M_g.  This is the
     # pairing consistent with (beta_h f)(g) = f(gh); the slot at the group
     # identity is then a section of the embedding.
     iota_rows = []
-    for g in slot_order:
+    for g in G.elements():
         iota_rows.extend(act.maps[g].rows)
     iota = Matrix(ring, iota_rows, n)
 
@@ -182,8 +172,8 @@ def _globalize_matrices(act: PartialAction, slot_order) -> GlobalizationData:
     def beta_ambient(h: int) -> Matrix:
         m = Matrix.zero(ring, F.rank, F.rank)
         for g in G.elements():
-            src = slot_of[G.mul(g, h)] * n
-            dst = slot_of[g] * n
+            src = G.mul(g, h) * n
+            dst = g * n
             for i in range(n):
                 m.rows[dst + i][src + i] = 1
         return m
@@ -223,8 +213,7 @@ def _globalize_matrices(act: PartialAction, slot_order) -> GlobalizationData:
     embed_cols = [to_t(col) for col in iota_cols]
     embed = AlgebraMorphism(S, T, Matrix(ring, [list(r) for r in zip(*embed_cols)], n))
     one_s = Element(T, to_t(iota.matvec(list(S.unit))))
-    slot = slot_order.index(G.identity)
-    down = Matrix(ring, [[t_rows.rows[j][slot * n + i] for j in range(k)] for i in range(n)], k)
+    down = Matrix(ring, [[t_rows.rows[j][G.identity * n + i] for j in range(k)] for i in range(n)], k)
     return GlobalizationData(act, T, beta_t, embed, one_s, down)
 
 

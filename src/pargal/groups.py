@@ -89,11 +89,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.labels})"
 
 
-def make_cyclic(n: int, gen: str = "g") -> FiniteGroup:
+def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with elements ordered by powers of the generator."""
     if n < 1:
         raise GroupError(f"cyclic group order must be >= 1, got {n}")
-    labels = ["1"] + [gen if k == 1 else f"{gen}{k}" for k in range(1, n)]
+    labels = ["1"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(labels, table, validate=False)
 

@@ -9,6 +9,7 @@ with coset representatives fixed as {(g, 1)} so the identification of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -534,31 +535,22 @@ def cyclic_compose(classes) -> ExtensionClass:
 
 
 def cyclic_decompose(c: ExtensionClass, orders) -> list:
-    """Per-factor classes S^{alpha_{H_i}} with G/H_i identified with G_i."""
+    """Per-factor classes S^{alpha_{H_i}} with G/H_i identified with G_i.
+
+    In the order of :func:`make_product`, coordinate i of element idx is
+    (idx // stride_i) mod n_i, where stride_i is the product of the later
+    orders: H_i is where it is 0, and the transversal is k stride_i, k < n_i.
+    """
     from .groups import Subgroup
 
     orders = list(orders)
     G = c.group
     _check_product_presentation(G, orders)
     out = []
-    n = len(orders)
-    for i in range(n):
-        members = []
-        transversal = []
-        for idx in range(G.order):
-            # decode the mixed-radix tuple of the element
-            t = []
-            rem = idx
-            for o in reversed(orders):
-                t.append(rem % o)
-                rem //= o
-            t.reverse()
-            if t[i] == 0:
-                members.append(idx)
-            if all(v == 0 for j, v in enumerate(t) if j != i):
-                transversal.append(idx)
-        sub = Subgroup(G, tuple([G.identity] + [m for m in members if m != G.identity]))
-        qa = quotient_action(c.action, sub, transversal=tuple(transversal))
-        target = make_cyclic(orders[i])
+    for i, order in enumerate(orders):
+        stride = math.prod(orders[i + 1:])
+        sub = Subgroup(G, tuple(idx for idx in G.elements() if idx // stride % order == 0))
+        qa = quotient_action(c.action, sub, transversal=tuple(k * stride for k in range(order)))
+        target = make_cyclic(order)
         out.append(ExtensionClass.certify(transport(qa.action, target, list(target.elements()))))
     return out

@@ -894,8 +894,12 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
 
     Returns the maps of each unit: maps[g][i] = j when alpha_g(u p_i) =
     u p_j, None off D_{g^-1} = {i : u p_i in S_{g^-1}}.
-    Raises AlgebraError when 1_g or alpha_g does not come from a partial
-    G-set, so the input is not a partial action.
+    Raises AlgebraError when 1_g or alpha_g does not come from partial
+    maps of the u p_i, or when those maps fail :func:`_points_certified`,
+    so the input is not a partial action.  A partial action never fails
+    the certificate: conjugating by the split presentation turns alpha_1 =
+    id (P2) and M_g M_h = E_g M_gh (P4) into the same identities on the
+    u p_i, which are the certificate.
     """
     ring = act.algebra.ring
     group = act.group
@@ -911,14 +915,14 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
             bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
             if bad is not None:
                 raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
-            domains.append({i for i, x in enumerate(coeffs) if x == u})
+            domains.append([x == u for x in coeffs])
         maps = []
         for g in group.elements():
             images = []
             for i in range(r):
                 col = [ring.mul(u, x) for x in image_coeffs[g][i]]
                 support = [s for s, x in enumerate(col) if x != 0]
-                if i in domains[group.inv(g)]:
+                if domains[group.inv(g)][i]:
                     ok = len(support) == 1 and col[support[0]] == u
                 else:
                     ok = not support
@@ -928,6 +932,8 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
                     )
                 images.append(support[0] if support else None)
             maps.append(images)
+        if not _points_certified(group, maps, domains):
+            raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
         out.append(maps)
     return out
 

@@ -125,12 +125,12 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
     )
 
 
-def quotient_via_globalization(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
+def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAction:
     """alpha_{G/H} through the enveloping action: m_{1_S} o beta_g o psi_H."""
     from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
-    qdata = quotient(act.group, sub, transversal)
+    qdata = quotient(act.group, sub)
     carrier = invariants(restrict(act, sub))
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
@@ -153,7 +153,7 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup, transversal=No
     return _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
 
 
-def quotient_galois_check(act: PartialAction, sub: Subgroup, transversal=None):
+def quotient_galois_check(act: PartialAction, sub: Subgroup):
     """Galois coordinates for the quotient extension; absence is a bug trap.
 
     Precondition: the input extension is partial Galois.
@@ -161,7 +161,7 @@ def quotient_galois_check(act: PartialAction, sub: Subgroup, transversal=None):
     base_witness = galois_coordinates(act)
     if base_witness is None:
         raise AlgebraError("quotient_galois_check: the input action is not partial Galois")
-    qa = quotient_action(act, sub, transversal)
+    qa = quotient_action(act, sub)
     rep = qa.certify()
     if not rep.passed:
         raise AssertionError(

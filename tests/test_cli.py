@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -128,9 +129,13 @@ def test_base_override(capsys):
 
 
 def test_unknown_command_usage_error(capsys):
+    # argparse lists the choices in the order of cli.HANDLERS
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args(["frobnicate", "x.json"])
+        run_cli("frobnicate", "x.json")
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+    assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == list(cli.HANDLERS)
 
 
 def test_missing_file_is_usage_error(capsys):

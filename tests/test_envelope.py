@@ -22,7 +22,7 @@ from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
 from pargal.harrison import harrison_product
 from pargal.paction import global_action, inverse_action, invariants, restrict
 from test_harrison import subset_class
-from test_paction import crt_glue, rebased, relabel, report_of
+from test_paction import crt_glue, rebased, relabel, report_of, reversed_basis
 
 
 def down_element(gd, t):
@@ -147,7 +147,7 @@ def test_fixed_ring_times_one_s_is_invariants():
 def test_globalization_unique_up_to_global_iso():
     act = example2()
     gd1 = globalize(act)
-    gd2 = globalize(act, slot_order=[3, 1, 0, 2])
+    gd2 = globalize(reversed_basis(act))
     res = global_iso_check(gd1, gd2)
     assert res.status == "iso"
     f = res.morphism
@@ -158,16 +158,17 @@ def test_globalization_unique_up_to_global_iso():
 
 @pytest.mark.parametrize("ring", [QQ, Modular(2)], ids=["Q", "F2"])
 def test_global_iso_check_matches_the_reference_enumeration(ring):
-    # every same-group pair of corpus globalizations, each under two slot
-    # orders, against the r! enumeration filtered by f(1_S) = 1_S'
+    # every same-group pair of corpus globalizations, each also of the copy
+    # on the reversed basis, against the r! enumeration filtered by
+    # f(1_S) = 1_S'
     from test_paction import reference_iso_witnesses
 
     corpus = standard_corpus(ring)
     by_group = {}
     for name in ("ex1", "ex2", "ex2-star", "trivial-Z4", "klein-product"):
         for act in (corpus[name], inverse_action(corpus[name])):
-            for order in ((0, 1, 2, 3), (3, 1, 0, 2)):
-                by_group.setdefault(act.group, []).append(globalize(act, slot_order=order))
+            for copy in (act, reversed_basis(act)):
+                by_group.setdefault(act.group, []).append(globalize(copy))
     statuses = set()
     for gds in by_group.values():
         for gd1 in gds:
@@ -191,7 +192,7 @@ def test_globalize_over_f2():
 # the matrix route, the span of translates in S^G, is its oracle.
 
 
-def routes_of(act, slot_order):
+def routes_of(act):
     from pargal.envelope import _globalize_matrices, _globalize_points
     from pargal.paction import _point_set
 
@@ -200,14 +201,14 @@ def routes_of(act, slot_order):
 
     points = _point_set(act)
     assert points is not None
-    return fields(_globalize_points(act, points, slot_order)), fields(_globalize_matrices(act, slot_order))
+    return fields(_globalize_points(act, points)), fields(_globalize_matrices(act))
 
 
 @st.composite
 def subset_classes_and_products(draw):
     """A partial Z_n-class (n <= 5) over Q, F_2 or Z/6 from a nonempty subset,
     possibly starred, possibly multiplied by a second one, on a permuted
-    basis, with a drawn slot order."""
+    basis."""
     ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
     n = draw(st.integers(1, 5))
 
@@ -219,8 +220,7 @@ def subset_classes_and_products(draw):
     c = draw_class()
     if draw(st.booleans()):
         c = harrison_product(c, draw_class())
-    act = relabel(c.action, draw(st.permutations(range(c.action.algebra.rank))))
-    return act, draw(st.permutations(list(act.group.elements())))
+    return relabel(c.action, draw(st.permutations(range(c.action.algebra.rank))))
 
 
 def mutations(gd):
@@ -256,13 +256,12 @@ def mutations(gd):
 
 @given(subset_classes_and_products())
 @settings(max_examples=60, deadline=None)
-def test_point_route_matches_the_matrix_route(drawn):
+def test_point_route_matches_the_matrix_route(act):
     from pargal.envelope import _certified_on_points, _certify_on_matrices
 
-    act, slot_order = drawn
-    points, matrices = routes_of(act, slot_order)
+    points, matrices = routes_of(act)
     assert points == matrices
-    gd = globalize(act, slot_order)
+    gd = globalize(act)
     assert _certified_on_points(gd)
     assert report_of(certify_globalization(gd)) == report_of(_certify_on_matrices(gd))
     for must_fail, bad in mutations(gd):

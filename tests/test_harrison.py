@@ -836,6 +836,52 @@ def test_cyclic_round_trips():
         assert iso_check(again.action, composed.action).status == "iso"
 
 
+def mixed_radix_factors(orders):
+    """The factor subgroups and transversals of cyclic_decompose, read by
+    decoding each element of make_product's order into its tuple: H_i is
+    where coordinate i is 0, the transversal where every other one is."""
+    order = 1
+    for n in orders:
+        order *= n
+    out = []
+    for i in range(len(orders)):
+        members, transversal = [], []
+        for idx in range(order):
+            t, rem = [], idx
+            for n in reversed(orders):
+                t.append(rem % n)
+                rem //= n
+            t.reverse()
+            if t[i] == 0:
+                members.append(idx)
+            if all(v == 0 for j, v in enumerate(t) if j != i):
+                transversal.append(idx)
+        out.append((tuple(members), tuple(transversal)))
+    return out
+
+
+@pytest.mark.parametrize("orders", [[2, 3], [3, 2], [2, 3, 2], [4, 2]], ids=str)
+def test_cyclic_decompose_reads_each_factor_by_its_stride(orders, monkeypatch):
+    # unequal orders, where a mix-up of strides would show: the subgroups
+    # and transversals against the mixed-radix decode, and each part iso to
+    # its factor
+    import pargal.harrison as harrison
+
+    calls = []
+    quotient = harrison.quotient_action
+
+    def recorded(act, sub, transversal):
+        calls.append((sub.members, transversal))
+        return quotient(act, sub, transversal)
+
+    monkeypatch.setattr(harrison, "quotient_action", recorded)
+    factors = [subset_class(n, [0] if i % 2 else [0, 1]) for i, n in enumerate(orders)]
+    parts = cyclic_decompose(cyclic_compose(factors), orders)
+    assert calls == mixed_radix_factors(orders)
+    for part, factor in zip(parts, factors):
+        assert iso_check(part.action, factor.action).status == "iso"
+
+
 def test_cyclic_decompose_requires_product_presentation():
     with pytest.raises(AlgebraError, match="not presented as the product"):
         cyclic_decompose(cls(example2()), [2, 2])

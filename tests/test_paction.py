@@ -433,24 +433,30 @@ def test_iso_check_rejects_a_non_partial_action():
 @pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
 def test_iso_check_on_uncertified_point_data_takes_the_presentation_route(ring):
     # 0/1 data that fails the point-set certificate but sends each split
-    # idempotent in D_(g^-1) to one split idempotent: iso_check does not
-    # verify its input, so it reads these G-sets off find_split_presentation
-    # and answers "iso" with the witnesses pinned here
-    from pargal.paction import _point_set, _split_data
+    # idempotent in D_(g^-1) to one split idempotent: iso_check reads these
+    # maps off find_split_presentation, and they fail the same certificate
+    # there, so it refuses the data against every relabelling, on either
+    # side, as canonical_key does.  Z_1 on R^3 with a_1 = [1, 1, 2] fired
+    # the bug trap against its relabelling by (0, 2, 1) and answered "iso"
+    # against itself
+    from itertools import permutations
 
-    expected = {
-        "a_1 not id": ([[1, 0], [0, 1]], [[0, 1], [1, 0]]),
-        "P4 only": ([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
-    }
-    for name, n, domains, maps, _ in POINT_SET_FAILURES:
+    from pargal.paction import _point_set
+
+    unit = 3 if ring == Z6 else 1
+    message = f"iso_check: the split idempotents of CRT unit {unit} carry no partial G-set"
+    cases = [case[1:4] for case in POINT_SET_FAILURES] + [(1, [(1, 1, 1)], [(1, 1, 2)])]
+    for n, domains, maps in cases:
         act = points_action(ring, n, domains, maps)
-        witnesses = []
-        for other in (act, relabel(act, [1, 0])):
-            res = iso_check(act, other)
-            assert res.status == "iso" and res.obstruction is None
-            witnesses.append(res.morphism.matrix.rows)
-        assert _point_set(act) is None and _split_data(act).idems is not None
-        assert tuple(witnesses) == expected[name], name
+        assert _point_set(act) is None, maps
+        for perm in permutations(range(act.algebra.rank)):
+            for a, b in ((act, relabel(act, perm)), (relabel(act, perm), act)):
+                with pytest.raises(AlgebraError) as exc:
+                    iso_check(a, b)
+                assert str(exc.value) == message, (maps, perm)
+        with pytest.raises(AlgebraError) as exc:
+            canonical_key(act)
+        assert str(exc.value) == message, maps
 
 
 def test_partial_bijectivity_matrix_identity():
@@ -691,6 +697,12 @@ def relabel(act, perm):
     idems = [algebra.element(move(e.coords)) for e in act.idems]
     maps = [Matrix(alg.ring, [[m.rows[inv[x]][inv[y]] for y in range(r)] for x in range(r)], r) for m in act.maps]
     return PartialAction(act.group, algebra, idems, maps)
+
+
+def reversed_basis(act):
+    """The copy of ``act`` on its basis in reverse order; its globalization
+    is a second presentation of the same T."""
+    return relabel(act, list(reversed(range(act.algebra.rank))))
 
 
 def rebased(act, cols: Matrix):
@@ -1433,8 +1445,8 @@ def matched_sigmas(monkeypatch):
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
     # corpus actions and their stars against relabelled copies, and the
-    # globalizations of the corpus under two slot orders through
-    # global_iso_check; over Z/6 also a marked pair whose two CRT units
+    # globalizations of the corpus and of its copies on the reversed basis
+    # through global_iso_check; over Z/6 also a marked pair whose two CRT units
     # take different sigmas
     from dataclasses import replace
 
@@ -1459,8 +1471,8 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
                 rng.shuffle(perm)
     envelopes = []
     for name in ("ex1", "ex2", "ex2-star", "trivial-Z4"):
-        for order in ((0, 1, 2, 3), (3, 1, 0, 2)):
-            envelopes.append(globalize(corpus[name], slot_order=order))
+        for copy in (corpus[name], reversed_basis(corpus[name])):
+            envelopes.append(globalize(copy))
     for gd1 in envelopes:
         for gd2 in envelopes:
             if gd1.group == gd2.group:

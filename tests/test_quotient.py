@@ -108,11 +108,11 @@ def test_quotient_invariants_collapse_to_base_invariants():
             assert rep.passed, (name, h.members, [c.name for c in rep.failures()])
 
 
-def quotient_globalization_data(act, sub, transversal=None):
+def quotient_globalization_data(act, sub):
     """(T^H, beta_{G/H}) packaged as certifiable globalization data for the
     induced action: it is the enveloping action of alpha_{G/H}."""
     gd = globalize(act)
-    qa = quotient_via_globalization(act, sub, transversal)
+    qa = quotient_via_globalization(act, sub)
     th = fixed_ring(gd, sub)
     TH = th.algebra
     ring = TH.ring

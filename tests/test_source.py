@@ -1,9 +1,11 @@
 """Properties of the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pargal
+from pargal import cli
 
 
 def test_no_assert_statements_in_the_library():
@@ -34,3 +36,10 @@ def test_library_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, found
+
+
+def test_readme_lists_the_command_table():
+    # the README's "Commands:" list, over its line breaks, is cli.HANDLERS
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.search(r"Commands: `([^`]*)`", readme).group(1).split()
+    assert listed == list(cli.HANDLERS)
