@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Compare the CLI output of two source checkouts on the benchmark's `cli` ops.
+
+    python3 scripts/compare_cli.py OTHER_CHECKOUT [--seed 31337]
+
+Builds the argument lists of the `cli` workload of `perfbench` (the corpus
+and its seeded relabelled copies) in each checkout, runs every one through
+`pargal.cli.run` in-process, and compares the exit code, standard output
+and standard error, with the checkout and work-directory paths masked.
+Prints the number of argument lists and the differing ones; exits 1 when
+any differs.  Each checkout runs in its own interpreter, with its own
+`src` and `perfbench`.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+
+
+def dump(root: str, seed: int) -> list:
+    """[name, exit code, stdout, stderr] of each `cli` op built in ``root``."""
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import pargal.cli
+    import workloads
+
+    out = []
+    with tempfile.TemporaryDirectory() as work:
+        for op in workloads.build("cli", seed, work):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = pargal.cli.run(list(op.inputs))
+            texts = [t.getvalue().replace(work, "<work>").replace(root, "<root>") for t in (stdout, stderr)]
+            out.append([op.name, code, *texts])
+    return out
+
+
+def run_dump(root: str, seed: int) -> list:
+    cmd = [sys.executable, os.path.abspath(__file__), "--dump", root, "--seed", str(seed)]
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", nargs="?", help="the checkout to compare this one with")
+    parser.add_argument("--seed", type=int, default=31337)
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        print(json.dumps(dump(os.path.abspath(args.dump), args.seed)))
+        return 0
+    if args.other is None:
+        parser.error("name the checkout to compare with")
+    mine, theirs = run_dump(ROOT, args.seed), run_dump(os.path.abspath(args.other), args.seed)
+    if [op[0] for op in mine] != [op[0] for op in theirs]:
+        print("the two checkouts build different argument lists")
+        return 1
+    differ = [a[0] for a, b in zip(mine, theirs) if a != b]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(mine)} argument lists, {len(mine) - len(differ)} identical, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,8 +66,8 @@ def _scalar(ring, value, where: str):
         raise ActionFileError(where, str(exc)) from None
 
 
-def _scalars(ring, values, where: str, length: int) -> list:
-    return [_scalar(ring, v, where) for v in _list(values, where, length)]
+def _scalars(scalar, values, where: str, length: int) -> list:
+    return [scalar(v, where) for v in _list(values, where, length)]
 
 
 def _capped(labels: list) -> str:
@@ -134,6 +134,16 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         ring = parse_ring(str(_need(doc, "base", where)))
     except ValueError as exc:
         raise ActionFileError(f"{where}/base", str(exc)) from None
+    # each distinct scalar string is parsed once; only str keys, because
+    # true == 1 and both hash alike, and the JSON true must stay an error
+    memo = {}
+
+    def scalar(value, where):
+        if type(value) is not str:
+            return _scalar(ring, value, where)
+        if value not in memo:
+            memo[value] = _scalar(ring, value, where)
+        return memo[value]
 
     alg_where = f"{where}/algebra"
     alg_spec = _need(doc, "algebra", where)
@@ -148,9 +158,9 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         i, j, k, value = entry
         if not all(_is_int(t) and 0 <= t < rank for t in (i, j, k)):
             raise ActionFileError(entry_where, f"index out of range in {entry!r}")
-        constants.setdefault((i, j), {})[k] = _scalar(ring, value, entry_where)
+        constants.setdefault((i, j), {})[k] = scalar(value, entry_where)
     table = {ij: tuple(row.items()) for ij, row in constants.items()}
-    unit = _scalars(ring, _need(alg_spec, "unit", alg_where), f"{alg_where}/unit", rank)
+    unit = _scalars(scalar, _need(alg_spec, "unit", alg_where), f"{alg_where}/unit", rank)
     try:
         algebra = Algebra(ring, labels, table, unit, validate=True)
     except AlgebraError as exc:
@@ -171,10 +181,10 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
     for label in group.labels:
         entry = action_spec[label]
         entry_where = f"{where}/action/{label}"
-        coords = _scalars(ring, _need(entry, "idempotent", entry_where), f"{entry_where}/idempotent", rank)
+        coords = _scalars(scalar, _need(entry, "idempotent", entry_where), f"{entry_where}/idempotent", rank)
         rows = _list(_need(entry, "matrix", entry_where), f"{entry_where}/matrix", rank)
         idems.append(algebra.element(coords))
-        maps.append(Matrix(ring, [_scalars(ring, r, f"{entry_where}/matrix/{i}", rank) for i, r in enumerate(rows)], rank))
+        maps.append(Matrix(ring, [_scalars(scalar, r, f"{entry_where}/matrix/{i}", rank) for i, r in enumerate(rows)], rank))
     act = PartialAction(group, algebra, idems, maps)
     if verify:
         report = verify_partial_action(act)

@@ -13,7 +13,9 @@ enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), so T, beta and the
 embedding are read off the classes without a row reduction, and the
 certificate checks each condition on the classes.  Every other action
 takes the span of translates and the matrix checks; so does data that fails
-the checks on classes, so every report and witness is the matrix one.
+the checks on classes, so every report and witness is the matrix one.  The
+subgroup idempotents and psi_H of such an action are likewise sets of
+classes and a 0/1 matrix, built without a product in T.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .algebra import (
     Element,
     SubAlgebra,
     algebra_on_module,
-    subalgebra_from_constraints,
 )
 from .groups import Subgroup
 from .paction import (
@@ -41,6 +42,8 @@ from .paction import (
     _point_set,
     _read_permutation,
     global_action,
+    invariants,
+    restrict,
 )
 
 
@@ -422,8 +425,56 @@ class SubgroupIdempotents:
                     raise AssertionError("subgroup idempotents are not orthogonal")
 
 
+def _row_sources(m: Matrix):
+    """The column of the 1 in each row of ``m`` (None for a zero row), so
+    that (m v)_i = v[source[i]], when every row is 0/1 with at most one 1;
+    None for any other ``m``."""
+    out = []
+    for row in m.rows:
+        ones = row.count(1)
+        if ones > 1 or ones + row.count(0) != m.ncols:
+            return None
+        out.append(row.index(1) if ones else None)
+    return out
+
+
+def _class_translates(gd: GlobalizationData, sub: Subgroup):
+    """(backs, ups): for each h_i in ``sub.members`` the row sources of
+    beta_(h_i), pi_(h_i)^-1 on the classes of :func:`_globalize_points`, and
+    the set of classes of beta_(h_i)(1_S).  None unless the action has a
+    certified point set (:func:`~pargal.paction._point_set`), T is split,
+    1_S is 0/1 and each beta_h reads as k x k :func:`_row_sources`."""
+    T = gd.algebra
+    k = T.rank
+    one = gd.one_s.coords
+    if _point_set(gd.action) is None or not T.is_split() or one.count(0) + one.count(1) != k:
+        return None
+    backs = [_row_sources(m) if m.nrows == m.ncols == k else None for m in (gd.beta[h] for h in sub.members)]
+    if None in backs:
+        return None
+    return backs, [{c for c, s in enumerate(back) if s is not None and one[s] == 1} for back in backs]
+
+
 def subgroup_idempotents(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempotents:
-    """e_1 = 1_S, e_i = prod_{j<i} (1_T - beta_{h_j}(1_S)) * beta_{h_i}(1_S)."""
+    """e_1 = 1_S, e_i = prod_{j<i} (1_T - beta_{h_j}(1_S)) * beta_{h_i}(1_S).
+
+    On classes (:func:`_class_translates`) e_i is the indicator of the
+    classes of beta_(h_i)(1_S) in no earlier one: disjoint 0/1 vectors,
+    which pass the checks of :func:`_idempotents_on_matrices` by
+    construction."""
+    classes = _class_translates(gd, sub)
+    if classes is None:
+        return _idempotents_on_matrices(gd, sub)
+    k = gd.algebra.rank
+    eis, union = [], set()
+    for up in classes[1]:
+        eis.append(Element(gd.algebra, tuple(int(c in up and c not in union) for c in range(k))))
+        union |= up
+    return SubgroupIdempotents(sub, eis, Element(gd.algebra, tuple(int(c in union) for c in range(k))))
+
+
+def _idempotents_on_matrices(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempotents:
+    """:func:`subgroup_idempotents` as products of elements of T, checked."""
     T = gd.algebra
     one_t = T.one()
     translates = [Element(T, gd.beta[h].matvec(list(gd.one_s.coords))) for h in sub.members]
@@ -444,11 +495,40 @@ def subgroup_idempotents(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempo
 def psi_h(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempotents | None = None) -> AlgebraMorphism:
     """psi_H(t) = sum_i beta_{h_i}(t) e_i, cross-checked against the defining
     inclusion-exclusion double sum (disagreement is a bug trap).  ``idems``
-    are the subgroup idempotents of ``sub`` when the caller has them."""
-    T = gd.algebra
-    ring = T.ring
+    are the subgroup idempotents of ``sub`` when the caller has them.
+
+    On classes (:func:`_class_translates`) row c of e_i beta_(h_i) is e_i(c)
+    at column pi_(h_i)^-1(c), and a term of the double sum is the
+    indicator of an intersection of the sets beta_h(1_S) times the last
+    beta_h, so the trap costs 2^|H| set intersections."""
     if idems is None:
         idems = subgroup_idempotents(gd, sub)
+    classes = _class_translates(gd, sub)
+    if classes is None:
+        return _psi_on_matrices(gd, sub, idems)
+    T = gd.algebra
+    ring, k = T.ring, T.rank
+    backs, ups = classes
+    rows = [[0] * k for _ in range(k)]
+    for back, e in zip(backs, idems.eis):
+        for c, v in enumerate(e.coords):
+            if v != 0 and back[c] is not None:
+                rows[c][back[c]] = ring.add(rows[c][back[c]], v)
+    alt = {}
+    for l in range(1, len(ups) + 1):
+        for subset in combinations(range(len(ups)), l):
+            for c in set.intersection(*(ups[i] for i in subset)):
+                at = (c, backs[subset[-1]][c])
+                alt[at] = alt.get(at, 0) + (1 if l % 2 == 1 else -1)
+    if {at: v for at, v in alt.items() if v} != {(c, j): v for c, row in enumerate(rows) for j, v in enumerate(row) if v}:
+        raise AssertionError("psi_H: double-sum form disagrees with the e_i form (bug trap)")
+    return AlgebraMorphism(T, T, Matrix(ring, rows, k))
+
+
+def _psi_on_matrices(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempotents) -> AlgebraMorphism:
+    """:func:`psi_h` as sums of k x k matrix products."""
+    T = gd.algebra
+    ring = T.ring
     total = Matrix.zero(ring, T.rank, T.rank)
     for h, e in zip(sub.members, idems.eis):
         total = total.add(T.mult_matrix(e.coords).mul(gd.beta[h]))
@@ -472,18 +552,13 @@ def psi_h(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempotents | Non
 
 
 def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
-    """T^H as a subalgebra of T."""
-    T = gd.algebra
-    rows = []
-    ident = Matrix.identity(T.ring, T.rank)
-    for h in sub.members:
-        rows.extend(gd.beta[h].sub(ident).rows)
-    return subalgebra_from_constraints(T, Matrix.from_rows(T.ring, rows, T.rank))
+    """T^H as a subalgebra of T: the invariants of beta restricted to H,
+    whose constraints beta_h - 1_h are beta_h - I, since 1_h = 1_T."""
+    return invariants(restrict(global_action(gd.group, gd.algebra, gd.beta), sub))
 
 
 def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
     """The psi_H property suite (injectivity on S, e_H, fixed-ring identities)."""
-    from .paction import invariants, restrict
     from .scalars import kernel
 
     T = gd.algebra

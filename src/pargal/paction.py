@@ -11,6 +11,7 @@ multiplication-by-1_g matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, invertible, solve
@@ -367,18 +368,14 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
         return False
-    # a_g extended by None -> None, and the identity on D_g extended likewise
-    compose, restrict_to = [], []
-    for a, dom in zip(maps, domains):
-        compose.append(dict(enumerate(a)))
-        restrict_to.append({i: i if d else None for i, d in enumerate(dom)})
-        compose[-1][None] = restrict_to[-1][None] = None
-    for g in group.elements():
-        for h in group.elements():
-            gh = maps[group.mul(g, h)]
-            if [compose[g][x] for x in maps[h]] != [restrict_to[g][k] for k in gh]:
-                return False
-    return True
+    # a_g and the identity on D_g as lists over the points and one more, r,
+    # that stands for "undefined" and that each list sends to itself;
+    # itemgetter(*f)(a) is then the composite a o f, built in C
+    r = len(maps[group.identity])
+    full = [[r if j is None else j for j in a] + [r] for a in maps]
+    on = [[i if d else r for i, d in enumerate(dom)] + [r] for dom in domains]
+    after = [itemgetter(*f) for f in full]
+    return all(after[h](full[g]) == after[gh](on[g]) for g, row in enumerate(group.table) for h, gh in enumerate(row))
 
 
 def _ideal_basis(ring, cols) -> list:
@@ -394,13 +391,24 @@ def _ideal_basis(ring, cols) -> list:
 
 
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
-    """The partial action of a subgroup on the same carrier."""
+    """The partial action of a subgroup on the same carrier.
+
+    A point set already read and certified (:func:`_point_set`) is handed
+    over as the maps of the members: ``sub.members`` starts with the
+    identity, so a_1 = id, and each (P4) identity of the certificate at
+    (g, h) in H x H is one of the parent's, with the same D_g
+    (:func:`_points_certified`).  Any other restriction is read when it is
+    asked for: only its own maps, and it may pass the certificate where
+    its parent fails it."""
     if sub.parent != act.group:
         raise AlgebraError("subgroup of a different group")
     grp = sub.as_group()
     idems = [act.idems[m] for m in sub.members]
     maps = [act.maps[m] for m in sub.members]
-    return PartialAction(grp, act.algebra, idems, maps)
+    out = PartialAction(grp, act.algebra, idems, maps)
+    if act._points is not None and act._points[0] is not None:
+        out._points = ([act._points[0][m] for m in sub.members],)
+    return out
 
 
 def trace_map(act: PartialAction) -> Matrix:
@@ -611,11 +619,24 @@ def phi_map(act: PartialAction) -> PhiMap:
 
 
 def inverse_action(act: PartialAction) -> PartialAction:
-    """The star action: S*_g = S_{g^-1} with alpha*_g = alpha_{g^-1}."""
-    inv = act.group.inv
-    idems = [act.idems[inv(g)] for g in act.group.elements()]
-    maps = [act.maps[inv(g)] for g in act.group.elements()]
-    return PartialAction(act.group, act.algebra, idems, maps)
+    """The star action: S*_g = S_{g^-1} with alpha*_g = alpha_{g^-1}.
+
+    On an abelian G a point set already read (:func:`_point_set`) is
+    handed over as a*_g = a_(g^-1), None when the action has none: the
+    star data is the same data, and the certificate
+    (:func:`_points_certified`) of the star action at (g, h) is the
+    original one at (g^-1, h^-1), because (gh)^-1 = g^-1 h^-1 and D*_g =
+    D_(g^-1); a*_1 = a_1.  Any other star action is read when it is asked
+    for."""
+    group = act.group
+    inv = group.inv
+    idems = [act.idems[inv(g)] for g in group.elements()]
+    maps = [act.maps[inv(g)] for g in group.elements()]
+    out = PartialAction(group, act.algebra, idems, maps)
+    if act._points is not None and group.is_abelian():
+        points = act._points[0]
+        out._points = (None if points is None else [points[inv(g)] for g in group.elements()],)
+    return out
 
 
 def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialAction:

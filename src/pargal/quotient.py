@@ -9,6 +9,12 @@ Two routes to alpha_{G/H}: the intrinsic closed forms
 evaluated entirely inside S, and the globalized route m_{1_S} o beta_g o psi_H
 through T^H.  The intrinsic route is primary; the globalized route is the
 differential oracle, and both are compared matrix-for-matrix.
+
+On a standard carrier whose partial G-set X passes the point-set
+certificate both routes are read on points: the closed forms on the point
+maps, and the globalized route on the classes of G x X / ~ (see
+:mod:`pargal.envelope`), each as one partial map of X per coset, with no
+product of elements.  Every other action evaluates them as elements.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .groups import Subgroup, QuotientData, quotient
 from .paction import (
     ActionReport,
     PartialAction,
+    _point_set,
     galois_coordinates,
     invariants,
     restrict,
@@ -107,14 +114,57 @@ def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
     return QuotientAction(act, sub, qdata, carrier, action, tilde)
 
 
+def _quotient_on_points(act, sub, qdata, carrier, sources) -> QuotientAction:
+    """:func:`_build_quotient_action` on a certified point set, for the maps
+    read off either route: alpha_{gH}(x)(p) = x(s) with s = sources[q][p]
+    for the coset q of g, and 0 where s is None.  So 1~_{gH} =
+    alpha_{gH}(1_S) is the indicator of where s is defined.
+
+    The basis of S^{alpha_H} is the indicators of the H-orbits by least
+    point (:func:`~pargal.paction.invariants` on points): a vector constant
+    on each orbit has its values at the least points as coordinates, and
+    any other escapes S^{alpha_H} (the bug traps).  alpha_{gH}(1_c
+    1~_{g^-1 H}) is the indicator of the p whose s lies in orbit c: each
+    term alpha_{gh}(x 1_{(gh)^-1}) of the closed form already multiplies x
+    by 1_{(gh)^-1} <= 1~_{g^-1 H}, as (gh)^-1 lies in g^-1 H."""
+    SH = carrier.algebra
+    basis = carrier.basis.rows
+    least = [row.index(1) for row in basis]
+    comp = [next(c for c, row in enumerate(basis) if row[p]) for p in range(act.algebra.rank)]
+    tildes, idems, maps = [], [], []
+    for source in sources:
+        tilde = [int(s is not None) for s in source]
+        if any(t != tilde[least[c]] for t, c in zip(tilde, comp)):
+            raise AssertionError("1~_{gH} escaped S^{alpha_H} (bug trap)")
+        image = [None if s is None else comp[s] for s in source]
+        if any(c != image[least[k]] for c, k in zip(image, comp)):
+            raise AssertionError("alpha_{gH} left S^{alpha_H} (bug trap)")
+        tildes.append(Element(act.algebra, tuple(tilde)))
+        idems.append(Element(SH, tuple(tilde[p] for p in least)))
+        maps.append(Matrix(SH.ring, [[int(image[p] == c) for c in range(SH.rank)] for p in least], SH.rank))
+    return QuotientAction(act, sub, qdata, carrier, PartialAction(qdata.quotient, SH, idems, maps), tildes)
+
+
 def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
     """The induced partial action of G/H on S^{alpha_H} via the closed forms.
 
-    Uncertified: callers that need the theorem-level invariants run
-    :meth:`QuotientAction.certify`.
+    On a certified point set (:func:`~pargal.paction._point_set`) they read
+    alpha_{gH}(x)(p) = x(a_{(g h_i)^-1}(p)) for the first h_i in
+    ``sub.members`` with p in D_{g h_i}, whose term alone survives the
+    products of (1 - 1_{g h_j}), and 0 if there is none; 1~_{gH} is the
+    indicator of the union of the D_{gh}.  Uncertified: callers that need
+    the theorem-level invariants run :meth:`QuotientAction.certify`.
     """
     qdata = quotient(act.group, sub, transversal)
     carrier = invariants(restrict(act, sub))
+    points = _point_set(act)
+    if points is not None:
+        G = act.group
+        sources = []
+        for g in qdata.transversal:
+            back = [points[G.inv(G.mul(g, h))] for h in sub.members]
+            sources.append([next((a[p] for a in back if a[p] is not None), None) for p in range(act.algebra.rank)])
+        return _quotient_on_points(act, sub, qdata, carrier, sources)
     return _build_quotient_action(
         act,
         sub,
@@ -126,14 +176,30 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
 
 
 def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAction:
-    """alpha_{G/H} through the enveloping action: m_{1_S} o beta_g o psi_H."""
-    from .envelope import globalize, psi_h, subgroup_idempotents
+    """alpha_{G/H} through the enveloping action: m_{1_S} o beta_g o psi_H.
+
+    On a certified point set (:func:`~pargal.paction._point_set`) the
+    pull-down, beta_g, psi_H and the embedding are 0/1 matrices on the
+    classes of G x X / ~ with at most one 1 a row, so their composite is
+    read as the row sources (:func:`~pargal.envelope._row_sources`) of
+    each followed back from the class c(p) of p; 1_S is 1 on every c(x).
+    This route never evaluates the closed forms."""
+    from .envelope import _row_sources, globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
     qdata = quotient(act.group, sub)
     carrier = invariants(restrict(act, sub))
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
+    if _point_set(act) is not None:
+        pull, through, up = map(_row_sources, (gd.down, psi.matrix, gd.embed.matrix))
+        sources = []
+        for rep in qdata.transversal:
+            source = pull
+            for step in (_row_sources(gd.beta[rep]), through, up):
+                source = [None if c is None else step[c] for c in source]
+            sources.append(source)
+        return _quotient_on_points(act, sub, qdata, carrier, sources)
     T = gd.algebra
     down = gd.down
     emb = gd.embed.matrix

@@ -209,10 +209,14 @@ VERIFY = ("verify",)
         (_set(["algebra", "constants", 0], [False, False, False, "1"]), VERIFY,
          "/algebra/constants/0: index out of range"),
         (_set(["group"], {"cyclic": [True]}), VERIFY, "/group: cyclic spec must be a non-empty list of integers"),
+        # the integer 1 is read before true, which equals it and hashes alike:
+        # the loader's scalar memo must not hand true the value of 1
+        (_set(["action", "g", "matrix"], [[0, 1], [True, 0]]), VERIFY,
+         "/action/g/matrix/1: Invalid literal for Fraction: 'True'"),
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
          "unit-zero-denominator", "matrix-zero-denominator", "trace-element",
-         "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean"],
+         "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):
     with open(fixture("ex2"), encoding="utf-8") as fh:

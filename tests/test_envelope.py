@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
-from pargal.algebra import Element
+from pargal.algebra import Element, subalgebra_from_constraints
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
     certify_globalization,
@@ -300,3 +300,93 @@ def test_non_standard_carriers_take_the_matrix_route(route_calls):
         assert not _certified_on_points(gd)
         assert certify_globalization(gd).passed
     assert route_calls == ["_globalize_matrices"] * 2
+
+
+# On the classes of G x X / ~ the subgroup idempotents are indicator sets
+# and psi_H a 0/1 matrix; the products of elements and matrices that every
+# other carrier takes are their oracle.
+
+
+def outcome(fn, *args):
+    """The matrix of the morphism ``fn`` returns, or the message of the
+    bug trap it fires."""
+    try:
+        return fn(*args).matrix
+    except AssertionError as exc:
+        return str(exc)
+
+
+@given(subset_classes_and_products())
+@settings(max_examples=60, deadline=None)
+def test_psi_on_classes_matches_the_matrix_forms(act):
+    from pargal.envelope import _class_translates, _idempotents_on_matrices, _psi_on_matrices
+
+    gd = globalize(act)
+    for sub in all_subgroups(act.group):
+        assert _class_translates(gd, sub) is not None
+        idems, dense = subgroup_idempotents(gd, sub), _idempotents_on_matrices(gd, sub)
+        assert (idems.eis, idems.e_h) == (dense.eis, dense.e_h)
+        # _psi_on_matrices checks the e_i form against the double sum
+        assert psi_h(gd, sub, idems).matrix == _psi_on_matrices(gd, sub, dense).matrix
+        # e_i in the wrong order break the e_i form on both routes or on none
+        wrong = replace(idems, eis=idems.eis[::-1])
+        assert outcome(psi_h, gd, sub, wrong) == outcome(_psi_on_matrices, gd, sub, wrong)
+
+
+def constraint_fixed_ring(gd, sub):
+    """T^H as the kernel of the stacked beta_h - I."""
+    T = gd.algebra
+    ident = Matrix.identity(T.ring, T.rank)
+    rows = [row for h in sub.members for row in gd.beta[h].sub(ident).rows]
+    return subalgebra_from_constraints(T, Matrix.from_rows(T.ring, rows, T.rank))
+
+
+def assert_fixed_rings_agree(gd):
+    for sub in all_subgroups(gd.group):
+        got, expected = fixed_ring(gd, sub), constraint_fixed_ring(gd, sub)
+        assert (got.basis, got.algebra, got.algebra.labels) == (expected.basis, expected.algebra, expected.algebra.labels)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_fixed_ring_matches_the_constraint_solve_on_the_corpus(ring):
+    for act in standard_corpus(ring).values():
+        assert_fixed_rings_agree(globalize(act))
+    assert_fixed_rings_agree(globalize(rebased(example1(ring), Matrix(ring, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))))
+
+
+@given(subset_classes_and_products())
+@settings(max_examples=60, deadline=None)
+def test_fixed_ring_matches_the_constraint_solve(act):
+    assert_fixed_rings_agree(globalize(act))
+
+
+@pytest.fixture
+def psi_routes(monkeypatch):
+    """The matrix routes that subgroup_idempotents and psi_h take, by name."""
+    import pargal.envelope as envelope
+
+    calls = []
+    for name in ("_idempotents_on_matrices", "_psi_on_matrices"):
+        build = getattr(envelope, name)
+        monkeypatch.setattr(envelope, name, lambda *args, name=name, build=build: calls.append(name) or build(*args))
+    return calls
+
+
+def test_standard_carriers_take_the_class_routes(psi_routes):
+    for ring in (QQ, Modular(2), Modular(6)):
+        for act in standard_corpus(ring).values():
+            gd = globalize(act)
+            for sub in all_subgroups(act.group):
+                psi_report(gd, sub)
+    assert not psi_routes
+
+
+def test_non_standard_carriers_take_the_matrix_routes_of_psi(psi_routes):
+    swap = standard_corpus(Modular(6))["global-Z2-swap"]
+    glued = crt_glue(swap, global_action(swap.group, swap.algebra, [Matrix.identity(Modular(6), 2)] * 2))
+    rebased_ex1 = rebased(example1(), Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))
+    for act in (rebased_ex1, glued):
+        gd = globalize(act)
+        for sub in all_subgroups(act.group):
+            psi_h(gd, sub)
+    assert psi_routes == ["_idempotents_on_matrices", "_psi_on_matrices"] * 5

@@ -21,7 +21,7 @@ from pargal.corpus import (
     standard_corpus,
     trivial_action,
 )
-from pargal.groups import make_cyclic, subgroup_closure
+from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
 from pargal.paction import (
     GaloisCoordinates,
     PartialAction,
@@ -38,6 +38,7 @@ from pargal.paction import (
     verify_partial_action,
 )
 from test_algebra import project_coords
+from test_groups import s3
 from test_harrison import subset_class
 
 
@@ -1651,6 +1652,39 @@ def test_point_set_route_matches_the_sparse_and_dense_routes(act, rnd):
 
 @given(point_set_actions())
 @settings(max_examples=150, deadline=None)
+def test_restrict_and_inverse_hand_over_the_point_maps(act):
+    # a handed-over point set must be what the reader reads off the result;
+    # an action not yet read hands over nothing, and a restriction of an
+    # uncertified one is left to be read
+    from pargal.paction import _point_set, _read_points
+
+    subgroups = all_subgroups(act.group)
+    assert all(restrict(act, sub)._points is None for sub in subgroups)
+    assert inverse_action(act)._points is None
+    certified = _point_set(act) is not None
+    for sub in subgroups:
+        out = restrict(act, sub)
+        assert (out._points is not None) == certified
+        assert out._points is None or out._points[0] == _read_points(out)
+    star = inverse_action(act)
+    assert star._points is not None and star._points[0] == _read_points(star)
+
+
+def test_inverse_of_a_non_abelian_action_hands_over_nothing():
+    from pargal.paction import _point_set
+
+    act = trivial_action(s3())
+    assert _point_set(act) is not None
+    star = inverse_action(act)
+    assert star._points is None
+    # a*_g a*_h = a_(g^-1 h^-1), which is a*_(hg), not a*_(gh): the star
+    # data is a right action, and the certificate refuses it
+    assert _point_set(star) is None
+    assert not verify_partial_action(star).passed
+
+
+@given(point_set_actions())
+@settings(max_examples=150, deadline=None)
 def test_split_data_matches_the_presentation_route(act):
     from pargal.paction import _point_set, _split_basis, _split_data
 
@@ -1732,6 +1766,65 @@ def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, ma
     report = report_of(verify_partial_action(act))
     assert report == report_of(_verify_on_columns(act)) == report_of(reference_verify_partial_action(act))
     assert [check for check, passed, _ in report if not passed][0] == name
+
+
+def reference_points_certified(group, maps, domains):
+    """The point-set certificate composed point by point through dicts."""
+    if any(j != i for i, j in enumerate(maps[group.identity])):
+        return False
+    # a_g extended by None -> None, and the identity on D_g extended likewise
+    compose, restrict_to = [], []
+    for a, dom in zip(maps, domains):
+        compose.append(dict(enumerate(a)))
+        restrict_to.append({i: i if d else None for i, d in enumerate(dom)})
+        compose[-1][None] = restrict_to[-1][None] = None
+    for g in group.elements():
+        for h in group.elements():
+            gh = maps[group.mul(g, h)]
+            if [compose[g][x] for x in maps[h]] != [restrict_to[g][k] for k in gh]:
+                return False
+    return True
+
+
+@st.composite
+def partial_maps(draw):
+    """A group of order <= 4 with one partial map of r <= 4 points and one
+    domain per element: a partial G-set restricted to r of its points and
+    possibly edited, or maps and domains drawn freely, a_1 = id or not."""
+    from pargal.paction import _point_set
+
+    r = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+        points = draw(st.permutations(gset_points(orbits)))
+        r = min(r, len(points))
+        act = gset_action(QQ, n, orbits, points[:r])
+        maps = [list(m) for m in _point_set(act)]
+        domains = [[c == 1 for c in e.coords] for e in act.idems]
+        g, i = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1))
+        edit = draw(st.sampled_from(["none", "map", "domain"]))
+        if edit == "map":
+            maps[g][i] = draw(st.sampled_from([None] + list(range(r))))
+        elif edit == "domain":
+            domains[g][i] = not domains[g][i]
+        return act.group, maps, domains
+    group = draw(st.sampled_from([make_cyclic(n) for n in (1, 2, 3, 4)] + [klein_product().group]))
+    image = st.lists(st.one_of(st.none(), st.integers(0, r - 1)), min_size=r, max_size=r)
+    maps = [draw(image) for _ in group.elements()]
+    if draw(st.booleans()):
+        maps[group.identity] = list(range(r))
+    domains = [draw(st.lists(st.booleans(), min_size=r, max_size=r)) for _ in group.elements()]
+    return group, maps, domains
+
+
+@given(partial_maps())
+@settings(max_examples=300, deadline=None)
+def test_point_set_certificate_matches_the_pointwise_reference(case):
+    from pargal.paction import _points_certified
+
+    assert _points_certified(*case) == reference_points_certified(*case)
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])

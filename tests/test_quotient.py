@@ -1,13 +1,17 @@
 """Quotient actions: closed forms, the globalized oracle, Galois descent."""
 
-import pytest
+import re
+from unittest import mock
 
-from pargal.scalars import Matrix, Modular
+import pytest
+from hypothesis import given, settings
+
+from pargal.scalars import QQ, Matrix, Modular
 from pargal.algebra import AlgebraError, AlgebraMorphism, Element
 from pargal.corpus import example1, global_swap, standard_corpus, trivial_action
 from pargal.envelope import GlobalizationData, certify_globalization, fixed_ring, globalize, psi_h
-from pargal.groups import all_subgroups, is_normal, make_cyclic, subgroup_closure
-from pargal.paction import galois_coordinates, verify_partial_action
+from pargal.groups import all_subgroups, is_normal, make_cyclic, quotient, subgroup_closure
+from pargal.paction import galois_coordinates, global_action, invariants, restrict, verify_partial_action
 from pargal.quotient import (
     induced_map_apply,
     quotient_action,
@@ -15,6 +19,9 @@ from pargal.quotient import (
     quotient_idempotent,
     quotient_via_globalization,
 )
+from test_envelope import subset_classes_and_products
+from test_groups import s3
+from test_paction import crt_glue, points_action, rebased
 
 
 def test_quotient_idempotents_example1():
@@ -213,3 +220,104 @@ def test_quotient_galois_for_all_corpus_normal_subgroups():
                 continue
             qa, witness = quotient_galois_check(act, h)
             assert witness.verify(), (name, h.members)
+
+
+# On a standard carrier both routes run on points: the closed forms on the
+# point maps, the globalized route on the classes of G x X / ~.  The matrix
+# routes that every other carrier takes are their oracles.
+
+
+def matrix_routes(act, sub):
+    """quotient_action and quotient_via_globalization as a carrier without a
+    certified point set takes them: closed forms evaluated as elements
+    (induced_map_apply, quotient_idempotent), and m_{1_S} o beta_g o psi_H
+    as matrix products."""
+    import pargal.quotient as quotient
+
+    with mock.patch.object(quotient, "_point_set", lambda act: None):
+        return quotient_action(act, sub), quotient_via_globalization(act, sub)
+
+
+def presentation(qa):
+    return (qa.carrier.basis, qa.carrier.algebra, qa.action.group, qa.action.idems, qa.action.maps,
+            qa.tilde_idems)
+
+
+@given(subset_classes_and_products())
+@settings(max_examples=60, deadline=None)
+def test_point_routes_match_the_matrix_routes(act):
+    for sub in all_subgroups(act.group):
+        intrinsic, globalized = matrix_routes(act, sub)
+        assert presentation(quotient_action(act, sub)) == presentation(intrinsic)
+        assert presentation(quotient_via_globalization(act, sub)) == presentation(globalized)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
+    # the regular S_3-set restricted to subsets of its points, by the
+    # normal subgroups {e}, A_3 and S_3
+    from pargal.paction import _action_on_points, _point_set
+
+    group = s3()
+    for subset in ([0, 1, 2, 3, 4, 5], [0, 1, 3], [2, 4, 5, 1], [5]):
+        pos = {x: i for i, x in enumerate(subset)}
+        maps = [[pos.get(group.mul(g, x)) for x in subset] for g in group.elements()]
+        act = _action_on_points(group, ring, [f"x{x}" for x in subset], maps)
+        assert _point_set(act) is not None
+        for sub in all_subgroups(group):
+            if is_normal(group, sub):
+                intrinsic, globalized = matrix_routes(act, sub)
+                assert presentation(quotient_action(act, sub)) == presentation(intrinsic)
+                assert presentation(quotient_via_globalization(act, sub)) == presentation(globalized)
+
+
+def test_point_route_traps_vectors_outside_the_invariants():
+    from pargal.quotient import _quotient_on_points
+
+    act = example1()
+    h = subgroup_closure(act.group, [2])
+    carrier = invariants(restrict(act, h))
+    assert carrier.basis.rows == [[1, 0, 1], [0, 1, 0]]
+    # sources: point 2 undefined, so 1~_{gH} splits the orbit {e1, e3};
+    # then point 2 drawn from e2, so alpha_{gH} splits it
+    for sources, trap in (([0, 1, None], "1~_{gH} escaped"), ([0, 1, 1], "alpha_{gH} left")):
+        with pytest.raises(AssertionError, match=re.escape(trap)):
+            _quotient_on_points(act, h, quotient(act.group, h), carrier, [sources] * 2)
+
+
+@pytest.fixture
+def quotient_routes(monkeypatch):
+    """The routes that quotient_action and quotient_via_globalization take:
+    "points", or "matrices" for each evaluation of a closed form as an
+    element or of the psi_H route as a matrix product."""
+    import pargal.quotient as quotient
+
+    calls = []
+    for name, route in (("_quotient_on_points", "points"), ("_build_quotient_action", "matrices")):
+        build = getattr(quotient, name)
+        monkeypatch.setattr(quotient, name, lambda *args, route=route, build=build: calls.append(route) or build(*args))
+    return calls
+
+
+def test_standard_carriers_take_the_point_routes(quotient_routes):
+    for ring in (QQ, Modular(2), Modular(6)):
+        for act in standard_corpus(ring).values():
+            for sub in all_subgroups(act.group):
+                quotient_action(act, sub).certify()
+                quotient_via_globalization(act, sub)
+    assert set(quotient_routes) == {"points"}
+
+
+def test_other_carriers_take_the_matrix_routes(quotient_routes):
+    # a rebased carrier, a CRT-glued Z/6 action, and 0/1 data that fails the
+    # point-set certificate (Z_3 on R^2 with a_g = a_g2 = the swap)
+    swap = standard_corpus(Modular(6))["global-Z2-swap"]
+    glued = crt_glue(swap, global_action(swap.group, swap.algebra, [Matrix.identity(Modular(6), 2)] * 2))
+    rebased_ex1 = rebased(example1(), Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))
+    # the invariants of the glued action under all of Z_2 are no free module
+    cases = [(rebased_ex1, sub) for sub in all_subgroups(rebased_ex1.group)] + [(glued, subgroup_closure(glued.group, []))]
+    for act, sub in cases:
+        assert quotient_action(act, sub).action == quotient_via_globalization(act, sub).action
+    not_p4 = points_action(QQ, 3, [(1, 1)] * 3, [(0, 1), (1, 0), (1, 0)])
+    quotient_action(not_p4, subgroup_closure(not_p4.group, [1]))
+    assert set(quotient_routes) == {"matrices"}
