@@ -25,7 +25,6 @@ from .scalars import (
     kernel,
     solve,
 )
-from .sparse import reduced
 
 
 class AlgebraError(ValueError):
@@ -164,12 +163,14 @@ class Algebra:
         modulus = self.ring.n if isinstance(self.ring, Modular) else None
 
         def total(terms):
-            # sum_m c d b_m over the terms (c, ((m, d), ...))
+            # sum_m c d b_m over the terms (c, ((m, d), ...)), zeros dropped
             out = {}
             for c, entries in terms:
                 for m, d in entries:
                     out[m] = out.get(m, 0) + c * d
-            return reduced(out, modulus)
+            if modulus:
+                return {m: v % modulus for m, v in out.items() if v % modulus}
+            return {m: v for m, v in out.items() if v != 0}
 
         unit = [(l, u) for l, u in enumerate(self.unit) if u != 0]
         for i in range(n):

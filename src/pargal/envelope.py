@@ -41,6 +41,7 @@ from .paction import (
     _point_matrix,
     _point_set,
     _read_permutation,
+    _row_sources,
     global_action,
     invariants,
     restrict,
@@ -229,6 +230,7 @@ _G3 = "(G3) beta_g extends alpha_g on S_(g^-1)"
 _G4 = "(G4) T = sum_g beta_g(iota(S))"
 _UNITS = "1_g = beta_g(1_S) 1_S"
 _PULL_DOWN = "pull-down splits the embedding"
+_GLOBALIZATION_CHECKS = (_AUTOMORPHISMS, _GROUP_ACTION, _G1, _G2, _G3, _G4, _UNITS, _PULL_DOWN)
 
 
 def certify_globalization(gd: GlobalizationData) -> ActionReport:
@@ -242,7 +244,7 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
     """
     if _certified_on_points(gd):
         rep = ActionReport()
-        for name in (_AUTOMORPHISMS, _GROUP_ACTION, _G1, _G2, _G3, _G4, _UNITS, _PULL_DOWN):
+        for name in _GLOBALIZATION_CHECKS:
             rep.add(name, True)
         return rep
     return _certify_on_matrices(gd)
@@ -423,19 +425,6 @@ class SubgroupIdempotents:
             for f in self.eis[i + 1 :]:
                 if not (e * f).is_zero():
                     raise AssertionError("subgroup idempotents are not orthogonal")
-
-
-def _row_sources(m: Matrix):
-    """The column of the 1 in each row of ``m`` (None for a zero row), so
-    that (m v)_i = v[source[i]], when every row is 0/1 with at most one 1;
-    None for any other ``m``."""
-    out = []
-    for row in m.rows:
-        ones = row.count(1)
-        if ones > 1 or ones + row.count(0) != m.ncols:
-            return None
-        out.append(row.index(1) if ones else None)
-    return out
 
 
 def _class_translates(gd: GlobalizationData, sub: Subgroup):

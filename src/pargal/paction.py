@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, invertible, solve
+from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -30,13 +30,12 @@ from .algebra import (
     unital_ideal,
 )
 from .groups import FiniteGroup, Subgroup
-from .sparse import combine, reduced, sparse_columns, sparse_mul, sparse_table, sparse_vector
 
 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_sparse", "_points")
+    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_points")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
@@ -55,7 +54,6 @@ class PartialAction:
                 raise AlgebraError("action matrix shape mismatch")
         self._idem_mats = [None] * group.order
         self._split = None
-        self._sparse = None
         self._points = None
 
     def idem_matrix(self, g: int) -> Matrix:
@@ -134,145 +132,93 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
 
     A standard carrier whose partial G-set passes the point-set certificate
     (:func:`_point_set`) passes every check.  Any other action, and one
-    that fails there, runs the checks on sparse columns
-    (:func:`_verify_on_columns`), which name the witness of each failure.
+    that fails there, runs the checks on its matrices
+    (:func:`_verify_on_matrices`), which name the witness of each failure.
     """
     if _point_set(act) is not None:
         rep = ActionReport()
         for name in (_UNITAL, _P2, _P1, _P3, _P4):
             rep.add(name, True)
         return rep
-    return _verify_on_columns(act)
+    return _verify_on_matrices(act)
 
 
-def _verify_on_columns(act: PartialAction) -> ActionReport:
-    """The checks of :func:`verify_partial_action` on sparse columns
-    (:func:`_read_sparse`): products and applications sum over the nonzero
-    entries only (see :func:`~pargal.sparse.combine` and
-    :func:`~pargal.sparse.sparse_mul`), so a 0/1 partial permutation costs
-    O(1) a column.  Sums are reduced like the ring's own, so each equality
-    is the dense one.
-    """
+def _verify_on_matrices(act: PartialAction) -> ActionReport:
+    """The checks of :func:`verify_partial_action` on the matrices M_g and
+    E_g (:meth:`PartialAction.idem_matrix`).  Products reduce like the
+    ring's own, so a stored entry outside [0, n) over Z/n equals no
+    product."""
     group = act.group
     g_labels = group.labels
     A = act.algebra
-    # the columns the iso bug trap keeps on an action that is no certified
-    # point set, or a fresh read that is not kept: most actions are verified
-    # once and never reach the column trap
-    n, table, maps, idem_cols = act._sparse or _read_sparse(act)
-    # the stored M_g and 1_g as given, and reduced mod n for the sums; a
-    # stored entry outside [0, n) equals no sum, as in the dense comparison
-    maps_given = [sparse_columns(m.rows, A.rank) for m in act.maps] if n else maps
-    ones_given = [sparse_vector(e.coords) for e in act.idems]
-    ones = [reduced(v, n) for v in ones_given] if n else ones_given
+    maps, idems, E = act.maps, act.idems, act.idem_matrix
     rep = ActionReport()
 
-    idempotent = [sparse_mul(table, one, one, n) == given for one, given in zip(ones, ones_given)]
+    idempotent = [e.is_idempotent() for e in idems]
     bad = [g_labels[g] for g in group.elements() if not idempotent[g]]
     rep.add(_UNITAL, not bad, None if not bad else f"1_{bad[0]} not idempotent")
 
-    p2 = act.idems[group.identity] == A.one() and act.maps[group.identity].is_identity()
+    p2 = idems[group.identity] == A.one() and maps[group.identity].is_identity()
     rep.add(_P2, p2, None if p2 else "identity component is not the identity")
 
     # (P1): M_g kills (1 - 1_{g^-1}), lands in S_g, is multiplicative and
-    # unital on S_{g^-1}, and M_{g^-1} M_g is multiplication by 1_{g^-1}.
+    # unital on S_{g^-1}, and M_g M_{g^-1} is multiplication by 1_g.
     # Multiplicativity is checked on the pairs of basis rows b_i, b_j of
     # S_{g^-1} against the images M_g b_i, computed once per g; without an
     # idempotent 1_{g^-1}, S_{g^-1} is no unital ideal and (P1) fails.
     witness = None
     for g in group.elements():
-        gi = group.inv(g)
-        mg = maps[g]
-        if any(combine(mg, col, n) != given for col, given in zip(idem_cols[gi], maps_given[g])):
+        gi, mg = group.inv(g), maps[g]
+        if mg.mul(E(gi)) != mg:
             witness = f"g={g_labels[g]}: M_g != M_g E_(g^-1)"
-            break
-        if any(combine(idem_cols[g], col, n) != given for col, given in zip(mg, maps_given[g])):
+        elif E(g).mul(mg) != mg:
             witness = f"g={g_labels[g]}: image of alpha_g escapes S_g"
-            break
-        if combine(mg, ones[gi], n) != ones_given[g]:
+        elif act.apply(g, idems[gi]) != idems[g]:
             witness = f"g={g_labels[g]}: alpha_g(1_(g^-1)) != 1_g"
-            break
-        if any(combine(mg, col, n) != e for col, e in zip(maps[gi], idem_cols[g])):
+        elif mg.mul(maps[gi]) != E(g):
             witness = f"g={g_labels[g]}: alpha_g alpha_(g^-1) is not multiplication by 1_g"
-            break
-        if not idempotent[gi]:
+        elif not idempotent[gi]:
             witness = f"g={g_labels[g]}: 1_(g^-1) is not idempotent"
-            break
-        rows = _ideal_basis(A.ring, idem_cols[gi])
-        images = [combine(mg, b, n) for b in rows]
-        for i, j in ((i, j) for i in range(len(rows)) for j in range(i, len(rows))):
-            prod = sparse_mul(table, rows[i], rows[j], n)
-            lhs = combine(mg, prod, n) if prod else prod
-            if lhs != sparse_mul(table, images[i], images[j], n):
-                witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({i},{j})"
-                break
+        else:
+            rows = canonical_row_form(E(gi).transpose()).rows
+            images = [mg.matvec(b) for b in rows]
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(len(rows))
+                    for j in range(i, len(rows))
+                    if mg.matvec(A.mul_coords(rows[i], rows[j])) != A.mul_coords(images[i], images[j])
+                ),
+                None,
+            )
+            if pair is not None:
+                witness = f"g={g_labels[g]}: alpha_g not multiplicative on S_(g^-1) basis pair ({pair[0]},{pair[1]})"
         if witness:
             break
     rep.add(_P1, witness is None, witness)
 
-    witness = None
-    for g in group.elements():
-        gi = group.inv(g)
-        for h in group.elements():
-            lhs = combine(maps[g], sparse_mul(table, ones[gi], ones[h], n), n)
-            if lhs != sparse_mul(table, ones[g], ones[group.mul(g, h)], n):
-                witness = f"g={g_labels[g]}, h={g_labels[h]}"
-                break
-        if witness:
-            break
+    witness = next(
+        (
+            f"g={g_labels[g]}, h={g_labels[h]}"
+            for g in group.elements()
+            for h in group.elements()
+            if act.apply(g, idems[group.inv(g)] * idems[h]) != idems[g] * idems[group.mul(g, h)]
+        ),
+        None,
+    )
     rep.add(_P3, witness is None, witness)
 
-    # (P4): M_g M_h = E_g M_gh column by column; the first column that
-    # differs names the witness basis vector
+    # (P4): M_g M_h = E_g M_gh; the first column that differs names the
+    # witness basis vector
     witness = None
-    for g in group.elements():
-        for h in group.elements():
-            gh = maps[group.mul(g, h)]
-            col = next(
-                (j for j in range(A.rank) if combine(maps[g], maps[h][j], n) != combine(idem_cols[g], gh[j], n)),
-                None,
-            )
-            if col is not None:
-                witness = f"g={g_labels[g]}, h={g_labels[h]}, basis={A.labels[col]}"
-                break
-        if witness:
+    for g, h in ((g, h) for g in group.elements() for h in group.elements()):
+        lhs, rhs = maps[g].mul(maps[h]), E(g).mul(maps[group.mul(g, h)])
+        if lhs != rhs:
+            col = next(j for j, (x, y) in enumerate(zip(zip(*lhs.rows), zip(*rhs.rows))) if x != y)
+            witness = f"g={g_labels[g]}, h={g_labels[h]}, basis={A.labels[col]}"
             break
     rep.add(_P4, witness is None, witness)
     return rep
-
-
-class _SparseAction(NamedTuple):
-    """An action read as sparse columns (see :mod:`pargal.sparse`)."""
-
-    n: int | None  # the modulus over Z/n, None over Q
-    table: list  # the carrier's structure constants, see sparse_table
-    maps: list  # the columns of each M_g, reduced mod n
-    idems: list  # the columns of each E_g
-
-
-def _sparse_data(act: PartialAction) -> _SparseAction:
-    """The sparse columns of ``act`` (:func:`_read_sparse`), read once per
-    action and kept on it."""
-    if act._sparse is None:
-        act._sparse = _read_sparse(act)
-    return act._sparse
-
-
-def _read_sparse(act: PartialAction) -> _SparseAction:
-    """The columns of each M_g and E_g of ``act``.  On R^n with its standard
-    basis E_g is the diagonal of 1_g, read off its coordinates; on any other
-    carrier E_g is :meth:`PartialAction.idem_matrix`, which ``invariants``
-    shares."""
-    A = act.algebra
-    n = A.ring.n if isinstance(A.ring, Modular) else None
-    maps = [sparse_columns(m.rows, A.rank) for m in act.maps]
-    if n:
-        maps = [[reduced(col, n) for col in cols] for cols in maps]
-    if A.is_split():
-        idems = [[reduced({j: c}, n) for j, c in enumerate(e.coords)] for e in act.idems]
-    else:
-        idems = [sparse_columns(act.idem_matrix(g).rows, A.rank) for g in act.group.elements()]
-    return _SparseAction(n, sparse_table(A), maps, idems)
 
 
 def _point_set(act: PartialAction) -> list | None:
@@ -364,7 +310,7 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     So D_g is the domain of a_(g^-1).  At (1, 1) it gives D_1 = X, which
     with a_1 = id is (P2).  At (g, h) and (g^-1, gh) it gives (P3).  A 0/1
     vector is idempotent.  So the certificate holds exactly when the checks of
-    :func:`_verify_on_columns` pass.
+    :func:`_verify_on_matrices` pass.
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
         return False
@@ -376,18 +322,6 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     on = [[i if d else r for i, d in enumerate(dom)] + [r] for dom in domains]
     after = [itemgetter(*f) for f in full]
     return all(after[h](full[g]) == after[gh](on[g]) for g, row in enumerate(group.table) for h, gh in enumerate(row))
-
-
-def _ideal_basis(ring, cols) -> list:
-    """The basis rows of the unital ideal whose multiplication matrix has
-    the sparse columns ``cols``, as sparse vectors: the canonical row form
-    of the columns, the rows ``unital_ideal`` builds.  When the matrix is a
-    0/1 diagonal these are the unit rows of its support, ascending, read off
-    without a row reduction."""
-    if all(not col or col == {j: 1} for j, col in enumerate(cols)):
-        return [{j: 1} for j, col in enumerate(cols) if col]
-    rows = Matrix(ring, [[col.get(k, 0) for k in range(len(cols))] for col in cols], len(cols))
-    return [sparse_vector(b) for b in canonical_row_form(rows).rows]
 
 
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
@@ -471,34 +405,33 @@ class GaloisCoordinates:
     def verify(self) -> bool:
         """Whether sum_i x_i alpha_g(y_i 1_{g^-1}) = delta_{1,g} 1_S for
         every g.  On a certified point set (:func:`_point_set`) coordinate k
-        of x alpha_g(y 1_{g^-1}) is x_k y_(a_(g^-1)(k)), summed through the
-        point maps: a_(g^-1) inverts a_g and is defined exactly on its
-        image.  Any other action is summed on sparse columns
-        (:func:`_read_sparse`)."""
+        of x alpha_g(y 1_{g^-1}) is x_k y_(a_(g^-1)(k)), summed on coordinate
+        lists over the nonzero x_k through the point maps: a_(g^-1) inverts
+        a_g and is defined exactly on its image.  Any other action sums the
+        products x * alpha_g(y 1_{g^-1}) as elements."""
         act = self.action
-        ring = act.algebra.ring
-        n = ring.n if isinstance(ring, Modular) else None
-        pairs = [(sparse_vector(x.coords), sparse_vector(y.coords)) for x, y in self.pairs]
-        one = reduced(sparse_vector(act.algebra.unit), n)
+        A, group = act.algebra, act.group
+
+        def expected(g):
+            return A.one() if g == group.identity else A.zero()
+
         points = _point_set(act)
-        if points is not None:
-
-            def product(g, x, y):
-                source = points[act.group.inv(g)]
-                return ((k, v * y[source[k]]) for k, v in x.items() if source[k] in y)
-
-        else:
-            _, table, maps, _ = act._sparse or _read_sparse(act)
-
-            def product(g, x, y):
-                return sparse_mul(table, x, combine(maps[g], y, n), n).items()
-
-        for g in act.group.elements():
-            acc = {}
-            for x, y in pairs:
-                for k, v in product(g, x, y):
-                    acc[k] = acc.get(k, 0) + v
-            if reduced(acc, n) != (one if g == act.group.identity else {}):
+        if points is None:
+            return all(
+                sum((x * act.apply(g, y) for x, y in self.pairs), A.zero()) == expected(g) for g in group.elements()
+            )
+        n = A.ring.n if isinstance(A.ring, Modular) else None
+        pairs = [([(k, v) for k, v in enumerate(x.coords) if v != 0], y.coords) for x, y in self.pairs]
+        for g in group.elements():
+            source = points[group.inv(g)]
+            acc = [0] * A.rank
+            for xs, y in pairs:
+                for k, v in xs:
+                    if source[k] is not None:
+                        acc[k] += v * y[source[k]]
+            if n:
+                acc = [v % n for v in acc]
+            if tuple(acc) != expected(g).coords:
                 return False
         return True
 
@@ -974,14 +907,14 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     bijection pi between split algebras: f is invertible with inverse
     e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x) e_pi(y)
     because pi is injective, and f(1) = sum_x e_pi(x) = 1 because it is
-    onto.  So the point route passes or fails exactly as the column route.
+    onto.  So the point route passes or fails exactly as the matrix route.
 
-    Any other f or carrier runs :func:`_trap_on_columns`."""
+    Any other f or carrier runs :func:`_trap_on_matrices`."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
     pa, pb = _point_set(a), _point_set(b)
     pi = _read_permutation(fmat) if pa is not None and pb is not None else None
     if pi is None:
-        _trap_on_columns(a, b, fmat)
+        _trap_on_matrices(a, b, morphism)
     else:
         _trap_on_points(a.group, pa, pb, pi)
     if marked is not None and morphism(marked[0]) != marked[1]:
@@ -989,20 +922,29 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     return morphism
 
 
+def _row_sources(m: Matrix):
+    """The column of the 1 in each row of ``m`` (None for a zero row), so
+    that (m v)_i = v[source[i]], when every row is 0/1 with at most one 1;
+    None for any other ``m``."""
+    out = []
+    for row in m.rows:
+        ones = row.count(1)
+        if ones > 1 or ones + row.count(0) != m.ncols:
+            return None
+        out.append(row.index(1) if ones else None)
+    return out
+
+
 def _read_permutation(fmat: Matrix):
-    """pi with f e_x = e_pi(x) when f is square with one 1 and otherwise 0s
-    in each row, in distinct columns; None for any other f.  One pass over
-    the rows, as :func:`_read_points` reads an M_g."""
+    """pi with f e_x = e_pi(x) when f is a square permutation matrix: the
+    inverse of its row sources (:func:`_row_sources`), which must be a
+    bijection of the columns; None for any other f."""
     r = fmat.ncols
-    if fmat.nrows != r:
+    sources = _row_sources(fmat) if fmat.nrows == r else None
+    if sources is None or None in sources or len(set(sources)) != r:
         return None
     pi = [None] * r
-    for y, row in enumerate(fmat.rows):
-        if row.count(1) != 1 or row.count(0) != r - 1:
-            return None
-        x = row.index(1)
-        if pi[x] is not None:
-            return None
+    for y, x in enumerate(sources):
         pi[x] = y
     return pi
 
@@ -1010,7 +952,7 @@ def _read_permutation(fmat: Matrix):
 def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:
     """The checks of :func:`_certified_witness` for f e_x = e_pi(x) between
     the certified point sets ``pa`` and ``pb``, in the order and with the
-    messages of :func:`_trap_on_columns`.  pi(D_g) = D'_g is read off the
+    messages of :func:`_trap_on_matrices`.  pi(D_g) = D'_g is read off the
     domains of a_(g^-1) and a'_(g^-1)."""
     for g in group.elements():
         source_b = pb[group.inv(g)]
@@ -1021,37 +963,15 @@ def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:
             raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={group.labels[g]} (bug trap)")
 
 
-def _trap_on_columns(a: PartialAction, b: PartialAction, fmat: Matrix) -> None:
-    """The checks of :func:`_certified_witness` but the marked idempotent:
-    E'_g f = f E_g, f M_g = M'_g f E_(g^-1) and f(e_i e_j) = f(e_i) f(e_j)
-    compared column by column on the sparse columns of f and of the two
-    actions (:func:`_sparse_data`), so each costs O(nnz), then
-    invertibility and f(1) = 1."""
-    sa, sb = _sparse_data(a), _sparse_data(b)
-    n = sa.n
-    f = sparse_columns(fmat.rows, fmat.ncols)
-    if n:
-        f = [reduced(col, n) for col in f]
-    for g in a.group.elements():
-        if any(combine(sb.idems[g], col, n) != combine(f, e, n) for col, e in zip(f, sa.idems[g])):
-            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={a.group.labels[g]} (bug trap)")
-        domain = sa.idems[a.group.inv(g)]
-        if any(combine(f, m, n) != combine(sb.maps[g], combine(f, e, n), n) for m, e in zip(sa.maps[g], domain)):
-            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={a.group.labels[g]} (bug trap)")
-    if (
-        not invertible(fmat)
-        or not _multiplicative(sa.table, sb.table, f, n)
-        or combine(f, sparse_vector(a.algebra.unit), n) != sparse_vector(b.algebra.unit)
-    ):
+def _trap_on_matrices(a: PartialAction, b: PartialAction, morphism: AlgebraMorphism) -> None:
+    """The checks of :func:`_certified_witness` but the marked idempotent,
+    on the matrix f of ``morphism``: E'_g f = f E_g and f M_g = M'_g f
+    E_(g^-1) for each g, then that f is a unital algebra isomorphism."""
+    fmat, group = morphism.matrix, a.group
+    for g in group.elements():
+        if b.idem_matrix(g).mul(fmat) != fmat.mul(a.idem_matrix(g)):
+            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={group.labels[g]} (bug trap)")
+        if fmat.mul(a.maps[g]) != b.maps[g].mul(fmat).mul(a.idem_matrix(group.inv(g))):
+            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={group.labels[g]} (bug trap)")
+    if not morphism.is_bijective() or morphism.multiplicative_failure() is not None or not morphism.is_unital():
         raise AssertionError("iso_check: f is not a unital algebra isomorphism (bug trap)")
-
-
-def _multiplicative(table_a, table_b, f, n) -> bool:
-    """Whether the map with sparse columns ``f`` satisfies f(e_i e_j) =
-    f(e_i) f(e_j) on every basis pair i <= j, for the tables of
-    :func:`~pargal.sparse.sparse_table` of its source and target."""
-    return all(
-        combine(f, sparse_mul(table_a, {i: 1}, {j: 1}, n), n) == sparse_mul(table_b, f[i], f[j], n)
-        for i in range(len(f))
-        for j in range(i, len(f))
-    )

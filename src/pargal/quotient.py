@@ -28,6 +28,7 @@ from .paction import (
     ActionReport,
     PartialAction,
     _point_set,
+    _row_sources,
     galois_coordinates,
     invariants,
     restrict,
@@ -181,10 +182,10 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     On a certified point set (:func:`~pargal.paction._point_set`) the
     pull-down, beta_g, psi_H and the embedding are 0/1 matrices on the
     classes of G x X / ~ with at most one 1 a row, so their composite is
-    read as the row sources (:func:`~pargal.envelope._row_sources`) of
+    read as the row sources (:func:`~pargal.paction._row_sources`) of
     each followed back from the class c(p) of p; 1_S is 1 on every c(x).
     This route never evaluates the closed forms."""
-    from .envelope import _row_sources, globalize, psi_h, subgroup_idempotents
+    from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
     qdata = quotient(act.group, sub)

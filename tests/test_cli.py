@@ -168,6 +168,21 @@ def test_golden_reports_are_reproduced(name, capsys):
     assert rc in (0, 1)
 
 
+@pytest.mark.parametrize("name", ["ex1", "ex2", "global-Z2-swap"])
+def test_globalize_command_runs_the_certificate_once(name, monkeypatch, capsys):
+    # globalize raises unless every check passes, so the command reports
+    # the certificate that globalize ran, with the same check names
+    from pargal import envelope
+
+    certify = envelope.certify_globalization
+    calls = []
+    monkeypatch.setattr(envelope, "certify_globalization", lambda gd: calls.append(gd) or certify(gd))
+    assert run_cli("globalize", fixture(name), "--json") == 0
+    assert len(calls) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [{"name": c.name, "status": "pass", "witness": None} for c in certify(calls[0]).checks]
+
+
 @pytest.mark.parametrize("name", GOLDEN_ACTIONS)
 def test_golden_actions_are_reproduced(name, tmp_path, capsys):
     # ex1.idempotent.action.json is `pargal idempotent corpus/ex1.json --out`

@@ -1137,23 +1137,6 @@ def test_certificate_reads_unreduced_entries_like_the_dense_reference(maps, idem
     assert next(c for c in rep.checks if c.name == P1).witness == witness
 
 
-@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
-def test_unit_row_basis_matches_the_row_reduction(ring):
-    # the basis of S_(g^-1) read off a 0/1 diagonal E_(g^-1) is the
-    # canonical row form of E^T that unital_ideal builds, on every support
-    from itertools import product
-
-    from pargal.paction import _ideal_basis
-    from pargal.scalars import canonical_row_form
-    from pargal.sparse import sparse_columns, sparse_vector
-
-    for r in range(1, 6):
-        for support in product([0, 1], repeat=r):
-            e = Matrix(ring, [[support[i] if i == j else 0 for j in range(r)] for i in range(r)], r)
-            expected = [sparse_vector(b) for b in canonical_row_form(e.transpose()).rows]
-            assert _ideal_basis(ring, sparse_columns(e.rows, r)) == expected
-
-
 # -- the iso bug trap against the dense trap it replaced -----------------------
 
 
@@ -1388,15 +1371,18 @@ def point_trap_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_point_trap_matches_the_dense_trap(case):
     # the trap reads f on the points when both carriers are certified point
-    # sets and f is a permutation matrix; the sparse columns are then never
-    # read, and every other f or carrier runs the column trap
+    # sets and f is a permutation matrix, with no matrix product; every
+    # other f or carrier runs the matrix trap
+    from unittest import mock
+
     from pargal.paction import _certified_witness, _point_set
 
     kind, a, b, fmat = case
-    got = trap_outcome(_certified_witness, a, b, fmat)
+    with mock.patch.object(Matrix, "mul", autospec=True, side_effect=Matrix.mul) as mul:
+        got = trap_outcome(_certified_witness, a, b, fmat)
     certified = _point_set(a) is not None and _point_set(b) is not None
     on_points = certified and is_permutation_matrix(fmat.rows)
-    assert (a._sparse is None and b._sparse is None) == on_points
+    assert (mul.call_count == 0) == on_points
     assert got == trap_outcome(reference_certified_witness, a, b, fmat)
     if kind == "correct":
         assert got == fmat
@@ -1497,11 +1483,9 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     # the match, the witness and the trap all run on the point maps: no
-    # matrix product, invertibility test or row reduction, and no sparse
-    # columns read or kept; a mixed pair shows that the counters see calls
+    # matrix product, invertibility test, row reduction or multiplication
+    # matrix E_g; a mixed pair shows that the counters see calls
     import sys
-
-    import pargal.paction as paction
 
     pairs = []
     for act in standard_corpus(ring).values():
@@ -1520,7 +1504,9 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
         return call
 
     monkeypatch.setattr(Matrix, "mul", counted("Matrix.mul", Matrix.mul))
-    monkeypatch.setattr(paction, "_read_sparse", counted("_read_sparse", paction._read_sparse))
+    monkeypatch.setattr(
+        PartialAction, "idem_matrix", counted("PartialAction.idem_matrix", PartialAction.idem_matrix)
+    )
     for name, module in list(sys.modules.items()):
         if name.startswith("pargal"):
             for fn in ("invertible", "canonical_row_form"):
@@ -1529,14 +1515,13 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     statuses = set()
     for a, b in pairs:
         statuses.add(iso_check(a, b).status)
-        assert a._sparse is None and b._sparse is None
     assert statuses == {"iso", "none"}
     assert calls == []
     assert iso_check(example2(ring), mixed).status == "iso"
-    assert {"Matrix.mul", "invertible", "_read_sparse"} <= set(calls)
+    assert {"Matrix.mul", "invertible", "PartialAction.idem_matrix"} <= set(calls)
 
 
-# -- the point-set route against the sparse route and the dense reference -----
+# -- the point-set route against the matrix route and the dense reference -----
 
 
 def kernel_invariants(act):
@@ -1628,10 +1613,11 @@ def subalgebra_of(sub):
 @given(point_set_actions(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_point_set_route_matches_the_sparse_and_dense_routes(act, rnd):
-    from pargal.paction import _verify_on_columns
+    # the name is kept from when the matrix route summed sparse columns
+    from pargal.paction import _verify_on_matrices
 
     report = report_of(verify_partial_action(act))
-    assert report == report_of(_verify_on_columns(act))
+    assert report == report_of(_verify_on_matrices(act))
     assert report == report_of(reference_verify_partial_action(act))
     inv = outcome(invariants, act)
     expected = outcome(kernel_invariants, act)
@@ -1744,7 +1730,7 @@ def points_action(ring, n, domains, maps):
 
 
 # a_1 = id and (P4) on points are the whole point-set certificate; one
-# action for each that passes the other and fails the column checks
+# action for each that passes the other and fails the matrix checks
 POINT_SET_FAILURES = [
     # Z_1 on R^2 with a_1 sending both points to the first: (P4) holds
     ("a_1 not id", 1, [(1, 1)], [(0, 0)], "(P2) S_1 = S and alpha_1 = id"),
@@ -1757,14 +1743,14 @@ POINT_SET_FAILURES = [
 @pytest.mark.parametrize("n, domains, maps, name", [c[1:] for c in POINT_SET_FAILURES],
                          ids=[c[0] for c in POINT_SET_FAILURES])
 def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, maps, name):
-    from pargal.paction import _point_set, _points_certified, _verify_on_columns
+    from pargal.paction import _point_set, _points_certified, _verify_on_matrices
 
     act = points_action(ring, n, domains, maps)
     # 0/1 data with one 1 at most in each column, refused by the certificate
     assert not _points_certified(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains])
     assert _point_set(act) is None
     report = report_of(verify_partial_action(act))
-    assert report == report_of(_verify_on_columns(act)) == report_of(reference_verify_partial_action(act))
+    assert report == report_of(_verify_on_matrices(act)) == report_of(reference_verify_partial_action(act))
     assert [check for check, passed, _ in report if not passed][0] == name
 
 
@@ -1828,23 +1814,6 @@ def test_point_set_certificate_matches_the_pointwise_reference(case):
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
-def test_sparse_columns_of_e_g_read_off_1_g_on_split_carriers(ring):
-    # any stored 1_g, idempotent or not, 0/1 or not: the diagonal read off
-    # the coordinates is the sparse form of the dense idem_matrix
-    from itertools import product
-
-    from pargal.paction import _read_sparse
-    from pargal.sparse import sparse_columns
-
-    act = example1(ring)
-    r = act.algebra.rank
-    for coords in product([0, 1, 2, 7, -1], repeat=r):
-        probe = perturbed(act, idems={1: coords})
-        expected = [sparse_columns(probe.idem_matrix(g).rows, r) for g in probe.group.elements()]
-        assert _read_sparse(probe).idems == expected
-
-
-@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_sparse_galois_verify_matches_the_dense_sums(ring):
     # the witness of each Galois corpus action, and corrupted copies: one y
     # scaled by 2 or by 7 (unreduced), one pair dropped, one pair doubled
@@ -1869,28 +1838,29 @@ def test_sparse_galois_verify_matches_the_dense_sums(ring):
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_galois_verify_sums_through_the_point_maps(ring, monkeypatch):
-    # the corpus actions are certified point sets: verify reads no sparse
-    # columns and still rejects a pair whose y is moved to another point,
-    # or scaled by 7 unreduced
-    import pargal.paction as paction
+    # the corpus actions are certified point sets: verify applies no
+    # alpha_g as a matrix and still rejects a pair whose y is moved to
+    # another point, or scaled by 7 unreduced
     from pargal.algebra import Element
 
-    def unread(act):
-        raise AssertionError("sparse columns read")
-
-    monkeypatch.setattr(paction, "_read_sparse", unread)
+    applied = []
+    apply = PartialAction.apply
+    monkeypatch.setattr(PartialAction, "apply", lambda act, g, x: applied.append(g) or apply(act, g, x))
     for act in standard_corpus(ring).values():
         coords = galois_coordinates(act)
         if coords is None:
             continue
-        assert coords.verify()
+        assert coords.verify() and not applied
         A = act.algebra
         (x, y), rest = coords.pairs[0], coords.pairs[1:]
         moved = [(x, A.basis_element(1 % A.rank))] + rest
         scaled = [(x, Element(A, tuple(7 * c for c in y.coords)))] + rest
         for pairs in (moved, scaled):
             probe = GaloisCoordinates(act, pairs)
-            assert probe.verify() == dense_galois_verify(probe)
+            got = probe.verify()
+            assert not applied
+            assert got == dense_galois_verify(probe)
+            applied.clear()
         assert not GaloisCoordinates(act, moved).verify() or A.rank == 1
 
 
