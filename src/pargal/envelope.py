@@ -21,6 +21,7 @@ classes and a 0/1 matrix, built without a product in T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .scalars import Matrix, canonical_row_form, intersect_modules, module_contains, modules_equal
@@ -40,7 +41,6 @@ from .paction import (
     _match_iso,
     _point_matrix,
     _point_set,
-    _read_permutation,
     _row_sources,
     global_action,
     invariants,
@@ -66,6 +66,17 @@ class GlobalizationData:
     @property
     def group(self):
         return self.action.group
+
+    @cached_property
+    def enveloping_action(self) -> PartialAction | None:
+        """beta as a global action of G on T, built on first use and kept,
+        so its point set (:func:`~pargal.paction._point_set`) is read once;
+        None when beta is not one k x k matrix per group element.  A copy
+        made with ``dataclasses.replace`` starts without it."""
+        try:
+            return global_action(self.group, self.algebra, self.beta)
+        except AlgebraError:
+            return None
 
 
 def _function_algebra(act: PartialAction) -> Algebra:
@@ -253,22 +264,23 @@ def certify_globalization(gd: GlobalizationData) -> ActionReport:
 def _certified_on_points(gd: GlobalizationData) -> bool:
     """Whether ``gd`` reads as the enveloping set of a partial G-set and
     passes every check of :func:`_certify_on_matrices` there, in
-    O(|G|^2 k) after reading the matrices.
+    O(|G| k) after reading the matrices.
 
     It reads ``gd`` when the action has a certified point set X
-    (:func:`~pargal.paction._point_set`), T is split on its labels, each
-    beta_g is a k x k permutation matrix pi_g, the embedding is k x n with
-    a single 1 in each column, at class c(x), and c is injective, 1_S is
-    0/1 with support O, and ``down`` is n x k.  Write C = c(X).  The point
-    certificate defines a_g exactly on D_(g^-1)
+    (:func:`~pargal.paction._point_set`), so has the enveloping action
+    (:attr:`GlobalizationData.enveloping_action`), the embedding is k x n
+    with a single 1 in each column, at class c(x), and c is injective, 1_S
+    is 0/1 with support O, and ``down`` is n x k.  Write C = c(X).  On
+    total maps the point-set certificate says exactly that T is split and
+    each beta_g is a permutation matrix pi_g with pi_1 = id and pi_g pi_h
+    = pi_gh.  The certificate of X defines a_g exactly on D_(g^-1)
     (:func:`~pargal.paction._points_certified`), so D_g is read as the
     domain of a_(g^-1), and no test of where a_g is defined is needed.
     Then each matrix check is the statement on classes that this function
     tests:
 
     - A permutation matrix is a unital automorphism of a split algebra.
-    - beta_1 = id and beta_g beta_h = beta_gh compare the products of
-      permutation matrices entry by entry: pi_1 = id, pi_g pi_h = pi_gh.
+    - beta_1 = id and beta_g beta_h = beta_gh are the certificate of beta.
     - (G1) passes: T e_c(x) is spanned by e_c(x).
     - (G2): the ideal S_g has the basis e_x, x in D_g, and a span of unit
       vectors is read off its support, so (G2) is c(D_g) = C /\\ pi_g(C).
@@ -286,34 +298,21 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     here proves nothing; the caller then runs the matrix checks.
     """
     act = gd.action
-    points = _point_set(act)
-    T = gd.algebra
     G = act.group
-    n, k = act.algebra.rank, T.rank
-    if points is None or len(gd.beta) != G.order or not T.is_split():
+    n, k = act.algebra.rank, gd.algebra.rank
+    emb, env = gd.embed.matrix, gd.enveloping_action
+    points = _point_set(act)
+    if points is None or env is None or emb.nrows != k or emb.ncols != n or gd.down.nrows != n or gd.down.ncols != k:
         return False
-    pis = [_read_permutation(m) if m.ncols == k else None for m in gd.beta]
-    emb = gd.embed.matrix
-    if None in pis or emb.nrows != k or emb.ncols != n or gd.down.nrows != n or gd.down.ncols != k:
-        return False
-    c = [None] * n
-    for j, row in enumerate(emb.rows):
-        if row.count(0) + row.count(1) != n:
-            return False
-        for x, v in enumerate(row):
-            if v == 1:
-                c[x] = j if c[x] is None else -1
+    pis = _point_set(env)
+    c = _row_sources(zip(*emb.rows))
     one = gd.one_s.coords
-    if None in c or -1 in c or len(set(c)) != n or len(one) != k or one.count(0) + one.count(1) != k:
+    if pis is None or c is None or None in c or len(set(c)) != n or len(one) != k or one.count(0) + one.count(1) != k:
         return False
     C = set(c)
     O = {j for j, v in enumerate(one) if v == 1}
-    if any(j != i for i, j in enumerate(pis[G.identity])):
-        return False
     for g in G.elements():
         pi = pis[g]
-        if any(pi[pis[h][j]] != pis[G.mul(g, h)][j] for h in G.elements() for j in range(k)):
-            return False
         in_g = {c[x] for x, y in enumerate(points[G.inv(g)]) if y is not None}
         if in_g != C & {pi[j] for j in C} or in_g != O & {pi[j] for j in O}:
             return False
@@ -428,20 +427,21 @@ class SubgroupIdempotents:
 
 
 def _class_translates(gd: GlobalizationData, sub: Subgroup):
-    """(backs, ups): for each h_i in ``sub.members`` the row sources of
-    beta_(h_i), pi_(h_i)^-1 on the classes of :func:`_globalize_points`, and
-    the set of classes of beta_(h_i)(1_S).  None unless the action has a
-    certified point set (:func:`~pargal.paction._point_set`), T is split,
-    1_S is 0/1 and each beta_h reads as k x k :func:`_row_sources`."""
-    T = gd.algebra
-    k = T.rank
+    """(backs, ups): for each h_i in ``sub.members`` the back map
+    pi_(h_i^-1) = pi_(h_i)^-1 of beta_(h_i) on the classes of
+    :func:`_globalize_points`, so that (beta_(h_i) v)_c =
+    v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
+    are the point set of the enveloping action
+    (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
+    action have certified point sets (:func:`~pargal.paction._point_set`)
+    and 1_S is 0/1."""
     one = gd.one_s.coords
-    if _point_set(gd.action) is None or not T.is_split() or one.count(0) + one.count(1) != k:
+    env = gd.enveloping_action
+    pis = None if _point_set(gd.action) is None or env is None else _point_set(env)
+    if pis is None or one.count(0) + one.count(1) != len(one):
         return None
-    backs = [_row_sources(m) if m.nrows == m.ncols == k else None for m in (gd.beta[h] for h in sub.members)]
-    if None in backs:
-        return None
-    return backs, [{c for c, s in enumerate(back) if s is not None and one[s] == 1} for back in backs]
+    backs = [pis[gd.group.inv(h)] for h in sub.members]
+    return backs, [{c for c, s in enumerate(back) if one[s] == 1} for back in backs]
 
 
 def subgroup_idempotents(gd: GlobalizationData, sub: Subgroup) -> SubgroupIdempotents:
@@ -501,7 +501,7 @@ def psi_h(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempotents | Non
     rows = [[0] * k for _ in range(k)]
     for back, e in zip(backs, idems.eis):
         for c, v in enumerate(e.coords):
-            if v != 0 and back[c] is not None:
+            if v != 0:
                 rows[c][back[c]] = ring.add(rows[c][back[c]], v)
     alt = {}
     for l in range(1, len(ups) + 1):
@@ -542,8 +542,10 @@ def _psi_on_matrices(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempo
 
 def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
     """T^H as a subalgebra of T: the invariants of beta restricted to H,
-    whose constraints beta_h - 1_h are beta_h - I, since 1_h = 1_T."""
-    return invariants(restrict(global_action(gd.group, gd.algebra, gd.beta), sub))
+    whose constraints beta_h - 1_h are beta_h - I, since 1_h = 1_T.  A
+    point set of beta already read is handed to the restriction
+    (:func:`~pargal.paction.restrict`)."""
+    return invariants(restrict(gd.enveloping_action, sub))
 
 
 def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
@@ -619,6 +621,4 @@ def global_iso_check(gd1: GlobalizationData, gd2: GlobalizationData) -> IsoResul
     ``iso_check`` on the global actions with the points under 1_S coloured."""
     if gd1.group != gd2.group:
         raise AlgebraError("global_iso_check: different groups")
-    t1 = global_action(gd1.group, gd1.algebra, gd1.beta)
-    t2 = global_action(gd2.group, gd2.algebra, gd2.beta)
-    return _match_iso(t1, t2, (gd1.one_s, gd2.one_s))
+    return _match_iso(gd1.enveloping_action, gd2.enveloping_action, (gd1.one_s, gd2.one_s))

@@ -520,9 +520,15 @@ def _check_product_presentation(group: FiniteGroup, orders):
 
 
 def cyclic_compose(classes) -> ExtensionClass:
-    """The tensor class over the product of the factors' (cyclic) groups."""
+    """The tensor class over the product of the factors' groups, each of
+    which must be presented as :func:`make_cyclic` of its order."""
     if not classes:
         raise AlgebraError("cyclic_compose of an empty factor list")
+    for i, c in enumerate(classes):
+        try:
+            _check_product_presentation(c.group, [c.group.order])
+        except AlgebraError as exc:
+            raise AlgebraError(f"factor {i}: {exc}") from None
     if len(classes) == 1:
         return classes[0]
     orders = [c.group.order for c in classes]

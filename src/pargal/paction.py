@@ -243,27 +243,13 @@ def _read_points(act: PartialAction) -> list | None:
     if not A.is_split():
         return None
     r = A.rank
-    domains = []
-    for e in act.idems:
-        if e.coords.count(0) + e.coords.count(1) != r:
-            return None
-        domains.append([c == 1 for c in e.coords])
-    maps = []
-    for m in act.maps:
-        image = [None] * r
-        for k, row in enumerate(m.rows):
-            zeros = row.count(0)
-            if zeros == r:
-                continue
-            if zeros + row.count(1) != r:
-                return None
-            j = -1
-            for _ in range(r - zeros):
-                j = row.index(1, j + 1)
-                if image[j] is not None:
-                    return None
-                image[j] = k
-        maps.append(image)
+    if any(e.coords.count(0) + e.coords.count(1) != r for e in act.idems):
+        return None
+    # a_g(i) is the row of the 1 in column i of M_g
+    maps = [_row_sources(zip(*m.rows)) for m in act.maps]
+    if None in maps:
+        return None
+    domains = [[c == 1 for c in e.coords] for e in act.idems]
     return maps if _points_certified(act.group, maps, domains) else None
 
 
@@ -922,14 +908,16 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     return morphism
 
 
-def _row_sources(m: Matrix):
-    """The column of the 1 in each row of ``m`` (None for a zero row), so
-    that (m v)_i = v[source[i]], when every row is 0/1 with at most one 1;
-    None for any other ``m``."""
+def _row_sources(rows):
+    """The index of the 1 in each of ``rows`` (None for a zero row) when
+    every row is 0/1 with at most one 1; None otherwise.  On the rows of a
+    matrix m this is where each entry of m v comes from, (m v)_i =
+    v[out[i]]; on its columns, ``zip(*m.rows)``, where each basis vector
+    goes, m e_j = e_(out[j])."""
     out = []
-    for row in m.rows:
+    for row in rows:
         ones = row.count(1)
-        if ones > 1 or ones + row.count(0) != m.ncols:
+        if ones > 1 or ones + row.count(0) != len(row):
             return None
         out.append(row.index(1) if ones else None)
     return out
@@ -937,16 +925,10 @@ def _row_sources(m: Matrix):
 
 def _read_permutation(fmat: Matrix):
     """pi with f e_x = e_pi(x) when f is a square permutation matrix: the
-    inverse of its row sources (:func:`_row_sources`), which must be a
+    row of the 1 in each column (:func:`_row_sources`), which must be a
     bijection of the columns; None for any other f."""
-    r = fmat.ncols
-    sources = _row_sources(fmat) if fmat.nrows == r else None
-    if sources is None or None in sources or len(set(sources)) != r:
-        return None
-    pi = [None] * r
-    for y, x in enumerate(sources):
-        pi[x] = y
-    return pi
+    pi = _row_sources(zip(*fmat.rows)) if fmat.nrows == fmat.ncols else None
+    return pi if pi is not None and None not in pi and len(set(pi)) == len(pi) else None
 
 
 def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:

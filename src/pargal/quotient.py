@@ -131,7 +131,7 @@ def _quotient_on_points(act, sub, qdata, carrier, sources) -> QuotientAction:
     SH = carrier.algebra
     basis = carrier.basis.rows
     least = [row.index(1) for row in basis]
-    comp = [next(c for c, row in enumerate(basis) if row[p]) for p in range(act.algebra.rank)]
+    comp = _row_sources(zip(*basis))
     tildes, idems, maps = [], [], []
     for source in sources:
         tilde = [int(s is not None) for s in source]
@@ -184,7 +184,8 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     classes of G x X / ~ with at most one 1 a row, so their composite is
     read as the row sources (:func:`~pargal.paction._row_sources`) of
     each followed back from the class c(p) of p; 1_S is 1 on every c(x).
-    This route never evaluates the closed forms."""
+    The row sources of beta_g are pi_(g^-1), kept on the enveloping
+    action.  This route never evaluates the closed forms."""
     from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
@@ -193,11 +194,12 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
     if _point_set(act) is not None:
-        pull, through, up = map(_row_sources, (gd.down, psi.matrix, gd.embed.matrix))
+        pull, through, up = (_row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
+        pis = _point_set(gd.enveloping_action)
         sources = []
         for rep in qdata.transversal:
             source = pull
-            for step in (_row_sources(gd.beta[rep]), through, up):
+            for step in (pis[act.group.inv(rep)], through, up):
                 source = [None if c is None else step[c] for c in source]
             sources.append(source)
         return _quotient_on_points(act, sub, qdata, carrier, sources)

@@ -123,6 +123,15 @@ def test_suite_requires_single_group(capsys):
     assert "one group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "names, factor",
+    [(["s3-regular", "ex1"], 0), (["klein-product", "trivial-Z2"], 0), (["s3-regular"], 0), (["trivial-Z2", "s3-regular"], 1)],
+)
+def test_compose_refuses_a_factor_that_is_not_cyclic(names, factor, capsys):
+    assert run_cli("compose", *map(fixture, names)) == 2
+    assert f"factor {factor}: the group is not presented as the product of cyclic groups" in capsys.readouterr().err
+
+
 def test_base_override(capsys):
     rc = run_cli("verify", fixture("ex1"), "--base", "Z/2")
     assert rc == 0

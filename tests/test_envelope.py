@@ -224,9 +224,10 @@ def subset_classes_and_products(draw):
 
 
 def mutations(gd):
-    """Copies of ``gd`` with two beta columns swapped, beta_1 replaced, an
-    embed entry zeroed and a down entry flipped, each with whether it must
-    fail the certificate."""
+    """Copies of ``gd`` with two beta columns swapped, a second 1 in a beta
+    column, beta_1 replaced, beta_1 and another beta swapped, an embed entry
+    zeroed, a second 1 in an embed column, a down entry flipped and an
+    entry 2 in 1_S, each with whether it must fail the certificate."""
     G, k = gd.group, gd.algebra.rank
 
     def edited(m, edit):
@@ -241,17 +242,32 @@ def mutations(gd):
     def zero(rows):
         rows[next(j for j, row in enumerate(rows) if row[0] == 1)][0] = 0
 
+    def second_one(rows):
+        rows[next(j for j, row in enumerate(rows) if row[0] == 0)][0] = 1
+
     def flip(rows):
         rows[0][rows[0].index(1)] = 0
 
     g = G.order - 1
     if k > 1:
         yield False, replace(gd, beta=[edited(m, swap) if h == g else m for h, m in enumerate(gd.beta)])
+        # beta_g no longer sends 1_T to 1_T
+        yield True, replace(gd, beta=[edited(m, second_one) if h == g else m for h, m in enumerate(gd.beta)])
+        # the second class of e_0 is either the class of a point, and the
+        # pull-down fails, or no point's, and (G1) fails
+        yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, second_one)))
     one = G.identity
     other = edited(gd.beta[one], swap) if k > 1 else gd.beta[g]
     yield other != gd.beta[one], replace(gd, beta=[other if h == one else m for h, m in enumerate(gd.beta)])
+    # every beta a permutation, but beta_1 != id unless beta_g = beta_1
+    swapped = [gd.beta[g] if h == one else gd.beta[one] if h == g else m for h, m in enumerate(gd.beta)]
+    yield gd.beta[g] != gd.beta[one], replace(gd, beta=swapped)
     yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, zero)))
     yield True, replace(gd, down=edited(gd.down, flip))
+    # 1_S 1_S != iota(1_S)
+    coords = list(gd.one_s.coords)
+    coords[coords.index(1)] = 2
+    yield True, replace(gd, one_s=Element(gd.algebra, coords))
 
 
 @given(subset_classes_and_products())
@@ -265,6 +281,8 @@ def test_point_route_matches_the_matrix_route(act):
     assert _certified_on_points(gd)
     assert report_of(certify_globalization(gd)) == report_of(_certify_on_matrices(gd))
     for must_fail, bad in mutations(gd):
+        # a copy reads its enveloping action afresh
+        assert "enveloping_action" not in vars(bad)
         report = report_of(_certify_on_matrices(bad))
         assert report_of(certify_globalization(bad)) == report
         assert not must_fail or not all(passed for _, passed, _ in report)
@@ -390,3 +408,40 @@ def test_non_standard_carriers_take_the_matrix_routes_of_psi(psi_routes):
         for sub in all_subgroups(act.group):
             psi_h(gd, sub)
     assert psi_routes == ["_idempotents_on_matrices", "_psi_on_matrices"] * 5
+
+
+# After globalize a standard carrier's enveloping action keeps its point
+# set, so the routes that follow read no beta matrix again.
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "trivial-Z4"])
+def test_the_enveloping_action_is_read_once(name, monkeypatch):
+    import pargal.envelope as envelope
+    import pargal.paction as paction
+    import pargal.quotient as quotient
+
+    act = standard_corpus(QQ)[name]
+    gd, other = globalize(act), globalize(relabel(act, list(range(act.algebra.rank))[::-1]))
+    betas = gd.beta + other.beta
+    beta_reads = []
+
+    def counted(read):
+        # a reader takes an action, a matrix or the rows of one
+        def wrapper(arg):
+            read_off = arg.maps if isinstance(arg, paction.PartialAction) else [arg]
+            if any(x is b or x is b.rows for x in read_off for b in betas):
+                beta_reads.append(read.__name__)
+            return read(arg)
+
+        return wrapper
+
+    for reader in ("_read_points", "_row_sources", "_read_permutation"):
+        wrapper = counted(getattr(paction, reader))
+        for module in (paction, envelope, quotient):
+            if hasattr(module, reader):
+                monkeypatch.setattr(module, reader, wrapper)
+    for sub in all_subgroups(act.group):
+        psi_report(gd, sub)
+        fixed_ring(gd, sub)
+    assert global_iso_check(gd, other).status == "iso"
+    assert not beta_reads
