@@ -225,9 +225,10 @@ def subset_classes_and_products(draw):
 
 def mutations(gd):
     """Copies of ``gd`` with two beta columns swapped, a second 1 in a beta
-    column, beta_1 replaced, beta_1 and another beta swapped, an embed entry
-    zeroed, a second 1 in an embed column, a down entry flipped and an
-    entry 2 in 1_S, each with whether it must fail the certificate."""
+    column, beta_1 replaced, beta_1 and another beta swapped, one beta too
+    many, an embed entry zeroed, a second 1 in an embed column, a down
+    entry flipped and an entry 2 in 1_S, each with whether it must fail
+    the certificate."""
     G, k = gd.group, gd.algebra.rank
 
     def edited(m, edit):
@@ -262,6 +263,8 @@ def mutations(gd):
     # every beta a permutation, but beta_1 != id unless beta_g = beta_1
     swapped = [gd.beta[g] if h == one else gd.beta[one] if h == g else m for h, m in enumerate(gd.beta)]
     yield gd.beta[g] != gd.beta[one], replace(gd, beta=swapped)
+    # no enveloping action; the matrix checks read only the first |G|
+    yield False, replace(gd, beta=gd.beta + [gd.beta[one]])
     yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, zero)))
     yield True, replace(gd, down=edited(gd.down, flip))
     # 1_S 1_S != iota(1_S)
