@@ -2,6 +2,7 @@
 """Compare the CLI output of two source checkouts on the benchmark's `cli` ops.
 
     python3 scripts/compare_cli.py OTHER_CHECKOUT [--seed 31337]
+    python3 scripts/compare_cli.py --rev REV [--seed 31337]
 
 Builds the argument lists of the `cli` workload of `perfbench` (the corpus
 and its seeded relabelled copies) in each checkout, runs every one through
@@ -9,7 +10,9 @@ and its seeded relabelled copies) in each checkout, runs every one through
 and standard error, with the checkout and work-directory paths masked.
 Prints the number of argument lists and the differing ones; exits 1 when
 any differs.  Each checkout runs in its own interpreter, with its own
-`src` and `perfbench`.
+`src` and `perfbench`.  With `--rev`, the other checkout is that git
+revision of this repository, extracted with `git archive` into a temporary
+directory that is removed afterwards.
 """
 
 import argparse
@@ -49,15 +52,25 @@ def run_dump(root: str, seed: int) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", nargs="?", help="the checkout to compare this one with")
+    parser.add_argument("--rev", help="a git revision to compare with instead of a checkout")
     parser.add_argument("--seed", type=int, default=31337)
     parser.add_argument("--dump", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
         print(json.dumps(dump(os.path.abspath(args.dump), args.seed)))
         return 0
-    if args.other is None:
-        parser.error("name the checkout to compare with")
-    mine, theirs = run_dump(ROOT, args.seed), run_dump(os.path.abspath(args.other), args.seed)
+    if (args.other is None) == (args.rev is None):
+        parser.error("name either the checkout or the revision to compare with")
+    if args.rev is None:
+        theirs = run_dump(os.path.abspath(args.other), args.seed)
+    else:
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev], capture_output=True)
+        if archive.returncode:
+            parser.error(archive.stderr.decode().strip())
+        with tempfile.TemporaryDirectory() as other:
+            subprocess.run(["tar", "-x", "-C", other], input=archive.stdout, check=True)
+            theirs = run_dump(other, args.seed)
+    mine = run_dump(ROOT, args.seed)
     if [op[0] for op in mine] != [op[0] for op in theirs]:
         print("the two checkouts build different argument lists")
         return 1

@@ -11,9 +11,9 @@ On a standard carrier whose partial G-set X passes the point-set
 certificate, the translates are the indicators of the classes of the
 enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), so T, beta and the
 embedding are read off the classes without a row reduction, and the
-certificate checks each condition on the classes.  Every other action
+certificate tests that X is the restriction of that set.  Every other action
 takes the span of translates and the matrix checks; so does data that fails
-the checks on classes, so every report and witness is the matrix one.  The
+that test, so every report and witness is the matrix one.  The
 subgroup idempotents and psi_H of such an action are likewise sets of
 classes and a 0/1 matrix, built without a product in T.
 """
@@ -36,10 +36,11 @@ from .algebra import (
 from .groups import Subgroup
 from .paction import (
     ActionReport,
+    Check,
     IsoResult,
     PartialAction,
+    _action_on_points,
     _match_iso,
-    _point_matrix,
     _point_set,
     _row_sources,
     global_action,
@@ -68,15 +69,14 @@ class GlobalizationData:
         return self.action.group
 
     @cached_property
-    def enveloping_action(self) -> PartialAction | None:
+    def enveloping_action(self) -> PartialAction:
         """beta as a global action of G on T, built on first use and kept,
         so its point set (:func:`~pargal.paction._point_set`) is read once;
-        None when beta is not one k x k matrix per group element.  A copy
-        made with ``dataclasses.replace`` starts without it."""
-        try:
-            return global_action(self.group, self.algebra, self.beta)
-        except AlgebraError:
-            return None
+        :func:`_globalize_points` hands over the action it built beta from.
+        Raises :class:`~pargal.algebra.AlgebraError` unless beta is one k x
+        k matrix per group element.  A copy made with
+        ``dataclasses.replace`` starts without it."""
+        return global_action(self.group, self.algebra, self.beta)
 
 
 def _function_algebra(act: PartialAction) -> Algebra:
@@ -131,8 +131,11 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     {(kg, a_k(y)) : y in D_(k^-1)}.  The class indicators, in the order of
     their least points, are the rows of the canonical row form that
     :func:`_globalize_matrices` computes, so T is split on their labels,
-    beta_h permutes the classes, sending the class of (g, y) to the class
-    of (gh^-1, y), and e_x embeds as the class of (1, x).
+    beta_h permutes the classes by pi_h, sending the class of (g, y) to the
+    class of (gh^-1, y), and e_x embeds as the class of (1, x).  The pi_h
+    are built once, as the global action of G on the classes
+    (:func:`~pargal.paction._action_on_points`); beta is its matrices, and
+    the action is kept as the data's enveloping action.
     """
     G = act.group
     S = act.algebra
@@ -149,21 +152,20 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
                     cls[p] = len(least)
                 least.append(g * n + y)
                 labels.append(" + ".join(point_labels[p] for p in members))
-    T = Algebra.split(ring, labels)
-    k = T.rank
-    beta = []
-    for h in G.elements():
-        hi = G.inv(h)
-        beta.append(_point_matrix(ring, [cls[G.mul(p // n, hi) * n + p % n] for p in least]))
-    home = [cls[G.identity * n + x] for x in range(n)]
+    pis = [[cls[G.mul(p // n, G.inv(h)) * n + p % n] for p in least] for h in G.elements()]
+    env = _action_on_points(G, ring, labels, pis)
+    T, k = env.algebra, len(least)
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]
     one_s = [0] * k
-    for x, j in enumerate(home):
+    for x in range(n):
+        j = cls[G.identity * n + x]
         embed[j][x] = down[x][j] = one_s[j] = 1
-    return GlobalizationData(
-        act, T, beta, AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)
+    gd = GlobalizationData(
+        act, T, list(env.maps), AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)
     )
+    gd.enveloping_action = env
+    return gd
 
 
 def _globalize_matrices(act: PartialAction) -> GlobalizationData:
@@ -242,172 +244,137 @@ _G4 = "(G4) T = sum_g beta_g(iota(S))"
 _UNITS = "1_g = beta_g(1_S) 1_S"
 _PULL_DOWN = "pull-down splits the embedding"
 _GLOBALIZATION_CHECKS = (_AUTOMORPHISMS, _GROUP_ACTION, _G1, _G2, _G3, _G4, _UNITS, _PULL_DOWN)
+# the one check reported on data of the wrong count or shape
+_SHAPES = "beta, the embedding, the pull-down and 1_S have the shapes of T and S"
 
 
 def certify_globalization(gd: GlobalizationData) -> ActionReport:
     """Check that beta is a global action satisfying (G1)-(G4) and Eq-style
     compatibility 1_g = beta_g(1_S) 1_S.
 
-    Data that :func:`_certified_on_points` reads as a partial G-set and its
-    enveloping set passes every check.  Any other data, and data that fails
-    there, runs the checks on matrices (:func:`_certify_on_matrices`), which
-    name the witness of each failure.
+    Data of the shapes of a globalization (:func:`_shape_failure`) that
+    :func:`_certified_on_points` reads as the restriction of an enveloping
+    set passes every check.  Any other data, and data that fails there,
+    runs the checks on matrices (:func:`_certify_on_matrices`), which name
+    the witness of each failure.
     """
-    if _certified_on_points(gd):
-        rep = ActionReport()
-        for name in _GLOBALIZATION_CHECKS:
-            rep.add(name, True)
-        return rep
+    if _shape_failure(gd) is None and _certified_on_points(gd):
+        return ActionReport([Check(name, True) for name in _GLOBALIZATION_CHECKS])
     return _certify_on_matrices(gd)
 
 
+def _shape_failure(gd: GlobalizationData) -> str | None:
+    """What in ``gd`` has the wrong count or shape, or None when beta is one
+    k x k matrix per group element, the embedding k x n, the pull-down n x
+    k and 1_S k coordinates."""
+    G, n, k = gd.group, gd.action.algebra.rank, gd.algebra.rank
+    if len(gd.beta) != G.order:
+        return f"beta holds {len(gd.beta)} matrices for {G.order} group elements"
+    named = [(f"beta_{G.labels[g]}", m, k, k) for g, m in enumerate(gd.beta)]
+    for what, m, rows, cols in named + [("the embedding", gd.embed.matrix, k, n), ("the pull-down", gd.down, n, k)]:
+        if (m.nrows, m.ncols) != (rows, cols):
+            return f"{what} is {m.nrows} x {m.ncols}, not {rows} x {cols}"
+    return None if len(gd.one_s.coords) == k else f"1_S has {len(gd.one_s.coords)} coordinates, not {k}"
+
+
 def _certified_on_points(gd: GlobalizationData) -> bool:
-    """Whether ``gd`` reads as the enveloping set of a partial G-set and
-    passes every check of :func:`_certify_on_matrices` there, in
-    O(|G| k) after reading the matrices.
+    """Whether ``gd``, of the shapes of a globalization
+    (:func:`_shape_failure`), is the restriction of its enveloping set to
+    the points of the action, in O(|G| k + n^2).
 
-    It reads ``gd`` when the action has a certified point set X
-    (:func:`~pargal.paction._point_set`), so has the enveloping action
-    (:attr:`GlobalizationData.enveloping_action`), the embedding is k x n
-    with a single 1 in each column, at class c(x), and c is injective, 1_S
-    is 0/1 with support O, and ``down`` is n x k.  Write C = c(X).  On
-    total maps the point-set certificate says exactly that T is split and
-    each beta_g is a permutation matrix pi_g with pi_1 = id and pi_g pi_h
-    = pi_gh.  The certificate of X defines a_g exactly on D_(g^-1)
-    (:func:`~pargal.paction._points_certified`), so D_g is read as the
-    domain of a_(g^-1), and no test of where a_g is defined is needed.
-    Then each matrix check is the statement on classes that this function
-    tests:
+    It reads ``gd`` when the action has a certified point set X, the maps
+    a_g (:func:`~pargal.paction._point_set`), and so has the enveloping
+    action (:attr:`GlobalizationData.enveloping_action`), the pi_g: on
+    total maps, T is split and beta_g is the permutation matrix of pi_g,
+    with pi_1 = id and pi_g pi_h = pi_gh.  The embedding must send e_x to
+    one class c(x), c injective; write C = c(X).  The test is the
+    definition of a globalization: 1_S = 1_C, a_g(x) = c^-1(pi_g(c(x)))
+    where pi_g(c(x)) lies in C and a_g(x) is undefined elsewhere, the
+    pi_g(C) cover the classes, and the pull-down splits the embedding.
 
-    - A permutation matrix is a unital automorphism of a split algebra.
-    - beta_1 = id and beta_g beta_h = beta_gh are the certificate of beta.
-    - (G1) passes: T e_c(x) is spanned by e_c(x).
-    - (G2): the ideal S_g has the basis e_x, x in D_g, and a span of unit
-      vectors is read off its support, so (G2) is c(D_g) = C /\\ pi_g(C).
-    - (G3): column x of beta_g iota E_(g^-1) is e_(pi_g(c(x))) for x in
-      D_(g^-1) and 0 off it; column x of iota M_g is e_(c(a_g(x))) where
-      a_g(x) is defined and 0 elsewhere.  Both supports are D_(g^-1), so
-      (G3) holds when pi_g(c(x)) = c(a_g(x)) wherever a_g is defined.
-    - (G4): the translates span T when the pi_g(C) cover the k classes.
-    - 1_g: beta_g(1_S) 1_S is the indicator of pi_g(O) /\\ O and iota(1_g)
-      that of c(D_g).
-    - The pull-down: entry (i, x) of ``down`` iota is down[i][c(x)], which
-      must be 1 when i = x and 0 otherwise.
-
-    So passing here implies that every matrix check passes.  A failure
-    here proves nothing; the caller then runs the matrix checks.
+    Passing implies every check of :func:`_certify_on_matrices`.  A
+    permutation matrix is a unital automorphism of a split algebra, and
+    T e_c(x) is spanned by e_c(x), which is (G1).  The restriction is (G3):
+    column x of beta_g iota E_(g^-1) and of iota M_g is e_(pi_g(c(x))) =
+    e_(c(a_g(x))) where a_g is defined, on D_(g^-1), and 0 off it.  At
+    g^-1 it is (G2), since a span of unit vectors is read off its support:
+    D_g, the domain of a_(g^-1), is the x with pi_g^-1(c(x)) in C, so
+    c(D_g) = C /\\ pi_g(C).  With 1_S = 1_C, beta_g(1_S) 1_S is the
+    indicator of that set, as iota(1_g) is, which is the units check; at
+    g = 1 it reads 1_S 1_S = 1_C, so an idempotent 1_S passes only as 1_C.
+    (G4) is the cover, and entry (i, x) of ``down`` iota is down[i][c(x)].
+    A failure here proves nothing; the caller then runs the matrix checks.
     """
-    act = gd.action
-    G = act.group
-    n, k = act.algebra.rank, gd.algebra.rank
-    emb, env = gd.embed.matrix, gd.enveloping_action
-    points = _point_set(act)
-    if points is None or env is None or emb.nrows != k or emb.ncols != n or gd.down.nrows != n or gd.down.ncols != k:
+    points = _point_set(gd.action)
+    pis = None if points is None else _point_set(gd.enveloping_action)
+    c = _row_sources(zip(*gd.embed.matrix.rows))
+    if pis is None or c is None or None in c:
         return False
-    pis = _point_set(env)
-    c = _row_sources(zip(*emb.rows))
-    one = gd.one_s.coords
-    if pis is None or c is None or None in c or len(set(c)) != n or len(one) != k or one.count(0) + one.count(1) != k:
+    n, k = len(c), gd.algebra.rank
+    inverse = {j: x for x, j in enumerate(c)}
+    if len(inverse) != n or gd.one_s.coords != tuple(int(j in inverse) for j in range(k)):
         return False
-    C = set(c)
-    O = {j for j, v in enumerate(one) if v == 1}
-    for g in G.elements():
-        pi = pis[g]
-        in_g = {c[x] for x, y in enumerate(points[G.inv(g)]) if y is not None}
-        if in_g != C & {pi[j] for j in C} or in_g != O & {pi[j] for j in O}:
-            return False
-        if any(y is not None and pi[c[x]] != c[y] for x, y in enumerate(points[g])):
-            return False
-    if {pi[j] for pi in pis for j in C} != set(range(k)):
+    if any([inverse.get(pi[j]) for j in c] != a for pi, a in zip(pis, points)):
         return False
-    return all(gd.down.rows[i][c[x]] == (1 if i == x else 0) for i in range(n) for x in range(n))
+    if {pi[j] for pi in pis for j in c} != set(range(k)):
+        return False
+    return all(gd.down.rows[i][j] == (1 if i == x else 0) for i in range(n) for x, j in enumerate(c))
 
 
 def _certify_on_matrices(gd: GlobalizationData) -> ActionReport:
     """The checks of :func:`certify_globalization` on the matrices of
-    ``gd``."""
-    act = gd.action
-    G = act.group
-    T = gd.algebra
-    ring = T.ring
-    rep = ActionReport()
+    ``gd``, each with its first witness; data of the wrong count or shape
+    (:func:`_shape_failure`) fails at once, with that as the witness."""
+    shape = _shape_failure(gd)
+    if shape is not None:
+        return ActionReport([Check(_SHAPES, False, shape)])
+    act, T, beta, emb = gd.action, gd.algebra, gd.beta, gd.embed.matrix
+    G, ring, rep = act.group, T.ring, ActionReport()
 
-    ok, witness = True, None
-    for g in G.elements():
-        mor = AlgebraMorphism(T, T, gd.beta[g])
-        fail = mor.multiplicative_failure()
-        if fail is not None or not mor.is_unital() or not mor.is_bijective():
-            ok, witness = False, f"beta_{G.labels[g]} is not an automorphism"
-            break
-    rep.add(_AUTOMORPHISMS, ok, witness)
+    def add(name, witness):
+        rep.add(name, witness is None, witness)
 
-    ok = gd.beta[G.identity].is_identity()
-    witness = None
-    if ok:
-        for g in G.elements():
-            for h in G.elements():
-                if gd.beta[g].mul(gd.beta[h]) != gd.beta[G.mul(g, h)]:
-                    ok, witness = False, f"beta_{G.labels[g]} beta_{G.labels[h]} != beta_(gh)"
-                    break
-            if not ok:
-                break
+    def first_g(fails):
+        """g=... for the first group element g where ``fails(g)``, or None."""
+        return next((f"g={G.labels[g]}" for g in G.elements() if fails(g)), None)
+
+    def automorphism(m):
+        mor = AlgebraMorphism(T, T, m)
+        return mor.multiplicative_failure() is None and mor.is_unital() and mor.is_bijective()
+
+    bad = next((g for g in G.elements() if not automorphism(beta[g])), None)
+    add(_AUTOMORPHISMS, None if bad is None else f"beta_{G.labels[bad]} is not an automorphism")
+
+    if not beta[G.identity].is_identity():
+        add(_GROUP_ACTION, "beta_1 != id")
     else:
-        witness = "beta_1 != id"
-    rep.add(_GROUP_ACTION, ok, witness)
+        pairs = ((g, h) for g in G.elements() for h in G.elements() if beta[g].mul(beta[h]) != beta[G.mul(g, h)])
+        add(_GROUP_ACTION, next((f"beta_{G.labels[g]} beta_{G.labels[h]} != beta_(gh)" for g, h in pairs), None))
 
-    emb = gd.embed.matrix
     iota_cols = emb.transpose().rows  # iota(s_i) for the basis s_i of S
     emb_module = canonical_row_form(emb.transpose())
-    ok, witness = True, None
-    for j in range(T.rank):
-        for i, col in enumerate(iota_cols):
-            prod = T.mul_coords([1 if t == j else 0 for t in range(T.rank)], col)
-            if not module_contains(emb_module, prod):
-                ok, witness = False, f"T*iota({act.algebra.labels[i]}) escapes iota(S)"
-                break
-        if not ok:
-            break
-    rep.add(_G1, ok, witness)
+    units = Matrix.identity(ring, T.rank).rows
+    products = ((i, T.mul_coords(e, col)) for e in units for i, col in enumerate(iota_cols))
+    escapes = (i for i, prod in products if not module_contains(emb_module, prod))
+    add(_G1, next((f"T*iota({act.algebra.labels[i]}) escapes iota(S)" for i in escapes), None))
 
-    ok, witness = True, None
-    for g in G.elements():
-        ideal_rows = [emb.matvec(list(row)) for row in act.ideal(g).basis.rows]
-        lhs = Matrix.from_rows(ring, ideal_rows, T.rank)
-        beta_s = Matrix.from_rows(ring, [gd.beta[g].matvec(col) for col in iota_cols], T.rank)
-        rhs = intersect_modules(emb_module, canonical_row_form(beta_s))
-        if not modules_equal(lhs, rhs):
-            ok, witness = False, f"g={G.labels[g]}"
-            break
-    rep.add(_G2, ok, witness)
+    def translates(g):
+        return Matrix.from_rows(ring, [beta[g].matvec(col) for col in iota_cols], T.rank)
 
-    ok, witness = True, None
-    for g in G.elements():
-        gi = G.inv(g)
-        lhs = gd.beta[g].mul(emb).mul(act.idem_matrix(gi))
-        rhs = emb.mul(act.maps[g])
-        if lhs != rhs:
-            ok, witness = False, f"g={G.labels[g]}"
-            break
-    rep.add(_G3, ok, witness)
+    def g2_fails(g):
+        lhs = Matrix.from_rows(ring, [emb.matvec(list(row)) for row in act.ideal(g).basis.rows], T.rank)
+        return not modules_equal(lhs, intersect_modules(emb_module, canonical_row_form(translates(g))))
 
-    span = [gd.beta[g].matvec(col) for g in G.elements() for col in iota_cols]
-    ok = modules_equal(Matrix.from_rows(ring, span, T.rank), Matrix.identity(ring, T.rank))
-    rep.add(_G4, ok, None if ok else "span of translates is a proper submodule")
-
-    ok, witness = True, None
-    for g in G.elements():
-        lhs = Element(T, gd.beta[g].matvec(list(gd.one_s.coords))) * gd.one_s
-        rhs = gd.embed(act.idems[g])
-        if lhs != rhs:
-            ok, witness = False, f"g={G.labels[g]}"
-            break
-    rep.add(_UNITS, ok, witness)
-
+    add(_G2, first_g(g2_fails))
+    add(_G3, first_g(lambda g: beta[g].mul(emb).mul(act.idem_matrix(G.inv(g))) != emb.mul(act.maps[g])))
+    span = Matrix.from_rows(ring, [row for g in G.elements() for row in translates(g).rows], T.rank)
+    add(_G4, None if modules_equal(span, Matrix.identity(ring, T.rank)) else "span of translates is a proper submodule")
+    one = gd.one_s
+    add(_UNITS, first_g(lambda g: Element(T, beta[g].matvec(list(one.coords))) * one != gd.embed(act.idems[g])))
     # restricting the globalization reproduces the action matrix-for-matrix:
     # beta_g on iota(S_{g^-1}) equals iota alpha_g, already (G3); idempotents
     # are recovered by the previous check; the down map splits the embedding.
-    ok = gd.down.mul(emb).is_identity()
-    rep.add(_PULL_DOWN, ok, None if ok else "down o iota != id")
+    add(_PULL_DOWN, None if gd.down.mul(emb).is_identity() else "down o iota != id")
     return rep
 
 
@@ -432,12 +399,13 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     :func:`_globalize_points`, so that (beta_(h_i) v)_c =
     v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
     are the point set of the enveloping action
-    (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
-    action have certified point sets (:func:`~pargal.paction._point_set`)
-    and 1_S is 0/1."""
+    (:attr:`GlobalizationData.enveloping_action`, so beta of the wrong
+    count or shape raises :class:`~pargal.algebra.AlgebraError` on either
+    route).  None unless it and the action have certified point sets
+    (:func:`~pargal.paction._point_set`) and 1_S is 0/1."""
     one = gd.one_s.coords
     env = gd.enveloping_action
-    pis = None if _point_set(gd.action) is None or env is None else _point_set(env)
+    pis = None if _point_set(gd.action) is None else _point_set(env)
     if pis is None or one.count(0) + one.count(1) != len(one):
         return None
     backs = [pis[gd.group.inv(h)] for h in sub.members]

@@ -426,15 +426,18 @@ def galois_coordinates(act: PartialAction):
     """Partial Galois coordinates, or None when the extension is not Galois.
 
     Finds an element of S (x) S with sum_i x_i alpha_g(y_i 1_{g^-1}) =
-    delta_{1,g} 1_S by one linear solve in rank^2 unknowns.  On a certified
-    point set (:func:`_point_set`) where no a_g with g != 1 fixes a point,
-    the solver's particular solution is the pairs (e_i, e_i), taken
-    without the solve.
+    delta_{1,g} 1_S by one linear solve in rank^2 unknowns.  A certified
+    point set (:func:`_point_set`) needs no solve.  Where some a_g with g
+    != 1 fixes a point k, coordinate k of the g-equation is sum_i x_i(k)
+    y_i(k), which the equation at g = 1 makes 1, not 0: not Galois.
+    Elsewhere the solver's particular solution is the pairs (e_i, e_i).
     """
     A = act.algebra
     r = A.rank
     points = _point_set(act)
-    if points is not None and not _has_fixed_point(act.group, points):
+    if points is not None:
+        if _has_fixed_point(act.group, points):
+            return None
         pairs = [(e, e) for e in A.basis()]
     else:
         rhs = []

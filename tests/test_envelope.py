@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
-from pargal.algebra import Element, subalgebra_from_constraints
+from pargal.algebra import AlgebraError, Element, subalgebra_from_constraints
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
     certify_globalization,
@@ -226,15 +226,18 @@ def subset_classes_and_products(draw):
 def mutations(gd):
     """Copies of ``gd`` with two beta columns swapped, a second 1 in a beta
     column, beta_1 replaced, beta_1 and another beta swapped, one beta too
-    many, an embed entry zeroed, a second 1 in an embed column, a down
-    entry flipped and an entry 2 in 1_S, each with whether it must fail
-    the certificate."""
+    many or too few, a k x (k+1) beta, an embed entry zeroed, a second 1 in
+    an embed column, the classes of two points swapped, a transposed
+    embedding, a down entry flipped, an n x (k+1) pull-down, an entry 2 in
+    1_S, 1_S of k+1 coordinates and 1_S with one class outside the image of
+    S, each with whether it must fail the certificate."""
     G, k = gd.group, gd.algebra.rank
+    emb = gd.embed.matrix
 
     def edited(m, edit):
         rows = [list(row) for row in m.rows]
         edit(rows)
-        return Matrix(m.ring, rows, m.ncols)
+        return Matrix(m.ring, rows, len(rows[0]))
 
     def swap(rows):
         for row in rows:
@@ -249,28 +252,51 @@ def mutations(gd):
     def flip(rows):
         rows[0][rows[0].index(1)] = 0
 
+    def widen(rows):
+        for row in rows:
+            row.append(0)
+
+    def with_beta(h, m):
+        return replace(gd, beta=[m if x == h else b for x, b in enumerate(gd.beta)])
+
     g = G.order - 1
     if k > 1:
-        yield False, replace(gd, beta=[edited(m, swap) if h == g else m for h, m in enumerate(gd.beta)])
+        yield False, with_beta(g, edited(gd.beta[g], swap))
         # beta_g no longer sends 1_T to 1_T
-        yield True, replace(gd, beta=[edited(m, second_one) if h == g else m for h, m in enumerate(gd.beta)])
+        yield True, with_beta(g, edited(gd.beta[g], second_one))
         # the second class of e_0 is either the class of a point, and the
         # pull-down fails, or no point's, and (G1) fails
-        yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, second_one)))
+        yield True, replace(gd, embed=replace(gd.embed, matrix=edited(emb, second_one)))
     one = G.identity
     other = edited(gd.beta[one], swap) if k > 1 else gd.beta[g]
-    yield other != gd.beta[one], replace(gd, beta=[other if h == one else m for h, m in enumerate(gd.beta)])
+    yield other != gd.beta[one], with_beta(one, other)
     # every beta a permutation, but beta_1 != id unless beta_g = beta_1
     swapped = [gd.beta[g] if h == one else gd.beta[one] if h == g else m for h, m in enumerate(gd.beta)]
     yield gd.beta[g] != gd.beta[one], replace(gd, beta=swapped)
-    # no enveloping action; the matrix checks read only the first |G|
-    yield False, replace(gd, beta=gd.beta + [gd.beta[one]])
-    yield True, replace(gd, embed=replace(gd.embed, matrix=edited(gd.embed.matrix, zero)))
+    # the wrong count or shape of beta
+    yield True, replace(gd, beta=gd.beta + [gd.beta[one]])
+    yield True, replace(gd, beta=gd.beta[:-1])
+    yield True, with_beta(g, edited(gd.beta[g], widen))
+    yield True, replace(gd, embed=replace(gd.embed, matrix=edited(emb, zero)))
+    if emb.ncols > 1:
+        # the classes of the first and last point swapped: the pull-down
+        # no longer splits the embedding
+        yield True, replace(gd, embed=replace(gd.embed, matrix=edited(emb, swap)))
+    # of the wrong shape unless n = k, and then the pull-down fails unless
+    # the embedding is symmetric
+    yield emb.transpose() != emb, replace(gd, embed=replace(gd.embed, matrix=emb.transpose()))
     yield True, replace(gd, down=edited(gd.down, flip))
+    yield True, replace(gd, down=edited(gd.down, widen))
     # 1_S 1_S != iota(1_S)
     coords = list(gd.one_s.coords)
     coords[coords.index(1)] = 2
     yield True, replace(gd, one_s=Element(gd.algebra, coords))
+    yield True, replace(gd, one_s=Element(gd.algebra, list(gd.one_s.coords) + [0]))
+    if 0 in gd.one_s.coords:
+        # beta_1(1_S) 1_S = 1_S != iota(1_S)
+        coords = list(gd.one_s.coords)
+        coords[coords.index(0)] = 1
+        yield True, replace(gd, one_s=Element(gd.algebra, coords))
 
 
 @given(subset_classes_and_products())
@@ -413,8 +439,9 @@ def test_non_standard_carriers_take_the_matrix_routes_of_psi(psi_routes):
     assert psi_routes == ["_idempotents_on_matrices", "_psi_on_matrices"] * 5
 
 
-# After globalize a standard carrier's enveloping action keeps its point
-# set, so the routes that follow read no beta matrix again.
+# A standard carrier's enveloping action is built with its point set, so
+# neither the certificate of globalize nor the routes that follow read a
+# beta matrix.
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "trivial-Z4"])
@@ -423,17 +450,12 @@ def test_the_enveloping_action_is_read_once(name, monkeypatch):
     import pargal.paction as paction
     import pargal.quotient as quotient
 
-    act = standard_corpus(QQ)[name]
-    gd, other = globalize(act), globalize(relabel(act, list(range(act.algebra.rank))[::-1]))
-    betas = gd.beta + other.beta
-    beta_reads = []
+    reads = []
 
     def counted(read):
         # a reader takes an action, a matrix or the rows of one
         def wrapper(arg):
-            read_off = arg.maps if isinstance(arg, paction.PartialAction) else [arg]
-            if any(x is b or x is b.rows for x in read_off for b in betas):
-                beta_reads.append(read.__name__)
+            reads.append((read.__name__, arg.maps if isinstance(arg, paction.PartialAction) else [arg]))
             return read(arg)
 
         return wrapper
@@ -443,8 +465,21 @@ def test_the_enveloping_action_is_read_once(name, monkeypatch):
         for module in (paction, envelope, quotient):
             if hasattr(module, reader):
                 monkeypatch.setattr(module, reader, wrapper)
+    act = standard_corpus(QQ)[name]
+    gd, other = globalize(act), globalize(relabel(act, list(range(act.algebra.rank))[::-1]))
     for sub in all_subgroups(act.group):
         psi_report(gd, sub)
         fixed_ring(gd, sub)
     assert global_iso_check(gd, other).status == "iso"
-    assert not beta_reads
+    betas = gd.beta + other.beta
+    assert not [read for read, read_off in reads if any(x is b or x is b.rows for x in read_off for b in betas)]
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "trivial-Z4"])
+def test_one_beta_short_is_refused(name):
+    gd = globalize(standard_corpus(QQ)[name])
+    short = replace(gd, beta=gd.beta[:-1])
+    full = subgroup_closure(gd.group, list(gd.group.elements()))
+    for call in (lambda: global_iso_check(short, gd), lambda: psi_h(short, full), lambda: fixed_ring(short, full)):
+        with pytest.raises(AlgebraError):
+            call()

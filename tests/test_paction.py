@@ -236,6 +236,22 @@ def test_galois_coordinates_example1_exists():
     assert acc == example1().algebra.one()
 
 
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_a_fixed_point_answers_not_galois_without_a_solve(ring, monkeypatch):
+    # the identity Z_2 action on R^2: a_g fixes each point k, so coordinate
+    # k of the g-equation is that of the 1-equation, which must be 1, not 0
+    import pargal.paction as paction
+    from pargal.algebra import Algebra
+
+    act = global_action(make_cyclic(2), Algebra.split(ring, ["a", "b"]), [Matrix.identity(ring, 2)] * 2)
+    assert paction.solve(paction._galois_matrix(act), list(act.algebra.unit) + [0, 0]) is None
+    solves = []
+    solve = paction.solve
+    monkeypatch.setattr(paction, "solve", lambda *args: solves.append(args) or solve(*args))
+    assert galois_coordinates(act) is None
+    assert not solves
+
+
 def test_phi_map_example2_values():
     act = example2()
     phi = phi_map(act)
