@@ -8,6 +8,9 @@ Builds the argument lists of the `cli` workload of `perfbench` (the corpus
 and its seeded relabelled copies) in each checkout, runs every one through
 `pargal.cli.run` in-process, and compares the exit code, standard output
 and standard error, with the checkout and work-directory paths masked.
+Each list of a command that writes an action (`product`, `idempotent`,
+`inverse`, `restrict`, `tensor`, `compose`) runs once more with `--out`,
+and the file it writes is compared byte for byte as well.
 Prints the number of argument lists and the differing ones; exits 1 when
 any differs.  Each checkout runs in its own interpreter, with its own
 `src` and `perfbench`.  With `--rev`, the other checkout is that git
@@ -25,22 +28,42 @@ import sys
 import tempfile
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+OUT_COMMANDS = ("product", "idempotent", "inverse", "restrict", "tensor", "compose")
+
+
+def written_text(path: str):
+    """The bytes of the file at ``path`` as UTF-8 text, or None when there is
+    no file; equal texts are equal bytes."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return fh.read().decode()
 
 
 def dump(root: str, seed: int) -> list:
-    """[name, exit code, stdout, stderr] of each `cli` op built in ``root``."""
+    """[name, exit code, stdout, stderr] of each `cli` op built in ``root``;
+    a run with `--out` also holds the bytes written (None for no file)."""
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import pargal.cli
     import workloads
 
     out = []
     with tempfile.TemporaryDirectory() as work:
-        for op in workloads.build("cli", seed, work):
+
+        def run(name, argv, written=None):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = pargal.cli.run(list(op.inputs))
+                code = pargal.cli.run(argv)
             texts = [t.getvalue().replace(work, "<work>").replace(root, "<root>") for t in (stdout, stderr)]
-            out.append([op.name, code, *texts])
+            if written is not None:
+                texts.append(written_text(written))
+            out.append([name, code, *texts])
+
+        for k, op in enumerate(workloads.build("cli", seed, work)):
+            run(op.name, list(op.inputs))
+            if op.inputs[0] in OUT_COMMANDS:
+                written = os.path.join(work, f"out-{k}.json")
+                run(f"{op.name} --out", list(op.inputs) + ["--out", written], written)
     return out
 
 

@@ -68,10 +68,13 @@ class Algebra:
 
     @classmethod
     def split(cls, ring: BaseRing, labels) -> "Algebra":
-        """The split algebra R^n with componentwise product."""
-        n = len(labels)
-        table = {(i, i): ((i, 1),) for i in range(n)}
-        return cls(ring, labels, table, [1] * n, validate=False)
+        """The split algebra R^n with componentwise product, its table built directly."""
+        out, n, one = cls.__new__(cls), len(labels), ring.coerce(1)
+        out.ring, out.labels, out.rank, out.unit, out._hash, out._split = ring, list(labels), n, (one,) * n, None, None
+        out.table = [[()] * n for _ in range(n)]
+        for i in range(n):
+            out.table[i][i] = ((i, one),)
+        return out
 
     @classmethod
     def base(cls, ring: BaseRing) -> "Algebra":

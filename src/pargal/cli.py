@@ -132,6 +132,13 @@ def _galois_pairs(witness):
     return [[_fmt(alg, x.coords), _fmt(alg, y.coords)] for x, y in witness.pairs]
 
 
+def _save(args, report, act: PartialAction):
+    """Write ``act`` to the path of ``--out``, when one is given."""
+    if args.out:
+        save_action(act, args.out)
+        report.data["written"] = args.out
+
+
 def _certified_class(act: PartialAction):
     from .harrison import ExtensionClass
 
@@ -184,9 +191,7 @@ def cmd_restrict(args, report):
     out = restrict(act, sub)
     report.from_action_report(verify_partial_action(out))
     report.data["subgroup"] = " ".join(out.group.labels)
-    if args.out:
-        save_action(out, args.out)
-        report.data["written"] = args.out
+    _save(args, report, out)
 
 
 def cmd_globalize(args, report):
@@ -248,9 +253,7 @@ def cmd_tensor(args, report):
     report.from_action_report(verify_partial_action(t))
     report.data["rank"] = t.algebra.rank
     report.data["group order"] = t.group.order
-    if args.out:
-        save_action(t, args.out)
-        report.data["written"] = args.out
+    _save(args, report, t)
 
 
 def cmd_product(args, report):
@@ -272,18 +275,14 @@ def cmd_product(args, report):
     report.data["maps"] = {
         prod.group.labels[g]: _matrix_rows(prod.action.maps[g]) for g in prod.group.elements()
     }
-    if args.out:
-        save_action(prod.action, args.out)
-        report.data["written"] = args.out
+    _save(args, report, prod.action)
 
 
 def cmd_inverse(args, report):
     act = _load(args.files[0], args.base)
     out = inverse_action(act)
     report.from_action_report(verify_partial_action(out))
-    if args.out:
-        save_action(out, args.out)
-        report.data["written"] = args.out
+    _save(args, report, out)
 
 
 def cmd_idempotent(args, report):
@@ -298,9 +297,7 @@ def cmd_idempotent(args, report):
     alg = e.action.algebra
     report.data["rank"] = alg.rank
     report.data["ideal ranks"] = [e.action.ideal(g).rank for g in e.group.elements()]
-    if args.out:
-        save_action(e.action, args.out)
-        report.data["written"] = args.out
+    _save(args, report, e.action)
 
 
 def cmd_iso(args, report):
@@ -360,9 +357,7 @@ def cmd_compose(args, report):
     report.check("composite certified partial Galois", True)
     report.data["rank"] = composed.action.algebra.rank
     report.data["group order"] = composed.group.order
-    if args.out:
-        save_action(composed.action, args.out)
-        report.data["written"] = args.out
+    _save(args, report, composed.action)
 
 
 HANDLERS = {

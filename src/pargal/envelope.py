@@ -399,13 +399,15 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     :func:`_globalize_points`, so that (beta_(h_i) v)_c =
     v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
     are the point set of the enveloping action
-    (:attr:`GlobalizationData.enveloping_action`, so beta of the wrong
-    count or shape raises :class:`~pargal.algebra.AlgebraError` on either
-    route).  None unless it and the action have certified point sets
-    (:func:`~pargal.paction._point_set`) and 1_S is 0/1."""
+    (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
+    action have certified point sets (:func:`~pargal.paction._point_set`)
+    and 1_S is 0/1.  Data of the wrong count or shape (:func:`_shape_failure`)
+    raises :class:`~pargal.algebra.AlgebraError` on either route."""
+    shape = _shape_failure(gd)
+    if shape is not None:
+        raise AlgebraError(shape)
     one = gd.one_s.coords
-    env = gd.enveloping_action
-    pis = None if _point_set(gd.action) is None else _point_set(env)
+    pis = None if _point_set(gd.action) is None else _point_set(gd.enveloping_action)
     if pis is None or one.count(0) + one.count(1) != len(one):
         return None
     backs = [pis[gd.group.inv(h)] for h in sub.members]
@@ -555,27 +557,15 @@ def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
 
     # psi_H(S^{alpha_H}) <= T^H, and multiplication by 1_S inverts it
     th_module = canonical_row_form(Matrix.from_rows(ring, _sub_coords(th), T.rank))
-    ok, ok_inv = True, True
-    e_h_mat = T.mult_matrix(e_h.coords)
-    for row in s_ah.basis.rows:
-        t = psi.matrix.matvec(gd.embed.matrix.matvec(list(row)))
-        if not module_contains(th_module, t):
-            ok = False
-        if e_h_mat.matvec(t) != t:
-            ok_inv = False
-        back = down.matvec(T.mul_coords(t, list(gd.one_s.coords)))
-        if back != list(row):
-            ok_inv = False
-    rep.add("psi_H(S^(alpha_H)) <= T^H", ok, None)
-    rep.add("psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S", ok_inv, None)
+    rows = [list(row) for row in s_ah.basis.rows]
+    images = [psi.matrix.matvec(gd.embed.matrix.matvec(row)) for row in rows]
+    e_h_mat, one_s = T.mult_matrix(e_h.coords), list(gd.one_s.coords)
+    rep.add("psi_H(S^(alpha_H)) <= T^H", all(module_contains(th_module, t) for t in images), None)
+    inverse = all(e_h_mat.matvec(t) == t and down.matvec(T.mul_coords(t, one_s)) == row for t, row in zip(images, rows))
+    rep.add("psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S", inverse, None)
 
     # left/right T^H-linearity on a spanning set
-    linear = True
-    for acoords in _sub_coords(th):
-        ea = T.mult_matrix(acoords)
-        if psi.matrix.mul(ea) != ea.mul(psi.matrix):
-            linear = False
-            break
+    linear = all(psi.matrix.mul(ea) == ea.mul(psi.matrix) for ea in map(T.mult_matrix, _sub_coords(th)))
     rep.add("psi_H is T^H-linear", linear, None)
     return rep
 

@@ -13,7 +13,7 @@ class GroupError(ValueError):
 class FiniteGroup:
     """Group on indices 0..order-1 with label strings and a Cayley table."""
 
-    __slots__ = ("labels", "table", "identity", "inverse", "_hash", "_square")
+    __slots__ = ("labels", "table", "identity", "inverse", "_hash", "_square", "_abelian")
 
     def __init__(self, labels, table, validate: bool = True):
         self.labels = list(labels)
@@ -38,8 +38,7 @@ class FiniteGroup:
             if inverse[a] is None:
                 raise GroupError(f"element {self.labels[a]} has no two-sided inverse")
         self.inverse = tuple(inverse)
-        self._hash = None
-        self._square = None
+        self._hash = self._square = self._abelian = None
         if validate:
             for a in range(n):
                 for b in range(n):
@@ -60,8 +59,10 @@ class FiniteGroup:
         return self.inverse[a]
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(a + 1, n))
+        if self._abelian is None:
+            n = self.order
+            self._abelian = all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(a + 1, n))
+        return self._abelian
 
     def index_of(self, label: str) -> int:
         try:

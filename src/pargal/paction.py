@@ -5,7 +5,8 @@ A :class:`PartialAction` stores, per group element g, the central idempotent
 on all of S.  Every formula below composes alpha_g with multiplication by
 1_{g^-1} anyway, so the total form evaluates them verbatim; in particular
 axiom (P4) becomes the matrix identity M_g M_h = E_g M_{gh} with E_g the
-multiplication-by-1_g matrix.
+multiplication-by-1_g matrix.  An action built on certified point maps
+writes its M_g on first read.
 """
 
 from __future__ import annotations
@@ -35,26 +36,34 @@ from .groups import FiniteGroup, Subgroup
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra."""
 
-    __slots__ = ("group", "algebra", "idems", "maps", "_idem_mats", "_split", "_points")
+    __slots__ = ("group", "algebra", "idems", "_maps", "_idem_mats", "_split", "_points")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
         self.algebra = algebra
         self.idems = tuple(idems)
-        self.maps = tuple(maps)
-        if len(self.idems) != group.order or len(self.maps) != group.order:
+        self._maps = tuple(maps)
+        if len(self.idems) != group.order or len(self._maps) != group.order:
             raise AlgebraError("need one idempotent and one matrix per group element")
         for e in self.idems:
             if e.algebra != algebra:
                 raise AlgebraError("idempotent from a different algebra")
             if len(e.coords) != algebra.rank:
                 raise AlgebraError("idempotent coordinate length mismatch")
-        for m in self.maps:
+        for m in self._maps:
             if m.nrows != algebra.rank or m.ncols != algebra.rank:
                 raise AlgebraError("action matrix shape mismatch")
         self._idem_mats = [None] * group.order
         self._split = None
         self._points = None
+
+    @property
+    def maps(self) -> tuple:
+        """The matrices M_g, written here on first read when the action was
+        built on its certified point maps (:func:`_on_points`)."""
+        if self._maps is None:
+            self._maps = tuple(_point_matrix(self.algebra.ring, a) for a in self._points[0])
+        return self._maps
 
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
@@ -69,13 +78,15 @@ class PartialAction:
         return unital_ideal(self.algebra, self.idems[g])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialAction)
-            and self.group == other.group
-            and self.algebra == other.algebra
-            and self.idems == other.idems
-            and self.maps == other.maps
-        )
+        """Equal data.  Over equal split algebras and idempotents the 0/1
+        matrices of two certified point sets are equal exactly when their
+        maps are, so the maps are compared and no matrix is written."""
+        if not isinstance(other, PartialAction) or not (
+            self.group == other.group and self.algebra == other.algebra and self.idems == other.idems
+        ):
+            return False
+        mine, theirs = (None if a._points is None else a._points[0] for a in (self, other))
+        return mine == theirs if mine is not None and theirs is not None else self.maps == other.maps
 
     def __hash__(self):
         return hash((self.group, self.algebra, self.idems))
@@ -260,14 +271,27 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
 
     The point set is kept on the action as :func:`_read_points` reads it off
-    these matrices: the maps when :func:`_points_certified` passes them,
-    else None.  The certificate fails on a map that is not injective.
+    these matrices: the maps when :func:`_points_certified` passes them, and
+    the M_g are then written on first read (:func:`_on_points`); else None,
+    and the M_g are written at once.  The certificate fails on a map that
+    is not injective.
     """
     algebra = Algebra.split(ring, labels)
     domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
     idems = [Element(algebra, tuple(int(d) for d in dom)) for dom in domains]
+    if _points_certified(group, maps, domains):
+        return _on_points(group, algebra, idems, maps)
     act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
-    act._points = (maps if _points_certified(group, maps, domains) else None,)
+    act._points = (None,)
+    return act
+
+
+def _on_points(group: FiniteGroup, algebra: Algebra, idems, points) -> PartialAction:
+    """The action of the idempotents ``idems`` and the certified point maps
+    ``points`` (:func:`_point_set`) on a split ``algebra``, with no matrix."""
+    act = PartialAction.__new__(PartialAction)
+    act.group, act.algebra, act.idems, act._maps, act._split = group, algebra, tuple(idems), None, None
+    act._idem_mats, act._points = [None] * group.order, (points,)
     return act
 
 
@@ -314,33 +338,33 @@ def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     """The partial action of a subgroup on the same carrier.
 
     A point set already read and certified (:func:`_point_set`) is handed
-    over as the maps of the members: ``sub.members`` starts with the
-    identity, so a_1 = id, and each (P4) identity of the certificate at
-    (g, h) in H x H is one of the parent's, with the same D_g
-    (:func:`_points_certified`).  Any other restriction is read when it is
-    asked for: only its own maps, and it may pass the certificate where
+    over as the maps of the members (:func:`_relabel`): ``sub.members``
+    starts with the identity, so a_1 = id, and each (P4) identity of the
+    certificate at (g, h) in H x H is one of the parent's, with the same
+    D_g (:func:`_points_certified`).  Any other restriction is read when it
+    is asked for: only its own maps, and it may pass the certificate where
     its parent fails it."""
     if sub.parent != act.group:
         raise AlgebraError("subgroup of a different group")
-    grp = sub.as_group()
-    idems = [act.idems[m] for m in sub.members]
-    maps = [act.maps[m] for m in sub.members]
-    out = PartialAction(grp, act.algebra, idems, maps)
-    if act._points is not None and act._points[0] is not None:
-        out._points = ([act._points[0][m] for m in sub.members],)
+    return _relabel(act, sub.as_group(), sub.members, None if act._points == (None,) else act._points)
+
+
+def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAction:
+    """The action of ``group`` with the idempotent and map of element
+    members[g] of ``act`` at g.  ``held``, the point set of ``act`` as read
+    or None, is handed over where the result has the same certificate:
+    certified maps with no matrix written, a failed read as such."""
+    idems = [act.idems[m] for m in members]
+    if held is not None and held[0] is not None:
+        return _on_points(group, act.algebra, idems, [held[0][m] for m in members])
+    out = PartialAction(group, act.algebra, idems, [act.maps[m] for m in members])
+    out._points = held
     return out
-
-
-def trace_map(act: PartialAction) -> Matrix:
-    total = Matrix.zero(act.algebra.ring, act.algebra.rank, act.algebra.rank)
-    for g in act.group.elements():
-        total = total.add(act.maps[g])
-    return total
 
 
 def trace(act: PartialAction, x: Element) -> Element:
     """tr(x) = sum_g alpha_g(x 1_{g^-1}); always lands in the invariants."""
-    out = Element(act.algebra, trace_map(act).matvec(list(x.coords)))
+    out = sum((act.apply(g, x) for g in act.group.elements()), act.algebra.zero())
     for g in act.group.elements():
         if act.apply(g, out) != out * act.idems[g]:
             raise AssertionError("trace left the invariant subalgebra (bug trap)")
@@ -544,28 +568,24 @@ def inverse_action(act: PartialAction) -> PartialAction:
     """The star action: S*_g = S_{g^-1} with alpha*_g = alpha_{g^-1}.
 
     On an abelian G a point set already read (:func:`_point_set`) is
-    handed over as a*_g = a_(g^-1), None when the action has none: the
-    star data is the same data, and the certificate
+    handed over as a*_g = a_(g^-1), None when the action has none
+    (:func:`_relabel`): the star data is the same data, and the certificate
     (:func:`_points_certified`) of the star action at (g, h) is the
     original one at (g^-1, h^-1), because (gh)^-1 = g^-1 h^-1 and D*_g =
     D_(g^-1); a*_1 = a_1.  Any other star action is read when it is asked
     for."""
     group = act.group
-    inv = group.inv
-    idems = [act.idems[inv(g)] for g in group.elements()]
-    maps = [act.maps[inv(g)] for g in group.elements()]
-    out = PartialAction(group, act.algebra, idems, maps)
-    if act._points is not None and group.is_abelian():
-        points = act._points[0]
-        out._points = (None if points is None else [points[inv(g)] for g in group.elements()],)
-    return out
+    return _relabel(act, group, group.inverse, act._points if group.is_abelian() else None)
 
 
 def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialAction:
     """Relabel the acting group along an isomorphism.
 
     ``index_map[new_index] = old_index`` must be a group isomorphism from
-    new_group onto act.group (checked).
+    new_group onto act.group (checked).  A point set already read
+    (:func:`_point_set`) is handed over (:func:`_relabel`): the isomorphism
+    maps the certificate (:func:`_points_certified`) at (a, b) to the one at
+    (index_map[a], index_map[b]), with D'_a = D_(index_map[a]).
     """
     if len(index_map) != new_group.order or new_group.order != act.group.order:
         raise AlgebraError("group relabeling size mismatch")
@@ -575,9 +595,7 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
         for b in new_group.elements():
             if act.group.mul(index_map[a], index_map[b]) != index_map[new_group.mul(a, b)]:
                 raise AlgebraError("group relabeling is not a homomorphism")
-    idems = [act.idems[index_map[a]] for a in new_group.elements()]
-    maps = [act.maps[index_map[a]] for a in new_group.elements()]
-    return PartialAction(new_group, act.algebra, idems, maps)
+    return _relabel(act, new_group, index_map, act._points)
 
 
 @dataclass

@@ -357,3 +357,14 @@ def structure_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_the_dense_loops(algebra):
     assert validate_message(algebra) == reference_validate(algebra)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_split_is_the_diagonal_table_of_the_constructor(ring):
+    for n in range(6):
+        labels = [f"e{i}" for i in range(n)]
+        got = Algebra.split(ring, labels)
+        want = Algebra(ring, labels, {(i, i): ((i, 1),) for i in range(n)}, [1] * n, validate=False)
+        # equality compares the ring, labels, unit and table
+        assert got == want and got.rank == n and hash(got) == hash(want) and got.is_split()
+        got.validate()

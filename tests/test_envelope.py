@@ -483,3 +483,28 @@ def test_one_beta_short_is_refused(name):
     for call in (lambda: global_iso_check(short, gd), lambda: psi_h(short, full), lambda: fixed_ring(short, full)):
         with pytest.raises(AlgebraError):
             call()
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["k+1", "k-1"])
+@pytest.mark.parametrize("carrier", ["standard", "rebased"])
+def test_one_s_of_the_wrong_length_is_refused(carrier, extra, psi_routes):
+    from pargal.envelope import _shape_failure
+
+    act = example1()
+    if carrier == "rebased":
+        act = rebased(act, Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))
+    gd = globalize(act)
+    k = gd.algebra.rank
+    coords = list(gd.one_s.coords) + [0] if extra > 0 else list(gd.one_s.coords)[:-1]
+    bad = replace(gd, one_s=Element(gd.algebra, coords))
+    assert _shape_failure(bad) == f"1_S has {k + extra} coordinates, not {k}"
+    for sub in all_subgroups(act.group):
+        for call in (subgroup_idempotents, psi_h, psi_report):
+            with pytest.raises(AlgebraError, match=f"^1_S has {k + extra} coordinates, not {k}$"):
+                call(bad, sub)
+    # the well-shaped data takes the class route on the standard carrier and
+    # the matrix route on the rebased one
+    assert not psi_routes
+    for sub in all_subgroups(act.group):
+        psi_report(gd, sub)
+    assert bool(psi_routes) == (carrier == "rebased")

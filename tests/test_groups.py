@@ -137,3 +137,10 @@ def test_as_group_roundtrip():
     assert h.order == 2
     assert h.labels == ["1", "g2"]
     assert h.mul(1, 1) == 0
+
+
+def test_is_abelian_is_decided_once_and_kept():
+    for g, abelian in ((make_cyclic(6), True), (s3(), False), (make_product([make_cyclic(2), make_cyclic(3)]), True)):
+        assert g._abelian is None
+        assert g.is_abelian() is abelian and g._abelian is abelian
+        assert g.is_abelian() is abelian

@@ -1064,3 +1064,82 @@ def test_split_invariants_match_the_constraint_solve(pair, rnd):
                 ]
                 for v in vectors:
                     assert got.express(v) == expected.express(v)
+
+
+# An action built on certified point maps holds them and writes its matrices
+# on the first read of ``maps``.  The oracle writes the matrices at once with
+# _point_matrix and reads no point set, so every action derived from it
+# keeps matrices and compares them.
+
+
+def eager(act):
+    """An unread copy of ``act`` whose matrices _point_matrix writes at once
+    from the point maps ``act`` holds."""
+    from pargal.paction import _point_matrix
+
+    maps = [_point_matrix(act.algebra.ring, a) for a in act._points[0]]
+    return PartialAction(act.group, act.algebra, act.idems, maps)
+
+
+@given(subset_class_pairs(), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_lazy_actions_match_the_eager_oracle(pair, k):
+    import copy
+    import math
+
+    from pargal.envelope import globalize
+    from pargal.paction import _point_set, transport
+
+    a, b = pair
+    G = a.group
+    units = [u for u in range(1, G.order + 1) if math.gcd(u, G.order) == 1]
+    automorphism = [units[k % len(units)] * x % G.order for x in G.elements()]
+    built = {
+        "product": harrison_product(a, b).action,
+        "idempotent class": idempotent_class(a.action).action,
+        "star": a.star().action,
+        "enveloping action": globalize(a.action).enveloping_action,
+    }
+    oracle = {name: eager(act) for name, act in built.items()}
+    derived = {
+        "star of the product": inverse_action,
+        "transport": lambda act: transport(act, G, automorphism),
+        **{f"restriction to {sub.members}": lambda act, sub=sub: restrict(act, sub) for sub in cyclic_subgroups(G)},
+    }
+    for name, derive in derived.items():
+        built[name], oracle[name] = derive(built["product"]), derive(oracle["product"])
+    for name, act in built.items():
+        assert act._points is not None and act._points[0] is not None, name
+        assert (act._maps is None) == (name != "enveloping action"), name
+    pairs = [(x, y) for x in built for y in built]
+    same = [built[x] == built[y] for x, y in pairs]
+    assert same == [oracle[x] == oracle[y] for x, y in pairs]
+    for name, act in built.items():
+        twin = copy.deepcopy(act)
+        assert act == twin and twin == act, name
+        # equal point maps decide equality: no matrix is written
+        assert (act._maps is None) == (twin._maps is None) == (name != "enveloping action"), name
+        want = oracle[name]
+        assert act == want and want == act and hash(act) == hash(want) == hash(twin), name
+        assert act.maps == want.maps and twin.maps == want.maps, name
+        assert copy.deepcopy(act) == act and copy.deepcopy(act).maps == want.maps, name
+        assert _point_set(want) == act._points[0], name
+        assert act == want and want == act, name
+
+
+def test_point_classes_write_no_matrix(monkeypatch):
+    import pargal.paction as paction
+
+    calls = []
+    write = paction._point_matrix
+    monkeypatch.setattr(paction, "_point_matrix", lambda ring, image: calls.append(image) or write(ring, image))
+    for ring in (QQ, Modular(2), Modular(6)):
+        for n, subset in ((4, [0, 1]), (5, [0, 1, 3]), (6, range(6))):
+            c = subset_class(n, subset, ring)
+            product = harrison_product(c, c.star())
+            square = harrison_product(product, product)
+            idems = [idempotent_class(x.action) for x in (c, product, square)]
+            stars = [x.star() for x in (product, square, *idems)]
+            assert all(x.action._maps is None for x in (product, square, *idems, *stars))
+    assert calls == []
+    assert stars[0].action.maps and len(calls) == stars[0].group.order
