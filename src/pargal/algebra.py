@@ -46,7 +46,7 @@ class Algebra:
         self.rank = len(self.labels)
         n = self.rank
         if isinstance(table, dict):
-            tab = [[() for _ in range(n)] for _ in range(n)]
+            tab = [[()] * n for _ in range(n)]
             for (i, j), entries in table.items():
                 cleaned = sorted((k, ring.coerce(c)) for k, c in entries)
                 tab[i][j] = tuple((k, c) for k, c in cleaned if c != 0)
@@ -68,11 +68,10 @@ class Algebra:
 
     @classmethod
     def split(cls, ring: BaseRing, labels) -> "Algebra":
-        """The split algebra R^n with componentwise product, its table built directly."""
-        out, n, one = cls.__new__(cls), len(labels), ring.coerce(1)
-        out.ring, out.labels, out.rank, out.unit, out._hash, out._split = ring, list(labels), n, (one,) * n, None, None
-        out.table = [[()] * n for _ in range(n)]
-        for i in range(n):
+        """The split algebra R^n with componentwise product.  The diagonal
+        is written into the empty table, with no sort or coerce of entries."""
+        out = cls(ring, labels, {}, [1] * len(labels), validate=False)
+        for i, one in enumerate(out.unit):
             out.table[i][i] = ((i, one),)
         return out
 

@@ -73,9 +73,13 @@ class GlobalizationData:
         """beta as a global action of G on T, built on first use and kept,
         so its point set (:func:`~pargal.paction._point_set`) is read once;
         :func:`_globalize_points` hands over the action it built beta from.
-        Raises :class:`~pargal.algebra.AlgebraError` unless beta is one k x
-        k matrix per group element.  A copy made with
+        Raises :class:`~pargal.algebra.AlgebraError` with the text of
+        :func:`_shape_failure` on data of the wrong count or shape, so every
+        reader of it refuses such data.  A copy made with
         ``dataclasses.replace`` starts without it."""
+        shape = _shape_failure(self)
+        if shape is not None:
+            raise AlgebraError(shape)
         return global_action(self.group, self.algebra, self.beta)
 
 
@@ -399,15 +403,13 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     :func:`_globalize_points`, so that (beta_(h_i) v)_c =
     v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
     are the point set of the enveloping action
-    (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
-    action have certified point sets (:func:`~pargal.paction._point_set`)
-    and 1_S is 0/1.  Data of the wrong count or shape (:func:`_shape_failure`)
-    raises :class:`~pargal.algebra.AlgebraError` on either route."""
-    shape = _shape_failure(gd)
-    if shape is not None:
-        raise AlgebraError(shape)
+    (:attr:`GlobalizationData.enveloping_action`, so data of the wrong
+    count or shape raises :class:`~pargal.algebra.AlgebraError` on either
+    route).  None unless it and the action have certified point sets
+    (:func:`~pargal.paction._point_set`) and 1_S is 0/1."""
     one = gd.one_s.coords
-    pis = None if _point_set(gd.action) is None else _point_set(gd.enveloping_action)
+    env = gd.enveloping_action
+    pis = None if _point_set(gd.action) is None else _point_set(env)
     if pis is None or one.count(0) + one.count(1) != len(one):
         return None
     backs = [pis[gd.group.inv(h)] for h in sub.members]
@@ -557,15 +559,27 @@ def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
 
     # psi_H(S^{alpha_H}) <= T^H, and multiplication by 1_S inverts it
     th_module = canonical_row_form(Matrix.from_rows(ring, _sub_coords(th), T.rank))
-    rows = [list(row) for row in s_ah.basis.rows]
-    images = [psi.matrix.matvec(gd.embed.matrix.matvec(row)) for row in rows]
-    e_h_mat, one_s = T.mult_matrix(e_h.coords), list(gd.one_s.coords)
-    rep.add("psi_H(S^(alpha_H)) <= T^H", all(module_contains(th_module, t) for t in images), None)
-    inverse = all(e_h_mat.matvec(t) == t and down.matvec(T.mul_coords(t, one_s)) == row for t, row in zip(images, rows))
-    rep.add("psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S", inverse, None)
+    ok, ok_inv = True, True
+    e_h_mat = T.mult_matrix(e_h.coords)
+    for row in s_ah.basis.rows:
+        t = psi.matrix.matvec(gd.embed.matrix.matvec(list(row)))
+        if not module_contains(th_module, t):
+            ok = False
+        if e_h_mat.matvec(t) != t:
+            ok_inv = False
+        back = down.matvec(T.mul_coords(t, list(gd.one_s.coords)))
+        if back != list(row):
+            ok_inv = False
+    rep.add("psi_H(S^(alpha_H)) <= T^H", ok, None)
+    rep.add("psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S", ok_inv, None)
 
     # left/right T^H-linearity on a spanning set
-    linear = all(psi.matrix.mul(ea) == ea.mul(psi.matrix) for ea in map(T.mult_matrix, _sub_coords(th)))
+    linear = True
+    for acoords in _sub_coords(th):
+        ea = T.mult_matrix(acoords)
+        if psi.matrix.mul(ea) != ea.mul(psi.matrix):
+            linear = False
+            break
     rep.add("psi_H is T^H-linear", linear, None)
     return rep
 

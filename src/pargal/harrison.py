@@ -356,16 +356,23 @@ def hat_iso(act: PartialAction):
     mat = phi.morphism.matrix
     rep = ActionReport()
     rep.add("phi is bijective", phi.bijective, None)
-    e_t, e_h, q_inv = ta.idem_matrix, hat.action.idem_matrix, ta.group.inv
-
-    def first_q(fails):
-        """(l,t)=... for the first element q of G x G where ``fails(q)``, or None."""
-        return next((f"(l,t)={ta.group.labels[q]}" for q in ta.group.elements() if fails(q)), None)
-
-    witness = first_q(lambda q: e_h(q).mul(mat).mul(e_t(q)) != mat.mul(e_t(q)))
-    rep.add("(i) phi(S_l (x) S*_t) <= hat ideal", witness is None, witness)
-    witness = first_q(lambda q: mat.mul(ta.maps[q]) != hat.action.maps[q].mul(mat).mul(e_t(q_inv(q))))
-    rep.add("(ii) phi intertwines the actions", witness is None, witness)
+    ok, witness = True, None
+    for q in ta.group.elements():
+        e_t = ta.idem_matrix(q)
+        e_h = hat.action.idem_matrix(q)
+        if e_h.mul(mat).mul(e_t) != mat.mul(e_t):
+            ok, witness = False, f"(l,t)={ta.group.labels[q]}"
+            break
+    rep.add("(i) phi(S_l (x) S*_t) <= hat ideal", ok, witness)
+    ok, witness = True, None
+    for q in ta.group.elements():
+        qi = ta.group.inv(q)
+        lhs = mat.mul(ta.maps[q])
+        rhs = hat.action.maps[q].mul(mat).mul(ta.idem_matrix(qi))
+        if lhs != rhs:
+            ok, witness = False, f"(l,t)={ta.group.labels[q]}"
+            break
+    rep.add("(ii) phi intertwines the actions", ok, witness)
     return phi.morphism, rep
 
 

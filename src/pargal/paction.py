@@ -78,15 +78,13 @@ class PartialAction:
         return unital_ideal(self.algebra, self.idems[g])
 
     def __eq__(self, other):
-        """Equal data.  Over equal split algebras and idempotents the 0/1
-        matrices of two certified point sets are equal exactly when their
-        maps are, so the maps are compared and no matrix is written."""
-        if not isinstance(other, PartialAction) or not (
-            self.group == other.group and self.algebra == other.algebra and self.idems == other.idems
-        ):
-            return False
-        mine, theirs = (None if a._points is None else a._points[0] for a in (self, other))
-        return mine == theirs if mine is not None and theirs is not None else self.maps == other.maps
+        return (
+            isinstance(other, PartialAction)
+            and self.group == other.group
+            and self.algebra == other.algebra
+            and self.idems == other.idems
+            and self.maps == other.maps
+        )
 
     def __hash__(self):
         return hash((self.group, self.algebra, self.idems))
@@ -362,9 +360,16 @@ def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAc
     return out
 
 
+def trace_map(act: PartialAction) -> Matrix:
+    total = Matrix.zero(act.algebra.ring, act.algebra.rank, act.algebra.rank)
+    for g in act.group.elements():
+        total = total.add(act.maps[g])
+    return total
+
+
 def trace(act: PartialAction, x: Element) -> Element:
     """tr(x) = sum_g alpha_g(x 1_{g^-1}); always lands in the invariants."""
-    out = sum((act.apply(g, x) for g in act.group.elements()), act.algebra.zero())
+    out = Element(act.algebra, trace_map(act).matvec(list(x.coords)))
     for g in act.group.elements():
         if act.apply(g, out) != out * act.idems[g]:
             raise AssertionError("trace left the invariant subalgebra (bug trap)")

@@ -498,10 +498,13 @@ def test_one_s_of_the_wrong_length_is_refused(carrier, extra, psi_routes):
     coords = list(gd.one_s.coords) + [0] if extra > 0 else list(gd.one_s.coords)[:-1]
     bad = replace(gd, one_s=Element(gd.algebra, coords))
     assert _shape_failure(bad) == f"1_S has {k + extra} coordinates, not {k}"
+    refused = [lambda: global_iso_check(bad, gd), lambda: global_iso_check(gd, bad)]
     for sub in all_subgroups(act.group):
-        for call in (subgroup_idempotents, psi_h, psi_report):
-            with pytest.raises(AlgebraError, match=f"^1_S has {k + extra} coordinates, not {k}$"):
-                call(bad, sub)
+        for call in (subgroup_idempotents, psi_h, psi_report, fixed_ring):
+            refused.append(lambda call=call, sub=sub: call(bad, sub))
+    for call in refused:
+        with pytest.raises(AlgebraError, match=f"^1_S has {k + extra} coordinates, not {k}$"):
+            call()
     # the well-shaped data takes the class route on the standard carrier and
     # the matrix route on the rebased one
     assert not psi_routes

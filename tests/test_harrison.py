@@ -1111,20 +1111,19 @@ def test_lazy_actions_match_the_eager_oracle(pair, k):
     for name, act in built.items():
         assert act._points is not None and act._points[0] is not None, name
         assert (act._maps is None) == (name != "enveloping action"), name
+    # copies made before any matrix is written, and compared after
+    twins = {name: copy.deepcopy(act) for name, act in built.items()}
     pairs = [(x, y) for x in built for y in built]
     same = [built[x] == built[y] for x, y in pairs]
     assert same == [oracle[x] == oracle[y] for x, y in pairs]
     for name, act in built.items():
-        twin = copy.deepcopy(act)
+        twin, want = twins[name], oracle[name]
         assert act == twin and twin == act, name
-        # equal point maps decide equality: no matrix is written
-        assert (act._maps is None) == (twin._maps is None) == (name != "enveloping action"), name
-        want = oracle[name]
-        assert act == want and want == act and hash(act) == hash(want) == hash(twin), name
+        assert act == want and want == act and twin == want and want == twin, name
+        assert hash(act) == hash(want) == hash(twin), name
         assert act.maps == want.maps and twin.maps == want.maps, name
         assert copy.deepcopy(act) == act and copy.deepcopy(act).maps == want.maps, name
         assert _point_set(want) == act._points[0], name
-        assert act == want and want == act, name
 
 
 def test_point_classes_write_no_matrix(monkeypatch):
