@@ -10,7 +10,9 @@ and its seeded relabelled copies) in each checkout, runs every one through
 and standard error, with the checkout and work-directory paths masked.
 Each list of a command that writes an action (`product`, `idempotent`,
 `inverse`, `restrict`, `tensor`, `compose`) runs once more with `--out`,
-and the file it writes is compared byte for byte as well.
+and the file it writes is compared byte for byte as well.  `pargal suite`
+runs too (no `cli` op does), on the corpus classes of each copy, over their
+own ring and over Z/2, and on the shipped regularity witness.
 Prints the number of argument lists and the differing ones; exits 1 when
 any differs.  Each checkout runs in its own interpreter, with its own
 `src` and `perfbench`.  With `--rev`, the other checkout is that git
@@ -29,6 +31,7 @@ import tempfile
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 OUT_COMMANDS = ("product", "idempotent", "inverse", "restrict", "tensor", "compose")
+SUITE_CLASSES = ("ex1", "ex2", "ex2-star", "trivial-Z4")
 
 
 def written_text(path: str):
@@ -64,6 +67,14 @@ def dump(root: str, seed: int) -> list:
             if op.inputs[0] in OUT_COMMANDS:
                 written = os.path.join(work, f"out-{k}.json")
                 run(f"{op.name} --out", list(op.inputs) + ["--out", written], written)
+        # the shipped corpus files (k = 0) and the copies the `cli` workload wrote
+        corpus = workloads.corpus_dir()
+        for k in range(workloads.CLI_COPIES):
+            files = [os.path.join(corpus, f"{name}.json") if k == 0 else os.path.join(work, f"{name}.r{k}.json")
+                     for name in SUITE_CLASSES]
+            for extra in ([], ["--base", "Z/2"]):
+                run(f"suite {' '.join(SUITE_CLASSES + tuple(extra))}#{k}", ["suite", *files, *extra, "--json"])
+        run("suite z3-regularity-witness", ["suite", os.path.join(corpus, "z3-regularity-witness.json"), "--json"])
     return out
 
 

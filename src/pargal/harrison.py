@@ -28,6 +28,8 @@ from .paction import (
     GaloisCoordinates,
     PartialAction,
     _action_on_points,
+    _components,
+    _has_fixed_point,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -93,24 +95,39 @@ class ExtensionClass:
     """A partial Galois extension of the base ring, with its certificates."""
 
     action: PartialAction
-    witness: GaloisCoordinates
-    fixed: SubAlgebra
 
     @staticmethod
     def certify(action: PartialAction) -> "ExtensionClass":
+        """The class of a partial action with invariants R and partial
+        Galois coordinates.  On a certified point set (:func:`_point_set`)
+        the invariants are the component indicators: rank 1 means connected.
+        Coordinate k of the g-equation of :func:`galois_coordinates` for the
+        pairs (e_i, e_i) is 1 exactly when a_(g^-1) fixes k, so coordinates
+        exist exactly when no a_g with g != 1 fixes a point (that function
+        argues "only if").  Both are decided there, and ``witness`` and
+        ``fixed`` built on first read; any other carrier builds both here."""
         rep = verify_partial_action(action)
         if not rep.passed:
             bad = rep.failures()[0]
             raise CertificationError(f"not a partial action: {bad.name} [{bad.witness}]")
-        fixed = invariants(action)
-        if fixed.algebra.rank != 1:
-            raise CertificationError(
-                f"fixed ring has rank {fixed.algebra.rank}, expected the base ring"
-            )
-        witness = galois_coordinates(action)
-        if witness is None:
+        out = ExtensionClass(action)
+        points = _point_set(action)
+        rank = out.fixed.algebra.rank if points is None else len(_components(points))
+        if rank != 1:
+            raise CertificationError(f"fixed ring has rank {rank}, expected the base ring")
+        if (out.witness is None) if points is None else _has_fixed_point(action.group, points):
             raise CertificationError("no partial Galois coordinates exist")
-        return ExtensionClass(action, witness, fixed)
+        return out
+
+    @cached_property
+    def witness(self) -> GaloisCoordinates | None:
+        """The coordinates of :func:`galois_coordinates`."""
+        return galois_coordinates(self.action)
+
+    @cached_property
+    def fixed(self) -> SubAlgebra:
+        """The fixed ring, :func:`invariants`."""
+        return invariants(self.action)
 
     @cached_property
     def key(self):
@@ -384,7 +401,8 @@ def idempotent_class(act: PartialAction) -> ExtensionClass:
     through :func:`hat_action` and the delta-G quotient.  Both routes give
     the same presentation, and the result is certified once either way.
     """
-    if galois_coordinates(act) is None:
+    points = _point_set(act)
+    if (galois_coordinates(act) is None) if points is None else _has_fixed_point(act.group, points):
         raise CertificationError("idempotent_class needs a partial Galois action")
     G = act.group
     quotient = _hat_gset_quotient(act)

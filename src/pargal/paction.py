@@ -391,17 +391,8 @@ def invariants(act: PartialAction) -> SubAlgebra:
     ring = A.ring
     points = _point_set(act)
     if points is not None:
-        r = A.rank
-        seen = [False] * r
-        rows = []
-        for x in range(r):
-            if not seen[x]:
-                row = [0] * r
-                for y in _breadth_first(points, x):
-                    seen[y] = True
-                    row[y] = 1
-                rows.append(row)
-        basis = Matrix(ring, rows, r)
+        rows = [[int(y in c) for y in range(A.rank)] for c in map(set, _components(points))]
+        basis = Matrix(ring, rows, A.rank)
         fixed = Algebra.split(ring, [A.format_coords(row) for row in rows])
         return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
     rows = []
@@ -843,6 +834,17 @@ def _breadth_first(maps, root):
                 seen.add(y)
                 order.append(y)
     return order
+
+
+def _components(maps):
+    """The components of the partial G-set of the point maps ``maps``,
+    ordered by least point, each in breadth-first order from it."""
+    seen, out = set(), []
+    for x in range(len(maps[0])):
+        if x not in seen:
+            out.append(_breadth_first(maps, x))
+            seen.update(out[-1])
+    return out
 
 
 def _component_code(maps, order):

@@ -328,7 +328,7 @@ def test_suite_single_trivial_class():
 
 
 def test_suite_rejects_corrupted_class():
-    bad = ExtensionClass(corrupted_p4(), None, None)
+    bad = ExtensionClass(corrupted_p4())
     rep = star_product_suite([bad, trivial_extension(make_cyclic(4))])
     assert not rep.passed
     name, note = rep.failures()[0]
@@ -893,14 +893,20 @@ def test_single_factor_compose_is_identity():
 
 
 def test_certification_rejects_non_galois():
-    from pargal.paction import PartialAction
+    from test_paction import rebased
+    from pargal.paction import PartialAction, _point_set
 
     triv = global_swap()
     ident = PartialAction(
         triv.group, triv.algebra, [triv.algebra.one()] * 2, [Matrix.identity(QQ, 2)] * 2
     )
-    with pytest.raises(CertificationError, match="fixed ring has rank 2"):
-        ExtensionClass.certify(ident)
+    # Q^2 on the basis 1 = e1 + e2, e2 takes the matrix route
+    copy = rebased(ident, Matrix(QQ, [[1, 0], [1, 1]]))
+    assert _point_set(ident) is not None and _point_set(copy) is None
+    for act in (ident, copy):
+        with pytest.raises(CertificationError) as exc:
+            ExtensionClass.certify(act)
+        assert str(exc.value) == "fixed ring has rank 2, expected the base ring"
 
 
 # The theorem-level check (S^alpha_H)^(alpha_G/H) = S^alpha of each quotient
@@ -1142,3 +1148,127 @@ def test_point_classes_write_no_matrix(monkeypatch):
             assert all(x.action._maps is None for x in (product, square, *idems, *stars))
     assert calls == []
     assert stars[0].action.maps and len(calls) == stars[0].group.order
+
+
+# ExtensionClass.certify decides a point class on its partial G-set: rank 1
+# is one component, coordinates exist when no a_g with g != 1 fixes a point.
+# witness and fixed are then built on first read.  invariants and
+# galois_coordinates on the action are the eager oracles, and the matrix
+# route of a rebased copy decides the same.
+
+
+def z4_through_z2(ring):
+    """Z_4 on R^2 through Z_4 -> Z_2: g and g^3 swap the two points, g^2
+    fixes both.  Connected, so its invariants are R, and not free."""
+    from pargal.paction import global_action
+
+    A = Algebra.split(ring, ["e1", "e2"])
+    one, swap = Matrix.identity(ring, 2), Matrix(ring, [[0, 1], [1, 0]], 2)
+    return global_action(make_cyclic(4), A, [one, swap, one, swap])
+
+
+REBASE = [[1, 0], [1, 1]]  # R^2 on the basis 1 = e1 + e2, e2
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_connected_action_with_a_fixed_point_has_no_coordinates(ring):
+    from test_paction import rebased
+    from pargal.paction import _point_set
+
+    act = z4_through_z2(ring)
+    copy = rebased(act, Matrix(ring, REBASE, 2))
+    assert _point_set(act) is not None and _point_set(copy) is None
+    for a in (act, copy):
+        with pytest.raises(CertificationError) as exc:
+            ExtensionClass.certify(a)
+        assert str(exc.value) == "no partial Galois coordinates exist"
+        with pytest.raises(CertificationError) as exc:
+            idempotent_class(a)
+        assert str(exc.value) == "idempotent_class needs a partial Galois action"
+
+
+@st.composite
+def point_classes(draw):
+    """A class that certify accepts on its point set: a subset class of Z_n
+    (n <= 6) over Q, F_2 or Z/6, its star, its product with a second one,
+    the idempotent class of either, or the square of any of these."""
+    a, b = draw(subset_class_pairs())
+    c = draw(st.sampled_from(["class", "star", "product", "idempotent class"]))
+    c = {
+        "class": lambda: a,
+        "star": a.star,
+        "product": lambda: harrison_product(a, b),
+        "idempotent class": lambda: idempotent_class(a.action),
+    }[c]()
+    return harrison_product(c, c) if draw(st.booleans()) else c
+
+
+def eager_class(act):
+    """The class of ``act`` on matrices written at once (:func:`eager`),
+    with both certificates built here."""
+    c = ExtensionClass(eager(act))
+    assert c.witness is not None and c.fixed.algebra.rank == 1
+    return c
+
+
+@given(point_classes())
+@settings(max_examples=80, deadline=None)
+def test_lazy_certificates_match_the_eager_oracles(c):
+    import copy
+
+    from pargal.paction import galois_coordinates
+
+    assert c.action._points[0] is not None
+    assert "witness" not in c.__dict__ and "fixed" not in c.__dict__
+    twin = copy.deepcopy(c)
+    full = eager_class(c.action)
+    assert c == full and full == c and twin == full
+    assert "witness" not in c.__dict__ and "fixed" not in c.__dict__
+    for x in (c, twin):
+        assert x.fixed == invariants(c.action) == full.fixed
+        assert x.witness == galois_coordinates(c.action)
+        assert x.witness.pairs == full.witness.pairs and x.witness.verify()
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """The galois_coordinates and invariants calls, wherever they are made."""
+    import pargal.harrison as harrison
+    import pargal.paction as paction
+
+    calls = []
+    for name in ("galois_coordinates", "invariants"):
+        build = getattr(paction, name)
+
+        def counted(act, name=name, build=build):
+            calls.append(name)
+            return build(act)
+
+        for module in (harrison, paction):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_point_classes_build_no_certificate_until_read(certificate_calls):
+    for ring in (QQ, Modular(2), Modular(6)):
+        for n, subset in ((4, [0, 1]), (5, [0, 1, 3]), (6, range(6))):
+            c = subset_class(n, subset, ring)
+            product = harrison_product(c, c.star())
+            idem = idempotent_class(product.action)
+            classes = [c, product, idem, harrison_product(idem, idem), idem.star()]
+            assert not any("witness" in x.__dict__ or "fixed" in x.__dict__ for x in classes)
+    assert certificate_calls == []
+    witness = classes[1].witness
+    assert classes[1].witness is witness and witness.verify()
+    assert certificate_calls == ["galois_coordinates"]
+    assert classes[1].fixed is classes[1].fixed
+    assert certificate_calls == ["galois_coordinates", "invariants"]
+
+
+def test_matrix_route_builds_both_certificates_once(certificate_calls):
+    from test_paction import rebased
+
+    c = cls(rebased(example2(), Matrix(QQ, REBASE, 2)))
+    assert certificate_calls == ["invariants", "galois_coordinates"]
+    assert c.witness.verify() and c.fixed.algebra.rank == 1
+    assert certificate_calls == ["invariants", "galois_coordinates"]

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Matrix, Modular
@@ -1892,3 +1892,65 @@ def test_iso_check_reuses_the_codes_of_canonical_key(monkeypatch):
     assert iso_check(a, b).status == "iso"
     assert iso_check(b, a).status == "iso"
     assert not calls
+
+
+# ExtensionClass.certify decides a certified point set on its points: the
+# fixed ring has rank 1 when the partial G-set is connected, and coordinates
+# exist when no a_g with g != 1 fixes a point.  A rebased copy takes the
+# matrix route, which must decide the same, with the same message.
+
+
+@st.composite
+def partial_zn_sets(draw):
+    """0/1 data of a partial Z_n-set (n <= 6) over Q, F_2 or Z/6, in a drawn
+    basis order: one to three orbits Z_n / <d>, the regular one at d = n as
+    in a subset class, restricted to a drawn nonempty set of points.  Every
+    partial Z_n-set is one of these, since it is the restriction of its
+    globalization (Abadie; Exel), so the data may be disconnected, have
+    fixed points, both or neither."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    n = draw(st.integers(1, 6))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+    orbit_points = [(k, x) for k, size in enumerate(orbits) for x in range(size)]
+    kept = draw(st.lists(st.sampled_from(orbit_points), min_size=1, max_size=8, unique=True))
+    pos = {p: i for i, p in enumerate(kept)}
+    maps = [[pos.get((k, (x + g) % orbits[k])) for k, x in kept] for g in range(n)]
+    # D_g is the domain of a_(g^-1)
+    domains = [[int(j is not None) for j in maps[(n - g) % n]] for g in range(n)]
+    return points_action(ring, n, domains, maps)
+
+
+def certify_outcome(act):
+    from pargal.harrison import CertificationError, ExtensionClass
+
+    try:
+        ExtensionClass.certify(act)
+    except CertificationError as exc:
+        return str(exc)
+    return "certified"
+
+
+@given(partial_zn_sets(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_decisions_match_the_matrix_route(act, data):
+    from pargal.paction import _has_fixed_point, _point_set, galois_coordinates
+
+    points = _point_set(act)
+    assert points is not None
+    r = act.algebra.rank
+    copy = rebased(act, data.draw(unitriangular(act.algebra.ring, r)))
+    # a permutation matrix keeps a point set, and rank 1 over F_2 has no
+    # other basis
+    assume(_point_set(copy) is None)
+    try:
+        outcome = certify_outcome(copy)
+    except AlgebraError as exc:
+        # over Z/6 the invariants that the matrix route solves for may come
+        # out as a Howell form with more rows than their rank, and the
+        # carrier is refused; the point route has no such refusal
+        assert act.algebra.ring == Z6, exc
+        assert str(exc).startswith("subalgebra: generating rows are not a free basis over Z/6")
+    else:
+        assert outcome == certify_outcome(act)
+    assert _has_fixed_point(act.group, points) == (galois_coordinates(copy) is None)
