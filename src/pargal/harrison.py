@@ -462,17 +462,20 @@ def star_product_suite(classes) -> SuiteReport:
         raise AlgebraError("star_product_suite: classes over different groups")
     if any(c.action.algebra.ring != classes[0].action.algebra.ring for c in classes):
         raise AlgebraError("star_product_suite: classes over different base rings")
-    # the product is well defined on iso classes and every law below is
-    # checked up to iso, so products are keyed on the classes' canonical
-    # keys; a class without a key is keyed on identity, which is sound
-    # because the suite holds every class alive
-    products = {}
+    # every law is checked up to iso, on which the product is well defined,
+    # so a class is numbered by its canonical key, or by its identity when
+    # it has none (the suite keeps every class alive), and products by pairs
+    numbers, indices, products = {}, {}, {}
 
     def mul(a: ExtensionClass, b: ExtensionClass) -> ExtensionClass:
-        key = (id(a), id(b)) if a.key is None or b.key is None else (a.key, b.key)
-        if key not in products:
-            products[key] = harrison_product(a, b)
-        return products[key]
+        for c in (a, b):
+            if id(c) not in numbers:
+                numbers[id(c)] = indices.setdefault(id(c) if c.key is None else c.key, len(indices))
+        pair = (numbers[id(a)], numbers[id(b)])
+        out = products.get(pair)
+        if out is None:
+            out = products[pair] = harrison_product(a, b)
+        return out
 
     # iso answers by the pair of actions compared, each asked once; keying on
     # identity is sound for the same reason

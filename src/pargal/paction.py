@@ -12,7 +12,6 @@ writes its M_g on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import NamedTuple
 
 from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, solve
@@ -236,18 +235,17 @@ def _point_set(act: PartialAction) -> list | None:
     0.  None unless the carrier is R^n on its standard basis
     (:meth:`Algebra.split`), every stored entry of each 1_g and M_g is 0 or
     1, no column of an M_g holds two 1s, and the maps with the domains D_g
-    = supp 1_g pass :func:`_points_certified`.  Read once per action in
-    O(|G| r^2) and kept on it.
-
-    A certified a_g is defined exactly on D_(g^-1) (see
-    :func:`_points_certified`), so D_g is the domain of a_(g^-1), and every
-    reader of a point set takes it from there."""
+    = supp 1_g form a partial G-set (:func:`_points_certified`, which
+    checks that D_g is the domain of a_(g^-1); every reader of a point set
+    takes it from there).  Read in O(|G| r^2) and certified in O(|G| r)
+    when free, once per action, and kept on it."""
     if act._points is None:
         act._points = (_read_points(act),)
     return act._points[0]
 
 
 def _read_points(act: PartialAction) -> list | None:
+    """The maps of :func:`_point_set` read off the matrices, or None."""
     A = act.algebra
     if not A.is_split():
         return None
@@ -269,10 +267,10 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
 
     The point set is kept on the action as :func:`_read_points` reads it off
-    these matrices: the maps when :func:`_points_certified` passes them, and
-    the M_g are then written on first read (:func:`_on_points`); else None,
-    and the M_g are written at once.  The certificate fails on a map that
-    is not injective.
+    these matrices: the maps when they form a partial G-set, one component
+    at a time (:func:`_points_certified`), and the M_g are then written on
+    first read (:func:`_on_points`); else None, and the M_g are written at
+    once.  The certificate fails on a map that is not injective.
     """
     algebra = Algebra.split(ring, labels)
     domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
@@ -319,27 +317,50 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     with a_1 = id is (P2).  At (g, h) and (g^-1, gh) it gives (P3).  A 0/1
     vector is idempotent.  So the certificate holds exactly when the checks of
     :func:`_verify_on_matrices` pass.
+
+    Decided per component, in O(|G| r) on a free set, O(|G|^2 r) at most:
+    (1) a_1 = id; (2) D_g is the domain of a_(g^-1); (3) from each point x
+    not yet reached, phi(g) = a_g(x) on Dom_x = {g : a_g(x) defined}
+    reaches phi(Dom_x), and a_h(phi(g)) = phi(hg) for every h and every g
+    in Dom_x, undefined when hg is not in Dom_x.  A partial G-set passes:
+    it is the restriction of a G-set to X, with D_g the points of X in gX
+    and a_h(y) = hy where both lie in X.  Conversely (3) makes K_x = {g :
+    phi(g) = x} closed under products, a subgroup; phi(gk) = a_g(x) =
+    phi(g) for k in K_x, and a_(g'^-1) sends phi(g) = phi(g') to x, so
+    g'^-1 g is in K_x.  So phi is constant exactly on the cosets gK_x, the
+    component of x is Dom_x/K_x inside G/K_x, and a_h is the translation
+    restricted to it.  A later root x' meeting that component at y =
+    phi'(g') fails (3), as a_(g'^-1)(y) stays in the component and x' does
+    not.  So X is a disjoint union of such restrictions, with D_g the
+    domain of a_(g^-1) by (2): the restriction of a G-set, which (P4)
+    accepts.
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
         return False
-    # a_g and the identity on D_g as lists over the points and one more, r,
-    # that stands for "undefined" and that each list sends to itself;
-    # itemgetter(*f)(a) is then the composite a o f, built in C
-    r = len(maps[group.identity])
-    full = [[r if j is None else j for j in a] + [r] for a in maps]
-    on = [[i if d else r for i, d in enumerate(dom)] + [r] for dom in domains]
-    after = [itemgetter(*f) for f in full]
-    return all(after[h](full[g]) == after[gh](on[g]) for g, row in enumerate(group.table) for h, gh in enumerate(row))
+    if any([j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)):
+        return False
+    reached = [False] * len(maps[group.identity])
+    for x, done in enumerate(reached):
+        if done:
+            continue
+        phi = [a[x] for a in maps]
+        dom = [g for g, y in enumerate(phi) if y is not None]
+        points = [phi[g] for g in dom]
+        for y in points:
+            reached[y] = True
+        if any([a[y] for y in points] != [phi[hg[g]] for g in dom] for a, hg in zip(maps, group.table)):
+            return False
+    return True
 
 
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     """The partial action of a subgroup on the same carrier.
 
     A point set already read and certified (:func:`_point_set`) is handed
-    over as the maps of the members (:func:`_relabel`): ``sub.members``
-    starts with the identity, so a_1 = id, and each (P4) identity of the
-    certificate at (g, h) in H x H is one of the parent's, with the same
-    D_g (:func:`_points_certified`).  Any other restriction is read when it
+    over as the maps of the members (:func:`_relabel`): the maps and
+    domains of the members of H in a partial G-set form a partial H-set
+    (:func:`_points_certified`), as a_1 = id and (P4) at pairs of H is (P4)
+    of the parent there.  Any other restriction is read when it
     is asked for: only its own maps, and it may pass the certificate where
     its parent fails it."""
     if sub.parent != act.group:
@@ -565,11 +586,11 @@ def inverse_action(act: PartialAction) -> PartialAction:
 
     On an abelian G a point set already read (:func:`_point_set`) is
     handed over as a*_g = a_(g^-1), None when the action has none
-    (:func:`_relabel`): the star data is the same data, and the certificate
-    (:func:`_points_certified`) of the star action at (g, h) is the
-    original one at (g^-1, h^-1), because (gh)^-1 = g^-1 h^-1 and D*_g =
-    D_(g^-1); a*_1 = a_1.  Any other star action is read when it is asked
-    for."""
+    (:func:`_relabel`): a*_1 = a_1, D*_g = D_(g^-1), and (P4) of the star
+    maps at (g, h) is (P4) of the original at (g^-1, h^-1), because (gh)^-1
+    = g^-1 h^-1; so they form a partial G-set (:func:`_points_certified`)
+    exactly when the original maps do.  Any other star action is read when
+    it is asked for."""
     group = act.group
     return _relabel(act, group, group.inverse, act._points if group.is_abelian() else None)
 
@@ -579,9 +600,9 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
 
     ``index_map[new_index] = old_index`` must be a group isomorphism from
     new_group onto act.group (checked).  A point set already read
-    (:func:`_point_set`) is handed over (:func:`_relabel`): the isomorphism
-    maps the certificate (:func:`_points_certified`) at (a, b) to the one at
-    (index_map[a], index_map[b]), with D'_a = D_(index_map[a]).
+    (:func:`_point_set`) is handed over (:func:`_relabel`): along the
+    isomorphism a partial G-set is a partial G'-set (:func:`_points_certified`)
+    with a'_a = a_(index_map[a]) and D'_a = D_(index_map[a]).
     """
     if len(index_map) != new_group.order or new_group.order != act.group.order:
         raise AlgebraError("group relabeling size mismatch")
@@ -867,7 +888,7 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     so the input is not a partial action.  A partial action never fails
     the certificate: conjugating by the split presentation turns alpha_1 =
     id (P2) and M_g M_h = E_g M_gh (P4) into the same identities on the
-    u p_i, which are the certificate.
+    u p_i, so the maps form a partial G-set, which the certificate decides.
     """
     ring = act.algebra.ring
     group = act.group

@@ -21,7 +21,7 @@ from pargal.corpus import (
     standard_corpus,
     trivial_action,
 )
-from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
+from pargal.groups import all_subgroups, make_cyclic, make_product, subgroup_closure
 from pargal.paction import (
     GaloisCoordinates,
     PartialAction,
@@ -1788,6 +1788,23 @@ def reference_points_certified(group, maps, domains):
     return True
 
 
+def itemgetter_points_certified(group, maps, domains):
+    """The point-set certificate at all |G|^2 pairs (g, h), composing the
+    maps with ``operator.itemgetter``."""
+    from operator import itemgetter
+
+    if any(j != i for i, j in enumerate(maps[group.identity])):
+        return False
+    # a_g and the identity on D_g as lists over the points and one more, r,
+    # that stands for "undefined" and that each list sends to itself;
+    # itemgetter(*f)(a) is then the composite a o f
+    r = len(maps[group.identity])
+    full = [[r if j is None else j for j in a] + [r] for a in maps]
+    on = [[i if d else r for i, d in enumerate(dom)] + [r] for dom in domains]
+    after = [itemgetter(*f) for f in full]
+    return all(after[h](full[g]) == after[gh](on[g]) for g, row in enumerate(group.table) for h, gh in enumerate(row))
+
+
 @st.composite
 def partial_maps(draw):
     """A group of order <= 4 with one partial map of r <= 4 points and one
@@ -1821,12 +1838,74 @@ def partial_maps(draw):
     return group, maps, domains
 
 
-@given(partial_maps())
-@settings(max_examples=300, deadline=None)
+# groups of order up to 8 with every subgroup, for G-sets with stabilizers
+COSET_GROUPS = [
+    (g, all_subgroups(g)) for g in (make_cyclic(6), make_cyclic(8), make_product([make_cyclic(2), make_cyclic(4)]), s3())
+]
+
+
+@st.composite
+def coset_point_sets(draw):
+    """A multi-orbit G-set, a disjoint union of coset spaces G/H for
+    subgroups H (Z_n/<d>, S3/H, ...), restricted to r <= 8 of its points,
+    with D_g the domain of a_(g^-1); then one map entry or one domain bit
+    edited, or none."""
+    group, subgroups = draw(st.sampled_from(COSET_GROUPS))
+    orbits = draw(st.lists(st.sampled_from(subgroups), min_size=1, max_size=3))
+    # y = (o, gH) as the frozenset gH, translated by h to hgH
+    cosets = {(o, frozenset(group.mul(g, k) for k in h.members)) for o, h in enumerate(orbits) for g in group.elements()}
+    ys = draw(st.permutations(sorted(cosets, key=lambda y: (y[0], sorted(y[1])))))
+    ys = ys[: draw(st.integers(1, min(8, len(ys))))]
+    pos = {y: i for i, y in enumerate(ys)}
+    maps = [[pos.get((o, frozenset(group.mul(g, x) for x in c))) for o, c in ys] for g in group.elements()]
+    domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
+    g, i = draw(st.sampled_from(list(group.elements()))), draw(st.integers(0, len(ys) - 1))
+    edit = draw(st.sampled_from(["none", "map", "domain"]))
+    if edit == "map":
+        maps[g][i] = draw(st.sampled_from([None] + list(range(len(ys)))))
+    elif edit == "domain":
+        domains[g][i] = not domains[g][i]
+    return group, maps, domains
+
+
+@given(st.one_of(partial_maps(), coset_point_sets()))
+@settings(max_examples=600, deadline=None)
 def test_point_set_certificate_matches_the_pointwise_reference(case):
     from pargal.paction import _points_certified
 
-    assert _points_certified(*case) == reference_points_certified(*case)
+    assert _points_certified(*case) == reference_points_certified(*case) == itemgetter_points_certified(*case)
+
+
+def regular_z4_with_a_flipped_domain_bit():
+    maps = [[(g + i) % 4 for i in range(4)] for g in range(4)]
+    domains = [[True] * 4 for _ in range(4)]
+    domains[2][1] = False
+    return make_cyclic(4), maps, domains
+
+
+# the cases the per-component argument of the certificate turns on
+NAMED_POINT_SETS = [
+    # a_g merges the orbit {0, 1} with the fixed point 2: not injective
+    ("merges two orbits", lambda: (make_cyclic(2), [[0, 1, 2], [1, 0, 0]], [[True] * 3] * 2), False),
+    ("regular Z4, D_(g^2) bit flipped", regular_z4_with_a_flipped_domain_bit, False),
+    # a_g fixes the point, so K = <g> = Z_3, but a_(g^2) is undefined there
+    ("fixed by a_g, a_(g^-1) undefined", lambda: (make_cyclic(3), [[0], [0], [None]], [[1], [0], [1]]), False),
+    # from x = 0, phi(g^2) = 1 and a_(g^2)(1) = 0, but a_(g^4)(0) = a_g(0) is undefined
+    ("a_h defined where a_hg is not", lambda: (make_cyclic(3), [[0, 1], [None, 0], [1, 0]], [[1, 1], [1, 1], [0, 1]]),
+     False),
+    # root 0 reaches only itself; root 1 reaches 0 through a_g
+    ("later root meets an earlier component", lambda: (make_cyclic(2), [[0, 1], [None, 0]], [[1, 1], [0, 1]]), False),
+    ("regular Z3", lambda: (make_cyclic(3), [[(g + i) % 3 for i in range(3)] for g in range(3)], [[1] * 3] * 3), True),
+]
+
+
+@pytest.mark.parametrize("build, expected", [c[1:] for c in NAMED_POINT_SETS],
+                         ids=[c[0] for c in NAMED_POINT_SETS])
+def test_named_point_sets_decide_alike_under_every_certificate(build, expected):
+    from pargal.paction import _points_certified
+
+    case = build()
+    assert _points_certified(*case) == reference_points_certified(*case) == itemgetter_points_certified(*case) == expected
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
