@@ -1,26 +1,40 @@
 #!/usr/bin/env python3
-"""Time certify and square of the regular Z_n class as n grows.
+"""A scale ladder: time a few ops as n grows and print one JSON line.
 
-    python3 scripts/scale_probe.py [N ...]        # default: 32 64 128
+    python3 scripts/scale_probe.py [N ...] [--cli N ...]
+        # default: 64 128 --cli 24 32 36 48 96
 
-For each n, builds the regular Z_n-set over Q as `perfbench/gen.py` builds
-it (`regular_restriction` on all n points), and prints the raw seconds of
-`ExtensionClass.certify` on a fresh copy of that action and of
-`harrison_product(c, c)` on the certified class, each the least of three
-runs.  Between consecutive values of n it prints the growth exponent
-log(t2 / t1) / log(n2 / n1) of each.  Nothing in the library imports this.
+Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
+(`regular_restriction`):
+
+- for each positional n, `ExtensionClass.certify` on a fresh copy of the
+  set on all n points, and `harrison_product(c, c)` on the certified class;
+- for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
+  ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
+  action file in a temporary directory; the report is discarded.
+
+Each rung reports the raw seconds, the least of three runs, and the growth
+exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
+its first).  These are raw wall-clock seconds: unlike the reference clock of
+`perfbench/run.py`, they do not cancel the load of a shared host, so compare
+runs made side by side.  Nothing in the library imports this.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import math
 import os
 import sys
+import tempfile
 import time
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from pargal import QQ, ExtensionClass, harrison_product  # noqa: E402
+from pargal import QQ, ExtensionClass, cli, harrison_product  # noqa: E402
+from pargal.actionfile import save_action  # noqa: E402
 from gen import regular_restriction  # noqa: E402
 
 RUNS = 3
@@ -37,20 +51,47 @@ def least_seconds(make, run) -> float:
     return best
 
 
+def class_rungs(n):
+    """(op, seconds) of certify and square on the regular Z_n class."""
+    cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
+    yield "certify", least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
+    yield "square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
+
+
+def cli_rungs(n, workdir):
+    """(op, seconds) of `pargal psi` and `pargal quotient` at H = <g2> on
+    Z_n on n/2 points."""
+    path = os.path.join(workdir, f"z{n}.json")
+    save_action(regular_restriction(QQ, n, range(n // 2)), path)
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(argv)
+
+    for command in ("psi", "quotient"):
+        yield f"cli {command}", least_seconds(lambda: [command, path, "--subgroup", "g2"], run)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, nargs="*", default=[32, 64, 128])
-    sizes = parser.parse_args(argv).n
-    rows = []
-    for n in sizes:
-        cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
-        certify = least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
-        square = least_seconds(lambda: cls, lambda c: harrison_product(c, c))
-        rows.append((n, certify, square))
-        print(f"n={n:4d}  certify {certify:.4f} s  square {square:.4f} s")
-    for (n1, c1, s1), (n2, c2, s2) in zip(rows, rows[1:]):
-        grow = math.log(n2 / n1)
-        print(f"n={n1}->{n2}  exponent certify {math.log(c2 / c1) / grow:.2f}  square {math.log(s2 / s1) / grow:.2f}")
+    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify and square rungs")
+    parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the CLI rungs")
+    args = parser.parse_args(argv)
+    timed = []
+    for n in args.n:
+        timed += [(op, n, s) for op, s in class_rungs(n)]
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in args.cli:
+            timed += [(op, n, s) for op, s in cli_rungs(n, workdir)]
+    rungs, last = [], {}
+    for op, n, seconds in timed:
+        exponent = None
+        if op in last:
+            n0, s0 = last[op]
+            exponent = round(math.log(seconds / s0) / math.log(n / n0), 2)
+        last[op] = (n, seconds)
+        rungs.append({"op": op, "n": n, "seconds": round(seconds, 5), "exponent": exponent})
+    print(json.dumps({"runs": RUNS, "rungs": rungs}))
 
 
 if __name__ == "__main__":

@@ -275,14 +275,24 @@ def delta_transversal(group: FiniteGroup) -> tuple:
 
 
 def all_subgroups(group: FiniteGroup):
-    """Every subgroup, ordered by (order, members); fine for small groups."""
-    from itertools import combinations
-
-    seen = {}
-    n = group.order
-    others = [x for x in range(n) if x != group.identity]
-    for size in range(0, len(others) + 1):
-        for seeds in combinations(others, size):
-            sub = subgroup_closure(group, seeds)
-            seen[sub.members] = sub
-    return [seen[m] for m in sorted(seen, key=lambda m: (len(m), m))]
+    """Every subgroup, ordered by (order, members).  A subgroup is the join
+    of its cyclic subgroups, so joining each subgroup found with each cyclic
+    one, until no new subgroup appears, finds them all; each join is closed
+    from the generators it was found with."""
+    found = {}
+    for x in group.elements():
+        sub = subgroup_closure(group, [x])
+        found.setdefault(sub.members, (sub, (x,)))
+    cyclic = [gens[0] for _, gens in found.values()]
+    frontier = list(found.values())
+    while frontier:
+        new = []
+        for sub, gens in frontier:
+            for x in cyclic:
+                if x not in sub.members:
+                    join = subgroup_closure(group, gens + (x,))
+                    if join.members not in found:
+                        found[join.members] = (join, gens + (x,))
+                        new.append(found[join.members])
+        frontier = new
+    return [found[m][0] for m in sorted(found, key=lambda m: (len(m), m))]

@@ -279,6 +279,26 @@ def test_many_labels_fail_before_any_cube(tmp_path, capsys):
     assert "unit does not fix basis vector b0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["psi", "quotient"])
+def test_psi_and_quotient_at_a_large_subgroup_finish_in_seconds(command, tmp_path, capsys):
+    # Z_48 on 24 points with H = <g2>, |H| = 24: a sum over the 2^24 subsets
+    # of H would take minutes
+    from test_harrison import subset_class
+
+    path = tmp_path / "z48.json"
+    save_action(subset_class(48, range(24)).action, str(path))
+    budget = 5.0
+    t0 = time.perf_counter()
+    code = run_cli(command, str(path), "--subgroup", "g2")
+    elapsed = time.perf_counter() - t0
+    out = capsys.readouterr().out
+    print(f"pargal {command} on Z_48 over 24 points, |H| = 24: {elapsed:.2f} s, budget {budget} s")
+    assert elapsed < budget, f"pargal {command} exceeded its {budget} s budget: {elapsed:.2f} s"
+    # psi_H(1_S) = 1_T already at H = <g2> (README, "Known discrepancies")
+    failed = re.findall(r"^  FAIL +(.*?)(?:  \[.*)?$", out, re.M)
+    assert (code, failed) == ((1, ["psi_H(1_S) = 1_T iff H = G"]) if command == "psi" else (0, []))
+
+
 def test_worked_examples_script_runs():
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "worked_examples.py")],

@@ -1,6 +1,7 @@
 """Globalization certificates and the psi_H property suite."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -351,16 +352,47 @@ def test_non_standard_carriers_take_the_matrix_route(route_calls):
 
 # On the classes of G x X / ~ the subgroup idempotents are indicator sets
 # and psi_H a 0/1 matrix; the products of elements and matrices that every
-# other carrier takes are their oracle.
+# other carrier takes are their oracle.  psi_H is defined by the
+# inclusion-exclusion double sum over the nonempty subsets A of the members
+# h_1..h_m of H: the sum of (-1)^(|A|+1) u_A beta_(h_(max A)), with u_i =
+# beta_(h_i)(1_S).  psi_h builds only the e_i form; the double sum, in 2^|H|
+# terms, is its oracle on both routes.
 
 
-def outcome(fn, *args):
-    """The matrix of the morphism ``fn`` returns, or the message of the
-    bug trap it fires."""
-    try:
-        return fn(*args).matrix
-    except AssertionError as exc:
-        return str(exc)
+def signed_subsets(m):
+    """(sign, A) for the nonempty A of range(m), A ascending."""
+    for size in range(1, m + 1):
+        for subset in combinations(range(m), size):
+            yield (1 if size % 2 else -1), subset
+
+
+def double_sum_on_classes(gd, sub):
+    """The double sum on the classes of G x X / ~: entry (c, pi_(h_(max
+    A))^-1(c)) counts, with sign, the A whose sets beta_(h_i)(1_S) all hold
+    the class c."""
+    from pargal.envelope import _class_translates
+
+    backs, ups = _class_translates(gd, sub)
+    ring, k = gd.algebra.ring, gd.algebra.rank
+    counts = [[0] * k for _ in range(k)]
+    for sign, subset in signed_subsets(len(ups)):
+        for c in set.intersection(*(ups[i] for i in subset)):
+            counts[c][backs[subset[-1]][c]] += sign
+    return Matrix(ring, [[ring.coerce(v) for v in row] for row in counts], k)
+
+
+def double_sum_on_matrices(gd, sub):
+    """The double sum in T: the products u_A times beta_(h_(max A))."""
+    T = gd.algebra
+    ups = [Element(T, gd.beta[h].matvec(list(gd.one_s.coords))) for h in sub.members]
+    total = Matrix.zero(T.ring, T.rank, T.rank)
+    for sign, subset in signed_subsets(len(ups)):
+        u_a = T.one()
+        for i in subset:
+            u_a = u_a * ups[i]
+        term = T.mult_matrix(u_a.coords).mul(gd.beta[sub.members[subset[-1]]])
+        total = total.add(term) if sign == 1 else total.sub(term)
+    return total
 
 
 @given(subset_classes_and_products())
@@ -373,11 +405,22 @@ def test_psi_on_classes_matches_the_matrix_forms(act):
         assert _class_translates(gd, sub) is not None
         idems, dense = subgroup_idempotents(gd, sub), _idempotents_on_matrices(gd, sub)
         assert (idems.eis, idems.e_h) == (dense.eis, dense.e_h)
-        # _psi_on_matrices checks the e_i form against the double sum
-        assert psi_h(gd, sub, idems).matrix == _psi_on_matrices(gd, sub, dense).matrix
-        # e_i in the wrong order break the e_i form on both routes or on none
+        expected = double_sum_on_matrices(gd, sub)
+        assert double_sum_on_classes(gd, sub) == expected
+        assert psi_h(gd, sub, idems).matrix == _psi_on_matrices(gd, sub, dense).matrix == expected
+        # both routes read the e_i they are given, even in the wrong order
         wrong = replace(idems, eis=idems.eis[::-1])
-        assert outcome(psi_h, gd, sub, wrong) == outcome(_psi_on_matrices, gd, sub, wrong)
+        assert psi_h(gd, sub, wrong).matrix == _psi_on_matrices(gd, sub, wrong).matrix
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 18, 20])
+def test_psi_matches_the_double_sum_on_regular_restrictions(n):
+    # Z_n on n/2 points; every subgroup of Z_n is cyclic
+    gd = globalize(subset_class(n, range(n // 2)).action)
+    subs = [sub for sub in all_subgroups(gd.group) if sub.order <= 10]
+    assert max(sub.order for sub in subs) == {8: 8, 12: 6, 16: 8, 18: 9, 20: 10}[n]
+    for sub in subs:
+        assert psi_h(gd, sub).matrix == double_sum_on_classes(gd, sub)
 
 
 def constraint_fixed_ring(gd, sub):
@@ -435,7 +478,7 @@ def test_non_standard_carriers_take_the_matrix_routes_of_psi(psi_routes):
     for act in (rebased_ex1, glued):
         gd = globalize(act)
         for sub in all_subgroups(act.group):
-            psi_h(gd, sub)
+            assert psi_h(gd, sub).matrix == double_sum_on_matrices(gd, sub)
     assert psi_routes == ["_idempotents_on_matrices", "_psi_on_matrices"] * 5
 
 

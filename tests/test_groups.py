@@ -1,11 +1,14 @@
 """Group machinery tests."""
 
+from itertools import combinations
+
 import pytest
 
 from pargal.groups import (
     FiniteGroup,
     GroupError,
     Subgroup,
+    all_subgroups,
     delta_subgroup,
     delta_transversal,
     is_normal,
@@ -144,3 +147,31 @@ def test_is_abelian_is_decided_once_and_kept():
         assert g._abelian is None
         assert g.is_abelian() is abelian and g._abelian is abelian
         assert g.is_abelian() is abelian
+
+
+def brute_force_subgroups(group):
+    """The closures of all 2^(|G|-1) sets of non-identity seeds, ordered by
+    (order, members)."""
+    others = [x for x in group.elements() if x != group.identity]
+    seen = {}
+    for size in range(len(others) + 1):
+        for seeds in combinations(others, size):
+            sub = subgroup_closure(group, seeds)
+            seen[sub.members] = sub
+    return [seen[m] for m in sorted(seen, key=lambda m: (len(m), m))]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [make_cyclic(n) for n in range(1, 9)]
+    + [make_product([make_cyclic(2), make_cyclic(4)]), make_product([make_cyclic(2)] * 2), s3()],
+    ids=[f"Z{n}" for n in range(1, 9)] + ["Z2xZ4", "klein", "S3"],
+)
+def test_all_subgroups_matches_the_closures_of_every_seed_set(group):
+    assert all_subgroups(group) == brute_force_subgroups(group)
+
+
+def test_all_subgroups_of_z48_are_its_ten_cyclic_subgroups():
+    subs = all_subgroups(make_cyclic(48))
+    assert [sub.order for sub in subs] == [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
+    assert all(sub.members == subgroup_closure(sub.parent, [48 // sub.order % 48]).members for sub in subs)
