@@ -8,7 +8,8 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
 (`regular_restriction`):
 
 - for each positional n, `ExtensionClass.certify` on a fresh copy of the
-  set on all n points, and `harrison_product(c, c)` on the certified class;
+  set on all n points, `harrison_product(c, c)` on the certified class,
+  and `globalize` on a fresh copy of the set on n/2 points;
 - for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
   ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
   action file in a temporary directory; the report is discarded.
@@ -33,7 +34,7 @@ import time
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from pargal import QQ, ExtensionClass, cli, harrison_product  # noqa: E402
+from pargal import QQ, ExtensionClass, cli, globalize, harrison_product  # noqa: E402
 from pargal.actionfile import save_action  # noqa: E402
 from gen import regular_restriction  # noqa: E402
 
@@ -52,10 +53,12 @@ def least_seconds(make, run) -> float:
 
 
 def class_rungs(n):
-    """(op, seconds) of certify and square on the regular Z_n class."""
+    """(op, seconds) of certify and square on the regular Z_n class, and of
+    globalize on Z_n on n/2 points."""
     cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
     yield "certify", least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
     yield "square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
+    yield "globalize", least_seconds(lambda: regular_restriction(QQ, n, range(n // 2)), globalize)
 
 
 def cli_rungs(n, workdir):
@@ -74,7 +77,7 @@ def cli_rungs(n, workdir):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify and square rungs")
+    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square and globalize rungs")
     parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the CLI rungs")
     args = parser.parse_args(argv)
     timed = []

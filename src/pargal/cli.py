@@ -25,6 +25,7 @@ from .paction import (
     iso_check,
     restrict,
     trace,
+    transport,
     verify_partial_action,
 )
 
@@ -175,7 +176,7 @@ def cmd_trace(args, report):
 
 def cmd_invariants(args, report):
     act = _load(args.files[0], args.base)
-    if args.subgroup:
+    if args.subgroup is not None:
         sub = _subgroup(act, args.subgroup)
         act = restrict(act, sub)
         report.data["subgroup"] = " ".join(act.group.labels)
@@ -345,7 +346,8 @@ def cmd_decompose(args, report):
         report.check(f"factor {i} certified partial Galois", True)
         report.data[f"factor {i} rank"] = part.action.algebra.rank
     recomposed = cyclic_compose(parts)
-    res = iso_check(recomposed.action, c.action)
+    # the input's group has the product's Cayley table, not always its labels
+    res = iso_check(recomposed.action, transport(c.action, recomposed.group, list(c.group.elements())))
     report.check("compose of the factors is iso to the input", res.status == "iso")
 
 

@@ -13,17 +13,18 @@ enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), so T, beta and the
 embedding are read off the classes without a row reduction, and the
 certificate tests that X is the restriction of that set.  Every other action
 takes the span of translates and the matrix checks; so does data that fails
-that test, so every report and witness is the matrix one.  The
-subgroup idempotents and psi_H of such an action are likewise sets of
-classes and a 0/1 matrix, built without a product in T.  psi_H is built
-once, in its e_i form, on either route; the inclusion-exclusion double sum
-that defines it is the tests' oracle (:func:`psi_h` argues why they agree).
+that test, so every report and witness is the matrix one.  Either way beta
+is held once, as the enveloping action, and data of the wrong shape is
+refused when it is built.  The subgroup idempotents and psi_H of a point
+set are likewise sets of classes and a 0/1 matrix, built without a product
+in T.  psi_H is built once, in its e_i form, on either route; the
+inclusion-exclusion double sum that defines it is the tests' oracle
+(:func:`psi_h` argues why they agree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .scalars import Matrix, canonical_row_form, intersect_modules, module_contains, modules_equal
 from .algebra import (
@@ -54,34 +55,36 @@ from .paction import (
 class GlobalizationData:
     """A certified global action (T, beta) enveloping a partial action.
 
-    ``down`` maps T coordinates to S coordinates of t * 1_S (composed with
-    the inverse of the embedding; defined on all of T).
+    beta is held once, as ``enveloping_action``; T (``algebra``) and
+    ``beta`` are read off it, so an action on points writes its matrices
+    only when ``beta`` is read.  Data of the wrong shape
+    (:func:`_shape_failure`) raises :class:`~pargal.algebra.AlgebraError`
+    when it is built, by ``dataclasses.replace`` too.  ``down`` composes
+    t |-> t * 1_S with the inverse of the embedding, on all of T.
     """
 
     action: PartialAction
-    algebra: Algebra  # T, with structure constants of its own
-    beta: list  # per group element, a T -> T matrix
+    enveloping_action: PartialAction  # beta, the global action of G on T
     embed: AlgebraMorphism  # S -> T (non-unital; image is the ideal T*iota(1_S))
     one_s: Element  # iota(1_S) as an element of T
     down: Matrix  # T coords -> S coords of t(1) = iota^{-1}(t * iota(1_S))
+
+    def __post_init__(self):
+        shape = _shape_failure(self)
+        if shape is not None:
+            raise AlgebraError(shape)
 
     @property
     def group(self):
         return self.action.group
 
-    @cached_property
-    def enveloping_action(self) -> PartialAction:
-        """beta as a global action of G on T, built on first use and kept,
-        so its point set (:func:`~pargal.paction._point_set`) is read once;
-        :func:`_globalize_points` hands over the action it built beta from.
-        Raises :class:`~pargal.algebra.AlgebraError` with the text of
-        :func:`_shape_failure` on data of the wrong count or shape, so every
-        reader of it refuses such data.  A copy made with
-        ``dataclasses.replace`` starts without it."""
-        shape = _shape_failure(self)
-        if shape is not None:
-            raise AlgebraError(shape)
-        return global_action(self.group, self.algebra, self.beta)
+    @property
+    def algebra(self) -> Algebra:  # T, with structure constants of its own
+        return self.enveloping_action.algebra
+
+    @property
+    def beta(self) -> tuple:  # per group element, a T -> T matrix
+        return self.enveloping_action.maps
 
 
 def _function_algebra(act: PartialAction) -> Algebra:
@@ -139,8 +142,8 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     beta_h permutes the classes by pi_h, sending the class of (g, y) to the
     class of (gh^-1, y), and e_x embeds as the class of (1, x).  The pi_h
     are built once, as the global action of G on the classes
-    (:func:`~pargal.paction._action_on_points`); beta is its matrices, and
-    the action is kept as the data's enveloping action.
+    (:func:`~pargal.paction._action_on_points`), which is the data's
+    enveloping action; no beta matrix is written.
     """
     G = act.group
     S = act.algebra
@@ -166,11 +169,9 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     for x in range(n):
         j = cls[G.identity * n + x]
         embed[j][x] = down[x][j] = one_s[j] = 1
-    gd = GlobalizationData(
-        act, T, list(env.maps), AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)
+    return GlobalizationData(
+        act, env, AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)
     )
-    gd.enveloping_action = env
-    return gd
 
 
 def _globalize_matrices(act: PartialAction) -> GlobalizationData:
@@ -236,7 +237,7 @@ def _globalize_matrices(act: PartialAction) -> GlobalizationData:
     embed = AlgebraMorphism(S, T, Matrix(ring, [list(r) for r in zip(*embed_cols)], n))
     one_s = Element(T, to_t(iota.matvec(list(S.unit))))
     down = Matrix(ring, [[t_rows.rows[j][G.identity * n + i] for j in range(k)] for i in range(n)], k)
-    return GlobalizationData(act, T, beta_t, embed, one_s, down)
+    return GlobalizationData(act, global_action(G, T, beta_t), embed, one_s, down)
 
 
 # the checks of certify_globalization, in the order it reports them
@@ -249,43 +250,45 @@ _G4 = "(G4) T = sum_g beta_g(iota(S))"
 _UNITS = "1_g = beta_g(1_S) 1_S"
 _PULL_DOWN = "pull-down splits the embedding"
 _GLOBALIZATION_CHECKS = (_AUTOMORPHISMS, _GROUP_ACTION, _G1, _G2, _G3, _G4, _UNITS, _PULL_DOWN)
-# the one check reported on data of the wrong count or shape
-_SHAPES = "beta, the embedding, the pull-down and 1_S have the shapes of T and S"
 
 
 def certify_globalization(gd: GlobalizationData) -> ActionReport:
     """Check that beta is a global action satisfying (G1)-(G4) and Eq-style
     compatibility 1_g = beta_g(1_S) 1_S.
 
-    Data of the shapes of a globalization (:func:`_shape_failure`) that
-    :func:`_certified_on_points` reads as the restriction of an enveloping
-    set passes every check.  Any other data, and data that fails there,
-    runs the checks on matrices (:func:`_certify_on_matrices`), which name
-    the witness of each failure.
+    Data that :func:`_certified_on_points` reads as the restriction of an
+    enveloping set passes every check.  Any other data runs the checks on
+    matrices (:func:`_certify_on_matrices`), which name the witness of each
+    failure.
     """
-    if _shape_failure(gd) is None and _certified_on_points(gd):
+    if _certified_on_points(gd):
         return ActionReport([Check(name, True) for name in _GLOBALIZATION_CHECKS])
     return _certify_on_matrices(gd)
 
 
 def _shape_failure(gd: GlobalizationData) -> str | None:
-    """What in ``gd`` has the wrong count or shape, or None when beta is one
-    k x k matrix per group element, the embedding k x n, the pull-down n x
-    k and 1_S k coordinates."""
-    G, n, k = gd.group, gd.action.algebra.rank, gd.algebra.rank
-    if len(gd.beta) != G.order:
-        return f"beta holds {len(gd.beta)} matrices for {G.order} group elements"
-    named = [(f"beta_{G.labels[g]}", m, k, k) for g, m in enumerate(gd.beta)]
-    for what, m, rows, cols in named + [("the embedding", gd.embed.matrix, k, n), ("the pull-down", gd.down, n, k)]:
+    """What in ``gd`` has the wrong group or shape, or None when the
+    enveloping action is a global action of the group of the action, the
+    embedding k x n, the pull-down n x k and 1_S k coordinates.  The count
+    and shape of the beta matrices are checked where the enveloping action
+    is built (:class:`~pargal.paction.PartialAction`)."""
+    env, G = gd.enveloping_action, gd.group
+    if env.group != G:
+        return "beta acts by another group than the action"
+    one = env.algebra.one()
+    bad = next((g for g in G.elements() if env.idems[g] != one), None)
+    if bad is not None:
+        return f"beta is not global: 1_{G.labels[bad]} != 1_T"
+    n, k = gd.action.algebra.rank, env.algebra.rank
+    for what, m, rows, cols in (("the embedding", gd.embed.matrix, k, n), ("the pull-down", gd.down, n, k)):
         if (m.nrows, m.ncols) != (rows, cols):
             return f"{what} is {m.nrows} x {m.ncols}, not {rows} x {cols}"
     return None if len(gd.one_s.coords) == k else f"1_S has {len(gd.one_s.coords)} coordinates, not {k}"
 
 
 def _certified_on_points(gd: GlobalizationData) -> bool:
-    """Whether ``gd``, of the shapes of a globalization
-    (:func:`_shape_failure`), is the restriction of its enveloping set to
-    the points of the action, in O(|G| k + n^2).
+    """Whether ``gd`` is the restriction of its enveloping set to the points
+    of the action, in O(|G| k + n^2).
 
     It reads ``gd`` when the action has a certified point set X, the maps
     a_g (:func:`~pargal.paction._point_set`), and so has the enveloping
@@ -328,11 +331,7 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
 
 def _certify_on_matrices(gd: GlobalizationData) -> ActionReport:
     """The checks of :func:`certify_globalization` on the matrices of
-    ``gd``, each with its first witness; data of the wrong count or shape
-    (:func:`_shape_failure`) fails at once, with that as the witness."""
-    shape = _shape_failure(gd)
-    if shape is not None:
-        return ActionReport([Check(_SHAPES, False, shape)])
+    ``gd``, each with its first witness."""
     act, T, beta, emb = gd.action, gd.algebra, gd.beta, gd.embed.matrix
     G, ring, rep = act.group, T.ring, ActionReport()
 
@@ -404,10 +403,9 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     :func:`_globalize_points`, so that (beta_(h_i) v)_c =
     v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
     are the point set of the enveloping action
-    (:attr:`GlobalizationData.enveloping_action`, so data of the wrong
-    count or shape raises :class:`~pargal.algebra.AlgebraError` on either
-    route).  None unless it and the action have certified point sets
-    (:func:`~pargal.paction._point_set`) and 1_S is 0/1."""
+    (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
+    action have certified point sets (:func:`~pargal.paction._point_set`)
+    and 1_S is 0/1."""
     one = gd.one_s.coords
     env = gd.enveloping_action
     pis = None if _point_set(gd.action) is None else _point_set(env)

@@ -488,3 +488,37 @@ def test_broken_documents_are_located_errors(text, tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert run_cli("verify", str(path)) == 2
     assert capsys.readouterr().err.startswith(f"pargal verify: {path}")
+
+
+def relabelled_z4(tmp_path):
+    """trivial-Z4 with its group elements named e, a, a2, a3."""
+    doc = json.loads(open(fixture("trivial-Z4"), encoding="utf-8").read())
+    names = dict(zip(doc["group"]["labels"], ["e", "a", "a2", "a3"]))
+    doc["group"]["labels"] = [names[x] for x in doc["group"]["labels"]]
+    doc["action"] = {names[x]: entry for x, entry in doc["action"].items()}
+    path = tmp_path / "z4-relabelled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, factors",
+    [("trivial-Z4", "4,1"), ("klein-product", "2,2,1"), ("klein-product", "2,2"), ("relabelled-Z4", "4")],
+)
+def test_decompose_round_trips_whatever_the_group_labels(name, factors, tmp_path, capsys):
+    # the factors recompose over the product's labels, which need not be
+    # the input's
+    path = relabelled_z4(tmp_path) if name == "relabelled-Z4" else fixture(name)
+    assert run_cli("decompose", path, "--factors", factors) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^  pass +compose of the factors is iso to the input$", out, re.M)
+
+
+def test_invariants_of_the_empty_subgroup_are_those_of_the_trivial_one(capsys):
+    # '' names the trivial subgroup, as in restrict, psi and quotient
+    reports = []
+    for spec in ("", "1"):
+        assert run_cli("invariants", fixture("ex1"), "--subgroup", spec, "--json") == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["data"] == reports[1]["data"]
+    assert reports[0]["data"]["rank"] == 3

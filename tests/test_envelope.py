@@ -1,5 +1,6 @@
 """Globalization certificates and the psi_H property suite."""
 
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -19,9 +20,9 @@ from pargal.envelope import (
     psi_report,
     subgroup_idempotents,
 )
-from pargal.groups import all_subgroups, make_cyclic, subgroup_closure
+from pargal.groups import FiniteGroup, all_subgroups, make_cyclic, subgroup_closure
 from pargal.harrison import harrison_product
-from pargal.paction import global_action, inverse_action, invariants, restrict
+from pargal.paction import PartialAction, global_action, inverse_action, invariants, restrict
 from test_harrison import subset_class
 from test_paction import crt_glue, rebased, relabel, report_of, reversed_basis
 
@@ -224,25 +225,37 @@ def subset_classes_and_products(draw):
     return relabel(c.action, draw(st.permutations(range(c.action.algebra.rank))))
 
 
+def edited(m, edit):
+    """A copy of the matrix ``m`` with ``edit`` applied to its rows."""
+    rows = [list(row) for row in m.rows]
+    edit(rows)
+    return Matrix(m.ring, rows, len(rows[0]))
+
+
+def swap(rows):
+    for row in rows:
+        row[0], row[-1] = row[-1], row[0]
+
+
+def widen(rows):
+    for row in rows:
+        row.append(0)
+
+
+def with_betas(gd, betas):
+    """A copy of ``gd`` whose enveloping action has the matrices ``betas``."""
+    return replace(gd, enveloping_action=global_action(gd.group, gd.algebra, betas))
+
+
 def mutations(gd):
     """Copies of ``gd`` with two beta columns swapped, a second 1 in a beta
-    column, beta_1 replaced, beta_1 and another beta swapped, one beta too
-    many or too few, a k x (k+1) beta, an embed entry zeroed, a second 1 in
-    an embed column, the classes of two points swapped, a transposed
-    embedding, a down entry flipped, an n x (k+1) pull-down, an entry 2 in
-    1_S, 1_S of k+1 coordinates and 1_S with one class outside the image of
-    S, each with whether it must fail the certificate."""
+    column, beta_1 replaced, beta_1 and another beta swapped, an embed entry
+    zeroed, a second 1 in an embed column, the classes of two points
+    swapped, a square embedding transposed, a down entry flipped, an entry 2
+    in 1_S and 1_S with one class outside the image of S, each with whether
+    it must fail the certificate."""
     G, k = gd.group, gd.algebra.rank
     emb = gd.embed.matrix
-
-    def edited(m, edit):
-        rows = [list(row) for row in m.rows]
-        edit(rows)
-        return Matrix(m.ring, rows, len(rows[0]))
-
-    def swap(rows):
-        for row in rows:
-            row[0], row[-1] = row[-1], row[0]
 
     def zero(rows):
         rows[next(j for j, row in enumerate(rows) if row[0] == 1)][0] = 0
@@ -253,12 +266,8 @@ def mutations(gd):
     def flip(rows):
         rows[0][rows[0].index(1)] = 0
 
-    def widen(rows):
-        for row in rows:
-            row.append(0)
-
     def with_beta(h, m):
-        return replace(gd, beta=[m if x == h else b for x, b in enumerate(gd.beta)])
+        return with_betas(gd, [m if x == h else b for x, b in enumerate(gd.beta)])
 
     g = G.order - 1
     if k > 1:
@@ -273,31 +282,54 @@ def mutations(gd):
     yield other != gd.beta[one], with_beta(one, other)
     # every beta a permutation, but beta_1 != id unless beta_g = beta_1
     swapped = [gd.beta[g] if h == one else gd.beta[one] if h == g else m for h, m in enumerate(gd.beta)]
-    yield gd.beta[g] != gd.beta[one], replace(gd, beta=swapped)
-    # the wrong count or shape of beta
-    yield True, replace(gd, beta=gd.beta + [gd.beta[one]])
-    yield True, replace(gd, beta=gd.beta[:-1])
-    yield True, with_beta(g, edited(gd.beta[g], widen))
+    yield gd.beta[g] != gd.beta[one], with_betas(gd, swapped)
     yield True, replace(gd, embed=replace(gd.embed, matrix=edited(emb, zero)))
     if emb.ncols > 1:
         # the classes of the first and last point swapped: the pull-down
         # no longer splits the embedding
         yield True, replace(gd, embed=replace(gd.embed, matrix=edited(emb, swap)))
-    # of the wrong shape unless n = k, and then the pull-down fails unless
-    # the embedding is symmetric
-    yield emb.transpose() != emb, replace(gd, embed=replace(gd.embed, matrix=emb.transpose()))
+    if emb.nrows == emb.ncols:
+        # the pull-down fails unless the embedding is symmetric
+        yield emb.transpose() != emb, replace(gd, embed=replace(gd.embed, matrix=emb.transpose()))
     yield True, replace(gd, down=edited(gd.down, flip))
-    yield True, replace(gd, down=edited(gd.down, widen))
     # 1_S 1_S != iota(1_S)
     coords = list(gd.one_s.coords)
     coords[coords.index(1)] = 2
     yield True, replace(gd, one_s=Element(gd.algebra, coords))
-    yield True, replace(gd, one_s=Element(gd.algebra, list(gd.one_s.coords) + [0]))
     if 0 in gd.one_s.coords:
         # beta_1(1_S) 1_S = 1_S != iota(1_S)
         coords = list(gd.one_s.coords)
         coords[coords.index(0)] = 1
         yield True, replace(gd, one_s=Element(gd.algebra, coords))
+
+
+def shape_mutations(gd):
+    """(message, build) for copies of ``gd`` of the wrong shape: one beta too
+    many or too few, a k x (k+1) beta, beta of another group, a beta that
+    is not global, a k x (n+1) embedding, a transposed one unless n = k,
+    an n x (k+1) pull-down and 1_S of k+1 coordinates; ``build`` raises
+    AlgebraError with the message."""
+    G, T, k, n = gd.group, gd.algebra, gd.algebra.rank, gd.action.algebra.rank
+    betas, g = list(gd.beta), G.order - 1
+    count = "need one idempotent and one matrix per group element"
+    yield count, lambda: with_betas(gd, betas + [betas[0]])
+    yield count, lambda: with_betas(gd, betas[:-1])
+    yield "action matrix shape mismatch", lambda: with_betas(gd, betas[:-1] + [edited(betas[-1], widen)])
+    other = FiniteGroup([f"x{a}" for a in G.elements()], [list(row) for row in G.table])
+    yield "beta acts by another group than the action", lambda: replace(
+        gd, enveloping_action=global_action(other, T, betas)
+    )
+    idems = [T.one()] * g + [Element(T, (0,) * k)]
+    yield f"beta is not global: 1_{G.labels[g]} != 1_T", lambda: replace(
+        gd, enveloping_action=PartialAction(G, T, idems, betas)
+    )
+    for wrong in (edited(gd.embed.matrix, widen), gd.embed.matrix.transpose()):
+        shape = f"the embedding is {wrong.nrows} x {wrong.ncols}, not {k} x {n}"
+        if (wrong.nrows, wrong.ncols) != (k, n):
+            yield shape, lambda wrong=wrong: replace(gd, embed=replace(gd.embed, matrix=wrong))
+    yield f"the pull-down is {n} x {k + 1}, not {n} x {k}", lambda: replace(gd, down=edited(gd.down, widen))
+    coords = list(gd.one_s.coords) + [0]
+    yield f"1_S has {k + 1} coordinates, not {k}", lambda: replace(gd, one_s=Element(T, coords))
 
 
 @given(subset_classes_and_products())
@@ -311,11 +343,12 @@ def test_point_route_matches_the_matrix_route(act):
     assert _certified_on_points(gd)
     assert report_of(certify_globalization(gd)) == report_of(_certify_on_matrices(gd))
     for must_fail, bad in mutations(gd):
-        # a copy reads its enveloping action afresh
-        assert "enveloping_action" not in vars(bad)
         report = report_of(_certify_on_matrices(bad))
         assert report_of(certify_globalization(bad)) == report
         assert not must_fail or not all(passed for _, passed, _ in report)
+    for message, build in shape_mutations(gd):
+        with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 @pytest.fixture
@@ -483,71 +516,47 @@ def test_non_standard_carriers_take_the_matrix_routes_of_psi(psi_routes):
 
 
 # A standard carrier's enveloping action is built with its point set, so
-# neither the certificate of globalize nor the routes that follow read a
+# neither the certificate of globalize nor the routes that follow write a
 # beta matrix.
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "trivial-Z4"])
 def test_the_enveloping_action_is_read_once(name, monkeypatch):
     import pargal.envelope as envelope
-    import pargal.paction as paction
-    import pargal.quotient as quotient
+    from pargal.quotient import quotient_via_globalization
 
-    reads = []
-
-    def counted(read):
-        # a reader takes an action, a matrix or the rows of one
-        def wrapper(arg):
-            reads.append((read.__name__, arg.maps if isinstance(arg, paction.PartialAction) else [arg]))
-            return read(arg)
-
-        return wrapper
-
-    for reader in ("_read_points", "_row_sources", "_read_permutation"):
-        wrapper = counted(getattr(paction, reader))
-        for module in (paction, envelope, quotient):
-            if hasattr(module, reader):
-                monkeypatch.setattr(module, reader, wrapper)
+    built = []
+    build = envelope.globalize
+    monkeypatch.setattr(envelope, "globalize", lambda act: built.append(build(act)) or built[-1])
     act = standard_corpus(QQ)[name]
-    gd, other = globalize(act), globalize(relabel(act, list(range(act.algebra.rank))[::-1]))
+    gd, other = envelope.globalize(act), envelope.globalize(relabel(act, list(range(act.algebra.rank))[::-1]))
     for sub in all_subgroups(act.group):
         psi_report(gd, sub)
         fixed_ring(gd, sub)
+        quotient_via_globalization(act, sub)
     assert global_iso_check(gd, other).status == "iso"
-    betas = gd.beta + other.beta
-    assert not [read for read, read_off in reads if any(x is b or x is b.rows for x in read_off for b in betas)]
+    assert len(built) == 2 + len(all_subgroups(act.group))
+    assert [data.enveloping_action._maps for data in built] == [None] * len(built)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "trivial-Z4"])
 def test_one_beta_short_is_refused(name):
     gd = globalize(standard_corpus(QQ)[name])
-    short = replace(gd, beta=gd.beta[:-1])
-    full = subgroup_closure(gd.group, list(gd.group.elements()))
-    for call in (lambda: global_iso_check(short, gd), lambda: psi_h(short, full), lambda: fixed_ring(short, full)):
-        with pytest.raises(AlgebraError):
-            call()
+    with pytest.raises(AlgebraError, match="^need one idempotent and one matrix per group element$"):
+        with_betas(gd, list(gd.beta)[:-1])
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["k+1", "k-1"])
 @pytest.mark.parametrize("carrier", ["standard", "rebased"])
 def test_one_s_of_the_wrong_length_is_refused(carrier, extra, psi_routes):
-    from pargal.envelope import _shape_failure
-
     act = example1()
     if carrier == "rebased":
         act = rebased(act, Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], 3))
     gd = globalize(act)
     k = gd.algebra.rank
     coords = list(gd.one_s.coords) + [0] if extra > 0 else list(gd.one_s.coords)[:-1]
-    bad = replace(gd, one_s=Element(gd.algebra, coords))
-    assert _shape_failure(bad) == f"1_S has {k + extra} coordinates, not {k}"
-    refused = [lambda: global_iso_check(bad, gd), lambda: global_iso_check(gd, bad)]
-    for sub in all_subgroups(act.group):
-        for call in (subgroup_idempotents, psi_h, psi_report, fixed_ring):
-            refused.append(lambda call=call, sub=sub: call(bad, sub))
-    for call in refused:
-        with pytest.raises(AlgebraError, match=f"^1_S has {k + extra} coordinates, not {k}$"):
-            call()
+    with pytest.raises(AlgebraError, match=f"^1_S has {k + extra} coordinates, not {k}$"):
+        replace(gd, one_s=Element(gd.algebra, coords))
     # the well-shaped data takes the class route on the standard carrier and
     # the matrix route on the rebased one
     assert not psi_routes

@@ -151,7 +151,7 @@ def quotient_globalization_data(act, sub):
             raise AssertionError("T^H 1_S escaped S^{alpha_H} (bug trap)")
         down_rows.append(c)
     down_q = Matrix(ring, [list(r) for r in zip(*down_rows)], TH.rank)
-    return GlobalizationData(qa.action, TH, beta_q, embed, one_s_q, down_q)
+    return GlobalizationData(qa.action, global_action(qa.action.group, TH, beta_q), embed, one_s_q, down_q)
 
 
 def test_quotient_globalization_is_enveloping():
