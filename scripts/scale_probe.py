@@ -12,7 +12,9 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
   and `globalize` on a fresh copy of the set on n/2 points;
 - for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
   ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
-  action file in a temporary directory; the report is discarded.
+  action file in a temporary directory; the report is discarded;
+- at n = 64 (`POINT_RUNG`), `cli.run` of `product --json` of the set on all
+  n points with itself, and of `idempotent --json` on it, read the same way.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -61,24 +63,36 @@ def class_rungs(n):
     yield "globalize", least_seconds(lambda: regular_restriction(QQ, n, range(n // 2)), globalize)
 
 
+def run_cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(argv)
+
+
 def cli_rungs(n, workdir):
     """(op, seconds) of `pargal psi` and `pargal quotient` at H = <g2> on
     Z_n on n/2 points."""
     path = os.path.join(workdir, f"z{n}.json")
     save_action(regular_restriction(QQ, n, range(n // 2)), path)
-
-    def run(argv):
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli.run(argv)
-
     for command in ("psi", "quotient"):
-        yield f"cli {command}", least_seconds(lambda: [command, path, "--subgroup", "g2"], run)
+        yield f"cli {command}", least_seconds(lambda: [command, path, "--subgroup", "g2"], run_cli)
+
+
+POINT_RUNG = 64
+
+
+def point_rungs(n, workdir):
+    """(op, seconds) of `pargal product` of Z_n on n points with itself and
+    of `pargal idempotent` on it, each with ``--json``."""
+    path = os.path.join(workdir, f"z{n}-all.json")
+    save_action(regular_restriction(QQ, n, range(n)), path)
+    yield "cli product", least_seconds(lambda: ["product", path, path, "--json"], run_cli)
+    yield "cli idempotent", least_seconds(lambda: ["idempotent", path, "--json"], run_cli)
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square and globalize rungs")
-    parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the CLI rungs")
+    parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the psi and quotient rungs")
     args = parser.parse_args(argv)
     timed = []
     for n in args.n:
@@ -86,6 +100,7 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for n in args.cli:
             timed += [(op, n, s) for op, s in cli_rungs(n, workdir)]
+        timed += [(op, POINT_RUNG, s) for op, s in point_rungs(POINT_RUNG, workdir)]
     rungs, last = [], {}
     for op, n, seconds in timed:
         exponent = None

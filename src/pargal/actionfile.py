@@ -226,6 +226,12 @@ def action_to_document(act: PartialAction) -> dict:
 
 
 def save_action(act: PartialAction, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(action_to_document(act), fh, indent=1)
-        fh.write("\n")
+    """Write the canonical document of ``act``; raises ActionFileError with
+    the path when it cannot be written."""
+    doc = action_to_document(act)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise ActionFileError(path, str(exc)) from None

@@ -34,17 +34,23 @@ class AlgebraError(ValueError):
 class Algebra:
     """Commutative unital algebra of finite rank over an exact base ring."""
 
-    __slots__ = ("ring", "labels", "rank", "unit", "table", "_hash", "_split")
+    __slots__ = ("ring", "_labels", "rank", "unit", "table", "_hash", "_split")
 
     def __init__(self, ring: BaseRing, labels, table, unit, validate: bool = True):
         """table maps (i, j) to a sparse row: tuple of (k, c_ijk) with c != 0.
 
         Accepts either the sparse dict form or a dense rank^3 nested list.
+        ``labels`` is the list of basis labels, or a function of no
+        arguments that returns it (:func:`deferred_labels`), called on the
+        first read of :attr:`labels`; the rank is then the length of
+        ``unit``.
         """
         self.ring = ring
-        self.labels = list(labels)
-        self.rank = len(self.labels)
-        n = self.rank
+        self.unit = tuple(ring.coerce(u) for u in unit)
+        self._labels = labels if callable(labels) else list(labels)
+        n = self.rank = len(self.unit) if callable(labels) else len(self._labels)
+        if len(self.unit) != n:
+            raise AlgebraError(f"unit vector has length {len(self.unit)}, rank is {n}")
         if isinstance(table, dict):
             tab = [[()] * n for _ in range(n)]
             for (i, j), entries in table.items():
@@ -56,9 +62,6 @@ class Algebra:
                 for i in range(n)
             ]
         self.table = tab
-        self.unit = tuple(ring.coerce(u) for u in unit)
-        if len(self.unit) != n:
-            raise AlgebraError(f"unit vector has length {len(self.unit)}, rank is {n}")
         self._hash = None
         self._split = None
         if validate:
@@ -67,10 +70,11 @@ class Algebra:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def split(cls, ring: BaseRing, labels) -> "Algebra":
-        """The split algebra R^n with componentwise product.  The diagonal
-        is written into the empty table, with no sort or coerce of entries."""
-        out = cls(ring, labels, {}, [1] * len(labels), validate=False)
+    def split(cls, ring: BaseRing, labels, rank: int | None = None) -> "Algebra":
+        """The split algebra R^n with componentwise product, n = ``rank``,
+        which deferred ``labels`` need.  The diagonal is written into the
+        empty table, with no sort or coerce of entries."""
+        out = cls(ring, labels, {}, [1] * (len(labels) if rank is None else rank), validate=False)
         for i, one in enumerate(out.unit):
             out.table[i][i] = ((i, one),)
         return out
@@ -191,6 +195,13 @@ class Algebra:
 
     # -- formatting / identity -----------------------------------------------
 
+    @property
+    def labels(self) -> list:
+        """The basis labels, written on first read when they were deferred."""
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
+
     def format_coords(self, coords) -> str:
         return format_coords(self.labels, coords)
 
@@ -211,6 +222,43 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.ring}, rank {self.rank}, basis {self.labels})"
+
+
+class _DeferredLabels:
+    """Basis labels written on the first call: ``write`` applied to the
+    label lists of ``sources``, each a list or deferred labels itself.  The
+    deferred sources are written first, deepest first with an explicit
+    stack, so a long chain of products is read with no recursion; once
+    written, a node keeps only its list, so it holds no algebra alive."""
+
+    __slots__ = ("write", "sources", "value")
+
+    def __init__(self, write, sources):
+        self.write, self.sources, self.value = write, sources, None
+
+    def __call__(self) -> list:
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if node.value is not None:
+                stack.pop()
+                continue
+            waiting = [s for s in node.sources if isinstance(s, _DeferredLabels) and s.value is None]
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            node.value = node.write(*(s.value if isinstance(s, _DeferredLabels) else s for s in node.sources))
+            node.write = node.sources = None
+        return self.value
+
+
+def deferred_labels(write, *sources):
+    """The basis labels of an :class:`Algebra` that ``write(*names)``
+    returns when they are first read, ``names`` the labels of ``sources``
+    (algebras or deferred labels).  Only the labels of an algebra source
+    are held, not the algebra."""
+    return _DeferredLabels(write, tuple(s._labels if isinstance(s, Algebra) else s for s in sources))
 
 
 def format_coords(labels, coords) -> str:
@@ -588,9 +636,10 @@ class TensorProduct:
         return Element(self.algebra, self.pair_coords(list(x.coords), list(y.coords)))
 
 
-def tensor_labels(a: Algebra, b: Algebra) -> list:
-    """The labels of the basis b_i (x) b'_j of a (x) b, index i |b| + j."""
-    return [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
+def tensor_labels(a: list, b: list) -> list:
+    """The labels of the basis b_i (x) b'_j of a (x) b, index i |b| + j,
+    from the labels ``a`` and ``b`` of the factors."""
+    return [f"{la}(x){lb}" for la in a for lb in b]
 
 
 def tensor(a: Algebra, b: Algebra) -> TensorProduct:
@@ -599,7 +648,7 @@ def tensor(a: Algebra, b: Algebra) -> TensorProduct:
         raise AlgebraError("tensor factors over different base rings")
     ring = a.ring
     rb = b.rank
-    labels = tensor_labels(a, b)
+    labels = tensor_labels(a.labels, b.labels)
     table = {}
     for i in range(a.rank):
         for j in range(a.rank):

@@ -272,7 +272,7 @@ def cmd_product(args, report):
     report.data["coset idempotents"] = {
         prod.group.labels[g]: _fmt(alg, prod.action.idems[g].coords) for g in prod.group.elements()
     }
-    report.data["domain ranks"] = [prod.action.ideal(g).rank for g in prod.group.elements()]
+    report.data["domain ranks"] = prod.action.ideal_ranks()
     report.data["maps"] = {
         prod.group.labels[g]: _matrix_rows(prod.action.maps[g]) for g in prod.group.elements()
     }
@@ -297,7 +297,7 @@ def cmd_idempotent(args, report):
     report.check("E(S,alpha) iso to [alpha]*[alpha*]", res.status == "iso")
     alg = e.action.algebra
     report.data["rank"] = alg.rank
-    report.data["ideal ranks"] = [e.action.ideal(g).rank for g in e.group.elements()]
+    report.data["ideal ranks"] = e.action.ideal_ranks()
     _save(args, report, e.action)
 
 

@@ -34,6 +34,7 @@ from .algebra import (
     Element,
     SubAlgebra,
     algebra_on_module,
+    deferred_labels,
 )
 from .groups import Subgroup
 from .paction import (
@@ -143,15 +144,16 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     class of (gh^-1, y), and e_x embeds as the class of (1, x).  The pi_h
     are built once, as the global action of G on the classes
     (:func:`~pargal.paction._action_on_points`), which is the data's
-    enveloping action; no beta matrix is written.
+    enveloping action; no beta matrix is written, and the labels of T, the
+    sums of the point labels g:<label> of each class, are written on first
+    read.
     """
     G = act.group
     S = act.algebra
     ring = S.ring
     n = S.rank
-    point_labels = [f"{g}:{lab}" for g in G.labels for lab in S.labels]
     # cls[g n + y] is the class of (g, y); least[j] the least point of class j
-    cls, least, labels = [None] * (G.order * n), [], []
+    cls, least, classes = [None] * (G.order * n), [], []
     for g in G.elements():
         for y in range(n):
             if cls[g * n + y] is None:
@@ -159,9 +161,16 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
                 for p in members:
                     cls[p] = len(least)
                 least.append(g * n + y)
-                labels.append(" + ".join(point_labels[p] for p in members))
+                classes.append(members)
+
+    group_labels = G.labels
+
+    def write(labels):
+        names = [f"{g}:{lab}" for g in group_labels for lab in labels]
+        return [" + ".join(names[p] for p in members) for members in classes]
+
     pis = [[cls[G.mul(p // n, G.inv(h)) * n + p % n] for p in least] for h in G.elements()]
-    env = _action_on_points(G, ring, labels, pis)
+    env = _action_on_points(G, ring, deferred_labels(write, S), pis)
     T, k = env.algebra, len(least)
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]

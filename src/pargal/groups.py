@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 
 class GroupError(ValueError):
@@ -40,13 +41,18 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self._hash = self._square = self._abelian = None
         if validate:
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                            raise GroupError(
-                                f"table is not associative at ({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
-                            )
+            # row by row: (ab)c is row ab of the table, a(bc) row a read
+            # through row b (itemgetter of one index returns no tuple, and
+            # the one table of order 1 is associative)
+            table = self.table
+            through = [itemgetter(*row) for row in table] if n > 1 else [tuple]
+            for a, row in enumerate(table):
+                for b, ab in enumerate(row):
+                    if table[ab] != through[b](row):
+                        c = next(c for c in range(n) if table[ab][c] != row[table[b][c]])
+                        raise GroupError(
+                            f"table is not associative at ({self.labels[a]}, {self.labels[b]}, {self.labels[c]})"
+                        )
 
     @property
     def order(self) -> int:
@@ -137,12 +143,14 @@ class Subgroup:
         mset = set(members)
         if len(mset) != len(members):
             raise GroupError("subgroup members repeat")
+        # row a of the table at the members; the identity first, so that
+        # itemgetter returns a tuple even for the trivial subgroup
+        products = itemgetter(members[0], *members)
         for a in members:
             if self.parent.inv(a) not in mset:
                 raise GroupError("subgroup not closed under inverses")
-            for b in members:
-                if self.parent.mul(a, b) not in mset:
-                    raise GroupError("subgroup not closed under products")
+            if not mset.issuperset(products(self.parent.table[a])):
+                raise GroupError("subgroup not closed under products")
         object.__setattr__(self, "members", members)
 
     @property

@@ -18,6 +18,7 @@ from .algebra import (
     AlgebraError,
     ProductAlgebra,
     SubAlgebra,
+    deferred_labels,
     format_coords,
     product_over_ideals,
     tensor_labels,
@@ -173,12 +174,11 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     ny = b.algebra.rank
 
     def move(l, t, p):
-        x, y = divmod(p, ny)
-        u, v = map_a[l][x], map_b[t][y]
+        u, v = map_a[l][p // ny], map_b[t][p % ny]
         return None if u is None or v is None else u * ny + v
 
-    labels = tensor_labels(a.algebra, b.algebra)
-    return _delta_quotient(a.group, a.algebra.ring, len(labels), move, labels)
+    point_labels = deferred_labels(tensor_labels, a.algebra, b.algebra)
+    return _delta_quotient(a.group, a.algebra.ring, a.algebra.rank * ny, move, point_labels)
 
 
 def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
@@ -198,23 +198,29 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     if maps is None:
         return None
     G, A = act.group, act.algebra
-    index, points, labels = {}, [], []
+    index, points = {}, []
     for g in G.elements():
         for i, c in enumerate(act.idems[g].coords):
             if c == 1:
                 index[g, i] = len(points)
                 points.append((g, i))
-                labels.append(f"[{G.labels[g]}]{A.labels[i]}")
+
+    group_labels = G.labels
+
+    def write(names):
+        return [f"[{group_labels[g]}]{names[i]}" for g, i in points]
+
+    table = G.table
 
     def move(l, t, p):
         g, i = points[p]
-        tg = G.mul(t, g)
+        tg = table[t][g]
         j = maps[l][i]
         if j is None or (tg, i) not in index:
             return None
-        return index.get((G.mul(l, tg), j))
+        return index.get((table[l][tg], j))
 
-    return _delta_quotient(G, A.ring, len(points), move, labels)
+    return _delta_quotient(G, A.ring, len(points), move, deferred_labels(write, A))
 
 
 def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> PartialAction:
@@ -226,7 +232,9 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     ``move(l, t, p)`` is the image of point p under (l, t), or None off its
     domain.  The components of delta G = {(g, g^-1)} are the basis of the
     invariants, ordered by least point and labelled by their indicator
-    vectors, as the kernel of the matrix route presents them.  The coset of
+    vectors, as the kernel of the matrix route presents them; those sums of
+    the point labels ``point_labels`` (:func:`~pargal.algebra.deferred_labels`)
+    are written on the first read of the carrier's labels.  The coset of
     (g, 1) sends a component to the component of (gs, s^-1) p for the first
     s whose domain holds its least point p; 1_g marks the components where
     the coset of (g^-1, 1) is defined.  The result keeps its point set
@@ -257,28 +265,31 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     """
     if not G.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    elements = list(G.elements())
-    inverse = [G.inv(s) for s in elements]
+    pairs = list(enumerate(G.inverse))  # (s, s^-1)
     comp = [None] * npoints
     points = []  # the points of each component, ascending
     for p in range(npoints):
         if comp[p] is None:
-            orbit = sorted({q for s in elements if (q := move(s, inverse[s], p)) is not None})
+            orbit = sorted({q for s, t in pairs if (q := move(s, t, p)) is not None})
             for q in orbit:
                 comp[q] = len(points)
             points.append(orbit)
-    labels = [format_coords([point_labels[p] for p in pts], [1] * len(pts)) for pts in points]
+
+    def write(names):
+        return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
+
+    least = [pts[0] for pts in points]
     images = []
-    for g in elements:
+    for row in G.table:
         image = [None] * len(points)
-        for k, pts in enumerate(points):
-            for s in elements:
-                q = move(G.mul(g, s), inverse[s], pts[0])
+        for k, p in enumerate(least):
+            for s, t in pairs:
+                q = move(row[s], t, p)
                 if q is not None:
                     image[k] = comp[q]
                     break
         images.append(image)
-    return _action_on_points(G, ring, labels, images)
+    return _action_on_points(G, ring, deferred_labels(write, point_labels), images)
 
 
 def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:

@@ -23,7 +23,9 @@ from .algebra import (
     SubAlgebra,
     ProductAlgebra,
     TensorProduct,
+    deferred_labels,
     find_split_presentation,
+    format_coords,
     product_over_ideals,
     subalgebra_from_constraints,
     tensor,
@@ -75,6 +77,14 @@ class PartialAction:
 
     def ideal(self, g: int):
         return unital_ideal(self.algebra, self.idems[g])
+
+    def ideal_ranks(self) -> list:
+        """The rank of each ideal S_g: on a certified point set
+        (:func:`_point_set`) the number of points of D_g, the support of
+        1_g; else the rank of :meth:`ideal`, r products and a row reduction."""
+        if _point_set(self) is not None:
+            return [e.coords.count(1) for e in self.idems]
+        return [self.ideal(g).rank for g in self.group.elements()]
 
     def __eq__(self, other):
         return (
@@ -262,7 +272,8 @@ def _read_points(act: PartialAction) -> list | None:
 
 def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     """The partial action of ``group`` on R^X, :meth:`Algebra.split` on
-    ``labels``, by the partial maps a_g = ``maps[g]`` of the points X
+    ``labels`` (a list, or deferred: see :class:`Algebra`), by the partial
+    maps a_g = ``maps[g]`` of the points X
     (maps[g][i] = j, None off the domain of a_g): 1_g is the indicator of
     the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
 
@@ -272,7 +283,7 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     first read (:func:`_on_points`); else None, and the M_g are written at
     once.  The certificate fails on a map that is not injective.
     """
-    algebra = Algebra.split(ring, labels)
+    algebra = Algebra.split(ring, labels, len(maps[0]))
     domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
     idems = [Element(algebra, tuple(int(d) for d in dom)) for dom in domains]
     if _points_certified(group, maps, domains):
@@ -406,15 +417,16 @@ def invariants(act: PartialAction) -> SubAlgebra:
     constraints that any other carrier solves, and they multiply as
     orthogonal idempotents summing to the unit.  So the invariants are
     :meth:`Algebra.split` on the labels that
-    :func:`~pargal.algebra.algebra_on_module` gives these rows, with no row
-    reduction or solve, and their linear system is factored on first use."""
+    :func:`~pargal.algebra.algebra_on_module` gives these rows, written on
+    first read, with no row reduction or solve, and their linear system is
+    factored on first use."""
     A = act.algebra
     ring = A.ring
     points = _point_set(act)
     if points is not None:
         rows = [[int(y in c) for y in range(A.rank)] for c in map(set, _components(points))]
         basis = Matrix(ring, rows, A.rank)
-        fixed = Algebra.split(ring, [A.format_coords(row) for row in rows])
+        fixed = Algebra.split(ring, deferred_labels(lambda names: [format_coords(names, row) for row in rows], A), len(rows))
         return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
     rows = []
     for g in act.group.elements():

@@ -522,3 +522,40 @@ def test_invariants_of_the_empty_subgroup_are_those_of_the_trivial_one(capsys):
         reports.append(json.loads(capsys.readouterr().out))
     assert reports[0]["data"] == reports[1]["data"]
     assert reports[0]["data"]["rank"] == 3
+
+
+# every command that takes --out: (command, fixtures, other arguments)
+OUT_COMMANDS = [
+    ("restrict", ["ex1"], ["--subgroup", "g2"]),
+    ("tensor", ["ex1", "ex2"], []),
+    ("product", ["ex1", "ex1"], []),
+    ("inverse", ["ex1"], []),
+    ("idempotent", ["ex1"], []),
+    ("compose", ["trivial-Z2", "trivial-Z2"], []),
+]
+
+
+@pytest.mark.parametrize("command, names, extra", OUT_COMMANDS, ids=[c[0] for c in OUT_COMMANDS])
+@pytest.mark.parametrize("target", ["missing directory", "a directory"])
+def test_an_unwritable_out_path_exits_2_with_its_location(command, names, extra, target, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.json" if target == "missing directory" else tmp_path
+    assert run_cli(command, *map(fixture, names), *extra, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"pargal {command}: {out}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["product", "ex1", "ex2"], ["idempotent", "ex1"]], ids=lambda argv: argv[0])
+def test_rank_lines_of_a_point_set_build_no_ideal(argv, monkeypatch, capsys):
+    # |D_g| is read off the certified point set, with no unital_ideal
+    import pargal.paction as paction
+
+    def refused(*args):
+        raise AssertionError("unital_ideal was called")
+
+    monkeypatch.setattr(paction, "unital_ideal", refused)
+    command, *names = argv
+    assert run_cli(command, *map(fixture, names), "--json") == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["domain ranks" if command == "product" else "ideal ranks"]

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from pargal.groups import (
     FiniteGroup,
@@ -175,3 +177,98 @@ def test_all_subgroups_of_z48_are_its_ten_cyclic_subgroups():
     subs = all_subgroups(make_cyclic(48))
     assert [sub.order for sub in subs] == [1, 2, 3, 4, 6, 8, 12, 16, 24, 48]
     assert all(sub.members == subgroup_closure(sub.parent, [48 // sub.order % 48]).members for sub in subs)
+
+
+# The row-wise checks of FiniteGroup and Subgroup against the scalar loops
+# that they replaced, kept here as oracles, on valid and perturbed tables
+# and member sets.
+
+
+def scalar_associativity_failure(labels, table):
+    """The message of the first (a, b, c) with (ab)c != a(bc), or None."""
+    n = len(labels)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return f"table is not associative at ({labels[a]}, {labels[b]}, {labels[c]})"
+    return None
+
+
+def pairwise_closure_failure(parent, members):
+    """The message of Subgroup's checks, closure read pair by pair, or None."""
+    members = tuple(members)
+    if not members or members[0] != parent.identity:
+        return "subgroup members must start with the identity"
+    mset = set(members)
+    if len(mset) != len(members):
+        return "subgroup members repeat"
+    for a in members:
+        if parent.inv(a) not in mset:
+            return "subgroup not closed under inverses"
+        for b in members:
+            if parent.mul(a, b) not in mset:
+                return "subgroup not closed under products"
+    return None
+
+
+ORACLE_GROUPS = [make_cyclic(n) for n in (1, 2, 3, 5, 6, 8)] + [
+    make_product([make_cyclic(2), make_cyclic(4)]),
+    make_product([make_cyclic(2)] * 2),
+    s3(),
+]
+
+
+def raised(build):
+    try:
+        build()
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_row_wise_associativity_check_matches_the_scalar_loop(group, data):
+    table = [list(row) for row in group.table]
+    n = group.order
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if data.draw(st.booleans()):
+            c = data.draw(st.integers(0, n - 1))
+            table[a][b], table[a][c] = table[a][c], table[a][b]
+        else:
+            table[a][b] = data.draw(st.integers(0, n - 1))
+    before = raised(lambda: FiniteGroup(group.labels, table, validate=False))
+    expected = before or scalar_associativity_failure(group.labels, table)
+    assert raised(lambda: FiniteGroup(group.labels, table)) == expected
+
+
+def test_the_row_wise_associativity_check_names_the_first_triple():
+    # Z5 with g g and g g2 swapped in row g, then in column g: the identity
+    # and the inverses survive, and the first triple that fails has c = g2
+    g = make_cyclic(5)
+    table = [list(row) for row in g.table]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    table[1][1], table[2][1] = table[2][1], table[1][1]
+    FiniteGroup(g.labels, table, validate=False)
+    message = scalar_associativity_failure(g.labels, table)
+    assert message == "table is not associative at (g, g, g2)"
+    with pytest.raises(GroupError) as exc:
+        FiniteGroup(g.labels, table)
+    assert str(exc.value) == message
+
+
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_row_wise_closure_check_matches_the_pairwise_loop(group, data):
+    n = group.order
+    subs = all_subgroups(group)
+    members = list(data.draw(st.sampled_from(subs)).members)
+    for _ in range(data.draw(st.integers(0, 2))):
+        x = data.draw(st.integers(0, n - 1))
+        if x in members and data.draw(st.booleans()):
+            members.remove(x)
+        else:
+            members.insert(data.draw(st.integers(0, len(members))), x)
+    assert raised(lambda: Subgroup(group, tuple(members))) == pairwise_closure_failure(group, members)

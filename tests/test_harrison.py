@@ -975,7 +975,8 @@ def union_find_quotient(G, ring, npoints, move, point_labels):
     points = [[] for _ in least]
     for p, k in enumerate(comp):
         points[k].append(p)
-    labels = [format_coords([point_labels[p] for p in pts], [1] * len(pts)) for pts in points]
+    names = point_labels()
+    labels = [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
     carrier = Algebra.split(ring, labels)
     r = carrier.rank
     images = []
@@ -1272,3 +1273,225 @@ def test_matrix_route_builds_both_certificates_once(certificate_calls):
     assert certificate_calls == ["invariants", "galois_coordinates"]
     assert c.witness.verify() and c.fixed.algebra.rank == 1
     assert certificate_calls == ["invariants", "galois_coordinates"]
+
+
+# The carriers that the point builders make (products, idempotent classes,
+# the enveloping action and the invariants on points) defer their basis
+# labels to the first read of Algebra.labels.  The oracles are the label
+# code that wrote them at once: the point labels of the product and hat
+# sets, the component sums of _delta_quotient (union_find_quotient) and the
+# class sums of the enveloping set.
+
+
+def eager_tensor_labels(a, b):
+    """The point labels of X x Y, as _gset_product wrote them."""
+    return [f"{la}(x){lb}" for la in a.algebra.labels for lb in b.algebra.labels]
+
+
+def eager_hat_labels(act):
+    """The point labels [g]<label of e_i>, i in D_g, as _hat_gset_quotient
+    wrote them."""
+    G, A = act.group, act.algebra
+    return [
+        f"[{G.labels[g]}]{A.labels[i]}" for g in G.elements() for i, c in enumerate(act.idems[g].coords) if c == 1
+    ]
+
+
+def eager_envelope_labels(act):
+    """The class sums of G x X / ~, as _globalize_points wrote them."""
+    from pargal.paction import _point_set
+
+    maps, G, S = _point_set(act), act.group, act.algebra
+    n = S.rank
+    point_labels = [f"{g}:{lab}" for g in G.labels for lab in S.labels]
+    cls_of, labels = [None] * (G.order * n), []
+    for g in G.elements():
+        for y in range(n):
+            if cls_of[g * n + y] is None:
+                members = sorted(G.mul(k, g) * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
+                for p in members:
+                    cls_of[p] = len(labels)
+                labels.append(" + ".join(point_labels[p] for p in members))
+    return labels
+
+
+def recorded_delta_quotients(calls):
+    """harrison._delta_quotient, each call's arguments and result going to
+    ``calls``."""
+    import pargal.harrison as harrison
+
+    build = harrison._delta_quotient
+
+    def recorded(*args):
+        out = build(*args)
+        calls.append((args, out))
+        return out
+
+    return mock.patch.object(harrison, "_delta_quotient", recorded)
+
+
+def deferred(algebra) -> bool:
+    return callable(algebra._labels)
+
+
+@given(subset_class_pairs())
+@settings(max_examples=80, deadline=None)
+def test_deferred_labels_match_the_eager_oracle(pair):
+    import copy
+
+    from pargal.envelope import globalize
+
+    a, b = pair
+    calls = []
+    with recorded_delta_quotients(calls):
+        product = harrison_product(a, b)
+        square = harrison_product(product, product)
+        with_star = harrison_product(product, product.star())
+        idem = idempotent_class(a.action)
+    operands = [(a.action, b.action), (product.action,) * 2, (product.action, product.star().action), a.action]
+    assert [out for _, out in calls] == [c.action for c in (product, square, with_star, idem)]
+    gd = globalize(product.action)
+    # one component per point, so each invariant is labelled by one point
+    fixed = invariants(restrict(product.action, Subgroup(product.group, (product.group.identity,))))
+    built = [out.algebra for _, out in calls] + [gd.algebra, fixed.algebra]
+    assert all(deferred(alg) for alg in built)
+    # copies taken before the first read
+    twins = [copy.deepcopy(alg) for alg in built]
+    assert all(deferred(alg) for alg in twins)
+    wanted = []
+    for (args, out), ops in zip(calls, operands):
+        names = eager_tensor_labels(*ops) if isinstance(ops, tuple) else eager_hat_labels(ops)
+        wanted.append(union_find_quotient(*args[:4], lambda names=names: names).algebra.labels)
+    wanted.append(eager_envelope_labels(product.action))
+    rows = fixed.basis.rows
+    wanted.append([product.action.algebra.format_coords(row) for row in rows])
+    for alg, twin, want in zip(built, twins, wanted):
+        eager = Algebra(alg.ring, want, {(i, j): e for i, r in enumerate(alg.table) for j, e in enumerate(r) if e}, alg.unit)
+        # hash and == read the deferred labels, on either side
+        assert hash(twin) == hash(eager)
+        assert copy.deepcopy(alg) == eager and eager == copy.deepcopy(alg)
+        assert alg.labels == want and twin.labels == want
+        assert alg == eager and not deferred(alg)
+        assert repr(alg) == repr(eager)
+
+
+@given(subset_class_pairs())
+@settings(max_examples=30, deadline=None)
+def test_class_arithmetic_leaves_the_labels_deferred(pair):
+    import pargal.harrison as harrison
+
+    a, b = pair
+    made = []
+    build = harrison.harrison_product
+
+    def recorded(x, y):
+        made.append(build(x, y))
+        return made[-1]
+
+    with mock.patch.object(harrison, "harrison_product", recorded):
+        product = harrison.harrison_product(a, b)
+        square = harrison.harrison_product(product, product)
+        idem = idempotent_class(a.action)
+        classes = [a, b, product, square, idem, product.star()]
+        for c in classes:
+            cls(c.action)
+            c.key
+        for x in classes:
+            for y in classes:
+                iso_check(x.action, y.action)
+        star_product_suite(classes[:4])
+    assert len(made) > 2
+    assert all(deferred(c.action.algebra) for c in [*made, idem])
+
+
+# PartialAction.ideal_ranks reads |D_g| off a certified point set; the
+# unital ideals of every other carrier, a row reduction each, are the oracle.
+
+
+def unital_ideal_ranks(act):
+    return [act.ideal(g).rank for g in act.group.elements()]
+
+
+@given(subset_class_pairs())
+@settings(max_examples=60, deadline=None)
+def test_ideal_ranks_on_points_match_the_unital_ideals(pair):
+    from pargal.paction import _point_set
+
+    a, b = pair
+    product = harrison_product(a, b)
+    on_points = [a.action, b.action, product.action, idempotent_class(a.action).action]
+    assert all(_point_set(act) is not None for act in on_points)
+    for act in on_points:
+        assert act.ideal_ranks() == unital_ideal_ranks(act)
+
+
+def test_ideal_ranks_off_points_are_the_unital_ideals():
+    from pargal.corpus import standard_corpus
+    from pargal.paction import _point_set
+    from test_paction import crt_glue, rebased
+
+    for ring in (QQ, Modular(2), Modular(6)):
+        for name, act in standard_corpus(ring).items():
+            if verify_partial_action(act).passed:
+                assert act.ideal_ranks() == unital_ideal_ranks(act), name
+    ex2 = example2()
+    r = ex2.algebra.rank
+    cols = Matrix(QQ, [[1 if j in (i, i + 1) else 0 for j in range(r)] for i in range(r)], r)
+    others = [rebased(ex2, cols)]
+    z6 = Modular(6)
+    for x, y in [({0, 1}, {0, 2}), ({0, 1, 2}, {0, 1, 3}), ({0, 1}, {0, 3})]:
+        others.append(crt_glue(subset_class(4, x, z6).action, subset_class(4, y, z6).action))
+    for act in others:
+        assert _point_set(act) is None
+        assert act.ideal_ranks() == unital_ideal_ranks(act)
+    assert others[0].ideal_ranks() == ex2.ideal_ranks()
+
+
+def test_a_long_chain_of_products_reads_its_labels_with_no_recursion():
+    # each product's labels read those of its operands; a chain of 1200 is
+    # read at its end as if it had been read at each step
+    c = subset_class(2, [0])
+    lazy = read = c
+    for _ in range(1200):
+        lazy = harrison_product(lazy, c)
+        read = harrison_product(read, c)
+        read.action.algebra.labels
+    assert deferred(lazy.action.algebra)
+    assert lazy.action.algebra.labels == read.action.algebra.labels == ["(x)".join(["x0"] * 1201)]
+
+
+def held_by_labels(algebra):
+    """What the deferred labels of ``algebra`` hold until they are read: the
+    cells of each write function and the sources, through nested deferred
+    labels."""
+    todo, held = [algebra._labels], []
+    while todo:
+        node = todo.pop()
+        held += [c.cell_contents for c in node.write.__closure__ or ()] + list(node.sources)
+        todo += [obj for obj in node.sources if callable(obj)]
+    return held
+
+
+@given(subset_class_pairs())
+@settings(max_examples=30, deadline=None)
+def test_deferred_labels_hold_no_algebra(pair):
+    # an unread chain of products frees its operands' tables: the deferred
+    # labels keep only label lists, points and group labels
+    from pargal.envelope import globalize
+    from pargal.groups import FiniteGroup
+
+    a, b = pair
+    product = harrison_product(a, b)
+    square = harrison_product(product, product)
+    built = [
+        product.action.algebra,
+        square.action.algebra,
+        idempotent_class(square.action).action.algebra,
+        globalize(square.action).algebra,
+        invariants(square.action).algebra,
+    ]
+    for alg in built:
+        held = held_by_labels(alg)
+        assert held and not any(isinstance(obj, (Algebra, PartialAction, ExtensionClass, FiniteGroup)) for obj in held)
+    labels = square.action.algebra.labels
+    assert square.action.algebra._labels is labels and isinstance(labels, list)
