@@ -9,7 +9,9 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
 
 - for each positional n, `ExtensionClass.certify` on a fresh copy of the
   set on all n points, `harrison_product(c, c)` on the certified class,
-  and `globalize` on a fresh copy of the set on n/2 points;
+  `globalize` on a fresh copy of the set on n/2 points, and
+  `canonical_key` of a fresh certified copy of the set on all n points and
+  `iso_check` of one against a copy translated by 1;
 - for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
   ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
   action file in a temporary directory; the report is discarded;
@@ -38,6 +40,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from pargal import QQ, ExtensionClass, cli, globalize, harrison_product  # noqa: E402
 from pargal.actionfile import save_action  # noqa: E402
+from pargal.paction import canonical_key, iso_check  # noqa: E402
 from gen import regular_restriction  # noqa: E402
 
 RUNS = 3
@@ -54,13 +57,24 @@ def least_seconds(make, run) -> float:
     return best
 
 
+def certified(n, shift=0):
+    """The regular Z_n-set on all n points translated by ``shift``, certified
+    (so that its point set is read) but with no key or split data yet."""
+    act = regular_restriction(QQ, n, range(n), shift)
+    ExtensionClass.certify(act)
+    return act
+
+
 def class_rungs(n):
-    """(op, seconds) of certify and square on the regular Z_n class, and of
-    globalize on Z_n on n/2 points."""
+    """(op, seconds) of certify and square on the regular Z_n class, of
+    globalize on Z_n on n/2 points, and of the key of the class and its iso
+    with a translated copy."""
     cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
     yield "certify", least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
     yield "square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
     yield "globalize", least_seconds(lambda: regular_restriction(QQ, n, range(n // 2)), globalize)
+    yield "key", least_seconds(lambda: certified(n), canonical_key)
+    yield "iso", least_seconds(lambda: (certified(n), certified(n, 1)), lambda pair: iso_check(*pair))
 
 
 def run_cli(argv):
@@ -91,7 +105,7 @@ def point_rungs(n, workdir):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square and globalize rungs")
+    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key and iso rungs")
     parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the psi and quotient rungs")
     args = parser.parse_args(argv)
     timed = []

@@ -279,14 +279,14 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
 
     The point set is kept on the action as :func:`_read_points` reads it off
     these matrices: the maps when they form a partial G-set, one component
-    at a time (:func:`_points_certified`), and the M_g are then written on
+    at a time (:func:`_points_certified`, with no check of the domains,
+    which are read off the maps), and the M_g are then written on
     first read (:func:`_on_points`); else None, and the M_g are written at
     once.  The certificate fails on a map that is not injective.
     """
     algebra = Algebra.split(ring, labels, len(maps[0]))
-    domains = [[j is not None for j in maps[group.inv(g)]] for g in group.elements()]
-    idems = [Element(algebra, tuple(int(d) for d in dom)) for dom in domains]
-    if _points_certified(group, maps, domains):
+    idems = [Element(algebra, tuple(int(j is not None) for j in maps[gi])) for gi in group.inverse]
+    if _points_certified(group, maps):
         return _on_points(group, algebra, idems, maps)
     act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
     act._points = (None,)
@@ -313,11 +313,12 @@ def _point_matrix(ring, image) -> Matrix:
     return Matrix(ring, rows, k)
 
 
-def _points_certified(group: FiniteGroup, maps, domains) -> bool:
+def _points_certified(group: FiniteGroup, maps, domains=None) -> bool:
     """Whether the partial maps a_g = ``maps[g]`` and the domains D_g =
-    ``domains[g]`` form a partial G-set (Exel; Kellendonk-Lawson): a_1 = id,
-    and a_g a_h(j) = a_gh(j) when a_gh(j) lies in D_g, undefined otherwise,
-    which is the identity M_g M_h = E_g M_gh of (P4) read on points.
+    ``domains[g]`` (by default the domain of a_(g^-1)) form a partial G-set
+    (Exel; Kellendonk-Lawson): a_1 = id, and a_g a_h(j) = a_gh(j) when
+    a_gh(j) lies in D_g, undefined otherwise, which is the identity M_g M_h
+    = E_g M_gh of (P4) read on points.
 
     On R^X with 0/1 data every other check of :func:`verify_partial_action`
     follows.  (P4) at (g, 1) puts the image of a_g in D_g.  At (g^-1, g)
@@ -330,8 +331,9 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     :func:`_verify_on_matrices` pass.
 
     Decided per component, in O(|G| r) on a free set, O(|G|^2 r) at most:
-    (1) a_1 = id; (2) D_g is the domain of a_(g^-1); (3) from each point x
-    not yet reached, phi(g) = a_g(x) on Dom_x = {g : a_g(x) defined}
+    (1) a_1 = id; (2) D_g is the domain of a_(g^-1), when ``domains`` are
+    given (:func:`_read_points`, :func:`_partial_gsets`); (3) from each point
+    x not yet reached, phi(g) = a_g(x) on Dom_x = {g : a_g(x) defined}
     reaches phi(Dom_x), and a_h(phi(g)) = phi(hg) for every h and every g
     in Dom_x, undefined when hg is not in Dom_x.  A partial G-set passes:
     it is the restriction of a G-set to X, with D_g the points of X in gX
@@ -348,7 +350,9 @@ def _points_certified(group: FiniteGroup, maps, domains) -> bool:
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
         return False
-    if any([j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)):
+    if domains is not None and any(
+        [j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)
+    ):
         return False
     reached = [False] * len(maps[group.identity])
     for x, done in enumerate(reached):
@@ -424,7 +428,7 @@ def invariants(act: PartialAction) -> SubAlgebra:
     ring = A.ring
     points = _point_set(act)
     if points is not None:
-        rows = [[int(y in c) for y in range(A.rank)] for c in map(set, _components(points))]
+        rows = [[int(y in c) for y in range(A.rank)] for c in _components(points)]
         basis = Matrix(ring, rows, A.rank)
         fixed = Algebra.split(ring, deferred_labels(lambda names: [format_coords(names, row) for row in rows], A), len(rows))
         return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
@@ -650,13 +654,15 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     sigma_t of b's split idempotents per CRT unit u_t of the base ring, an
     isomorphism of the partial G-sets of that unit (see :func:`_partial_gsets`),
     so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
-    components by the codes that :func:`canonical_key` compares, so the two
+    components by the rooted codes that :func:`canonical_key` compares, each
+    read in O(|G|) from one point (:func:`_component_from`), so the two
     agree by construction; the witness returned is the first in lexicographic
-    order of (sigma_0, sigma_1, ...).  On two standard carriers the witness
-    is built and checked on the point maps (:func:`_certified_witness`),
-    with no matrix product.  A "none" answer names its obstruction: the two
-    ranks, or the CRT unit and the size of the first component of ``a``
-    with no partner in ``b``.
+    order of (sigma_0, sigma_1, ...).  On two standard carriers whose units
+    all get one sigma, the witness is a permutation of the points, handed
+    to the trap as such and checked on the point maps
+    (:func:`_certified_witness`), with no matrix product.  A "none" answer
+    names its obstruction: the two ranks, or the CRT unit and the size of
+    the first component of ``a`` with no partner in ``b``.
     """
     return _match_iso(a, b)
 
@@ -665,8 +671,8 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     """:func:`iso_check`; with ``marked`` = (e, e'), idempotents of the two
     carriers, only witnesses with f(e) = e' count.  A point i of the partial
     G-set of unit u is then coloured by whether u p_i lies under e, and the
-    colour enters its code as one more map: the identity on the coloured
-    points."""
+    colours enter each rooted code as one bit per point
+    (:func:`_component_from`)."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -680,29 +686,31 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     ring = a.algebra.ring
     units = _base_ring_units(ring)
     if marked is None:
-        gsets_a, gsets_b = sa.gsets, sb.gsets
         kept_a, kept_b = sa.kept, sb.kept
+        colours_a = colours_b = [None] * len(units)
     else:
-        gsets_a = [maps + [_colour(ring, u, sa, marked[0])] for u, maps in zip(units, sa.gsets)]
-        gsets_b = [maps + [_colour(ring, u, sb, marked[1])] for u, maps in zip(units, sb.gsets)]
-        kept_a = [[None] * r for _ in gsets_a]
-        kept_b = [[None] * r for _ in gsets_b]
+        kept_a, kept_b = [[None] * r for _ in units], [[None] * r for _ in units]
+        colours_a = [_colour(ring, u, sa, marked[0]) for u in units]
+        colours_b = [_colour(ring, u, sb, marked[1]) for u in units]
     sigmas = []
-    for u, maps_a, maps_b, ka, kb in zip(units, gsets_a, gsets_b, kept_a, kept_b):
-        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb)
+    for u, maps_a, maps_b, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
+        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb)
         if sigma is None:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
+    pi = None
     if sa.idems is None and sb.idems is None:
         # p_i = e_(r-1-i) and q_j = e_(r-1-j), so f e_x = f(p_(r-1-x)) is
-        # sum_t unit_t * e_(r-1-sigma_t(r-1-x)): a permutation matrix when
-        # every unit gets the same sigma
+        # sum_t unit_t * e_(r-1-sigma_t(r-1-x)): when every unit gets the
+        # same sigma, the permutation matrix of pi(x) = r-1-sigma(r-1-x)
         rows = [[0] * r for _ in range(r)]
         for u, sigma in zip(units, sigmas):
             for x in range(r):
                 y = r - 1 - sigma[r - 1 - x]
                 rows[y][x] = ring.add(rows[y][x], u)
         fmat = Matrix(ring, rows, r)
+        if sigmas.count(sigmas[0]) == len(sigmas):
+            pi = [r - 1 - sigmas[0][r - 1 - x] for x in range(r)]
     else:
         # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
         idems_b = _split_basis(sb, ring, r)[0]
@@ -715,39 +723,40 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
                     col[s] = ring.add(col[s], ring.mul(u, q[s]))
             cols.append(col)
         fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(_split_basis(sa, ring, r)[1])
-    return IsoResult("iso", _certified_witness(a, b, fmat, marked))
+    return IsoResult("iso", _certified_witness(a, b, fmat, marked, pi))
 
 
 def _colour(ring, u, data, e):
-    """The identity on the points i with u p_i under the idempotent e, None
-    elsewhere."""
+    """Whether u p_i lies under the idempotent e, for each point i."""
     if data.to_coords is None:
         coeffs = e.coords[::-1]  # the coefficient of p_i = e_(r-1-i)
     else:
         coeffs = data.to_coords.matvec(list(e.coords))
-    return [i if ring.mul(u, x) == u else None for i, x in enumerate(coeffs)]
+    return [ring.mul(u, x) == u for x in coeffs]
 
 
-def _match_components(maps_a, maps_b, kept_a, kept_b):
-    """The lexicographically first bijection sigma of the points with
-    sigma(f_a(i)) = f_b(sigma(i)) for each pair of maps (both None off the
-    domains), as (sigma, None); or (None, k) when there is none, with k the
-    size of the first component of a that has no partner.  For the maps of
+def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a=None, colour_b=None):
+    """The lexicographically first bijection sigma of the points of two
+    partial G-sets with sigma(a_g(i)) = b_g(sigma(i)) for each g (both None
+    off the domains) and, when given, colour_b[sigma(i)] = colour_a[i], as
+    (sigma, None); or (None, k) when there is none, with k the size of the
+    first component of a that has no partner.  For the maps of
     :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
-    also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the
-    component of each point read from it (:func:`_component_from`).
+    also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the rooted
+    code of each point (:func:`_component_from`).
 
-    The image of one point fixes sigma on its component, and components with
-    equal codes are interchangeable.  So sending the least unmapped point of a
-    to the least unused point of b whose component, read from it, has the
-    same code always extends to a full isomorphism when one exists.
+    The image of one point fixes sigma on its component, and rooted codes
+    are equal exactly when such a sigma sends one root to the other.  So
+    sending the least unmapped point of a to the least unused point of b
+    with the same rooted code, pairing their components in first-reach
+    order, extends to a full isomorphism when one exists.
     """
     r = len(maps_a[0])
     sigma, used = [None] * r, [False] * r
     for i in range(r):
         if sigma[i] is None:
-            order, code = _component_from(maps_a, kept_a, i)
-            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k)[1] == code), None)
+            order, code = _component_from(maps_a, kept_a, i, colour_a)
+            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
             if k is None:
                 return None, len(order)
             for x, y in zip(order, kept_b[k][0]):
@@ -765,9 +774,9 @@ class _SplitData(NamedTuple):
     idems: list | None  # coordinate lists of the split idempotents p_i
     to_coords: Matrix | None  # coordinates -> coefficients over the p_i
     gsets: list  # the partial G-set of each CRT unit, see _partial_gsets
-    # per unit, the component of each point read from it (_component_from),
-    # filled on demand so that canonical_key and iso_check read each once;
-    # units that share their maps share the list
+    # per unit, the rooted code of each point (_component_from), filled on
+    # demand so that canonical_key and iso_check read each once; units
+    # that share their maps share the list
     kept: list
 
 
@@ -821,10 +830,13 @@ def canonical_key(act: PartialAction):
     split presentation (``iso_check`` is then "undecided").
 
     For each CRT unit the key holds the sorted codes of the connected
-    components of the partial G-set; a component's code is its least
-    breadth-first labelling over all roots.  ``iso_check`` matches
-    components by the same codes, read from single roots, so the two agree
-    by construction.
+    components of the partial G-set; a component's code is the least of
+    the rooted codes of its points (:func:`_component_from`), each read in
+    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).
+    Isomorphic components have the same rooted codes, and equal codes at
+    two roots give an isomorphism, so components are isomorphic exactly
+    when their least codes are equal.  ``iso_check`` matches components by
+    the same rooted codes, so the two agree by construction.
     """
     data = _split_data(act)
     if data is None:
@@ -834,9 +846,9 @@ def canonical_key(act: PartialAction):
 
 def _gset_code(maps, kept):
     """Canonical form of a partial G-set given as one partial map per g
-    (maps[g][i] = j, or None off the domain), with the components kept in
+    (maps[g][i] = j, or None off the domain), with the rooted codes kept in
     ``kept`` (:func:`_component_from`): the sorted component codes, each
-    the least code read from a point of the component."""
+    the least rooted code of a point of the component."""
     codes, seen = [], set()
     for x in range(len(maps[0])):
         if x not in seen:
@@ -846,45 +858,42 @@ def _gset_code(maps, kept):
     return tuple(sorted(codes))
 
 
-def _component_from(maps, kept, x):
-    """The component of point x in breadth-first order from x
-    (:func:`_breadth_first`) and its code (:func:`_component_code`),
-    computed once and kept in ``kept[x]``."""
+def _component_from(maps, kept, x, colour=None):
+    """The points of the component of x, in the order g first reaches them
+    as a_g(x), and the rooted code of x, computed once and kept in
+    ``kept[x]``.  The code holds, for each g, the first h with a_h(x) =
+    a_g(x), or -1 where a_g(x) is undefined; with ``colour``, one bit per
+    point, colour[y] for the points y in that order, follows.
+
+    On a partial G-set (:func:`_points_certified`) the component of x is
+    {a_g(x) : g in Dom_x}, and a_g(x) = a_h(x) exactly when g and h lie in
+    one coset of K_x.  So the code fixes Dom_x and K_x, and with them the
+    component rooted at x up to isomorphism: a_h(a_g(x)) = a_hg(x),
+    defined exactly when hg lies in Dom_x.  Two roots x and x' have equal
+    codes exactly when a_g(x) -> a'_g(x') is well defined and bijective,
+    and then it is an isomorphism of their components sending x to x',
+    which pairs the two orders point by point.  One pass over the maps:
+    O(|G|)."""
     if kept[x] is None:
-        order = _breadth_first(maps, x)
-        kept[x] = (order, _component_code(maps, order))
+        first = {}
+        code = [-1 if y is None else first.setdefault(y, g) for g, y in enumerate([f[x] for f in maps])]
+        order = list(first)
+        if colour is not None:
+            code += [colour[y] for y in order]
+        kept[x] = (order, tuple(code))
     return kept[x]
-
-
-def _breadth_first(maps, root):
-    """The component of ``root`` in breadth-first order from it; the maps
-    include each inverse, so following them forward reaches the component."""
-    order, seen = [root], {root}
-    for x in order:
-        for f in maps:
-            y = f[x]
-            if y is not None and y not in seen:
-                seen.add(y)
-                order.append(y)
-    return order
 
 
 def _components(maps):
     """The components of the partial G-set of the point maps ``maps``,
-    ordered by least point, each in breadth-first order from it."""
-    seen, out = set(), []
+    ordered by least point: the orbit {a_g(x)} of each least point x not
+    yet reached (:func:`_component_from`)."""
+    reached, out = set(), []
     for x in range(len(maps[0])):
-        if x not in seen:
-            out.append(_breadth_first(maps, x))
-            seen.update(out[-1])
+        if x not in reached:
+            out.append({f[x] for f in maps} - {None})
+            reached |= out[-1]
     return out
-
-
-def _component_code(maps, order):
-    """The component labelled by position in ``order``: the image labels
-    (-1 off the domain) of each point under each map."""
-    label = {x: k for k, x in enumerate(order)}
-    return tuple(tuple(-1 if f[x] is None else label[f[x]] for f in maps) for x in order)
 
 
 def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
@@ -939,31 +948,29 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     return out
 
 
-def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=None) -> AlgebraMorphism:
+def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=None, pi=None) -> AlgebraMorphism:
     """The morphism of a matched candidate, after checking that it is a
     partial G-isomorphism (carrying marked[0] to marked[1] when given); a
     failure is a bug in the match.
 
-    When both actions are certified point sets (:func:`_point_set`) and f
-    is a 0/1 permutation matrix, f e_x = e_pi(x) for a bijection pi of the
-    points (:func:`_read_permutation`), and the trap runs on the point maps
-    (:func:`_trap_on_points`) in O(|G| r).  There E'_g f = f E_g says
-    pi(D_g) = D'_g, and f M_g = M'_g f E_(g^-1) says a'_g(pi(x)) =
-    pi(a_g(x)) for x in D_(g^-1), both sides 0 elsewhere: a certified
-    a_g is defined exactly on D_(g^-1).  The other checks hold for any
-    bijection pi between split algebras: f is invertible with inverse
-    e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x) e_pi(y)
-    because pi is injective, and f(1) = sum_x e_pi(x) = 1 because it is
-    onto.  So the point route passes or fails exactly as the matrix route.
+    ``pi``, when given, is a bijection of the points of two certified point
+    sets (:func:`_point_set`) with f e_x = e_pi(x), and the trap runs on
+    the point maps (:func:`_trap_on_points`) in O(|G| r).  There E'_g f =
+    f E_g says pi(D_g) = D'_g, and f M_g = M'_g f E_(g^-1) says
+    a'_g(pi(x)) = pi(a_g(x)) for x in D_(g^-1), both sides 0 elsewhere: a
+    certified a_g is defined exactly on D_(g^-1).  The other checks hold
+    for any bijection pi between split algebras: f is invertible with
+    inverse e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x)
+    e_pi(y) because pi is injective, and f(1) = sum_x e_pi(x) = 1 because
+    it is onto.  So the point route passes or fails exactly as the matrix
+    route.
 
-    Any other f or carrier runs :func:`_trap_on_matrices`."""
+    Without ``pi`` the trap runs on the matrices (:func:`_trap_on_matrices`)."""
     morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
-    pa, pb = _point_set(a), _point_set(b)
-    pi = _read_permutation(fmat) if pa is not None and pb is not None else None
     if pi is None:
         _trap_on_matrices(a, b, morphism)
     else:
-        _trap_on_points(a.group, pa, pb, pi)
+        _trap_on_points(a.group, _point_set(a), _point_set(b), pi)
     if marked is not None and morphism(marked[0]) != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
@@ -982,14 +989,6 @@ def _row_sources(rows):
             return None
         out.append(row.index(1) if ones else None)
     return out
-
-
-def _read_permutation(fmat: Matrix):
-    """pi with f e_x = e_pi(x) when f is a square permutation matrix: the
-    row of the 1 in each column (:func:`_row_sources`), which must be a
-    bijection of the columns; None for any other f."""
-    pi = _row_sources(zip(*fmat.rows)) if fmat.nrows == fmat.ncols else None
-    return pi if pi is not None and None not in pi and len(set(pi)) == len(pi) else None
 
 
 def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:

@@ -634,6 +634,57 @@ def crt_glue(x, y):
     return PartialAction(x.group, algebra, idems, maps)
 
 
+def breadth_first(maps, root):
+    """The component of ``root`` in breadth-first order from it; the maps
+    include each inverse, so following them forward reaches the component."""
+    order, seen = [root], {root}
+    for x in order:
+        for f in maps:
+            y = f[x]
+            if y is not None and y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def component_code(maps, order):
+    """The component labelled by position in ``order``: the image labels
+    (-1 off the domain) of each point under each map."""
+    label = {x: k for k, x in enumerate(order)}
+    return tuple(tuple(-1 if f[x] is None else label[f[x]] for f in maps) for x in order)
+
+
+def breadth_first_code(maps, x, colour=None):
+    """The rooted code of x as iso_check read it before its first-reach
+    code: the component in breadth-first order from x and its labelling by
+    that order, with the colour as one more map, the identity on the
+    coloured points."""
+    if colour is not None:
+        maps = [*maps, [y if c else None for y, c in enumerate(colour)]]
+    order = breadth_first(maps, x)
+    return order, component_code(maps, order)
+
+
+def breadth_first_key(act):
+    """canonical_key from breadth_first_code: for each CRT unit, the sorted
+    least labellings of the components over all their roots."""
+    from pargal.paction import _split_data
+
+    data = _split_data(act)
+    if data is None:
+        return None
+    key = []
+    for maps in data.gsets:
+        codes, seen = [], set()
+        for x in range(len(maps[0])):
+            if x not in seen:
+                component = breadth_first(maps, x)
+                seen.update(component)
+                codes.append(min(breadth_first_code(maps, root)[1] for root in component))
+        key.append(tuple(sorted(codes)))
+    return tuple(key)
+
+
 @st.composite
 def gset_pairs(draw):
     """Two partial G-sets of one rank as actions: random partial Z_n-sets
@@ -1184,6 +1235,26 @@ def trap_outcome(trap, a, b, fmat, marked=None):
         return str(exc)
 
 
+def read_permutation(fmat):
+    """pi with f e_x = e_pi(x) when f is a square permutation matrix, else
+    None: the witness read back as iso_check read it before it handed pi
+    over to the trap."""
+    from pargal.paction import _row_sources
+
+    pi = _row_sources(zip(*fmat.rows)) if fmat.nrows == fmat.ncols else None
+    return pi if pi is not None and None not in pi and len(set(pi)) == len(pi) else None
+
+
+def handed_over_witness(a, b, fmat, marked=None):
+    """_certified_witness with f handed over as the permutation pi of the
+    points, as iso_check hands it over, when both actions are certified
+    point sets and f is a permutation matrix."""
+    from pargal.paction import _certified_witness, _point_set
+
+    on_points = _point_set(a) is not None and _point_set(b) is not None
+    return _certified_witness(a, b, fmat, marked, read_permutation(fmat) if on_points else None)
+
+
 def trap_pairs(ring):
     """Iso pairs of actions with the witness iso_check found: each corpus
     action against itself and against a relabelled copy of its carrier,
@@ -1219,20 +1290,22 @@ def corrupted_witnesses(ring, fmat):
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_iso_trap_matches_the_dense_trap(ring):
+    # on the matrices, and on the points where f is handed over as pi
     from pargal.paction import _certified_witness
 
     messages = set()
     for a, b, fmat in trap_pairs(ring):
-        assert trap_outcome(_certified_witness, a, b, fmat) == fmat
         assert trap_outcome(reference_certified_witness, a, b, fmat) == fmat
-        if a.algebra.rank < 2:
-            continue
-        for rows in corrupted_witnesses(ring, fmat).values():
-            bad = Matrix(ring, rows, fmat.ncols)
-            got = trap_outcome(_certified_witness, a, b, bad)
-            assert got == trap_outcome(reference_certified_witness, a, b, bad)
-            if isinstance(got, str):
-                messages.add(got.split(" at ")[0])
+        for trap in (_certified_witness, handed_over_witness):
+            assert trap_outcome(trap, a, b, fmat) == fmat
+            if a.algebra.rank < 2:
+                continue
+            for rows in corrupted_witnesses(ring, fmat).values():
+                bad = Matrix(ring, rows, fmat.ncols)
+                got = trap_outcome(trap, a, b, bad)
+                assert got == trap_outcome(reference_certified_witness, a, b, bad)
+                if isinstance(got, str):
+                    messages.add(got.split(" at ")[0])
     assert messages == {
         "iso_check: f(S_g) != S'_g",
         "iso_check: f alpha_g != alpha'_g f",
@@ -1253,27 +1326,26 @@ def test_iso_trap_fires_on_a_witness_missing_the_marked_idempotent(ring):
     for g in gd.group.elements():
         fmat = gd.beta[g]
         expected = trap_outcome(reference_certified_witness, t, t, fmat, marked)
-        assert trap_outcome(_certified_witness, t, t, fmat, marked) == expected
-        if g == gd.group.identity:
-            assert expected == fmat
-        else:
-            assert expected == "iso_check: f does not carry the marked idempotent (bug trap)"
-            assert trap_outcome(_certified_witness, t, t, fmat) == fmat
+        for trap in (_certified_witness, handed_over_witness):
+            assert trap_outcome(trap, t, t, fmat, marked) == expected
+            if g == gd.group.identity:
+                assert expected == fmat
+            else:
+                assert expected == "iso_check: f does not carry the marked idempotent (bug trap)"
+                assert trap_outcome(trap, t, t, fmat) == fmat
 
 
 def test_read_permutation_refuses_all_but_square_permutation_matrices():
-    from pargal.paction import _read_permutation
-
     # f e_x = e_pi(x): column x holds its 1 in row pi(x)
-    assert _read_permutation(Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)) == [2, 0, 1]
+    assert read_permutation(Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3)) == [2, 0, 1]
     # one 1 in each row, in distinct columns, but not square
-    assert _read_permutation(Matrix(QQ, [[1, 0, 0], [0, 1, 0]], 3)) is None
-    assert _read_permutation(Matrix(QQ, [[1, 0], [0, 1], [0, 0]], 2)) is None
+    assert read_permutation(Matrix(QQ, [[1, 0, 0], [0, 1, 0]], 3)) is None
+    assert read_permutation(Matrix(QQ, [[1, 0], [0, 1], [0, 0]], 2)) is None
     # two rows with their 1 in one column
-    assert _read_permutation(Matrix(QQ, [[0, 1], [0, 1]], 2)) is None
+    assert read_permutation(Matrix(QQ, [[0, 1], [0, 1]], 2)) is None
     # a 2 or a second 1 in a row
-    assert _read_permutation(Matrix(QQ, [[2, 0], [0, 1]], 2)) is None
-    assert _read_permutation(Matrix(QQ, [[1, 1], [0, 1]], 2)) is None
+    assert read_permutation(Matrix(QQ, [[2, 0], [0, 1]], 2)) is None
+    assert read_permutation(Matrix(QQ, [[1, 1], [0, 1]], 2)) is None
 
 
 def test_iso_trap_fires_on_a_non_multiplicative_witness():
@@ -1325,7 +1397,7 @@ def point_trap_cases(draw):
     or a column zeroed, an entry flipped or an entry 2, which leave no
     permutation matrix."""
     from pargal.harrison import harrison_product
-    from pargal.paction import _breadth_first, _point_set
+    from pargal.paction import _point_set
 
     ring = draw(st.sampled_from(ORACLE_RINGS))
     n = draw(st.integers(1, 6))
@@ -1360,7 +1432,7 @@ def point_trap_cases(draw):
         pairs = [
             (x, y)
             for x in range(r)
-            for y in _breadth_first(points, x)
+            for y in breadth_first(points, x)
             if x < y
             and all((f[x] is None) == (f[y] is None) for f in points)
             and breaks_some_map(points, x, y)
@@ -1387,15 +1459,15 @@ def point_trap_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_point_trap_matches_the_dense_trap(case):
     # the trap reads f on the points when both carriers are certified point
-    # sets and f is a permutation matrix, with no matrix product; every
-    # other f or carrier runs the matrix trap
+    # sets and f is handed over as a permutation of the points, with no
+    # matrix product; every other f or carrier runs the matrix trap
     from unittest import mock
 
-    from pargal.paction import _certified_witness, _point_set
+    from pargal.paction import _point_set
 
     kind, a, b, fmat = case
     with mock.patch.object(Matrix, "mul", autospec=True, side_effect=Matrix.mul) as mul:
-        got = trap_outcome(_certified_witness, a, b, fmat)
+        got = trap_outcome(handed_over_witness, a, b, fmat)
     certified = _point_set(a) is not None and _point_set(b) is not None
     on_points = certified and is_permutation_matrix(fmat.rows)
     assert (mul.call_count == 0) == on_points
@@ -1446,22 +1518,32 @@ def matched_sigmas(monkeypatch):
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
-def test_point_witness_is_the_presentation_witness(ring, matched_sigmas):
+def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeypatch):
     # corpus actions and their stars against relabelled copies, and the
     # globalizations of the corpus and of its copies on the reversed basis
     # through global_iso_check; over Z/6 also a marked pair whose two CRT units
-    # take different sigmas
+    # take different sigmas.  The trap runs on the points exactly when the
+    # witness is a permutation matrix, with the permutation it reads back.
     from dataclasses import replace
 
+    import pargal.paction as paction
     from pargal.envelope import global_iso_check, globalize
     from pargal.paction import _point_set
 
+    handed = []
+    trap = paction._trap_on_points
+    monkeypatch.setattr(paction, "_trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
+
     def assert_presentation_witness(a, b, res):
         assert _point_set(a) is not None and _point_set(b) is not None
+        pi = None
         if res.status == "iso":
             expected = presentation_witness(a, b, matched_sigmas)
             assert repr(res.morphism.matrix) == repr(expected)
+            pi = read_permutation(res.morphism.matrix)
+        assert handed == ([] if pi is None else [pi])
         matched_sigmas.clear()
+        handed.clear()
 
     rng = random.Random(15)
     corpus = standard_corpus(ring)
@@ -1874,6 +1956,10 @@ def test_point_set_certificate_matches_the_pointwise_reference(case):
     from pargal.paction import _points_certified
 
     assert _points_certified(*case) == reference_points_certified(*case) == itemgetter_points_certified(*case)
+    # with no domains they are read off the maps, as _action_on_points does
+    group, maps, _ = case
+    own = [[j is not None for j in maps[gi]] for gi in group.inverse]
+    assert _points_certified(group, maps) == reference_points_certified(group, maps, own)
 
 
 def regular_z4_with_a_flipped_domain_bit():
@@ -1960,17 +2046,27 @@ def test_galois_verify_sums_through_the_point_maps(ring, monkeypatch):
 
 
 def test_iso_check_reuses_the_codes_of_canonical_key(monkeypatch):
+    # canonical_key computes the rooted code of each point once and keeps
+    # it on the split data; iso_check reads the kept codes back
     import pargal.paction as paction
 
     a = standard_corpus()["ex2"]
     b = relabel(a, list(reversed(range(a.algebra.rank))))
+    computed = []
+    component_from = paction._component_from
+
+    def counted(maps, kept, x, colour=None):
+        if kept[x] is None:
+            computed.append(x)
+        return component_from(maps, kept, x, colour)
+
+    monkeypatch.setattr(paction, "_component_from", counted)
     assert canonical_key(a) == canonical_key(b)
-    calls = []
-    code = paction._component_code
-    monkeypatch.setattr(paction, "_component_code", lambda *args: calls.append(args) or code(*args))
+    assert sorted(computed) == sorted(2 * list(range(a.algebra.rank)))
+    computed.clear()
     assert iso_check(a, b).status == "iso"
     assert iso_check(b, a).status == "iso"
-    assert not calls
+    assert not computed
 
 
 # ExtensionClass.certify decides a certified point set on its points: the
@@ -1980,15 +2076,18 @@ def test_iso_check_reuses_the_codes_of_canonical_key(monkeypatch):
 
 
 @st.composite
-def partial_zn_sets(draw):
+def partial_zn_sets(draw, ring=None, n=None):
     """0/1 data of a partial Z_n-set (n <= 6) over Q, F_2 or Z/6, in a drawn
     basis order: one to three orbits Z_n / <d>, the regular one at d = n as
     in a subset class, restricted to a drawn nonempty set of points.  Every
     partial Z_n-set is one of these, since it is the restriction of its
     globalization (Abadie; Exel), so the data may be disconnected, have
-    fixed points, both or neither."""
-    ring = draw(st.sampled_from(ORACLE_RINGS))
-    n = draw(st.integers(1, 6))
+    fixed points, both or neither.  ``ring`` and ``n`` are drawn unless
+    given."""
+    if ring is None:
+        ring = draw(st.sampled_from(ORACLE_RINGS))
+    if n is None:
+        n = draw(st.integers(1, 6))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     orbits = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
     orbit_points = [(k, x) for k, size in enumerate(orbits) for x in range(size)]
@@ -2033,3 +2132,51 @@ def test_point_decisions_match_the_matrix_route(act, data):
     else:
         assert outcome == certify_outcome(act)
     assert _has_fixed_point(act.group, points) == (galois_coordinates(copy) is None)
+
+
+@st.composite
+def rooted_code_pairs(draw):
+    """Two actions of partial_zn_sets with one group and base ring, each
+    kept on its points, rebased, or over Z/6 CRT-glued with a relabelled
+    copy of its star; the last two read their partial G-sets through
+    _partial_gsets."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    n = draw(st.integers(1, 6))
+
+    def draw_action():
+        act = draw(partial_zn_sets(ring, n))
+        r = act.algebra.rank
+        route = draw(st.sampled_from(["points", "rebased", "glued"] if ring == Z6 else ["points", "rebased"]))
+        if route == "rebased":
+            return rebased(act, draw(unitriangular(ring, r)))
+        if route == "glued":
+            return crt_glue(act, relabel(inverse_action(act), draw(st.permutations(range(r)))))
+        return act
+
+    return draw_action(), draw_action()
+
+
+@given(rooted_code_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rooted_codes_match_the_breadth_first_codes(pair, data):
+    # any two roots, in one action or in two, with or without colours,
+    # have equal first-reach codes exactly when their breadth-first codes
+    # are equal, and then both pair the points alike; the keys built from
+    # the two codes tell the same actions apart
+    from itertools import product
+
+    from pargal.paction import _component_from, _split_data
+
+    roots = []
+    for act in pair:
+        r = act.algebra.rank
+        colour = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+        for maps, c, x in product(_split_data(act).gsets, (None, colour), range(r)):
+            roots.append((c is None, _component_from(maps, [None] * r, x, c), breadth_first_code(maps, x, c)))
+    for (plain, new, old), (plain2, new2, old2) in product(roots, repeat=2):
+        if plain == plain2:
+            assert (new[1] == new2[1]) == (old[1] == old2[1])
+            if new[1] == new2[1]:
+                assert dict(zip(new[0], new2[0])) == dict(zip(old[0], old2[0]))
+    a, b = pair
+    assert (canonical_key(a) == canonical_key(b)) == (breadth_first_key(a) == breadth_first_key(b))
