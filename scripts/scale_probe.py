@@ -11,7 +11,9 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
   set on all n points, `harrison_product(c, c)` on the certified class,
   `globalize` on a fresh copy of the set on n/2 points, and
   `canonical_key` of a fresh certified copy of the set on all n points and
-  `iso_check` of one against a copy translated by 1;
+  `iso_check` of one against a copy translated by 1, and
+  `quotient_action(act, H).certify()` on such a copy with H = <g_(n/2)>,
+  so |G/H| = n/2;
 - for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
   ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
   action file in a temporary directory; the report is discarded;
@@ -40,7 +42,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from pargal import QQ, ExtensionClass, cli, globalize, harrison_product  # noqa: E402
 from pargal.actionfile import save_action  # noqa: E402
+from pargal.groups import subgroup_closure  # noqa: E402
 from pargal.paction import canonical_key, iso_check  # noqa: E402
+from pargal.quotient import quotient_action  # noqa: E402
 from gen import regular_restriction  # noqa: E402
 
 RUNS = 3
@@ -67,14 +71,19 @@ def certified(n, shift=0):
 
 def class_rungs(n):
     """(op, seconds) of certify and square on the regular Z_n class, of
-    globalize on Z_n on n/2 points, and of the key of the class and its iso
-    with a translated copy."""
+    globalize on Z_n on n/2 points, of the key of the class and its iso
+    with a translated copy, and of its certified quotient by <g_(n/2)>."""
     cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
     yield "certify", least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
     yield "square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
     yield "globalize", least_seconds(lambda: regular_restriction(QQ, n, range(n // 2)), globalize)
     yield "key", least_seconds(lambda: certified(n), canonical_key)
     yield "iso", least_seconds(lambda: (certified(n), certified(n, 1)), lambda pair: iso_check(*pair))
+
+    def quotient(act):
+        quotient_action(act, subgroup_closure(act.group, [n // 2])).certify()
+
+    yield "quotient", least_seconds(lambda: certified(n), quotient)
 
 
 def run_cli(argv):
@@ -105,7 +114,7 @@ def point_rungs(n, workdir):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key and iso rungs")
+    parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key, iso and quotient rungs")
     parser.add_argument("--cli", type=int, nargs="*", default=[24, 32, 36, 48, 96], help="sizes of the psi and quotient rungs")
     args = parser.parse_args(argv)
     timed = []

@@ -98,6 +98,8 @@ def _load_group(spec, where: str, order: int) -> FiniteGroup:
     if "table" in spec:
         labels = _labels(_need(spec, "labels", where), f"{where}/labels")
         n = len(labels)
+        if len(set(labels)) != n:  # one action entry would serve two elements
+            raise ActionFileError(f"{where}/labels", f"repeated label {next(x for x in labels if labels.count(x) > 1)!r}")
         table = _list(spec["table"], f"{where}/table", n)
         if not all(isinstance(row, list) and all(_is_int(x) and 0 <= x < n for x in row) for row in table):
             raise ActionFileError(f"{where}/table", "rows must be lists of element indices")

@@ -42,7 +42,7 @@ from .paction import (
     transport,
     verify_partial_action,
 )
-from .quotient import QuotientAction, quotient_action
+from .quotient import QuotientAction, _orbit_quotient, quotient_action
 
 
 class CertificationError(ValueError):
@@ -166,15 +166,17 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     (:func:`~pargal.paction._point_set`); None otherwise.
 
     Point (x, y) is the tensor basis index x |Y| + y, and (l, t) sends it to
-    (a_l x, a'_t y); see :func:`_delta_quotient`.
+    (a_l x, a'_t y): a partial G x G-set, the restriction of a product of
+    G-sets; see :func:`_delta_quotient`.
     """
     map_a, map_b = _point_set(a), _point_set(b)
     if map_a is None or map_b is None:
         return None
     ny = b.algebra.rank
+    table, inverse = a.group.table, a.group.inverse
 
-    def move(l, t, p):
-        u, v = map_a[l][p // ny], map_b[t][p % ny]
+    def move(g, s, p):
+        u, v = map_a[table[g][s]][p // ny], map_b[inverse[s]][p % ny]
         return None if u is None or v is None else u * ny + v
 
     point_labels = deferred_labels(tensor_labels, a.algebra, b.algebra)
@@ -191,8 +193,10 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     :func:`~pargal.algebra.product_over_ideals` presents it.  The hat action
     of (l, t) sends (g, i) to (ltg, a_l(i)) when i lies in D_tg and D_(l^-1)
     and a_l(i) lies in D_ltg, which is what E_h M_l E_tg does in
-    :func:`hat_action` (on a partial action, (P3) already puts i in D_tg);
-    see :func:`_delta_quotient`.
+    :func:`hat_action`: with X the restriction of a G-set Y, P is that of
+    the G x G-set G x Y, (l, t)(g, y) = (ltg, ly) (G is abelian), as i lies
+    in D_g when i and g^-1 i lie in X.  So a_l(i) in D_ltg already puts i
+    in D_tg.  See :func:`_delta_quotient`.
     """
     maps = _point_set(act)
     if maps is None:
@@ -212,13 +216,11 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
 
     table = G.table
 
-    def move(l, t, p):
-        g, i = points[p]
-        tg = table[t][g]
-        j = maps[l][i]
-        if j is None or (tg, i) not in index:
-            return None
-        return index.get((table[l][tg], j))
+    def move(g, s, p):
+        # (gs, s^-1) sends (h, i) to (gh, a_gs(i))
+        h, i = points[p]
+        j = maps[table[g][s]][i]
+        return None if j is None else index.get((table[g][h], j))
 
     return _delta_quotient(G, A.ring, len(points), move, deferred_labels(write, A))
 
@@ -227,68 +229,20 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     """The delta-G quotient of a partial G x G-set on the points
     0 .. npoints - 1, as a partial action of G on R^(components): the
     route of the matrix quotient (:func:`_quotient_by_delta` and
-    :func:`_identify_with_group`) read off the points.
-
-    ``move(l, t, p)`` is the image of point p under (l, t), or None off its
-    domain.  The components of delta G = {(g, g^-1)} are the basis of the
-    invariants, ordered by least point and labelled by their indicator
-    vectors, as the kernel of the matrix route presents them; those sums of
-    the point labels ``point_labels`` (:func:`~pargal.algebra.deferred_labels`)
-    are written on the first read of the carrier's labels.  The coset of
-    (g, 1) sends a component to the component of (gs, s^-1) p for the first
-    s whose domain holds its least point p; 1_g marks the components where
-    the coset of (g^-1, 1) is defined.  The result keeps its point set
-    (:func:`~pargal.paction._action_on_points`).
-
-    The component of p is its delta-G orbit {(s, s^-1) p}, read with one
-    move per s.  The relation q = (s, s^-1) p is an equivalence on both
-    sets that call this, because their inputs are certified partial G-sets
-    (:func:`~pargal.paction._point_set`); (1, 1) is the identity on the
-    points.
-    - On X x Y (:func:`_gset_product`), (l, t) acts as a_l x a'_t on
-      D_(l^-1) x D'_(t^-1), a partial G x G-set, and so is its restriction
-      to delta G: (s, s^-1) p = q gives (s^-1, s) q = p, and (t, t^-1) q =
-      u gives (ts, (ts)^-1) p = u, since a_t a_s is contained in a_ts.
-    - On the points (g, i), i in D_g, of :func:`_hat_gset_quotient`,
-      (s, s^-1) sends (g, i) to (g, a_s(i)) when i lies in D_(s^-1) and
-      D_(s^-1 g) (a_s(i) then lies in D_g).  (P3) on points,
-      a_s(D_(s^-1) /\\ D_h) = D_s /\\ D_sh, puts j = a_s(i) in D_s, D_g
-      and D_sg, so (s^-1, s) sends (g, j) back to (g, i).  If (t, t^-1)
-      then sends (g, j) to (g, a_t(j)), j lies in D_(t^-1) and D_(t^-1 g),
-      and a_(s^-1) carries D_s /\\ D_(t^-1) and D_s /\\ D_(t^-1 g) onto
-      D_(s^-1) /\\ D_((ts)^-1) and D_(s^-1) /\\ D_((ts)^-1 g).  So i lies
-      in the domain of (ts, (ts)^-1), which sends (g, i) to
-      (g, a_ts(i)) = (g, a_t(j)).
-    So the unvisited point p of least index is the least point of its
-    component, and the orbit read visits each (component, s) once, where a
-    union-find over the points would visit each (point, s).
+    :func:`_identify_with_group`) read off the points by
+    :func:`~pargal.quotient._orbit_quotient`, the coset of (g, 1) at g.
+    ``move(g, s, p)`` is the image of p under (gs, s^-1), or None.  The
+    components, labelled by their indicator vectors in the point labels
+    ``point_labels`` (:func:`~pargal.algebra.deferred_labels`) on first
+    read, and the point set are kept (:func:`~pargal.paction._action_on_points`).
     """
     if not G.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    pairs = list(enumerate(G.inverse))  # (s, s^-1)
-    comp = [None] * npoints
-    points = []  # the points of each component, ascending
-    for p in range(npoints):
-        if comp[p] is None:
-            orbit = sorted({q for s, t in pairs if (q := move(s, t, p)) is not None})
-            for q in orbit:
-                comp[q] = len(points)
-            points.append(orbit)
+    points, images = _orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
 
     def write(names):
         return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
 
-    least = [pts[0] for pts in points]
-    images = []
-    for row in G.table:
-        image = [None] * len(points)
-        for k, p in enumerate(least):
-            for s, t in pairs:
-                q = move(row[s], t, p)
-                if q is not None:
-                    image[k] = comp[q]
-                    break
-        images.append(image)
     return _action_on_points(G, ring, deferred_labels(write, point_labels), images)
 
 

@@ -11,10 +11,9 @@ through T^H.  The intrinsic route is primary; the globalized route is the
 differential oracle, and both are compared matrix-for-matrix.
 
 On a standard carrier whose partial G-set X passes the point-set
-certificate both routes are read on points: the closed forms on the point
-maps, and the globalized route on the classes of G x X / ~ (see
-:mod:`pargal.envelope`), each as one partial map of X per coset, with no
-product of elements.  Every other action evaluates them as elements.
+certificate both routes keep one map of H-orbits per coset: the closed
+forms read by :func:`_orbit_quotient`, as are the delta-G quotients of
+:mod:`pargal.harrison`, and the globalized route on G x X / ~ (:mod:`pargal.envelope`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,9 @@ from .groups import Subgroup, QuotientData, quotient
 from .paction import (
     ActionReport,
     PartialAction,
+    _on_points,
     _point_set,
+    _points_certified,
     _row_sources,
     galois_coordinates,
     invariants,
@@ -115,57 +116,98 @@ def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
     return QuotientAction(act, sub, qdata, carrier, action, tilde)
 
 
-def _quotient_on_points(act, sub, qdata, carrier, sources) -> QuotientAction:
-    """:func:`_build_quotient_action` on a certified point set, for the maps
-    read off either route: alpha_{gH}(x)(p) = x(s) with s = sources[q][p]
-    for the coset q of g, and 0 where s is None.  So 1~_{gH} =
-    alpha_{gH}(1_S) is the indicator of where s is defined.
+def _orbit_quotient(npoints: int, identity: int, reps, members, move):
+    """The quotient of a partial G-set X on the points 0 .. npoints - 1 by
+    a normal subgroup H: its H-orbits, ascending and ordered by least point,
+    and for each g of ``reps`` the map sending orbit k to the orbit of
+    ``move(g, h, p)`` = a_gh(p), p the least point of k, for the first h of
+    ``members`` (the elements of H) where it is defined, else None.
 
-    The basis of S^{alpha_H} is the indicators of the H-orbits by least
-    point (:func:`~pargal.paction.invariants` on points): a vector constant
-    on each orbit has its values at the least points as coordinates, and
-    any other escapes S^{alpha_H} (the bug traps).  alpha_{gH}(1_c
-    1~_{g^-1 H}) is the indicator of the p whose s lies in orbit c: each
-    term alpha_{gh}(x 1_{(gh)^-1}) of the closed form already multiplies x
-    by 1_{(gh)^-1} <= 1~_{g^-1 H}, as (gh)^-1 lies in g^-1 H."""
+    X is the restriction of a G-set Y (:func:`~pargal.paction._points_certified`).
+    The orbit of p is {a_h(p) : h in H}, one move per h, so the unvisited
+    point of least index is the least point of its orbit.  The images are
+    well defined: if a_gh(p) and a_gh'(p') are defined, p' = a_k(p) with k
+    in H, then gh'p' = (gh'kh^-1 g^-1) ghp in Y, with gh'kh^-1 g^-1 in H as
+    H is normal; and as gh'k lies in gH, some move of p by gH is defined
+    when one of p' is, for any representative g.  On the functions
+    constant on the orbits, S^{alpha_H}, this is alpha_{gH}: its closed
+    form reads x at a_(g h_i)^-1(q) for the first h_i with q in D_(g h_i),
+    a point of orbit k exactly when q lies in the image of k; 1~_{gH} is 1
+    on the union of the D_gh, the image orbits."""
+    comp = [None] * npoints
+    orbits = []
+    for p in range(npoints):
+        if comp[p] is None:
+            orbit = sorted({q for h in members if (q := move(identity, h, p)) is not None})
+            for q in orbit:
+                comp[q] = len(orbits)
+            orbits.append(orbit)
+    images = []
+    for g in reps:
+        image = [None] * len(orbits)
+        for k, orbit in enumerate(orbits):
+            for h in members:
+                q = move(g, h, orbit[0])
+                if q is not None:
+                    image[k] = comp[q]
+                    break
+        images.append(image)
+    return orbits, images
+
+
+def _quotient_on_points(act, sub, qdata, carrier, images) -> QuotientAction:
+    """The quotient action of the orbit maps ``images``, one per coset in
+    transversal order, on the invariants of a certified point set: the
+    indicators of the orbits (:func:`~pargal.paction.invariants`).  1~_{gH}
+    is 1 on the image orbits; the maps must pass the point-set certificate
+    (a bug trap) and are kept (:func:`~pargal.paction._on_points`)."""
     SH = carrier.algebra
+    comp = _row_sources(zip(*carrier.basis.rows))
+    idems = [Element(SH, tuple(int(c in hit) for c in range(SH.rank))) for hit in map(set, images)]
+    if not _points_certified(qdata.quotient, images):
+        raise AssertionError("alpha_{G/H} fails the point-set certificate (bug trap)")
+    tildes = [Element(act.algebra, tuple(e.coords[c] for c in comp)) for e in idems]
+    return QuotientAction(act, sub, qdata, carrier, _on_points(qdata.quotient, SH, idems, images), tildes)
+
+
+def _orbit_maps(carrier, sources) -> list:
+    """The orbit maps of the cosets gH read off alpha_{g^-1 H}(x)(p) =
+    x(s), s = sources[q][p] for the coset q of g, or 0 where s is None:
+    alpha_{gH} inverts it, sending the orbit of p to that of s.  Any vector
+    not constant on the orbits escapes S^{alpha_H} (the bug traps).  Each
+    term alpha_{gh}(x 1_{(gh)^-1}) of the closed form multiplies x by
+    1_{(gh)^-1} <= 1~_{g^-1 H}, so alpha_{gH}(1_c 1~_{g^-1 H}) is 1 on the
+    orbits that draw from c."""
     basis = carrier.basis.rows
     least = [row.index(1) for row in basis]
     comp = _row_sources(zip(*basis))
-    tildes, idems, maps = [], [], []
+    drawn = []
     for source in sources:
-        tilde = [int(s is not None) for s in source]
-        if any(t != tilde[least[c]] for t, c in zip(tilde, comp)):
+        if any((s is None) != (source[least[c]] is None) for s, c in zip(source, comp)):
             raise AssertionError("1~_{gH} escaped S^{alpha_H} (bug trap)")
         image = [None if s is None else comp[s] for s in source]
         if any(c != image[least[k]] for c, k in zip(image, comp)):
             raise AssertionError("alpha_{gH} left S^{alpha_H} (bug trap)")
-        tildes.append(Element(act.algebra, tuple(tilde)))
-        idems.append(Element(SH, tuple(tilde[p] for p in least)))
-        maps.append(Matrix(SH.ring, [[int(image[p] == c) for c in range(SH.rank)] for p in least], SH.rank))
-    return QuotientAction(act, sub, qdata, carrier, PartialAction(qdata.quotient, SH, idems, maps), tildes)
+        drawn.append([image[p] for p in least])
+    return drawn
 
 
 def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
     """The induced partial action of G/H on S^{alpha_H} via the closed forms.
 
-    On a certified point set (:func:`~pargal.paction._point_set`) they read
-    alpha_{gH}(x)(p) = x(a_{(g h_i)^-1}(p)) for the first h_i in
-    ``sub.members`` with p in D_{g h_i}, whose term alone survives the
-    products of (1 - 1_{g h_j}), and 0 if there is none; 1~_{gH} is the
-    indicator of the union of the D_{gh}.  Uncertified: callers that need
-    the theorem-level invariants run :meth:`QuotientAction.certify`.
+    On a certified point set (:func:`~pargal.paction._point_set`) they are
+    read off the point maps by :func:`_orbit_quotient`.  Uncertified:
+    callers that need the theorem-level invariants run
+    :meth:`QuotientAction.certify`.
     """
     qdata = quotient(act.group, sub, transversal)
     carrier = invariants(restrict(act, sub))
     points = _point_set(act)
     if points is not None:
-        G = act.group
-        sources = []
-        for g in qdata.transversal:
-            back = [points[G.inv(G.mul(g, h))] for h in sub.members]
-            sources.append([next((a[p] for a in back if a[p] is not None), None) for p in range(act.algebra.rank)])
-        return _quotient_on_points(act, sub, qdata, carrier, sources)
+        table = act.group.table
+        images = _orbit_quotient(act.algebra.rank, act.group.identity, qdata.transversal, sub.members,
+                                 lambda g, h, p: points[table[g][h]][p])[1]
+        return _quotient_on_points(act, sub, qdata, carrier, images)
     return _build_quotient_action(
         act,
         sub,
@@ -185,7 +227,8 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     read as the row sources (:func:`~pargal.paction._row_sources`) of
     each followed back from the class c(p) of p; 1_S is 1 on every c(x).
     The row sources of beta_g are pi_(g^-1), kept on the enveloping
-    action.  This route never evaluates the closed forms."""
+    action.  Read at g^-1 H, it gives the orbit map of gH
+    (:func:`_orbit_maps`).  This route never evaluates the closed forms."""
     from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
@@ -197,12 +240,12 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
         pull, through, up = (_row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
         pis = _point_set(gd.enveloping_action)
         sources = []
-        for rep in qdata.transversal:
+        for q in qdata.quotient.inverse:
             source = pull
-            for step in (pis[act.group.inv(rep)], through, up):
+            for step in (pis[act.group.inv(qdata.transversal[q])], through, up):
                 source = [None if c is None else step[c] for c in source]
             sources.append(source)
-        return _quotient_on_points(act, sub, qdata, carrier, sources)
+        return _quotient_on_points(act, sub, qdata, carrier, _orbit_maps(carrier, sources))
     T = gd.algebra
     down = gd.down
     emb = gd.embed.matrix

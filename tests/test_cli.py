@@ -1,6 +1,7 @@
 """Command-line surface: files, reports, exit codes, golden bytes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import hypothesis.strategies as st
 from pargal import cli
 from pargal.actionfile import load_action, save_action
 from pargal.corpus import standard_corpus
+from pargal.groups import make_cyclic, make_product
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 CORPUS = os.path.join(ROOT, "corpus")
@@ -253,6 +255,18 @@ def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, ca
     assert located in capsys.readouterr().err
 
 
+def test_repeated_group_labels_exit_2_with_location(tmp_path, capsys):
+    # with labels 1 and 1, the one entry "1" would serve both elements
+    with open(fixture("global-Z2-swap"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["group"]["labels"] = ["1", "1"]
+    del doc["action"]["g"]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("verify", str(path)) == 2
+    assert f"pargal verify: {path}/group/labels: repeated label '1'" in capsys.readouterr().err
+
+
 def test_undecodable_file_exits_2_with_location(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{")
@@ -425,7 +439,7 @@ def broken_documents(draw):
         text = fh.read()
     doc = json.loads(text)
     kind = draw(st.sampled_from(
-        ["truncated", "shape", "boolean", "deleted", "scalar", "non-split", "non-group", "cyclic"]
+        ["truncated", "shape", "boolean", "deleted", "scalar", "non-split", "non-group", "cyclic", "repeated-label"]
     ))
     if kind == "truncated":
         return text[: draw(st.integers(0, text.rindex("}") - 1))]
@@ -457,11 +471,20 @@ def broken_documents(draw):
         n = len(labels)
         rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n))
         doc["group"] = {"labels": labels, "table": [[0] * n] + rows[1:]}
+    elif kind == "repeated-label":
+        # a second element takes the label of a first, and its entry goes;
+        # the one document with a cyclic group is broken already
+        labels = doc["group"].get("labels", [])
+        if len(labels) > 1:
+            i, j = draw(st.lists(st.integers(0, len(labels) - 1), min_size=2, max_size=2, unique=True))
+            del doc["action"][labels[j]]
+            labels[j] = labels[i]
     else:
-        # only [n] itself can name the action's labels; any other product
-        # equal to n gives tuple labels, and a key mismatch
+        # a product of the right size whose labels are the action's keys
+        # (as (1,1) (1,g) (g,1) (g,g) are klein-product's) would load
         orders = draw(st.lists(st.integers(1, 10**12), min_size=1, max_size=3))
-        if orders == [len(doc["action"])]:
+        n = len(doc["action"])
+        if math.prod(orders) == n and set(make_product([make_cyclic(k) for k in orders]).labels) == set(doc["action"]):
             orders.append(2)
         doc["group"] = {"cyclic": orders}
     text = json.dumps(doc)

@@ -1,5 +1,6 @@
 """Harrison product, hat action, idempotent classes, inverse-semigroup laws."""
 
+import contextlib
 import re
 import time
 from unittest import mock
@@ -941,17 +942,18 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
             assert rep.passed, (c, members, [f.name for f in rep.failures()])
 
 
-# The orbit read of harrison._delta_quotient against the union-find over
-# every (s, point) pair that it replaced, on both routes that call it (the
-# product and idempotent_class); the point set each result keeps against a
-# fresh read of its matrices; and the split invariants of a certified point
-# set against the constraint solve that every other carrier takes.
+# The orbit read of quotient._orbit_quotient against a union-find over
+# every (h, point) pair, on the three routes that call it (the product,
+# idempotent_class and quotient_action on points); the point set each
+# result keeps against a fresh read of its matrices; and the split
+# invariants of a certified point set against the constraint solve that
+# every other carrier takes.
 
 
-def union_find_quotient(G, ring, npoints, move, point_labels):
-    """The delta-G quotient of harrison._delta_quotient with its components
-    found by a union-find over all |G| npoints (s, point) pairs, and the
-    action built from matrices with no point set kept."""
+def union_find_quotient(npoints, identity, reps, members, move):
+    """(orbits, images) of quotient._orbit_quotient, with the orbits found
+    by a union-find over all |H| npoints (h, point) pairs, and each image
+    read off every point of its orbit and every h, which must agree."""
     root = list(range(npoints))
 
     def find(p):
@@ -960,10 +962,9 @@ def union_find_quotient(G, ring, npoints, move, point_labels):
             p = root[p]
         return p
 
-    for s in G.elements():
-        si = G.inv(s)
+    for h in members:
         for p in range(npoints):
-            q = move(s, si, p)
+            q = move(identity, h, p)
             if q is not None:
                 p, q = find(p), find(q)
                 if p != q:
@@ -972,55 +973,38 @@ def union_find_quotient(G, ring, npoints, move, point_labels):
     least = [p for p, q in enumerate(rep) if p == q]
     index = {p: k for k, p in enumerate(least)}
     comp = [index[q] for q in rep]
-    points = [[] for _ in least]
+    orbits = [[] for _ in least]
     for p, k in enumerate(comp):
-        points[k].append(p)
-    names = point_labels()
-    labels = [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
-    carrier = Algebra.split(ring, labels)
-    r = carrier.rank
+        orbits[k].append(p)
     images = []
-    for g in G.elements():
-        image = [None] * r
-        for k, p in enumerate(least):
-            for s in G.elements():
-                q = move(G.mul(g, s), G.inv(s), p)
-                if q is not None:
-                    image[k] = comp[q]
-                    break
+    for g in reps:
+        image = []
+        for pts in orbits:
+            hit = {comp[q] for p in pts for h in members if (q := move(g, h, p)) is not None}
+            assert len(hit) <= 1, "the orbit map is not well defined"
+            image.append(hit.pop() if hit else None)
         images.append(image)
-    idems = [carrier.element([int(k is not None) for k in images[G.inv(g)]]) for g in G.elements()]
-    maps = []
-    for image in images:
-        rows = [[0] * r for _ in range(r)]
-        for k, j in enumerate(image):
-            if j is not None:
-                rows[j][k] = 1
-        maps.append(Matrix(carrier.ring, rows, r))
-    return PartialAction(G, carrier, idems, maps)
+    return orbits, images
 
 
-def checked_delta_quotients(calls):
-    """harrison._delta_quotient, checked on every call against the
-    union-find oracle and _read_points; each result goes to ``calls``."""
+@contextlib.contextmanager
+def checked_orbit_quotients(calls):
+    """quotient._orbit_quotient, as both of its modules call it, checked on
+    every call against the union-find oracle; each call's arguments go to
+    ``calls``."""
     import pargal.harrison as harrison
+    import pargal.quotient as quotient
 
-    orbit_read = harrison._delta_quotient
+    orbit_read = quotient._orbit_quotient
 
     def checked(*args):
         got = orbit_read(*args)
-        expected = union_find_quotient(*args)
-        assert got.algebra.labels == expected.algebra.labels
-        assert got.algebra == expected.algebra
-        assert got.idems == expected.idems
-        assert got.maps == expected.maps
-        kept = got._points[0]
-        assert kept is not None
-        assert kept == _read_points(PartialAction(got.group, got.algebra, got.idems, got.maps))
-        calls.append(got)
+        assert got == union_find_quotient(*args)
+        calls.append(args)
         return got
 
-    return mock.patch.object(harrison, "_delta_quotient", checked)
+    with mock.patch.object(harrison, "_orbit_quotient", checked), mock.patch.object(quotient, "_orbit_quotient", checked):
+        yield
 
 
 @given(subset_class_pairs())
@@ -1028,11 +1012,17 @@ def checked_delta_quotients(calls):
 def test_orbit_read_matches_the_union_find_oracle(pair):
     a, b = pair
     calls = []
-    with checked_delta_quotients(calls):
+    with checked_orbit_quotients(calls):
         product = harrison_product(a, b)
         idems = [idempotent_class(a.action), idempotent_class(b.action)]
         square = harrison_product(product, product)
-    assert [c.action for c in [product, *idems, square]] == calls
+        quotients = [quotient_action(product.action, sub) for sub in cyclic_subgroups(product.group)]
+    built = [c.action for c in (product, *idems, square)] + [qa.action for qa in quotients]
+    assert len(calls) == len(built)
+    for act in built:
+        kept = act._points[0]
+        assert act._maps is None and kept is not None
+        assert kept == _read_points(PartialAction(act.group, act.algebra, act.idems, act.maps))
 
 
 def cyclic_subgroups(G):
@@ -1361,7 +1351,9 @@ def test_deferred_labels_match_the_eager_oracle(pair):
     wanted = []
     for (args, out), ops in zip(calls, operands):
         names = eager_tensor_labels(*ops) if isinstance(ops, tuple) else eager_hat_labels(ops)
-        wanted.append(union_find_quotient(*args[:4], lambda names=names: names).algebra.labels)
+        G, _, npoints, move, _ = args
+        orbits = union_find_quotient(npoints, G.identity, G.elements(), G.elements(), move)[0]
+        wanted.append([format_coords([names[p] for p in pts], [1] * len(pts)) for pts in orbits])
     wanted.append(eager_envelope_labels(product.action))
     rows = fixed.basis.rows
     wanted.append([product.action.algebra.format_coords(row) for row in rows])

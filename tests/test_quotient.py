@@ -272,7 +272,7 @@ def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
 
 
 def test_point_route_traps_vectors_outside_the_invariants():
-    from pargal.quotient import _quotient_on_points
+    from pargal.quotient import _orbit_maps, _quotient_on_points
 
     act = example1()
     h = subgroup_closure(act.group, [2])
@@ -282,7 +282,15 @@ def test_point_route_traps_vectors_outside_the_invariants():
     # then point 2 drawn from e2, so alpha_{gH} splits it
     for sources, trap in (([0, 1, None], "1~_{gH} escaped"), ([0, 1, 1], "alpha_{gH} left")):
         with pytest.raises(AssertionError, match=re.escape(trap)):
-            _quotient_on_points(act, h, quotient(act.group, h), carrier, [sources] * 2)
+            _orbit_maps(carrier, [sources] * 2)
+    assert _orbit_maps(carrier, [[0, 1, 2], [1, 0, 1]]) == [[0, 1], [1, 0]]
+    # orbit maps that are no partial G/H-set: the identity coset moves, or
+    # sends both orbits to {e1, e3}
+    qdata = quotient(act.group, h)
+    assert _quotient_on_points(act, h, qdata, carrier, [[0, 1], [1, 0]]).action._points == ([[0, 1], [1, 0]],)
+    for images in ([[1, 0], [1, 0]], _orbit_maps(carrier, [[0, 0, 0]] * 2)):
+        with pytest.raises(AssertionError, match="certificate"):
+            _quotient_on_points(act, h, qdata, carrier, images)
 
 
 @pytest.fixture
@@ -306,6 +314,28 @@ def test_standard_carriers_take_the_point_routes(quotient_routes):
                 quotient_action(act, sub).certify()
                 quotient_via_globalization(act, sub)
     assert set(quotient_routes) == {"points"}
+
+
+def test_point_routes_keep_their_point_maps():
+    # no matrix is written, and the maps kept are those that _read_points
+    # reads back off the matrices written from them
+    from pargal.harrison import ExtensionClass, cyclic_decompose
+    from pargal.paction import PartialAction, _read_points
+
+    built = []
+    for ring in (QQ, Modular(2), Modular(6)):
+        for act in standard_corpus(ring).values():
+            for sub in all_subgroups(act.group):
+                built += [quotient_action(act, sub).action, quotient_via_globalization(act, sub).action]
+                if galois_coordinates(act) is not None:
+                    built.append(quotient_galois_check(act, sub)[0].action)
+        for name, orders in (("trivial-Z4", [4]), ("klein-product", [2, 2])):
+            built += [f.action for f in cyclic_decompose(ExtensionClass.certify(standard_corpus(ring)[name]), orders)]
+    for out in built:
+        assert out._maps is None
+        kept = out._points[0]
+        assert kept is not None
+        assert kept == _read_points(PartialAction(out.group, out.algebra, out.idems, out.maps))
 
 
 def test_other_carriers_take_the_matrix_routes(quotient_routes):
