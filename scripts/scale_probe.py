@@ -9,16 +9,21 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
 
 - for each positional n, `ExtensionClass.certify` on a fresh copy of the
   set on all n points, `harrison_product(c, c)` on the certified class,
-  `globalize` on a fresh copy of the set on n/2 points, and
+  `globalize` on a fresh copy of the set on n/2 points,
   `canonical_key` of a fresh certified copy of the set on all n points and
-  `iso_check` of one against a copy translated by 1, and
+  `iso_check` of one against a copy translated by 1,
   `quotient_action(act, H).certify()` on such a copy with H = <g_(n/2)>,
-  so |G/H| = n/2;
+  so |G/H| = n/2, and `quotient_via_globalization(act, <g2>)` on a fresh
+  copy of the set on n/2 points, so |H| = n/2;
 - for each n after ``--cli``, `cli.run` of `psi` and of `quotient` with
   ``--subgroup g2`` (so |H| = n/2) on the set on n/2 points, read from an
   action file in a temporary directory; the report is discarded;
 - at n = 64 (`POINT_RUNG`), `cli.run` of `product --json` of the set on all
-  n points with itself, and of `idempotent --json` on it, read the same way.
+  n points with itself, and of `idempotent --json` on it, read the same way;
+- at n = 256 and 512 (`SUBSET_RUNGS`), `harrison_product(c, c)` of the
+  certified class c of the set on the 8 points 0 .. 7, and `idempotent_class`
+  of a fresh copy of that set: rank 8 at every n, so these rungs grow with
+  |G| alone.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -40,11 +45,11 @@ import time
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from pargal import QQ, ExtensionClass, cli, globalize, harrison_product  # noqa: E402
+from pargal import QQ, ExtensionClass, cli, globalize, harrison_product, idempotent_class  # noqa: E402
 from pargal.actionfile import save_action  # noqa: E402
 from pargal.groups import subgroup_closure  # noqa: E402
 from pargal.paction import canonical_key, iso_check  # noqa: E402
-from pargal.quotient import quotient_action  # noqa: E402
+from pargal.quotient import quotient_action, quotient_via_globalization  # noqa: E402
 from gen import regular_restriction  # noqa: E402
 
 RUNS = 3
@@ -72,7 +77,8 @@ def certified(n, shift=0):
 def class_rungs(n):
     """(op, seconds) of certify and square on the regular Z_n class, of
     globalize on Z_n on n/2 points, of the key of the class and its iso
-    with a translated copy, and of its certified quotient by <g_(n/2)>."""
+    with a translated copy, of its certified quotient by <g_(n/2)>, and of
+    the globalized quotient of Z_n on n/2 points by <g2>."""
     cls = ExtensionClass.certify(regular_restriction(QQ, n, range(n)))
     yield "certify", least_seconds(lambda: regular_restriction(QQ, n, range(n)), ExtensionClass.certify)
     yield "square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
@@ -84,6 +90,11 @@ def class_rungs(n):
         quotient_action(act, subgroup_closure(act.group, [n // 2])).certify()
 
     yield "quotient", least_seconds(lambda: certified(n), quotient)
+
+    def globalized(act):
+        quotient_via_globalization(act, subgroup_closure(act.group, [2]))
+
+    yield "globalized quotient", least_seconds(lambda: regular_restriction(QQ, n, range(n // 2)), globalized)
 
 
 def run_cli(argv):
@@ -112,6 +123,17 @@ def point_rungs(n, workdir):
     yield "cli idempotent", least_seconds(lambda: ["idempotent", path, "--json"], run_cli)
 
 
+SUBSET_RUNGS = (256, 512)
+
+
+def subset_rungs(n):
+    """(op, seconds) of the square of the class of Z_n on the points
+    0 .. 7 and of `idempotent_class` of that set."""
+    cls = ExtensionClass.certify(regular_restriction(QQ, n, range(8)))
+    yield "subset square", least_seconds(lambda: cls, lambda c: harrison_product(c, c))
+    yield "subset idempotent", least_seconds(lambda: regular_restriction(QQ, n, range(8)), idempotent_class)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key, iso and quotient rungs")
@@ -124,6 +146,8 @@ def main(argv=None) -> None:
         for n in args.cli:
             timed += [(op, n, s) for op, s in cli_rungs(n, workdir)]
         timed += [(op, POINT_RUNG, s) for op, s in point_rungs(POINT_RUNG, workdir)]
+    for n in SUBSET_RUNGS:
+        timed += [(op, n, s) for op, s in subset_rungs(n)]
     rungs, last = [], {}
     for op, n, seconds in timed:
         exponent = None

@@ -15,7 +15,7 @@ import time
 
 from .scalars import Matrix, parse_ring
 from .algebra import AlgebraError
-from .actionfile import ActionFileError, load_action, save_action
+from .actionfile import ActionFileError, _scalar, load_action, save_action
 from .groups import GroupError, subgroup_closure
 from .paction import (
     PartialAction,
@@ -168,7 +168,7 @@ def cmd_trace(args, report):
     ring = act.algebra.ring
     if not args.element:
         raise AlgebraError("trace needs --element with comma-separated coordinates")
-    coords = [ring.scalar_from_str(s) for s in args.element.split(",")]
+    coords = [_scalar(ring, s, f"--element coordinate {i}") for i, s in enumerate(args.element.split(","), 1)]
     out = trace(act, act.algebra.element(coords))
     report.check("trace lies in the invariant subalgebra", True)
     report.data["trace"] = _fmt(act.algebra, out.coords)

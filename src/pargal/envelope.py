@@ -9,7 +9,8 @@ the group identity, since t * iota(1_S) = iota(t(1)).
 
 On a standard carrier whose partial G-set X passes the point-set
 certificate, the translates are the indicators of the classes of the
-enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), so T, beta and the
+enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), read by the one orbit
+reader :func:`~pargal.paction._orbit_quotient`, so T, beta and the
 embedding are read off the classes without a row reduction, and the
 certificate tests that X is the restriction of that set.  Every other action
 takes the span of translates and the matrix checks; so does data that fails
@@ -44,6 +45,7 @@ from .paction import (
     PartialAction,
     _action_on_points,
     _match_iso,
+    _orbit_quotient,
     _point_set,
     _row_sources,
     global_action,
@@ -136,47 +138,42 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     Point (g, y) of G x X is basis vector y of slot g of S^G.  The vector
     beta_h iota(e_x) has the support {(k h^-1, a_k(x)) : x in D_(k^-1)},
     and since a_g a_h is contained in a_gh, any two such supports are equal
-    or disjoint.  They partition G x X; the class of (g, y) is
-    {(kg, a_k(y)) : y in D_(k^-1)}.  The class indicators, in the order of
-    their least points, are the rows of the canonical row form that
-    :func:`_globalize_matrices` computes, so T is split on their labels,
-    beta_h permutes the classes by pi_h, sending the class of (g, y) to the
-    class of (gh^-1, y), and e_x embeds as the class of (1, x).  The pi_h
-    are built once, as the global action of G on the classes
-    (:func:`~pargal.paction._action_on_points`), which is the data's
-    enveloping action; no beta matrix is written, and the labels of T, the
-    sums of the point labels g:<label> of each class, are written on first
-    read.
+    or disjoint.  They partition G x X into the orbits of G x 1 in the
+    partial G x G-set (k, t)(g, y) = (k g t^-1, a_k(y)), ordered by least
+    point (:func:`~pargal.paction._orbit_quotient`), whose indicators are
+    the rows of the canonical row form that :func:`_globalize_matrices`
+    computes.  So T is split on their labels, beta_t permutes them by pi_t,
+    the image of the coset of (1, t), and e_x embeds as the class c(x) of
+    (1, x).  The pi_t are the data's enveloping action, the global action
+    of G on the classes (:func:`~pargal.paction._action_on_points`); no beta
+    matrix is written, and the labels of T, the sums of the point labels
+    g:<label> of each class, are written on first read.
     """
     G = act.group
     S = act.algebra
     ring = S.ring
     n = S.rank
-    # cls[g n + y] is the class of (g, y); least[j] the least point of class j
-    cls, least, classes = [None] * (G.order * n), [], []
-    for g in G.elements():
-        for y in range(n):
-            if cls[g * n + y] is None:
-                members = sorted(G.mul(k, g) * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
-                for p in members:
-                    cls[p] = len(least)
-                least.append(g * n + y)
-                classes.append(members)
+    table, inverse = G.table, G.inverse
 
+    def move(t, k, p):
+        # (k, t) sends (g, y) to (k g t^-1, a_k(y))
+        j = maps[k][p % n]
+        return None if j is None else table[table[k][p // n]][inverse[t]] * n + j
+
+    classes, pis, c = _orbit_quotient(G.order * n, G.identity, G.elements(), G.elements(), move)
     group_labels = G.labels
 
     def write(labels):
         names = [f"{g}:{lab}" for g in group_labels for lab in labels]
         return [" + ".join(names[p] for p in members) for members in classes]
 
-    pis = [[cls[G.mul(p // n, G.inv(h)) * n + p % n] for p in least] for h in G.elements()]
     env = _action_on_points(G, ring, deferred_labels(write, S), pis)
-    T, k = env.algebra, len(least)
+    T, k = env.algebra, len(classes)
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]
     one_s = [0] * k
     for x in range(n):
-        j = cls[G.identity * n + x]
+        j = c[G.identity * n + x]
         embed[j][x] = down[x][j] = one_s[j] = 1
     return GlobalizationData(
         act, env, AlgebraMorphism(S, T, Matrix(ring, embed, n)), Element(T, one_s), Matrix(ring, down, k)

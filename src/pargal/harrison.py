@@ -31,6 +31,7 @@ from .paction import (
     _action_on_points,
     _components,
     _has_fixed_point,
+    _orbit_quotient,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -42,7 +43,7 @@ from .paction import (
     transport,
     verify_partial_action,
 )
-from .quotient import QuotientAction, _orbit_quotient, quotient_action
+from .quotient import QuotientAction, quotient_action
 
 
 class CertificationError(ValueError):
@@ -113,7 +114,7 @@ class ExtensionClass:
             raise CertificationError(f"not a partial action: {bad.name} [{bad.witness}]")
         out = ExtensionClass(action)
         points = _point_set(action)
-        rank = out.fixed.algebra.rank if points is None else len(_components(points))
+        rank = out.fixed.algebra.rank if points is None else len(_components(points)[0])
         if rank != 1:
             raise CertificationError(f"fixed ring has rank {rank}, expected the base ring")
         if (out.witness is None) if points is None else _has_fixed_point(action.group, points):
@@ -230,7 +231,7 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     0 .. npoints - 1, as a partial action of G on R^(components): the
     route of the matrix quotient (:func:`_quotient_by_delta` and
     :func:`_identify_with_group`) read off the points by
-    :func:`~pargal.quotient._orbit_quotient`, the coset of (g, 1) at g.
+    :func:`~pargal.paction._orbit_quotient`, the coset of (g, 1) at g.
     ``move(g, s, p)`` is the image of p under (gs, s^-1), or None.  The
     components, labelled by their indicator vectors in the point labels
     ``point_labels`` (:func:`~pargal.algebra.deferred_labels`) on first
@@ -238,7 +239,7 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     """
     if not G.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    points, images = _orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
+    points, images, _ = _orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
 
     def write(names):
         return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]

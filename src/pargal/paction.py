@@ -368,6 +368,42 @@ def _points_certified(group: FiniteGroup, maps, domains=None) -> bool:
     return True
 
 
+def _orbit_quotient(npoints: int, identity, reps, members, move):
+    """The quotient of a partial G-set X on the points 0 .. npoints - 1 by
+    a normal subgroup H: its H-orbits, ascending and ordered by least point;
+    for each g of ``reps`` the map sending orbit k to the orbit of
+    ``move(g, h, p)`` = a_gh(p), p the least point of k, for the first h of
+    ``members`` (the elements of H) where it is defined, else None; and the
+    orbit of each point.  It is the one orbit read of point maps.
+
+    X is the restriction of a G-set Y (:func:`_points_certified`).
+    The orbit of p is {a_h(p) : h in H}, one move per h, so the unvisited
+    point of least index is the least point of its orbit.  The images are
+    well defined: if a_gh(p) and a_gh'(p') are defined, p' = a_k(p) with k
+    in H, then gh'p' = (gh'kh^-1 g^-1) ghp in Y, with gh'kh^-1 g^-1 in H as
+    H is normal; and as gh'k lies in gH, some move of p by gH is defined
+    when one of p' is, for any representative g."""
+    comp = [None] * npoints
+    orbits = []
+    for p in range(npoints):
+        if comp[p] is None:
+            orbit = sorted({q for h in members if (q := move(identity, h, p)) is not None})
+            for q in orbit:
+                comp[q] = len(orbits)
+            orbits.append(orbit)
+    images = []
+    for g in reps:
+        image = [None] * len(orbits)
+        for k, orbit in enumerate(orbits):
+            for h in members:
+                q = move(g, h, orbit[0])
+                if q is not None:
+                    image[k] = comp[q]
+                    break
+        images.append(image)
+    return orbits, images, comp
+
+
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     """The partial action of a subgroup on the same carrier.
 
@@ -424,20 +460,24 @@ def invariants(act: PartialAction) -> SubAlgebra:
     :func:`~pargal.algebra.algebra_on_module` gives these rows, written on
     first read, with no row reduction or solve, and their linear system is
     factored on first use."""
-    A = act.algebra
-    ring = A.ring
     points = _point_set(act)
     if points is not None:
-        rows = [[int(y in c) for y in range(A.rank)] for c in _components(points)]
-        basis = Matrix(ring, rows, A.rank)
-        fixed = Algebra.split(ring, deferred_labels(lambda names: [format_coords(names, row) for row in rows], A), len(rows))
-        return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
+        return _invariants_on_points(act.algebra, *_components(points))
     rows = []
     for g in act.group.elements():
         diff = act.maps[g].sub(act.idem_matrix(g))
         rows.extend(diff.rows)
-    constraints = Matrix.from_rows(ring, rows, act.algebra.rank)
+    constraints = Matrix.from_rows(act.algebra.ring, rows, act.algebra.rank)
     return subalgebra_from_constraints(act.algebra, constraints)
+
+
+def _invariants_on_points(A: Algebra, orbits, comp) -> SubAlgebra:
+    """:func:`invariants` on the split carrier ``A`` of a point set with the
+    components ``orbits``, comp[y] that of y (:func:`_components`)."""
+    rows = [[int(k == j) for k in comp] for j in range(len(orbits))]
+    basis = Matrix(A.ring, rows, A.rank)
+    fixed = Algebra.split(A.ring, deferred_labels(lambda names: [format_coords(names, row) for row in rows], A), len(rows))
+    return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
 
 
 @dataclass
@@ -886,14 +926,10 @@ def _component_from(maps, kept, x, colour=None):
 
 def _components(maps):
     """The components of the partial G-set of the point maps ``maps``,
-    ordered by least point: the orbit {a_g(x)} of each least point x not
-    yet reached (:func:`_component_from`)."""
-    reached, out = set(), []
-    for x in range(len(maps[0])):
-        if x not in reached:
-            out.append({f[x] for f in maps} - {None})
-            reached |= out[-1]
-    return out
+    ordered by least point, and the component of each point: the orbits of
+    :func:`_orbit_quotient` with the maps as the members."""
+    orbits, _, comp = _orbit_quotient(len(maps[0]), None, (), maps, lambda _, a, p: a[p])
+    return orbits, comp
 
 
 def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):

@@ -11,9 +11,9 @@ through T^H.  The intrinsic route is primary; the globalized route is the
 differential oracle, and both are compared matrix-for-matrix.
 
 On a standard carrier whose partial G-set X passes the point-set
-certificate both routes keep one map of H-orbits per coset: the closed
-forms read by :func:`_orbit_quotient`, as are the delta-G quotients of
-:mod:`pargal.harrison`, and the globalized route on G x X / ~ (:mod:`pargal.envelope`).
+certificate both routes keep one map of H-orbits per coset, read with
+the classes of G x X / ~ of the globalized route (:mod:`pargal.envelope`)
+by the one orbit reader :func:`~pargal.paction._orbit_quotient`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,10 @@ from .groups import Subgroup, QuotientData, quotient
 from .paction import (
     ActionReport,
     PartialAction,
+    _components,
+    _invariants_on_points,
     _on_points,
+    _orbit_quotient,
     _point_set,
     _points_certified,
     _row_sources,
@@ -89,7 +92,8 @@ class QuotientAction:
         return rep
 
 
-def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep) -> QuotientAction:
+def _build_quotient_action(act, sub, qdata, map_for_rep, tilde_for_rep) -> QuotientAction:
+    carrier = invariants(restrict(act, sub))
     SH = carrier.algebra
     ring = SH.ring
     G = act.group
@@ -101,7 +105,6 @@ def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
         if coords is None:
             raise AssertionError("1~_{gH} escaped S^{alpha_H} (bug trap)")
         idems.append(Element(SH, coords))
-    for q, rep in enumerate(qdata.transversal):
         q_inv = qdata.coset_of(G.inv(rep))
         cols = []
         for row in carrier.basis.rows:
@@ -116,53 +119,14 @@ def _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
     return QuotientAction(act, sub, qdata, carrier, action, tilde)
 
 
-def _orbit_quotient(npoints: int, identity: int, reps, members, move):
-    """The quotient of a partial G-set X on the points 0 .. npoints - 1 by
-    a normal subgroup H: its H-orbits, ascending and ordered by least point,
-    and for each g of ``reps`` the map sending orbit k to the orbit of
-    ``move(g, h, p)`` = a_gh(p), p the least point of k, for the first h of
-    ``members`` (the elements of H) where it is defined, else None.
-
-    X is the restriction of a G-set Y (:func:`~pargal.paction._points_certified`).
-    The orbit of p is {a_h(p) : h in H}, one move per h, so the unvisited
-    point of least index is the least point of its orbit.  The images are
-    well defined: if a_gh(p) and a_gh'(p') are defined, p' = a_k(p) with k
-    in H, then gh'p' = (gh'kh^-1 g^-1) ghp in Y, with gh'kh^-1 g^-1 in H as
-    H is normal; and as gh'k lies in gH, some move of p by gH is defined
-    when one of p' is, for any representative g.  On the functions
-    constant on the orbits, S^{alpha_H}, this is alpha_{gH}: its closed
-    form reads x at a_(g h_i)^-1(q) for the first h_i with q in D_(g h_i),
-    a point of orbit k exactly when q lies in the image of k; 1~_{gH} is 1
-    on the union of the D_gh, the image orbits."""
-    comp = [None] * npoints
-    orbits = []
-    for p in range(npoints):
-        if comp[p] is None:
-            orbit = sorted({q for h in members if (q := move(identity, h, p)) is not None})
-            for q in orbit:
-                comp[q] = len(orbits)
-            orbits.append(orbit)
-    images = []
-    for g in reps:
-        image = [None] * len(orbits)
-        for k, orbit in enumerate(orbits):
-            for h in members:
-                q = move(g, h, orbit[0])
-                if q is not None:
-                    image[k] = comp[q]
-                    break
-        images.append(image)
-    return orbits, images
-
-
-def _quotient_on_points(act, sub, qdata, carrier, images) -> QuotientAction:
+def _quotient_on_points(act, sub, qdata, orbits, images, comp) -> QuotientAction:
     """The quotient action of the orbit maps ``images``, one per coset in
-    transversal order, on the invariants of a certified point set: the
-    indicators of the orbits (:func:`~pargal.paction.invariants`).  1~_{gH}
+    transversal order, on the indicators of the H-orbits ``orbits``, comp[p]
+    the orbit of p (:func:`~pargal.paction._invariants_on_points`).  1~_{gH}
     is 1 on the image orbits; the maps must pass the point-set certificate
     (a bug trap) and are kept (:func:`~pargal.paction._on_points`)."""
+    carrier = _invariants_on_points(act.algebra, orbits, comp)
     SH = carrier.algebra
-    comp = _row_sources(zip(*carrier.basis.rows))
     idems = [Element(SH, tuple(int(c in hit) for c in range(SH.rank))) for hit in map(set, images)]
     if not _points_certified(qdata.quotient, images):
         raise AssertionError("alpha_{G/H} fails the point-set certificate (bug trap)")
@@ -170,17 +134,15 @@ def _quotient_on_points(act, sub, qdata, carrier, images) -> QuotientAction:
     return QuotientAction(act, sub, qdata, carrier, _on_points(qdata.quotient, SH, idems, images), tildes)
 
 
-def _orbit_maps(carrier, sources) -> list:
+def _orbit_maps(orbits, comp, sources) -> list:
     """The orbit maps of the cosets gH read off alpha_{g^-1 H}(x)(p) =
     x(s), s = sources[q][p] for the coset q of g, or 0 where s is None:
     alpha_{gH} inverts it, sending the orbit of p to that of s.  Any vector
     not constant on the orbits escapes S^{alpha_H} (the bug traps).  Each
     term alpha_{gh}(x 1_{(gh)^-1}) of the closed form multiplies x by
     1_{(gh)^-1} <= 1~_{g^-1 H}, so alpha_{gH}(1_c 1~_{g^-1 H}) is 1 on the
-    orbits that draw from c."""
-    basis = carrier.basis.rows
-    least = [row.index(1) for row in basis]
-    comp = _row_sources(zip(*basis))
+    orbits that draw from c, the H-orbits ``orbits``, comp[p] that of p."""
+    least = [orbit[0] for orbit in orbits]
     drawn = []
     for source in sources:
         if any((s is None) != (source[least[c]] is None) for s, c in zip(source, comp)):
@@ -195,24 +157,25 @@ def _orbit_maps(carrier, sources) -> list:
 def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
     """The induced partial action of G/H on S^{alpha_H} via the closed forms.
 
-    On a certified point set (:func:`~pargal.paction._point_set`) they are
-    read off the point maps by :func:`_orbit_quotient`.  Uncertified:
+    On a certified point set (:func:`~pargal.paction._point_set`) the
+    H-orbits, whose indicators span S^{alpha_H}, and the orbit maps are
+    read in one call of :func:`~pargal.paction._orbit_quotient`: the closed
+    form of alpha_{gH} reads x at a_(g h_i)^-1(q) for the first h_i with q
+    in D_(g h_i), a point of orbit k exactly when q lies in the image of k;
+    1~_{gH} is 1 on the union of the D_gh, the image orbits.  Uncertified:
     callers that need the theorem-level invariants run
     :meth:`QuotientAction.certify`.
     """
     qdata = quotient(act.group, sub, transversal)
-    carrier = invariants(restrict(act, sub))
     points = _point_set(act)
     if points is not None:
         table = act.group.table
-        images = _orbit_quotient(act.algebra.rank, act.group.identity, qdata.transversal, sub.members,
-                                 lambda g, h, p: points[table[g][h]][p])[1]
-        return _quotient_on_points(act, sub, qdata, carrier, images)
+        return _quotient_on_points(act, sub, qdata, *_orbit_quotient(
+            act.algebra.rank, act.group.identity, qdata.transversal, sub.members, lambda g, h, p: points[table[g][h]][p]))
     return _build_quotient_action(
         act,
         sub,
         qdata,
-        carrier,
         lambda rep, x: induced_map_apply(act, sub, rep, x),
         lambda rep: quotient_idempotent(act, sub, rep),
     )
@@ -233,10 +196,10 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
 
     gd = globalize(act)
     qdata = quotient(act.group, sub)
-    carrier = invariants(restrict(act, sub))
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
-    if _point_set(act) is not None:
+    points = _point_set(act)
+    if points is not None:
         pull, through, up = (_row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
         pis = _point_set(gd.enveloping_action)
         sources = []
@@ -245,7 +208,8 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
             for step in (pis[act.group.inv(qdata.transversal[q])], through, up):
                 source = [None if c is None else step[c] for c in source]
             sources.append(source)
-        return _quotient_on_points(act, sub, qdata, carrier, _orbit_maps(carrier, sources))
+        orbits, comp = _components([points[h] for h in sub.members])
+        return _quotient_on_points(act, sub, qdata, orbits, _orbit_maps(orbits, comp, sources), comp)
     T = gd.algebra
     down = gd.down
     emb = gd.embed.matrix
@@ -262,7 +226,7 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
         y = gd.beta[rep].matvec(t)
         return Element(act.algebra, down.matvec(T.mul_coords(y, one_s)))
 
-    return _build_quotient_action(act, sub, qdata, carrier, map_for_rep, tilde_for_rep)
+    return _build_quotient_action(act, sub, qdata, map_for_rep, tilde_for_rep)
 
 
 def quotient_galois_check(act: PartialAction, sub: Subgroup):

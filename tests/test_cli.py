@@ -229,6 +229,7 @@ VERIFY = ("verify",)
         (_set(["algebra", "unit", 1], "1/0"), VERIFY, "/algebra/unit: bad scalar '1/0'"),
         (_set(["action", "g", "matrix", 1, 0], "1/0"), VERIFY, "/action/g/matrix/1: bad scalar '1/0'"),
         (None, ("trace", "--element", "1/0,1"), "bad scalar '1/0'"),
+        (None, ("trace", "--element", "1,x,3"), "pargal trace: --element coordinate 2: Invalid literal for Fraction: 'x'"),
         # JSON booleans load as Python bools, which are ints
         (_set(["format"], True), VERIFY, "bad.json: unsupported format True, expected 1"),
         (_set(["group", "table", 0, 1], True), VERIFY, "/group/table: rows must be lists of element indices"),
@@ -241,7 +242,7 @@ VERIFY = ("verify",)
          "/action/g/matrix/1: Invalid literal for Fraction: 'True'"),
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
-         "unit-zero-denominator", "matrix-zero-denominator", "trace-element",
+         "unit-zero-denominator", "matrix-zero-denominator", "trace-element", "trace-element-located",
          "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):
@@ -582,3 +583,46 @@ def test_rank_lines_of_a_point_set_build_no_ideal(argv, monkeypatch, capsys):
     assert run_cli(command, *map(fixture, names), "--json") == 0
     data = json.loads(capsys.readouterr().out)["data"]
     assert data["domain ranks" if command == "product" else "ideal ranks"]
+
+
+RANK_ZERO = {
+    "format": 1,
+    "base": "Q",
+    "algebra": {"labels": [], "constants": [], "unit": []},
+    "group": {"cyclic": [2]},
+    "action": {"1": {"idempotent": [], "matrix": []}, "g": {"idempotent": [], "matrix": []}},
+}
+
+
+@pytest.fixture
+def rank_zero(tmp_path):
+    path = tmp_path / "rank0.json"
+    path.write_text(json.dumps(RANK_ZERO), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["invariants"], ["globalize"], ["psi", "--subgroup", "g"], ["quotient", "--subgroup", "g"],
+     ["quotient-check", "--subgroup", "g"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_rank_0_carrier_reads_no_orbit(argv, rank_zero, capsys):
+    # a point set with no point, so every orbit read (components, enveloping
+    # set, H-orbits) is empty
+    from pargal.paction import _point_set
+
+    assert _point_set(load_action(rank_zero)) == [[], []]
+    command, *options = argv
+    assert run_cli(command, rank_zero, *options, "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(check["status"] == "pass" for check in doc["checks"])
+    if command == "invariants":
+        assert doc["data"] == {"rank": 0, "basis": []}
+
+
+@pytest.mark.parametrize("command", ["idempotent", "product"])
+def test_a_rank_0_carrier_is_no_class(command, rank_zero, capsys):
+    files = [rank_zero] * (2 if command == "product" else 1)
+    assert run_cli(command, *files) == 2
+    assert f"pargal {command}: fixed ring has rank 0, expected the base ring" in capsys.readouterr().err

@@ -563,3 +563,29 @@ def test_one_s_of_the_wrong_length_is_refused(carrier, extra, psi_routes):
     for sub in all_subgroups(act.group):
         psi_report(gd, sub)
     assert bool(psi_routes) == (carrier == "rebased")
+
+
+def test_the_enveloping_read_finds_the_identity_at_any_index():
+    # the regular S_3-set on three of its points, with the elements
+    # reordered so that the identity has index 1: the class c(x) of (1, x)
+    # lies in the identity's slot of G x X, and G is not abelian, so no
+    # other slot embeds X into G x X / ~
+    from pargal.paction import _action_on_points, _point_set
+    from pargal.quotient import quotient_action, quotient_via_globalization
+    from test_groups import s3
+
+    base = s3()
+    order = [1, 0] + list(range(2, 6))
+    pos = {old: new for new, old in enumerate(order)}
+    group = FiniteGroup([base.labels[a] for a in order], [[pos[base.mul(a, b)] for b in order] for a in order])
+    subset = [0, 1, 3]
+    where = {x: i for i, x in enumerate(subset)}
+    maps = [[where.get(base.mul(g, x)) for x in subset] for g in order]
+    act = _action_on_points(group, QQ, [f"x{x}" for x in subset], maps)
+    assert group.identity == 1 and _point_set(act) is not None
+    gd = globalize(act)
+    assert gd.algebra.rank == 6
+    for sub in (subgroup_closure(group, []), subgroup_closure(group, [pos[1], pos[2]])):
+        via, closed = quotient_via_globalization(act, sub), quotient_action(act, sub)
+        assert via.action._points == closed.action._points
+        assert via.carrier.basis == closed.carrier.basis

@@ -54,7 +54,8 @@ from pargal.paction import (
     restrict,
     verify_partial_action,
 )
-from pargal.quotient import quotient_action
+from pargal.envelope import globalize
+from pargal.quotient import quotient_action, quotient_via_globalization
 
 from test_algebra import project_coords
 
@@ -942,18 +943,20 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
             assert rep.passed, (c, members, [f.name for f in rep.failures()])
 
 
-# The orbit read of quotient._orbit_quotient against a union-find over
-# every (h, point) pair, on the three routes that call it (the product,
-# idempotent_class and quotient_action on points); the point set each
-# result keeps against a fresh read of its matrices; and the split
-# invariants of a certified point set against the constraint solve that
-# every other carrier takes.
+# The orbit read of paction._orbit_quotient against a union-find over
+# every (h, point) pair, on every route that calls it (the product,
+# idempotent_class, the components of a certificate, quotient_action, the
+# enveloping set of globalize and the globalized quotient on points); the
+# point set each result keeps against a fresh read of its matrices; and the
+# split invariants of a certified point set against the constraint solve
+# that every other carrier takes.
 
 
 def union_find_quotient(npoints, identity, reps, members, move):
-    """(orbits, images) of quotient._orbit_quotient, with the orbits found
-    by a union-find over all |H| npoints (h, point) pairs, and each image
-    read off every point of its orbit and every h, which must agree."""
+    """(orbits, images, orbit of each point) of paction._orbit_quotient,
+    with the orbits found by a union-find over all |H| npoints (h, point)
+    pairs, and each image read off every point of its orbit and every h,
+    which must agree."""
     root = list(range(npoints))
 
     def find(p):
@@ -984,18 +987,20 @@ def union_find_quotient(npoints, identity, reps, members, move):
             assert len(hit) <= 1, "the orbit map is not well defined"
             image.append(hit.pop() if hit else None)
         images.append(image)
-    return orbits, images
+    return orbits, images, comp
 
 
 @contextlib.contextmanager
 def checked_orbit_quotients(calls):
-    """quotient._orbit_quotient, as both of its modules call it, checked on
+    """paction._orbit_quotient, wherever its callers look it up, checked on
     every call against the union-find oracle; each call's arguments go to
     ``calls``."""
+    import pargal.envelope as envelope
     import pargal.harrison as harrison
+    import pargal.paction as paction
     import pargal.quotient as quotient
 
-    orbit_read = quotient._orbit_quotient
+    orbit_read = paction._orbit_quotient
 
     def checked(*args):
         got = orbit_read(*args)
@@ -1003,7 +1008,9 @@ def checked_orbit_quotients(calls):
         calls.append(args)
         return got
 
-    with mock.patch.object(harrison, "_orbit_quotient", checked), mock.patch.object(quotient, "_orbit_quotient", checked):
+    with contextlib.ExitStack() as stack:
+        for module in (paction, envelope, quotient, harrison):
+            stack.enter_context(mock.patch.object(module, "_orbit_quotient", checked))
         yield
 
 
@@ -1016,13 +1023,29 @@ def test_orbit_read_matches_the_union_find_oracle(pair):
         product = harrison_product(a, b)
         idems = [idempotent_class(a.action), idempotent_class(b.action)]
         square = harrison_product(product, product)
-        quotients = [quotient_action(product.action, sub) for sub in cyclic_subgroups(product.group)]
-    built = [c.action for c in (product, *idems, square)] + [qa.action for qa in quotients]
-    assert len(calls) == len(built)
-    for act in built:
+        subs = cyclic_subgroups(product.group)
+        quotients = [quotient_action(product.action, sub) for sub in subs]
+        envelope = globalize(product.action)
+        globalized = [quotient_via_globalization(product.action, sub) for sub in subs]
+    built = [c.action for c in (product, *idems, square)] + [qa.action for qa in quotients + globalized]
+    # per class, a delta-G read and the components of its certificate; one
+    # read per quotient action; G x X / ~ for the envelope; and per
+    # globalized quotient, G x X / ~ and the H-orbits
+    assert len(calls) == 2 * 4 + len(subs) + 1 + 2 * len(subs)
+    for act in built + [envelope.enveloping_action]:
         kept = act._points[0]
         assert act._maps is None and kept is not None
         assert kept == _read_points(PartialAction(act.group, act.algebra, act.idems, act.maps))
+
+
+def test_quotient_action_on_points_reads_the_orbits_once():
+    act = subset_class(12, range(12)).action
+    for sub in cyclic_subgroups(act.group):
+        calls = []
+        with checked_orbit_quotients(calls):
+            qa = quotient_action(act, sub)
+        assert len(calls) == 1 and qa.action._points[0] is not None
+        assert qa.carrier.basis == invariants(restrict(act, sub)).basis
 
 
 def cyclic_subgroups(G):
@@ -1328,8 +1351,6 @@ def deferred(algebra) -> bool:
 @settings(max_examples=80, deadline=None)
 def test_deferred_labels_match_the_eager_oracle(pair):
     import copy
-
-    from pargal.envelope import globalize
 
     a, b = pair
     calls = []

@@ -280,17 +280,21 @@ def test_point_route_traps_vectors_outside_the_invariants():
     assert carrier.basis.rows == [[1, 0, 1], [0, 1, 0]]
     # sources: point 2 undefined, so 1~_{gH} splits the orbit {e1, e3};
     # then point 2 drawn from e2, so alpha_{gH} splits it
+    # the H-orbits {e1, e3} and {e2}, and the orbit of each point
+    orbits, comp = [[0, 2], [1]], [0, 1, 0]
     for sources, trap in (([0, 1, None], "1~_{gH} escaped"), ([0, 1, 1], "alpha_{gH} left")):
         with pytest.raises(AssertionError, match=re.escape(trap)):
-            _orbit_maps(carrier, [sources] * 2)
-    assert _orbit_maps(carrier, [[0, 1, 2], [1, 0, 1]]) == [[0, 1], [1, 0]]
+            _orbit_maps(orbits, comp, [sources] * 2)
+    assert _orbit_maps(orbits, comp, [[0, 1, 2], [1, 0, 1]]) == [[0, 1], [1, 0]]
     # orbit maps that are no partial G/H-set: the identity coset moves, or
     # sends both orbits to {e1, e3}
     qdata = quotient(act.group, h)
-    assert _quotient_on_points(act, h, qdata, carrier, [[0, 1], [1, 0]]).action._points == ([[0, 1], [1, 0]],)
-    for images in ([[1, 0], [1, 0]], _orbit_maps(carrier, [[0, 0, 0]] * 2)):
+    qa = _quotient_on_points(act, h, qdata, orbits, [[0, 1], [1, 0]], comp)
+    assert qa.action._points == ([[0, 1], [1, 0]],)
+    assert qa.carrier.basis == carrier.basis and qa.carrier.algebra == carrier.algebra
+    for images in ([[1, 0], [1, 0]], _orbit_maps(orbits, comp, [[0, 0, 0]] * 2)):
         with pytest.raises(AssertionError, match="certificate"):
-            _quotient_on_points(act, h, qdata, carrier, images)
+            _quotient_on_points(act, h, qdata, orbits, images, comp)
 
 
 @pytest.fixture
