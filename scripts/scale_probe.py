@@ -23,7 +23,14 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
 - at n = 256 and 512 (`SUBSET_RUNGS`), `harrison_product(c, c)` of the
   certified class c of the set on the 8 points 0 .. 7, and `idempotent_class`
   of a fresh copy of that set: rank 8 at every n, so these rungs grow with
-  |G| alone.
+  |G| alone;
+- at n = 12 and 16 (`DENSE_RUNGS`), the routes that read no point set:
+  `verify_partial_action` plus `canonical_key` of a fresh copy of the set
+  on all n points rebased onto the basis e_0, e_0 + e_1, ..., e_(n-2) +
+  e_(n-1) by `tests/test_paction.py::rebased`, and over Z/6 `iso_check`
+  of a fresh set glued by `tests/test_paction.py::crt_glue` (3 x + 4 y, x
+  the set and y the set on the reversed basis, so no point set) against
+  its copy on the reversed basis.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -43,14 +50,18 @@ import tempfile
 import time
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
 
 from pargal import QQ, ExtensionClass, cli, globalize, harrison_product, idempotent_class  # noqa: E402
 from pargal.actionfile import save_action  # noqa: E402
 from pargal.groups import subgroup_closure  # noqa: E402
-from pargal.paction import canonical_key, iso_check  # noqa: E402
+from pargal.paction import canonical_key, iso_check, verify_partial_action  # noqa: E402
 from pargal.quotient import quotient_action, quotient_via_globalization  # noqa: E402
-from gen import regular_restriction  # noqa: E402
+from pargal.scalars import Matrix, Modular  # noqa: E402
+from gen import regular_restriction, relabel  # noqa: E402
+from test_paction import crt_glue, rebased  # noqa: E402
+
+Z6 = Modular(6)
 
 RUNS = 3
 
@@ -134,6 +145,30 @@ def subset_rungs(n):
     yield "subset idempotent", least_seconds(lambda: regular_restriction(QQ, n, range(8)), idempotent_class)
 
 
+DENSE_RUNGS = (12, 16)
+
+
+def dense_rungs(n):
+    """(op, seconds) of verify plus key of the rebased Z_n-set and of the
+    iso of the CRT-glued set with its copy on the reversed basis."""
+    cols = Matrix(QQ, [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)], n)
+
+    def verified_key(act):
+        verify_partial_action(act)
+        canonical_key(act)
+
+    yield "rebased verify+key", least_seconds(lambda: rebased(regular_restriction(QQ, n, range(n)), cols), verified_key)
+
+    def glued():
+        x = regular_restriction(Z6, n, range(n))
+        return crt_glue(x, regular_restriction(Z6, n, range(n), order=range(n - 1, -1, -1)))
+
+    def glued_pair():
+        return glued(), relabel(glued(), list(reversed(range(n))))
+
+    yield "glued iso", least_seconds(glued_pair, lambda pair: iso_check(*pair))
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key, iso and quotient rungs")
@@ -148,6 +183,8 @@ def main(argv=None) -> None:
         timed += [(op, POINT_RUNG, s) for op, s in point_rungs(POINT_RUNG, workdir)]
     for n in SUBSET_RUNGS:
         timed += [(op, n, s) for op, s in subset_rungs(n)]
+    for n in DENSE_RUNGS:
+        timed += [(op, n, s) for op, s in dense_rungs(n)]
     rungs, last = [], {}
     for op, n, seconds in timed:
         exponent = None

@@ -346,11 +346,27 @@ def make_algebra(ring: BaseRing, labels, struct_consts, unit) -> Algebra:
 
 @dataclass
 class AlgebraMorphism:
-    """Linear map source -> target given by a matrix on coordinates."""
+    """Linear map source -> target given by a matrix on coordinates.  A
+    morphism made by :meth:`deferred` writes its matrix on first read."""
 
     source: Algebra
     target: Algebra
     matrix: Matrix
+
+    @classmethod
+    def deferred(cls, source: Algebra, target: Algebra, write) -> "AlgebraMorphism":
+        """The morphism whose matrix is ``write()``, called on the first read
+        of :attr:`matrix`."""
+        out = cls.__new__(cls)
+        out.source, out.target, out._write = source, target, write
+        return out
+
+    def __getattr__(self, name):
+        # reached only while the matrix of a deferred morphism is unwritten
+        if name != "matrix" or "_write" not in self.__dict__:
+            raise AttributeError(name)
+        self.matrix = self.__dict__.pop("_write")()
+        return self.matrix
 
     def __call__(self, elem: Element) -> Element:
         if elem.algebra != self.source:

@@ -339,7 +339,7 @@ def cmd_decompose(args, report):
     act = _load(args.files[0], args.base)
     if not args.factors:
         raise AlgebraError("decompose needs --factors, e.g. --factors 2,2")
-    orders = [int(s) for s in args.factors.split(",")]
+    orders = [_factor_order(s, i) for i, s in enumerate(args.factors.split(","), 1)]
     c = _certified_class(act)
     parts = cyclic_decompose(c, orders)
     for i, part in enumerate(parts):
@@ -349,6 +349,14 @@ def cmd_decompose(args, report):
     # the input's group has the product's Cayley table, not always its labels
     res = iso_check(recomposed.action, transport(c.action, recomposed.group, list(c.group.elements())))
     report.check("compose of the factors is iso to the input", res.status == "iso")
+
+
+def _factor_order(text: str, i: int) -> int:
+    """Entry i (from 1) of --factors as an integer, or a located error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--factors entry {i}: {text!r} is not an integer") from None
 
 
 def cmd_compose(args, report):

@@ -187,13 +187,11 @@ def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
+    """Whether g h g^-1 lies in ``sub`` for every g and every member h,
+    read off the Cayley table in O(|G| |H|)."""
     mset = set(sub.members)
-    for g in range(group.order):
-        gi = group.inv(g)
-        for h in sub.members:
-            if group.mul(group.mul(g, h), gi) not in mset:
-                return False
-    return True
+    table = group.table
+    return all(table[table[g][h]][gi] in mset for g, gi in enumerate(group.inverse) for h in sub.members)
 
 
 @dataclass
@@ -217,23 +215,25 @@ def quotient(group: FiniteGroup, sub: Subgroup, transversal=None) -> QuotientDat
     """
     if not is_normal(group, sub):
         raise GroupError("quotient by a non-normal subgroup is undefined")
+    table = group.table
     coset_index = [None] * group.order
     if transversal is None:
         reps = []
-        for a in range(group.order):
+        for a, row in enumerate(table):
             if coset_index[a] is None:
                 reps.append(a)
                 q = len(reps) - 1
                 for h in sub.members:
-                    coset_index[group.mul(a, h)] = q
+                    coset_index[row[h]] = q
         transversal = tuple(reps)
     else:
         transversal = tuple(transversal)
         if not transversal or transversal[0] != group.identity:
             raise GroupError("transversal must start with the identity")
         for q, r in enumerate(transversal):
+            row = table[r]
             for h in sub.members:
-                x = group.mul(r, h)
+                x = row[h]
                 if coset_index[x] is not None:
                     raise GroupError("transversal hits a coset twice")
                 coset_index[x] = q
@@ -242,11 +242,8 @@ def quotient(group: FiniteGroup, sub: Subgroup, transversal=None) -> QuotientDat
     if len(transversal) * sub.order != group.order:
         raise GroupError("transversal size is inconsistent")
     labels = [group.labels[r] for r in transversal]
-    table = [
-        [coset_index[group.mul(a, b)] for b in transversal]
-        for a in transversal
-    ]
-    q = FiniteGroup(labels, table, validate=False)
+    rows = [[coset_index[row[b]] for b in transversal] for row in (table[a] for a in transversal)]
+    q = FiniteGroup(labels, rows, validate=False)
     return QuotientData(group, sub, transversal, q, tuple(coset_index))
 
 

@@ -697,12 +697,14 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     components by the rooted codes that :func:`canonical_key` compares, each
     read in O(|G|) from one point (:func:`_component_from`), so the two
     agree by construction; the witness returned is the first in lexicographic
-    order of (sigma_0, sigma_1, ...).  On two standard carriers whose units
-    all get one sigma, the witness is a permutation of the points, handed
-    to the trap as such and checked on the point maps
-    (:func:`_certified_witness`), with no matrix product.  A "none" answer
-    names its obstruction: the two ranks, or the CRT unit and the size of
-    the first component of ``a`` with no partner in ``b``.
+    order of (sigma_0, sigma_1, ...).  On two standard carriers the match
+    reads the point maps in place (:func:`_split_points`), and units that
+    share their maps share one match; when all units get one sigma, the
+    witness is that permutation pi of the points, checked on the point maps
+    (:func:`_certified_witness`) with no matrix product, and its matrix is
+    written on first read.  A "none" answer names its obstruction: the two
+    ranks, or the CRT unit and the size of the first component of ``a``
+    with no partner in ``b``.
     """
     return _match_iso(a, b)
 
@@ -712,7 +714,14 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     carriers, only witnesses with f(e) = e' count.  A point i of the partial
     G-set of unit u is then coloured by whether u p_i lies under e, and the
     colours enter each rooted code as one bit per point
-    (:func:`_component_from`)."""
+    (:func:`_component_from`).
+
+    Each side is scanned in split order (:func:`_split_order`): a point set
+    from its last point down, p_i = e_(r-1-i), so on two point sets each
+    sigma_t, read on the points, is the permutation pi_t with f e_x =
+    sum_t u_t e_(pi_t(x)).  A point set against a carrier on another basis
+    reads its sigma_t back in split order and builds f on the split
+    idempotents."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -732,71 +741,74 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         kept_a, kept_b = [[None] * r for _ in units], [[None] * r for _ in units]
         colours_a = [_colour(ring, u, sa, marked[0]) for u in units]
         colours_b = [_colour(ring, u, sb, marked[1]) for u in units]
-    sigmas = []
+    order_a, order_b = _split_order(sa, r), _split_order(sb, r)
+    sigmas, last = [], None
     for u, maps_a, maps_b, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
-        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb)
+        if last is not None and maps_a is last[0] and maps_b is last[1] and (ca, cb) == last[2:]:
+            sigmas.append(sigmas[-1])
+            continue
+        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb, order_a, order_b)
         if sigma is None:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
-    pi = None
+        last = (maps_a, maps_b, ca, cb)
     if sa.idems is None and sb.idems is None:
-        # p_i = e_(r-1-i) and q_j = e_(r-1-j), so f e_x = f(p_(r-1-x)) is
-        # sum_t unit_t * e_(r-1-sigma_t(r-1-x)): when every unit gets the
-        # same sigma, the permutation matrix of pi(x) = r-1-sigma(r-1-x)
-        rows = [[0] * r for _ in range(r)]
-        for u, sigma in zip(units, sigmas):
-            for x in range(r):
-                y = r - 1 - sigma[r - 1 - x]
-                rows[y][x] = ring.add(rows[y][x], u)
-        fmat = Matrix(ring, rows, r)
         if sigmas.count(sigmas[0]) == len(sigmas):
-            pi = [r - 1 - sigmas[0][r - 1 - x] for x in range(r)]
-    else:
-        # f(p_i) = sum_t unit_t * q_{sigma_t(i)}
-        idems_b = _split_basis(sb, ring, r)[0]
-        cols = []
-        for i in range(r):
-            col = [0] * r
-            for u, sigma in zip(units, sigmas):
-                q = idems_b[sigma[i]]
-                for s in range(r):
-                    col[s] = ring.add(col[s], ring.mul(u, q[s]))
-            cols.append(col)
-        fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(_split_basis(sa, ring, r)[1])
-    return IsoResult("iso", _certified_witness(a, b, fmat, marked, pi))
+            return IsoResult("iso", _certified_witness(a, b, None, marked, sigmas[0]))
+        rows = [[0] * r for _ in range(r)]
+        for u, pi in zip(units, sigmas):
+            for x, y in enumerate(pi):
+                rows[y][x] = ring.add(rows[y][x], u)
+        return IsoResult("iso", _certified_witness(a, b, Matrix(ring, rows, r), marked))
+    # f(p_i) = sum_t unit_t * q_{sigma_t(i)}, each sigma_t read in split
+    # order: p_i has label order_a[i], and as each order is its own inverse
+    # (reversed or not), label y of b is q_(order_b[y])
+    sigmas = [[order_b[sigma[x]] for x in order_a] for sigma in sigmas]
+    idems_b = _split_basis(sb, ring, r)[0]
+    cols = []
+    for i in range(r):
+        col = [0] * r
+        for u, sigma in zip(units, sigmas):
+            q = idems_b[sigma[i]]
+            for s in range(r):
+                col[s] = ring.add(col[s], ring.mul(u, q[s]))
+        cols.append(col)
+    fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(_split_basis(sa, ring, r)[1])
+    return IsoResult("iso", _certified_witness(a, b, fmat, marked))
 
 
 def _colour(ring, u, data, e):
-    """Whether u p_i lies under the idempotent e, for each point i."""
-    if data.to_coords is None:
-        coeffs = e.coords[::-1]  # the coefficient of p_i = e_(r-1-i)
-    else:
-        coeffs = data.to_coords.matvec(list(e.coords))
+    """Whether u p lies under the idempotent e, for each point p of the
+    partial G-sets of ``data``: the basis points of a point set, in place,
+    else the split idempotents."""
+    coeffs = e.coords if data.to_coords is None else data.to_coords.matvec(list(e.coords))
     return [ring.mul(u, x) == u for x in coeffs]
 
 
-def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a=None, colour_b=None):
+def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b, order_a, order_b):
     """The lexicographically first bijection sigma of the points of two
     partial G-sets with sigma(a_g(i)) = b_g(sigma(i)) for each g (both None
     off the domains) and, when given, colour_b[sigma(i)] = colour_a[i], as
     (sigma, None); or (None, k) when there is none, with k the size of the
-    first component of a that has no partner.  For the maps of
+    first component of a that has no partner.  "First" is for the points
+    taken in the orders ``order_a`` and ``order_b`` (:func:`_split_order`),
+    which on a point set run from the last point down.  For the maps of
     :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
     also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the rooted
     code of each point (:func:`_component_from`).
 
     The image of one point fixes sigma on its component, and rooted codes
     are equal exactly when such a sigma sends one root to the other.  So
-    sending the least unmapped point of a to the least unused point of b
+    sending the first unmapped point of a to the first unused point of b
     with the same rooted code, pairing their components in first-reach
     order, extends to a full isomorphism when one exists.
     """
     r = len(maps_a[0])
     sigma, used = [None] * r, [False] * r
-    for i in range(r):
+    for i in order_a:
         if sigma[i] is None:
             order, code = _component_from(maps_a, kept_a, i, colour_a)
-            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
+            k = next((k for k in order_b if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
             if k is None:
                 return None, len(order)
             for x, y in zip(order, kept_b[k][0]):
@@ -806,10 +818,11 @@ def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a=None, colour_b=No
 
 class _SplitData(NamedTuple):
     """An action read off the split presentation of its carrier.  On a
-    certified point set (:func:`_split_points`) the split idempotents are the
-    basis points in reverse, p_i = e_(r-1-i), and no dense data is kept:
-    ``idems`` and ``to_coords`` are None, and :func:`_split_basis` writes
-    them out where a carrier on another basis needs them."""
+    certified point set (:func:`_split_points`) the partial G-sets are the
+    point maps themselves, scanned from the last point down
+    (:func:`_split_order`), and no dense data is kept: ``idems`` and
+    ``to_coords`` are None, and :func:`_split_basis` writes them out where a
+    carrier on another basis needs them."""
 
     idems: list | None  # coordinate lists of the split idempotents p_i
     to_coords: Matrix | None  # coordinates -> coefficients over the p_i
@@ -818,6 +831,14 @@ class _SplitData(NamedTuple):
     # demand so that canonical_key and iso_check read each once; units
     # that share their maps share the list
     kept: list
+
+
+def _split_order(data: _SplitData, r: int) -> range:
+    """The points of the partial G-sets of ``data`` in split order, the
+    label of p_0, p_1, ...: the basis points from the last down on a point
+    set, p_i = e_(r-1-i) (:func:`_split_points`), else the indices of the
+    split idempotents."""
+    return range(r - 1, -1, -1) if data.idems is None else range(r)
 
 
 def _split_basis(data: _SplitData, ring, r: int):
@@ -852,16 +873,17 @@ def _split_data(act: PartialAction) -> _SplitData | None:
 
 
 def _split_points(act: PartialAction, points) -> _SplitData:
-    """The split data of a certified point set (:func:`_point_set`), in the
-    order of :func:`find_split_presentation`, which sorts the basis vectors
-    by their coordinates: p_i = e_(r-1-i), so coefficient i of a vector is
-    its coordinate r-1-i.  Every CRT unit gets the same maps, the point
-    maps with the indices reversed.  The r x r idempotents and coefficient
-    matrix are not built (see :class:`_SplitData`)."""
+    """The split data of a certified point set (:func:`_point_set`): every
+    CRT unit gets the point maps themselves, with no copy.  In the order of
+    :func:`find_split_presentation`, which sorts the basis vectors by their
+    coordinates, p_i = e_(r-1-i), so a scan in split order reads the points
+    from r-1 down to 0 (:func:`_split_order`).  Rooted codes hold group
+    indices only, so they do not depend on the labels of the points.  The
+    r x r idempotents and coefficient matrix are not built (see
+    :class:`_SplitData`)."""
     r = act.algebra.rank
-    gset = [[None if j is None else r - 1 - j for j in reversed(a)] for a in points]
     units = len(_base_ring_units(act.algebra.ring))
-    return _SplitData(None, None, [gset] * units, [[None] * r] * units)
+    return _SplitData(None, None, [points] * units, [[None] * r] * units)
 
 
 def canonical_key(act: PartialAction):
@@ -872,10 +894,12 @@ def canonical_key(act: PartialAction):
     For each CRT unit the key holds the sorted codes of the connected
     components of the partial G-set; a component's code is the least of
     the rooted codes of its points (:func:`_component_from`), each read in
-    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).
-    Isomorphic components have the same rooted codes, and equal codes at
-    two roots give an isomorphism, so components are isomorphic exactly
-    when their least codes are equal.  ``iso_check`` matches components by
+    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).  A
+    point set is read on its point maps in place (:func:`_split_points`):
+    the codes hold group indices only, so the key does not depend on the
+    labels of the points.  Isomorphic components have the same rooted
+    codes, and equal codes at two roots give an isomorphism, so components
+    are isomorphic exactly when their least codes are equal.  ``iso_check`` matches components by
     the same rooted codes, so the two agree by construction.
     """
     data = _split_data(act)
@@ -984,7 +1008,7 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
     return out
 
 
-def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=None, pi=None) -> AlgebraMorphism:
+def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi=None) -> AlgebraMorphism:
     """The morphism of a matched candidate, after checking that it is a
     partial G-isomorphism (carrying marked[0] to marked[1] when given); a
     failure is a bug in the match.
@@ -999,15 +1023,25 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat: Matrix, marked=
     inverse e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x)
     e_pi(y) because pi is injective, and f(1) = sum_x e_pi(x) = 1 because
     it is onto.  So the point route passes or fails exactly as the matrix
-    route.
+    route.  f(marked[0]) moves coordinate x to pi(x), reduced as a product
+    with f reduces it.  The morphism then writes the permutation matrix of
+    pi on first read, and ``fmat`` is not read.
 
     Without ``pi`` the trap runs on the matrices (:func:`_trap_on_matrices`)."""
-    morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
     if pi is None:
+        morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
         _trap_on_matrices(a, b, morphism)
+        image = None if marked is None else morphism(marked[0])
     else:
+        ring = a.algebra.ring
+        morphism = AlgebraMorphism.deferred(a.algebra, b.algebra, lambda: _point_matrix(ring, pi))
         _trap_on_points(a.group, _point_set(a), _point_set(b), pi)
-    if marked is not None and morphism(marked[0]) != marked[1]:
+        if marked is not None:
+            coords = [0] * len(pi)
+            for x, c in enumerate(marked[0].coords):
+                coords[pi[x]] = ring.mul(1, c)
+            image = Element(b.algebra, coords)
+    if marked is not None and image != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
 

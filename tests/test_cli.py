@@ -230,6 +230,8 @@ VERIFY = ("verify",)
         (_set(["action", "g", "matrix", 1, 0], "1/0"), VERIFY, "/action/g/matrix/1: bad scalar '1/0'"),
         (None, ("trace", "--element", "1/0,1"), "bad scalar '1/0'"),
         (None, ("trace", "--element", "1,x,3"), "pargal trace: --element coordinate 2: Invalid literal for Fraction: 'x'"),
+        (None, ("decompose", "--factors", "2,x"), "pargal decompose: --factors entry 2: 'x' is not an integer"),
+        (None, ("decompose", "--factors", "2,,2"), "pargal decompose: --factors entry 2: '' is not an integer"),
         # JSON booleans load as Python bools, which are ints
         (_set(["format"], True), VERIFY, "bad.json: unsupported format True, expected 1"),
         (_set(["group", "table", 0, 1], True), VERIFY, "/group/table: rows must be lists of element indices"),
@@ -243,6 +245,7 @@ VERIFY = ("verify",)
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
          "unit-zero-denominator", "matrix-zero-denominator", "trace-element", "trace-element-located",
+         "factors-not-integer", "factors-empty-entry",
          "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):

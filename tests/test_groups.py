@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from pargal.groups import (
     FiniteGroup,
     GroupError,
+    QuotientData,
     Subgroup,
     all_subgroups,
     delta_subgroup,
@@ -101,6 +102,64 @@ def test_non_normal_subgroup_quotient_errors():
     rot = subgroup_closure(g, [1])
     assert is_normal(g, rot)
     assert quotient(g, rot).quotient.order == 2
+
+
+def method_call_is_normal(group, sub):
+    """is_normal through FiniteGroup.mul and inv, as it read the group
+    before it read the Cayley table's rows."""
+    mset = set(sub.members)
+    for g in range(group.order):
+        gi = group.inv(g)
+        for h in sub.members:
+            if group.mul(group.mul(g, h), gi) not in mset:
+                return False
+    return True
+
+
+def method_call_quotient(group, sub, transversal=None):
+    """quotient through FiniteGroup.mul, as it built the cosets and the
+    quotient's Cayley table before it read the table's rows."""
+    if not method_call_is_normal(group, sub):
+        raise GroupError("quotient by a non-normal subgroup is undefined")
+    coset_index = [None] * group.order
+    if transversal is None:
+        reps = []
+        for a in range(group.order):
+            if coset_index[a] is None:
+                reps.append(a)
+                for h in sub.members:
+                    coset_index[group.mul(a, h)] = len(reps) - 1
+        transversal = tuple(reps)
+    else:
+        transversal = tuple(transversal)
+        for q, r in enumerate(transversal):
+            for h in sub.members:
+                coset_index[group.mul(r, h)] = q
+    table = [[coset_index[group.mul(a, b)] for b in transversal] for a in transversal]
+    q = FiniteGroup([group.labels[r] for r in transversal], table, validate=False)
+    return QuotientData(group, sub, transversal, q, tuple(coset_index))
+
+
+@pytest.mark.parametrize(
+    "group", [make_cyclic(12), make_product([make_cyclic(2), make_cyclic(4)]), s3()], ids=["Z12", "Z2xZ4", "S3"]
+)
+def test_quotient_reads_table_rows_like_the_method_calls(group):
+    # every subgroup, with the greedy transversal and with the largest
+    # element of each coset but the identity's; a non-normal one raises
+    raised = 0
+    for sub in all_subgroups(group):
+        assert is_normal(group, sub) == method_call_is_normal(group, sub)
+        if not method_call_is_normal(group, sub):
+            with pytest.raises(GroupError, match="non-normal"):
+                quotient(group, sub)
+            raised += 1
+            continue
+        expected = method_call_quotient(group, sub)
+        assert quotient(group, sub) == expected
+        cosets = [[a for a, q in enumerate(expected.coset_index) if q == k] for k in range(len(expected.transversal))]
+        transversal = [group.identity] + [max(c) for c in cosets[1:]]
+        assert quotient(group, sub, transversal) == method_call_quotient(group, sub, transversal)
+    assert raised == (3 if group.order == 6 else 0)
 
 
 def test_delta_subgroup_z2():

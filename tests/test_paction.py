@@ -1482,6 +1482,134 @@ def test_point_trap_matches_the_dense_trap(case):
         assert got == fmat
 
 
+def split_order_gsets(data, r):
+    """The partial G-sets of _split_data in split order: on a point set the
+    point maps with the indices reversed, p_i = e_(r-1-i), the copy that
+    iso_check read before it scanned the point maps in place; else the
+    maps of _partial_gsets as held."""
+    if data.idems is not None:
+        return data.gsets
+    return [[[None if j is None else r - 1 - j for j in reversed(a)] for a in maps] for maps in data.gsets]
+
+
+def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
+    """_match_components as it scanned split-order maps, ascending on both
+    sides, with codes kept afresh."""
+    from pargal.paction import _component_from
+
+    r = len(maps_a[0])
+    kept_a, kept_b = [None] * r, [None] * r
+    sigma, used = [None] * r, [False] * r
+    for i in range(r):
+        if sigma[i] is None:
+            order, code = _component_from(maps_a, kept_a, i, colour_a)
+            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
+            if k is None:
+                return None, len(order)
+            for x, y in zip(order, kept_b[k][0]):
+                sigma[x], used[y] = y, True
+    return sigma, None
+
+
+def split_order_iso(a, b, marked=None):
+    """iso_check, or with ``marked`` global_iso_check, on the split-order
+    route: one ascending match per CRT unit on split_order_gsets, and the
+    witness of presentation_witness, checked by the dense trap."""
+    from pargal.paction import IsoResult, _base_ring_units, _split_data
+
+    sa, sb = _split_data(a), _split_data(b)
+    if sa is None or sb is None:
+        return IsoResult("undecided")
+    if a.algebra.rank != b.algebra.rank:
+        return IsoResult("none", obstruction=f"rank {a.algebra.rank} != rank {b.algebra.rank}")
+    ring, r = a.algebra.ring, a.algebra.rank
+    units = _base_ring_units(ring)
+
+    def colour(u, data, e):
+        coeffs = e.coords[::-1] if data.to_coords is None else data.to_coords.matvec(list(e.coords))
+        return [ring.mul(u, x) == u for x in coeffs]
+
+    sigmas = []
+    for u, maps_a, maps_b in zip(units, split_order_gsets(sa, r), split_order_gsets(sb, r)):
+        colours = (None, None) if marked is None else (colour(u, sa, marked[0]), colour(u, sb, marked[1]))
+        sigma, unmatched = split_order_match(maps_a, maps_b, *colours)
+        if sigma is None:
+            return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
+        sigmas.append(sigma)
+    return IsoResult("iso", reference_certified_witness(a, b, presentation_witness(a, b, sigmas), marked))
+
+
+def split_order_key(act):
+    """canonical_key on split_order_gsets, with codes kept afresh."""
+    from pargal.paction import _gset_code, _split_data
+
+    data = _split_data(act)
+    if data is None:
+        return None
+    r = act.algebra.rank
+    return tuple(_gset_code(maps, [None] * r) for maps in split_order_gsets(data, r))
+
+
+@st.composite
+def split_order_pairs(draw):
+    """Pairs of partial Z_n-classes (n <= 6) over Q, F_2 and Z/6 for the
+    split-order oracle: subset classes in a drawn basis order, each possibly
+    its star; the second another class or a relabelling of the first; over
+    Z/6 possibly CRT-glued with a second such pair; either side possibly
+    rebased onto another basis, a pair of a point set and a carrier on
+    another basis; and a flag to compare the globalizations, a marked
+    pair, through global_iso_check."""
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    n = draw(st.integers(1, 6))
+
+    def draw_class(size=None):
+        points = draw(st.lists(st.integers(0, n - 1), min_size=size or 1, max_size=size or n, unique=True))
+        act = subset_class(n, points, ring).action
+        return inverse_action(act) if draw(st.booleans()) else act
+
+    def draw_pair():
+        a = draw_class()
+        if draw(st.booleans()):
+            return a, relabel(a, draw(st.permutations(range(a.algebra.rank))))
+        return a, draw_class()
+
+    a, b = draw_pair()
+    if ring == Z6 and draw(st.booleans()):
+        a, b = crt_glue(a, draw_class(a.algebra.rank)), crt_glue(b, draw_class(b.algebra.rank))
+    sides = []
+    for act in (a, b):
+        if draw(st.booleans()):
+            act = rebased(act, draw(unitriangular(ring, act.algebra.rank)))
+        sides.append(act)
+    return (*sides, draw(st.booleans()))
+
+
+@given(split_order_pairs())
+@settings(max_examples=150, deadline=None)
+def test_point_maps_read_in_place_match_the_split_order_oracle(case):
+    # status, obstruction, witness bytes and keys as on the split-order
+    # route, both ways round, unmarked and through global_iso_check
+    from pargal.envelope import global_iso_check, globalize
+
+    a, b, marked = case
+    pairs = [(a, b, iso_check(a, b), split_order_iso(a, b)), (b, a, iso_check(b, a), split_order_iso(b, a))]
+    if marked and a.group == b.group:
+        try:
+            gd1, gd2 = globalize(a), globalize(b)
+        except AlgebraError as exc:
+            # a glued set, or over Z/6 some carriers on another basis:
+            # globalize refuses a span of translates it reads as not free
+            assert a.algebra.ring == Z6 and "not a free basis over Z/6" in str(exc)
+        else:
+            t1, t2 = gd1.enveloping_action, gd2.enveloping_action
+            pairs.append((t1, t2, global_iso_check(gd1, gd2), split_order_iso(t1, t2, (gd1.one_s, gd2.one_s))))
+    for x, y, res, expected in pairs:
+        assert (res.status, res.obstruction) == (expected.status, expected.obstruction)
+        if res.status == "iso":
+            assert repr(res.morphism.matrix) == repr(expected.morphism.matrix)
+        assert canonical_key(x) == split_order_key(x) and canonical_key(y) == split_order_key(y)
+
+
 def presentation_witness(a, b, sigmas):
     """The witness as iso_check built it before it read point maps: f(p_i)
     = sum_t u_t q_(sigma_t(i)) on the split data of presentation_split_data,
@@ -1502,7 +1630,11 @@ def presentation_witness(a, b, sigmas):
 
 @pytest.fixture
 def matched_sigmas(monkeypatch):
-    """The bijections sigma_t that _match_components returns, in order."""
+    """The bijections sigma that _match_components returns, in order, each
+    read in split order: sigma[i] = k when it sends p_i to q_k.  A point
+    set is scanned from its last point down (p_i = e_(r-1-i)), so the
+    split index of a point is its place in the scan.  One call serves every
+    CRT unit when the units share their maps and colours."""
     import pargal.paction as paction
 
     calls = []
@@ -1510,7 +1642,8 @@ def matched_sigmas(monkeypatch):
 
     def recorded(*args):
         sigma, unmatched = match(*args)
-        calls.append(sigma)
+        order_a, order_b = list(args[-2]), list(args[-1])
+        calls.append(None if sigma is None else [order_b.index(sigma[x]) for x in order_a])
         return sigma, unmatched
 
     monkeypatch.setattr(paction, "_match_components", recorded)
@@ -1528,7 +1661,7 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
 
     import pargal.paction as paction
     from pargal.envelope import global_iso_check, globalize
-    from pargal.paction import _point_set
+    from pargal.paction import _base_ring_units, _point_set
 
     handed = []
     trap = paction._trap_on_points
@@ -1538,7 +1671,9 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
         assert _point_set(a) is not None and _point_set(b) is not None
         pi = None
         if res.status == "iso":
-            expected = presentation_witness(a, b, matched_sigmas)
+            units = _base_ring_units(a.algebra.ring)
+            sigmas = matched_sigmas * len(units) if len(matched_sigmas) == 1 else matched_sigmas
+            expected = presentation_witness(a, b, sigmas)
             assert repr(res.morphism.matrix) == repr(expected)
             pi = read_permutation(res.morphism.matrix)
         assert handed == ([] if pi is None else [pi])
@@ -1581,9 +1716,13 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
 def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     # the match, the witness and the trap all run on the point maps: no
-    # matrix product, invertibility test, row reduction or multiplication
-    # matrix E_g; a mixed pair shows that the counters see calls
+    # matrix, matrix product, invertibility test, row reduction or
+    # multiplication matrix E_g, and one match for all CRT units; the
+    # witness writes the permutation matrix of pi when it is read; a mixed
+    # pair shows that the counters see calls
     import sys
+
+    import pargal.paction as paction
 
     pairs = []
     for act in standard_corpus(ring).values():
@@ -1602,6 +1741,12 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
         return call
 
     monkeypatch.setattr(Matrix, "mul", counted("Matrix.mul", Matrix.mul))
+    monkeypatch.setattr(Matrix, "__init__", counted("Matrix.__init__", Matrix.__init__))
+    monkeypatch.setattr(paction, "_point_matrix", counted("_point_matrix", paction._point_matrix))
+    monkeypatch.setattr(paction, "_match_components", counted("_match_components", paction._match_components))
+    handed = []
+    trap = paction._trap_on_points
+    monkeypatch.setattr(paction, "_trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
     monkeypatch.setattr(
         PartialAction, "idem_matrix", counted("PartialAction.idem_matrix", PartialAction.idem_matrix)
     )
@@ -1610,11 +1755,21 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
             for fn in ("invertible", "canonical_row_form"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
-    statuses = set()
+    results = []
     for a, b in pairs:
-        statuses.add(iso_check(a, b).status)
-    assert statuses == {"iso", "none"}
-    assert calls == []
+        res = iso_check(a, b)
+        assert calls == ["_match_components"] * (a.algebra.rank == b.algebra.rank)
+        calls.clear()
+        results.append((a.algebra.rank, res))
+    assert {res.status for _, res in results} == {"iso", "none"}
+    witnesses = [(r, res.morphism) for r, res in results if res.status == "iso"]
+    assert len(handed) == len(witnesses)
+    for (r, morphism), pi in zip(witnesses, handed):
+        matrix = morphism.matrix
+        assert calls == ["_point_matrix", "Matrix.__init__"]
+        calls.clear()
+        assert morphism.matrix is matrix and not calls
+        assert matrix.rows == [[int(pi[x] == y) for x in range(r)] for y in range(r)]
     assert iso_check(example2(ring), mixed).status == "iso"
     assert {"Matrix.mul", "invertible", "PartialAction.idem_matrix"} <= set(calls)
 
@@ -1776,13 +1931,18 @@ def test_split_data_matches_the_presentation_route(act):
         # a point set keeps no dense split data; compare what _split_basis
         # writes out for the routes that read it
         data = _split_data(a)
-        return (*_split_basis(data, a.algebra.ring, a.algebra.rank), data.gsets, data.kept)
+        r = a.algebra.rank
+        return (*_split_basis(data, a.algebra.ring, r), split_order_gsets(data, r), data.kept)
 
     assert act.algebra == type(act.algebra).split(act.algebra.ring, act.algebra.labels)
     got = outcome(split_fields, act)
     assert got == outcome(presentation_split_data, act)
     if got[0] != "AlgebraError":
-        assert (_split_data(act).idems is None) == (_point_set(act) is not None)
+        data = _split_data(act)
+        assert (data.idems is None) == (_point_set(act) is not None)
+        # a point set hands its point maps over in place, to every unit
+        if data.idems is None:
+            assert all(maps is _point_set(act) for maps in data.gsets)
     # the reader keeps every action with 0/1 data and no column with two
     # 1s that is a partial action, as the dense reference checks it
     stored = [x for m in act.maps for row in m.rows for x in row] + [x for e in act.idems for x in e.coords]
