@@ -30,7 +30,10 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
   e_(n-1) by `tests/test_paction.py::rebased`, and over Z/6 `iso_check`
   of a fresh set glued by `tests/test_paction.py::crt_glue` (3 x + 4 y, x
   the set and y the set on the reversed basis, so no point set) against
-  its copy on the reversed basis.
+  its copy on the reversed basis;
+- at n = 6 and 8 (`GLUED_RUNGS`), `harrison_product(c, c)` of the
+  certified class c of a fresh copy of that glued set: the matrix route of
+  the product, through the tensor carrier of rank n^2.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -159,14 +162,25 @@ def dense_rungs(n):
 
     yield "rebased verify+key", least_seconds(lambda: rebased(regular_restriction(QQ, n, range(n)), cols), verified_key)
 
-    def glued():
-        x = regular_restriction(Z6, n, range(n))
-        return crt_glue(x, regular_restriction(Z6, n, range(n), order=range(n - 1, -1, -1)))
-
     def glued_pair():
-        return glued(), relabel(glued(), list(reversed(range(n))))
+        return glued(n), relabel(glued(n), list(reversed(range(n))))
 
     yield "glued iso", least_seconds(glued_pair, lambda pair: iso_check(*pair))
+
+
+def glued(n):
+    """The regular Z_n-set x over Z/6 glued as 3 x + 4 y with y, the set on
+    the reversed basis (`tests/test_paction.py::crt_glue`): no point set."""
+    x = regular_restriction(Z6, n, range(n))
+    return crt_glue(x, regular_restriction(Z6, n, range(n), order=range(n - 1, -1, -1)))
+
+
+GLUED_RUNGS = (6, 8)
+
+
+def glued_rungs(n):
+    """(op, seconds) of the square of the class of the glued Z_n-set."""
+    yield "glued product", least_seconds(lambda: ExtensionClass.certify(glued(n)), lambda c: harrison_product(c, c))
 
 
 def main(argv=None) -> None:
@@ -185,6 +199,8 @@ def main(argv=None) -> None:
         timed += [(op, n, s) for op, s in subset_rungs(n)]
     for n in DENSE_RUNGS:
         timed += [(op, n, s) for op, s in dense_rungs(n)]
+    for n in GLUED_RUNGS:
+        timed += [(op, n, s) for op, s in glued_rungs(n)]
     rungs, last = [], {}
     for op, n, seconds in timed:
         exponent = None

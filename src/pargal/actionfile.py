@@ -201,9 +201,10 @@ def action_to_document(act: PartialAction) -> dict:
     ring = act.algebra.ring
     s = ring.scalar_to_str
     constants = []
+    table = act.algebra.table
     for i in range(act.algebra.rank):
         for j in range(act.algebra.rank):
-            for k, c in act.algebra.table[i][j]:
+            for k, c in table[i][j]:
                 constants.append([i, j, k, s(c)])
     return {
         "format": FORMAT_VERSION,

@@ -34,7 +34,7 @@ class AlgebraError(ValueError):
 class Algebra:
     """Commutative unital algebra of finite rank over an exact base ring."""
 
-    __slots__ = ("ring", "_labels", "rank", "unit", "table", "_hash", "_split")
+    __slots__ = ("ring", "_labels", "rank", "unit", "_table", "_hash", "_split")
 
     def __init__(self, ring: BaseRing, labels, table, unit, validate: bool = True):
         """table maps (i, j) to a sparse row: tuple of (k, c_ijk) with c != 0.
@@ -61,7 +61,7 @@ class Algebra:
                 [tuple((k, ring.coerce(c)) for k, c in enumerate(table[i][j]) if ring.coerce(c) != 0) for j in range(n)]
                 for i in range(n)
             ]
-        self.table = tab
+        self._table = tab
         self._hash = None
         self._split = None
         if validate:
@@ -72,11 +72,16 @@ class Algebra:
     @classmethod
     def split(cls, ring: BaseRing, labels, rank: int | None = None) -> "Algebra":
         """The split algebra R^n with componentwise product, n = ``rank``,
-        which deferred ``labels`` need.  The diagonal is written into the
-        empty table, with no sort or coerce of entries."""
-        out = cls(ring, labels, {}, [1] * (len(labels) if rank is None else rank), validate=False)
-        for i, one in enumerate(out.unit):
-            out.table[i][i] = ((i, one),)
+        which deferred ``labels`` need.  Its diagonal table is written on
+        the first read of :attr:`table`, with no sort or coerce of entries;
+        :meth:`is_split` needs no table."""
+        out = cls.__new__(cls)
+        n = out.rank = len(labels) if rank is None else rank
+        out.ring, out.unit = ring, (ring.coerce(1),) * n
+        out._labels = labels if callable(labels) else list(labels)
+        if not callable(labels) and len(out._labels) != n:
+            raise AlgebraError(f"unit vector has length {n}, rank is {len(out._labels)}")
+        out._table = out._hash = out._split = None
         return out
 
     @classmethod
@@ -85,7 +90,10 @@ class Algebra:
 
     def is_split(self) -> bool:
         """Whether this is :meth:`split` on its own labels: R^n on its
-        standard basis, with unit (1, ..., 1).  O(rank^2), building nothing."""
+        standard basis, with unit (1, ..., 1).  O(rank^2), building nothing;
+        O(1) on a table :meth:`split` has not written yet."""
+        if self._table is None:
+            return True
         one = self.ring.coerce(1)
         if any(u != one for u in self.unit):
             return False
@@ -158,14 +166,14 @@ class Algebra:
         if self.is_split():
             return
         n = self.rank
+        table = self.table
         for i in range(n):
             for j in range(i, n):
-                if sorted(self.table[i][j]) != sorted(self.table[j][i]):
+                if sorted(table[i][j]) != sorted(table[j][i]):
                     raise AlgebraError(
                         f"not commutative: {self.labels[i]}*{self.labels[j]} != {self.labels[j]}*{self.labels[i]}"
                     )
         # products composed on the sparse table rows, reduced like mul_coords
-        table = self.table
         modulus = self.ring.n if isinstance(self.ring, Modular) else None
 
         def total(terms):
@@ -194,6 +202,18 @@ class Algebra:
                         )
 
     # -- formatting / identity -----------------------------------------------
+
+    @property
+    def table(self) -> list:
+        """The sparse table: table[i][j] is the tuple of (k, c_ijk) with c
+        != 0.  On :meth:`split`, the diagonal ((i, 1),) is written here on
+        first read."""
+        if self._table is None:
+            n = self.rank
+            self._table = [[()] * n for _ in range(n)]
+            for i, one in enumerate(self.unit):
+                self._table[i][i] = ((i, one),)
+        return self._table
 
     @property
     def labels(self) -> list:
@@ -665,15 +685,16 @@ def tensor(a: Algebra, b: Algebra) -> TensorProduct:
     ring = a.ring
     rb = b.rank
     labels = tensor_labels(a.labels, b.labels)
+    a_table, b_table = a.table, b.table
     table = {}
     for i in range(a.rank):
         for j in range(a.rank):
-            arow = a.table[i][j]
+            arow = a_table[i][j]
             if not arow:
                 continue
             for s in range(rb):
                 for t in range(rb):
-                    brow = b.table[s][t]
+                    brow = b_table[s][t]
                     if not brow:
                         continue
                     entries = []

@@ -92,13 +92,13 @@ class GlobalizationData:
 
 def _function_algebra(act: PartialAction) -> Algebra:
     S = act.algebra
-    n = S.rank
+    n, s_table = S.rank, S.table
     table = {}
     for g in act.group.elements():
         base = g * n
         for i in range(n):
             for j in range(n):
-                entries = S.table[i][j]
+                entries = s_table[i][j]
                 if entries:
                     table[(base + i, base + j)] = tuple((base + k, c) for k, c in entries)
     labels = [f"{g}:{lab}" for g in act.group.labels for lab in S.labels]
@@ -277,12 +277,19 @@ def _shape_failure(gd: GlobalizationData) -> str | None:
     enveloping action is a global action of the group of the action, the
     embedding k x n, the pull-down n x k and 1_S k coordinates.  The count
     and shape of the beta matrices are checked where the enveloping action
-    is built (:class:`~pargal.paction.PartialAction`)."""
+    is built (:class:`~pargal.paction.PartialAction`).  An enveloping
+    action that holds certified point maps (:func:`~pargal.paction._on_points`)
+    is global when each a_g is total: 1_g, the indicator of the domain of
+    a_(g^-1), is then 1_T, so no 1_g is written."""
     env, G = gd.enveloping_action, gd.group
     if env.group != G:
         return "beta acts by another group than the action"
-    one = env.algebra.one()
-    bad = next((g for g in G.elements() if env.idems[g] != one), None)
+    held = env._points
+    if held is not None and held[0] is not None:
+        bad = next((g for g in G.elements() if None in held[0][G.inv(g)]), None)
+    else:
+        one = env.algebra.one()
+        bad = next((g for g in G.elements() if env.idems[g] != one), None)
     if bad is not None:
         return f"beta is not global: 1_{G.labels[bad]} != 1_T"
     n, k = gd.action.algebra.rank, env.algebra.rank

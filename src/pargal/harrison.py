@@ -29,9 +29,9 @@ from .paction import (
     GaloisCoordinates,
     PartialAction,
     _action_on_points,
-    _components,
-    _has_fixed_point,
+    _fixes_a_root,
     _orbit_quotient,
+    _point_roots,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -106,18 +106,23 @@ class ExtensionClass:
         Coordinate k of the g-equation of :func:`galois_coordinates` for the
         pairs (e_i, e_i) is 1 exactly when a_(g^-1) fixes k, so coordinates
         exist exactly when no a_g with g != 1 fixes a point (that function
-        argues "only if").  Both are decided there, and ``witness`` and
-        ``fixed`` built on first read; any other carrier builds both here."""
+        argues "only if").  Both are read at the roots of the components,
+        which the certificate of the point set found and kept
+        (:func:`_point_roots`), with no second walk of the points: the
+        invariants have one indicator per root, and a fixed point exists
+        exactly when one fixes a root (:func:`_fixes_a_root`).
+        ``witness`` and ``fixed`` are built on first read; any other
+        carrier builds both here."""
         rep = verify_partial_action(action)
         if not rep.passed:
             bad = rep.failures()[0]
             raise CertificationError(f"not a partial action: {bad.name} [{bad.witness}]")
         out = ExtensionClass(action)
-        points = _point_set(action)
-        rank = out.fixed.algebra.rank if points is None else len(_components(points)[0])
+        roots = _point_roots(action)
+        rank = out.fixed.algebra.rank if roots is None else len(roots)
         if rank != 1:
             raise CertificationError(f"fixed ring has rank {rank}, expected the base ring")
-        if (out.witness is None) if points is None else _has_fixed_point(action.group, points):
+        if (out.witness is None) if roots is None else _fixes_a_root(action.group, _point_set(action), roots):
             raise CertificationError("no partial Galois coordinates exist")
         return out
 
@@ -197,7 +202,8 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     :func:`hat_action`: with X the restriction of a G-set Y, P is that of
     the G x G-set G x Y, (l, t)(g, y) = (ltg, ly) (G is abelian), as i lies
     in D_g when i and g^-1 i lie in X.  So a_l(i) in D_ltg already puts i
-    in D_tg.  See :func:`_delta_quotient`.
+    in D_tg.  See :func:`_delta_quotient`.  D_g is read off the maps as the
+    domain of a_(g^-1), so no 1_g is written.
     """
     maps = _point_set(act)
     if maps is None:
@@ -205,8 +211,8 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     G, A = act.group, act.algebra
     index, points = {}, []
     for g in G.elements():
-        for i, c in enumerate(act.idems[g].coords):
-            if c == 1:
+        for i, j in enumerate(maps[G.inverse[g]]):
+            if j is not None:
                 index[g, i] = len(points)
                 points.append((g, i))
 
@@ -366,9 +372,11 @@ def idempotent_class(act: PartialAction) -> ExtensionClass:
     (:func:`_hat_gset_quotient`); any other carrier takes the matrix route
     through :func:`hat_action` and the delta-G quotient.  Both routes give
     the same presentation, and the result is certified once either way.
+    On a point set the Galois test is read at the roots of the components
+    (:func:`_fixes_a_root`), exactly as :func:`galois_coordinates` decides it.
     """
-    points = _point_set(act)
-    if (galois_coordinates(act) is None) if points is None else _has_fixed_point(act.group, points):
+    roots = _point_roots(act)
+    if (galois_coordinates(act) is None) if roots is None else _fixes_a_root(act.group, _point_set(act), roots):
         raise CertificationError("idempotent_class needs a partial Galois action")
     G = act.group
     quotient = _hat_gset_quotient(act)
@@ -498,8 +506,16 @@ def star_product_suite(classes) -> SuiteReport:
 
 
 def _check_product_presentation(group: FiniteGroup, orders):
-    expected = make_product([make_cyclic(n) for n in orders])
-    if group.table != expected.table:
+    """Raise unless ``group`` has the Cayley table of the product of the
+    cyclic groups of ``orders``.  Their product is compared with |G| first,
+    stopping once it passes |G| (its size never shrinks), so no cyclic
+    group larger than G is built."""
+    size = 1
+    for n in orders:
+        size *= n
+        if abs(size) > group.order:
+            break
+    if size != group.order or group.table != make_product([make_cyclic(n) for n in orders]).table:
         raise AlgebraError(
             "the group is not presented as the product of cyclic groups "
             f"of orders {list(orders)}"

@@ -6,7 +6,8 @@ on all of S.  Every formula below composes alpha_g with multiplication by
 1_{g^-1} anyway, so the total form evaluates them verbatim; in particular
 axiom (P4) becomes the matrix identity M_g M_h = E_g M_{gh} with E_g the
 multiplication-by-1_g matrix.  An action built on certified point maps
-writes its M_g on first read.
+holds only those maps and the roots of its components: it writes its 1_g
+and M_g on first read.
 """
 
 from __future__ import annotations
@@ -35,18 +36,26 @@ from .groups import FiniteGroup, Subgroup
 
 
 class PartialAction:
-    """Unital partial action of a finite group on a finite-rank algebra."""
+    """Unital partial action of a finite group on a finite-rank algebra.
 
-    __slots__ = ("group", "algebra", "idems", "_maps", "_idem_mats", "_split", "_points")
+    An action built on its certified point maps (:func:`_on_points`) holds
+    only those maps and the roots of its components (:func:`_point_roots`):
+    its idempotents :attr:`idems` and matrices :attr:`maps` are written on
+    first read, and the readers of a point set read D_g and a_g off the
+    maps instead.  ``_points`` is None until the point set is read, then
+    the pair (maps, roots) of :func:`_point_set`, (None, None) when there
+    is none."""
+
+    __slots__ = ("group", "algebra", "_idems", "_maps", "_idem_mats", "_split", "_points")
 
     def __init__(self, group: FiniteGroup, algebra: Algebra, idems, maps):
         self.group = group
         self.algebra = algebra
-        self.idems = tuple(idems)
+        self._idems = tuple(idems)
         self._maps = tuple(maps)
-        if len(self.idems) != group.order or len(self._maps) != group.order:
+        if len(self._idems) != group.order or len(self._maps) != group.order:
             raise AlgebraError("need one idempotent and one matrix per group element")
-        for e in self.idems:
+        for e in self._idems:
             if e.algebra != algebra:
                 raise AlgebraError("idempotent from a different algebra")
             if len(e.coords) != algebra.rank:
@@ -57,6 +66,18 @@ class PartialAction:
         self._idem_mats = [None] * group.order
         self._split = None
         self._points = None
+
+    @property
+    def idems(self) -> tuple:
+        """The idempotents 1_g, written here on first read when the action
+        was built on its certified point maps (:func:`_on_points`): 1_g is
+        the indicator of D_g, the domain of a_(g^-1)."""
+        if self._idems is None:
+            points = self._points[0]
+            self._idems = tuple(
+                Element(self.algebra, tuple(int(j is not None) for j in points[gi])) for gi in self.group.inverse
+            )
+        return self._idems
 
     @property
     def maps(self) -> tuple:
@@ -81,9 +102,11 @@ class PartialAction:
     def ideal_ranks(self) -> list:
         """The rank of each ideal S_g: on a certified point set
         (:func:`_point_set`) the number of points of D_g, the support of
-        1_g; else the rank of :meth:`ideal`, r products and a row reduction."""
-        if _point_set(self) is not None:
-            return [e.coords.count(1) for e in self.idems]
+        1_g, read as the domain of a_(g^-1); else the rank of
+        :meth:`ideal`, r products and a row reduction."""
+        points = _point_set(self)
+        if points is not None:
+            return [len(points[gi]) - points[gi].count(None) for gi in self.group.inverse]
         return [self.ideal(g).rank for g in self.group.elements()]
 
     def __eq__(self, other):
@@ -248,26 +271,42 @@ def _point_set(act: PartialAction) -> list | None:
     = supp 1_g form a partial G-set (:func:`_points_certified`, which
     checks that D_g is the domain of a_(g^-1); every reader of a point set
     takes it from there).  Read in O(|G| r^2) and certified in O(|G| r)
-    when free, once per action, and kept on it."""
+    when free, once per action, and kept on it with the roots that the
+    certificate found (:func:`_point_roots`)."""
     if act._points is None:
-        act._points = (_read_points(act),)
+        act._points = _read_points(act)
     return act._points[0]
 
 
-def _read_points(act: PartialAction) -> list | None:
-    """The maps of :func:`_point_set` read off the matrices, or None."""
+def _point_roots(act: PartialAction) -> list | None:
+    """The root, the least point, of each component of the certified point
+    set of ``act`` (:func:`_point_set`), ascending; None when there is none.
+    The certificate (:func:`_points_certified`) found them, and they are
+    kept with the maps; a restriction, whose components are not its
+    parent's, walks its maps once on first read."""
+    points = _point_set(act)
+    if points is None:
+        return None
+    if act._points[1] is None:
+        act._points = (points, _points_certified(act.group, points))
+    return act._points[1]
+
+
+def _read_points(act: PartialAction) -> tuple:
+    """The maps of :func:`_point_set` read off the matrices, and the roots
+    of their components, or (None, None)."""
     A = act.algebra
     if not A.is_split():
-        return None
+        return None, None
     r = A.rank
     if any(e.coords.count(0) + e.coords.count(1) != r for e in act.idems):
-        return None
+        return None, None
     # a_g(i) is the row of the 1 in column i of M_g
     maps = [_row_sources(zip(*m.rows)) for m in act.maps]
     if None in maps:
-        return None
-    domains = [[c == 1 for c in e.coords] for e in act.idems]
-    return maps if _points_certified(act.group, maps, domains) else None
+        return None, None
+    roots = _points_certified(act.group, maps, [[c == 1 for c in e.coords] for e in act.idems])
+    return (None, None) if roots is None else (maps, roots)
 
 
 def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
@@ -280,25 +319,30 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     The point set is kept on the action as :func:`_read_points` reads it off
     these matrices: the maps when they form a partial G-set, one component
     at a time (:func:`_points_certified`, with no check of the domains,
-    which are read off the maps), and the M_g are then written on
-    first read (:func:`_on_points`); else None, and the M_g are written at
-    once.  The certificate fails on a map that is not injective.
+    which are read off the maps), with the roots the certificate found;
+    the 1_g and M_g are then written on first read (:func:`_on_points`).
+    Else the point set is None, and the 1_g and M_g are written at once.
+    The certificate fails on a map that is not injective.
     """
     algebra = Algebra.split(ring, labels, len(maps[0]))
+    roots = _points_certified(group, maps)
+    if roots is not None:
+        return _on_points(group, algebra, maps, roots)
     idems = [Element(algebra, tuple(int(j is not None) for j in maps[gi])) for gi in group.inverse]
-    if _points_certified(group, maps):
-        return _on_points(group, algebra, idems, maps)
     act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
-    act._points = (None,)
+    act._points = (None, None)
     return act
 
 
-def _on_points(group: FiniteGroup, algebra: Algebra, idems, points) -> PartialAction:
-    """The action of the idempotents ``idems`` and the certified point maps
-    ``points`` (:func:`_point_set`) on a split ``algebra``, with no matrix."""
+def _on_points(group: FiniteGroup, algebra: Algebra, points, roots) -> PartialAction:
+    """The action of the certified point maps ``points`` (:func:`_point_set`)
+    on a split ``algebra``, holding them and the roots of their components
+    (:func:`_point_roots`; None to find them on first read) and nothing
+    else: the idempotents, the matrices and the table of ``algebra`` are
+    written on first read."""
     act = PartialAction.__new__(PartialAction)
-    act.group, act.algebra, act.idems, act._maps, act._split = group, algebra, tuple(idems), None, None
-    act._idem_mats, act._points = [None] * group.order, (points,)
+    act.group, act.algebra, act._idems, act._maps, act._split = group, algebra, None, None, None
+    act._idem_mats, act._points = [None] * group.order, (points, roots)
     return act
 
 
@@ -313,12 +357,14 @@ def _point_matrix(ring, image) -> Matrix:
     return Matrix(ring, rows, k)
 
 
-def _points_certified(group: FiniteGroup, maps, domains=None) -> bool:
-    """Whether the partial maps a_g = ``maps[g]`` and the domains D_g =
-    ``domains[g]`` (by default the domain of a_(g^-1)) form a partial G-set
-    (Exel; Kellendonk-Lawson): a_1 = id, and a_g a_h(j) = a_gh(j) when
-    a_gh(j) lies in D_g, undefined otherwise, which is the identity M_g M_h
-    = E_g M_gh of (P4) read on points.
+def _points_certified(group: FiniteGroup, maps, domains=None) -> list | None:
+    """The roots of the components when the partial maps a_g = ``maps[g]``
+    and the domains D_g = ``domains[g]`` (by default the domain of
+    a_(g^-1)) form a partial G-set (Exel; Kellendonk-Lawson), else None:
+    a_1 = id, and a_g a_h(j) = a_gh(j) when a_gh(j) lies in D_g, undefined
+    otherwise, which is the identity M_g M_h = E_g M_gh of (P4) read on
+    points.  The root of a component is its least point, and the roots
+    come in ascending order.
 
     On R^X with 0/1 data every other check of :func:`verify_partial_action`
     follows.  (P4) at (g, 1) puts the image of a_g in D_g.  At (g^-1, g)
@@ -346,26 +392,47 @@ def _points_certified(group: FiniteGroup, maps, domains=None) -> bool:
     phi'(g') fails (3), as a_(g'^-1)(y) stays in the component and x' does
     not.  So X is a disjoint union of such restrictions, with D_g the
     domain of a_(g^-1) by (2): the restriction of a G-set, which (P4)
-    accepts.
+    accepts.  The walk starts at the least point not yet reached, and on
+    success each start reaches exactly its component, so the starts are
+    the roots.
     """
     if any(j != i for i, j in enumerate(maps[group.identity])):
-        return False
+        return None
     if domains is not None and any(
         [j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)
     ):
-        return False
+        return None
     reached = [False] * len(maps[group.identity])
+    roots = []
     for x, done in enumerate(reached):
         if done:
             continue
+        roots.append(x)
         phi = [a[x] for a in maps]
         dom = [g for g, y in enumerate(phi) if y is not None]
         points = [phi[g] for g in dom]
         for y in points:
             reached[y] = True
         if any([a[y] for y in points] != [phi[hg[g]] for g in dom] for a, hg in zip(maps, group.table)):
-            return False
-    return True
+            return None
+    return roots
+
+
+def _fixes_a_root(group: FiniteGroup, maps, roots) -> bool:
+    """Whether some a_g with g != 1 of a partial G-set (the certified maps
+    ``maps``, see :func:`_points_certified`) fixes a point, read at the
+    ``roots`` of its components alone (:func:`_point_roots`): O(|G|) per
+    component, not per point.
+
+    It is exact.  X is the restriction of a G-set Y
+    (:func:`_points_certified`), and each point y of the component of a
+    root x is hx for some h.  If a_g(y) = y with g != 1, then k = h^-1 g h
+    != 1 and kx = x, with x in X, so a_k(x) = x; and a root is a point.
+    So some a_g with g != 1 fixes a point of a component exactly when one
+    fixes its root: the stabilizer K_x of (3) in
+    :func:`_points_certified` is 1 exactly when every K_y is, K_y = h K_x
+    h^-1."""
+    return any(maps[g][x] == x for g in group.elements() if g != group.identity for x in roots)
 
 
 def _orbit_quotient(npoints: int, identity, reps, members, move):
@@ -411,23 +478,26 @@ def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     over as the maps of the members (:func:`_relabel`): the maps and
     domains of the members of H in a partial G-set form a partial H-set
     (:func:`_points_certified`), as a_1 = id and (P4) at pairs of H is (P4)
-    of the parent there.  Any other restriction is read when it
-    is asked for: only its own maps, and it may pass the certificate where
-    its parent fails it."""
+    of the parent there.  Its components are the H-orbits, not the
+    parent's, so their roots are found on first read (:func:`_point_roots`).
+    Any other restriction is read when it is asked for: only its own maps,
+    and it may pass the certificate where its parent fails it."""
     if sub.parent != act.group:
         raise AlgebraError("subgroup of a different group")
-    return _relabel(act, sub.as_group(), sub.members, None if act._points == (None,) else act._points)
+    held = act._points
+    return _relabel(act, sub.as_group(), sub.members, None if held is None or held[0] is None else (held[0], None))
 
 
 def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAction:
     """The action of ``group`` with the idempotent and map of element
     members[g] of ``act`` at g.  ``held``, the point set of ``act`` as read
-    or None, is handed over where the result has the same certificate:
-    certified maps with no matrix written, a failed read as such."""
-    idems = [act.idems[m] for m in members]
+    (maps and roots, see :class:`PartialAction`) or None, is handed over
+    where the result has the same certificate: certified maps, with no
+    idempotent or matrix written and D_g read off the maps, or a failed
+    read as such."""
     if held is not None and held[0] is not None:
-        return _on_points(group, act.algebra, idems, [held[0][m] for m in members])
-    out = PartialAction(group, act.algebra, idems, [act.maps[m] for m in members])
+        return _on_points(group, act.algebra, [held[0][m] for m in members], held[1])
+    out = PartialAction(group, act.algebra, [act.idems[m] for m in members], [act.maps[m] for m in members])
     out._points = held
     return out
 
@@ -528,12 +598,15 @@ def galois_coordinates(act: PartialAction):
     != 1 fixes a point k, coordinate k of the g-equation is sum_i x_i(k)
     y_i(k), which the equation at g = 1 makes 1, not 0: not Galois.
     Elsewhere the solver's particular solution is the pairs (e_i, e_i).
+    Such a point exists exactly when some a_g with g != 1 fixes the root
+    of a component (:func:`_fixes_a_root`), which the certificate found
+    (:func:`_point_roots`), so only the roots are read.
     """
     A = act.algebra
     r = A.rank
     points = _point_set(act)
     if points is not None:
-        if _has_fixed_point(act.group, points):
+        if _fixes_a_root(act.group, points, _point_roots(act)):
             return None
         pairs = [(e, e) for e in A.basis()]
     else:
@@ -554,23 +627,18 @@ def galois_coordinates(act: PartialAction):
     return coords
 
 
-def _has_fixed_point(group: FiniteGroup, maps) -> bool:
-    """Whether some a_g with g != 1 of the point maps fixes a point."""
-    return any(j == i for g in group.elements() if g != group.identity for i, j in enumerate(maps[g]))
-
-
 def _galois_matrix(act: PartialAction) -> Matrix:
     """The system of :func:`galois_coordinates`: row (g, k), column (i, j)
     holds coordinate k of e_i alpha_g(e_j) = sum_l c_{ilk} M_g[l][j], read off
     the sparse table and summed in the order of ``Algebra.mul_coords``."""
     A = act.algebra
-    r = A.rank
+    r, table = A.rank, A.table
     rows = [[0] * (r * r) for _ in range(act.group.order * r)]
     for g in act.group.elements():
         m = act.maps[g].rows
         out = rows[g * r : (g + 1) * r]
         for i in range(r):
-            for l, entries in enumerate(A.table[i]):
+            for l, entries in enumerate(table[i]):
                 if not entries:
                     continue
                 for j, y in enumerate(m[l]):
@@ -645,8 +713,9 @@ def inverse_action(act: PartialAction) -> PartialAction:
     (:func:`_relabel`): a*_1 = a_1, D*_g = D_(g^-1), and (P4) of the star
     maps at (g, h) is (P4) of the original at (g^-1, h^-1), because (gh)^-1
     = g^-1 h^-1; so they form a partial G-set (:func:`_points_certified`)
-    exactly when the original maps do.  Any other star action is read when
-    it is asked for."""
+    exactly when the original maps do.  The component of x, {a_g(x)}, is
+    {a*_g(x)}, so the roots are handed over too.  Any other star action is
+    read when it is asked for."""
     group = act.group
     return _relabel(act, group, group.inverse, act._points if group.is_abelian() else None)
 
@@ -658,7 +727,8 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
     new_group onto act.group (checked).  A point set already read
     (:func:`_point_set`) is handed over (:func:`_relabel`): along the
     isomorphism a partial G-set is a partial G'-set (:func:`_points_certified`)
-    with a'_a = a_(index_map[a]) and D'_a = D_(index_map[a]).
+    with a'_a = a_(index_map[a]) and D'_a = D_(index_map[a]), with the
+    same components and so the same roots.
     """
     if len(index_map) != new_group.order or new_group.order != act.group.order:
         raise AlgebraError("group relabeling size mismatch")
@@ -1002,7 +1072,7 @@ def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
                     )
                 images.append(support[0] if support else None)
             maps.append(images)
-        if not _points_certified(group, maps, domains):
+        if _points_certified(group, maps, domains) is None:
             raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
         out.append(maps)
     return out

@@ -123,15 +123,17 @@ def _quotient_on_points(act, sub, qdata, orbits, images, comp) -> QuotientAction
     """The quotient action of the orbit maps ``images``, one per coset in
     transversal order, on the indicators of the H-orbits ``orbits``, comp[p]
     the orbit of p (:func:`~pargal.paction._invariants_on_points`).  1~_{gH}
-    is 1 on the image orbits; the maps must pass the point-set certificate
-    (a bug trap) and are kept (:func:`~pargal.paction._on_points`)."""
+    is 1 on the image orbits, so the quotient's own 1_(gH), the domain of
+    the orbit map of g^-1 H, is written on first read; the maps must pass
+    the point-set certificate (a bug trap) and are kept with the roots it
+    found (:func:`~pargal.paction._on_points`)."""
     carrier = _invariants_on_points(act.algebra, orbits, comp)
-    SH = carrier.algebra
-    idems = [Element(SH, tuple(int(c in hit) for c in range(SH.rank))) for hit in map(set, images)]
-    if not _points_certified(qdata.quotient, images):
+    roots = _points_certified(qdata.quotient, images)
+    if roots is None:
         raise AssertionError("alpha_{G/H} fails the point-set certificate (bug trap)")
-    tildes = [Element(act.algebra, tuple(e.coords[c] for c in comp)) for e in idems]
-    return QuotientAction(act, sub, qdata, carrier, _on_points(qdata.quotient, SH, idems, images), tildes)
+    tildes = [Element(act.algebra, tuple(int(c in hit) for c in comp)) for hit in map(set, images)]
+    action = _on_points(qdata.quotient, carrier.algebra, images, roots)
+    return QuotientAction(act, sub, qdata, carrier, action, tildes)
 
 
 def _orbit_maps(orbits, comp, sources) -> list:

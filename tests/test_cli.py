@@ -232,6 +232,10 @@ VERIFY = ("verify",)
         (None, ("trace", "--element", "1,x,3"), "pargal trace: --element coordinate 2: Invalid literal for Fraction: 'x'"),
         (None, ("decompose", "--factors", "2,x"), "pargal decompose: --factors entry 2: 'x' is not an integer"),
         (None, ("decompose", "--factors", "2,,2"), "pargal decompose: --factors entry 2: '' is not an integer"),
+        # the orders are multiplied before any cyclic group is built: make_cyclic
+        # refuses orders above |G| = 4 here, and this one would never return
+        (None, ("decompose", "--factors", "99999999999999999999"),
+         "pargal decompose: the group is not presented as the product of cyclic groups of orders [99999999999999999999]"),
         # JSON booleans load as Python bools, which are ints
         (_set(["format"], True), VERIFY, "bad.json: unsupported format True, expected 1"),
         (_set(["group", "table", 0, 1], True), VERIFY, "/group/table: rows must be lists of element indices"),
@@ -245,10 +249,19 @@ VERIFY = ("verify",)
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
          "unit-zero-denominator", "matrix-zero-denominator", "trace-element", "trace-element-located",
-         "factors-not-integer", "factors-empty-entry",
+         "factors-not-integer", "factors-empty-entry", "factors-above-the-group-order",
          "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one"],
 )
-def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys):
+def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys, monkeypatch):
+    import pargal.harrison as harrison
+
+    build = harrison.make_cyclic
+
+    def make_cyclic(n):
+        assert n <= 4, f"make_cyclic({n}) built for a group of order 4"
+        return build(n)
+
+    monkeypatch.setattr(harrison, "make_cyclic", make_cyclic)
     with open(fixture("ex2"), encoding="utf-8") as fh:
         doc = json.load(fh)
     if edit is not None:

@@ -204,10 +204,24 @@ def test_as_group_roundtrip():
 
 
 def test_is_abelian_is_decided_once_and_kept():
-    for g, abelian in ((make_cyclic(6), True), (s3(), False), (make_product([make_cyclic(2), make_cyclic(3)]), True)):
+    # a group read from a table decides once, on the first ask, and keeps it
+    z6 = make_cyclic(6)
+    for g, abelian in ((FiniteGroup(z6.labels, z6.table), True), (s3(), False)):
         assert g._abelian is None
         assert g.is_abelian() is abelian and g._abelian is abelian
         assert g.is_abelian() is abelian
+    # make_cyclic is abelian by construction, and a product is abelian
+    # exactly when its factors are: both record it when they are built
+    built = (
+        (z6, True),
+        (make_product([make_cyclic(2), make_cyclic(3)]), True),
+        (make_product([make_cyclic(2), FiniteGroup(z6.labels, z6.table)]), True),
+        (make_product([make_cyclic(2), s3()]), False),
+    )
+    for g, abelian in built:
+        assert g._abelian is abelian
+        assert g.is_abelian() is abelian
+        assert FiniteGroup(g.labels, g.table).is_abelian() is abelian
 
 
 def brute_force_subgroups(group):

@@ -1028,14 +1028,13 @@ def test_orbit_read_matches_the_union_find_oracle(pair):
         envelope = globalize(product.action)
         globalized = [quotient_via_globalization(product.action, sub) for sub in subs]
     built = [c.action for c in (product, *idems, square)] + [qa.action for qa in quotients + globalized]
-    # per class, a delta-G read and the components of its certificate; one
-    # read per quotient action; G x X / ~ for the envelope; and per
-    # globalized quotient, G x X / ~ and the H-orbits
-    assert len(calls) == 2 * 4 + len(subs) + 1 + 2 * len(subs)
+    # per class, a delta-G read (its certificate reads the roots the point
+    # set's certificate kept); one read per quotient action; G x X / ~ for
+    # the envelope; and per globalized quotient, G x X / ~ and the H-orbits
+    assert len(calls) == 4 + len(subs) + 1 + 2 * len(subs)
     for act in built + [envelope.enveloping_action]:
-        kept = act._points[0]
-        assert act._maps is None and kept is not None
-        assert kept == _read_points(PartialAction(act.group, act.algebra, act.idems, act.maps))
+        assert act._maps is None and act._points[0] is not None
+        assert act._points == _read_points(PartialAction(act.group, act.algebra, act.idems, act.maps))
 
 
 def test_quotient_action_on_points_reads_the_orbits_once():
@@ -1508,3 +1507,84 @@ def test_deferred_labels_hold_no_algebra(pair):
         assert held and not any(isinstance(obj, (Algebra, PartialAction, ExtensionClass, FiniteGroup)) for obj in held)
     labels = square.action.algebra.labels
     assert square.action.algebra._labels is labels and isinstance(labels, list)
+
+
+# An action built on points holds only its maps and the roots of its
+# components.  Its 1_g and the table of its split carrier are written on
+# first read, and the certificate of its class reads the roots.  The
+# oracles are the eager constructions these replaced: 1_g as the
+# indicator of the image of a_g (as _quotient_on_points wrote it), the
+# split table written at once, the components of _components, and a fixed
+# point looked for at every point (test_paction.has_fixed_point).
+
+
+def eager_idems(act):
+    """The 1_g of an action on points written at once: the indicator of
+    the image of a_g."""
+    algebra = act.algebra
+    return tuple(Element(algebra, tuple(int(x in set(a)) for x in range(algebra.rank))) for a in act._points[0])
+
+
+def eager_split_table(ring, rank):
+    """The table of Algebra.split as it was written at once: the diagonal
+    ((i, 1),) in an empty sparse table."""
+    out = Algebra(ring, [f"b{i}" for i in range(rank)], {}, [1] * rank, validate=False)
+    for i, one in enumerate(out.unit):
+        out.table[i][i] = ((i, one),)
+    return out.table
+
+
+def test_point_constructions_write_no_idempotent_or_table():
+    # a product, an idempotent class, a quotient action and a globalization
+    # on points, certified, keyed, compared and starred as a suite would,
+    # write no 1_g and no split table until they are read
+    for ring in (QQ, Modular(2), Modular(6)):
+        for n, subset in ((4, [0, 1]), (5, [0, 1, 3]), (6, range(6))):
+            c = subset_class(n, subset, ring)
+            product = harrison_product(c, c.star())
+            idem = idempotent_class(c.action)
+            quotient = quotient_action(product.action, cyclic_subgroups(product.group)[-2])
+            assert quotient.certify().passed
+            envelope = globalize(product.action)
+            for x in (product, idem):
+                assert x.key is not None and iso_check(x.action, x.star().star().action).status == "iso"
+            built = {
+                "product": product.action,
+                "idempotent class": idem.action,
+                "quotient": quotient.action,
+                "enveloping action": envelope.enveloping_action,
+            }
+            for name, act in built.items():
+                assert act._idems is None and act.algebra._table is None, name
+            for name, act in built.items():
+                assert act.idems == eager_idems(act), name
+                assert act.algebra.table == eager_split_table(ring, act.algebra.rank), name
+
+
+def test_certify_of_a_point_set_reads_the_kept_roots(monkeypatch, tmp_path):
+    # certify walks no point set a second time: a built or loaded point set
+    # kept the roots of its certificate, and the one walk of an unread
+    # loaded file is that certificate
+    import pargal.harrison as harrison
+    import pargal.paction as paction
+    import pargal.quotient as quotient
+    from pargal.actionfile import load_action, save_action
+
+    c = subset_class(6, [0, 1, 3])
+    product = harrison_product(c, c)
+    path = str(tmp_path / "c.json")
+    save_action(c.action, path)
+    built = [c.action, c.star().action, product.action, idempotent_class(c.action).action,
+             harrison_product(product, c.star()).action, load_action(path)]
+    assert not hasattr(paction, "_has_fixed_point") and not hasattr(harrison, "_components")
+    walks = []
+    for module, name in ((paction, "_components"), (quotient, "_components"), (paction, "_points_certified"),
+                         (harrison, "_fixes_a_root")):
+        walk = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args))
+    for act in built:
+        ExtensionClass.certify(act)
+        assert walks == ["_fixes_a_root"]
+        walks.clear()
+    ExtensionClass.certify(load_action(path, verify=False))
+    assert walks == ["_points_certified", "_fixes_a_root"]

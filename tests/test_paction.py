@@ -39,7 +39,7 @@ from pargal.paction import (
 )
 from test_algebra import project_coords
 from test_groups import s3
-from test_harrison import subset_class
+from test_harrison import subset_class, subset_class_pairs
 
 
 def test_example1_satisfies_all_axioms():
@@ -1895,7 +1895,7 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
     # a handed-over point set must be what the reader reads off the result;
     # an action not yet read hands over nothing, and a restriction of an
     # uncertified one is left to be read
-    from pargal.paction import _point_set, _read_points
+    from pargal.paction import _point_roots, _point_set, _read_points
 
     subgroups = all_subgroups(act.group)
     assert all(restrict(act, sub)._points is None for sub in subgroups)
@@ -1904,9 +1904,11 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
     for sub in subgroups:
         out = restrict(act, sub)
         assert (out._points is not None) == certified
-        assert out._points is None or out._points[0] == _read_points(out)
+        # the roots of a restriction are its own, found on first read
+        assert out._points is None or out._points[0] == _read_points(out)[0]
+        assert out._points is None or _point_roots(out) == _read_points(out)[1]
     star = inverse_action(act)
-    assert star._points is not None and star._points[0] == _read_points(star)
+    assert star._points is not None and star._points == _read_points(star)
 
 
 def test_inverse_of_a_non_abelian_action_hands_over_nothing():
@@ -2005,7 +2007,7 @@ def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, ma
 
     act = points_action(ring, n, domains, maps)
     # 0/1 data with one 1 at most in each column, refused by the certificate
-    assert not _points_certified(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains])
+    assert _points_certified(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains]) is None
     assert _point_set(act) is None
     report = report_of(verify_partial_action(act))
     assert report == report_of(_verify_on_matrices(act)) == report_of(reference_verify_partial_action(act))
@@ -2115,11 +2117,12 @@ def coset_point_sets(draw):
 def test_point_set_certificate_matches_the_pointwise_reference(case):
     from pargal.paction import _points_certified
 
-    assert _points_certified(*case) == reference_points_certified(*case) == itemgetter_points_certified(*case)
+    certified = _points_certified(*case) is not None
+    assert certified == reference_points_certified(*case) == itemgetter_points_certified(*case)
     # with no domains they are read off the maps, as _action_on_points does
     group, maps, _ = case
     own = [[j is not None for j in maps[gi]] for gi in group.inverse]
-    assert _points_certified(group, maps) == reference_points_certified(group, maps, own)
+    assert (_points_certified(group, maps) is not None) == reference_points_certified(group, maps, own)
 
 
 def regular_z4_with_a_flipped_domain_bit():
@@ -2151,7 +2154,8 @@ def test_named_point_sets_decide_alike_under_every_certificate(build, expected):
     from pargal.paction import _points_certified
 
     case = build()
-    assert _points_certified(*case) == reference_points_certified(*case) == itemgetter_points_certified(*case) == expected
+    certified = _points_certified(*case) is not None
+    assert certified == reference_points_certified(*case) == itemgetter_points_certified(*case) == expected
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS, ids=["Q", "F2", "Z6"])
@@ -2269,10 +2273,16 @@ def certify_outcome(act):
     return "certified"
 
 
+def has_fixed_point(group, maps):
+    """Whether some a_g with g != 1 of the point maps fixes a point, read at
+    every point: the oracle of the root read _fixes_a_root."""
+    return any(j == i for g in group.elements() if g != group.identity for i, j in enumerate(maps[g]))
+
+
 @given(partial_zn_sets(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_point_decisions_match_the_matrix_route(act, data):
-    from pargal.paction import _has_fixed_point, _point_set, galois_coordinates
+    from pargal.paction import _point_set, galois_coordinates
 
     points = _point_set(act)
     assert points is not None
@@ -2291,7 +2301,7 @@ def test_point_decisions_match_the_matrix_route(act, data):
         assert str(exc).startswith("subalgebra: generating rows are not a free basis over Z/6")
     else:
         assert outcome == certify_outcome(act)
-    assert _has_fixed_point(act.group, points) == (galois_coordinates(copy) is None)
+    assert has_fixed_point(act.group, points) == (galois_coordinates(copy) is None)
 
 
 @st.composite
@@ -2340,3 +2350,79 @@ def test_rooted_codes_match_the_breadth_first_codes(pair, data):
                 assert dict(zip(new[0], new2[0])) == dict(zip(old[0], old2[0]))
     a, b = pair
     assert (canonical_key(a) == canonical_key(b)) == (breadth_first_key(a) == breadth_first_key(b))
+
+
+# The first reads of an action on points (1_g, the split table) and the
+# root reads of its certificate, against the eager constructions that
+# tests/test_harrison.py keeps (eager_idems, eager_split_table), the
+# components of _components and has_fixed_point, over subset classes, their
+# stars, products, idempotent classes, quotients and CRT-glued pairs.
+
+
+@given(subset_class_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
+    from pargal.envelope import globalize
+    from pargal.harrison import ExtensionClass, harrison_product, idempotent_class
+    from pargal.paction import _components, _fixes_a_root, _point_roots, _point_set, _points_certified, _split_data
+    from pargal.quotient import quotient_action, quotient_via_globalization
+    from test_harrison import cyclic_subgroups, eager_idems, eager_split_table
+
+    a, b = pair
+    ring, n = a.action.algebra.ring, a.group.order
+    product = harrison_product(a, b)
+    sub = data.draw(st.sampled_from(cyclic_subgroups(a.group)))
+    # a partial Z_n-set that may be disconnected and have fixed points
+    z = data.draw(partial_zn_sets(ring, n))
+    actions = [
+        a.action,
+        b.star().action,
+        product.action,
+        idempotent_class(a.action).action,
+        quotient_action(product.action, sub).action,
+        quotient_via_globalization(product.action, sub).action,
+        globalize(product.action).enveloping_action,
+        restrict(product.action, sub),
+        z,
+        inverse_action(z),
+        restrict(z, sub),
+        quotient_action(z, sub).action,
+        globalize(z).enveloping_action,
+    ]
+    if ring == Z6:
+        # over Z/6 a glued pair reads one partial G-set per CRT unit, and the
+        # square of a glued class takes the matrix route of harrison_product
+        r = a.action.algebra.rank
+        glued = crt_glue(a.action, relabel(a.star().action, data.draw(st.permutations(range(r)))))
+        actions.append(glued)
+        try:
+            c = ExtensionClass.certify(glued)
+            actions.append(harrison_product(c, c).action)
+        except AlgebraError as exc:
+            # the Z/6 refusal of the matrix route's invariants (ROADMAP item 3)
+            assert str(exc).startswith("subalgebra: generating rows are not a free basis over Z/6"), exc
+        r = z.algebra.rank
+        actions.append(crt_glue(z, relabel(inverse_action(z), data.draw(st.permutations(range(r))))))
+
+    def outcome(act):
+        try:
+            return certify_outcome(act)
+        except AlgebraError as exc:
+            return str(exc)
+
+    for act in actions:
+        held = act._points is not None and act._points[0] is not None
+        if held and act._idems is None:
+            assert act.idems == eager_idems(act)
+        if act.algebra._table is None:
+            assert act.algebra.table == eager_split_table(act.algebra.ring, act.algebra.rank)
+        points = _point_set(act)
+        gsets = [points] if points is not None else _split_data(act).gsets
+        for maps in gsets:
+            roots = _points_certified(act.group, maps)
+            assert roots == [orbit[0] for orbit in _components(maps)[0]]
+            assert _fixes_a_root(act.group, maps, roots) == has_fixed_point(act.group, maps)
+        if points is not None:
+            assert _point_roots(act) == roots
+        # a copy on written matrices and a written table, read afresh
+        assert outcome(act) == outcome(relabel(act, list(range(act.algebra.rank))))
