@@ -14,7 +14,7 @@ import json
 
 from .scalars import Matrix, parse_ring
 from .algebra import Algebra, AlgebraError
-from .groups import FiniteGroup, GroupError, make_cyclic, make_product
+from .groups import FiniteGroup, GroupError, make_cyclic, make_product, multiply_to
 from .paction import PartialAction, verify_partial_action
 
 FORMAT_VERSION = 1
@@ -83,13 +83,7 @@ def _load_group(spec, where: str, order: int) -> FiniteGroup:
         orders = spec["cyclic"]
         if not isinstance(orders, list) or not orders or not all(_is_int(n) for n in orders):
             raise ActionFileError(where, "cyclic spec must be a non-empty list of integers")
-        # |size| never shrinks, so a huge order stops the product early
-        size = 1
-        for n in orders:
-            size *= n
-            if abs(size) > order:
-                break
-        if size != order:
+        if not multiply_to(orders, order):
             raise ActionFileError(where, f"the cyclic orders do not multiply to {order}, the number of action entries")
         try:
             return make_product([make_cyclic(n) for n in orders])

@@ -432,6 +432,11 @@ def _free_basis_or_raise(system: LinearSystem, what: str):
         )
 
 
+def _ideal_rows(algebra: Algebra, e: Element) -> Matrix:
+    rows = [algebra.mul_coords(e.coords, [1 if t == i else 0 for t in range(algebra.rank)]) for i in range(algebra.rank)]
+    return canonical_row_form(Matrix(algebra.ring, rows, algebra.rank))
+
+
 @dataclass
 class UnitalIdeal:
     """Ideal e*S of an algebra generated by a central idempotent e."""
@@ -455,9 +460,7 @@ def unital_ideal(parent: Algebra, generator: Element) -> UnitalIdeal:
         raise AlgebraError("idempotent belongs to a different algebra")
     if not generator.is_idempotent():
         raise AlgebraError(f"ideal generator {generator!r} is not idempotent")
-    rows = [parent.mul_coords(generator.coords, [1 if t == i else 0 for t in range(parent.rank)]) for i in range(parent.rank)]
-    basis = canonical_row_form(Matrix(parent.ring, rows, parent.rank))
-    return UnitalIdeal(parent, generator, basis)
+    return UnitalIdeal(parent, generator, _ideal_rows(parent, generator))
 
 
 @dataclass
@@ -495,6 +498,24 @@ def _labels_for_rows(parent: Algebra, rows) -> list:
     return [parent.format_coords(r) for r in rows]
 
 
+def _table_on_rows(parent: Algebra, rows, system: LinearSystem, table: dict, offset: int = 0):
+    """Write into the sparse ``table`` the product of each pair of the
+    basis ``rows`` i <= j of a span, solved over them by ``system``, with
+    every index shifted by ``offset``; return the first (i, j, product)
+    outside the span, else None."""
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            prod = parent.mul_coords(rows[i], rows[j])
+            sol = system.solve(prod)
+            if sol is None:
+                return i, j, prod
+            entries = tuple((offset + t, c) for t, c in enumerate(sol.particular) if c != 0)
+            if entries:
+                table[(offset + i, offset + j)] = entries
+                table[(offset + j, offset + i)] = entries
+    return None
+
+
 def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "subalgebra") -> SubAlgebra:
     """Present a multiplicatively closed submodule as an Algebra.
 
@@ -511,19 +532,13 @@ def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "s
     if unit_sol is None:
         raise AlgebraError(f"{what}: unit {parent.format_coords(unit_coords)} is absent from the span")
     table = {}
-    for i in range(k):
-        for j in range(i, k):
-            prod = parent.mul_coords(rows.rows[i], rows.rows[j])
-            sol = system.solve(prod)
-            if sol is None:
-                raise AlgebraError(
-                    f"{what}: not multiplicatively closed at basis pair ({i}, {j}): "
-                    f"{parent.format_coords(prod)} is outside the span"
-                )
-            entries = tuple((t, c) for t, c in enumerate(sol.particular) if c != 0)
-            if entries:
-                table[(i, j)] = entries
-                table[(j, i)] = entries
+    outside = _table_on_rows(parent, rows.rows, system, table)
+    if outside is not None:
+        i, j, prod = outside
+        raise AlgebraError(
+            f"{what}: not multiplicatively closed at basis pair ({i}, {j}): "
+            f"{parent.format_coords(prod)} is outside the span"
+        )
     sub = Algebra(ring, _labels_for_rows(parent, rows.rows), table, unit_sol.particular, validate=False)
     incl = AlgebraMorphism(sub, parent, bt)
     # unit acts as identity on the presented basis (guards bad unit input)
@@ -626,16 +641,8 @@ def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
         tag = labels[idx] if labels else str(idx)
         for i in range(k):
             out_labels.append(f"[{tag}]{parent.format_coords(comp.ideal.basis.rows[i])}")
-        for i in range(k):
-            for j in range(i, k):
-                prod = parent.mul_coords(comp.ideal.basis.rows[i], comp.ideal.basis.rows[j])
-                psol = system.solve(prod)
-                if psol is None:
-                    raise AlgebraError(f"ideal component {idx} is not multiplicatively closed")
-                entries = tuple((comp.offset + t, c) for t, c in enumerate(psol.particular) if c != 0)
-                if entries:
-                    table[(comp.offset + i, comp.offset + j)] = entries
-                    table[(comp.offset + j, comp.offset + i)] = entries
+        if _table_on_rows(parent, comp.ideal.basis.rows, system, table, comp.offset) is not None:
+            raise AlgebraError(f"ideal component {idx} is not multiplicatively closed")
     algebra = Algebra(ring, out_labels, table, unit, validate=False)
     return ProductAlgebra(algebra, parent, components)
 
@@ -856,11 +863,6 @@ def find_split_presentation(algebra: Algebra):
             pres.check()
         algebra._split = (pres,)
     return algebra._split[0]
-
-
-def _ideal_rows(algebra: Algebra, e: Element) -> Matrix:
-    rows = [algebra.mul_coords(e.coords, [1 if t == i else 0 for t in range(algebra.rank)]) for i in range(algebra.rank)]
-    return canonical_row_form(Matrix(algebra.ring, rows, algebra.rank))
 
 
 def _split_over_field(algebra: Algebra):

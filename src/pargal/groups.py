@@ -108,6 +108,17 @@ def make_cyclic(n: int) -> FiniteGroup:
     return out
 
 
+def multiply_to(orders, order: int) -> bool:
+    """Whether the integers ``orders`` multiply to ``order`` >= 0, stopping
+    once the product, whose size never shrinks, passes ``order``."""
+    size = 1
+    for n in orders:
+        size *= n
+        if abs(size) > order:
+            return False
+    return size == order
+
+
 def make_product(groups) -> FiniteGroup:
     """Direct product with lexicographic tuple ordering of elements.  It is
     abelian exactly when every factor is, as each factor is a subgroup and

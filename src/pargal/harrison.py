@@ -23,7 +23,7 @@ from .algebra import (
     product_over_ideals,
     tensor_labels,
 )
-from .groups import FiniteGroup, GroupError, direct_square, make_cyclic, make_product, delta_subgroup, delta_transversal
+from .groups import FiniteGroup, GroupError, direct_square, make_cyclic, make_product, multiply_to, delta_subgroup, delta_transversal
 from .paction import (
     ActionReport,
     GaloisCoordinates,
@@ -507,15 +507,10 @@ def star_product_suite(classes) -> SuiteReport:
 
 def _check_product_presentation(group: FiniteGroup, orders):
     """Raise unless ``group`` has the Cayley table of the product of the
-    cyclic groups of ``orders``.  Their product is compared with |G| first,
-    stopping once it passes |G| (its size never shrinks), so no cyclic
-    group larger than G is built."""
-    size = 1
-    for n in orders:
-        size *= n
-        if abs(size) > group.order:
-            break
-    if size != group.order or group.table != make_product([make_cyclic(n) for n in orders]).table:
+    cyclic groups of ``orders``.  Their product is compared with |G| first
+    (:func:`~pargal.groups.multiply_to`), so no cyclic group larger than G
+    is built."""
+    if not multiply_to(orders, group.order) or group.table != make_product([make_cyclic(n) for n in orders]).table:
         raise AlgebraError(
             "the group is not presented as the product of cyclic groups "
             f"of orders {list(orders)}"

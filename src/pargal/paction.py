@@ -270,11 +270,12 @@ def _point_set(act: PartialAction) -> list | None:
     1, no column of an M_g holds two 1s, and the maps with the domains D_g
     = supp 1_g form a partial G-set (:func:`_points_certified`, which
     checks that D_g is the domain of a_(g^-1); every reader of a point set
-    takes it from there).  Read in O(|G| r^2) and certified in O(|G| r)
-    when free, once per action, and kept on it with the roots that the
-    certificate found (:func:`_point_roots`)."""
+    takes it from there).  Read (:func:`_read_points`) in O(|G| r^2) and
+    certified in O(|G| r) when free, once per action, and kept on it with
+    the roots that the certificate found (:func:`_point_roots`)."""
     if act._points is None:
-        act._points = _read_points(act)
+        read = act.algebra.is_split() and _read_points(act.group, [e.coords for e in act.idems], [zip(*m.rows) for m in act.maps])
+        act._points = read or (None, None)
     return act._points[0]
 
 
@@ -292,21 +293,29 @@ def _point_roots(act: PartialAction) -> list | None:
     return act._points[1]
 
 
-def _read_points(act: PartialAction) -> tuple:
-    """The maps of :func:`_point_set` read off the matrices, and the roots
-    of their components, or (None, None)."""
-    A = act.algebra
-    if not A.is_split():
-        return None, None
-    r = A.rank
-    if any(e.coords.count(0) + e.coords.count(1) != r for e in act.idems):
-        return None, None
-    # a_g(i) is the row of the 1 in column i of M_g
-    maps = [_row_sources(zip(*m.rows)) for m in act.maps]
+def _read_points(group: FiniteGroup, domains, columns) -> tuple | None:
+    """The one reader of split carriers: the partial G-set on the points
+    p_i with 0/1 coefficients ``domains[g]`` of 1_g and ``columns[g][i]``
+    of alpha_g(p_i), as the maps a_g (a_g(i) = j for the one 1 of column i
+    at j) and the roots that the certificate found
+    (:func:`_points_certified`), or None.  :func:`_point_set` reads the
+    stored coordinates here, :func:`_split_data` the residues of each CRT
+    unit (:func:`_residues`)."""
+    if any(d.count(0) + d.count(1) != len(d) for d in domains):
+        return None
+    maps = [_row_sources(c) for c in columns]
     if None in maps:
-        return None, None
-    roots = _points_certified(act.group, maps, [[c == 1 for c in e.coords] for e in act.idems])
-    return (None, None) if roots is None else (maps, roots)
+        return None
+    roots = _points_certified(group, maps, domains)
+    return None if roots is None else (maps, roots)
+
+
+def _residues(ring, u, rows) -> list:
+    """Each coefficient x of ``rows`` read in the CRT unit u: 1 where u x =
+    u, 0 where u x = 0, and None, which :func:`_read_points` refuses,
+    elsewhere.  So u p_i lies under 1_g exactly where the residue of its
+    coefficient in 1_g is 1."""
+    return [[1 if (v := ring.mul(u, x)) == u else 0 if v == 0 else None for x in row] for row in rows]
 
 
 def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
@@ -316,7 +325,7 @@ def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
     (maps[g][i] = j, None off the domain of a_g): 1_g is the indicator of
     the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
 
-    The point set is kept on the action as :func:`_read_points` reads it off
+    The point set is kept on the action as :func:`_point_set` reads it off
     these matrices: the maps when they form a partial G-set, one component
     at a time (:func:`_points_certified`, with no check of the domains,
     which are read off the maps), with the roots the certificate found;
@@ -378,7 +387,7 @@ def _points_certified(group: FiniteGroup, maps, domains=None) -> list | None:
 
     Decided per component, in O(|G| r) on a free set, O(|G|^2 r) at most:
     (1) a_1 = id; (2) D_g is the domain of a_(g^-1), when ``domains`` are
-    given (:func:`_read_points`, :func:`_partial_gsets`); (3) from each point
+    given (:func:`_read_points`); (3) from each point
     x not yet reached, phi(g) = a_g(x) on Dom_x = {g : a_g(x) defined}
     reaches phi(Dom_x), and a_h(phi(g)) = phi(hg) for every h and every g
     in Dom_x, undefined when hg is not in Dom_x.  A partial G-set passes:
@@ -762,19 +771,19 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     Requires split carriers (returns "undecided" otherwise).  A witness sends
     the split idempotent p_i of a to sum_t u_t q_{sigma_t(i)}: one bijection
     sigma_t of b's split idempotents per CRT unit u_t of the base ring, an
-    isomorphism of the partial G-sets of that unit (see :func:`_partial_gsets`),
+    isomorphism of the partial G-sets of that unit (:func:`_split_data`),
     so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
     components by the rooted codes that :func:`canonical_key` compares, each
     read in O(|G|) from one point (:func:`_component_from`), so the two
     agree by construction; the witness returned is the first in lexicographic
-    order of (sigma_0, sigma_1, ...).  On two standard carriers the match
-    reads the point maps in place (:func:`_split_points`), and units that
-    share their maps share one match; when all units get one sigma, the
-    witness is that permutation pi of the points, checked on the point maps
-    (:func:`_certified_witness`) with no matrix product, and its matrix is
-    written on first read.  A "none" answer names its obstruction: the two
-    ranks, or the CRT unit and the size of the first component of ``a``
-    with no partner in ``b``.
+    order of (sigma_0, sigma_1, ...).  On a standard carrier the partial
+    G-sets are read on the points in place, and units that share their maps
+    share one match.  When both sides are point sets (:func:`_point_set`)
+    and all units get one sigma, the witness is that permutation pi of the
+    points, checked on the point maps (:func:`_certified_witness`) with no
+    matrix product, and its matrix is written on first read.  A "none"
+    answer names its obstruction: the two ranks, or the CRT unit and the
+    size of the first component of ``a`` with no partner in ``b``.
     """
     return _match_iso(a, b)
 
@@ -786,12 +795,13 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     colours enter each rooted code as one bit per point
     (:func:`_component_from`).
 
-    Each side is scanned in split order (:func:`_split_order`): a point set
-    from its last point down, p_i = e_(r-1-i), so on two point sets each
-    sigma_t, read on the points, is the permutation pi_t with f e_x =
-    sum_t u_t e_(pi_t(x)).  A point set against a carrier on another basis
-    reads its sigma_t back in split order and builds f on the split
-    idempotents."""
+    Each side is scanned in split order (:func:`_split_order`): a standard
+    carrier from its last point down, p_i = e_(r-1-i).  Each sigma_t maps
+    the indices of a's partial G-set to those of b's, points on a standard
+    carrier and split indices elsewhere, so with Pi_t the matrix sending
+    e_i to e_(sigma_t(i)) and B the change of basis of each side
+    (:class:`_SplitData`; the identity on a standard carrier) the witness
+    is f = B_b (sum_t u_t Pi_t) B_a^-1."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -811,7 +821,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         kept_a, kept_b = [[None] * r for _ in units], [[None] * r for _ in units]
         colours_a = [_colour(ring, u, sa, marked[0]) for u in units]
         colours_b = [_colour(ring, u, sb, marked[1]) for u in units]
-    order_a, order_b = _split_order(sa, r), _split_order(sb, r)
+    order_a, order_b = _split_order(sa.basis, r), _split_order(sb.basis, r)
     sigmas, last = [], None
     for u, maps_a, maps_b, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
         if last is not None and maps_a is last[0] and maps_b is last[1] and (ca, cb) == last[2:]:
@@ -822,35 +832,24 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
         last = (maps_a, maps_b, ca, cb)
-    if sa.idems is None and sb.idems is None:
-        if sigmas.count(sigmas[0]) == len(sigmas):
-            return IsoResult("iso", _certified_witness(a, b, None, marked, sigmas[0]))
-        rows = [[0] * r for _ in range(r)]
-        for u, pi in zip(units, sigmas):
-            for x, y in enumerate(pi):
-                rows[y][x] = ring.add(rows[y][x], u)
-        return IsoResult("iso", _certified_witness(a, b, Matrix(ring, rows, r), marked))
-    # f(p_i) = sum_t unit_t * q_{sigma_t(i)}, each sigma_t read in split
-    # order: p_i has label order_a[i], and as each order is its own inverse
-    # (reversed or not), label y of b is q_(order_b[y])
-    sigmas = [[order_b[sigma[x]] for x in order_a] for sigma in sigmas]
-    idems_b = _split_basis(sb, ring, r)[0]
-    cols = []
-    for i in range(r):
-        col = [0] * r
-        for u, sigma in zip(units, sigmas):
-            q = idems_b[sigma[i]]
-            for s in range(r):
-                col[s] = ring.add(col[s], ring.mul(u, q[s]))
-        cols.append(col)
-    fmat = Matrix(ring, [list(row) for row in zip(*cols)], r).mul(_split_basis(sa, ring, r)[1])
+    if sigmas.count(sigmas[0]) == len(sigmas) and _point_set(a) is not None and _point_set(b) is not None:
+        return IsoResult("iso", _certified_witness(a, b, None, marked, sigmas[0]))
+    rows = [[0] * r for _ in range(r)]
+    for u, sigma in zip(units, sigmas):
+        for x, y in enumerate(sigma):
+            rows[y][x] = ring.add(rows[y][x], u)
+    fmat = Matrix(ring, rows, r)
+    if sb.basis is not None:
+        fmat = sb.basis.mul(fmat)
+    if sa.to_coords is not None:
+        fmat = fmat.mul(sa.to_coords)
     return IsoResult("iso", _certified_witness(a, b, fmat, marked))
 
 
 def _colour(ring, u, data, e):
     """Whether u p lies under the idempotent e, for each point p of the
-    partial G-sets of ``data``: the basis points of a point set, in place,
-    else the split idempotents."""
+    partial G-sets of ``data``: the basis points of a standard carrier, in
+    place, else the split idempotents."""
     coeffs = e.coords if data.to_coords is None else data.to_coords.matvec(list(e.coords))
     return [ring.mul(u, x) == u for x in coeffs]
 
@@ -862,8 +861,8 @@ def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b, order_
     (sigma, None); or (None, k) when there is none, with k the size of the
     first component of a that has no partner.  "First" is for the points
     taken in the orders ``order_a`` and ``order_b`` (:func:`_split_order`),
-    which on a point set run from the last point down.  For the maps of
-    :func:`_partial_gsets`, maps[g^-1] is None exactly off D_g, so sigma
+    which on a standard carrier run from the last point down.  For the maps
+    of :func:`_read_points`, maps[g^-1] is None exactly off D_g, so sigma
     also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the rooted
     code of each point (:func:`_component_from`).
 
@@ -887,73 +886,83 @@ def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b, order_
 
 
 class _SplitData(NamedTuple):
-    """An action read off the split presentation of its carrier.  On a
-    certified point set (:func:`_split_points`) the partial G-sets are the
-    point maps themselves, scanned from the last point down
-    (:func:`_split_order`), and no dense data is kept: ``idems`` and
-    ``to_coords`` are None, and :func:`_split_basis` writes them out where a
-    carrier on another basis needs them."""
+    """An action read off the split presentation of its carrier: for each
+    CRT unit u, the partial G-set induced on the u p_i (:func:`_split_data`).
+    On a standard carrier ``basis`` and ``to_coords`` are None, and the
+    maps are on the points, p_i = e_(r-1-i)."""
 
-    idems: list | None  # coordinate lists of the split idempotents p_i
-    to_coords: Matrix | None  # coordinates -> coefficients over the p_i
-    gsets: list  # the partial G-set of each CRT unit, see _partial_gsets
+    basis: Matrix | None  # B, with the split idempotents p_i as columns
+    to_coords: Matrix | None  # B^-1: coordinates -> coefficients over the p_i
+    gsets: list  # per unit, the maps of its partial G-set (_read_points)
+    roots: list | None  # per unit, the roots of its components; None on a point set (_point_roots)
     # per unit, the rooted code of each point (_component_from), filled on
     # demand so that canonical_key and iso_check read each once; units
     # that share their maps share the list
     kept: list
 
 
-def _split_order(data: _SplitData, r: int) -> range:
-    """The points of the partial G-sets of ``data`` in split order, the
-    label of p_0, p_1, ...: the basis points from the last down on a point
-    set, p_i = e_(r-1-i) (:func:`_split_points`), else the indices of the
-    split idempotents."""
-    return range(r - 1, -1, -1) if data.idems is None else range(r)
-
-
-def _split_basis(data: _SplitData, ring, r: int):
-    """The split idempotents of ``data`` as coordinate lists and the matrix
-    sending coordinates to coefficients over them; on a standard carrier
-    p_i = e_(r-1-i), and the matrix with columns p_i is its own inverse."""
-    if data.idems is not None:
-        return data.idems, data.to_coords
-    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
-    return idems, Matrix(ring, [list(p) for p in idems], r)
+def _split_order(basis: Matrix | None, r: int) -> range:
+    """The indices of p_0, p_1, ... in split data (:class:`_SplitData`): on
+    a standard carrier (``basis`` None) the points from the last down, as
+    :func:`find_split_presentation` sorts the basis vectors by coordinates."""
+    return range(r - 1, -1, -1) if basis is None else range(r)
 
 
 def _split_data(act: PartialAction) -> _SplitData | None:
     """The split data of ``act``, or None when its carrier has no split
-    presentation; built once per action and kept on it.  Raises
-    AlgebraError when the action does not permute the split idempotents."""
-    if act._split is None:
-        points = _point_set(act)
-        if points is not None:
-            data = _split_points(act, points)
-        else:
-            data = None
-            pres = find_split_presentation(act.algebra)
-            if pres is not None:
-                ring, r = act.algebra.ring, act.algebra.rank
-                idems = [list(e.coords) for e in pres.idempotents]
-                to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
-                gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
-                data = _SplitData(idems, to_coords, gsets, [[None] * r for _ in gsets])
-        act._split = (data,)
+    presentation; built once per action and kept on it.  The coefficients
+    are the coordinates on a standard carrier (:meth:`Algebra.is_split`),
+    else read through B^-1.  A point set (:func:`_point_set`) serves every
+    CRT unit, as on 0/1 data u p_i reads alike for every u; any other
+    action is read per unit (:func:`_residues`), and :func:`_refuse` says
+    why a unit that fails does not permute the split idempotents."""
+    if act._split is not None:
+        return act._split[0]
+    A, group = act.algebra, act.group
+    ring, r = A.ring, A.rank
+    units = _base_ring_units(ring)
+    points = _point_set(act)
+    if points is not None:
+        act._split = (_SplitData(None, None, [points] * len(units), None, [[None] * r] * len(units)),)
+        return act._split[0]
+    basis = to_coords = None
+    if A.is_split():
+        domains, columns = [e.coords for e in act.idems], [list(zip(*m.rows)) for m in act.maps]
+    else:
+        pres = find_split_presentation(A)
+        if pres is None:
+            act._split = (None,)
+            return None
+        basis = Matrix(ring, [list(col) for col in zip(*(e.coords for e in pres.idempotents))], r)
+        to_coords = invert(basis)
+        domains = [to_coords.matvec(list(e.coords)) for e in act.idems]
+        columns = [list(zip(*to_coords.mul(m).mul(basis).rows)) for m in act.maps]
+    reads = []
+    for u in units:
+        dom, cols = _residues(ring, u, domains), [_residues(ring, u, c) for c in columns]
+        reads.append(_read_points(group, dom, cols) or _refuse(group, u, dom, cols, _split_order(basis, r)))
+    gsets, roots = map(list, zip(*reads))
+    act._split = (_SplitData(basis, to_coords, gsets, roots, [[None] * r for _ in units]),)
     return act._split[0]
 
 
-def _split_points(act: PartialAction, points) -> _SplitData:
-    """The split data of a certified point set (:func:`_point_set`): every
-    CRT unit gets the point maps themselves, with no copy.  In the order of
-    :func:`find_split_presentation`, which sorts the basis vectors by their
-    coordinates, p_i = e_(r-1-i), so a scan in split order reads the points
-    from r-1 down to 0 (:func:`_split_order`).  Rooted codes hold group
-    indices only, so they do not depend on the labels of the points.  The
-    r x r idempotents and coefficient matrix are not built (see
-    :class:`_SplitData`)."""
-    r = act.algebra.rank
-    units = len(_base_ring_units(act.algebra.ring))
-    return _SplitData(None, None, [points] * units, [[None] * r] * units)
+def _refuse(group: FiniteGroup, u, domains, columns, order):
+    """Raise why :func:`_read_points` refuses the residues ``domains`` and
+    ``columns`` of the CRT unit u: the first 1_g with a coefficient neither
+    0 nor u, else the first alpha_g that does not send each u p_i under
+    1_(g^-1) to one u p_j and each other to 0, else the certificate; the
+    index is i, the place in ``order`` (:func:`_split_order`)."""
+    label = group.labels
+    for g, d in enumerate(domains):
+        bad = next((k for k, i in enumerate(order) if d[i] is None), None)
+        if bad is not None:
+            raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
+    for g, c in enumerate(columns):
+        on = domains[group.inv(g)]
+        bad = next((k for k, i in enumerate(order) if c[i].count(0) != len(c[i]) - on[i] or on[i] and 1 not in c[i]), None)
+        if bad is not None:
+            raise AlgebraError(f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {bad})")
+    raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
 
 
 def canonical_key(act: PartialAction):
@@ -964,31 +973,32 @@ def canonical_key(act: PartialAction):
     For each CRT unit the key holds the sorted codes of the connected
     components of the partial G-set; a component's code is the least of
     the rooted codes of its points (:func:`_component_from`), each read in
-    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).  A
-    point set is read on its point maps in place (:func:`_split_points`):
-    the codes hold group indices only, so the key does not depend on the
-    labels of the points.  Isomorphic components have the same rooted
-    codes, and equal codes at two roots give an isomorphism, so components
-    are isomorphic exactly when their least codes are equal.  ``iso_check`` matches components by
-    the same rooted codes, so the two agree by construction.
+    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).  Each
+    unit's components are read from the roots that its certificate found
+    (:class:`_SplitData`).  The codes hold group indices only, so the key
+    does not depend on the labels of the points.  Isomorphic components
+    have the same rooted codes, and equal codes at two roots give an
+    isomorphism, so components are isomorphic exactly when their least
+    codes are equal.  ``iso_check`` matches components by the same rooted
+    codes, so the two agree by construction.
     """
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(maps, kept) for maps, kept in zip(data.gsets, data.kept))
+    roots = data.roots or [_point_roots(act)] * len(data.gsets)
+    return tuple(_gset_code(*unit) for unit in zip(data.gsets, data.kept, roots))
 
 
-def _gset_code(maps, kept):
+def _gset_code(maps, kept, roots):
     """Canonical form of a partial G-set given as one partial map per g
     (maps[g][i] = j, or None off the domain), with the rooted codes kept in
-    ``kept`` (:func:`_component_from`): the sorted component codes, each
-    the least rooted code of a point of the component."""
-    codes, seen = [], set()
-    for x in range(len(maps[0])):
-        if x not in seen:
-            component = _component_from(maps, kept, x)[0]
-            seen.update(component)
-            codes.append(min(_component_from(maps, kept, root)[1] for root in component))
+    ``kept`` (:func:`_component_from`) and the root of each component in
+    ``roots``: the sorted component codes, each the least rooted code of a
+    point of the component."""
+    codes = []
+    for root in roots:
+        component = _component_from(maps, kept, root)[0]
+        codes.append(min(_component_from(maps, kept, x)[1] for x in component))
     return tuple(sorted(codes))
 
 
@@ -1024,58 +1034,6 @@ def _components(maps):
     :func:`_orbit_quotient` with the maps as the members."""
     orbits, _, comp = _orbit_quotient(len(maps[0]), None, (), maps, lambda _, a, p: a[p])
     return orbits, comp
-
-
-def _partial_gsets(act: PartialAction, idems, to_coords: Matrix, units):
-    """The partial G-set that ``act`` induces on the idempotents u p_i, for
-    the split idempotents p_i (coordinate lists ``idems``, ``to_coords``
-    sending coordinates to coefficients over them) and each CRT unit u in
-    ``units``; the coefficients are computed once for all units.
-
-    Returns the maps of each unit: maps[g][i] = j when alpha_g(u p_i) =
-    u p_j, None off D_{g^-1} = {i : u p_i in S_{g^-1}}.
-    Raises AlgebraError when 1_g or alpha_g does not come from partial
-    maps of the u p_i, or when those maps fail :func:`_points_certified`,
-    so the input is not a partial action.  A partial action never fails
-    the certificate: conjugating by the split presentation turns alpha_1 =
-    id (P2) and M_g M_h = E_g M_gh (P4) into the same identities on the
-    u p_i, so the maps form a partial G-set, which the certificate decides.
-    """
-    ring = act.algebra.ring
-    group = act.group
-    label = group.labels
-    r = len(idems)
-    idem_coeffs = [to_coords.matvec(list(act.idems[g].coords)) for g in group.elements()]
-    image_coeffs = [[to_coords.matvec(act.maps[g].matvec(p)) for p in idems] for g in group.elements()]
-    out = []
-    for u in units:
-        domains = []
-        for g in group.elements():
-            coeffs = [ring.mul(u, x) for x in idem_coeffs[g]]
-            bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
-            if bad is not None:
-                raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
-            domains.append([x == u for x in coeffs])
-        maps = []
-        for g in group.elements():
-            images = []
-            for i in range(r):
-                col = [ring.mul(u, x) for x in image_coeffs[g][i]]
-                support = [s for s, x in enumerate(col) if x != 0]
-                if domains[group.inv(g)][i]:
-                    ok = len(support) == 1 and col[support[0]] == u
-                else:
-                    ok = not support
-                if not ok:
-                    raise AlgebraError(
-                        f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {i})"
-                    )
-                images.append(support[0] if support else None)
-            maps.append(images)
-        if _points_certified(group, maps, domains) is None:
-            raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
-        out.append(maps)
-    return out
 
 
 def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi=None) -> AlgebraMorphism:

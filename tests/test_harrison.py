@@ -47,7 +47,7 @@ from pargal.harrison import (
 )
 from pargal.paction import (
     PartialAction,
-    _read_points,
+    _point_set,
     invariants,
     inverse_action,
     iso_check,
@@ -655,6 +655,27 @@ def test_crt_glued_action_takes_the_matrix_route(tensor_calls):
     assert xx.key[0] != yy.key[1]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AlgebraError,
+    reason="the matrix route reads the delta-G invariants of this glued square as a Howell form "
+    "with more rows than its rank, a module it takes for not free over Z/6 (ROADMAP item 3a)",
+)
+def test_square_of_a_glued_class_glues_the_squares_of_its_units():
+    # x on the Z/2 component and the relabelled x* on the Z/3 component:
+    # both certify, and the square of each is a rank-4 class, yet the
+    # glued square is refused ("subalgebra: generating rows are not a free
+    # basis over Z/6")
+    from test_paction import crt_glue, relabel
+
+    x = subset_class(4, (0, 1, 2), Modular(6))
+    glued = cls(crt_glue(x.action, relabel(x.star().action, (1, 0, 2))))
+    x2 = subset_class(4, (0, 1, 2), Modular(2))
+    x3 = cls(relabel(subset_class(4, (0, 1, 2), Modular(3)).star().action, (1, 0, 2)))
+    expected = (harrison_product(x2, x2).key[0], harrison_product(x3, x3).key[0])
+    assert harrison_product(glued, glued).key == expected
+
+
 def test_regular_z16_class_squared_on_its_point_set(tensor_calls):
     regular = subset_class(16, range(16))
     start = time.perf_counter()
@@ -1034,7 +1055,7 @@ def test_orbit_read_matches_the_union_find_oracle(pair):
     assert len(calls) == 4 + len(subs) + 1 + 2 * len(subs)
     for act in built + [envelope.enveloping_action]:
         assert act._maps is None and act._points[0] is not None
-        assert act._points == _read_points(PartialAction(act.group, act.algebra, act.idems, act.maps))
+        assert act._points == read_afresh(act)
 
 
 def test_quotient_action_on_points_reads_the_orbits_once():
@@ -1516,6 +1537,14 @@ def test_deferred_labels_hold_no_algebra(pair):
 # indicator of the image of a_g (as _quotient_on_points wrote it), the
 # split table written at once, the components of _components, and a fixed
 # point looked for at every point (test_paction.has_fixed_point).
+
+
+def read_afresh(act):
+    """The point set and roots that _point_set reads off a copy of ``act``
+    on its written 1_g and M_g, or (None, None)."""
+    copy = PartialAction(act.group, act.algebra, act.idems, act.maps)
+    _point_set(copy)
+    return copy._points
 
 
 def eager_idems(act):

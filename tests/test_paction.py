@@ -1483,11 +1483,11 @@ def test_point_trap_matches_the_dense_trap(case):
 
 
 def split_order_gsets(data, r):
-    """The partial G-sets of _split_data in split order: on a point set the
-    point maps with the indices reversed, p_i = e_(r-1-i), the copy that
-    iso_check read before it scanned the point maps in place; else the
-    maps of _partial_gsets as held."""
-    if data.idems is not None:
+    """The partial G-sets of _split_data in split order: on a standard
+    carrier the maps on the points with the indices reversed, p_i =
+    e_(r-1-i), the copy that iso_check read before it read the points in
+    place; else the maps as held."""
+    if data.basis is not None:
         return data.gsets
     return [[[None if j is None else r - 1 - j for j in reversed(a)] for a in maps] for maps in data.gsets]
 
@@ -1513,25 +1513,25 @@ def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
 
 def split_order_iso(a, b, marked=None):
     """iso_check, or with ``marked`` global_iso_check, on the split-order
-    route: one ascending match per CRT unit on split_order_gsets, and the
-    witness of presentation_witness, checked by the dense trap."""
-    from pargal.paction import IsoResult, _base_ring_units, _split_data
+    route: one ascending match per CRT unit on the partial G-sets of
+    presentation_split_data, and the witness of presentation_witness,
+    checked by the dense trap."""
+    from pargal.algebra import find_split_presentation
+    from pargal.paction import IsoResult, _base_ring_units
 
-    sa, sb = _split_data(a), _split_data(b)
-    if sa is None or sb is None:
+    if find_split_presentation(a.algebra) is None or find_split_presentation(b.algebra) is None:
         return IsoResult("undecided")
     if a.algebra.rank != b.algebra.rank:
         return IsoResult("none", obstruction=f"rank {a.algebra.rank} != rank {b.algebra.rank}")
-    ring, r = a.algebra.ring, a.algebra.rank
-    units = _base_ring_units(ring)
+    ring = a.algebra.ring
+    pa, pb = presentation_split_data(a), presentation_split_data(b)
 
-    def colour(u, data, e):
-        coeffs = e.coords[::-1] if data.to_coords is None else data.to_coords.matvec(list(e.coords))
-        return [ring.mul(u, x) == u for x in coeffs]
+    def colour(u, to_coords, e):
+        return [ring.mul(u, x) == u for x in to_coords.matvec(list(e.coords))]
 
     sigmas = []
-    for u, maps_a, maps_b in zip(units, split_order_gsets(sa, r), split_order_gsets(sb, r)):
-        colours = (None, None) if marked is None else (colour(u, sa, marked[0]), colour(u, sb, marked[1]))
+    for u, maps_a, maps_b in zip(_base_ring_units(ring), pa[2], pb[2]):
+        colours = (None, None) if marked is None else (colour(u, pa[1], marked[0]), colour(u, pb[1], marked[1]))
         sigma, unmatched = split_order_match(maps_a, maps_b, *colours)
         if sigma is None:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
@@ -1540,14 +1540,25 @@ def split_order_iso(a, b, marked=None):
 
 
 def split_order_key(act):
-    """canonical_key on split_order_gsets, with codes kept afresh."""
-    from pargal.paction import _gset_code, _split_data
+    """canonical_key on the partial G-sets of presentation_split_data: per
+    CRT unit, the sorted least rooted codes of the components, which a walk
+    over the points finds, with codes kept afresh."""
+    from pargal.algebra import find_split_presentation
+    from pargal.paction import _component_from
 
-    data = _split_data(act)
-    if data is None:
+    if find_split_presentation(act.algebra) is None:
         return None
     r = act.algebra.rank
-    return tuple(_gset_code(maps, [None] * r) for maps in split_order_gsets(data, r))
+    key = []
+    for maps in presentation_split_data(act)[2]:
+        kept, codes, seen = [None] * r, [], set()
+        for x in range(r):
+            if x not in seen:
+                component = _component_from(maps, kept, x)[0]
+                seen.update(component)
+                codes.append(min(_component_from(maps, kept, y)[1] for y in component))
+        key.append(tuple(sorted(codes)))
+    return tuple(key)
 
 
 @st.composite
@@ -1789,18 +1800,75 @@ def kernel_invariants(act):
 
 
 def presentation_split_data(act):
-    """The split data of find_split_presentation and _partial_gsets, the
-    route every carrier took before the point-set reader, with the unfilled
-    component list of each unit."""
+    """The split data of find_split_presentation and presentation_gsets,
+    the route every carrier took before the point-set reader, with the
+    unfilled component list of each unit."""
     from pargal.algebra import find_split_presentation
-    from pargal.paction import _base_ring_units, _partial_gsets
+    from pargal.paction import _base_ring_units
     from pargal.scalars import invert
 
     ring, r = act.algebra.ring, act.algebra.rank
     idems = [list(e.coords) for e in find_split_presentation(act.algebra).idempotents]
     to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
-    gsets = _partial_gsets(act, idems, to_coords, _base_ring_units(ring))
+    gsets = presentation_gsets(act, idems, to_coords, _base_ring_units(ring))
     return idems, to_coords, gsets, [[None] * r for _ in gsets]
+
+
+def presentation_gsets(act, idems, to_coords, units):
+    """The partial G-set that ``act`` induces on the idempotents u p_i, for
+    the split idempotents p_i (coordinate lists ``idems``, ``to_coords``
+    sending coordinates to coefficients over them) and each CRT unit u in
+    ``units``, as split data read it through the split presentation of
+    every carrier: maps[g][i] = j when alpha_g(u p_i) = u p_j, None off
+    D_{g^-1}.  Raises AlgebraError, naming the split index, when 1_g or
+    alpha_g does not come from partial maps of the u p_i, or when those
+    maps fail the certificate."""
+    from pargal.paction import _points_certified
+
+    ring = act.algebra.ring
+    group = act.group
+    label = group.labels
+    r = len(idems)
+    idem_coeffs = [to_coords.matvec(list(act.idems[g].coords)) for g in group.elements()]
+    image_coeffs = [[to_coords.matvec(act.maps[g].matvec(p)) for p in idems] for g in group.elements()]
+    out = []
+    for u in units:
+        domains = []
+        for g in group.elements():
+            coeffs = [ring.mul(u, x) for x in idem_coeffs[g]]
+            bad = next((i for i, x in enumerate(coeffs) if x not in (0, u)), None)
+            if bad is not None:
+                raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
+            domains.append([x == u for x in coeffs])
+        maps = []
+        for g in group.elements():
+            images = []
+            for i in range(r):
+                col = [ring.mul(u, x) for x in image_coeffs[g][i]]
+                support = [s for s, x in enumerate(col) if x != 0]
+                if domains[group.inv(g)][i]:
+                    ok = len(support) == 1 and col[support[0]] == u
+                else:
+                    ok = not support
+                if not ok:
+                    raise AlgebraError(
+                        f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {i})"
+                    )
+                images.append(support[0] if support else None)
+            maps.append(images)
+        if _points_certified(group, maps, domains) is None:
+            raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
+        out.append(maps)
+    return out
+
+
+def point_split_basis(ring, r):
+    """The split idempotents of a standard carrier as coordinate lists, and
+    the matrix sending coordinates to coefficients over them, as iso_check
+    wrote them out for a point set: p_i = e_(r-1-i), and the matrix with
+    columns p_i is its own inverse."""
+    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
+    return idems, Matrix(ring, [list(p) for p in idems], r)
 
 
 def dense_galois_verify(coords):
@@ -1895,7 +1963,8 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
     # a handed-over point set must be what the reader reads off the result;
     # an action not yet read hands over nothing, and a restriction of an
     # uncertified one is left to be read
-    from pargal.paction import _point_roots, _point_set, _read_points
+    from pargal.paction import _point_roots, _point_set
+    from test_harrison import read_afresh
 
     subgroups = all_subgroups(act.group)
     assert all(restrict(act, sub)._points is None for sub in subgroups)
@@ -1905,10 +1974,10 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
         out = restrict(act, sub)
         assert (out._points is not None) == certified
         # the roots of a restriction are its own, found on first read
-        assert out._points is None or out._points[0] == _read_points(out)[0]
-        assert out._points is None or _point_roots(out) == _read_points(out)[1]
+        assert out._points is None or out._points[0] == read_afresh(out)[0]
+        assert out._points is None or _point_roots(out) == read_afresh(out)[1]
     star = inverse_action(act)
-    assert star._points is not None and star._points == _read_points(star)
+    assert star._points is not None and star._points == read_afresh(star)
 
 
 def test_inverse_of_a_non_abelian_action_hands_over_nothing():
@@ -1924,27 +1993,63 @@ def test_inverse_of_a_non_abelian_action_hands_over_nothing():
     assert not verify_partial_action(star).passed
 
 
-@given(point_set_actions())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def split_carrier_actions(draw):
+    """point_set_actions on a standard carrier, over Z/6 possibly CRT-glued
+    with a relabelled copy of itself or of its star, or rebased onto
+    another basis."""
+    act = draw(point_set_actions())
+    ring, r = act.algebra.ring, act.algebra.rank
+    route = draw(st.sampled_from(["points", "glued", "rebased"] if ring == Z6 else ["points", "rebased"]))
+    if route == "glued":
+        other = draw(st.sampled_from([act, inverse_action(act)]))
+        return crt_glue(act, relabel(other, draw(st.permutations(range(r)))))
+    if route == "rebased":
+        return rebased(act, draw(unitriangular(ring, r)))
+    return act
+
+
+@given(split_carrier_actions())
+@settings(max_examples=200, deadline=None)
 def test_split_data_matches_the_presentation_route(act):
-    from pargal.paction import _point_set, _split_basis, _split_data
+    # the one reader against find_split_presentation and presentation_gsets:
+    # split idempotents, maps up to the reversal of a standard carrier,
+    # roots, keys and AlgebraError messages
+    from unittest import mock
+
+    import pargal.paction as paction
+    from pargal.paction import _component_from, _point_set, _points_certified, _split_data
+
+    ring, r = act.algebra.ring, act.algebra.rank
+    standard = act.algebra.is_split()
 
     def split_fields(a):
-        # a point set keeps no dense split data; compare what _split_basis
-        # writes out for the routes that read it
         data = _split_data(a)
-        r = a.algebra.rank
-        return (*_split_basis(data, a.algebra.ring, r), split_order_gsets(data, r), data.kept)
+        if data.basis is None:
+            idems, to_coords = point_split_basis(ring, r)
+        else:
+            idems, to_coords = [list(col) for col in zip(*data.basis.rows)], data.to_coords
+        return idems, to_coords, split_order_gsets(data, r), data.kept
 
-    assert act.algebra == type(act.algebra).split(act.algebra.ring, act.algebra.labels)
-    got = outcome(split_fields, act)
+    with mock.patch.object(paction, "find_split_presentation", wraps=paction.find_split_presentation) as found:
+        got = outcome(split_fields, act)
+    # a standard carrier is read in place, with no presentation
+    assert found.called != standard
     assert got == outcome(presentation_split_data, act)
+    assert outcome(canonical_key, act) == outcome(split_order_key, act)
     if got[0] != "AlgebraError":
         data = _split_data(act)
-        assert (data.idems is None) == (_point_set(act) is not None)
-        # a point set hands its point maps over in place, to every unit
-        if data.idems is None:
-            assert all(maps is _point_set(act) for maps in data.gsets)
+        assert (data.basis is None) == standard
+        # a point set hands its point maps over to every unit, and its
+        # roots stay on the action
+        if _point_set(act) is not None:
+            assert all(maps is _point_set(act) for maps in data.gsets) and data.roots is None
+        for maps, roots in zip(data.gsets, data.roots or [paction._point_roots(act)] * len(data.gsets)):
+            assert roots == _points_certified(act.group, maps)
+            assert sorted(y for x in roots for y in _component_from(maps, [None] * r, x)[0]) == list(range(r))
+    if not standard:
+        assert _point_set(act) is None
+        return
     # the reader keeps every action with 0/1 data and no column with two
     # 1s that is a partial action, as the dense reference checks it
     stored = [x for m in act.maps for row in m.rows for x in row] + [x for e in act.idems for x in e.coords]

@@ -322,10 +322,10 @@ def test_standard_carriers_take_the_point_routes(quotient_routes):
 
 
 def test_point_routes_keep_their_point_maps():
-    # no matrix is written, and the maps kept are those that _read_points
+    # no matrix is written, and the maps kept are those that _point_set
     # reads back off the matrices written from them
     from pargal.harrison import ExtensionClass, cyclic_decompose
-    from pargal.paction import PartialAction, _read_points
+    from test_harrison import read_afresh
 
     built = []
     for ring in (QQ, Modular(2), Modular(6)):
@@ -339,7 +339,7 @@ def test_point_routes_keep_their_point_maps():
     for out in built:
         assert out._maps is None
         assert out._points[0] is not None
-        assert out._points == _read_points(PartialAction(out.group, out.algebra, out.idems, out.maps))
+        assert out._points == read_afresh(out)
 
 
 def test_other_carriers_take_the_matrix_routes(quotient_routes):
