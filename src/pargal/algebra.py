@@ -21,7 +21,6 @@ from .scalars import (
     Matrix,
     Modular,
     canonical_row_form,
-    crt_components,
     kernel,
     solve,
 )
@@ -845,20 +844,22 @@ def find_split_presentation(algebra: Algebra):
     multiplication operators); over composite Z/n complete when the algebra
     is a finite product of copies of the base ring (per-prime splitting with
     idempotent lifting).  On R^n with its standard basis the split
-    idempotents are the basis vectors, read off without splitting.
-    Computed once per algebra and kept on it.
+    idempotents are the basis vectors, read off without splitting.  The
+    idempotents are sorted by descending coordinate tuple, so the basis
+    vectors of R^n come in point order e_0, ..., e_(r-1).  Computed once
+    per algebra and kept on it.
     """
     if algebra._split is None:
         ring = algebra.ring
         if algebra.is_split():
             idems = algebra.basis()
-        elif ring.is_field or ring.kind == "rationals":
+        elif ring.is_field:
             idems = _split_over_field(algebra)
         else:
             idems = _split_over_zn(algebra)
         pres = None
         if idems is not None:
-            idems.sort(key=lambda e: tuple(e.coords))
+            idems.sort(key=lambda e: tuple(e.coords), reverse=True)
             pres = SplitPresentation(algebra, idems)
             pres.check()
         algebra._split = (pres,)
@@ -936,7 +937,7 @@ def _split_over_zn(algebra: Algebra):
     n = algebra.ring.n
     per_prime = []
     crt_units = []
-    for p, q, u in crt_components(n):
+    for p, q, u in algebra.ring.crt:
         crt_units.append(u)
         local = algebra if q == n else algebra.over(Modular(q))
         if local.ring.is_field:

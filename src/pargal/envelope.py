@@ -167,7 +167,7 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
         names = [f"{g}:{lab}" for g in group_labels for lab in labels]
         return [" + ".join(names[p] for p in members) for members in classes]
 
-    env = _action_on_points(G, ring, deferred_labels(write, S), pis)
+    env = _action_on_points(G, Algebra.split(ring, deferred_labels(write, S), len(classes)), pis, "beta")
     T, k = env.algebra, len(classes)
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]
@@ -198,29 +198,22 @@ def _globalize_matrices(act: PartialAction) -> GlobalizationData:
     iota = Matrix(ring, iota_rows, n)
 
     # (beta_h f)(g) = f(gh): slot g of the image reads slot gh of the argument
-    def beta_ambient(h: int) -> Matrix:
-        m = Matrix.zero(ring, F.rank, F.rank)
+    def beta(h: int, vec) -> list:
+        out = []
         for g in G.elements():
             src = G.mul(g, h) * n
-            dst = g * n
-            for i in range(n):
-                m.rows[dst + i][src + i] = 1
-        return m
+            out.extend(vec[src : src + n])
+        return out
 
-    betas_f = [beta_ambient(h) for h in G.elements()]
-    span_rows = []
     iota_cols = iota.transpose().rows  # iota(b_i) as vectors
-    for h in G.elements():
-        bh = betas_f[h]
-        for col in iota_cols:
-            span_rows.append(bh.matvec(col))
+    span_rows = [beta(h, col) for h in G.elements() for col in iota_cols]
     t_rows = canonical_row_form(Matrix(ring, span_rows, F.rank))
 
     # unit of T: 1_F - prod_g (1_F - beta_g(iota(1_S)))
     one_f = list(F.unit)
     prod = one_f
     for h in G.elements():
-        u = betas_f[h].matvec(iota.matvec(list(S.unit)))
+        u = beta(h, iota.matvec(list(S.unit)))
         factor = [ring.sub(a, b) for a, b in zip(one_f, u)]
         prod = F.mul_coords(prod, factor)
     t_unit = [ring.sub(a, b) for a, b in zip(one_f, prod)]
@@ -237,7 +230,7 @@ def _globalize_matrices(act: PartialAction) -> GlobalizationData:
 
     beta_t = []
     for h in G.elements():
-        cols = [to_t(betas_f[h].matvec(row)) for row in t_rows.rows]
+        cols = [to_t(beta(h, row)) for row in t_rows.rows]
         beta_t.append(Matrix(ring, [list(r) for r in zip(*cols)], k))
     embed_cols = [to_t(col) for col in iota_cols]
     embed = AlgebraMorphism(S, T, Matrix(ring, [list(r) for r in zip(*embed_cols)], n))

@@ -15,6 +15,7 @@ from functools import cached_property
 
 from .scalars import Matrix
 from .algebra import (
+    Algebra,
     AlgebraError,
     ProductAlgebra,
     SubAlgebra,
@@ -250,7 +251,8 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     def write(names):
         return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
 
-    return _action_on_points(G, ring, deferred_labels(write, point_labels), images)
+    algebra = Algebra.split(ring, deferred_labels(write, point_labels), len(points))
+    return _action_on_points(G, algebra, images, "the delta-G quotient")
 
 
 def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Matrix, Modular, canonical_row_form, crt_components, invert, solve
+from .scalars import Matrix, Modular, canonical_row_form, invert, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -318,29 +318,22 @@ def _residues(ring, u, rows) -> list:
     return [[1 if (v := ring.mul(u, x)) == u else 0 if v == 0 else None for x in row] for row in rows]
 
 
-def _action_on_points(group: FiniteGroup, ring, labels, maps) -> PartialAction:
-    """The partial action of ``group`` on R^X, :meth:`Algebra.split` on
-    ``labels`` (a list, or deferred: see :class:`Algebra`), by the partial
-    maps a_g = ``maps[g]`` of the points X
-    (maps[g][i] = j, None off the domain of a_g): 1_g is the indicator of
-    the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i = e_(a_g(i)).
+def _action_on_points(group: FiniteGroup, algebra: Algebra, maps, what: str) -> PartialAction:
+    """The partial action of ``group`` on the split ``algebra`` R^X
+    (:meth:`Algebra.split`) by the partial maps a_g = ``maps[g]`` of the
+    points X (maps[g][i] = j, None off the domain of a_g): 1_g is the
+    indicator of the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i
+    = e_(a_g(i)), both written on first read (:func:`_on_points`).
 
-    The point set is kept on the action as :func:`_point_set` reads it off
-    these matrices: the maps when they form a partial G-set, one component
-    at a time (:func:`_points_certified`, with no check of the domains,
-    which are read off the maps), with the roots the certificate found;
-    the 1_g and M_g are then written on first read (:func:`_on_points`).
-    Else the point set is None, and the 1_g and M_g are written at once.
-    The certificate fails on a map that is not injective.
+    The maps must form a partial G-set (:func:`_points_certified`, with the
+    domains read off the maps), and are kept with the roots that the
+    certificate found.  Every builder hands over the maps of a partial
+    G-set, so maps that fail, ``what`` by name, are a bug trap.
     """
-    algebra = Algebra.split(ring, labels, len(maps[0]))
     roots = _points_certified(group, maps)
-    if roots is not None:
-        return _on_points(group, algebra, maps, roots)
-    idems = [Element(algebra, tuple(int(j is not None) for j in maps[gi])) for gi in group.inverse]
-    act = PartialAction(group, algebra, idems, [_point_matrix(ring, a) for a in maps])
-    act._points = (None, None)
-    return act
+    if roots is None:
+        raise AssertionError(f"{what} fails the point-set certificate (bug trap)")
+    return _on_points(group, algebra, maps, roots)
 
 
 def _on_points(group: FiniteGroup, algebra: Algebra, points, roots) -> PartialAction:
@@ -511,16 +504,9 @@ def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAc
     return out
 
 
-def trace_map(act: PartialAction) -> Matrix:
-    total = Matrix.zero(act.algebra.ring, act.algebra.rank, act.algebra.rank)
-    for g in act.group.elements():
-        total = total.add(act.maps[g])
-    return total
-
-
 def trace(act: PartialAction, x: Element) -> Element:
     """tr(x) = sum_g alpha_g(x 1_{g^-1}); always lands in the invariants."""
-    out = Element(act.algebra, trace_map(act).matvec(list(x.coords)))
+    out = sum((act.apply(g, x) for g in act.group.elements()), act.algebra.zero())
     for g in act.group.elements():
         if act.apply(g, out) != out * act.idems[g]:
             raise AssertionError("trace left the invariant subalgebra (bug trap)")
@@ -757,14 +743,6 @@ class IsoResult:
     obstruction: str | None = None  # why the answer is "none"
 
 
-def _base_ring_units(ring):
-    """The CRT units of the base ring (its primitive idempotents), ascending;
-    fields give [1]."""
-    if ring.kind == "rationals" or ring.is_field:
-        return [1]
-    return sorted(u for _, _, u in crt_components(ring.n))
-
-
 def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     """Decide whether two actions are partially G-isomorphic, with a witness.
 
@@ -795,13 +773,11 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     colours enter each rooted code as one bit per point
     (:func:`_component_from`).
 
-    Each side is scanned in split order (:func:`_split_order`): a standard
-    carrier from its last point down, p_i = e_(r-1-i).  Each sigma_t maps
-    the indices of a's partial G-set to those of b's, points on a standard
-    carrier and split indices elsewhere, so with Pi_t the matrix sending
-    e_i to e_(sigma_t(i)) and B the change of basis of each side
-    (:class:`_SplitData`; the identity on a standard carrier) the witness
-    is f = B_b (sum_t u_t Pi_t) B_a^-1."""
+    Each sigma_t maps the indices of a's partial G-set to those of b's:
+    points on a standard carrier, where p_i = e_i, and split indices
+    elsewhere.  So with Pi_t the matrix sending e_i to e_(sigma_t(i)) and B
+    the change of basis of each side (:class:`_SplitData`; the identity on
+    a standard carrier) the witness is f = B_b (sum_t u_t Pi_t) B_a^-1."""
     if a.group != b.group:
         raise AlgebraError("iso_check: actions of different groups")
     if a.algebra.ring != b.algebra.ring:
@@ -813,7 +789,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         return IsoResult("none", obstruction=f"rank {a.algebra.rank} != rank {b.algebra.rank}")
     r = a.algebra.rank
     ring = a.algebra.ring
-    units = _base_ring_units(ring)
+    units = sa.units
     if marked is None:
         kept_a, kept_b = sa.kept, sb.kept
         colours_a = colours_b = [None] * len(units)
@@ -821,13 +797,12 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         kept_a, kept_b = [[None] * r for _ in units], [[None] * r for _ in units]
         colours_a = [_colour(ring, u, sa, marked[0]) for u in units]
         colours_b = [_colour(ring, u, sb, marked[1]) for u in units]
-    order_a, order_b = _split_order(sa.basis, r), _split_order(sb.basis, r)
     sigmas, last = [], None
     for u, maps_a, maps_b, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
         if last is not None and maps_a is last[0] and maps_b is last[1] and (ca, cb) == last[2:]:
             sigmas.append(sigmas[-1])
             continue
-        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb, order_a, order_b)
+        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb)
         if sigma is None:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
@@ -854,15 +829,13 @@ def _colour(ring, u, data, e):
     return [ring.mul(u, x) == u for x in coeffs]
 
 
-def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b, order_a, order_b):
+def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b):
     """The lexicographically first bijection sigma of the points of two
     partial G-sets with sigma(a_g(i)) = b_g(sigma(i)) for each g (both None
     off the domains) and, when given, colour_b[sigma(i)] = colour_a[i], as
     (sigma, None); or (None, k) when there is none, with k the size of the
-    first component of a that has no partner.  "First" is for the points
-    taken in the orders ``order_a`` and ``order_b`` (:func:`_split_order`),
-    which on a standard carrier run from the last point down.  For the maps
-    of :func:`_read_points`, maps[g^-1] is None exactly off D_g, so sigma
+    first component of a that has no partner.  For the maps of
+    :func:`_read_points`, maps[g^-1] is None exactly off D_g, so sigma
     also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the rooted
     code of each point (:func:`_component_from`).
 
@@ -874,10 +847,10 @@ def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b, order_
     """
     r = len(maps_a[0])
     sigma, used = [None] * r, [False] * r
-    for i in order_a:
+    for i in range(r):
         if sigma[i] is None:
             order, code = _component_from(maps_a, kept_a, i, colour_a)
-            k = next((k for k in order_b if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
+            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
             if k is None:
                 return None, len(order)
             for x, y in zip(order, kept_b[k][0]):
@@ -889,23 +862,17 @@ class _SplitData(NamedTuple):
     """An action read off the split presentation of its carrier: for each
     CRT unit u, the partial G-set induced on the u p_i (:func:`_split_data`).
     On a standard carrier ``basis`` and ``to_coords`` are None, and the
-    maps are on the points, p_i = e_(r-1-i)."""
+    maps are on the points, p_i = e_i."""
 
     basis: Matrix | None  # B, with the split idempotents p_i as columns
     to_coords: Matrix | None  # B^-1: coordinates -> coefficients over the p_i
+    units: tuple  # the CRT units u of the base ring, ascending (BaseRing.crt_units)
     gsets: list  # per unit, the maps of its partial G-set (_read_points)
-    roots: list | None  # per unit, the roots of its components; None on a point set (_point_roots)
+    roots: list  # per unit, the roots of its components (_points_certified)
     # per unit, the rooted code of each point (_component_from), filled on
     # demand so that canonical_key and iso_check read each once; units
     # that share their maps share the list
     kept: list
-
-
-def _split_order(basis: Matrix | None, r: int) -> range:
-    """The indices of p_0, p_1, ... in split data (:class:`_SplitData`): on
-    a standard carrier (``basis`` None) the points from the last down, as
-    :func:`find_split_presentation` sorts the basis vectors by coordinates."""
-    return range(r - 1, -1, -1) if basis is None else range(r)
 
 
 def _split_data(act: PartialAction) -> _SplitData | None:
@@ -913,17 +880,19 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     presentation; built once per action and kept on it.  The coefficients
     are the coordinates on a standard carrier (:meth:`Algebra.is_split`),
     else read through B^-1.  A point set (:func:`_point_set`) serves every
-    CRT unit, as on 0/1 data u p_i reads alike for every u; any other
-    action is read per unit (:func:`_residues`), and :func:`_refuse` says
-    why a unit that fails does not permute the split idempotents."""
+    CRT unit with its roots (:func:`_point_roots`), as on 0/1 data u p_i
+    reads alike for every u; any other action is read per unit
+    (:func:`_residues`), and :func:`_refuse` says why a unit that fails
+    does not permute the split idempotents."""
     if act._split is not None:
         return act._split[0]
     A, group = act.algebra, act.group
     ring, r = A.ring, A.rank
-    units = _base_ring_units(ring)
+    units = ring.crt_units
     points = _point_set(act)
     if points is not None:
-        act._split = (_SplitData(None, None, [points] * len(units), None, [[None] * r] * len(units)),)
+        t = len(units)
+        act._split = (_SplitData(None, None, units, [points] * t, [_point_roots(act)] * t, [[None] * r] * t),)
         return act._split[0]
     basis = to_coords = None
     if A.is_split():
@@ -940,26 +909,25 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     reads = []
     for u in units:
         dom, cols = _residues(ring, u, domains), [_residues(ring, u, c) for c in columns]
-        reads.append(_read_points(group, dom, cols) or _refuse(group, u, dom, cols, _split_order(basis, r)))
+        reads.append(_read_points(group, dom, cols) or _refuse(group, u, dom, cols))
     gsets, roots = map(list, zip(*reads))
-    act._split = (_SplitData(basis, to_coords, gsets, roots, [[None] * r for _ in units]),)
+    act._split = (_SplitData(basis, to_coords, units, gsets, roots, [[None] * r for _ in units]),)
     return act._split[0]
 
 
-def _refuse(group: FiniteGroup, u, domains, columns, order):
+def _refuse(group: FiniteGroup, u, domains, columns):
     """Raise why :func:`_read_points` refuses the residues ``domains`` and
     ``columns`` of the CRT unit u: the first 1_g with a coefficient neither
     0 nor u, else the first alpha_g that does not send each u p_i under
     1_(g^-1) to one u p_j and each other to 0, else the certificate; the
-    index is i, the place in ``order`` (:func:`_split_order`)."""
+    index is the first such i."""
     label = group.labels
     for g, d in enumerate(domains):
-        bad = next((k for k, i in enumerate(order) if d[i] is None), None)
-        if bad is not None:
-            raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {bad})")
+        if None in d:
+            raise AlgebraError(f"iso_check: 1_{label[g]} is not a sum of split idempotents (index {d.index(None)})")
     for g, c in enumerate(columns):
         on = domains[group.inv(g)]
-        bad = next((k for k, i in enumerate(order) if c[i].count(0) != len(c[i]) - on[i] or on[i] and 1 not in c[i]), None)
+        bad = next((i for i, col in enumerate(c) if col.count(0) != len(col) - on[i] or on[i] and 1 not in col), None)
         if bad is not None:
             raise AlgebraError(f"iso_check: alpha_{label[g]} does not permute the split idempotents (index {bad})")
     raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
@@ -985,8 +953,7 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    roots = data.roots or [_point_roots(act)] * len(data.gsets)
-    return tuple(_gset_code(*unit) for unit in zip(data.gsets, data.kept, roots))
+    return tuple(_gset_code(*unit) for unit in zip(data.gsets, data.kept, data.roots))
 
 
 def _gset_code(maps, kept, roots):

@@ -26,12 +26,11 @@ from .groups import Subgroup, QuotientData, quotient
 from .paction import (
     ActionReport,
     PartialAction,
+    _action_on_points,
     _components,
     _invariants_on_points,
-    _on_points,
     _orbit_quotient,
     _point_set,
-    _points_certified,
     _row_sources,
     galois_coordinates,
     invariants,
@@ -126,13 +125,10 @@ def _quotient_on_points(act, sub, qdata, orbits, images, comp) -> QuotientAction
     is 1 on the image orbits, so the quotient's own 1_(gH), the domain of
     the orbit map of g^-1 H, is written on first read; the maps must pass
     the point-set certificate (a bug trap) and are kept with the roots it
-    found (:func:`~pargal.paction._on_points`)."""
+    found (:func:`~pargal.paction._action_on_points`)."""
     carrier = _invariants_on_points(act.algebra, orbits, comp)
-    roots = _points_certified(qdata.quotient, images)
-    if roots is None:
-        raise AssertionError("alpha_{G/H} fails the point-set certificate (bug trap)")
+    action = _action_on_points(qdata.quotient, carrier.algebra, images, "alpha_{G/H}")
     tildes = [Element(act.algebra, tuple(int(c in hit) for c in comp)) for hit in map(set, images)]
-    action = _on_points(qdata.quotient, carrier.algebra, images, roots)
     return QuotientAction(act, sub, qdata, carrier, action, tildes)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 Scalar = "int | Fraction"
@@ -25,6 +26,7 @@ class BaseRing:
 
     is_field: bool
     kind: str
+    crt_units: tuple  # the primitive idempotents, ascending
 
     def coerce(self, x):
         raise NotImplementedError
@@ -66,6 +68,7 @@ class Rationals(BaseRing):
 
     is_field = True
     kind = "rationals"
+    crt_units = (1,)
 
     def coerce(self, x):
         if isinstance(x, int):
@@ -105,27 +108,59 @@ class Rationals(BaseRing):
         return "Q"
 
 
+# Miller-Rabin on the prime bases 2 .. 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)); larger moduli are refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n < _MR_BOUND is prime, by Miller-Rabin on ``_MR_BASES``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class Modular(BaseRing):
-    """The residue ring Z/n, a field exactly when n is prime."""
+    """The residue ring Z/n, a field exactly when n is prime; n lies below
+    ``_MR_BOUND``, where primality is decided exactly."""
 
     kind = "modular"
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
+        if n >= _MR_BOUND:
+            raise ValueError(f"modulus {n} is too large: primality is decided only below {_MR_BOUND}")
         self.n = n
         self.is_field = _is_prime(n)
+
+    @cached_property
+    def crt(self) -> tuple:
+        """:func:`crt_components` of n, factored on first use and kept."""
+        return tuple(crt_components(self.n))
+
+    @cached_property
+    def crt_units(self) -> tuple:
+        """The CRT units of Z/n, its primitive idempotents, ascending; (1,)
+        over a field, with no factoring."""
+        return (1,) if self.is_field else tuple(sorted(u for _, _, u in self.crt))
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -178,7 +213,10 @@ def parse_ring(spec: str) -> BaseRing:
             n = int(spec[2:])
         except ValueError:
             raise ValueError(f"bad modulus in ring spec {spec!r}") from None
-        return Modular(n)
+        try:
+            return Modular(n)
+        except ValueError as exc:
+            raise ValueError(f"ring spec {spec!r}: {exc}") from None
     raise ValueError(
         f"unsupported base ring {spec!r}: supported rings are Q and Z/n (n >= 2)"
     )
@@ -402,7 +440,7 @@ def _howell_rows(rows, ncols: int, n: int):
 
 
 def _canonical_rows(rows, ncols: int, ring: BaseRing):
-    if ring.is_field or ring.kind == "rationals":
+    if ring.is_field:
         return _rref_rows(rows, ring)
     return _howell_rows(rows, ncols, ring.n)
 
@@ -422,7 +460,7 @@ def _reduce_vector(vec, rows, pivots, ring):
     """
     v = list(vec)
     coeffs = [0] * len(rows)
-    modular = not (ring.is_field or ring.kind == "rationals")
+    modular = not ring.is_field
     for r, c in pivots:
         a = v[c]
         if a == 0:

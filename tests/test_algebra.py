@@ -196,7 +196,8 @@ def test_split_presentation_given_idempotent_basis():
     a = Algebra.split(QQ, ["e1", "e2", "e3"])
     pres = find_split_presentation(a)
     assert pres is not None
-    assert [e.coords for e in pres.idempotents] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    # the basis vectors in point order: e_0, e_1, e_2
+    assert [e.coords for e in pres.idempotents] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_split_presentation_recovered_from_mixed_basis():
@@ -238,7 +239,7 @@ def test_split_presentation_over_z6():
     a = Algebra.split(ring, ["e1", "e2"])
     pres = find_split_presentation(a)
     assert pres is not None
-    assert [e.coords for e in pres.idempotents] == [(0, 1), (1, 0)]
+    assert [e.coords for e in pres.idempotents] == [(1, 0), (0, 1)]
 
 
 @pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
@@ -246,7 +247,8 @@ def test_split_presentation_over_z6():
 def test_standard_basis_presentation_matches_the_splitting(ring, perm):
     # R^r with the split table entered in permuted order under other labels
     # is Algebra.split, so its presentation is read off the basis; the
-    # general splitting of the same carrier must give the same idempotents
+    # general splitting of the same carrier must give the same idempotents,
+    # both sorted by descending coordinate tuple
     from pargal.algebra import _split_over_field, _split_over_zn
 
     r = len(perm)
@@ -255,8 +257,8 @@ def test_standard_basis_presentation_matches_the_splitting(ring, perm):
     assert a == Algebra.split(ring, labels)
     pres = find_split_presentation(a)
     pres.check()
-    general = _split_over_field(a) if ring.is_field or ring.kind == "rationals" else _split_over_zn(a)
-    assert [e.coords for e in pres.idempotents] == sorted(e.coords for e in general)
+    general = _split_over_field(a) if ring.is_field else _split_over_zn(a)
+    assert [e.coords for e in pres.idempotents] == sorted((e.coords for e in general), reverse=True)
 
 
 small_ranks = st.integers(1, 3)

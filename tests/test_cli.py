@@ -90,6 +90,13 @@ def test_integer_base_ring_refused(capsys):
     assert "unsupported base ring 'Z': supported rings are Q and Z/n (n >= 2)" in err
 
 
+def test_modulus_too_large_for_exact_primality_is_refused(capsys):
+    big = 10**29 + 1  # 30 digits
+    rc = run_cli("verify", fixture("ex1"), "--base", f"Z/{big}")
+    assert rc == 2
+    assert f"pargal verify: ring spec 'Z/{big}': modulus {big} is too large" in capsys.readouterr().err
+
+
 def test_quotient_report_example1(capsys):
     rc = run_cli("quotient", fixture("ex1"), "--subgroup", "g2")
     assert rc == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
-from pargal.algebra import AlgebraError, Element, subalgebra_from_constraints
+from pargal.algebra import Algebra, AlgebraError, Element, subalgebra_from_constraints
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
     certify_globalization,
@@ -581,7 +581,7 @@ def test_the_enveloping_read_finds_the_identity_at_any_index():
     subset = [0, 1, 3]
     where = {x: i for i, x in enumerate(subset)}
     maps = [[where.get(base.mul(g, x)) for x in subset] for g in order]
-    act = _action_on_points(group, QQ, [f"x{x}" for x in subset], maps)
+    act = _action_on_points(group, Algebra.split(QQ, [f"x{x}" for x in subset]), maps, "a")
     assert group.identity == 1 and _point_set(act) is not None
     gd = globalize(act)
     assert gd.algebra.rank == 6

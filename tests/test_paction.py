@@ -191,6 +191,18 @@ def test_trace_example2():
     assert trace(act, e1) == act.algebra.one()
 
 
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_trace_is_the_summed_matrix_applied(ring):
+    # sum_g alpha_g(x 1_(g^-1)) equals (sum_g M_g) x, on every basis vector
+    # of the corpus and on a sum of them
+    for act in standard_corpus(ring).values():
+        total = Matrix.zero(ring, act.algebra.rank, act.algebra.rank)
+        for m in act.maps:
+            total = total.add(m)
+        for x in [*act.algebra.basis(), act.algebra.one() + act.algebra.basis()[0]]:
+            assert trace(act, x).coords == tuple(total.matvec(list(x.coords)))
+
+
 def test_invariants_example1():
     act = example1()
     inv = invariants(act)
@@ -436,26 +448,27 @@ def test_iso_check_symmetric_over_composite_zn():
 def test_iso_check_rejects_a_non_partial_action():
     # the search reads the carrier as a partial G-set; data that is not one
     # is refused with the element and split index instead of a wrong answer,
-    # on either side and over each ring; this 0/1 data fails the point-set
-    # certificate and is read through find_split_presentation
+    # on either side and over each ring.  This 0/1 data fails the point-set
+    # certificate; its standard carrier is read in place, so the split
+    # index is the point: alpha_g = id sends e_1, off D_(g^-1), to e_1
     for ring in (QQ, Modular(2), Modular(6)):
         act = example2(ring)
         broken = PartialAction(act.group, act.algebra, act.idems, [act.maps[0], act.maps[0], *act.maps[2:]])
         for a, b in ((broken, act), (act, broken)):
             with pytest.raises(AlgebraError) as exc:
                 iso_check(a, b)
-            assert str(exc.value) == "iso_check: alpha_g does not permute the split idempotents (index 0)"
+            assert str(exc.value) == "iso_check: alpha_g does not permute the split idempotents (index 1)"
 
 
 @pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
-def test_iso_check_on_uncertified_point_data_takes_the_presentation_route(ring):
-    # 0/1 data that fails the point-set certificate but sends each split
-    # idempotent in D_(g^-1) to one split idempotent: iso_check reads these
-    # maps off find_split_presentation, and they fail the same certificate
-    # there, so it refuses the data against every relabelling, on either
-    # side, as canonical_key does.  Z_1 on R^3 with a_1 = [1, 1, 2] fired
-    # the bug trap against its relabelling by (0, 2, 1) and answered "iso"
-    # against itself
+def test_iso_check_refuses_uncertified_point_data_read_in_place(ring):
+    # 0/1 data that fails the point-set certificate but sends each basis
+    # point in D_(g^-1) to one point: the split data reads these maps off
+    # the standard carrier in place, per CRT unit, and they fail the same
+    # certificate there, so iso_check refuses the data against every
+    # relabelling, on either side, as canonical_key does.  Z_1 on R^3 with
+    # a_1 = [1, 1, 2] once fired the bug trap against its relabelling by
+    # (0, 2, 1) and answered "iso" against itself
     from itertools import permutations
 
     from pargal.paction import _point_set
@@ -579,7 +592,6 @@ def reference_iso_witnesses(a, b):
     from itertools import permutations, product
 
     from pargal.algebra import AlgebraMorphism, find_split_presentation
-    from pargal.paction import _base_ring_units
     from pargal.scalars import invert, invertible
 
     pa = find_split_presentation(a.algebra)
@@ -594,7 +606,7 @@ def reference_iso_witnesses(a, b):
     ps = [list(e.coords) for e in pa.idempotents]
     qs = [list(e.coords) for e in pb.idempotents]
     to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
-    units = _base_ring_units(ring)
+    units = ring.crt_units
     out = []
     for combo in product(list(permutations(range(r))), repeat=len(units)):
         cols = []
@@ -1482,16 +1494,6 @@ def test_point_trap_matches_the_dense_trap(case):
         assert got == fmat
 
 
-def split_order_gsets(data, r):
-    """The partial G-sets of _split_data in split order: on a standard
-    carrier the maps on the points with the indices reversed, p_i =
-    e_(r-1-i), the copy that iso_check read before it read the points in
-    place; else the maps as held."""
-    if data.basis is not None:
-        return data.gsets
-    return [[[None if j is None else r - 1 - j for j in reversed(a)] for a in maps] for maps in data.gsets]
-
-
 def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
     """_match_components as it scanned split-order maps, ascending on both
     sides, with codes kept afresh."""
@@ -1517,7 +1519,7 @@ def split_order_iso(a, b, marked=None):
     presentation_split_data, and the witness of presentation_witness,
     checked by the dense trap."""
     from pargal.algebra import find_split_presentation
-    from pargal.paction import IsoResult, _base_ring_units
+    from pargal.paction import IsoResult
 
     if find_split_presentation(a.algebra) is None or find_split_presentation(b.algebra) is None:
         return IsoResult("undecided")
@@ -1530,7 +1532,7 @@ def split_order_iso(a, b, marked=None):
         return [ring.mul(u, x) == u for x in to_coords.matvec(list(e.coords))]
 
     sigmas = []
-    for u, maps_a, maps_b in zip(_base_ring_units(ring), pa[2], pb[2]):
+    for u, maps_a, maps_b in zip(ring.crt_units, pa[2], pb[2]):
         colours = (None, None) if marked is None else (colour(u, pa[1], marked[0]), colour(u, pb[1], marked[1]))
         sigma, unmatched = split_order_match(maps_a, maps_b, *colours)
         if sigma is None:
@@ -1625,15 +1627,13 @@ def presentation_witness(a, b, sigmas):
     """The witness as iso_check built it before it read point maps: f(p_i)
     = sum_t u_t q_(sigma_t(i)) on the split data of presentation_split_data,
     times the coordinates -> coefficients matrix of a."""
-    from pargal.paction import _base_ring_units
-
     ring, r = a.algebra.ring, a.algebra.rank
     to_coords = presentation_split_data(a)[1]
     idems_b = presentation_split_data(b)[0]
     cols = []
     for i in range(r):
         col = [0] * r
-        for u, sigma in zip(_base_ring_units(ring), sigmas):
+        for u, sigma in zip(ring.crt_units, sigmas):
             col = [ring.add(c, ring.mul(u, x)) for c, x in zip(col, idems_b[sigma[i]])]
         cols.append(col)
     return Matrix(ring, [list(row) for row in zip(*cols)], r).mul(to_coords)
@@ -1641,11 +1641,10 @@ def presentation_witness(a, b, sigmas):
 
 @pytest.fixture
 def matched_sigmas(monkeypatch):
-    """The bijections sigma that _match_components returns, in order, each
-    read in split order: sigma[i] = k when it sends p_i to q_k.  A point
-    set is scanned from its last point down (p_i = e_(r-1-i)), so the
-    split index of a point is its place in the scan.  One call serves every
-    CRT unit when the units share their maps and colours."""
+    """The bijections sigma that _match_components returns, in order:
+    sigma[i] = k when it sends p_i to q_k, and on a point set p_i = e_i.
+    One call serves every CRT unit when the units share their maps and
+    colours."""
     import pargal.paction as paction
 
     calls = []
@@ -1653,8 +1652,7 @@ def matched_sigmas(monkeypatch):
 
     def recorded(*args):
         sigma, unmatched = match(*args)
-        order_a, order_b = list(args[-2]), list(args[-1])
-        calls.append(None if sigma is None else [order_b.index(sigma[x]) for x in order_a])
+        calls.append(sigma)
         return sigma, unmatched
 
     monkeypatch.setattr(paction, "_match_components", recorded)
@@ -1672,7 +1670,7 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
 
     import pargal.paction as paction
     from pargal.envelope import global_iso_check, globalize
-    from pargal.paction import _base_ring_units, _point_set
+    from pargal.paction import _point_set
 
     handed = []
     trap = paction._trap_on_points
@@ -1682,7 +1680,7 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
         assert _point_set(a) is not None and _point_set(b) is not None
         pi = None
         if res.status == "iso":
-            units = _base_ring_units(a.algebra.ring)
+            units = a.algebra.ring.crt_units
             sigmas = matched_sigmas * len(units) if len(matched_sigmas) == 1 else matched_sigmas
             expected = presentation_witness(a, b, sigmas)
             assert repr(res.morphism.matrix) == repr(expected)
@@ -1785,6 +1783,26 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     assert {"Matrix.mul", "invertible", "PartialAction.idem_matrix"} <= set(calls)
 
 
+def test_crt_units_of_one_ring_are_factored_once(monkeypatch):
+    # iso_check and canonical_key on fresh actions over one Z/6 (point
+    # sets, a rebased carrier through find_split_presentation and a
+    # CRT-glued one, each read per unit) take the CRT units, and the split
+    # presentation its components, from the ring: 6 is factored once
+    import pargal.scalars as scalars
+
+    calls = []
+    factorize = scalars._factorize
+    monkeypatch.setattr(scalars, "_factorize", lambda n: calls.append(n) or factorize(n))
+    ring = Modular(6)
+    for _ in range(3):
+        corpus = standard_corpus(ring)
+        x = corpus["ex2"]
+        for a, b in ((x, relabel(x, [1, 0])), (rebased(x, Matrix(ring, [[1, 0], [1, 1]], 2)), x), (crt_glue(x, x), x)):
+            assert iso_check(a, b).status == "iso"
+            assert canonical_key(a) == canonical_key(b)
+    assert calls == [6]
+
+
 # -- the point-set route against the matrix route and the dense reference -----
 
 
@@ -1804,13 +1822,12 @@ def presentation_split_data(act):
     the route every carrier took before the point-set reader, with the
     unfilled component list of each unit."""
     from pargal.algebra import find_split_presentation
-    from pargal.paction import _base_ring_units
     from pargal.scalars import invert
 
     ring, r = act.algebra.ring, act.algebra.rank
     idems = [list(e.coords) for e in find_split_presentation(act.algebra).idempotents]
     to_coords = invert(Matrix(ring, [list(col) for col in zip(*idems)], r))
-    gsets = presentation_gsets(act, idems, to_coords, _base_ring_units(ring))
+    gsets = presentation_gsets(act, idems, to_coords, ring.crt_units)
     return idems, to_coords, gsets, [[None] * r for _ in gsets]
 
 
@@ -1860,15 +1877,6 @@ def presentation_gsets(act, idems, to_coords, units):
             raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
         out.append(maps)
     return out
-
-
-def point_split_basis(ring, r):
-    """The split idempotents of a standard carrier as coordinate lists, and
-    the matrix sending coordinates to coefficients over them, as iso_check
-    wrote them out for a point set: p_i = e_(r-1-i), and the matrix with
-    columns p_i is its own inverse."""
-    idems = [[int(t == r - 1 - i) for t in range(r)] for i in range(r)]
-    return idems, Matrix(ring, [list(p) for p in idems], r)
 
 
 def dense_galois_verify(coords):
@@ -2013,7 +2021,7 @@ def split_carrier_actions(draw):
 @settings(max_examples=200, deadline=None)
 def test_split_data_matches_the_presentation_route(act):
     # the one reader against find_split_presentation and presentation_gsets:
-    # split idempotents, maps up to the reversal of a standard carrier,
+    # split idempotents (on a standard carrier the points, p_i = e_i), maps,
     # roots, keys and AlgebraError messages
     from unittest import mock
 
@@ -2026,10 +2034,8 @@ def test_split_data_matches_the_presentation_route(act):
     def split_fields(a):
         data = _split_data(a)
         if data.basis is None:
-            idems, to_coords = point_split_basis(ring, r)
-        else:
-            idems, to_coords = [list(col) for col in zip(*data.basis.rows)], data.to_coords
-        return idems, to_coords, split_order_gsets(data, r), data.kept
+            return [[int(t == i) for t in range(r)] for i in range(r)], Matrix.identity(ring, r), data.gsets, data.kept
+        return [list(col) for col in zip(*data.basis.rows)], data.to_coords, data.gsets, data.kept
 
     with mock.patch.object(paction, "find_split_presentation", wraps=paction.find_split_presentation) as found:
         got = outcome(split_fields, act)
@@ -2040,11 +2046,12 @@ def test_split_data_matches_the_presentation_route(act):
     if got[0] != "AlgebraError":
         data = _split_data(act)
         assert (data.basis is None) == standard
-        # a point set hands its point maps over to every unit, and its
-        # roots stay on the action
+        # a point set hands its point maps and their roots over to every unit
+        assert data.units == ring.crt_units
         if _point_set(act) is not None:
-            assert all(maps is _point_set(act) for maps in data.gsets) and data.roots is None
-        for maps, roots in zip(data.gsets, data.roots or [paction._point_roots(act)] * len(data.gsets)):
+            assert all(maps is _point_set(act) for maps in data.gsets)
+            assert all(roots is paction._point_roots(act) for roots in data.roots)
+        for maps, roots in zip(data.gsets, data.roots):
             assert roots == _points_certified(act.group, maps)
             assert sorted(y for x in roots for y in _component_from(maps, [None] * r, x)[0]) == list(range(r))
     if not standard:
@@ -2057,6 +2064,21 @@ def test_split_data_matches_the_presentation_route(act):
     readable = all(x in (0, 1) for x in stored) and all(col.count(1) <= 1 for col in columns)
     certified = readable and all(passed for _, passed, _ in report_of(reference_verify_partial_action(act)))
     assert (_point_set(act) is not None) == certified
+
+
+def test_actions_on_points_trap_maps_that_are_no_partial_g_set():
+    # every builder hands _action_on_points the maps of a partial G-set:
+    # a_1 moves a point, a map that is not injective, and a_g with a_g a_g
+    # undefined at a point of D_g raise the bug trap, with no fallback
+    from pargal.algebra import Algebra
+    from pargal.paction import _action_on_points
+
+    z2 = make_cyclic(2)
+    for maps in ([[1, 0], [1, 0]], [[0, 1], [0, 0]], [[0, 1], [1, None]]):
+        with pytest.raises(AssertionError, match=r"^a_g fails the point-set certificate \(bug trap\)$"):
+            _action_on_points(z2, Algebra.split(QQ, ["x", "y"]), maps, "a_g")
+    act = _action_on_points(z2, Algebra.split(QQ, ["x", "y"]), [[0, 1], [1, 0]], "a_g")
+    assert act._points == ([[0, 1], [1, 0]], [0]) and verify_partial_action(act).passed
 
 
 def test_point_set_reader_refuses_all_but_0_1_permutation_data():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from pargal.scalars import QQ, Matrix, Modular
-from pargal.algebra import AlgebraError, AlgebraMorphism, Element
+from pargal.algebra import Algebra, AlgebraError, AlgebraMorphism, Element
 from pargal.corpus import example1, global_swap, standard_corpus, trivial_action
 from pargal.envelope import GlobalizationData, certify_globalization, fixed_ring, globalize, psi_h
 from pargal.groups import all_subgroups, is_normal, make_cyclic, quotient, subgroup_closure
@@ -262,7 +262,7 @@ def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
     for subset in ([0, 1, 2, 3, 4, 5], [0, 1, 3], [2, 4, 5, 1], [5]):
         pos = {x: i for i, x in enumerate(subset)}
         maps = [[pos.get(group.mul(g, x)) for x in subset] for g in group.elements()]
-        act = _action_on_points(group, ring, [f"x{x}" for x in subset], maps)
+        act = _action_on_points(group, Algebra.split(ring, [f"x{x}" for x in subset]), maps, "a")
         assert _point_set(act) is not None
         for sub in all_subgroups(group):
             if is_normal(group, sub):

@@ -129,6 +129,41 @@ def test_crt_components():
             assert u % q == 1 % q and u % (n // q) == 0 and u * u % n == u
 
 
+def test_is_prime_matches_trial_division():
+    from math import isqrt
+
+    from pargal.scalars import _is_prime
+
+    for n in range(10**5):
+        assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+    # a strong pseudoprime to the bases 2, 3, 5 and 7: 151 * 751 * 28351
+    assert not _is_prime(3215031751)
+    # large moduli are decided at once: a Mersenne prime, a product of
+    # two primes near 10^9, and the ring of each
+    assert _is_prime(2**61 - 1) and Modular(2**61 - 1).is_field
+    assert not _is_prime((10**9 + 7) * (10**9 + 9)) and not Modular((10**9 + 7) * (10**9 + 9)).is_field
+
+
+def test_modulus_beyond_the_exact_primality_bound_is_refused():
+    big = 10**29 + 1  # 30 digits
+    with pytest.raises(ValueError, match="too large"):
+        Modular(big)
+    with pytest.raises(ValueError, match=f"ring spec 'Z/{big}': modulus {big} is too large"):
+        parse_ring(f"Z/{big}")
+
+
+def test_crt_units_are_factored_once_per_ring(monkeypatch):
+    import pargal.scalars as scalars
+
+    calls = []
+    factorize = scalars._factorize
+    monkeypatch.setattr(scalars, "_factorize", lambda n: calls.append(n) or factorize(n))
+    assert QQ.crt_units == Modular(7).crt_units == (1,) and not calls
+    z12 = Modular(12)
+    assert z12.crt_units == (4, 9) and z12.crt_units == (4, 9) and z12.crt == tuple(crt_components(12))
+    assert calls == [12, 12]  # the ring once, the reference once
+
+
 def test_parse_ring():
     assert parse_ring("Q") == QQ
     assert parse_ring("Z/6") == Modular(6)
