@@ -328,8 +328,7 @@ def _action_on_points(group: FiniteGroup, algebra: Algebra, maps, what: str) -> 
     The maps must form a partial G-set (:func:`_points_certified`, with the
     domains read off the maps), and are kept with the roots that the
     certificate found.  Every builder hands over the maps of a partial
-    G-set, so maps that fail, ``what`` by name, are a bug trap.
-    """
+    G-set, so maps that fail, ``what`` by name, are a bug trap."""
     roots = _points_certified(group, maps)
     if roots is None:
         raise AssertionError(f"{what} fails the point-set certificate (bug trap)")
@@ -753,8 +752,8 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
     components by the rooted codes that :func:`canonical_key` compares, each
     read in O(|G|) from one point (:func:`_component_from`), so the two
-    agree by construction; the witness returned is the first in lexicographic
-    order of (sigma_0, sigma_1, ...).  On a standard carrier the partial
+    agree by construction; each sigma_t is the greatest in lexicographic
+    order of (sigma_t(r-1), ..., sigma_t(0)).  On a standard carrier the partial
     G-sets are read on the points in place, and units that share their maps
     share one match.  When both sides are point sets (:func:`_point_set`)
     and all units get one sigma, the witness is that permutation pi of the
@@ -830,27 +829,27 @@ def _colour(ring, u, data, e):
 
 
 def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b):
-    """The lexicographically first bijection sigma of the points of two
-    partial G-sets with sigma(a_g(i)) = b_g(sigma(i)) for each g (both None
-    off the domains) and, when given, colour_b[sigma(i)] = colour_a[i], as
-    (sigma, None); or (None, k) when there is none, with k the size of the
-    first component of a that has no partner.  For the maps of
-    :func:`_read_points`, maps[g^-1] is None exactly off D_g, so sigma
-    also carries D_g onto D'_g.  ``kept_a`` and ``kept_b`` keep the rooted
-    code of each point (:func:`_component_from`).
+    """The bijection sigma of the points of two partial G-sets with
+    sigma(a_g(i)) = b_g(sigma(i)) for each g (both None off the domains)
+    and, when given, colour_b[sigma(i)] = colour_a[i], greatest in the
+    lexicographic order of (sigma(r-1), ..., sigma(0)) (the witness that
+    perfbench's relabel pairs pin), as (sigma, None); or (None, k) when
+    there is none, with k the size of the first component of a with no
+    partner.  For the maps of :func:`_read_points`, maps[g^-1] is None
+    exactly off D_g, so sigma also carries D_g onto D'_g.  ``kept_a`` and
+    ``kept_b`` keep the rooted code of each point (:func:`_component_from`).
 
     The image of one point fixes sigma on its component, and rooted codes
     are equal exactly when such a sigma sends one root to the other.  So
-    sending the first unmapped point of a to the first unused point of b
-    with the same rooted code, pairing their components in first-reach
-    order, extends to a full isomorphism when one exists.
-    """
+    sending the last unmapped point of a to the last unused point of b with
+    the same rooted code, pairing their components in first-reach order,
+    extends to a full isomorphism when one exists."""
     r = len(maps_a[0])
-    sigma, used = [None] * r, [False] * r
-    for i in range(r):
+    sigma, used, down = [None] * r, [False] * r, range(r - 1, -1, -1)
+    for i in down:
         if sigma[i] is None:
             order, code = _component_from(maps_a, kept_a, i, colour_a)
-            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
+            k = next((k for k in down if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
             if k is None:
                 return None, len(order)
             for x, y in zip(order, kept_b[k][0]):

@@ -109,18 +109,21 @@ class Rationals(BaseRing):
 
 
 # Miller-Rabin on the prime bases 2 .. 41 is exact below this bound
-# (Sorenson and Webster, Math. Comp. 86 (2017)); larger moduli are refused
+# (Sorenson and Webster, Math. Comp. 86 (2017))
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
-def _is_prime(n: int) -> bool:
-    """Whether n < _MR_BOUND is prime, by Miller-Rabin on ``_MR_BASES``."""
+def _is_prime(n: int) -> bool | None:
+    """Whether n is prime, exact when a prime of ``_MR_BASES`` divides n or
+    n < ``_MR_BOUND`` (Miller-Rabin on them); None, undecided, else."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _MR_BOUND:
+        return None
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -138,18 +141,18 @@ def _is_prime(n: int) -> bool:
 
 
 class Modular(BaseRing):
-    """The residue ring Z/n, a field exactly when n is prime; n lies below
-    ``_MR_BOUND``, where primality is decided exactly."""
+    """The residue ring Z/n, a field exactly when n is prime; n must be one
+    whose primality :func:`_is_prime` decides."""
 
     kind = "modular"
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"modulus must be >= 2, got {n}")
-        if n >= _MR_BOUND:
-            raise ValueError(f"modulus {n} is too large: primality is decided only below {_MR_BOUND}")
         self.n = n
         self.is_field = _is_prime(n)
+        if self.is_field is None:
+            raise ValueError(f"modulus {n} is too large: with no prime factor <= 41, primality is decided only below {_MR_BOUND}")
 
     @cached_property
     def crt(self) -> tuple:

@@ -91,7 +91,7 @@ def test_integer_base_ring_refused(capsys):
 
 
 def test_modulus_too_large_for_exact_primality_is_refused(capsys):
-    big = 10**29 + 1  # 30 digits
+    big = 10**29 + 7  # 30 digits, no prime factor <= 41
     rc = run_cli("verify", fixture("ex1"), "--base", f"Z/{big}")
     assert rc == 2
     assert f"pargal verify: ring spec 'Z/{big}': modulus {big} is too large" in capsys.readouterr().err

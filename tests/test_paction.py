@@ -587,8 +587,10 @@ def gset_points(orbits):
 def reference_iso_witnesses(a, b):
     """The full (r!)^u enumeration that the pruned search replaced: every
     combination of permutations of b's split idempotents, one per CRT unit,
-    through the matrix filters, in itertools order.  None when a carrier has
-    no split presentation."""
+    through the matrix filters, in itertools order of the combinations and
+    each permutation sigma taken from the last index down: (sigma(r-1), ...,
+    sigma(0)) descending lexicographically, the order in which iso_check
+    meets witnesses.  None when a carrier has no split presentation."""
     from itertools import permutations, product
 
     from pargal.algebra import AlgebraMorphism, find_split_presentation
@@ -608,7 +610,8 @@ def reference_iso_witnesses(a, b):
     to_p = invert(Matrix(ring, [list(col) for col in zip(*ps)], r))
     units = ring.crt_units
     out = []
-    for combo in product(list(permutations(range(r))), repeat=len(units)):
+    last_first = [p[::-1] for p in permutations(range(r - 1, -1, -1))]
+    for combo in product(last_first, repeat=len(units)):
         cols = []
         for i in range(r):
             col = [0] * r
@@ -1495,17 +1498,18 @@ def test_point_trap_matches_the_dense_trap(case):
 
 
 def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
-    """_match_components as it scanned split-order maps, ascending on both
-    sides, with codes kept afresh."""
+    """_match_components on the split-order maps of
+    presentation_split_data, from the last index down on both sides, with
+    codes kept afresh."""
     from pargal.paction import _component_from
 
     r = len(maps_a[0])
     kept_a, kept_b = [None] * r, [None] * r
     sigma, used = [None] * r, [False] * r
-    for i in range(r):
+    for i in reversed(range(r)):
         if sigma[i] is None:
             order, code = _component_from(maps_a, kept_a, i, colour_a)
-            k = next((k for k in range(r) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
+            k = next((k for k in reversed(range(r)) if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
             if k is None:
                 return None, len(order)
             for x, y in zip(order, kept_b[k][0]):
@@ -1515,7 +1519,7 @@ def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
 
 def split_order_iso(a, b, marked=None):
     """iso_check, or with ``marked`` global_iso_check, on the split-order
-    route: one ascending match per CRT unit on the partial G-sets of
+    route: one match per CRT unit on the partial G-sets of
     presentation_split_data, and the witness of presentation_witness,
     checked by the dense trap."""
     from pargal.algebra import find_split_presentation

@@ -145,11 +145,20 @@ def test_is_prime_matches_trial_division():
 
 
 def test_modulus_beyond_the_exact_primality_bound_is_refused():
-    big = 10**29 + 1  # 30 digits
-    with pytest.raises(ValueError, match="too large"):
+    from pargal.scalars import _MR_BOUND, _is_prime
+
+    big = 10**29 + 7  # 30 digits, no prime factor <= 41
+    assert _is_prime(big) is None
+    with pytest.raises(ValueError, match=f"^modulus {big} is too large: with no prime factor <= 41, "):
         Modular(big)
     with pytest.raises(ValueError, match=f"ring spec 'Z/{big}': modulus {big} is too large"):
         parse_ring(f"Z/{big}")
+    # a prime factor <= 41 decides primality at any size; the CRT
+    # components of the powers of 10 and 2 are found at once
+    for n in (10**30, 2**100, 10**29 + 1, 41 * _MR_BOUND):
+        assert _is_prime(n) is False and not parse_ring(f"Z/{n}").is_field
+    assert [(p, q) for p, q, _ in Modular(10**30).crt] == [(2, 2**30), (5, 5**30)]
+    assert Modular(2**100).crt_units == (1,) and not Modular(2**100).is_field
 
 
 def test_crt_units_are_factored_once_per_ring(monkeypatch):
