@@ -33,7 +33,10 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
   its copy on the reversed basis;
 - at n = 6 and 8 (`GLUED_RUNGS`), `harrison_product(c, c)` of the
   certified class c of a fresh copy of that glued set: the matrix route of
-  the product, through the tensor carrier of rank n^2.
+  the product, through the tensor carrier of rank n^2;
+- at n = 32, 48 and 64 (`LOAD_RUNGS`), `load_action` of the file that
+  `save_action` wrote for the set on all n points: a standard carrier,
+  read onto its point set.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -56,7 +59,7 @@ ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
 
 from pargal import QQ, ExtensionClass, cli, globalize, harrison_product, idempotent_class  # noqa: E402
-from pargal.actionfile import save_action  # noqa: E402
+from pargal.actionfile import load_action, save_action  # noqa: E402
 from pargal.groups import subgroup_closure  # noqa: E402
 from pargal.paction import canonical_key, iso_check, verify_partial_action  # noqa: E402
 from pargal.quotient import quotient_action, quotient_via_globalization  # noqa: E402
@@ -183,6 +186,16 @@ def glued_rungs(n):
     yield "glued product", least_seconds(lambda: ExtensionClass.certify(glued(n)), lambda c: harrison_product(c, c))
 
 
+LOAD_RUNGS = (32, 48, 64)
+
+
+def load_rungs(n, workdir):
+    """(op, seconds) of `load_action` of the set on all n points."""
+    path = os.path.join(workdir, f"z{n}-load.json")
+    save_action(regular_restriction(QQ, n, range(n)), path)
+    yield "load", least_seconds(lambda: path, load_action)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key, iso and quotient rungs")
@@ -195,6 +208,8 @@ def main(argv=None) -> None:
         for n in args.cli:
             timed += [(op, n, s) for op, s in cli_rungs(n, workdir)]
         timed += [(op, POINT_RUNG, s) for op, s in point_rungs(POINT_RUNG, workdir)]
+        for n in LOAD_RUNGS:
+            timed += [(op, n, s) for op, s in load_rungs(n, workdir)]
     for n in SUBSET_RUNGS:
         timed += [(op, n, s) for op, s in subset_rungs(n)]
     for n in DENSE_RUNGS:

@@ -1,11 +1,16 @@
 """Action files: versioned JSON serialization of partial actions.
 
-Scalars travel as strings ("3/4", "5") so no precision is lost; structure
-constants are sparse [i, j, k, value] quadruples; the acting group is either
-{"cyclic": [n1, ...]} or an explicit labelled Cayley table.  Loading
-validates the algebra, the group and the partial-action axioms, and fails
-with a located diagnostic.  Saving is canonical, so a second round trip is
-byte-identical.
+Scalars travel as strings ("3/4", "5") so no precision is lost, with a
+decimal exponent of at most the interpreter's integer digit limit (4300 by
+default); structure constants are sparse [i, j, k, value] quadruples; the
+acting group is either {"cyclic": [n1, ...]} or an explicit labelled Cayley
+table.  Loading validates the algebra, the group and the partial-action
+axioms, and fails with a located diagnostic.  A standard carrier, R^n on
+its standard basis, loads onto its certified point set (the partial G-set
+of :func:`paction._read_points`): its matrices and idempotents are written
+on first read.  Every other carrier, and a standard one whose data fails
+the point certificate, is built and verified on its matrices.  Saving is
+canonical, so a second round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 from .scalars import Matrix, parse_ring
 from .algebra import Algebra, AlgebraError
 from .groups import FiniteGroup, GroupError, make_cyclic, make_product, multiply_to
-from .paction import PartialAction, verify_partial_action
+from .paction import PartialAction, _on_points, _read_points, verify_partial_action
 
 FORMAT_VERSION = 1
 
@@ -66,8 +71,21 @@ def _scalar(ring, value, where: str):
         raise ActionFileError(where, str(exc)) from None
 
 
-def _scalars(scalar, values, where: str, length: int) -> list:
-    return [scalar(v, where) for v in _list(values, where, length)]
+class _Memo(dict):
+    """Each distinct scalar string of one document, parsed on its first
+    lookup and kept.  Only str keys, because true == 1 and both hash alike,
+    and the JSON true must stay an error: any other key raises KeyError,
+    and a string that does not parse raises ValueError and is not kept."""
+
+    def __init__(self, ring):
+        super().__init__()
+        self.parse = ring.scalar_from_str
+
+    def __missing__(self, value):
+        if type(value) is not str:
+            raise KeyError(value)
+        out = self[value] = self.parse(value)
+        return out
 
 
 def _capped(labels: list) -> str:
@@ -123,6 +141,13 @@ def load_action(path: str, verify: bool = True) -> PartialAction:
 
 
 def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialAction:
+    """The action of a parsed action file, located at ``where``.
+
+    R^n on its standard basis, with unit (1, ..., 1), loads onto its
+    certified point set (:func:`paction._read_points`) with no matrix and
+    no element built; any other carrier, and a standard one whose 0/1
+    coefficients fail the certificate, is built on its matrices and, with
+    ``verify``, checked by :func:`verify_partial_action`."""
     version = _need(doc, "format", where)
     if not _is_int(version) or version != FORMAT_VERSION:
         raise ActionFileError(where, f"unsupported format {version!r}, expected {FORMAT_VERSION}")
@@ -130,16 +155,24 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         ring = parse_ring(str(_need(doc, "base", where)))
     except ValueError as exc:
         raise ActionFileError(f"{where}/base", str(exc)) from None
-    # each distinct scalar string is parsed once; only str keys, because
-    # true == 1 and both hash alike, and the JSON true must stay an error
-    memo = {}
+    lookup = _Memo(ring).__getitem__
 
-    def scalar(value, where):
-        if type(value) is not str:
-            return _scalar(ring, value, where)
-        if value not in memo:
-            memo[value] = _scalar(ring, value, where)
-        return memo[value]
+    def scalar(value, *located):
+        try:
+            return lookup(value)
+        except (KeyError, TypeError, ValueError):
+            return _scalar(ring, value, "".join(map(str, located)))
+
+    def scalars(values, *located):
+        # one pass through the memo; a row that fails there is read again
+        # at its locator, which is only then built and names the first fault
+        if type(values) is list and len(values) == rank:
+            try:
+                return list(map(lookup, values))
+            except (KeyError, TypeError, ValueError):
+                pass
+        at = "".join(map(str, located))
+        return [_scalar(ring, v, at) for v in _list(values, at, rank)]
 
     alg_where = f"{where}/algebra"
     alg_spec = _need(doc, "algebra", where)
@@ -148,19 +181,22 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
     # sparse (i, j) -> {k: c}; a repeated quadruple overrides the earlier one
     constants = {}
     for n, entry in enumerate(_list(_need(alg_spec, "constants", alg_where), f"{alg_where}/constants")):
-        entry_where = f"{alg_where}/constants/{n}"
         if not isinstance(entry, list) or len(entry) != 4:
-            raise ActionFileError(entry_where, f"bad quadruple {entry!r}")
+            raise ActionFileError(f"{alg_where}/constants/{n}", f"bad quadruple {entry!r}")
         i, j, k, value = entry
         if not all(_is_int(t) and 0 <= t < rank for t in (i, j, k)):
-            raise ActionFileError(entry_where, f"index out of range in {entry!r}")
-        constants.setdefault((i, j), {})[k] = scalar(value, entry_where)
-    table = {ij: tuple(row.items()) for ij, row in constants.items()}
-    unit = _scalars(scalar, _need(alg_spec, "unit", alg_where), f"{alg_where}/unit", rank)
-    try:
-        algebra = Algebra(ring, labels, table, unit, validate=True)
-    except AlgebraError as exc:
-        raise ActionFileError(alg_where, str(exc)) from None
+            raise ActionFileError(f"{alg_where}/constants/{n}", f"index out of range in {entry!r}")
+        constants.setdefault((i, j), {})[k] = scalar(value, alg_where, "/constants/", n)
+    unit = scalars(_need(alg_spec, "unit", alg_where), alg_where, "/unit")
+    one = ring.coerce(1)
+    standard = all(u == one for u in unit) and _is_standard(constants, rank, one)
+    if standard:
+        algebra = Algebra.split(ring, labels)
+    else:
+        try:
+            algebra = Algebra(ring, labels, {ij: tuple(row.items()) for ij, row in constants.items()}, unit)
+        except AlgebraError as exc:
+            raise ActionFileError(alg_where, str(exc)) from None
 
     group_spec = _need(doc, "group", where)
     action_spec = _object(_need(doc, "action", where), f"{where}/action")
@@ -172,22 +208,38 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
             f"{where}/action",
             f"element keys do not match the group (missing {_capped(missing)}, extra {_capped(extra)})",
         )
-    idems = []
-    maps = []
+    domains = []
+    matrices = []
     for label in group.labels:
         entry = action_spec[label]
         entry_where = f"{where}/action/{label}"
-        coords = _scalars(scalar, _need(entry, "idempotent", entry_where), f"{entry_where}/idempotent", rank)
+        domains.append(scalars(_need(entry, "idempotent", entry_where), entry_where, "/idempotent"))
         rows = _list(_need(entry, "matrix", entry_where), f"{entry_where}/matrix", rank)
-        idems.append(algebra.element(coords))
-        maps.append(Matrix(ring, [_scalars(scalar, r, f"{entry_where}/matrix/{i}", rank) for i, r in enumerate(rows)], rank))
-    act = PartialAction(group, algebra, idems, maps)
+        matrices.append([scalars(r, entry_where, "/matrix/", i) for i, r in enumerate(rows)])
+    if standard:
+        read = _read_points(group, domains, [zip(*rows) for rows in matrices])
+        if read:
+            return _on_points(group, algebra, *read)
+    act = PartialAction(group, algebra, [algebra.element(c) for c in domains], [Matrix(ring, m, rank) for m in matrices])
     if verify:
         report = verify_partial_action(act)
         if not report.passed:
             bad = report.failures()[0]
             raise ActionFileError(f"{where}/action", f"axiom failure: {bad.name} [{bad.witness}]")
     return act
+
+
+def _is_standard(constants: dict, rank: int, one) -> bool:
+    """Whether the sparse constants (i, j) -> {k: c}, zeros dropped, are
+    those of R^rank on its standard basis: e_i e_i = e_i, e_i e_j = 0."""
+    diagonal = 0
+    for (i, j), row in constants.items():
+        entries = [(k, c) for k, c in row.items() if c != 0]
+        if i == j and entries == [(i, one)]:
+            diagonal += 1
+        elif entries:
+            return False
+    return diagonal == rank
 
 
 def action_to_document(act: PartialAction) -> dict:

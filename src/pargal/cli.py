@@ -14,11 +14,14 @@ import sys
 import time
 
 from .scalars import Matrix, parse_ring
-from .algebra import AlgebraError
+from .algebra import Algebra, AlgebraError
 from .actionfile import ActionFileError, _scalar, load_action, save_action
 from .groups import GroupError, subgroup_closure
 from .paction import (
     PartialAction,
+    _on_points,
+    _point_roots,
+    _point_set,
     galois_coordinates,
     invariants,
     inverse_action,
@@ -103,7 +106,12 @@ def _load(path: str, base=None, verify=True) -> PartialAction:
 
 
 def _change_base(act: PartialAction, base: str) -> PartialAction:
+    """``act`` over the ring ``base``.  A certified point set stays on its
+    points: its 0/1 maps are those of R^n over any ring."""
     ring = parse_ring(base)
+    points = _point_set(act)
+    if points is not None:
+        return _on_points(act.group, Algebra.split(ring, act.algebra.labels), points, _point_roots(act))
     algebra = act.algebra.over(ring)
     algebra.validate()  # the file's constants may degenerate over the new ring
     idems = [algebra.element(e.coords) for e in act.idems]

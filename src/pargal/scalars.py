@@ -9,12 +9,17 @@ row module iff their canonical forms are identical.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 Scalar = "int | Fraction"
+
+# the decimal exponent of a string that Fraction reads
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class ShapeError(ValueError):
@@ -53,10 +58,16 @@ class BaseRing:
         """Parse "3", "-3/4" or "0.5"; a malformed scalar raises ValueError.
 
         ASCII digits, with at most a leading minus sign, are read by ``int``;
-        any other string goes through ``Fraction``."""
+        any other string goes through ``Fraction``, with a decimal exponent
+        of at most the interpreter's integer digit limit (sys.get_int_max_str_digits)."""
         digits = s[1:] if s[:1] == "-" else s
         if digits.isascii() and digits.isdigit():
             return self.coerce(int(s))
+        # Fraction builds 10^e whole: bound e as int() bounds digit strings
+        exponent = _EXPONENT.search(s)
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"bad scalar {s!r}: exponent beyond {limit}")
         try:
             return self.coerce(Fraction(s))
         except ZeroDivisionError:
@@ -124,6 +135,12 @@ def _is_prime(n: int) -> bool | None:
             return n == p
     if n >= _MR_BOUND:
         return None
+    return not _mr_composite(n)
+
+
+def _mr_composite(n: int) -> bool:
+    """Whether a base of ``_MR_BASES`` witnesses that the odd n > 41 is
+    composite (Miller-Rabin); a witness is a proof at any size."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -136,8 +153,8 @@ def _is_prime(n: int) -> bool | None:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
 
 
 class Modular(BaseRing):
@@ -596,16 +613,60 @@ def invert(a: Matrix) -> Matrix:
 
 
 def _factorize(n: int) -> dict:
+    """The prime factorization {p: e} of n >= 1, in increasing p: the
+    primes of ``_MR_BASES`` by division, then the rest split by Pollard's
+    rho (:func:`_rho_factor`) until :func:`_is_prime` calls each part
+    prime.  A part at or above ``_MR_BOUND`` is split only when Miller-Rabin
+    proves it composite (:func:`_mr_composite`); one that passes raises
+    ValueError, as its primality is undecided."""
     out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _MR_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        prime = _is_prime(m)
+        if prime is None and not _mr_composite(m):
+            raise ValueError(f"cannot factor {m}: with no prime factor <= 41, primality is decided only below {_MR_BOUND}")
+        if prime:
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho in Brent's
+    form (Brent, BIT 20 (1980)): x -> x^2 + c, the gcd taken once per 128
+    steps and walked back one step at a time when that batch overshoots to
+    n, with c = 1, 2, ... until a walk splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def crt_components(n: int):

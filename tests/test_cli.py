@@ -17,6 +17,8 @@ from pargal.actionfile import load_action, save_action
 from pargal.corpus import standard_corpus
 from pargal.groups import make_cyclic, make_product
 
+from test_actionfile import matrix_route
+
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 CORPUS = os.path.join(ROOT, "corpus")
 GOLDEN = os.path.join(CORPUS, "golden")
@@ -530,11 +532,36 @@ def test_broken_documents_are_located_errors(text, tmp_path, capsys, monkeypatch
     monkeypatch.setattr(actionfile, "make_cyclic", bounded)
     path = tmp_path / "broken.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(actionfile.ActionFileError):
+    with pytest.raises(actionfile.ActionFileError) as raised:
         load_action(str(path))
+    # the diagnostic of the matrix route, the former loader, to the byte
+    with monkeypatch.context() as patched:
+        patched.setattr(actionfile, "action_from_document", matrix_route)
+        with pytest.raises(actionfile.ActionFileError) as oracle:
+            load_action(str(path))
+    assert str(raised.value) == str(oracle.value)
     capsys.readouterr()
     assert run_cli("verify", str(path)) == 2
     assert capsys.readouterr().err.startswith(f"pargal verify: {path}")
+
+
+@pytest.mark.parametrize("exponent", ["1e10000000", "-2.5E-10000000"])
+def test_scalar_exponent_beyond_the_digit_limit_is_a_located_error(exponent, tmp_path, capsys):
+    # Fraction would build 10^(10^7), a 33-million-bit integer, for 11 bytes
+    with open(fixture("ex2"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["action"]["g"]["matrix"][1][0] = exponent
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert run_cli("verify", str(path)) == 2
+    assert run_cli("trace", fixture("ex2"), "--element", f"1,{exponent}") == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"pargal verify: {path}/action/g/matrix/1: bad scalar {exponent!r}: exponent beyond 4300",
+        f"pargal trace: --element coordinate 2: bad scalar {exponent!r}: exponent beyond 4300",
+    ]
 
 
 def relabelled_z4(tmp_path):

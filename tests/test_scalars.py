@@ -161,6 +161,56 @@ def test_modulus_beyond_the_exact_primality_bound_is_refused():
     assert Modular(2**100).crt_units == (1,) and not Modular(2**100).is_field
 
 
+def trial_factorize(n: int) -> dict:
+    """{p: e} of n by trial division: the oracle of _factorize."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    from pargal.scalars import _factorize
+
+    for n in range(1, 10**5):
+        assert _factorize(n) == trial_factorize(n), n
+    # rho splits what trial division could not: two primes near 10^7, two
+    # near 10^12, a prime square, and a part above the primality bound
+    # that Miller-Rabin proves composite
+    cases = {
+        (10**7 + 19) * (10**7 + 79): {10**7 + 19: 1, 10**7 + 79: 1},
+        1000000000039 * 1000000000061: {1000000000039: 1, 1000000000061: 1},
+        (10**6 + 3) ** 2 * 41: {41: 1, 10**6 + 3: 2},
+        2 * 43**16: {2: 1, 43: 16},
+    }
+    for n, factors in cases.items():
+        assert list(_factorize(n).items()) == sorted(factors.items())
+        ring = Modular(n)
+        assert [(p, q) for p, q, _ in ring.crt] == [(p, p**e) for p, e in sorted(factors.items())]
+        assert sum(ring.crt_units) % n == 1 and all(u * u % n == u for u in ring.crt_units)
+
+
+def test_factors_of_undecided_primality_are_refused():
+    # 2 (2^89 - 1) builds, as 2 decides that it is composite; its factor
+    # 2^89 - 1 is prime, but above the bound where primality is exact
+    ring = Modular(2 * (2**89 - 1))
+    with pytest.raises(ValueError, match=f"^cannot factor {2**89 - 1}: with no prime factor <= 41"):
+        ring.crt_units
+
+
+def test_scientific_scalars_bound_their_exponent():
+    assert QQ.scalar_from_str("1.5e3") == 1500 and QQ.scalar_from_str("-2E-2") == Fraction(-1, 50)
+    assert QQ.scalar_from_str(" 1e4300 ") == 10**4300 and Modular(7).scalar_from_str("1e-4300") == pow(10, -4300, 7)
+    for s in ("1e4301", "1E-4301", "1e10000000", "3.5e+1_000_000"):
+        with pytest.raises(ValueError, match="exponent beyond 4300$"):
+            QQ.scalar_from_str(s)
+
+
 def test_crt_units_are_factored_once_per_ring(monkeypatch):
     import pargal.scalars as scalars
 
