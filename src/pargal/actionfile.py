@@ -7,10 +7,10 @@ acting group is either {"cyclic": [n1, ...]} or an explicit labelled Cayley
 table.  Loading validates the algebra, the group and the partial-action
 axioms, and fails with a located diagnostic.  A standard carrier, R^n on
 its standard basis, loads onto its certified point set (the partial G-set
-of :func:`paction._read_points`): its matrices and idempotents are written
-on first read.  Every other carrier, and a standard one whose data fails
-the point certificate, is built and verified on its matrices.  Saving is
-canonical, so a second round trip is byte-identical.
+of :func:`gset.read`): its matrices and idempotents are written on first
+read.  Every other carrier, and a standard one whose data fails the point
+certificate, is built and verified on its matrices.  Saving is canonical,
+so a second round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import json
 from .scalars import Matrix, parse_ring
 from .algebra import Algebra, AlgebraError
 from .groups import FiniteGroup, GroupError, make_cyclic, make_product, multiply_to
-from .paction import PartialAction, _on_points, _read_points, verify_partial_action
+from . import gset
+from .paction import PartialAction, _on_points, verify_partial_action
 
 FORMAT_VERSION = 1
 
@@ -144,7 +145,7 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
     """The action of a parsed action file, located at ``where``.
 
     R^n on its standard basis, with unit (1, ..., 1), loads onto its
-    certified point set (:func:`paction._read_points`) with no matrix and
+    certified point set (:func:`gset.read`) with no matrix and
     no element built; any other carrier, and a standard one whose 0/1
     coefficients fail the certificate, is built on its matrices and, with
     ``verify``, checked by :func:`verify_partial_action`."""
@@ -217,9 +218,9 @@ def action_from_document(doc: dict, where: str, verify: bool = True) -> PartialA
         rows = _list(_need(entry, "matrix", entry_where), f"{entry_where}/matrix", rank)
         matrices.append([scalars(r, entry_where, "/matrix/", i) for i, r in enumerate(rows)])
     if standard:
-        read = _read_points(group, domains, [zip(*rows) for rows in matrices])
+        read = gset.read(group, domains, [zip(*rows) for rows in matrices])
         if read:
-            return _on_points(group, algebra, *read)
+            return _on_points(group, algebra, read)
     act = PartialAction(group, algebra, [algebra.element(c) for c in domains], [Matrix(ring, m, rank) for m in matrices])
     if verify:
         report = verify_partial_action(act)

@@ -20,7 +20,6 @@ from .groups import GroupError, subgroup_closure
 from .paction import (
     PartialAction,
     _on_points,
-    _point_roots,
     _point_set,
     galois_coordinates,
     invariants,
@@ -111,7 +110,7 @@ def _change_base(act: PartialAction, base: str) -> PartialAction:
     ring = parse_ring(base)
     points = _point_set(act)
     if points is not None:
-        return _on_points(act.group, Algebra.split(ring, act.algebra.labels), points, _point_roots(act))
+        return _on_points(act.group, Algebra.split(ring, act.algebra.labels), points)
     algebra = act.algebra.over(ring)
     algebra.validate()  # the file's constants may degenerate over the new ring
     idems = [algebra.element(e.coords) for e in act.idems]

@@ -9,18 +9,18 @@ the group identity, since t * iota(1_S) = iota(t(1)).
 
 On a standard carrier whose partial G-set X passes the point-set
 certificate, the translates are the indicators of the classes of the
-enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), read by the one orbit
-reader :func:`~pargal.paction._orbit_quotient`, so T, beta and the
-embedding are read off the classes without a row reduction, and the
-certificate tests that X is the restriction of that set.  Every other action
-takes the span of translates and the matrix checks; so does data that fails
-that test, so every report and witness is the matrix one.  Either way beta
-is held once, as the enveloping action, and data of the wrong shape is
-refused when it is built.  The subgroup idempotents and psi_H of a point
-set are likewise sets of classes and a 0/1 matrix, built without a product
-in T.  psi_H is built once, in its e_i form, on either route; the
-inclusion-exclusion double sum that defines it is the tests' oracle
-(:func:`psi_h` argues why they agree).
+enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), read by the orbit read
+of the partial G-set core (:func:`~pargal.gset.orbit_quotient`), so T,
+beta and the embedding are read off the classes without a row reduction,
+and the certificate tests that X is the restriction of that set.  Every
+other action takes the span of translates and the matrix checks; so does
+data that fails that test, so every report and witness is the matrix one.
+Either way beta is held once, as the enveloping action, and data of the
+wrong shape is refused when it is built.  The subgroup idempotents and
+psi_H of a point set are likewise sets of classes and a 0/1 matrix, built
+without a product in T.  psi_H is built once, in its e_i form, on either
+route; the inclusion-exclusion double sum that defines it is the tests'
+oracle (:func:`psi_h` argues why they agree).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .algebra import (
     deferred_labels,
 )
 from .groups import Subgroup
+from . import gset
 from .paction import (
     ActionReport,
     Check,
@@ -45,9 +46,7 @@ from .paction import (
     PartialAction,
     _action_on_points,
     _match_iso,
-    _orbit_quotient,
     _point_set,
-    _row_sources,
     global_action,
     invariants,
     restrict,
@@ -119,7 +118,7 @@ def globalize(act: PartialAction) -> GlobalizationData:
     """
     points = _point_set(act)
     if points is not None:
-        gd = _globalize_points(act, points)
+        gd = _globalize_points(act, points.maps)
     else:
         gd = _globalize_matrices(act)
     rep = certify_globalization(gd)
@@ -140,7 +139,7 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
     and since a_g a_h is contained in a_gh, any two such supports are equal
     or disjoint.  They partition G x X into the orbits of G x 1 in the
     partial G x G-set (k, t)(g, y) = (k g t^-1, a_k(y)), ordered by least
-    point (:func:`~pargal.paction._orbit_quotient`), whose indicators are
+    point (:func:`~pargal.gset.orbit_quotient`), whose indicators are
     the rows of the canonical row form that :func:`_globalize_matrices`
     computes.  So T is split on their labels, beta_t permutes them by pi_t,
     the image of the coset of (1, t), and e_x embeds as the class c(x) of
@@ -160,7 +159,7 @@ def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
         j = maps[k][p % n]
         return None if j is None else table[table[k][p // n]][inverse[t]] * n + j
 
-    classes, pis, c = _orbit_quotient(G.order * n, G.identity, G.elements(), G.elements(), move)
+    classes, pis, c = gset.orbit_quotient(G.order * n, G.identity, G.elements(), G.elements(), move)
     group_labels = G.labels
 
     def write(labels):
@@ -278,8 +277,8 @@ def _shape_failure(gd: GlobalizationData) -> str | None:
     if env.group != G:
         return "beta acts by another group than the action"
     held = env._points
-    if held is not None and held[0] is not None:
-        bad = next((g for g in G.elements() if None in held[0][G.inv(g)]), None)
+    if held:
+        bad = next((g for g in G.elements() if None in held.maps[G.inv(g)]), None)
     else:
         one = env.algebra.one()
         bad = next((g for g in G.elements() if env.idems[g] != one), None)
@@ -321,16 +320,16 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     """
     points = _point_set(gd.action)
     pis = None if points is None else _point_set(gd.enveloping_action)
-    c = _row_sources(zip(*gd.embed.matrix.rows))
+    c = gset.row_sources(zip(*gd.embed.matrix.rows))
     if pis is None or c is None or None in c:
         return False
     n, k = len(c), gd.algebra.rank
     inverse = {j: x for x, j in enumerate(c)}
     if len(inverse) != n or gd.one_s.coords != tuple(int(j in inverse) for j in range(k)):
         return False
-    if any([inverse.get(pi[j]) for j in c] != a for pi, a in zip(pis, points)):
+    if any([inverse.get(pi[j]) for j in c] != a for pi, a in zip(pis.maps, points.maps)):
         return False
-    if {pi[j] for pi in pis for j in c} != set(range(k)):
+    if {pi[j] for pi in pis.maps for j in c} != set(range(k)):
         return False
     return all(gd.down.rows[i][j] == (1 if i == x else 0) for i in range(n) for x, j in enumerate(c))
 
@@ -417,7 +416,7 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     pis = None if _point_set(gd.action) is None else _point_set(env)
     if pis is None or one.count(0) + one.count(1) != len(one):
         return None
-    backs = [pis[gd.group.inv(h)] for h in sub.members]
+    backs = [pis.maps[gd.group.inv(h)] for h in sub.members]
     return backs, [{c for c, s in enumerate(back) if one[s] == 1} for back in backs]
 
 

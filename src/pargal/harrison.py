@@ -25,14 +25,12 @@ from .algebra import (
     tensor_labels,
 )
 from .groups import FiniteGroup, GroupError, direct_square, make_cyclic, make_product, multiply_to, delta_subgroup, delta_transversal
+from . import gset
 from .paction import (
     ActionReport,
     GaloisCoordinates,
     PartialAction,
     _action_on_points,
-    _fixes_a_root,
-    _orbit_quotient,
-    _point_roots,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -109,9 +107,10 @@ class ExtensionClass:
         exist exactly when no a_g with g != 1 fixes a point (that function
         argues "only if").  Both are read at the roots of the components,
         which the certificate of the point set found and kept
-        (:func:`_point_roots`), with no second walk of the points: the
-        invariants have one indicator per root, and a fixed point exists
-        exactly when one fixes a root (:func:`_fixes_a_root`).
+        (:class:`~pargal.gset.PartialGSet`), with no second walk of the
+        points: the invariants have one indicator per root, and a fixed
+        point exists exactly when one fixes a root
+        (:func:`~pargal.gset.fixes_a_root`).
         ``witness`` and ``fixed`` are built on first read; any other
         carrier builds both here."""
         rep = verify_partial_action(action)
@@ -119,11 +118,11 @@ class ExtensionClass:
             bad = rep.failures()[0]
             raise CertificationError(f"not a partial action: {bad.name} [{bad.witness}]")
         out = ExtensionClass(action)
-        roots = _point_roots(action)
-        rank = out.fixed.algebra.rank if roots is None else len(roots)
+        points = _point_set(action)
+        rank = out.fixed.algebra.rank if points is None else len(points.roots)
         if rank != 1:
             raise CertificationError(f"fixed ring has rank {rank}, expected the base ring")
-        if (out.witness is None) if roots is None else _fixes_a_root(action.group, _point_set(action), roots):
+        if (out.witness is None) if points is None else gset.fixes_a_root(action.group, points):
             raise CertificationError("no partial Galois coordinates exist")
         return out
 
@@ -176,9 +175,10 @@ def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
     (a_l x, a'_t y): a partial G x G-set, the restriction of a product of
     G-sets; see :func:`_delta_quotient`.
     """
-    map_a, map_b = _point_set(a), _point_set(b)
-    if map_a is None or map_b is None:
+    set_a, set_b = _point_set(a), _point_set(b)
+    if set_a is None or set_b is None:
         return None
+    map_a, map_b = set_a.maps, set_b.maps
     ny = b.algebra.rank
     table, inverse = a.group.table, a.group.inverse
 
@@ -206,10 +206,10 @@ def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
     in D_tg.  See :func:`_delta_quotient`.  D_g is read off the maps as the
     domain of a_(g^-1), so no 1_g is written.
     """
-    maps = _point_set(act)
-    if maps is None:
+    held = _point_set(act)
+    if held is None:
         return None
-    G, A = act.group, act.algebra
+    G, A, maps = act.group, act.algebra, held.maps
     index, points = {}, []
     for g in G.elements():
         for i, j in enumerate(maps[G.inverse[g]]):
@@ -237,8 +237,9 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     """The delta-G quotient of a partial G x G-set on the points
     0 .. npoints - 1, as a partial action of G on R^(components): the
     route of the matrix quotient (:func:`_quotient_by_delta` and
-    :func:`_identify_with_group`) read off the points by
-    :func:`~pargal.paction._orbit_quotient`, the coset of (g, 1) at g.
+    :func:`_identify_with_group`) read off the points by the orbit read of
+    the partial G-set core (:func:`~pargal.gset.orbit_quotient`), the coset
+    of (g, 1) at g.
     ``move(g, s, p)`` is the image of p under (gs, s^-1), or None.  The
     components, labelled by their indicator vectors in the point labels
     ``point_labels`` (:func:`~pargal.algebra.deferred_labels`) on first
@@ -246,7 +247,7 @@ def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> P
     """
     if not G.is_abelian():
         raise GroupError("delta subgroup requires an abelian group")
-    points, images, _ = _orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
+    points, images, _ = gset.orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
 
     def write(names):
         return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
@@ -375,10 +376,11 @@ def idempotent_class(act: PartialAction) -> ExtensionClass:
     through :func:`hat_action` and the delta-G quotient.  Both routes give
     the same presentation, and the result is certified once either way.
     On a point set the Galois test is read at the roots of the components
-    (:func:`_fixes_a_root`), exactly as :func:`galois_coordinates` decides it.
+    (:func:`~pargal.gset.fixes_a_root`), exactly as
+    :func:`galois_coordinates` decides it.
     """
-    roots = _point_roots(act)
-    if (galois_coordinates(act) is None) if roots is None else _fixes_a_root(act.group, _point_set(act), roots):
+    points = _point_set(act)
+    if (galois_coordinates(act) is None) if points is None else gset.fixes_a_root(act.group, points):
         raise CertificationError("idempotent_class needs a partial Galois action")
     G = act.group
     quotient = _hat_gset_quotient(act)

@@ -5,9 +5,10 @@ A :class:`PartialAction` stores, per group element g, the central idempotent
 on all of S.  Every formula below composes alpha_g with multiplication by
 1_{g^-1} anyway, so the total form evaluates them verbatim; in particular
 axiom (P4) becomes the matrix identity M_g M_h = E_g M_{gh} with E_g the
-multiplication-by-1_g matrix.  An action built on certified point maps
-holds only those maps and the roots of its components: it writes its 1_g
-and M_g on first read.
+multiplication-by-1_g matrix.  On a standard carrier the action is read
+as a partial G-set on the basis points, and every point route asks the
+core :mod:`pargal.gset`; an action built on certified point maps holds only
+their record there and writes its 1_g and M_g on first read.
 """
 
 from __future__ import annotations
@@ -33,18 +34,18 @@ from .algebra import (
     unital_ideal,
 )
 from .groups import FiniteGroup, Subgroup
+from . import gset
 
 
 class PartialAction:
     """Unital partial action of a finite group on a finite-rank algebra.
 
     An action built on its certified point maps (:func:`_on_points`) holds
-    only those maps and the roots of its components (:func:`_point_roots`):
-    its idempotents :attr:`idems` and matrices :attr:`maps` are written on
-    first read, and the readers of a point set read D_g and a_g off the
-    maps instead.  ``_points`` is None until the point set is read, then
-    the pair (maps, roots) of :func:`_point_set`, (None, None) when there
-    is none."""
+    only their record (:class:`~pargal.gset.PartialGSet`): its idempotents
+    :attr:`idems` and matrices :attr:`maps` are written on first read, and
+    the readers of a point set read D_g and a_g off the maps instead.
+    ``_points`` is None until the point set is read, then its record
+    (:func:`_point_set`), or False when there is none."""
 
     __slots__ = ("group", "algebra", "_idems", "_maps", "_idem_mats", "_split", "_points")
 
@@ -73,7 +74,7 @@ class PartialAction:
         was built on its certified point maps (:func:`_on_points`): 1_g is
         the indicator of D_g, the domain of a_(g^-1)."""
         if self._idems is None:
-            points = self._points[0]
+            points = self._points.maps
             self._idems = tuple(
                 Element(self.algebra, tuple(int(j is not None) for j in points[gi])) for gi in self.group.inverse
             )
@@ -84,7 +85,7 @@ class PartialAction:
         """The matrices M_g, written here on first read when the action was
         built on its certified point maps (:func:`_on_points`)."""
         if self._maps is None:
-            self._maps = tuple(_point_matrix(self.algebra.ring, a) for a in self._points[0])
+            self._maps = tuple(_point_matrix(self.algebra.ring, a) for a in self._points.maps)
         return self._maps
 
     def idem_matrix(self, g: int) -> Matrix:
@@ -104,8 +105,9 @@ class PartialAction:
         (:func:`_point_set`) the number of points of D_g, the support of
         1_g, read as the domain of a_(g^-1); else the rank of
         :meth:`ideal`, r products and a row reduction."""
-        points = _point_set(self)
-        if points is not None:
+        held = _point_set(self)
+        if held is not None:
+            points = held.maps
             return [len(points[gi]) - points[gi].count(None) for gi in self.group.inverse]
         return [self.ideal(g).rank for g in self.group.elements()]
 
@@ -262,57 +264,26 @@ def _verify_on_matrices(act: PartialAction) -> ActionReport:
     return rep
 
 
-def _point_set(act: PartialAction) -> list | None:
+def _point_set(act: PartialAction) -> gset.PartialGSet | None:
     """The partial G-set of ``act`` on its basis points, certified: the
-    maps a_g, maps[g][i] = j when M_g e_i = e_j and None when column i is
-    0.  None unless the carrier is R^n on its standard basis
-    (:meth:`Algebra.split`), every stored entry of each 1_g and M_g is 0 or
-    1, no column of an M_g holds two 1s, and the maps with the domains D_g
-    = supp 1_g form a partial G-set (:func:`_points_certified`, which
-    checks that D_g is the domain of a_(g^-1); every reader of a point set
-    takes it from there).  Read (:func:`_read_points`) in O(|G| r^2) and
-    certified in O(|G| r) when free, once per action, and kept on it with
-    the roots that the certificate found (:func:`_point_roots`)."""
+    record (:class:`~pargal.gset.PartialGSet`) of the maps a_g, maps[g][i]
+    = j when M_g e_i = e_j and None when column i is 0.  None unless the
+    carrier is R^n on its standard basis (:meth:`Algebra.split`), every
+    stored entry of each 1_g and M_g is 0 or 1, no column of an M_g holds
+    two 1s, and the maps with the domains D_g = supp 1_g form a partial
+    G-set (:func:`~pargal.gset.certify`, which checks that D_g is the
+    domain of a_(g^-1); every reader of a point set takes it from there).
+    Read (:func:`~pargal.gset.read`) in O(|G| r^2) and certified in O(|G|
+    r) when free, once per action, and kept on it."""
     if act._points is None:
-        read = act.algebra.is_split() and _read_points(act.group, [e.coords for e in act.idems], [zip(*m.rows) for m in act.maps])
-        act._points = read or (None, None)
-    return act._points[0]
-
-
-def _point_roots(act: PartialAction) -> list | None:
-    """The root, the least point, of each component of the certified point
-    set of ``act`` (:func:`_point_set`), ascending; None when there is none.
-    The certificate (:func:`_points_certified`) found them, and they are
-    kept with the maps; a restriction, whose components are not its
-    parent's, walks its maps once on first read."""
-    points = _point_set(act)
-    if points is None:
-        return None
-    if act._points[1] is None:
-        act._points = (points, _points_certified(act.group, points))
-    return act._points[1]
-
-
-def _read_points(group: FiniteGroup, domains, columns) -> tuple | None:
-    """The one reader of split carriers: the partial G-set on the points
-    p_i with 0/1 coefficients ``domains[g]`` of 1_g and ``columns[g][i]``
-    of alpha_g(p_i), as the maps a_g (a_g(i) = j for the one 1 of column i
-    at j) and the roots that the certificate found
-    (:func:`_points_certified`), or None.  :func:`_point_set` reads the
-    stored coordinates here, :func:`_split_data` the residues of each CRT
-    unit (:func:`_residues`)."""
-    if any(d.count(0) + d.count(1) != len(d) for d in domains):
-        return None
-    maps = [_row_sources(c) for c in columns]
-    if None in maps:
-        return None
-    roots = _points_certified(group, maps, domains)
-    return None if roots is None else (maps, roots)
+        read = act.algebra.is_split() and gset.read(act.group, [e.coords for e in act.idems], [zip(*m.rows) for m in act.maps])
+        act._points = read or False
+    return act._points or None
 
 
 def _residues(ring, u, rows) -> list:
     """Each coefficient x of ``rows`` read in the CRT unit u: 1 where u x =
-    u, 0 where u x = 0, and None, which :func:`_read_points` refuses,
+    u, 0 where u x = 0, and None, which :func:`~pargal.gset.read` refuses,
     elsewhere.  So u p_i lies under 1_g exactly where the residue of its
     coefficient in 1_g is 1."""
     return [[1 if (v := ring.mul(u, x)) == u else 0 if v == 0 else None for x in row] for row in rows]
@@ -325,25 +296,23 @@ def _action_on_points(group: FiniteGroup, algebra: Algebra, maps, what: str) -> 
     indicator of the domain of a_(g^-1) and M_g the 0/1 matrix with M_g e_i
     = e_(a_g(i)), both written on first read (:func:`_on_points`).
 
-    The maps must form a partial G-set (:func:`_points_certified`, with the
-    domains read off the maps), and are kept with the roots that the
-    certificate found.  Every builder hands over the maps of a partial
-    G-set, so maps that fail, ``what`` by name, are a bug trap."""
-    roots = _points_certified(group, maps)
-    if roots is None:
+    The maps must form a partial G-set (:func:`~pargal.gset.certify`, with
+    the domains read off the maps), and the record of the certificate is
+    kept.  Every builder hands over the maps of a partial G-set, so maps
+    that fail, ``what`` by name, are a bug trap."""
+    points = gset.certify(group, maps)
+    if points is None:
         raise AssertionError(f"{what} fails the point-set certificate (bug trap)")
-    return _on_points(group, algebra, maps, roots)
+    return _on_points(group, algebra, points)
 
 
-def _on_points(group: FiniteGroup, algebra: Algebra, points, roots) -> PartialAction:
-    """The action of the certified point maps ``points`` (:func:`_point_set`)
-    on a split ``algebra``, holding them and the roots of their components
-    (:func:`_point_roots`; None to find them on first read) and nothing
-    else: the idempotents, the matrices and the table of ``algebra`` are
-    written on first read."""
+def _on_points(group: FiniteGroup, algebra: Algebra, points: gset.PartialGSet) -> PartialAction:
+    """The action of the certified partial G-set ``points`` on a split
+    ``algebra``, holding its record and nothing else: the idempotents, the
+    matrices and the table of ``algebra`` are written on first read."""
     act = PartialAction.__new__(PartialAction)
     act.group, act.algebra, act._idems, act._maps, act._split = group, algebra, None, None, None
-    act._idem_mats, act._points = [None] * group.order, (points, roots)
+    act._idem_mats, act._points = [None] * group.order, points
     return act
 
 
@@ -358,146 +327,35 @@ def _point_matrix(ring, image) -> Matrix:
     return Matrix(ring, rows, k)
 
 
-def _points_certified(group: FiniteGroup, maps, domains=None) -> list | None:
-    """The roots of the components when the partial maps a_g = ``maps[g]``
-    and the domains D_g = ``domains[g]`` (by default the domain of
-    a_(g^-1)) form a partial G-set (Exel; Kellendonk-Lawson), else None:
-    a_1 = id, and a_g a_h(j) = a_gh(j) when a_gh(j) lies in D_g, undefined
-    otherwise, which is the identity M_g M_h = E_g M_gh of (P4) read on
-    points.  The root of a component is its least point, and the roots
-    come in ascending order.
-
-    On R^X with 0/1 data every other check of :func:`verify_partial_action`
-    follows.  (P4) at (g, 1) puts the image of a_g in D_g.  At (g^-1, g)
-    it makes a_(g^-1) a_g the identity on D_(g^-1), undefined off it; as
-    (g, g^-1) defines a_(g^-1) on all of D_g, a_g is defined exactly on
-    D_(g^-1), a bijection onto D_g with inverse a_(g^-1), which is (P1).
-    So D_g is the domain of a_(g^-1).  At (1, 1) it gives D_1 = X, which
-    with a_1 = id is (P2).  At (g, h) and (g^-1, gh) it gives (P3).  A 0/1
-    vector is idempotent.  So the certificate holds exactly when the checks of
-    :func:`_verify_on_matrices` pass.
-
-    Decided per component, in O(|G| r) on a free set, O(|G|^2 r) at most:
-    (1) a_1 = id; (2) D_g is the domain of a_(g^-1), when ``domains`` are
-    given (:func:`_read_points`); (3) from each point
-    x not yet reached, phi(g) = a_g(x) on Dom_x = {g : a_g(x) defined}
-    reaches phi(Dom_x), and a_h(phi(g)) = phi(hg) for every h and every g
-    in Dom_x, undefined when hg is not in Dom_x.  A partial G-set passes:
-    it is the restriction of a G-set to X, with D_g the points of X in gX
-    and a_h(y) = hy where both lie in X.  Conversely (3) makes K_x = {g :
-    phi(g) = x} closed under products, a subgroup; phi(gk) = a_g(x) =
-    phi(g) for k in K_x, and a_(g'^-1) sends phi(g) = phi(g') to x, so
-    g'^-1 g is in K_x.  So phi is constant exactly on the cosets gK_x, the
-    component of x is Dom_x/K_x inside G/K_x, and a_h is the translation
-    restricted to it.  A later root x' meeting that component at y =
-    phi'(g') fails (3), as a_(g'^-1)(y) stays in the component and x' does
-    not.  So X is a disjoint union of such restrictions, with D_g the
-    domain of a_(g^-1) by (2): the restriction of a G-set, which (P4)
-    accepts.  The walk starts at the least point not yet reached, and on
-    success each start reaches exactly its component, so the starts are
-    the roots.
-    """
-    if any(j != i for i, j in enumerate(maps[group.identity])):
-        return None
-    if domains is not None and any(
-        [j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)
-    ):
-        return None
-    reached = [False] * len(maps[group.identity])
-    roots = []
-    for x, done in enumerate(reached):
-        if done:
-            continue
-        roots.append(x)
-        phi = [a[x] for a in maps]
-        dom = [g for g, y in enumerate(phi) if y is not None]
-        points = [phi[g] for g in dom]
-        for y in points:
-            reached[y] = True
-        if any([a[y] for y in points] != [phi[hg[g]] for g in dom] for a, hg in zip(maps, group.table)):
-            return None
-    return roots
-
-
-def _fixes_a_root(group: FiniteGroup, maps, roots) -> bool:
-    """Whether some a_g with g != 1 of a partial G-set (the certified maps
-    ``maps``, see :func:`_points_certified`) fixes a point, read at the
-    ``roots`` of its components alone (:func:`_point_roots`): O(|G|) per
-    component, not per point.
-
-    It is exact.  X is the restriction of a G-set Y
-    (:func:`_points_certified`), and each point y of the component of a
-    root x is hx for some h.  If a_g(y) = y with g != 1, then k = h^-1 g h
-    != 1 and kx = x, with x in X, so a_k(x) = x; and a root is a point.
-    So some a_g with g != 1 fixes a point of a component exactly when one
-    fixes its root: the stabilizer K_x of (3) in
-    :func:`_points_certified` is 1 exactly when every K_y is, K_y = h K_x
-    h^-1."""
-    return any(maps[g][x] == x for g in group.elements() if g != group.identity for x in roots)
-
-
-def _orbit_quotient(npoints: int, identity, reps, members, move):
-    """The quotient of a partial G-set X on the points 0 .. npoints - 1 by
-    a normal subgroup H: its H-orbits, ascending and ordered by least point;
-    for each g of ``reps`` the map sending orbit k to the orbit of
-    ``move(g, h, p)`` = a_gh(p), p the least point of k, for the first h of
-    ``members`` (the elements of H) where it is defined, else None; and the
-    orbit of each point.  It is the one orbit read of point maps.
-
-    X is the restriction of a G-set Y (:func:`_points_certified`).
-    The orbit of p is {a_h(p) : h in H}, one move per h, so the unvisited
-    point of least index is the least point of its orbit.  The images are
-    well defined: if a_gh(p) and a_gh'(p') are defined, p' = a_k(p) with k
-    in H, then gh'p' = (gh'kh^-1 g^-1) ghp in Y, with gh'kh^-1 g^-1 in H as
-    H is normal; and as gh'k lies in gH, some move of p by gH is defined
-    when one of p' is, for any representative g."""
-    comp = [None] * npoints
-    orbits = []
-    for p in range(npoints):
-        if comp[p] is None:
-            orbit = sorted({q for h in members if (q := move(identity, h, p)) is not None})
-            for q in orbit:
-                comp[q] = len(orbits)
-            orbits.append(orbit)
-    images = []
-    for g in reps:
-        image = [None] * len(orbits)
-        for k, orbit in enumerate(orbits):
-            for h in members:
-                q = move(g, h, orbit[0])
-                if q is not None:
-                    image[k] = comp[q]
-                    break
-        images.append(image)
-    return orbits, images, comp
-
-
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     """The partial action of a subgroup on the same carrier.
 
-    A point set already read and certified (:func:`_point_set`) is handed
-    over as the maps of the members (:func:`_relabel`): the maps and
-    domains of the members of H in a partial G-set form a partial H-set
-    (:func:`_points_certified`), as a_1 = id and (P4) at pairs of H is (P4)
-    of the parent there.  Its components are the H-orbits, not the
-    parent's, so their roots are found on first read (:func:`_point_roots`).
-    Any other restriction is read when it is asked for: only its own maps,
-    and it may pass the certificate where its parent fails it."""
+    A point set already read and certified (:func:`_point_set`) hands the
+    maps of the members to the restriction (:func:`_action_on_points`):
+    the maps and domains of the members of H in a partial G-set form a
+    partial H-set (:func:`~pargal.gset.certify`), as a_1 = id and (P4) at
+    pairs of H is (P4) of the parent there.  Its components are the
+    H-orbits, not the parent's, so their walk is its own.  Any other
+    restriction is read when it is asked for: only its own maps, and it
+    may pass the certificate where its parent fails it."""
     if sub.parent != act.group:
         raise AlgebraError("subgroup of a different group")
-    held = act._points
-    return _relabel(act, sub.as_group(), sub.members, None if held is None or held[0] is None else (held[0], None))
+    if act._points:
+        maps = act._points.maps
+        return _action_on_points(sub.as_group(), act.algebra, [maps[m] for m in sub.members], "a restriction")
+    return _relabel(act, sub.as_group(), sub.members, None)
 
 
 def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAction:
     """The action of ``group`` with the idempotent and map of element
     members[g] of ``act`` at g.  ``held``, the point set of ``act`` as read
-    (maps and roots, see :class:`PartialAction`) or None, is handed over
-    where the result has the same certificate: certified maps, with no
-    idempotent or matrix written and D_g read off the maps, or a failed
+    (see :class:`PartialAction`) or None, is handed over where the result
+    has the same certificate and the same components: certified maps, with
+    no idempotent or matrix written and D_g read off the maps, or a failed
     read as such."""
-    if held is not None and held[0] is not None:
-        return _on_points(group, act.algebra, [held[0][m] for m in members], held[1])
+    if held:
+        maps = [held.maps[m] for m in members]
+        return _on_points(group, act.algebra, gset.PartialGSet(maps, held.roots, held.comp))
     out = PartialAction(group, act.algebra, [act.idems[m] for m in members], [act.maps[m] for m in members])
     out._points = held
     return out
@@ -526,7 +384,7 @@ def invariants(act: PartialAction) -> SubAlgebra:
     factored on first use."""
     points = _point_set(act)
     if points is not None:
-        return _invariants_on_points(act.algebra, *_components(points))
+        return _invariants_on_points(act.algebra, points.comp, len(points.roots))
     rows = []
     for g in act.group.elements():
         diff = act.maps[g].sub(act.idem_matrix(g))
@@ -535,10 +393,10 @@ def invariants(act: PartialAction) -> SubAlgebra:
     return subalgebra_from_constraints(act.algebra, constraints)
 
 
-def _invariants_on_points(A: Algebra, orbits, comp) -> SubAlgebra:
-    """:func:`invariants` on the split carrier ``A`` of a point set with the
-    components ``orbits``, comp[y] that of y (:func:`_components`)."""
-    rows = [[int(k == j) for k in comp] for j in range(len(orbits))]
+def _invariants_on_points(A: Algebra, comp, count: int) -> SubAlgebra:
+    """:func:`invariants` on the split carrier ``A`` of a point set with
+    ``count`` components, comp[y] that of y."""
+    rows = [[int(k == j) for k in comp] for j in range(count)]
     basis = Matrix(A.ring, rows, A.rank)
     fixed = Algebra.split(A.ring, deferred_labels(lambda names: [format_coords(names, row) for row in rows], A), len(rows))
     return SubAlgebra(fixed, A, basis, AlgebraMorphism(fixed, A, basis.transpose()))
@@ -562,15 +420,15 @@ class GaloisCoordinates:
         def expected(g):
             return A.one() if g == group.identity else A.zero()
 
-        points = _point_set(act)
-        if points is None:
+        held = _point_set(act)
+        if held is None:
             return all(
                 sum((x * act.apply(g, y) for x, y in self.pairs), A.zero()) == expected(g) for g in group.elements()
             )
         n = A.ring.n if isinstance(A.ring, Modular) else None
         pairs = [([(k, v) for k, v in enumerate(x.coords) if v != 0], y.coords) for x, y in self.pairs]
         for g in group.elements():
-            source = points[group.inv(g)]
+            source = held.maps[group.inv(g)]
             acc = [0] * A.rank
             for xs, y in pairs:
                 for k, v in xs:
@@ -593,14 +451,14 @@ def galois_coordinates(act: PartialAction):
     y_i(k), which the equation at g = 1 makes 1, not 0: not Galois.
     Elsewhere the solver's particular solution is the pairs (e_i, e_i).
     Such a point exists exactly when some a_g with g != 1 fixes the root
-    of a component (:func:`_fixes_a_root`), which the certificate found
-    (:func:`_point_roots`), so only the roots are read.
+    of a component (:func:`~pargal.gset.fixes_a_root`), which the
+    certificate found, so only the roots are read.
     """
     A = act.algebra
     r = A.rank
     points = _point_set(act)
     if points is not None:
-        if _fixes_a_root(act.group, points, _point_roots(act)):
+        if gset.fixes_a_root(act.group, points):
             return None
         pairs = [(e, e) for e in A.basis()]
     else:
@@ -703,13 +561,13 @@ def inverse_action(act: PartialAction) -> PartialAction:
     """The star action: S*_g = S_{g^-1} with alpha*_g = alpha_{g^-1}.
 
     On an abelian G a point set already read (:func:`_point_set`) is
-    handed over as a*_g = a_(g^-1), None when the action has none
+    handed over as a*_g = a_(g^-1), and a failed read as such
     (:func:`_relabel`): a*_1 = a_1, D*_g = D_(g^-1), and (P4) of the star
     maps at (g, h) is (P4) of the original at (g^-1, h^-1), because (gh)^-1
-    = g^-1 h^-1; so they form a partial G-set (:func:`_points_certified`)
+    = g^-1 h^-1; so they form a partial G-set (:func:`~pargal.gset.certify`)
     exactly when the original maps do.  The component of x, {a_g(x)}, is
-    {a*_g(x)}, so the roots are handed over too.  Any other star action is
-    read when it is asked for."""
+    {a*_g(x)}, so the roots and components are handed over too.  Any other
+    star action is read when it is asked for."""
     group = act.group
     return _relabel(act, group, group.inverse, act._points if group.is_abelian() else None)
 
@@ -720,9 +578,9 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
     ``index_map[new_index] = old_index`` must be a group isomorphism from
     new_group onto act.group (checked).  A point set already read
     (:func:`_point_set`) is handed over (:func:`_relabel`): along the
-    isomorphism a partial G-set is a partial G'-set (:func:`_points_certified`)
-    with a'_a = a_(index_map[a]) and D'_a = D_(index_map[a]), with the
-    same components and so the same roots.
+    isomorphism a partial G-set is a partial G'-set
+    (:func:`~pargal.gset.certify`) with a'_a = a_(index_map[a]) and D'_a =
+    D_(index_map[a]), with the same components and so the same roots.
     """
     if len(index_map) != new_group.order or new_group.order != act.group.order:
         raise AlgebraError("group relabeling size mismatch")
@@ -751,8 +609,8 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     isomorphism of the partial G-sets of that unit (:func:`_split_data`),
     so that f(S_g) = S'_g and f alpha_g = alpha'_g f.  Each sigma_t matches
     components by the rooted codes that :func:`canonical_key` compares, each
-    read in O(|G|) from one point (:func:`_component_from`), so the two
-    agree by construction; each sigma_t is the greatest in lexicographic
+    read in O(|G|) from one point (:func:`~pargal.gset.match_components`),
+    so the two agree by construction; each sigma_t is the greatest in lexicographic
     order of (sigma_t(r-1), ..., sigma_t(0)).  On a standard carrier the partial
     G-sets are read on the points in place, and units that share their maps
     share one match.  When both sides are point sets (:func:`_point_set`)
@@ -770,7 +628,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
     carriers, only witnesses with f(e) = e' count.  A point i of the partial
     G-set of unit u is then coloured by whether u p_i lies under e, and the
     colours enter each rooted code as one bit per point
-    (:func:`_component_from`).
+    (:func:`~pargal.gset.match_components`).
 
     Each sigma_t maps the indices of a's partial G-set to those of b's:
     points on a standard carrier, where p_i = e_i, and split indices
@@ -797,15 +655,15 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
         colours_a = [_colour(ring, u, sa, marked[0]) for u in units]
         colours_b = [_colour(ring, u, sb, marked[1]) for u in units]
     sigmas, last = [], None
-    for u, maps_a, maps_b, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
-        if last is not None and maps_a is last[0] and maps_b is last[1] and (ca, cb) == last[2:]:
+    for u, ga, gb, ka, kb, ca, cb in zip(units, sa.gsets, sb.gsets, kept_a, kept_b, colours_a, colours_b):
+        if last is not None and ga is last[0] and gb is last[1] and (ca, cb) == last[2:]:
             sigmas.append(sigmas[-1])
             continue
-        sigma, unmatched = _match_components(maps_a, maps_b, ka, kb, ca, cb)
+        sigma, unmatched = gset.match_components(ga.maps, gb.maps, ka, kb, ca, cb)
         if sigma is None:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
-        last = (maps_a, maps_b, ca, cb)
+        last = (ga, gb, ca, cb)
     if sigmas.count(sigmas[0]) == len(sigmas) and _point_set(a) is not None and _point_set(b) is not None:
         return IsoResult("iso", _certified_witness(a, b, None, marked, sigmas[0]))
     rows = [[0] * r for _ in range(r)]
@@ -828,35 +686,6 @@ def _colour(ring, u, data, e):
     return [ring.mul(u, x) == u for x in coeffs]
 
 
-def _match_components(maps_a, maps_b, kept_a, kept_b, colour_a, colour_b):
-    """The bijection sigma of the points of two partial G-sets with
-    sigma(a_g(i)) = b_g(sigma(i)) for each g (both None off the domains)
-    and, when given, colour_b[sigma(i)] = colour_a[i], greatest in the
-    lexicographic order of (sigma(r-1), ..., sigma(0)) (the witness that
-    perfbench's relabel pairs pin), as (sigma, None); or (None, k) when
-    there is none, with k the size of the first component of a with no
-    partner.  For the maps of :func:`_read_points`, maps[g^-1] is None
-    exactly off D_g, so sigma also carries D_g onto D'_g.  ``kept_a`` and
-    ``kept_b`` keep the rooted code of each point (:func:`_component_from`).
-
-    The image of one point fixes sigma on its component, and rooted codes
-    are equal exactly when such a sigma sends one root to the other.  So
-    sending the last unmapped point of a to the last unused point of b with
-    the same rooted code, pairing their components in first-reach order,
-    extends to a full isomorphism when one exists."""
-    r = len(maps_a[0])
-    sigma, used, down = [None] * r, [False] * r, range(r - 1, -1, -1)
-    for i in down:
-        if sigma[i] is None:
-            order, code = _component_from(maps_a, kept_a, i, colour_a)
-            k = next((k for k in down if not used[k] and _component_from(maps_b, kept_b, k, colour_b)[1] == code), None)
-            if k is None:
-                return None, len(order)
-            for x, y in zip(order, kept_b[k][0]):
-                sigma[x], used[y] = y, True
-    return sigma, None
-
-
 class _SplitData(NamedTuple):
     """An action read off the split presentation of its carrier: for each
     CRT unit u, the partial G-set induced on the u p_i (:func:`_split_data`).
@@ -866,9 +695,8 @@ class _SplitData(NamedTuple):
     basis: Matrix | None  # B, with the split idempotents p_i as columns
     to_coords: Matrix | None  # B^-1: coordinates -> coefficients over the p_i
     units: tuple  # the CRT units u of the base ring, ascending (BaseRing.crt_units)
-    gsets: list  # per unit, the maps of its partial G-set (_read_points)
-    roots: list  # per unit, the roots of its components (_points_certified)
-    # per unit, the rooted code of each point (_component_from), filled on
+    gsets: list  # per unit, the record of its partial G-set (gset.read)
+    # per unit, the rooted code of each point (gset.canonical_form), filled on
     # demand so that canonical_key and iso_check read each once; units
     # that share their maps share the list
     kept: list
@@ -879,8 +707,7 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     presentation; built once per action and kept on it.  The coefficients
     are the coordinates on a standard carrier (:meth:`Algebra.is_split`),
     else read through B^-1.  A point set (:func:`_point_set`) serves every
-    CRT unit with its roots (:func:`_point_roots`), as on 0/1 data u p_i
-    reads alike for every u; any other action is read per unit
+    CRT unit with its record, as on 0/1 data u p_i reads alike for every u; any other action is read per unit
     (:func:`_residues`), and :func:`_refuse` says why a unit that fails
     does not permute the split idempotents."""
     if act._split is not None:
@@ -891,7 +718,7 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     points = _point_set(act)
     if points is not None:
         t = len(units)
-        act._split = (_SplitData(None, None, units, [points] * t, [_point_roots(act)] * t, [[None] * r] * t),)
+        act._split = (_SplitData(None, None, units, [points] * t, [[None] * r] * t),)
         return act._split[0]
     basis = to_coords = None
     if A.is_split():
@@ -905,17 +732,16 @@ def _split_data(act: PartialAction) -> _SplitData | None:
         to_coords = invert(basis)
         domains = [to_coords.matvec(list(e.coords)) for e in act.idems]
         columns = [list(zip(*to_coords.mul(m).mul(basis).rows)) for m in act.maps]
-    reads = []
+    gsets = []
     for u in units:
         dom, cols = _residues(ring, u, domains), [_residues(ring, u, c) for c in columns]
-        reads.append(_read_points(group, dom, cols) or _refuse(group, u, dom, cols))
-    gsets, roots = map(list, zip(*reads))
-    act._split = (_SplitData(basis, to_coords, units, gsets, roots, [[None] * r for _ in units]),)
+        gsets.append(gset.read(group, dom, cols) or _refuse(group, u, dom, cols))
+    act._split = (_SplitData(basis, to_coords, units, gsets, [[None] * r for _ in units]),)
     return act._split[0]
 
 
 def _refuse(group: FiniteGroup, u, domains, columns):
-    """Raise why :func:`_read_points` refuses the residues ``domains`` and
+    """Raise why :func:`~pargal.gset.read` refuses the residues ``domains`` and
     ``columns`` of the CRT unit u: the first 1_g with a coefficient neither
     0 nor u, else the first alpha_g that does not send each u p_i under
     1_(g^-1) to one u p_j and each other to 0, else the certificate; the
@@ -939,8 +765,9 @@ def canonical_key(act: PartialAction):
 
     For each CRT unit the key holds the sorted codes of the connected
     components of the partial G-set; a component's code is the least of
-    the rooted codes of its points (:func:`_component_from`), each read in
-    O(|G|) off the orbit map g -> a_g(x), so a key costs O(|G| r).  Each
+    the rooted codes of its points (:func:`~pargal.gset.canonical_form`),
+    each read in O(|G|) off the orbit map g -> a_g(x), so a key costs
+    O(|G| r).  Each
     unit's components are read from the roots that its certificate found
     (:class:`_SplitData`).  The codes hold group indices only, so the key
     does not depend on the labels of the points.  Isomorphic components
@@ -952,54 +779,7 @@ def canonical_key(act: PartialAction):
     data = _split_data(act)
     if data is None:
         return None
-    return tuple(_gset_code(*unit) for unit in zip(data.gsets, data.kept, data.roots))
-
-
-def _gset_code(maps, kept, roots):
-    """Canonical form of a partial G-set given as one partial map per g
-    (maps[g][i] = j, or None off the domain), with the rooted codes kept in
-    ``kept`` (:func:`_component_from`) and the root of each component in
-    ``roots``: the sorted component codes, each the least rooted code of a
-    point of the component."""
-    codes = []
-    for root in roots:
-        component = _component_from(maps, kept, root)[0]
-        codes.append(min(_component_from(maps, kept, x)[1] for x in component))
-    return tuple(sorted(codes))
-
-
-def _component_from(maps, kept, x, colour=None):
-    """The points of the component of x, in the order g first reaches them
-    as a_g(x), and the rooted code of x, computed once and kept in
-    ``kept[x]``.  The code holds, for each g, the first h with a_h(x) =
-    a_g(x), or -1 where a_g(x) is undefined; with ``colour``, one bit per
-    point, colour[y] for the points y in that order, follows.
-
-    On a partial G-set (:func:`_points_certified`) the component of x is
-    {a_g(x) : g in Dom_x}, and a_g(x) = a_h(x) exactly when g and h lie in
-    one coset of K_x.  So the code fixes Dom_x and K_x, and with them the
-    component rooted at x up to isomorphism: a_h(a_g(x)) = a_hg(x),
-    defined exactly when hg lies in Dom_x.  Two roots x and x' have equal
-    codes exactly when a_g(x) -> a'_g(x') is well defined and bijective,
-    and then it is an isomorphism of their components sending x to x',
-    which pairs the two orders point by point.  One pass over the maps:
-    O(|G|)."""
-    if kept[x] is None:
-        first = {}
-        code = [-1 if y is None else first.setdefault(y, g) for g, y in enumerate([f[x] for f in maps])]
-        order = list(first)
-        if colour is not None:
-            code += [colour[y] for y in order]
-        kept[x] = (order, tuple(code))
-    return kept[x]
-
-
-def _components(maps):
-    """The components of the partial G-set of the point maps ``maps``,
-    ordered by least point, and the component of each point: the orbits of
-    :func:`_orbit_quotient` with the maps as the members."""
-    orbits, _, comp = _orbit_quotient(len(maps[0]), None, (), maps, lambda _, a, p: a[p])
-    return orbits, comp
+    return tuple(gset.canonical_form(*unit) for unit in zip(data.gsets, data.kept))
 
 
 def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi=None) -> AlgebraMorphism:
@@ -1009,7 +789,7 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
 
     ``pi``, when given, is a bijection of the points of two certified point
     sets (:func:`_point_set`) with f e_x = e_pi(x), and the trap runs on
-    the point maps (:func:`_trap_on_points`) in O(|G| r).  There E'_g f =
+    the point maps (:func:`~pargal.gset.trap_on_points`) in O(|G| r).  There E'_g f =
     f E_g says pi(D_g) = D'_g, and f M_g = M'_g f E_(g^-1) says
     a'_g(pi(x)) = pi(a_g(x)) for x in D_(g^-1), both sides 0 elsewhere: a
     certified a_g is defined exactly on D_(g^-1).  The other checks hold
@@ -1029,7 +809,7 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
     else:
         ring = a.algebra.ring
         morphism = AlgebraMorphism.deferred(a.algebra, b.algebra, lambda: _point_matrix(ring, pi))
-        _trap_on_points(a.group, _point_set(a), _point_set(b), pi)
+        gset.trap_on_points(a.group, _point_set(a).maps, _point_set(b).maps, pi)
         if marked is not None:
             coords = [0] * len(pi)
             for x, c in enumerate(marked[0].coords):
@@ -1038,35 +818,6 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
     if marked is not None and image != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
-
-
-def _row_sources(rows):
-    """The index of the 1 in each of ``rows`` (None for a zero row) when
-    every row is 0/1 with at most one 1; None otherwise.  On the rows of a
-    matrix m this is where each entry of m v comes from, (m v)_i =
-    v[out[i]]; on its columns, ``zip(*m.rows)``, where each basis vector
-    goes, m e_j = e_(out[j])."""
-    out = []
-    for row in rows:
-        ones = row.count(1)
-        if ones > 1 or ones + row.count(0) != len(row):
-            return None
-        out.append(row.index(1) if ones else None)
-    return out
-
-
-def _trap_on_points(group: FiniteGroup, pa, pb, pi) -> None:
-    """The checks of :func:`_certified_witness` for f e_x = e_pi(x) between
-    the certified point sets ``pa`` and ``pb``, in the order and with the
-    messages of :func:`_trap_on_matrices`.  pi(D_g) = D'_g is read off the
-    domains of a_(g^-1) and a'_(g^-1)."""
-    for g in group.elements():
-        source_b = pb[group.inv(g)]
-        if any((source_b[pi[x]] is None) != (y is None) for x, y in enumerate(pa[group.inv(g)])):
-            raise AssertionError(f"iso_check: f(S_g) != S'_g at g={group.labels[g]} (bug trap)")
-        image_b = pb[g]
-        if any(j is not None and image_b[pi[x]] != pi[j] for x, j in enumerate(pa[g])):
-            raise AssertionError(f"iso_check: f alpha_g != alpha'_g f at g={group.labels[g]} (bug trap)")
 
 
 def _trap_on_matrices(a: PartialAction, b: PartialAction, morphism: AlgebraMorphism) -> None:

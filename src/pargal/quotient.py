@@ -11,9 +11,10 @@ through T^H.  The intrinsic route is primary; the globalized route is the
 differential oracle, and both are compared matrix-for-matrix.
 
 On a standard carrier whose partial G-set X passes the point-set
-certificate both routes keep one map of H-orbits per coset, read with
-the classes of G x X / ~ of the globalized route (:mod:`pargal.envelope`)
-by the one orbit reader :func:`~pargal.paction._orbit_quotient`.
+certificate both routes keep one map of H-orbits per coset, read off the
+point maps by the partial G-set core (:mod:`pargal.gset`): the closed
+forms by its orbit read, the globalized route off the classes of
+G x X / ~ (:mod:`pargal.envelope`) and the H-orbits of the restriction.
 """
 
 from __future__ import annotations
@@ -23,15 +24,13 @@ from dataclasses import dataclass
 from .scalars import Matrix, canonical_row_form
 from .algebra import AlgebraError, Element, SubAlgebra
 from .groups import Subgroup, QuotientData, quotient
+from . import gset
 from .paction import (
     ActionReport,
     PartialAction,
     _action_on_points,
-    _components,
     _invariants_on_points,
-    _orbit_quotient,
     _point_set,
-    _row_sources,
     galois_coordinates,
     invariants,
     restrict,
@@ -118,29 +117,29 @@ def _build_quotient_action(act, sub, qdata, map_for_rep, tilde_for_rep) -> Quoti
     return QuotientAction(act, sub, qdata, carrier, action, tilde)
 
 
-def _quotient_on_points(act, sub, qdata, orbits, images, comp) -> QuotientAction:
+def _quotient_on_points(act, sub, qdata, images, comp) -> QuotientAction:
     """The quotient action of the orbit maps ``images``, one per coset in
-    transversal order, on the indicators of the H-orbits ``orbits``, comp[p]
-    the orbit of p (:func:`~pargal.paction._invariants_on_points`).  1~_{gH}
-    is 1 on the image orbits, so the quotient's own 1_(gH), the domain of
-    the orbit map of g^-1 H, is written on first read; the maps must pass
-    the point-set certificate (a bug trap) and are kept with the roots it
-    found (:func:`~pargal.paction._action_on_points`)."""
-    carrier = _invariants_on_points(act.algebra, orbits, comp)
+    transversal order, on the indicators of the H-orbits, one per entry of
+    a map, comp[p] the orbit of p (:func:`~pargal.paction._invariants_on_points`).
+    1~_{gH} is 1 on the image orbits, so the quotient's own 1_(gH), the
+    domain of the orbit map of g^-1 H, is written on first read; the maps
+    must pass the point-set certificate (a bug trap), whose record is kept
+    (:func:`~pargal.paction._action_on_points`)."""
+    carrier = _invariants_on_points(act.algebra, comp, len(images[0]))
     action = _action_on_points(qdata.quotient, carrier.algebra, images, "alpha_{G/H}")
     tildes = [Element(act.algebra, tuple(int(c in hit) for c in comp)) for hit in map(set, images)]
     return QuotientAction(act, sub, qdata, carrier, action, tildes)
 
 
-def _orbit_maps(orbits, comp, sources) -> list:
+def _orbit_maps(least, comp, sources) -> list:
     """The orbit maps of the cosets gH read off alpha_{g^-1 H}(x)(p) =
     x(s), s = sources[q][p] for the coset q of g, or 0 where s is None:
     alpha_{gH} inverts it, sending the orbit of p to that of s.  Any vector
     not constant on the orbits escapes S^{alpha_H} (the bug traps).  Each
     term alpha_{gh}(x 1_{(gh)^-1}) of the closed form multiplies x by
     1_{(gh)^-1} <= 1~_{g^-1 H}, so alpha_{gH}(1_c 1~_{g^-1 H}) is 1 on the
-    orbits that draw from c, the H-orbits ``orbits``, comp[p] that of p."""
-    least = [orbit[0] for orbit in orbits]
+    orbits that draw from c, the H-orbits with the least points ``least``,
+    comp[p] that of p."""
     drawn = []
     for source in sources:
         if any((s is None) != (source[least[c]] is None) for s, c in zip(source, comp)):
@@ -157,7 +156,7 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
 
     On a certified point set (:func:`~pargal.paction._point_set`) the
     H-orbits, whose indicators span S^{alpha_H}, and the orbit maps are
-    read in one call of :func:`~pargal.paction._orbit_quotient`: the closed
+    read in one call of :func:`~pargal.gset.orbit_quotient`: the closed
     form of alpha_{gH} reads x at a_(g h_i)^-1(q) for the first h_i with q
     in D_(g h_i), a point of orbit k exactly when q lies in the image of k;
     1~_{gH} is 1 on the union of the D_gh, the image orbits.  Uncertified:
@@ -167,9 +166,10 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
     qdata = quotient(act.group, sub, transversal)
     points = _point_set(act)
     if points is not None:
-        table = act.group.table
-        return _quotient_on_points(act, sub, qdata, *_orbit_quotient(
-            act.algebra.rank, act.group.identity, qdata.transversal, sub.members, lambda g, h, p: points[table[g][h]][p]))
+        maps, table = points.maps, act.group.table
+        _, images, comp = gset.orbit_quotient(
+            act.algebra.rank, act.group.identity, qdata.transversal, sub.members, lambda g, h, p: maps[table[g][h]][p])
+        return _quotient_on_points(act, sub, qdata, images, comp)
     return _build_quotient_action(
         act,
         sub,
@@ -185,29 +185,30 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     On a certified point set (:func:`~pargal.paction._point_set`) the
     pull-down, beta_g, psi_H and the embedding are 0/1 matrices on the
     classes of G x X / ~ with at most one 1 a row, so their composite is
-    read as the row sources (:func:`~pargal.paction._row_sources`) of
+    read as the row sources (:func:`~pargal.gset.row_sources`) of
     each followed back from the class c(p) of p; 1_S is 1 on every c(x).
     The row sources of beta_g are pi_(g^-1), kept on the enveloping
     action.  Read at g^-1 H, it gives the orbit map of gH
-    (:func:`_orbit_maps`).  This route never evaluates the closed forms."""
+    (:func:`_orbit_maps`) on the H-orbits, the components of the
+    restriction to H (:func:`~pargal.paction.restrict`), whose
+    certificate found them.  This route never evaluates the closed forms."""
     from .envelope import globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
     qdata = quotient(act.group, sub)
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
-    points = _point_set(act)
-    if points is not None:
-        pull, through, up = (_row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
-        pis = _point_set(gd.enveloping_action)
+    if _point_set(act) is not None:
+        pull, through, up = (gset.row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
+        pis = _point_set(gd.enveloping_action).maps
         sources = []
         for q in qdata.quotient.inverse:
             source = pull
             for step in (pis[act.group.inv(qdata.transversal[q])], through, up):
                 source = [None if c is None else step[c] for c in source]
             sources.append(source)
-        orbits, comp = _components([points[h] for h in sub.members])
-        return _quotient_on_points(act, sub, qdata, orbits, _orbit_maps(orbits, comp, sources), comp)
+        orbits = _point_set(restrict(act, sub))
+        return _quotient_on_points(act, sub, qdata, _orbit_maps(orbits.roots, orbits.comp, sources), orbits.comp)
     T = gd.algebra
     down = gd.down
     emb = gd.embed.matrix

@@ -662,7 +662,7 @@ def test_a_rank_0_carrier_reads_no_orbit(argv, rank_zero, capsys):
     # set, H-orbits) is empty
     from pargal.paction import _point_set
 
-    assert _point_set(load_action(rank_zero)) == [[], []]
+    assert _point_set(load_action(rank_zero)).maps == [[], []]
     command, *options = argv
     assert run_cli(command, rank_zero, *options, "--json") == 0
     doc = json.loads(capsys.readouterr().out)

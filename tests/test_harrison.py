@@ -964,17 +964,17 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
             assert rep.passed, (c, members, [f.name for f in rep.failures()])
 
 
-# The orbit read of paction._orbit_quotient against a union-find over
-# every (h, point) pair, on every route that calls it (the product,
-# idempotent_class, the components of a certificate, quotient_action, the
-# enveloping set of globalize and the globalized quotient on points); the
+# The orbit read of gset.orbit_quotient against a union-find over every
+# (h, point) pair, on every route that calls it (the product,
+# idempotent_class, quotient_action, the enveloping set of globalize and
+# the globalized quotient on points); the
 # point set each result keeps against a fresh read of its matrices; and the
 # split invariants of a certified point set against the constraint solve
 # that every other carrier takes.
 
 
 def union_find_quotient(npoints, identity, reps, members, move):
-    """(orbits, images, orbit of each point) of paction._orbit_quotient,
+    """(orbits, images, orbit of each point) of gset.orbit_quotient,
     with the orbits found by a union-find over all |H| npoints (h, point)
     pairs, and each image read off every point of its orbit and every h,
     which must agree."""
@@ -1013,15 +1013,12 @@ def union_find_quotient(npoints, identity, reps, members, move):
 
 @contextlib.contextmanager
 def checked_orbit_quotients(calls):
-    """paction._orbit_quotient, wherever its callers look it up, checked on
-    every call against the union-find oracle; each call's arguments go to
+    """gset.orbit_quotient, where every caller looks it up, checked on every
+    call against the union-find oracle; each call's arguments go to
     ``calls``."""
-    import pargal.envelope as envelope
-    import pargal.harrison as harrison
-    import pargal.paction as paction
-    import pargal.quotient as quotient
+    import pargal.gset as gset
 
-    orbit_read = paction._orbit_quotient
+    orbit_read = gset.orbit_quotient
 
     def checked(*args):
         got = orbit_read(*args)
@@ -1029,9 +1026,7 @@ def checked_orbit_quotients(calls):
         calls.append(args)
         return got
 
-    with contextlib.ExitStack() as stack:
-        for module in (paction, envelope, quotient, harrison):
-            stack.enter_context(mock.patch.object(module, "_orbit_quotient", checked))
+    with mock.patch.object(gset, "orbit_quotient", checked):
         yield
 
 
@@ -1049,12 +1044,13 @@ def test_orbit_read_matches_the_union_find_oracle(pair):
         envelope = globalize(product.action)
         globalized = [quotient_via_globalization(product.action, sub) for sub in subs]
     built = [c.action for c in (product, *idems, square)] + [qa.action for qa in quotients + globalized]
-    # per class, a delta-G read (its certificate reads the roots the point
+    # per class, a delta-G read (its certificate reads the record the point
     # set's certificate kept); one read per quotient action; G x X / ~ for
-    # the envelope; and per globalized quotient, G x X / ~ and the H-orbits
-    assert len(calls) == 4 + len(subs) + 1 + 2 * len(subs)
+    # the envelope; and per globalized quotient, G x X / ~, with the
+    # H-orbits the certificate walk of the restriction to H found
+    assert len(calls) == 4 + len(subs) + 1 + len(subs)
     for act in built + [envelope.enveloping_action]:
-        assert act._maps is None and act._points[0] is not None
+        assert act._maps is None and act._points
         assert act._points == read_afresh(act)
 
 
@@ -1064,7 +1060,7 @@ def test_quotient_action_on_points_reads_the_orbits_once():
         calls = []
         with checked_orbit_quotients(calls):
             qa = quotient_action(act, sub)
-        assert len(calls) == 1 and qa.action._points[0] is not None
+        assert len(calls) == 1 and qa.action._points
         assert qa.carrier.basis == invariants(restrict(act, sub)).basis
 
 
@@ -1117,7 +1113,7 @@ def eager(act):
     from the point maps ``act`` holds."""
     from pargal.paction import _point_matrix
 
-    maps = [_point_matrix(act.algebra.ring, a) for a in act._points[0]]
+    maps = [_point_matrix(act.algebra.ring, a) for a in act._points.maps]
     return PartialAction(act.group, act.algebra, act.idems, maps)
 
 
@@ -1149,7 +1145,7 @@ def test_lazy_actions_match_the_eager_oracle(pair, k):
     for name, derive in derived.items():
         built[name], oracle[name] = derive(built["product"]), derive(oracle["product"])
     for name, act in built.items():
-        assert act._points is not None and act._points[0] is not None, name
+        assert act._points, name
         assert act._maps is None, name
     # copies made before any matrix is written, and compared after
     twins = {name: copy.deepcopy(act) for name, act in built.items()}
@@ -1163,7 +1159,7 @@ def test_lazy_actions_match_the_eager_oracle(pair, k):
         assert hash(act) == hash(want) == hash(twin), name
         assert act.maps == want.maps and twin.maps == want.maps, name
         assert copy.deepcopy(act) == act and copy.deepcopy(act).maps == want.maps, name
-        assert _point_set(want) == act._points[0], name
+        assert _point_set(want) == act._points, name
 
 
 def test_point_classes_write_no_matrix(monkeypatch):
@@ -1252,7 +1248,7 @@ def test_lazy_certificates_match_the_eager_oracles(c):
 
     from pargal.paction import galois_coordinates
 
-    assert c.action._points[0] is not None
+    assert c.action._points
     assert "witness" not in c.__dict__ and "fixed" not in c.__dict__
     twin = copy.deepcopy(c)
     full = eager_class(c.action)
@@ -1334,7 +1330,7 @@ def eager_envelope_labels(act):
     """The class sums of G x X / ~, as _globalize_points wrote them."""
     from pargal.paction import _point_set
 
-    maps, G, S = _point_set(act), act.group, act.algebra
+    maps, G, S = _point_set(act).maps, act.group, act.algebra
     n = S.rank
     point_labels = [f"{g}:{lab}" for g in G.labels for lab in S.labels]
     cls_of, labels = [None] * (G.order * n), []
@@ -1530,18 +1526,19 @@ def test_deferred_labels_hold_no_algebra(pair):
     assert square.action.algebra._labels is labels and isinstance(labels, list)
 
 
-# An action built on points holds only its maps and the roots of its
-# components.  Its 1_g and the table of its split carrier are written on
-# first read, and the certificate of its class reads the roots.  The
-# oracles are the eager constructions these replaced: 1_g as the
-# indicator of the image of a_g (as _quotient_on_points wrote it), the
-# split table written at once, the components of _components, and a fixed
-# point looked for at every point (test_paction.has_fixed_point).
+# An action built on points holds only the record of its certificate: its
+# maps, the roots of its components and the component of each point.  Its
+# 1_g and the table of its split carrier are written on first read, and the
+# certificate of its class reads the roots.  The oracles are the eager
+# constructions these replaced: 1_g as the indicator of the image of a_g
+# (as _quotient_on_points wrote it), the split table written at once, the
+# second walk of test_paction.components, and a fixed point looked for at
+# every point (test_paction.has_fixed_point).
 
 
 def read_afresh(act):
-    """The point set and roots that _point_set reads off a copy of ``act``
-    on its written 1_g and M_g, or (None, None)."""
+    """The record of the point set that _point_set reads off a copy of
+    ``act`` on its written 1_g and M_g, or False."""
     copy = PartialAction(act.group, act.algebra, act.idems, act.maps)
     _point_set(copy)
     return copy._points
@@ -1551,7 +1548,7 @@ def eager_idems(act):
     """The 1_g of an action on points written at once: the indicator of
     the image of a_g."""
     algebra = act.algebra
-    return tuple(Element(algebra, tuple(int(x in set(a)) for x in range(algebra.rank))) for a in act._points[0])
+    return tuple(Element(algebra, tuple(int(x in set(a)) for x in range(algebra.rank))) for a in act._points.maps)
 
 
 def eager_split_table(ring, rank):
@@ -1591,12 +1588,13 @@ def test_point_constructions_write_no_idempotent_or_table():
 
 
 def test_certify_of_a_point_set_reads_the_kept_roots(monkeypatch, tmp_path):
-    # certify walks no point set a second time: a built or loaded point set
-    # kept the roots of its certificate, and the one walk of an unread
-    # loaded file is that certificate
-    import pargal.harrison as harrison
+    # certify and invariants walk no point set a second time: a built or
+    # loaded point set kept the record of its certificate, so invariants
+    # call neither the certificate nor the orbit read, certify reads the
+    # roots alone, and the one walk of an unread loaded file is that
+    # certificate
+    import pargal.gset as gset
     import pargal.paction as paction
-    import pargal.quotient as quotient
     from pargal.actionfile import load_action, save_action
 
     c = subset_class(6, [0, 1, 3])
@@ -1605,15 +1603,16 @@ def test_certify_of_a_point_set_reads_the_kept_roots(monkeypatch, tmp_path):
     save_action(c.action, path)
     built = [c.action, c.star().action, product.action, idempotent_class(c.action).action,
              harrison_product(product, c.star()).action, load_action(path)]
-    assert not hasattr(paction, "_has_fixed_point") and not hasattr(harrison, "_components")
+    assert not hasattr(paction, "_components") and not hasattr(paction, "_point_roots")
     walks = []
-    for module, name in ((paction, "_components"), (quotient, "_components"), (paction, "_points_certified"),
-                         (harrison, "_fixes_a_root")):
-        walk = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args))
+    for name in ("certify", "orbit_quotient", "fixes_a_root"):
+        walk = getattr(gset, name)
+        monkeypatch.setattr(gset, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args))
     for act in built:
+        assert invariants(act).algebra.rank == 1
+        assert walks == []
         ExtensionClass.certify(act)
-        assert walks == ["_fixes_a_root"]
+        assert walks == ["fixes_a_root"]
         walks.clear()
     ExtensionClass.certify(load_action(path, verify=False))
-    assert walks == ["_points_certified", "_fixes_a_root"]
+    assert walks == ["certify", "fixes_a_root"]

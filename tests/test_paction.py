@@ -689,7 +689,7 @@ def breadth_first_key(act):
     if data is None:
         return None
     key = []
-    for maps in data.gsets:
+    for maps in (unit.maps for unit in data.gsets):
         codes, seen = [], set()
         for x in range(len(maps[0])):
             if x not in seen:
@@ -1254,9 +1254,9 @@ def read_permutation(fmat):
     """pi with f e_x = e_pi(x) when f is a square permutation matrix, else
     None: the witness read back as iso_check read it before it handed pi
     over to the trap."""
-    from pargal.paction import _row_sources
+    from pargal.gset import row_sources
 
-    pi = _row_sources(zip(*fmat.rows)) if fmat.nrows == fmat.ncols else None
+    pi = row_sources(zip(*fmat.rows)) if fmat.nrows == fmat.ncols else None
     return pi if pi is not None and None not in pi and len(set(pi)) == len(pi) else None
 
 
@@ -1443,7 +1443,7 @@ def point_trap_cases(draw):
     elif kind == "transposition":
         # D_g is the domain of a_(g^-1), so x and y lie in the same D_g when
         # every map is defined at both or at neither
-        points = _point_set(a)
+        points = _point_set(a).maps
         pairs = [
             (x, y)
             for x in range(r)
@@ -1498,10 +1498,10 @@ def test_point_trap_matches_the_dense_trap(case):
 
 
 def split_order_match(maps_a, maps_b, colour_a=None, colour_b=None):
-    """_match_components on the split-order maps of
+    """gset.match_components on the split-order maps of
     presentation_split_data, from the last index down on both sides, with
     codes kept afresh."""
-    from pargal.paction import _component_from
+    from pargal.gset import _component_from
 
     r = len(maps_a[0])
     kept_a, kept_b = [None] * r, [None] * r
@@ -1550,7 +1550,7 @@ def split_order_key(act):
     CRT unit, the sorted least rooted codes of the components, which a walk
     over the points finds, with codes kept afresh."""
     from pargal.algebra import find_split_presentation
-    from pargal.paction import _component_from
+    from pargal.gset import _component_from
 
     if find_split_presentation(act.algebra) is None:
         return None
@@ -1645,21 +1645,21 @@ def presentation_witness(a, b, sigmas):
 
 @pytest.fixture
 def matched_sigmas(monkeypatch):
-    """The bijections sigma that _match_components returns, in order:
+    """The bijections sigma that gset.match_components returns, in order:
     sigma[i] = k when it sends p_i to q_k, and on a point set p_i = e_i.
     One call serves every CRT unit when the units share their maps and
     colours."""
-    import pargal.paction as paction
+    import pargal.gset as gset
 
     calls = []
-    match = paction._match_components
+    match = gset.match_components
 
     def recorded(*args):
         sigma, unmatched = match(*args)
         calls.append(sigma)
         return sigma, unmatched
 
-    monkeypatch.setattr(paction, "_match_components", recorded)
+    monkeypatch.setattr(gset, "match_components", recorded)
     return calls
 
 
@@ -1672,13 +1672,13 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
     # witness is a permutation matrix, with the permutation it reads back.
     from dataclasses import replace
 
-    import pargal.paction as paction
+    import pargal.gset as gset
     from pargal.envelope import global_iso_check, globalize
     from pargal.paction import _point_set
 
     handed = []
-    trap = paction._trap_on_points
-    monkeypatch.setattr(paction, "_trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
+    trap = gset.trap_on_points
+    monkeypatch.setattr(gset, "trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
 
     def assert_presentation_witness(a, b, res):
         assert _point_set(a) is not None and _point_set(b) is not None
@@ -1735,6 +1735,7 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     # pair shows that the counters see calls
     import sys
 
+    import pargal.gset as gset
     import pargal.paction as paction
 
     pairs = []
@@ -1756,10 +1757,10 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     monkeypatch.setattr(Matrix, "mul", counted("Matrix.mul", Matrix.mul))
     monkeypatch.setattr(Matrix, "__init__", counted("Matrix.__init__", Matrix.__init__))
     monkeypatch.setattr(paction, "_point_matrix", counted("_point_matrix", paction._point_matrix))
-    monkeypatch.setattr(paction, "_match_components", counted("_match_components", paction._match_components))
+    monkeypatch.setattr(gset, "match_components", counted("match_components", gset.match_components))
     handed = []
-    trap = paction._trap_on_points
-    monkeypatch.setattr(paction, "_trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
+    trap = gset.trap_on_points
+    monkeypatch.setattr(gset, "trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
     monkeypatch.setattr(
         PartialAction, "idem_matrix", counted("PartialAction.idem_matrix", PartialAction.idem_matrix)
     )
@@ -1771,7 +1772,7 @@ def test_iso_check_on_point_sets_makes_no_matrix_product(ring, monkeypatch):
     results = []
     for a, b in pairs:
         res = iso_check(a, b)
-        assert calls == ["_match_components"] * (a.algebra.rank == b.algebra.rank)
+        assert calls == ["match_components"] * (a.algebra.rank == b.algebra.rank)
         calls.clear()
         results.append((a.algebra.rank, res))
     assert {res.status for _, res in results} == {"iso", "none"}
@@ -1844,7 +1845,7 @@ def presentation_gsets(act, idems, to_coords, units):
     D_{g^-1}.  Raises AlgebraError, naming the split index, when 1_g or
     alpha_g does not come from partial maps of the u p_i, or when those
     maps fail the certificate."""
-    from pargal.paction import _points_certified
+    from pargal.gset import certify
 
     ring = act.algebra.ring
     group = act.group
@@ -1877,7 +1878,7 @@ def presentation_gsets(act, idems, to_coords, units):
                     )
                 images.append(support[0] if support else None)
             maps.append(images)
-        if _points_certified(group, maps, domains) is None:
+        if certify(group, maps, domains) is None:
             raise AlgebraError(f"iso_check: the split idempotents of CRT unit {u} carry no partial G-set")
         out.append(maps)
     return out
@@ -1975,7 +1976,7 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
     # a handed-over point set must be what the reader reads off the result;
     # an action not yet read hands over nothing, and a restriction of an
     # uncertified one is left to be read
-    from pargal.paction import _point_roots, _point_set
+    from pargal.paction import _point_set
     from test_harrison import read_afresh
 
     subgroups = all_subgroups(act.group)
@@ -1984,10 +1985,10 @@ def test_restrict_and_inverse_hand_over_the_point_maps(act):
     certified = _point_set(act) is not None
     for sub in subgroups:
         out = restrict(act, sub)
-        assert (out._points is not None) == certified
-        # the roots of a restriction are its own, found on first read
-        assert out._points is None or out._points[0] == read_afresh(out)[0]
-        assert out._points is None or _point_roots(out) == read_afresh(out)[1]
+        # the components of a restriction are its own: its certificate
+        # walks them when it is built
+        assert bool(out._points) == certified
+        assert not out._points or out._points == read_afresh(out)
     star = inverse_action(act)
     assert star._points is not None and star._points == read_afresh(star)
 
@@ -2030,16 +2031,18 @@ def test_split_data_matches_the_presentation_route(act):
     from unittest import mock
 
     import pargal.paction as paction
-    from pargal.paction import _component_from, _point_set, _points_certified, _split_data
+    from pargal.gset import _component_from, certify
+    from pargal.paction import _point_set, _split_data
 
     ring, r = act.algebra.ring, act.algebra.rank
     standard = act.algebra.is_split()
 
     def split_fields(a):
         data = _split_data(a)
+        maps = [unit.maps for unit in data.gsets]
         if data.basis is None:
-            return [[int(t == i) for t in range(r)] for i in range(r)], Matrix.identity(ring, r), data.gsets, data.kept
-        return [list(col) for col in zip(*data.basis.rows)], data.to_coords, data.gsets, data.kept
+            return [[int(t == i) for t in range(r)] for i in range(r)], Matrix.identity(ring, r), maps, data.kept
+        return [list(col) for col in zip(*data.basis.rows)], data.to_coords, maps, data.kept
 
     with mock.patch.object(paction, "find_split_presentation", wraps=paction.find_split_presentation) as found:
         got = outcome(split_fields, act)
@@ -2050,14 +2053,13 @@ def test_split_data_matches_the_presentation_route(act):
     if got[0] != "AlgebraError":
         data = _split_data(act)
         assert (data.basis is None) == standard
-        # a point set hands its point maps and their roots over to every unit
+        # a point set hands its record over to every unit
         assert data.units == ring.crt_units
         if _point_set(act) is not None:
-            assert all(maps is _point_set(act) for maps in data.gsets)
-            assert all(roots is paction._point_roots(act) for roots in data.roots)
-        for maps, roots in zip(data.gsets, data.roots):
-            assert roots == _points_certified(act.group, maps)
-            assert sorted(y for x in roots for y in _component_from(maps, [None] * r, x)[0]) == list(range(r))
+            assert all(unit is _point_set(act) for unit in data.gsets)
+        for unit in data.gsets:
+            assert unit == certify(act.group, unit.maps)
+            assert sorted(y for x in unit.roots for y in _component_from(unit.maps, [None] * r, x)[0]) == list(range(r))
     if not standard:
         assert _point_set(act) is None
         return
@@ -2082,7 +2084,7 @@ def test_actions_on_points_trap_maps_that_are_no_partial_g_set():
         with pytest.raises(AssertionError, match=r"^a_g fails the point-set certificate \(bug trap\)$"):
             _action_on_points(z2, Algebra.split(QQ, ["x", "y"]), maps, "a_g")
     act = _action_on_points(z2, Algebra.split(QQ, ["x", "y"]), [[0, 1], [1, 0]], "a_g")
-    assert act._points == ([[0, 1], [1, 0]], [0]) and verify_partial_action(act).passed
+    assert act._points == ([[0, 1], [1, 0]], [0], [0, 0]) and verify_partial_action(act).passed
 
 
 def test_point_set_reader_refuses_all_but_0_1_permutation_data():
@@ -2134,11 +2136,12 @@ POINT_SET_FAILURES = [
 @pytest.mark.parametrize("n, domains, maps, name", [c[1:] for c in POINT_SET_FAILURES],
                          ids=[c[0] for c in POINT_SET_FAILURES])
 def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, maps, name):
-    from pargal.paction import _point_set, _points_certified, _verify_on_matrices
+    from pargal.gset import certify
+    from pargal.paction import _point_set, _verify_on_matrices
 
     act = points_action(ring, n, domains, maps)
     # 0/1 data with one 1 at most in each column, refused by the certificate
-    assert _points_certified(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains]) is None
+    assert certify(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains]) is None
     assert _point_set(act) is None
     report = report_of(verify_partial_action(act))
     assert report == report_of(_verify_on_matrices(act)) == report_of(reference_verify_partial_action(act))
@@ -2180,6 +2183,42 @@ def itemgetter_points_certified(group, maps, domains):
     return all(after[h](full[g]) == after[gh](on[g]) for g, row in enumerate(group.table) for h, gh in enumerate(row))
 
 
+def walked_roots(group, maps, domains=None):
+    """The roots of the components of the partial G-set of ``maps`` and
+    ``domains``, or None: the certificate walk as it was before it numbered
+    the components, marking each point reached."""
+    if any(j != i for i, j in enumerate(maps[group.identity])):
+        return None
+    if domains is not None and any(
+        [j is not None for j in maps[gi]] != list(map(bool, dom)) for gi, dom in zip(group.inverse, domains)
+    ):
+        return None
+    reached = [False] * len(maps[group.identity])
+    roots = []
+    for x, done in enumerate(reached):
+        if done:
+            continue
+        roots.append(x)
+        phi = [a[x] for a in maps]
+        dom = [g for g, y in enumerate(phi) if y is not None]
+        points = [phi[g] for g in dom]
+        for y in points:
+            reached[y] = True
+        if any([a[y] for y in points] != [phi[hg[g]] for g in dom] for a, hg in zip(maps, group.table)):
+            return None
+    return roots
+
+
+def components(maps):
+    """The components of the partial G-set of the point maps ``maps``,
+    ordered by least point, and the component of each point: a second walk,
+    the orbits of gset.orbit_quotient with the maps as the members."""
+    from pargal.gset import orbit_quotient
+
+    orbits, _, comp = orbit_quotient(len(maps[0]), None, (), maps, lambda _, a, p: a[p])
+    return orbits, comp
+
+
 @st.composite
 def partial_maps(draw):
     """A group of order <= 4 with one partial map of r <= 4 points and one
@@ -2195,7 +2234,7 @@ def partial_maps(draw):
         points = draw(st.permutations(gset_points(orbits)))
         r = min(r, len(points))
         act = gset_action(QQ, n, orbits, points[:r])
-        maps = [list(m) for m in _point_set(act)]
+        maps = [list(m) for m in _point_set(act).maps]
         domains = [[c == 1 for c in e.coords] for e in act.idems]
         g, i = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1))
         edit = draw(st.sampled_from(["none", "map", "domain"]))
@@ -2246,14 +2285,14 @@ def coset_point_sets(draw):
 @given(st.one_of(partial_maps(), coset_point_sets()))
 @settings(max_examples=600, deadline=None)
 def test_point_set_certificate_matches_the_pointwise_reference(case):
-    from pargal.paction import _points_certified
+    from pargal.gset import certify
 
-    certified = _points_certified(*case) is not None
+    certified = certify(*case) is not None
     assert certified == reference_points_certified(*case) == itemgetter_points_certified(*case)
     # with no domains they are read off the maps, as _action_on_points does
     group, maps, _ = case
     own = [[j is not None for j in maps[gi]] for gi in group.inverse]
-    assert (_points_certified(group, maps) is not None) == reference_points_certified(group, maps, own)
+    assert (certify(group, maps) is not None) == reference_points_certified(group, maps, own)
 
 
 def regular_z4_with_a_flipped_domain_bit():
@@ -2282,10 +2321,10 @@ NAMED_POINT_SETS = [
 @pytest.mark.parametrize("build, expected", [c[1:] for c in NAMED_POINT_SETS],
                          ids=[c[0] for c in NAMED_POINT_SETS])
 def test_named_point_sets_decide_alike_under_every_certificate(build, expected):
-    from pargal.paction import _points_certified
+    from pargal.gset import certify
 
     case = build()
-    certified = _points_certified(*case) is not None
+    certified = certify(*case) is not None
     assert certified == reference_points_certified(*case) == itemgetter_points_certified(*case) == expected
 
 
@@ -2343,19 +2382,19 @@ def test_galois_verify_sums_through_the_point_maps(ring, monkeypatch):
 def test_iso_check_reuses_the_codes_of_canonical_key(monkeypatch):
     # canonical_key computes the rooted code of each point once and keeps
     # it on the split data; iso_check reads the kept codes back
-    import pargal.paction as paction
+    import pargal.gset as gset
 
     a = standard_corpus()["ex2"]
     b = relabel(a, list(reversed(range(a.algebra.rank))))
     computed = []
-    component_from = paction._component_from
+    component_from = gset._component_from
 
     def counted(maps, kept, x, colour=None):
         if kept[x] is None:
             computed.append(x)
         return component_from(maps, kept, x, colour)
 
-    monkeypatch.setattr(paction, "_component_from", counted)
+    monkeypatch.setattr(gset, "_component_from", counted)
     assert canonical_key(a) == canonical_key(b)
     assert sorted(computed) == sorted(2 * list(range(a.algebra.rank)))
     computed.clear()
@@ -2406,7 +2445,7 @@ def certify_outcome(act):
 
 def has_fixed_point(group, maps):
     """Whether some a_g with g != 1 of the point maps fixes a point, read at
-    every point: the oracle of the root read _fixes_a_root."""
+    every point: the oracle of the root read gset.fixes_a_root."""
     return any(j == i for g in group.elements() if g != group.identity for i, j in enumerate(maps[g]))
 
 
@@ -2415,8 +2454,7 @@ def has_fixed_point(group, maps):
 def test_point_decisions_match_the_matrix_route(act, data):
     from pargal.paction import _point_set, galois_coordinates
 
-    points = _point_set(act)
-    assert points is not None
+    points = _point_set(act).maps
     r = act.algebra.rank
     copy = rebased(act, data.draw(unitriangular(act.algebra.ring, r)))
     # a permutation matrix keeps a point set, and rank 1 over F_2 has no
@@ -2466,14 +2504,15 @@ def test_rooted_codes_match_the_breadth_first_codes(pair, data):
     # the two codes tell the same actions apart
     from itertools import product
 
-    from pargal.paction import _component_from, _split_data
+    from pargal.gset import _component_from
+    from pargal.paction import _split_data
 
     roots = []
     for act in pair:
         r = act.algebra.rank
         colour = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
-        for maps, c, x in product(_split_data(act).gsets, (None, colour), range(r)):
-            roots.append((c is None, _component_from(maps, [None] * r, x, c), breadth_first_code(maps, x, c)))
+        for unit, c, x in product(_split_data(act).gsets, (None, colour), range(r)):
+            roots.append((c is None, _component_from(unit.maps, [None] * r, x, c), breadth_first_code(unit.maps, x, c)))
     for (plain, new, old), (plain2, new2, old2) in product(roots, repeat=2):
         if plain == plain2:
             assert (new[1] == new2[1]) == (old[1] == old2[1])
@@ -2486,8 +2525,9 @@ def test_rooted_codes_match_the_breadth_first_codes(pair, data):
 # The first reads of an action on points (1_g, the split table) and the
 # root reads of its certificate, against the eager constructions that
 # tests/test_harrison.py keeps (eager_idems, eager_split_table), the
-# components of _components and has_fixed_point, over subset classes, their
-# stars, products, idempotent classes, quotients and CRT-glued pairs.
+# roots of walked_roots, the components of components and has_fixed_point,
+# over subset classes, their stars, products, idempotent classes, quotients
+# and CRT-glued pairs.
 
 
 @given(subset_class_pairs(), st.data())
@@ -2495,7 +2535,8 @@ def test_rooted_codes_match_the_breadth_first_codes(pair, data):
 def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
     from pargal.envelope import globalize
     from pargal.harrison import ExtensionClass, harrison_product, idempotent_class
-    from pargal.paction import _components, _fixes_a_root, _point_roots, _point_set, _points_certified, _split_data
+    from pargal.gset import fixes_a_root
+    from pargal.paction import _point_set, _split_data
     from pargal.quotient import quotient_action, quotient_via_globalization
     from test_harrison import cyclic_subgroups, eager_idems, eager_split_table
 
@@ -2542,18 +2583,55 @@ def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
             return str(exc)
 
     for act in actions:
-        held = act._points is not None and act._points[0] is not None
-        if held and act._idems is None:
+        if act._points and act._idems is None:
             assert act.idems == eager_idems(act)
         if act.algebra._table is None:
             assert act.algebra.table == eager_split_table(act.algebra.ring, act.algebra.rank)
         points = _point_set(act)
         gsets = [points] if points is not None else _split_data(act).gsets
-        for maps in gsets:
-            roots = _points_certified(act.group, maps)
-            assert roots == [orbit[0] for orbit in _components(maps)[0]]
-            assert _fixes_a_root(act.group, maps, roots) == has_fixed_point(act.group, maps)
-        if points is not None:
-            assert _point_roots(act) == roots
+        for unit in gsets:
+            orbits, comp = components(unit.maps)
+            assert unit.roots == walked_roots(act.group, unit.maps) == [orbit[0] for orbit in orbits]
+            assert unit.comp == comp
+            assert fixes_a_root(act.group, unit) == has_fixed_point(act.group, unit.maps)
         # a copy on written matrices and a written table, read afresh
         assert outcome(act) == outcome(relabel(act, list(range(act.algebra.rank))))
+
+
+@given(partial_zn_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_certificate_record_matches_the_walks_it_replaced(act, data):
+    # the one walk of gset.certify against the walk that kept only the
+    # roots, the second walk of components, the union-find orbits and the
+    # pointwise reference, on a partial Z_n-set, its restriction to each
+    # cyclic subgroup, and its maps or domains with one entry perturbed
+    from pargal.gset import certify
+    from pargal.paction import _point_set
+    from test_harrison import cyclic_subgroups, union_find_quotient
+
+    group, maps = act.group, _point_set(act).maps
+    r = len(maps[0])
+    cases = [(group, maps)] + [(sub.as_group(), [maps[m] for m in sub.members]) for sub in cyclic_subgroups(group)]
+    perturbed = [list(a) for a in maps]
+    g, i = data.draw(st.integers(0, group.order - 1)), data.draw(st.integers(0, r - 1))
+    perturbed[g][i] = data.draw(st.sampled_from([None, *range(r)]))
+    cases.append((group, perturbed))
+    for grp, case in cases:
+        own = [[j is not None for j in case[gi]] for gi in grp.inverse]
+        domains = [list(d) for d in own]
+        if data.draw(st.booleans()):
+            h, k = data.draw(st.integers(0, grp.order - 1)), data.draw(st.integers(0, r - 1))
+            domains[h][k] = not domains[h][k]
+        for doms in (own, domains):
+            got = certify(grp, case, doms)
+            assert (got is None) == (not reference_points_certified(grp, case, doms))
+            assert (got is None) == (walked_roots(grp, case, doms) is None)
+        got = certify(grp, case)
+        assert got == certify(grp, case, own)
+        if got is None:
+            continue
+        orbits, comp = components(case)
+        found = union_find_quotient(r, grp.identity, (), case, lambda _, a, p: a[p])
+        assert got.maps is case
+        assert got.roots == walked_roots(grp, case) == [orbit[0] for orbit in orbits]
+        assert got.comp == comp == found[2]

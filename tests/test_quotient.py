@@ -280,22 +280,23 @@ def test_point_route_traps_vectors_outside_the_invariants():
     assert carrier.basis.rows == [[1, 0, 1], [0, 1, 0]]
     # sources: point 2 undefined, so 1~_{gH} splits the orbit {e1, e3};
     # then point 2 drawn from e2, so alpha_{gH} splits it
-    # the H-orbits {e1, e3} and {e2}, and the orbit of each point
-    orbits, comp = [[0, 2], [1]], [0, 1, 0]
+    # the H-orbits {e1, e3} and {e2}, by least point, and the orbit of each
+    # point
+    least, comp = [0, 1], [0, 1, 0]
     for sources, trap in (([0, 1, None], "1~_{gH} escaped"), ([0, 1, 1], "alpha_{gH} left")):
         with pytest.raises(AssertionError, match=re.escape(trap)):
-            _orbit_maps(orbits, comp, [sources] * 2)
-    assert _orbit_maps(orbits, comp, [[0, 1, 2], [1, 0, 1]]) == [[0, 1], [1, 0]]
+            _orbit_maps(least, comp, [sources] * 2)
+    assert _orbit_maps(least, comp, [[0, 1, 2], [1, 0, 1]]) == [[0, 1], [1, 0]]
     # orbit maps that are no partial G/H-set: the identity coset moves, or
     # sends both orbits to {e1, e3}
     qdata = quotient(act.group, h)
-    qa = _quotient_on_points(act, h, qdata, orbits, [[0, 1], [1, 0]], comp)
+    qa = _quotient_on_points(act, h, qdata, [[0, 1], [1, 0]], comp)
     # one component, rooted at orbit 0
-    assert qa.action._points == ([[0, 1], [1, 0]], [0])
+    assert qa.action._points == ([[0, 1], [1, 0]], [0], [0, 0])
     assert qa.carrier.basis == carrier.basis and qa.carrier.algebra == carrier.algebra
-    for images in ([[1, 0], [1, 0]], _orbit_maps(orbits, comp, [[0, 0, 0]] * 2)):
+    for images in ([[1, 0], [1, 0]], _orbit_maps(least, comp, [[0, 0, 0]] * 2)):
         with pytest.raises(AssertionError, match="certificate"):
-            _quotient_on_points(act, h, qdata, orbits, images, comp)
+            _quotient_on_points(act, h, qdata, images, comp)
 
 
 @pytest.fixture
@@ -338,7 +339,7 @@ def test_point_routes_keep_their_point_maps():
             built += [f.action for f in cyclic_decompose(ExtensionClass.certify(standard_corpus(ring)[name]), orders)]
     for out in built:
         assert out._maps is None
-        assert out._points[0] is not None
+        assert out._points
         assert out._points == read_afresh(out)
 
 
