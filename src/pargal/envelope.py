@@ -9,9 +9,10 @@ the group identity, since t * iota(1_S) = iota(t(1)).
 
 On a standard carrier whose partial G-set X passes the point-set
 certificate, the translates are the indicators of the classes of the
-enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), read by the orbit read
-of the partial G-set core (:func:`~pargal.gset.orbit_quotient`), so T,
-beta and the embedding are read off the classes without a row reduction,
+enveloping set G x X / ~ (Abadie; Dokuchaev-Exel), read by the partial
+G-set core (:func:`~pargal.gset.envelope`) and built as an action by
+:func:`~pargal.paction._orbit_action`, so T, beta and the embedding are
+read off the classes without a row reduction,
 and the certificate tests that X is the restriction of that set.  Every
 other action takes the span of translates and the matrix checks; so does
 data that fails that test, so every report and witness is the matrix one.
@@ -44,8 +45,8 @@ from .paction import (
     Check,
     IsoResult,
     PartialAction,
-    _action_on_points,
     _match_iso,
+    _orbit_action,
     _point_set,
     global_action,
     invariants,
@@ -117,10 +118,7 @@ def globalize(act: PartialAction) -> GlobalizationData:
     (:func:`_globalize_matrices`).  Both build the same data.
     """
     points = _point_set(act)
-    if points is not None:
-        gd = _globalize_points(act, points.maps)
-    else:
-        gd = _globalize_matrices(act)
+    gd = _globalize_points(act, points) if points is not None else _globalize_matrices(act)
     rep = certify_globalization(gd)
     if not rep.passed:
         raise AssertionError(
@@ -130,43 +128,20 @@ def globalize(act: PartialAction) -> GlobalizationData:
     return gd
 
 
-def _globalize_points(act: PartialAction, maps) -> GlobalizationData:
-    """The globalization of a partial G-set X (point maps ``maps``, see
-    :func:`~pargal.paction._point_set`) as the enveloping set G x X / ~.
-
-    Point (g, y) of G x X is basis vector y of slot g of S^G.  The vector
-    beta_h iota(e_x) has the support {(k h^-1, a_k(x)) : x in D_(k^-1)},
-    and since a_g a_h is contained in a_gh, any two such supports are equal
-    or disjoint.  They partition G x X into the orbits of G x 1 in the
-    partial G x G-set (k, t)(g, y) = (k g t^-1, a_k(y)), ordered by least
-    point (:func:`~pargal.gset.orbit_quotient`), whose indicators are
-    the rows of the canonical row form that :func:`_globalize_matrices`
-    computes.  So T is split on their labels, beta_t permutes them by pi_t,
-    the image of the coset of (1, t), and e_x embeds as the class c(x) of
-    (1, x).  The pi_t are the data's enveloping action, the global action
-    of G on the classes (:func:`~pargal.paction._action_on_points`); no beta
-    matrix is written, and the labels of T, the sums of the point labels
-    g:<label> of each class, are written on first read.
-    """
-    G = act.group
-    S = act.algebra
-    ring = S.ring
-    n = S.rank
-    table, inverse = G.table, G.inverse
-
-    def move(t, k, p):
-        # (k, t) sends (g, y) to (k g t^-1, a_k(y))
-        j = maps[k][p % n]
-        return None if j is None else table[table[k][p // n]][inverse[t]] * n + j
-
-    classes, pis, c = gset.orbit_quotient(G.order * n, G.identity, G.elements(), G.elements(), move)
+def _globalize_points(act: PartialAction, points) -> GlobalizationData:
+    """The globalization of the certified partial G-set X of ``act``, its
+    record ``points``, on the enveloping set G x X / ~
+    (:func:`~pargal.gset.envelope`).  The indicators of the classes are the
+    rows of the canonical row form that :func:`_globalize_matrices`
+    computes, so T is split on them, beta_t permutes them by pi_t, the
+    enveloping action (:func:`~pargal.paction._orbit_action`, labelled by
+    the points g:<label>), and e_x embeds as the class c(x) of (1, x)."""
+    G, S = act.group, act.algebra
+    ring, n = S.ring, S.rank
+    classes, pis, c = gset.envelope(G, points)
     group_labels = G.labels
-
-    def write(labels):
-        names = [f"{g}:{lab}" for g in group_labels for lab in labels]
-        return [" + ".join(names[p] for p in members) for members in classes]
-
-    env = _action_on_points(G, Algebra.split(ring, deferred_labels(write, S), len(classes)), pis, "beta")
+    point_labels = deferred_labels(lambda labels: [f"{g}:{lab}" for g in group_labels for lab in labels], S)
+    env = _orbit_action(G, ring, classes, pis, point_labels, "beta")
     T, k = env.algebra, len(classes)
     embed = [[0] * n for _ in range(k)]
     down = [[0] * k for _ in range(n)]

@@ -177,11 +177,15 @@ class Subgroup:
         return len(self.members)
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a group of its own, elements in member order."""
-        pos = {m: i for i, m in enumerate(self.members)}
-        labels = [self.parent.labels[m] for m in self.members]
-        table = [[pos[self.parent.mul(a, b)] for b in self.members] for a in self.members]
-        return FiniteGroup(labels, table, validate=False)
+        """The subgroup as a group of its own, elements in member order,
+        built once and kept off the fields that ``==`` and ``repr`` read."""
+        group = self.__dict__.get("_group")
+        if group is None:
+            pos = {m: i for i, m in enumerate(self.members)}
+            labels = [self.parent.labels[m] for m in self.members]
+            table = [[pos[self.parent.mul(a, b)] for b in self.members] for a in self.members]
+            group = self._group = FiniteGroup(labels, table, validate=False)
+        return group
 
 
 def subgroup_closure(group: FiniteGroup, seeds) -> Subgroup:

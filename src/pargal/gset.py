@@ -6,16 +6,18 @@ standard basis it is the partial action whose 1_g is the indicator of the
 domain of a_(g^-1) and whose alpha_g sends e_i to e_(a_g(i));
 :mod:`pargal.paction` keeps that view.  This module holds plain lists only,
 with no algebra: the reader and the certificate, whose one walk yields the
-record of a partial G-set (:class:`PartialGSet`), the orbit read of its
-quotients, the rooted codes that match and key its components, and the
-point trap of an iso witness.
+record of a partial G-set (:class:`PartialGSet`), the one orbit read of its
+quotients with the move of each (the H-quotient, the delta-G quotients of
+the product X x Y and of the hat set P, and the enveloping set G x X / ~),
+the rooted codes that match and key its components, and the point trap of
+an iso witness.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, GroupError
 
 
 class PartialGSet(NamedTuple):
@@ -116,13 +118,14 @@ def fixes_a_root(group: FiniteGroup, gset: PartialGSet) -> bool:
     return any(maps[g][x] == x for g in group.elements() if g != group.identity for x in gset.roots)
 
 
-def orbit_quotient(npoints: int, identity, reps, members, move):
+def _orbit_quotient(npoints: int, identity, reps, members, move):
     """The quotient of a partial G-set X on the points 0 .. npoints - 1 by
     a normal subgroup H: its H-orbits, ascending and ordered by least point;
     for each g of ``reps`` the map sending orbit k to the orbit of
     ``move(g, h, p)`` = a_gh(p), p the least point of k, for the first h of
     ``members`` (the elements of H) where it is defined, else None; and the
-    orbit of each point.  It is the one orbit read of a quotient.
+    orbit of each point.  It is the one orbit read of a quotient, and every
+    read below hands it the move of its own points.
 
     X is the restriction of a G-set Y (:func:`certify`).  The orbit of p is
     {a_h(p) : h in H}, one move per h, so the unvisited point of least
@@ -150,6 +153,87 @@ def orbit_quotient(npoints: int, identity, reps, members, move):
                     break
         images.append(image)
     return orbits, images, comp
+
+
+def quotient(group: FiniteGroup, gset: PartialGSet, reps, members):
+    """The read of :func:`_orbit_quotient` of ``gset`` by the normal
+    subgroup of the elements ``members``, one orbit map per representative
+    g of ``reps``: the move of p by (g, h) is a_gh(p)."""
+    maps, table = gset.maps, group.table
+    return _orbit_quotient(len(maps[0]), group.identity, reps, members, lambda g, h, p: maps[table[g][h]][p])
+
+
+def _delta_read(group: FiniteGroup, npoints: int, move):
+    """The read of a partial G x G-set by delta G = {(s, s^-1)}, the coset
+    of (g, 1) at g: ``move(g, s, p)`` is the image of p under (gs, s^-1)."""
+    if not group.is_abelian():
+        raise GroupError("delta subgroup requires an abelian group")
+    return _orbit_quotient(npoints, group.identity, group.elements(), group.elements(), move)
+
+
+def product(group: FiniteGroup, a: PartialGSet, b: PartialGSet):
+    """The delta-G read of X x Y, the points of ``a`` and ``b``, whose
+    orbits are the components of the product of their classes: point (x, y)
+    is x |Y| + y, as e_x (x) e_y in the tensor basis, and (l, t) sends it
+    to (a_l(x), b_t(y)), a partial G x G-set, the restriction of the
+    product of the G-sets that X and Y restrict."""
+    map_a, map_b = a.maps, b.maps
+    ny, table, inverse = len(map_b[0]), group.table, group.inverse
+
+    def move(g, s, p):
+        u, v = map_a[table[g][s]][p // ny], map_b[inverse[s]][p % ny]
+        return None if u is None or v is None else u * ny + v
+
+    return _delta_read(group, len(map_a[0]) * ny, move)
+
+
+def hat(group: FiniteGroup, a: PartialGSet):
+    """The points P = [(g, i) : i in D_g] of prod_g S_g, ordered by g and
+    then i, and their delta-G read, whose orbits are the components of the
+    idempotent class of ``a``; D_g is the domain of a_(g^-1).
+
+    The hat action of (l, t) sends (g, i) to (ltg, a_l(i)) when i lies in
+    D_tg and D_(l^-1) and a_l(i) lies in D_ltg, which is what E_h M_l E_tg
+    does in :func:`~pargal.harrison.hat_action`: with X the restriction of
+    a G-set Y, P is that of the G x G-set G x Y, (l, t)(g, y) = (ltg, ly)
+    (G is abelian), as i lies in D_g when i and g^-1 i lie in X.  So a_l(i)
+    in D_ltg already puts i in D_tg."""
+    maps, table = a.maps, group.table
+    index, points = {}, []
+    for g, gi in enumerate(group.inverse):
+        for i, j in enumerate(maps[gi]):
+            if j is not None:
+                index[g, i] = len(points)
+                points.append((g, i))
+
+    def move(g, s, p):
+        # (gs, s^-1) sends (h, i) to (gh, a_gs(i))
+        h, i = points[p]
+        j = maps[table[g][s]][i]
+        return None if j is None else index.get((table[g][h], j))
+
+    return points, _delta_read(group, len(points), move)
+
+
+def envelope(group: FiniteGroup, a: PartialGSet):
+    """The read of the enveloping set G x X / ~ of ``a`` (Abadie): its
+    classes, the permutation pi_t of the classes at each t, and the class
+    of each point (g, y), numbered g |X| + y as e_y in slot g of S^G.
+
+    The class of (1, x) is {(k, a_k(x)) : x in D_(k^-1)}, the support of
+    iota(e_x), and since a_g a_h is contained in a_gh, any two translates
+    of such supports are equal or disjoint.  They partition G x X into the
+    orbits of G x 1 in the partial G x G-set (k, t)(g, y) = (k g t^-1,
+    a_k(y)), and pi_t is the image of the coset of (1, t)."""
+    maps, n = a.maps, len(a.maps[0])
+    table, inverse = group.table, group.inverse
+
+    def move(t, k, p):
+        # (k, t) sends (g, y) to (k g t^-1, a_k(y))
+        j = maps[k][p % n]
+        return None if j is None else table[table[k][p // n]][inverse[t]] * n + j
+
+    return _orbit_quotient(group.order * n, group.identity, group.elements(), group.elements(), move)
 
 
 def canonical_form(gset: PartialGSet, kept):

@@ -4,7 +4,10 @@ idempotent classes, the trivial extension, and the inverse-semigroup suite.
 Classes of partial Galois extensions of the base ring with one abelian group
 multiply by [S, a] * [S', a'] = [(S (x) S')^{delta G}, (a (x) a')_{(GxG)/delta G}],
 with coset representatives fixed as {(g, 1)} so the identification of
-(G x G)/delta G with G is definitional.
+(G x G)/delta G with G is definitional.  On standard carriers the
+product's and the idempotent class's delta-G quotients are orbit reads of
+the core (:func:`~pargal.gset.product`, :func:`~pargal.gset.hat`); other
+carriers take the tensor or hat action as matrices.
 """
 
 from __future__ import annotations
@@ -15,22 +18,20 @@ from functools import cached_property
 
 from .scalars import Matrix
 from .algebra import (
-    Algebra,
     AlgebraError,
     ProductAlgebra,
     SubAlgebra,
     deferred_labels,
-    format_coords,
     product_over_ideals,
     tensor_labels,
 )
-from .groups import FiniteGroup, GroupError, direct_square, make_cyclic, make_product, multiply_to, delta_subgroup, delta_transversal
+from .groups import FiniteGroup, direct_square, make_cyclic, make_product, multiply_to, delta_subgroup, delta_transversal
 from . import gset
 from .paction import (
     ActionReport,
     GaloisCoordinates,
     PartialAction,
-    _action_on_points,
+    _orbit_action,
     _point_set,
     canonical_key,
     galois_coordinates,
@@ -166,103 +167,14 @@ def _identify_with_group(qa: QuotientAction, base_group: FiniteGroup) -> Partial
     return transport(qa.action, base_group, list(base_group.elements()))
 
 
-def _gset_product(a: PartialAction, b: PartialAction) -> PartialAction | None:
-    """The delta-G quotient of the tensor action of ``a`` and ``b``, computed on
-    the point set X x Y when both operands are certified point sets
-    (:func:`~pargal.paction._point_set`); None otherwise.
-
-    Point (x, y) is the tensor basis index x |Y| + y, and (l, t) sends it to
-    (a_l x, a'_t y): a partial G x G-set, the restriction of a product of
-    G-sets; see :func:`_delta_quotient`.
-    """
-    set_a, set_b = _point_set(a), _point_set(b)
-    if set_a is None or set_b is None:
-        return None
-    map_a, map_b = set_a.maps, set_b.maps
-    ny = b.algebra.rank
-    table, inverse = a.group.table, a.group.inverse
-
-    def move(g, s, p):
-        u, v = map_a[table[g][s]][p // ny], map_b[inverse[s]][p % ny]
-        return None if u is None or v is None else u * ny + v
-
-    point_labels = deferred_labels(tensor_labels, a.algebra, b.algebra)
-    return _delta_quotient(a.group, a.algebra.ring, a.algebra.rank * ny, move, point_labels)
-
-
-def _hat_gset_quotient(act: PartialAction) -> PartialAction | None:
-    """E(S, alpha) computed on the point set of prod_g S_g when ``act`` is a
-    certified point set (:func:`~pargal.paction._point_set`); None
-    otherwise.
-
-    prod_g S_g is then R^P for the points P = {(g, i) : i in D_g}, ordered
-    by g and then i and labelled [g]<label of e_i>, as
-    :func:`~pargal.algebra.product_over_ideals` presents it.  The hat action
-    of (l, t) sends (g, i) to (ltg, a_l(i)) when i lies in D_tg and D_(l^-1)
-    and a_l(i) lies in D_ltg, which is what E_h M_l E_tg does in
-    :func:`hat_action`: with X the restriction of a G-set Y, P is that of
-    the G x G-set G x Y, (l, t)(g, y) = (ltg, ly) (G is abelian), as i lies
-    in D_g when i and g^-1 i lie in X.  So a_l(i) in D_ltg already puts i
-    in D_tg.  See :func:`_delta_quotient`.  D_g is read off the maps as the
-    domain of a_(g^-1), so no 1_g is written.
-    """
-    held = _point_set(act)
-    if held is None:
-        return None
-    G, A, maps = act.group, act.algebra, held.maps
-    index, points = {}, []
-    for g in G.elements():
-        for i, j in enumerate(maps[G.inverse[g]]):
-            if j is not None:
-                index[g, i] = len(points)
-                points.append((g, i))
-
-    group_labels = G.labels
-
-    def write(names):
-        return [f"[{group_labels[g]}]{names[i]}" for g, i in points]
-
-    table = G.table
-
-    def move(g, s, p):
-        # (gs, s^-1) sends (h, i) to (gh, a_gs(i))
-        h, i = points[p]
-        j = maps[table[g][s]][i]
-        return None if j is None else index.get((table[g][h], j))
-
-    return _delta_quotient(G, A.ring, len(points), move, deferred_labels(write, A))
-
-
-def _delta_quotient(G: FiniteGroup, ring, npoints: int, move, point_labels) -> PartialAction:
-    """The delta-G quotient of a partial G x G-set on the points
-    0 .. npoints - 1, as a partial action of G on R^(components): the
-    route of the matrix quotient (:func:`_quotient_by_delta` and
-    :func:`_identify_with_group`) read off the points by the orbit read of
-    the partial G-set core (:func:`~pargal.gset.orbit_quotient`), the coset
-    of (g, 1) at g.
-    ``move(g, s, p)`` is the image of p under (gs, s^-1), or None.  The
-    components, labelled by their indicator vectors in the point labels
-    ``point_labels`` (:func:`~pargal.algebra.deferred_labels`) on first
-    read, and the point set are kept (:func:`~pargal.paction._action_on_points`).
-    """
-    if not G.is_abelian():
-        raise GroupError("delta subgroup requires an abelian group")
-    points, images, _ = gset.orbit_quotient(npoints, G.identity, G.elements(), G.elements(), move)
-
-    def write(names):
-        return [format_coords([names[p] for p in pts], [1] * len(pts)) for pts in points]
-
-    algebra = Algebra.split(ring, deferred_labels(write, point_labels), len(points))
-    return _action_on_points(G, algebra, images, "the delta-G quotient")
-
-
 def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:
     """[S,a] * [S',a'] via the delta-G quotient of the tensor action.
 
-    Operands on standard bases multiply on their point sets
-    (:func:`_gset_product`); any other carrier takes the matrix route through
-    the tensor carrier.  Both routes give the same presentation, and the
-    result is certified once either way.
+    Operands on standard bases multiply on their point sets: the delta-G
+    read of X x Y (:func:`~pargal.gset.product`), whose components are
+    labelled over the tensor basis a(x)b.  Any other carrier takes the
+    matrix route through the tensor carrier.  Both routes give the same
+    presentation, and the result is certified once either way.
     """
     g = c1.group
     if g != c2.group:
@@ -271,9 +183,14 @@ def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:
         raise AlgebraError("harrison_product: the group must be abelian")
     if c1.action.algebra.ring != c2.action.algebra.ring:
         raise AlgebraError("harrison_product: classes over different base rings")
-    act = _gset_product(c1.action, c2.action)
-    if act is None:
-        act = _identify_with_group(_quotient_by_delta(tensor_action(c1.action, c2.action), g), g)
+    a, b = c1.action, c2.action
+    set_a, set_b = _point_set(a), _point_set(b)
+    if set_a is not None and set_b is not None:
+        orbits, images, _ = gset.product(g, set_a, set_b)
+        point_labels = deferred_labels(tensor_labels, a.algebra, b.algebra)
+        act = _orbit_action(g, a.algebra.ring, orbits, images, point_labels, "the delta-G quotient")
+    else:
+        act = _identify_with_group(_quotient_by_delta(tensor_action(a, b), g), g)
     return ExtensionClass.certify(act)
 
 
@@ -371,9 +288,11 @@ def hat_iso(act: PartialAction):
 def idempotent_class(act: PartialAction) -> ExtensionClass:
     """E(S, alpha) = (prod_g S_g)^{delta G} with the induced G-action.
 
-    A carrier on its standard basis takes the point set of prod_g S_g
-    (:func:`_hat_gset_quotient`); any other carrier takes the matrix route
-    through :func:`hat_action` and the delta-G quotient.  Both routes give
+    A carrier on its standard basis takes the point set P of prod_g S_g
+    and its delta-G read (:func:`~pargal.gset.hat`), P labelled
+    [g]<label of e_i> as :func:`~pargal.algebra.product_over_ideals`
+    presents it; any other carrier takes the matrix route through
+    :func:`hat_action` and the delta-G quotient.  Both routes give
     the same presentation, and the result is certified once either way.
     On a point set the Galois test is read at the roots of the components
     (:func:`~pargal.gset.fixes_a_root`), exactly as
@@ -383,8 +302,16 @@ def idempotent_class(act: PartialAction) -> ExtensionClass:
     if (galois_coordinates(act) is None) if points is None else gset.fixes_a_root(act.group, points):
         raise CertificationError("idempotent_class needs a partial Galois action")
     G = act.group
-    quotient = _hat_gset_quotient(act)
-    if quotient is None:
+    if points is not None:
+        pairs, (orbits, images, _) = gset.hat(G, points)
+        group_labels = G.labels
+
+        def write(names):
+            return [f"[{group_labels[g]}]{names[i]}" for g, i in pairs]
+
+        point_labels = deferred_labels(write, act.algebra)
+        quotient = _orbit_action(G, act.algebra.ring, orbits, images, point_labels, "the delta-G quotient")
+    else:
         quotient = _identify_with_group(_quotient_by_delta(hat_action(act).action, G), G)
     return ExtensionClass.certify(quotient)
 
@@ -403,10 +330,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(status == "pass" for _, status, _ in self.checks)
-
-    @property
-    def undecided(self) -> bool:
-        return any(status == "undecided" for _, status, _ in self.checks)
 
     def add(self, name, status, note=None):
         if status is True:

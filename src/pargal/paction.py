@@ -306,6 +306,20 @@ def _action_on_points(group: FiniteGroup, algebra: Algebra, maps, what: str) -> 
     return _on_points(group, algebra, points)
 
 
+def _orbit_action(group: FiniteGroup, ring, orbits, images, point_labels, what: str) -> PartialAction:
+    """The action of ``group`` by the orbit maps ``images`` of an orbit read
+    of the core (:mod:`pargal.gset`) on R^(orbits), basis vector k labelled
+    on first read by the sum of the ``point_labels`` (an algebra or
+    :func:`~pargal.algebra.deferred_labels`) of ``orbits[k]``, through the
+    bug trap of :func:`_action_on_points`, ``what`` by name."""
+
+    def write(names):
+        return [format_coords([names[p] for p in points], [1] * len(points)) for points in orbits]
+
+    algebra = Algebra.split(ring, deferred_labels(write, point_labels), len(orbits))
+    return _action_on_points(group, algebra, images, what)
+
+
 def _on_points(group: FiniteGroup, algebra: Algebra, points: gset.PartialGSet) -> PartialAction:
     """The action of the certified partial G-set ``points`` on a split
     ``algebra``, holding its record and nothing else: the idempotents, the

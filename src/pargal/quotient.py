@@ -13,8 +13,9 @@ differential oracle, and both are compared matrix-for-matrix.
 On a standard carrier whose partial G-set X passes the point-set
 certificate both routes keep one map of H-orbits per coset, read off the
 point maps by the partial G-set core (:mod:`pargal.gset`): the closed
-forms by its orbit read, the globalized route off the classes of
-G x X / ~ (:mod:`pargal.envelope`) and the H-orbits of the restriction.
+forms by its H-quotient read (:func:`~pargal.gset.quotient`), the
+globalized route off the classes of G x X / ~ (:func:`~pargal.gset.envelope`)
+and the H-orbits of the restriction.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
 
     On a certified point set (:func:`~pargal.paction._point_set`) the
     H-orbits, whose indicators span S^{alpha_H}, and the orbit maps are
-    read in one call of :func:`~pargal.gset.orbit_quotient`: the closed
+    read in one call of :func:`~pargal.gset.quotient`: the closed
     form of alpha_{gH} reads x at a_(g h_i)^-1(q) for the first h_i with q
     in D_(g h_i), a point of orbit k exactly when q lies in the image of k;
     1~_{gH} is 1 on the union of the D_gh, the image orbits.  Uncertified:
@@ -166,9 +167,7 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
     qdata = quotient(act.group, sub, transversal)
     points = _point_set(act)
     if points is not None:
-        maps, table = points.maps, act.group.table
-        _, images, comp = gset.orbit_quotient(
-            act.algebra.rank, act.group.identity, qdata.transversal, sub.members, lambda g, h, p: maps[table[g][h]][p])
+        _, images, comp = gset.quotient(act.group, points, qdata.transversal, sub.members)
         return _quotient_on_points(act, sub, qdata, images, comp)
     return _build_quotient_action(
         act,

@@ -323,9 +323,6 @@ class Matrix:
         f = self.ring.sub
         return Matrix(self.ring, [[f(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
-
     def is_identity(self) -> bool:
         return self.nrows == self.ncols and all(
             a == (1 if i == j else 0) for i, r in enumerate(self.rows) for j, a in enumerate(r)

@@ -203,7 +203,7 @@ def routes_of(act):
 
     points = _point_set(act)
     assert points is not None
-    return fields(_globalize_points(act, points.maps)), fields(_globalize_matrices(act))
+    return fields(_globalize_points(act, points)), fields(_globalize_matrices(act))
 
 
 @st.composite

@@ -40,8 +40,6 @@ from pargal.harrison import (
     star_product_suite,
     tensor_action,
     trivial_extension,
-    _gset_product,
-    _hat_gset_quotient,
     _identify_with_group,
     _quotient_by_delta,
 )
@@ -609,8 +607,10 @@ def subset_class_pairs(draw):
 @settings(max_examples=150, deadline=None)
 def test_set_route_matches_matrix_route_on_partial_zn_sets(pair):
     a, b = pair
-    assert _gset_product(a.action, b.action) is not None
-    assert_same_presentation(harrison_product(a, b), matrix_product(a, b))
+    got = harrison_product(a, b)
+    # built on the point route: the record is held and no matrix written
+    assert got.action._points and got.action._maps is None
+    assert_same_presentation(got, matrix_product(a, b))
 
 
 def test_non_permutation_basis_takes_the_matrix_route(tensor_calls):
@@ -742,10 +742,10 @@ def matrix_idempotent(act):
 
 
 def assert_idempotent_routes_agree(act):
-    got = _hat_gset_quotient(act)
-    assert got is not None
+    got = idempotent_class(act).action
+    # built on the point route: the record is held and no matrix written
+    assert got._points and got._maps is None
     assert got == matrix_idempotent(act)
-    assert idempotent_class(act).action == got
     # each component is labelled by its points [g]<label> of prod_g S_g, so
     # its label is its indicator vector; they span the delta-G invariants
     # (the labels of act's carrier hold no "[")
@@ -811,7 +811,7 @@ def test_non_permutation_basis_takes_the_idempotent_matrix_route(hat_calls):
 
     # Q^2 on the basis 1 = e1 + e2, e2
     act = rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]]))
-    assert _hat_gset_quotient(act) is None
+    assert _point_set(act) is None
     e = idempotent_class(act)
     assert len(hat_calls) == 1
     assert e.action == matrix_idempotent(act)
@@ -964,7 +964,7 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
             assert rep.passed, (c, members, [f.name for f in rep.failures()])
 
 
-# The orbit read of gset.orbit_quotient against a union-find over every
+# The orbit read of gset._orbit_quotient against a union-find over every
 # (h, point) pair, on every route that calls it (the product,
 # idempotent_class, quotient_action, the enveloping set of globalize and
 # the globalized quotient on points); the
@@ -974,7 +974,7 @@ def test_factor_quotients_certify_on_criterion_7_candidates():
 
 
 def union_find_quotient(npoints, identity, reps, members, move):
-    """(orbits, images, orbit of each point) of gset.orbit_quotient,
+    """(orbits, images, orbit of each point) of gset._orbit_quotient,
     with the orbits found by a union-find over all |H| npoints (h, point)
     pairs, and each image read off every point of its orbit and every h,
     which must agree."""
@@ -1013,12 +1013,12 @@ def union_find_quotient(npoints, identity, reps, members, move):
 
 @contextlib.contextmanager
 def checked_orbit_quotients(calls):
-    """gset.orbit_quotient, where every caller looks it up, checked on every
-    call against the union-find oracle; each call's arguments go to
-    ``calls``."""
+    """gset._orbit_quotient, where every read of the core looks it up,
+    checked on every call against the union-find oracle; each call's
+    arguments go to ``calls``."""
     import pargal.gset as gset
 
-    orbit_read = gset.orbit_quotient
+    orbit_read = gset._orbit_quotient
 
     def checked(*args):
         got = orbit_read(*args)
@@ -1026,7 +1026,7 @@ def checked_orbit_quotients(calls):
         calls.append(args)
         return got
 
-    with mock.patch.object(gset, "orbit_quotient", checked):
+    with mock.patch.object(gset, "_orbit_quotient", checked):
         yield
 
 
@@ -1062,6 +1062,95 @@ def test_quotient_action_on_points_reads_the_orbits_once():
             qa = quotient_action(act, sub)
         assert len(calls) == 1 and qa.action._points
         assert qa.carrier.basis == invariants(restrict(act, sub)).basis
+
+
+# The semigroup on the partial G-set core alone: the product, the idempotent
+# class and the envelope read on records with no algebra, against a
+# union-find over moves written here on tuples, against the records of the
+# actions the library builds, and against the signature model of README
+# "Known discrepancies" (a product's signatures are translates of D_a D_b,
+# an idempotent class's of D_a D_a^-1).
+
+
+def point_signature(group, record, p):
+    """{g : p in D_g}, D_g the domain of a_(g^-1)."""
+    return frozenset(g for g in group.elements() if record.maps[group.inv(g)][p] is not None)
+
+
+def tuple_read(group, points, move, element):
+    """The union-find read of the partial G x G-set on the tuples
+    ``points``, numbered in that order: ``move(l, t, point)`` is the image
+    under (l, t), or None, and ``element(g, h)`` the (l, t) that the read
+    moves by for the representative g and the member h."""
+    index = {q: k for k, q in enumerate(points)}
+
+    def numbered(g, h, p):
+        q = move(*element(g, h), points[p])
+        return None if q is None else index.get(q)
+
+    return union_find_quotient(len(points), group.identity, group.elements(), group.elements(), numbered)
+
+
+@given(subset_class_pairs())
+@settings(max_examples=100, deadline=None)
+def test_the_semigroup_on_the_core_alone(pair):
+    import itertools
+    import pargal.gset as gset
+
+    a, b = pair
+    G = a.group
+    firsts, seconds = [a, a.star()], [b, b.star()]
+
+    def delta(g, s):
+        # the coset of (g, 1) runs over (gs, s^-1)
+        return G.mul(g, s), G.inv(s)
+
+    for x, y in itertools.product(firsts, seconds):
+        rx, ry = _point_set(x.action), _point_set(y.action)
+        read = gset.product(G, rx, ry)
+        points = list(itertools.product(range(len(rx.maps[0])), range(len(ry.maps[0]))))
+
+        def pair_move(l, t, p):
+            u, v = rx.maps[l][p[0]], ry.maps[t][p[1]]
+            return None if u is None or v is None else (u, v)
+
+        assert read == tuple_read(G, points, pair_move, delta)
+        record = gset.certify(G, read[1])
+        assert record == harrison_product(x, y).action._points
+        d = minkowski(G, point_signature(G, rx, 0), point_signature(G, ry, 0))
+        assert len(record.maps[0]) == len(d)
+        assert all(point_signature(G, record, p) in translates(G, d) for p in range(len(d)))
+    for c in firsts + seconds:
+        rc = _point_set(c.action)
+        r = len(rc.maps[0])
+        idems = c.action.idems
+        pairs, read = gset.hat(G, rc)
+        assert pairs == [(g, i) for g in G.elements() for i in range(r) if idems[g].coords[i] == 1]
+
+        def hat_move(l, t, p):
+            # (l, t) sends (g, i) to (ltg, a_l(i)) where E_ltg M_l E_tg is nonzero
+            g, i = p
+            j = rc.maps[l][i] if idems[G.mul(t, g)].coords[i] == 1 else None
+            target = G.mul(G.mul(l, t), g)
+            return None if j is None or idems[target].coords[j] != 1 else (target, j)
+
+        assert read == tuple_read(G, pairs, hat_move, delta)
+        record = gset.certify(G, read[1])
+        assert record == idempotent_class(c.action).action._points
+        d_a = point_signature(G, rc, 0)
+        e = minkowski(G, d_a, frozenset(G.inv(g) for g in d_a))
+        assert all(point_signature(G, record, p) in translates(G, e) for p in range(len(record.maps[0])))
+        read = gset.envelope(G, rc)
+
+        def envelope_move(k, t, p):
+            # (k, t) sends (g, y) to (k g t^-1, a_k(y))
+            j = rc.maps[k][p[1]]
+            return None if j is None else (G.mul(G.mul(k, p[0]), G.inv(t)), j)
+
+        cells = list(itertools.product(G.elements(), range(r)))
+        # the orbits of G x 1, and the coset of (1, t) runs over (k, t)
+        assert read == tuple_read(G, cells, envelope_move, lambda t, k: (k, t))
+        assert gset.certify(G, read[1]) == globalize(c.action).enveloping_action._points
 
 
 def cyclic_subgroups(G):
@@ -1308,18 +1397,17 @@ def test_matrix_route_builds_both_certificates_once(certificate_calls):
 # the enveloping action and the invariants on points) defer their basis
 # labels to the first read of Algebra.labels.  The oracles are the label
 # code that wrote them at once: the point labels of the product and hat
-# sets, the component sums of _delta_quotient (union_find_quotient) and the
-# class sums of the enveloping set.
+# sets, the component sums of each delta-G read (union_find_quotient of its
+# move) and the class sums of the enveloping set.
 
 
 def eager_tensor_labels(a, b):
-    """The point labels of X x Y, as _gset_product wrote them."""
+    """The point labels of X x Y, written at once."""
     return [f"{la}(x){lb}" for la in a.algebra.labels for lb in b.algebra.labels]
 
 
 def eager_hat_labels(act):
-    """The point labels [g]<label of e_i>, i in D_g, as _hat_gset_quotient
-    wrote them."""
+    """The point labels [g]<label of e_i>, i in D_g, written at once."""
     G, A = act.group, act.algebra
     return [
         f"[{G.labels[g]}]{A.labels[i]}" for g in G.elements() for i, c in enumerate(act.idems[g].coords) if c == 1
@@ -1327,7 +1415,8 @@ def eager_hat_labels(act):
 
 
 def eager_envelope_labels(act):
-    """The class sums of G x X / ~, as _globalize_points wrote them."""
+    """The class sums of G x X / ~, written at once by the rule of the
+    product's labels (format_coords)."""
     from pargal.paction import _point_set
 
     maps, G, S = _point_set(act).maps, act.group, act.algebra
@@ -1340,23 +1429,23 @@ def eager_envelope_labels(act):
                 members = sorted(G.mul(k, g) * n + a[y] for k, a in enumerate(maps) if a[y] is not None)
                 for p in members:
                     cls_of[p] = len(labels)
-                labels.append(" + ".join(point_labels[p] for p in members))
+                labels.append(format_coords([point_labels[p] for p in members], [1] * len(members)))
     return labels
 
 
-def recorded_delta_quotients(calls):
-    """harrison._delta_quotient, each call's arguments and result going to
-    ``calls``."""
+def recorded_orbit_actions(calls):
+    """_orbit_action as harrison calls it, each call's arguments and result
+    going to ``calls``."""
     import pargal.harrison as harrison
 
-    build = harrison._delta_quotient
+    build = harrison._orbit_action
 
     def recorded(*args):
         out = build(*args)
         calls.append((args, out))
         return out
 
-    return mock.patch.object(harrison, "_delta_quotient", recorded)
+    return mock.patch.object(harrison, "_orbit_action", recorded)
 
 
 def deferred(algebra) -> bool:
@@ -1369,14 +1458,15 @@ def test_deferred_labels_match_the_eager_oracle(pair):
     import copy
 
     a, b = pair
-    calls = []
-    with recorded_delta_quotients(calls):
+    calls, reads = [], []
+    with recorded_orbit_actions(calls), checked_orbit_quotients(reads):
         product = harrison_product(a, b)
         square = harrison_product(product, product)
         with_star = harrison_product(product, product.star())
         idem = idempotent_class(a.action)
     operands = [(a.action, b.action), (product.action,) * 2, (product.action, product.star().action), a.action]
     assert [out for _, out in calls] == [c.action for c in (product, square, with_star, idem)]
+    assert len(reads) == len(calls)
     gd = globalize(product.action)
     # one component per point, so each invariant is labelled by one point
     fixed = invariants(restrict(product.action, Subgroup(product.group, (product.group.identity,))))
@@ -1386,10 +1476,11 @@ def test_deferred_labels_match_the_eager_oracle(pair):
     twins = [copy.deepcopy(alg) for alg in built]
     assert all(deferred(alg) for alg in twins)
     wanted = []
-    for (args, out), ops in zip(calls, operands):
+    for (args, out), read, ops in zip(calls, reads, operands):
         names = eager_tensor_labels(*ops) if isinstance(ops, tuple) else eager_hat_labels(ops)
-        G, _, npoints, move, _ = args
+        G, npoints, move = args[0], read[0], read[4]
         orbits = union_find_quotient(npoints, G.identity, G.elements(), G.elements(), move)[0]
+        assert args[2] == orbits
         wanted.append([format_coords([names[p] for p in pts], [1] * len(pts)) for pts in orbits])
     wanted.append(eager_envelope_labels(product.action))
     rows = fixed.basis.rows
@@ -1605,7 +1696,7 @@ def test_certify_of_a_point_set_reads_the_kept_roots(monkeypatch, tmp_path):
              harrison_product(product, c.star()).action, load_action(path)]
     assert not hasattr(paction, "_components") and not hasattr(paction, "_point_roots")
     walks = []
-    for name in ("certify", "orbit_quotient", "fixes_a_root"):
+    for name in ("certify", "_orbit_quotient", "fixes_a_root"):
         walk = getattr(gset, name)
         monkeypatch.setattr(gset, name, lambda *args, walk=walk, name=name: walks.append(name) or walk(*args))
     for act in built:

@@ -178,6 +178,23 @@ def test_restrict_example1_to_h():
     assert verify_partial_action(sub).passed
 
 
+def test_restrictions_to_one_subgroup_share_its_group():
+    # Subgroup.as_group builds the group once: restricting a point set and a
+    # carrier on another basis twice each hands all four the one group,
+    # while the subgroup compares and prints as before
+    from pargal.groups import Subgroup
+
+    point_set = subset_class(12, range(12)).action
+    other_basis = rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]]))
+    for act, members in ((point_set, (0, 4, 8)), (other_basis, (0, 2))):
+        sub = Subgroup(act.group, members)
+        first, second = restrict(act, sub), restrict(act, sub)
+        assert first.group is second.group is sub.as_group()
+        assert first.group.labels == [act.group.labels[m] for m in members]
+        twin = Subgroup(act.group, members)
+        assert sub == twin and repr(sub) == repr(twin)
+
+
 def test_trace_example1():
     act = example1()
     e1, e2, e3 = act.algebra.basis()
@@ -2212,10 +2229,14 @@ def walked_roots(group, maps, domains=None):
 def components(maps):
     """The components of the partial G-set of the point maps ``maps``,
     ordered by least point, and the component of each point: a second walk,
-    the orbits of gset.orbit_quotient with the maps as the members."""
-    from pargal.gset import orbit_quotient
-
-    orbits, _, comp = orbit_quotient(len(maps[0]), None, (), maps, lambda _, a, p: a[p])
+    from each point not yet reached, of its images under every map."""
+    comp, orbits = [None] * len(maps[0]), []
+    for p, k in enumerate(comp):
+        if k is None:
+            orbit = sorted({a[p] for a in maps if a[p] is not None})
+            for q in orbit:
+                comp[q] = len(orbits)
+            orbits.append(orbit)
     return orbits, comp
 
 

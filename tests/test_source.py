@@ -93,4 +93,18 @@ def test_the_partial_g_set_core_imports_no_algebra():
             found += [f"{node.module or '.'}:{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.startswith("pargal")]
-    assert found == ["groups:FiniteGroup"], found
+    assert found == ["groups:FiniteGroup", "groups:GroupError"], found
+
+
+def test_only_the_core_reads_orbits():
+    # every orbit read of a partial G-set lives in gset, next to the one
+    # orbit reader, with the move of its points: no other library module
+    # names the reader or defines a move
+    found = []
+    for module, tree in library_trees().items():
+        if module == "gset.py":
+            continue
+        found += [f"{module}: names {name}" for name in names_in(tree) if name.endswith("orbit_quotient")]
+        found += [f"{module}:{node.lineno}: defines move" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "move"]
+    assert not found, found
