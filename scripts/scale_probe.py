@@ -36,7 +36,12 @@ Rungs, each on the regular Z_n-set over Q as `perfbench/gen.py` builds it
   the product, through the tensor carrier of rank n^2;
 - at n = 32, 48 and 64 (`LOAD_RUNGS`), `load_action` of the file that
   `save_action` wrote for the set on all n points: a standard carrier,
-  read onto its point set.
+  read onto its point set;
+- at n = 8, 16 and 32 (`SUITE_RUNGS`), `star_product_suite` over fresh
+  copies of the five classes `tests/test_harrison.py::subset_class(n, U)`,
+  U = {0}, {0, 1}, {0, 1, 3}, {0, 2, 3} and Z_n: the inverse-semigroup
+  laws, with the products, the iso searches and the idempotent classes
+  they ask for.
 
 Each rung reports the raw seconds, the least of three runs, and the growth
 exponent log(t2 / t1) / log(n2 / n1) from the op's previous rung (null on
@@ -58,13 +63,14 @@ import time
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
 
-from pargal import QQ, ExtensionClass, cli, globalize, harrison_product, idempotent_class  # noqa: E402
+from pargal import QQ, ExtensionClass, cli, globalize, harrison_product, idempotent_class, star_product_suite  # noqa: E402
 from pargal.actionfile import load_action, save_action  # noqa: E402
 from pargal.groups import subgroup_closure  # noqa: E402
 from pargal.paction import canonical_key, iso_check, verify_partial_action  # noqa: E402
 from pargal.quotient import quotient_action, quotient_via_globalization  # noqa: E402
 from pargal.scalars import Matrix, Modular  # noqa: E402
 from gen import regular_restriction, relabel  # noqa: E402
+from test_harrison import subset_class  # noqa: E402
 from test_paction import crt_glue, rebased  # noqa: E402
 
 Z6 = Modular(6)
@@ -196,6 +202,15 @@ def load_rungs(n, workdir):
     yield "load", least_seconds(lambda: path, load_action)
 
 
+SUITE_RUNGS = (8, 16, 32)
+
+
+def suite_rungs(n):
+    """(op, seconds) of the suite over the five subset classes of Z_n."""
+    subsets = ([0], [0, 1], [0, 1, 3], [0, 2, 3], range(n))
+    yield "suite", least_seconds(lambda: [subset_class(n, sub) for sub in subsets], star_product_suite)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, nargs="*", default=[64, 128], help="sizes of the certify, square, globalize, key, iso and quotient rungs")
@@ -216,6 +231,8 @@ def main(argv=None) -> None:
         timed += [(op, n, s) for op, s in dense_rungs(n)]
     for n in GLUED_RUNGS:
         timed += [(op, n, s) for op, s in glued_rungs(n)]
+    for n in SUITE_RUNGS:
+        timed += [(op, n, s) for op, s in suite_rungs(n)]
     rungs, last = [], {}
     for op, n, seconds in timed:
         exponent = None

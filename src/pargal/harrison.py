@@ -349,6 +349,24 @@ def star_product_suite(classes) -> SuiteReport:
     regularity through the star classes, and idempotent-class behavior.
     Undecided iso outcomes abort with a distinct status.  Each pair of
     classes is multiplied once up to isomorphism.
+
+    The "iso" answers join the actions compared in a union-find (Tarjan,
+    JACM 1975), and each pair not already joined by certified witnesses is
+    handed to :func:`iso_check` in the direction of its law.  A law whose
+    two sides are joined passes without a search, and soundly: each join
+    is a witness that :func:`iso_check` trapped
+    (:func:`~pargal.paction._certified_witness`), the inverse of a partial
+    G-isomorphism f is one (f^-1(S'_g) = S_g and f^-1 alpha'_g =
+    alpha_g f^-1), and so is the composite g f of two (g f(S_g) = S''_g
+    and g f alpha_g = g alpha'_g f = alpha''_g g f).  The composite of the
+    joins along the path between the two sides, each inverted where the
+    path runs against it, is the witness the law counts; one action on
+    both sides is the path of length 0, the identity.  Negative answers
+    are never implied: a "none" or "undecided" law is searched in its own
+    direction and carries its own obstruction, which only a law comparing
+    the same two actions in the same order shares.  So no ordered pair is
+    searched twice, and the suite searches no pair that the pairwise memo
+    would not.
     """
     rep = SuiteReport()
     for i, c in enumerate(classes):
@@ -368,36 +386,51 @@ def star_product_suite(classes) -> SuiteReport:
     # it has none (the suite keeps every class alive), and products by pairs
     numbers, indices, products = {}, {}, {}
 
+    def number(c: ExtensionClass) -> int:
+        k = numbers.get(id(c))
+        if k is None:
+            k = numbers[id(c)] = indices.setdefault(id(c) if c.key is None else c.key, len(indices))
+        return k
+
     def mul(a: ExtensionClass, b: ExtensionClass) -> ExtensionClass:
-        for c in (a, b):
-            if id(c) not in numbers:
-                numbers[id(c)] = indices.setdefault(id(c) if c.key is None else c.key, len(indices))
-        pair = (numbers[id(a)], numbers[id(b)])
+        pair = (number(a), number(b))
         out = products.get(pair)
         if out is None:
             out = products[pair] = harrison_product(a, b)
         return out
 
-    # iso answers by the pair of actions compared, each asked once; keying on
-    # identity is sound for the same reason
-    answers = {}
+    # the union-find of the actions compared, keyed by identity for the same
+    # reason: parent[k] is the next action up from k in its tree, and a root
+    # has none; the answers that join nothing are kept by the ordered pair
+    # searched, so no pair is searched twice
+    parent, refuted = {}, {}
+
+    def find(k: int) -> int:
+        while k in parent:
+            up = parent[k]
+            parent[k] = parent.get(up, up)
+            k = up
+        return k
 
     def iso_ok(x, y, label) -> bool:
-        if x.action is y.action:
-            # one memoised object on both sides: the identity is the witness
+        root_x, root_y = find(id(x.action)), find(id(y.action))
+        if root_x == root_y:
             rep.add(label, "pass")
             rep.witnesses += 1
             return True
         pair = (id(x.action), id(y.action))
-        if pair not in answers:
-            answers[pair] = iso_check(x.action, y.action)
-        res = answers[pair]
+        res = refuted.get(pair)
+        if res is None:
+            res = iso_check(x.action, y.action)
         if res.status == "undecided":
             rep.add(label, "undecided", "carrier admits no split presentation")
             return False
         rep.add(label, res.status == "iso", res.obstruction)
         if res.status == "iso":
+            parent[root_x] = root_y
             rep.witnesses += 1
+        else:
+            refuted[pair] = res
         return True
 
     n = len(classes)
@@ -405,11 +438,13 @@ def star_product_suite(classes) -> SuiteReport:
         for j in range(n):
             if not iso_ok(mul(classes[i], classes[j]), mul(classes[j], classes[i]), f"commutativity ({i},{j})"):
                 return rep
+    # the base products, every one made by the loop above
+    table = [[mul(a, b) for b in classes] for a in classes]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = mul(mul(classes[i], classes[j]), classes[k])
-                rhs = mul(classes[i], mul(classes[j], classes[k]))
+                lhs = mul(table[i][j], classes[k])
+                rhs = mul(classes[i], table[j][k])
                 if not iso_ok(lhs, rhs, f"associativity ({i},{j},{k})"):
                     return rep
     stars = [c.star() for c in classes]

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pargal.scalars import QQ, Modular, Matrix, canonical_row_form, kernel, modules_equal
+from pargal.scalars import QQ, Modular, Matrix, canonical_row_form, invert, kernel, modules_equal
 from pargal.algebra import (
     Algebra,
     AlgebraError,
+    AlgebraMorphism,
     Element,
     find_split_presentation,
     format_coords,
@@ -37,6 +38,7 @@ from pargal.harrison import (
     hat_action,
     hat_iso,
     idempotent_class,
+    SuiteReport,
     star_product_suite,
     tensor_action,
     trivial_extension,
@@ -46,6 +48,7 @@ from pargal.harrison import (
 from pargal.paction import (
     PartialAction,
     _point_set,
+    _trap_on_matrices,
     invariants,
     inverse_action,
     iso_check,
@@ -456,9 +459,11 @@ def test_suite_answers_each_iso_pair_once(ring, monkeypatch):
     monkeypatch.setattr(harrison, "iso_check", recorded)
     rep = star_product_suite(five_class_corpus(ring))
     pairs = [(id(a), id(b)) for a, b, _ in answers]
-    assert len(pairs) == len(set(pairs)) == 36
-    # the laws that share a pair take its one answer, which a second search
-    # repeats; every law still adds its own line and witness
+    # 162 laws compare 36 distinct pairs of actions; 13 pairs are already
+    # joined by a chain of earlier "iso" answers, so 23 are searched, each
+    # once, and a second search repeats each answer.  Every law still adds
+    # its own line and witness
+    assert len(pairs) == len(set(pairs)) == 23
     assert all(search(a, b).status == status for a, b, status in answers)
     assert len(rep.checks) == 190
     assert rep.witnesses == 175
@@ -536,12 +541,159 @@ def test_suite_skips_the_search_on_identical_sides(monkeypatch):
     rep = star_product_suite(five_class_corpus(Modular(2)))
     # 23 of the 185 laws compare one memoised product with itself; they pass
     # with the identity as witness and no search.  The other 162 compare 36
-    # distinct pairs of actions, and each pair is searched once
-    assert len(calls) == 36
+    # distinct pairs of actions, of which 13 are already joined by earlier
+    # "iso" answers and pass with the composite witness; 23 are searched
+    assert len(calls) == 23
     assert all(a is not b for a, b in calls)
     assert len(rep.checks) == 190
     assert rep.witnesses == 175
     assert len(rep.failures()) == 10
+
+
+def pairwise_suite(classes, laws):
+    """The suite as it answered before its union-find: each ordered pair of
+    actions compared is searched once and its answer kept, one action on
+    both sides passes with the identity.  Appends (label, lhs, rhs, answer)
+    to ``laws`` for every law, the answer None when no search was made."""
+    rep = SuiteReport()
+    for i, c in enumerate(classes):
+        rep.add(f"class {i} valid", verify_partial_action(c.action).passed)
+    numbers, indices, products = {}, {}, {}
+
+    def mul(a, b):
+        for c in (a, b):
+            if id(c) not in numbers:
+                numbers[id(c)] = indices.setdefault(id(c) if c.key is None else c.key, len(indices))
+        pair = (numbers[id(a)], numbers[id(b)])
+        if pair not in products:
+            products[pair] = harrison_product(a, b)
+        return products[pair]
+
+    answers = {}
+
+    def iso_ok(x, y, label):
+        if x.action is y.action:
+            laws.append((label, x.action, y.action, None))
+            rep.add(label, "pass")
+            rep.witnesses += 1
+            return True
+        pair = (id(x.action), id(y.action))
+        if pair not in answers:
+            answers[pair] = iso_check(x.action, y.action)
+        res = answers[pair]
+        laws.append((label, x.action, y.action, res))
+        if res.status == "undecided":
+            rep.add(label, "undecided", "carrier admits no split presentation")
+            return False
+        rep.add(label, res.status == "iso", res.obstruction)
+        rep.witnesses += res.status == "iso"
+        return True
+
+    n = len(classes)
+    for i in range(n):
+        for j in range(n):
+            if not iso_ok(mul(classes[i], classes[j]), mul(classes[j], classes[i]), f"commutativity ({i},{j})"):
+                return rep
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = mul(mul(classes[i], classes[j]), classes[k])
+                rhs = mul(classes[i], mul(classes[j], classes[k]))
+                if not iso_ok(lhs, rhs, f"associativity ({i},{j},{k})"):
+                    return rep
+    stars = [x.star() for x in classes]
+    for i in range(n):
+        x, xs = classes[i], stars[i]
+        if not iso_ok(mul(mul(x, xs), x), x, f"x x* x = x ({i})"):
+            return rep
+        if not iso_ok(mul(mul(xs, x), xs), xs, f"x* x x* = x* ({i})"):
+            return rep
+    idems = [idempotent_class(x.action) for x in classes]
+    for i in range(n):
+        for j in range(i, n):
+            if not iso_ok(mul(idems[i], idems[j]), mul(idems[j], idems[i]), f"idempotents commute ({i},{j})"):
+                return rep
+    for i in range(n):
+        if not iso_ok(mul(idems[i], idems[i]), idems[i], f"idempotent_class idempotent ({i})"):
+            return rep
+        if not iso_ok(idems[i], mul(classes[i], stars[i]), f"E(S,alpha) = [x][x*] ({i})"):
+            return rep
+    return rep
+
+
+@st.composite
+def subset_corpora(draw):
+    """Two to four partial Z_n-classes (n <= 7) over Q, F_2 or Z/6: nonempty
+    subsets of Z_n in a drawn basis order, each possibly replaced by its
+    star, drawn from a pool of one to three so that one class object may
+    come more than once."""
+    ring = draw(st.sampled_from([QQ, Modular(2), Modular(6)]))
+    n = draw(st.integers(1, 7))
+
+    def draw_class():
+        points = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        c = subset_class(n, points, ring)
+        return c.star() if draw(st.booleans()) else c
+
+    pool = [draw_class() for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=4))
+
+
+def chain_witness(edges, x, y):
+    """The matrix of the composite of the "iso" witnesses ``edges`` = [(u,
+    v, f: u -> v)] along a path from action x to action y, each inverted
+    where the path runs against it, or None when no path joins them."""
+    frontier, reached = [x], {id(x): Matrix.identity(x.algebra.ring, x.algebra.rank)}
+    while frontier:
+        u = frontier.pop()
+        for a, b, f in edges:
+            for start, end, inverted in ((a, b, False), (b, a, True)):
+                if start is u and id(end) not in reached:
+                    step = invert(f.matrix) if inverted else f.matrix
+                    reached[id(end)] = step.mul(reached[id(u)])
+                    frontier.append(end)
+    return reached.get(id(y))
+
+
+@given(subset_corpora())
+@settings(max_examples=40, deadline=None)
+def test_suite_union_find_matches_the_pairwise_walk(classes):
+    import pargal.harrison as harrison
+
+    laws = []
+    expected = pairwise_suite(classes, laws)
+    searched = []
+    search = harrison.iso_check
+
+    def recorded(a, b):
+        searched.append((a, b))
+        return search(a, b)
+
+    with mock.patch.object(harrison, "iso_check", recorded):
+        rep = star_product_suite(classes)
+    assert rep.checks == expected.checks
+    assert rep.witnesses == expected.witnesses
+    # the laws the union-find answers, replayed on the pairwise walk's own
+    # actions: a law is searched unless earlier "iso" answers join its sides
+    # or its ordered pair was refuted before
+    edges, refuted, asked = [], set(), 0
+    for label, x, y, res in laws:
+        witness = chain_witness(edges, x, y)
+        if witness is not None:
+            assert iso_check(x, y).status == "iso", label
+            _trap_on_matrices(x, y, AlgebraMorphism(x.algebra, y.algebra, witness))
+            continue
+        if (id(x), id(y)) in refuted:
+            continue
+        asked += 1
+        if res.status == "iso":
+            edges.append((x, y, res.morphism))
+        else:
+            refuted.add((id(x), id(y)))
+    assert len(searched) == asked
+    # no pair is searched twice, nor more pairs than the pairwise memo searched
+    assert len({(id(a), id(b)) for a, b in searched}) == len(searched)
+    assert len(searched) <= len({(id(x), id(y)) for _, x, y, res in laws if res is not None})
 
 
 # The set route of harrison_product against the matrix route that every
