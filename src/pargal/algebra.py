@@ -21,6 +21,7 @@ from .scalars import (
     Matrix,
     Modular,
     canonical_row_form,
+    invertible,
     kernel,
     solve,
 )
@@ -412,8 +413,6 @@ class AlgebraMorphism:
         return tuple(self.matrix.matvec(list(self.source.unit))) == self.target.unit
 
     def is_bijective(self) -> bool:
-        from .scalars import invertible
-
         return self.matrix.nrows == self.matrix.ncols and invertible(self.matrix)
 
 
@@ -650,6 +649,21 @@ def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
 # tensor products
 # ---------------------------------------------------------------------------
 
+def _kron(ring, xc, yc) -> list:
+    """The coordinates of x (x) y: x_i y_j at index i |y| + j."""
+    n = len(yc)
+    out = [0] * (len(xc) * n)
+    mul = ring.mul
+    for i, a in enumerate(xc):
+        if a == 0:
+            continue
+        base = i * n
+        for j, b in enumerate(yc):
+            if b != 0:
+                out[base + j] = mul(a, b)
+    return out
+
+
 @dataclass
 class TensorProduct:
     algebra: Algebra
@@ -660,17 +674,7 @@ class TensorProduct:
         return i * self.right.rank + j
 
     def pair_coords(self, xc, yc):
-        rb = self.right.rank
-        out = [0] * (len(xc) * rb)
-        mul = self.algebra.ring.mul
-        for i, a in enumerate(xc):
-            if a == 0:
-                continue
-            base = i * rb
-            for j, b in enumerate(yc):
-                if b != 0:
-                    out[base + j] = mul(a, b)
-        return out
+        return _kron(self.algebra.ring, xc, yc)
 
     def pair(self, x: Element, y: Element) -> Element:
         if x.algebra != self.left or y.algebra != self.right:
@@ -711,15 +715,7 @@ def tensor(a: Algebra, b: Algebra) -> TensorProduct:
                                 entries.append((k * rb + u, c))
                     if entries:
                         table[(i * rb + s, j * rb + t)] = tuple(entries)
-    unit = [0] * (a.rank * rb)
-    mul = ring.mul
-    for i, ua in enumerate(a.unit):
-        if ua == 0:
-            continue
-        for j, ub in enumerate(b.unit):
-            if ub != 0:
-                unit[i * rb + j] = mul(ua, ub)
-    alg = Algebra(ring, labels, table, unit, validate=False)
+    alg = Algebra(ring, labels, table, _kron(ring, a.unit, b.unit), validate=False)
     return TensorProduct(alg, a, b)
 
 

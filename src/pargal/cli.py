@@ -30,6 +30,18 @@ from .paction import (
     transport,
     verify_partial_action,
 )
+from .envelope import _GLOBALIZATION_CHECKS, globalize, psi_report
+from .quotient import quotient_action, quotient_galois_check, quotient_via_globalization
+from .harrison import (
+    CertificationError,
+    ExtensionClass,
+    cyclic_compose,
+    cyclic_decompose,
+    harrison_product,
+    idempotent_class,
+    star_product_suite,
+    tensor_action,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -147,12 +159,6 @@ def _save(args, report, act: PartialAction):
         report.data["written"] = args.out
 
 
-def _certified_class(act: PartialAction):
-    from .harrison import ExtensionClass
-
-    return ExtensionClass.certify(act)
-
-
 # -- command bodies ---------------------------------------------------------
 
 def cmd_verify(args, report):
@@ -204,8 +210,6 @@ def cmd_restrict(args, report):
 
 def cmd_globalize(args, report):
     # globalize raises unless certify_globalization passes every check
-    from .envelope import _GLOBALIZATION_CHECKS, globalize
-
     act = _load(args.files[0], args.base)
     gd = globalize(act)
     for name in _GLOBALIZATION_CHECKS:
@@ -214,8 +218,6 @@ def cmd_globalize(args, report):
 
 
 def cmd_psi(args, report):
-    from .envelope import globalize, psi_report
-
     act = _load(args.files[0], args.base)
     sub = _subgroup(act, args.subgroup)
     gd = globalize(act)
@@ -224,8 +226,6 @@ def cmd_psi(args, report):
 
 
 def cmd_quotient(args, report):
-    from .quotient import quotient_action, quotient_via_globalization
-
     act = _load(args.files[0], args.base)
     sub = _subgroup(act, args.subgroup)
     qa = quotient_action(act, sub)
@@ -243,8 +243,6 @@ def cmd_quotient(args, report):
 
 
 def cmd_quotient_check(args, report):
-    from .quotient import quotient_galois_check
-
     act = _load(args.files[0], args.base)
     sub = _subgroup(act, args.subgroup)
     qa, witness = quotient_galois_check(act, sub)
@@ -253,8 +251,6 @@ def cmd_quotient_check(args, report):
 
 
 def cmd_tensor(args, report):
-    from .harrison import tensor_action
-
     a = _load(args.files[0], args.base)
     b = _load(args.files[1], args.base)
     t = tensor_action(a, b)
@@ -265,10 +261,8 @@ def cmd_tensor(args, report):
 
 
 def cmd_product(args, report):
-    from .harrison import harrison_product
-
-    a = _certified_class(_load(args.files[0], args.base))
-    b = _certified_class(_load(args.files[1], args.base))
+    a = ExtensionClass.certify(_load(args.files[0], args.base))
+    b = ExtensionClass.certify(_load(args.files[1], args.base))
     report.check("left operand certified partial Galois", True)
     report.check("right operand certified partial Galois", True)
     prod = harrison_product(a, b)
@@ -294,12 +288,10 @@ def cmd_inverse(args, report):
 
 
 def cmd_idempotent(args, report):
-    from .harrison import harrison_product, idempotent_class
-
     act = _load(args.files[0], args.base)
     e = idempotent_class(act)
     report.check("E(S,alpha) certified partial Galois", True)
-    c = _certified_class(act)
+    c = ExtensionClass.certify(act)
     res = iso_check(e.action, harrison_product(c, c.star()).action)
     report.check("E(S,alpha) iso to [alpha]*[alpha*]", res.status == "iso")
     alg = e.action.algebra
@@ -319,8 +311,6 @@ def cmd_iso(args, report):
 
 
 def cmd_suite(args, report):
-    from .harrison import CertificationError, star_product_suite
-
     actions = [_load(path, args.base) for path in args.files]
     groups = {a.group for a in actions}
     if len(groups) != 1:
@@ -328,7 +318,7 @@ def cmd_suite(args, report):
     classes = []
     for i, act in enumerate(actions):
         try:
-            classes.append(_certified_class(act))
+            classes.append(ExtensionClass.certify(act))
             report.check(f"class {i} certified", True)
         except CertificationError as exc:
             report.check(f"class {i} certified", False, str(exc))
@@ -341,13 +331,11 @@ def cmd_suite(args, report):
 
 
 def cmd_decompose(args, report):
-    from .harrison import cyclic_compose, cyclic_decompose
-
     act = _load(args.files[0], args.base)
     if not args.factors:
         raise AlgebraError("decompose needs --factors, e.g. --factors 2,2")
     orders = [_factor_order(s, i) for i, s in enumerate(args.factors.split(","), 1)]
-    c = _certified_class(act)
+    c = ExtensionClass.certify(act)
     parts = cyclic_decompose(c, orders)
     for i, part in enumerate(parts):
         report.check(f"factor {i} certified partial Galois", True)
@@ -367,9 +355,7 @@ def _factor_order(text: str, i: int) -> int:
 
 
 def cmd_compose(args, report):
-    from .harrison import cyclic_compose
-
-    classes = [_certified_class(_load(path, args.base)) for path in args.files]
+    classes = [ExtensionClass.certify(_load(path, args.base)) for path in args.files]
     composed = cyclic_compose(classes)
     report.check("composite certified partial Galois", True)
     report.data["rank"] = composed.action.algebra.rank

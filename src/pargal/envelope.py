@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Matrix, canonical_row_form, intersect_modules, module_contains, modules_equal
+from .scalars import Matrix, canonical_row_form, intersect_modules, kernel, module_contains, modules_equal
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -486,8 +486,6 @@ def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
 
 def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
     """The psi_H property suite (injectivity on S, e_H, fixed-ring identities)."""
-    from .scalars import kernel
-
     T = gd.algebra
     ring = T.ring
     G = gd.group

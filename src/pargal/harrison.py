@@ -16,17 +16,28 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .scalars import Matrix
+from .scalars import QQ, Matrix
 from .algebra import (
     AlgebraError,
     ProductAlgebra,
     SubAlgebra,
     deferred_labels,
     product_over_ideals,
+    tensor,
     tensor_labels,
 )
-from .groups import FiniteGroup, direct_square, make_cyclic, make_product, multiply_to, delta_subgroup, delta_transversal
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    delta_subgroup,
+    delta_transversal,
+    direct_square,
+    make_cyclic,
+    make_product,
+    multiply_to,
+)
 from . import gset
+from .corpus import trivial_action
 from .paction import (
     ActionReport,
     GaloisCoordinates,
@@ -50,27 +61,9 @@ class CertificationError(ValueError):
     """An extension failed its partial-Galois certificate."""
 
 
-def _kron(ring, a: Matrix, b: Matrix) -> Matrix:
-    rb, cb = b.nrows, b.ncols
-    out = [[0] * (a.ncols * cb) for _ in range(a.nrows * rb)]
-    mul = ring.mul
-    for i, arow in enumerate(a.rows):
-        for j, av in enumerate(arow):
-            if av == 0:
-                continue
-            for s, brow in enumerate(b.rows):
-                base_r = i * rb + s
-                base_c = j * cb
-                for t, bv in enumerate(brow):
-                    if bv != 0:
-                        out[base_r][base_c + t] = mul(av, bv)
-    return Matrix(ring, out, a.ncols * cb)
-
-
 def tensor_action(a: PartialAction, b: PartialAction) -> PartialAction:
-    """The partial action of G_a x G_b on S (x) S' with ideals S_l (x) S'_t."""
-    from .algebra import tensor
-
+    """The partial action of G_a x G_b on S (x) S' with ideals S_l (x) S'_t.
+    Row (i, s) of M_l (x) M'_s is row i of M_l (x) row s of M'_s."""
     if a.algebra.ring != b.algebra.ring:
         raise AlgebraError("tensor_action: base ring mismatch")
     grp = direct_square(a.group) if a.group == b.group else make_product([a.group, b.group])
@@ -80,7 +73,8 @@ def tensor_action(a: PartialAction, b: PartialAction) -> PartialAction:
     for l in a.group.elements():
         for s in b.group.elements():
             idems.append(t.pair(a.idems[l], b.idems[s]))
-            maps.append(_kron(t.algebra.ring, a.maps[l], b.maps[s]))
+            rows = [t.pair_coords(x, y) for x in a.maps[l].rows for y in b.maps[s].rows]
+            maps.append(Matrix(t.algebra.ring, rows, t.algebra.rank))
     return PartialAction(grp, t.algebra, idems, maps)
 
 
@@ -196,9 +190,6 @@ def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:
 
 def trivial_extension(group: FiniteGroup, ring=None) -> ExtensionClass:
     """E_G(R) with the regular translation action; the global identity class."""
-    from .corpus import trivial_action
-    from .scalars import QQ
-
     return ExtensionClass.certify(trivial_action(group, ring if ring is not None else QQ))
 
 
@@ -347,8 +338,9 @@ def star_product_suite(classes) -> SuiteReport:
 
     Pairwise commutativity and triple associativity up to verified iso,
     regularity through the star classes, and idempotent-class behavior.
-    Undecided iso outcomes abort with a distinct status.  Each pair of
-    classes is multiplied once up to isomorphism.
+    The laws are listed once, in order, and the first undecided iso
+    outcome stops the suite with a distinct status.  Each pair of classes
+    is multiplied once up to isomorphism.
 
     The "iso" answers join the actions compared in a union-find (Tarjan,
     JACM 1975), and each pair not already joined by certified witnesses is
@@ -433,37 +425,35 @@ def star_product_suite(classes) -> SuiteReport:
             refuted[pair] = res
         return True
 
-    n = len(classes)
-    for i in range(n):
-        for j in range(n):
-            if not iso_ok(mul(classes[i], classes[j]), mul(classes[j], classes[i]), f"commutativity ({i},{j})"):
-                return rep
-    # the base products, every one made by the loop above
-    table = [[mul(a, b) for b in classes] for a in classes]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = mul(table[i][j], classes[k])
-                rhs = mul(classes[i], table[j][k])
-                if not iso_ok(lhs, rhs, f"associativity ({i},{j},{k})"):
-                    return rep
-    stars = [c.star() for c in classes]
-    for i in range(n):
-        x, xs = classes[i], stars[i]
-        if not iso_ok(mul(mul(x, xs), x), x, f"x x* x = x ({i})"):
-            return rep
-        if not iso_ok(mul(mul(xs, x), xs), xs, f"x* x x* = x* ({i})"):
-            return rep
-    idems = [idempotent_class(c.action) for c in classes]
-    for i in range(n):
-        for j in range(i, n):
-            if not iso_ok(mul(idems[i], idems[j]), mul(idems[j], idems[i]), f"idempotents commute ({i},{j})"):
-                return rep
-    for i in range(n):
-        if not iso_ok(mul(idems[i], idems[i]), idems[i], f"idempotent_class idempotent ({i})"):
-            return rep
-        if not iso_ok(idems[i], mul(classes[i], stars[i]), f"E(S,alpha) = [x][x*] ({i})"):
-            return rep
+    def laws():
+        # (label, lhs, rhs) in order; each side is made when its law is
+        # reached, so the suite stops before any later product
+        n = len(classes)
+        for i in range(n):
+            for j in range(n):
+                yield f"commutativity ({i},{j})", mul(classes[i], classes[j]), mul(classes[j], classes[i])
+        # the base products, every one made by the loop above
+        table = [[mul(a, b) for b in classes] for a in classes]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    yield f"associativity ({i},{j},{k})", mul(table[i][j], classes[k]), mul(classes[i], table[j][k])
+        stars = [c.star() for c in classes]
+        for i in range(n):
+            x, xs = classes[i], stars[i]
+            yield f"x x* x = x ({i})", mul(mul(x, xs), x), x
+            yield f"x* x x* = x* ({i})", mul(mul(xs, x), xs), xs
+        idems = [idempotent_class(c.action) for c in classes]
+        for i in range(n):
+            for j in range(i, n):
+                yield f"idempotents commute ({i},{j})", mul(idems[i], idems[j]), mul(idems[j], idems[i])
+        for i in range(n):
+            yield f"idempotent_class idempotent ({i})", mul(idems[i], idems[i]), idems[i]
+            yield f"E(S,alpha) = [x][x*] ({i})", idems[i], mul(classes[i], stars[i])
+
+    for label, lhs, rhs in laws():
+        if not iso_ok(lhs, rhs, label):
+            break
     return rep
 
 
@@ -507,8 +497,6 @@ def cyclic_decompose(c: ExtensionClass, orders) -> list:
     (idx // stride_i) mod n_i, where stride_i is the product of the later
     orders: H_i is where it is 0, and the transversal is k stride_i, k < n_i.
     """
-    from .groups import Subgroup
-
     orders = list(orders)
     G = c.group
     _check_product_presentation(G, orders)

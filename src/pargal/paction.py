@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Matrix, Modular, canonical_row_form, invert, solve
+from .scalars import Matrix, Modular, canonical_row_form, invert, kernel, modules_equal, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -535,8 +535,6 @@ class PhiMap:
 
 
 def phi_map(act: PartialAction) -> PhiMap:
-    from .scalars import kernel as kernel_of, modules_equal
-
     A = act.algebra
     r = A.rank
     t = tensor(A, A)
@@ -565,7 +563,7 @@ def phi_map(act: PartialAction) -> PhiMap:
                 if any(x != 0 for x in diff):
                     relations.append(diff)
     rel_module = canonical_row_form(Matrix.from_rows(A.ring, relations, r * r))
-    ker = kernel_of(mat)
+    ker = kernel(mat)
     image_rows = canonical_row_form(Matrix.from_rows(A.ring, [list(c) for c in cols], prod.algebra.rank))
     bijective = modules_equal(ker, rel_module) and image_rows.is_identity()
     return PhiMap(act, t, prod, morphism, bijective)
@@ -811,25 +809,17 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
     inverse e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x)
     e_pi(y) because pi is injective, and f(1) = sum_x e_pi(x) = 1 because
     it is onto.  So the point route passes or fails exactly as the matrix
-    route.  f(marked[0]) moves coordinate x to pi(x), reduced as a product
-    with f reduces it.  The morphism then writes the permutation matrix of
-    pi on first read, and ``fmat`` is not read.
+    route.  The morphism then writes the permutation matrix of pi on first
+    read, and ``fmat`` is not read.
 
     Without ``pi`` the trap runs on the matrices (:func:`_trap_on_matrices`)."""
     if pi is None:
         morphism = AlgebraMorphism(a.algebra, b.algebra, fmat)
         _trap_on_matrices(a, b, morphism)
-        image = None if marked is None else morphism(marked[0])
     else:
-        ring = a.algebra.ring
-        morphism = AlgebraMorphism.deferred(a.algebra, b.algebra, lambda: _point_matrix(ring, pi))
+        morphism = AlgebraMorphism.deferred(a.algebra, b.algebra, lambda: _point_matrix(a.algebra.ring, pi))
         gset.trap_on_points(a.group, _point_set(a).maps, _point_set(b).maps, pi)
-        if marked is not None:
-            coords = [0] * len(pi)
-            for x, c in enumerate(marked[0].coords):
-                coords[pi[x]] = ring.mul(1, c)
-            image = Element(b.algebra, coords)
-    if marked is not None and image != marked[1]:
+    if marked is not None and morphism(marked[0]) != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism
 

@@ -223,6 +223,8 @@ def test_split_presentation_over_f2():
 
 
 def test_split_presentation_over_z4():
+    from pargal.algebra import _split_over_field
+
     ring = Modular(4)
     # Z/4[d]/(d^2-1) is not split: 2 is not a unit, so (1 +- d)/2 fail to exist
     a = make_algebra(ring, ["1", "d"], [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0])
@@ -232,6 +234,21 @@ def test_split_presentation_over_z4():
     pres = find_split_presentation(b)
     assert pres is not None
     assert sorted(e.coords for e in pres.idempotents) == [(1, 0), (3, 1)]
+    # (Z/4)^2 on the basis c1 = (1, 1) = 1, c2 = (2, 3), so c2^2 = (0, 1) =
+    # 2 c1 + c2.  Mod 2 the idempotents are c2 and c1 + c2, coordinates
+    # (0, 1) and (1, 1); over Z/4 they are (2, 3) and (3, 0), which square
+    # to (0, 1) and (1, 0), so no candidate is idempotent and the Hensel
+    # step must lift each
+    c = make_algebra(ring, ["c1", "c2"], [[[1, 0], [0, 1]], [[0, 1], [2, 1]]], [1, 0])
+    mod_2 = _split_over_field(c.over(Modular(2)))
+    assert sorted(e.coords for e in mod_2) == [(0, 1), (1, 1)]
+    assert not any(c.element(e.coords).is_idempotent() for e in mod_2)
+    e1, e2 = find_split_presentation(c).idempotents
+    # e_1 = 3 c1 + 3 c2 = (9, 12) and e_2 = 2 c1 + c2 = (4, 5), mod 4
+    assert (e1.coords, e2.coords) == ((3, 3), (2, 1))
+    assert e1.is_idempotent() and e2.is_idempotent()
+    assert (e1 * e2).is_zero()
+    assert e1 + e2 == c.one()
 
 
 def test_split_presentation_over_z6():

@@ -13,11 +13,16 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from pargal import cli
+from pargal.scalars import QQ, Matrix
+from pargal.algebra import Algebra
 from pargal.actionfile import load_action, save_action
 from pargal.corpus import standard_corpus
 from pargal.groups import make_cyclic, make_product
+from pargal.harrison import ExtensionClass, star_product_suite
+from pargal.paction import global_action
 
 from test_actionfile import matrix_route
+from test_paction import frobenius_f4
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), ".."))
 CORPUS = os.path.join(ROOT, "corpus")
@@ -132,6 +137,47 @@ def test_suite_requires_single_group(capsys):
     rc = run_cli("suite", fixture("ex1"), fixture("trivial-Z2"))
     assert rc == 2
     assert "one group" in capsys.readouterr().err
+
+
+def test_suite_command_reports_the_library_suite(capsys):
+    names = ["ex1", "ex2", "ex2-star", "trivial-Z4"]
+    assert run_cli("suite", *map(fixture, names), "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    suite = star_product_suite([ExtensionClass.certify(load_action(fixture(name))) for name in names])
+    certified = [{"name": f"class {i} certified", "status": "pass", "witness": None} for i in range(len(names))]
+    laws = [{"name": name, "status": status, "witness": note} for name, status, note in suite.checks]
+    assert doc["checks"] == certified + laws
+    assert len(doc["checks"]) == 114
+    assert sum(c["status"] == "fail" for c in doc["checks"]) == 8
+    assert doc["data"] == {"iso witnesses": suite.witnesses} == {"iso witnesses": 98}
+
+
+def test_suite_command_stops_at_a_class_that_is_not_galois(tmp_path, capsys):
+    # Z_2 acting trivially on R^1 is a certified global action, but the
+    # generator fixes the one point, so no Galois coordinates exist
+    line = Algebra.split(QQ, ["e"])
+    path = str(tmp_path / "fixed.json")
+    save_action(global_action(make_cyclic(2), line, [Matrix.identity(QQ, 1)] * 2), path)
+    assert run_cli("suite", path, "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [{"name": "class 0 certified", "status": "fail", "witness": "no partial Galois coordinates exist"}]
+    assert doc["data"] == {}
+
+
+def test_suite_command_exits_3_on_an_undecided_law(tmp_path, capsys):
+    # F_4 under Frobenius has no split presentation: the suite's first
+    # searched law is undecided, and nothing fails
+    path = str(tmp_path / "f4.json")
+    save_action(frobenius_f4(), path)
+    assert run_cli("suite", path, "--json") == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["status"]) for c in doc["checks"]] == [
+        ("class 0 certified", "pass"),
+        ("class 0 valid", "pass"),
+        ("commutativity (0,0)", "pass"),
+        ("associativity (0,0,0)", "undecided"),
+    ]
+    assert doc["checks"][-1]["witness"] == "carrier admits no split presentation"
 
 
 @pytest.mark.parametrize(

@@ -470,6 +470,32 @@ def test_suite_answers_each_iso_pair_once(ring, monkeypatch):
     assert len(rep.failures()) == 10
 
 
+def test_suite_stops_at_the_first_undecided_law(monkeypatch):
+    # F_4 under Frobenius has no split presentation: its commutativity law
+    # compares one memoised product with itself and passes, and the first
+    # law that needs a search is undecided and ends the suite, with no
+    # later product, star or idempotent class made
+    from test_paction import frobenius_f4  # test_paction imports this module
+
+    import pargal.harrison as harrison
+
+    made = []
+    for name in ["harrison_product", "idempotent_class"]:
+        build = getattr(harrison, name)
+        monkeypatch.setattr(harrison, name, lambda *args, name=name, build=build: made.append(name) or build(*args))
+    c = ExtensionClass.certify(frobenius_f4())
+    monkeypatch.setattr(ExtensionClass, "star", lambda self: made.append("star"))
+    rep = star_product_suite([c])
+    assert rep.checks == [
+        ("class 0 valid", "pass", None),
+        ("commutativity (0,0)", "pass", None),
+        ("associativity (0,0,0)", "undecided", "carrier admits no split presentation"),
+    ]
+    assert rep.witnesses == 1
+    # c c, then (c c) c and c (c c) for the associativity law
+    assert made == ["harrison_product"] * 3
+
+
 def test_suite_rejects_classes_over_different_groups():
     classes = [trivial_extension(make_cyclic(2)), trivial_extension(make_cyclic(4))]
     with pytest.raises(AlgebraError, match="different groups"):

@@ -38,6 +38,15 @@ def test_library_imports_only_the_standard_library():
     assert not found, found
 
 
+def test_the_cli_imports_nothing_inside_a_function():
+    # the package loads every module before the CLI runs, so an import in a
+    # command body defers nothing and only hides what the CLI depends on
+    tree = library_trees()["cli.py"]
+    found = [f"cli.py:{inner.lineno}" for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert not found, found
+
+
 def test_readme_lists_the_command_table():
     # the README's "Commands:" list, over its line breaks, is cli.HANDLERS
     readme = (Path(__file__).parent.parent / "README.md").read_text()
