@@ -20,7 +20,6 @@ from .groups import GroupError, subgroup_closure
 from .paction import (
     PartialAction,
     _on_points,
-    _point_set,
     galois_coordinates,
     invariants,
     inverse_action,
@@ -120,7 +119,7 @@ def _change_base(act: PartialAction, base: str) -> PartialAction:
     """``act`` over the ring ``base``.  A certified point set stays on its
     points: its 0/1 maps are those of R^n over any ring."""
     ring = parse_ring(base)
-    points = _point_set(act)
+    points = act.points
     if points is not None:
         return _on_points(act.group, Algebra.split(ring, act.algebra.labels), points)
     algebra = act.algebra.over(ring)

@@ -47,7 +47,6 @@ from .paction import (
     PartialAction,
     _match_iso,
     _orbit_action,
-    _point_set,
     global_action,
     invariants,
     restrict,
@@ -112,12 +111,12 @@ def globalize(act: PartialAction) -> GlobalizationData:
     The globalization is unique up to global isomorphism (Abadie;
     Dokuchaev-Exel), so one presentation is built: slot g of S^G is the
     g-th block of n coordinates.  A standard carrier whose partial G-set
-    passes the point-set certificate (:func:`~pargal.paction._point_set`)
+    passes the point-set certificate (:attr:`PartialAction.points`)
     is globalized on its enveloping set (:func:`_globalize_points`); any
     other action goes through the span of translates in S^G
     (:func:`_globalize_matrices`).  Both build the same data.
     """
-    points = _point_set(act)
+    points = act.points
     gd = _globalize_points(act, points) if points is not None else _globalize_matrices(act)
     rep = certify_globalization(gd)
     if not rep.passed:
@@ -245,15 +244,15 @@ def _shape_failure(gd: GlobalizationData) -> str | None:
     embedding k x n, the pull-down n x k and 1_S k coordinates.  The count
     and shape of the beta matrices are checked where the enveloping action
     is built (:class:`~pargal.paction.PartialAction`).  An enveloping
-    action that holds certified point maps (:func:`~pargal.paction._on_points`)
-    is global when each a_g is total: 1_g, the indicator of the domain of
+    action with a certified point set (:attr:`PartialAction.points`) is
+    global when each a_g is total: 1_g, the indicator of the domain of
     a_(g^-1), is then 1_T, so no 1_g is written."""
     env, G = gd.enveloping_action, gd.group
     if env.group != G:
         return "beta acts by another group than the action"
-    held = env._points
-    if held:
-        bad = next((g for g in G.elements() if None in held.maps[G.inv(g)]), None)
+    pis = env.points
+    if pis is not None:
+        bad = next((g for g in G.elements() if None in pis.maps[G.inv(g)]), None)
     else:
         one = env.algebra.one()
         bad = next((g for g in G.elements() if env.idems[g] != one), None)
@@ -271,7 +270,7 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     of the action, in O(|G| k + n^2).
 
     It reads ``gd`` when the action has a certified point set X, the maps
-    a_g (:func:`~pargal.paction._point_set`), and so has the enveloping
+    a_g (:attr:`PartialAction.points`), and so has the enveloping
     action (:attr:`GlobalizationData.enveloping_action`), the pi_g: on
     total maps, T is split and beta_g is the permutation matrix of pi_g,
     with pi_1 = id and pi_g pi_h = pi_gh.  The embedding must send e_x to
@@ -293,8 +292,8 @@ def _certified_on_points(gd: GlobalizationData) -> bool:
     (G4) is the cover, and entry (i, x) of ``down`` iota is down[i][c(x)].
     A failure here proves nothing; the caller then runs the matrix checks.
     """
-    points = _point_set(gd.action)
-    pis = None if points is None else _point_set(gd.enveloping_action)
+    points = gd.action.points
+    pis = None if points is None else gd.enveloping_action.points
     c = gset.row_sources(zip(*gd.embed.matrix.rows))
     if pis is None or c is None or None in c:
         return False
@@ -384,11 +383,11 @@ def _class_translates(gd: GlobalizationData, sub: Subgroup):
     v[pi_(h_i^-1)(c)], and the set of classes of beta_(h_i)(1_S).  The pi_g
     are the point set of the enveloping action
     (:attr:`GlobalizationData.enveloping_action`).  None unless it and the
-    action have certified point sets (:func:`~pargal.paction._point_set`)
+    action have certified point sets (:attr:`PartialAction.points`)
     and 1_S is 0/1."""
     one = gd.one_s.coords
     env = gd.enveloping_action
-    pis = None if _point_set(gd.action) is None else _point_set(env)
+    pis = None if gd.action.points is None else env.points
     if pis is None or one.count(0) + one.count(1) != len(one):
         return None
     backs = [pis.maps[gd.group.inv(h)] for h in sub.members]
@@ -479,7 +478,7 @@ def _psi_on_matrices(gd: GlobalizationData, sub: Subgroup, idems: SubgroupIdempo
 def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
     """T^H as a subalgebra of T: the invariants of beta restricted to H,
     whose constraints beta_h - 1_h are beta_h - I, since 1_h = 1_T.  A
-    point set of beta already read is handed to the restriction
+    certified point set of beta is handed to the restriction
     (:func:`~pargal.paction.restrict`)."""
     return invariants(restrict(gd.enveloping_action, sub))
 

@@ -43,7 +43,6 @@ from .paction import (
     GaloisCoordinates,
     PartialAction,
     _orbit_action,
-    _point_set,
     canonical_key,
     galois_coordinates,
     invariants,
@@ -95,25 +94,24 @@ class ExtensionClass:
     @staticmethod
     def certify(action: PartialAction) -> "ExtensionClass":
         """The class of a partial action with invariants R and partial
-        Galois coordinates.  On a certified point set (:func:`_point_set`)
-        the invariants are the component indicators: rank 1 means connected.
-        Coordinate k of the g-equation of :func:`galois_coordinates` for the
-        pairs (e_i, e_i) is 1 exactly when a_(g^-1) fixes k, so coordinates
-        exist exactly when no a_g with g != 1 fixes a point (that function
-        argues "only if").  Both are read at the roots of the components,
-        which the certificate of the point set found and kept
-        (:class:`~pargal.gset.PartialGSet`), with no second walk of the
-        points: the invariants have one indicator per root, and a fixed
-        point exists exactly when one fixes a root
-        (:func:`~pargal.gset.fixes_a_root`).
-        ``witness`` and ``fixed`` are built on first read; any other
-        carrier builds both here."""
+        Galois coordinates.  On a certified point set
+        (:attr:`PartialAction.points`) the invariants are the component
+        indicators: rank 1 means connected.  Coordinate k of the g-equation
+        of :func:`galois_coordinates` for the pairs (e_i, e_i) is 1 exactly
+        when a_(g^-1) fixes k, so coordinates exist exactly when no a_g with
+        g != 1 fixes a point (that function argues "only if").  Both are
+        read at the roots of the components, which the certificate of the
+        point set found and kept (:class:`~pargal.gset.PartialGSet`), with
+        no second walk of the points: the invariants have one indicator per
+        root, and a fixed point exists exactly when one fixes a root
+        (:func:`~pargal.gset.fixes_a_root`).  ``witness`` and ``fixed`` are
+        built on first read; any other carrier builds both here."""
         rep = verify_partial_action(action)
         if not rep.passed:
             bad = rep.failures()[0]
             raise CertificationError(f"not a partial action: {bad.name} [{bad.witness}]")
         out = ExtensionClass(action)
-        points = _point_set(action)
+        points = action.points
         rank = out.fixed.algebra.rank if points is None else len(points.roots)
         if rank != 1:
             raise CertificationError(f"fixed ring has rank {rank}, expected the base ring")
@@ -178,7 +176,7 @@ def harrison_product(c1: ExtensionClass, c2: ExtensionClass) -> ExtensionClass:
     if c1.action.algebra.ring != c2.action.algebra.ring:
         raise AlgebraError("harrison_product: classes over different base rings")
     a, b = c1.action, c2.action
-    set_a, set_b = _point_set(a), _point_set(b)
+    set_a, set_b = a.points, b.points
     if set_a is not None and set_b is not None:
         orbits, images, _ = gset.product(g, set_a, set_b)
         point_labels = deferred_labels(tensor_labels, a.algebra, b.algebra)
@@ -289,7 +287,7 @@ def idempotent_class(act: PartialAction) -> ExtensionClass:
     (:func:`~pargal.gset.fixes_a_root`), exactly as
     :func:`galois_coordinates` decides it.
     """
-    points = _point_set(act)
+    points = act.points
     if (galois_coordinates(act) is None) if points is None else gset.fixes_a_root(act.group, points):
         raise CertificationError("idempotent_class needs a partial Galois action")
     G = act.group

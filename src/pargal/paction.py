@@ -45,7 +45,7 @@ class PartialAction:
     :attr:`idems` and matrices :attr:`maps` are written on first read, and
     the readers of a point set read D_g and a_g off the maps instead.
     ``_points`` is None until the point set is read, then its record
-    (:func:`_point_set`), or False when there is none."""
+    (:attr:`points`), or False when there is none."""
 
     __slots__ = ("group", "algebra", "_idems", "_maps", "_idem_mats", "_split", "_points")
 
@@ -88,6 +88,26 @@ class PartialAction:
             self._maps = tuple(_point_matrix(self.algebra.ring, a) for a in self._points.maps)
         return self._maps
 
+    @property
+    def points(self) -> gset.PartialGSet | None:
+        """The partial G-set of the action on its basis points, certified:
+        the record (:class:`~pargal.gset.PartialGSet`) of the maps a_g,
+        maps[g][i] = j when M_g e_i = e_j and None when column i is 0.  None
+        unless the carrier is R^n on its standard basis
+        (:meth:`Algebra.split`), every stored entry of each 1_g and M_g is 0
+        or 1, no column of an M_g holds two 1s, and the maps with the
+        domains D_g = supp 1_g form a partial G-set
+        (:func:`~pargal.gset.certify`, which checks that D_g is the domain
+        of a_(g^-1); every reader of a point set takes it from there).  Read
+        (:func:`~pargal.gset.read`) in O(|G| r^2) and certified in O(|G| r)
+        when free, once per action, and kept on it."""
+        if self._points is None:
+            read = self.algebra.is_split() and gset.read(
+                self.group, [e.coords for e in self.idems], [zip(*m.rows) for m in self.maps]
+            )
+            self._points = read or False
+        return self._points or None
+
     def idem_matrix(self, g: int) -> Matrix:
         if self._idem_mats[g] is None:
             self._idem_mats[g] = self.algebra.mult_matrix(self.idems[g].coords)
@@ -102,13 +122,12 @@ class PartialAction:
 
     def ideal_ranks(self) -> list:
         """The rank of each ideal S_g: on a certified point set
-        (:func:`_point_set`) the number of points of D_g, the support of
-        1_g, read as the domain of a_(g^-1); else the rank of
-        :meth:`ideal`, r products and a row reduction."""
-        held = _point_set(self)
-        if held is not None:
-            points = held.maps
-            return [len(points[gi]) - points[gi].count(None) for gi in self.group.inverse]
+        (:attr:`points`) the number of points of D_g, the support of 1_g,
+        read as the domain of a_(g^-1); else the rank of :meth:`ideal`, r
+        products and a row reduction."""
+        if self.points is not None:
+            maps = self.points.maps
+            return [len(maps[gi]) - maps[gi].count(None) for gi in self.group.inverse]
         return [self.ideal(g).rank for g in self.group.elements()]
 
     def __eq__(self, other):
@@ -174,11 +193,11 @@ def verify_partial_action(act: PartialAction) -> ActionReport:
     """Check the unital partial-action axioms; failures carry witnesses.
 
     A standard carrier whose partial G-set passes the point-set certificate
-    (:func:`_point_set`) passes every check.  Any other action, and one
-    that fails there, runs the checks on its matrices
+    (:attr:`PartialAction.points`) passes every check.  Any other action,
+    and one that fails there, runs the checks on its matrices
     (:func:`_verify_on_matrices`), which name the witness of each failure.
     """
-    if _point_set(act) is not None:
+    if act.points is not None:
         rep = ActionReport()
         for name in (_UNITAL, _P2, _P1, _P3, _P4):
             rep.add(name, True)
@@ -264,23 +283,6 @@ def _verify_on_matrices(act: PartialAction) -> ActionReport:
     return rep
 
 
-def _point_set(act: PartialAction) -> gset.PartialGSet | None:
-    """The partial G-set of ``act`` on its basis points, certified: the
-    record (:class:`~pargal.gset.PartialGSet`) of the maps a_g, maps[g][i]
-    = j when M_g e_i = e_j and None when column i is 0.  None unless the
-    carrier is R^n on its standard basis (:meth:`Algebra.split`), every
-    stored entry of each 1_g and M_g is 0 or 1, no column of an M_g holds
-    two 1s, and the maps with the domains D_g = supp 1_g form a partial
-    G-set (:func:`~pargal.gset.certify`, which checks that D_g is the
-    domain of a_(g^-1); every reader of a point set takes it from there).
-    Read (:func:`~pargal.gset.read`) in O(|G| r^2) and certified in O(|G|
-    r) when free, once per action, and kept on it."""
-    if act._points is None:
-        read = act.algebra.is_split() and gset.read(act.group, [e.coords for e in act.idems], [zip(*m.rows) for m in act.maps])
-        act._points = read or False
-    return act._points or None
-
-
 def _residues(ring, u, rows) -> list:
     """Each coefficient x of ``rows`` read in the CRT unit u: 1 where u x =
     u, 0 where u x = 0, and None, which :func:`~pargal.gset.read` refuses,
@@ -344,8 +346,8 @@ def _point_matrix(ring, image) -> Matrix:
 def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     """The partial action of a subgroup on the same carrier.
 
-    A point set already read and certified (:func:`_point_set`) hands the
-    maps of the members to the restriction (:func:`_action_on_points`):
+    A certified point set (:attr:`PartialAction.points`) of ``act`` hands
+    the maps of the members to the restriction (:func:`_action_on_points`):
     the maps and domains of the members of H in a partial G-set form a
     partial H-set (:func:`~pargal.gset.certify`), as a_1 = id and (P4) at
     pairs of H is (P4) of the parent there.  Its components are the
@@ -354,25 +356,24 @@ def restrict(act: PartialAction, sub: Subgroup) -> PartialAction:
     may pass the certificate where its parent fails it."""
     if sub.parent != act.group:
         raise AlgebraError("subgroup of a different group")
-    if act._points:
-        maps = act._points.maps
+    if act.points is not None:
+        maps = act.points.maps
         return _action_on_points(sub.as_group(), act.algebra, [maps[m] for m in sub.members], "a restriction")
-    return _relabel(act, sub.as_group(), sub.members, None)
+    return _relabel(act, sub.as_group(), sub.members, False)
 
 
-def _relabel(act: PartialAction, group: FiniteGroup, members, held) -> PartialAction:
+def _relabel(act: PartialAction, group: FiniteGroup, members, same: bool) -> PartialAction:
     """The action of ``group`` with the idempotent and map of element
-    members[g] of ``act`` at g.  ``held``, the point set of ``act`` as read
-    (see :class:`PartialAction`) or None, is handed over where the result
-    has the same certificate and the same components: certified maps, with
-    no idempotent or matrix written and D_g read off the maps, or a failed
-    read as such."""
-    if held:
-        maps = [held.maps[m] for m in members]
-        return _on_points(group, act.algebra, gset.PartialGSet(maps, held.roots, held.comp))
-    out = PartialAction(group, act.algebra, [act.idems[m] for m in members], [act.maps[m] for m in members])
-    out._points = held
-    return out
+    members[g] of ``act`` at g.  Where ``same``, the result has the
+    certificate and the components of ``act``, so a certified point set of
+    ``act`` (:attr:`PartialAction.points`) is handed over: its maps, with
+    no idempotent or matrix written and D_g read off the maps.  Any other
+    result is built on the matrices and read when it is asked for."""
+    points = act.points if same else None
+    if points is not None:
+        maps = [points.maps[m] for m in members]
+        return _on_points(group, act.algebra, gset.PartialGSet(maps, points.roots, points.comp))
+    return PartialAction(group, act.algebra, [act.idems[m] for m in members], [act.maps[m] for m in members])
 
 
 def trace(act: PartialAction, x: Element) -> Element:
@@ -387,16 +388,16 @@ def trace(act: PartialAction, x: Element) -> Element:
 def invariants(act: PartialAction) -> SubAlgebra:
     """S^alpha = {x : alpha_g(x 1_{g^-1}) = x 1_g for all g} as an algebra.
 
-    On a certified point set (:func:`_point_set`) these are the functions
-    constant on the components of the partial G-set.  Their indicators,
-    ordered by least point, are the canonical row form of the kernel of the
-    constraints that any other carrier solves, and they multiply as
-    orthogonal idempotents summing to the unit.  So the invariants are
+    On a certified point set (:attr:`PartialAction.points`) these are the
+    functions constant on the components of the partial G-set.  Their
+    indicators, ordered by least point, are the canonical row form of the
+    kernel of the constraints that any other carrier solves, and they multiply
+    as orthogonal idempotents summing to the unit.  So the invariants are
     :meth:`Algebra.split` on the labels that
     :func:`~pargal.algebra.algebra_on_module` gives these rows, written on
     first read, with no row reduction or solve, and their linear system is
     factored on first use."""
-    points = _point_set(act)
+    points = act.points
     if points is not None:
         return _invariants_on_points(act.algebra, points.comp, len(points.roots))
     rows = []
@@ -423,18 +424,18 @@ class GaloisCoordinates:
 
     def verify(self) -> bool:
         """Whether sum_i x_i alpha_g(y_i 1_{g^-1}) = delta_{1,g} 1_S for
-        every g.  On a certified point set (:func:`_point_set`) coordinate k
-        of x alpha_g(y 1_{g^-1}) is x_k y_(a_(g^-1)(k)), summed on coordinate
-        lists over the nonzero x_k through the point maps: a_(g^-1) inverts
-        a_g and is defined exactly on its image.  Any other action sums the
-        products x * alpha_g(y 1_{g^-1}) as elements."""
+        every g.  On a certified point set (:attr:`PartialAction.points`)
+        coordinate k of x alpha_g(y 1_{g^-1}) is x_k y_(a_(g^-1)(k)), summed
+        on coordinate lists over the nonzero x_k through the point maps:
+        a_(g^-1) inverts a_g and is defined exactly on its image.  Any other
+        action sums the products x * alpha_g(y 1_{g^-1}) as elements."""
         act = self.action
         A, group = act.algebra, act.group
 
         def expected(g):
             return A.one() if g == group.identity else A.zero()
 
-        held = _point_set(act)
+        held = act.points
         if held is None:
             return all(
                 sum((x * act.apply(g, y) for x, y in self.pairs), A.zero()) == expected(g) for g in group.elements()
@@ -460,17 +461,17 @@ def galois_coordinates(act: PartialAction):
 
     Finds an element of S (x) S with sum_i x_i alpha_g(y_i 1_{g^-1}) =
     delta_{1,g} 1_S by one linear solve in rank^2 unknowns.  A certified
-    point set (:func:`_point_set`) needs no solve.  Where some a_g with g
-    != 1 fixes a point k, coordinate k of the g-equation is sum_i x_i(k)
-    y_i(k), which the equation at g = 1 makes 1, not 0: not Galois.
+    point set (:attr:`PartialAction.points`) needs no solve.  Where some a_g
+    with g != 1 fixes a point k, coordinate k of the g-equation is sum_i
+    x_i(k) y_i(k), which the equation at g = 1 makes 1, not 0: not Galois.
     Elsewhere the solver's particular solution is the pairs (e_i, e_i).
-    Such a point exists exactly when some a_g with g != 1 fixes the root
-    of a component (:func:`~pargal.gset.fixes_a_root`), which the
-    certificate found, so only the roots are read.
+    Such a point exists exactly when some a_g with g != 1 fixes the root of
+    a component (:func:`~pargal.gset.fixes_a_root`), which the certificate
+    found, so only the roots are read.
     """
     A = act.algebra
     r = A.rank
-    points = _point_set(act)
+    points = act.points
     if points is not None:
         if gset.fixes_a_root(act.group, points):
             return None
@@ -572,25 +573,24 @@ def phi_map(act: PartialAction) -> PhiMap:
 def inverse_action(act: PartialAction) -> PartialAction:
     """The star action: S*_g = S_{g^-1} with alpha*_g = alpha_{g^-1}.
 
-    On an abelian G a point set already read (:func:`_point_set`) is
-    handed over as a*_g = a_(g^-1), and a failed read as such
-    (:func:`_relabel`): a*_1 = a_1, D*_g = D_(g^-1), and (P4) of the star
-    maps at (g, h) is (P4) of the original at (g^-1, h^-1), because (gh)^-1
-    = g^-1 h^-1; so they form a partial G-set (:func:`~pargal.gset.certify`)
-    exactly when the original maps do.  The component of x, {a_g(x)}, is
-    {a*_g(x)}, so the roots and components are handed over too.  Any other
-    star action is read when it is asked for."""
+    On an abelian G a certified point set (:attr:`PartialAction.points`) is
+    handed over as a*_g = a_(g^-1) (:func:`_relabel`): a*_1 = a_1, D*_g =
+    D_(g^-1), and (P4) of the star maps at (g, h) is (P4) of the original at
+    (g^-1, h^-1), because (gh)^-1 = g^-1 h^-1; so they form a partial G-set
+    (:func:`~pargal.gset.certify`) exactly when the original maps do.  The
+    component of x, {a_g(x)}, is {a*_g(x)}, so the roots and components are
+    handed over too.  Any other star action is read when it is asked for."""
     group = act.group
-    return _relabel(act, group, group.inverse, act._points if group.is_abelian() else None)
+    return _relabel(act, group, group.inverse, group.is_abelian())
 
 
 def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialAction:
     """Relabel the acting group along an isomorphism.
 
     ``index_map[new_index] = old_index`` must be a group isomorphism from
-    new_group onto act.group (checked).  A point set already read
-    (:func:`_point_set`) is handed over (:func:`_relabel`): along the
-    isomorphism a partial G-set is a partial G'-set
+    new_group onto act.group (checked).  A certified point set
+    (:attr:`PartialAction.points`) is handed over (:func:`_relabel`): along
+    the isomorphism a partial G-set is a partial G'-set
     (:func:`~pargal.gset.certify`) with a'_a = a_(index_map[a]) and D'_a =
     D_(index_map[a]), with the same components and so the same roots.
     """
@@ -602,7 +602,7 @@ def transport(act: PartialAction, new_group: FiniteGroup, index_map) -> PartialA
         for b in new_group.elements():
             if act.group.mul(index_map[a], index_map[b]) != index_map[new_group.mul(a, b)]:
                 raise AlgebraError("group relabeling is not a homomorphism")
-    return _relabel(act, new_group, index_map, act._points)
+    return _relabel(act, new_group, index_map, True)
 
 
 @dataclass
@@ -625,12 +625,13 @@ def iso_check(a: PartialAction, b: PartialAction) -> IsoResult:
     so the two agree by construction; each sigma_t is the greatest in lexicographic
     order of (sigma_t(r-1), ..., sigma_t(0)).  On a standard carrier the partial
     G-sets are read on the points in place, and units that share their maps
-    share one match.  When both sides are point sets (:func:`_point_set`)
-    and all units get one sigma, the witness is that permutation pi of the
-    points, checked on the point maps (:func:`_certified_witness`) with no
-    matrix product, and its matrix is written on first read.  A "none"
-    answer names its obstruction: the two ranks, or the CRT unit and the
-    size of the first component of ``a`` with no partner in ``b``.
+    share one match.  When both sides are point sets
+    (:attr:`PartialAction.points`) and all units get one sigma, the witness is
+    that permutation pi of the points, checked on the point maps
+    (:func:`_certified_witness`) with no matrix product, and its matrix is
+    written on first read.  A "none" answer names its obstruction: the two
+    ranks, or the CRT unit and the size of the first component of ``a`` with no
+    partner in ``b``.
     """
     return _match_iso(a, b)
 
@@ -676,7 +677,7 @@ def _match_iso(a: PartialAction, b: PartialAction, marked=None) -> IsoResult:
             return IsoResult("none", obstruction=f"CRT unit {u}: a component of size {unmatched} has no partner")
         sigmas.append(sigma)
         last = (ga, gb, ca, cb)
-    if sigmas.count(sigmas[0]) == len(sigmas) and _point_set(a) is not None and _point_set(b) is not None:
+    if sigmas.count(sigmas[0]) == len(sigmas) and a.points is not None and b.points is not None:
         return IsoResult("iso", _certified_witness(a, b, None, marked, sigmas[0]))
     rows = [[0] * r for _ in range(r)]
     for u, sigma in zip(units, sigmas):
@@ -718,16 +719,17 @@ def _split_data(act: PartialAction) -> _SplitData | None:
     """The split data of ``act``, or None when its carrier has no split
     presentation; built once per action and kept on it.  The coefficients
     are the coordinates on a standard carrier (:meth:`Algebra.is_split`),
-    else read through B^-1.  A point set (:func:`_point_set`) serves every
-    CRT unit with its record, as on 0/1 data u p_i reads alike for every u; any other action is read per unit
-    (:func:`_residues`), and :func:`_refuse` says why a unit that fails
-    does not permute the split idempotents."""
+    else read through B^-1.  A point set (:attr:`PartialAction.points`) serves
+    every CRT unit with its record, as on 0/1 data u p_i reads alike for every
+    u; any other action is read per unit (:func:`_residues`), and
+    :func:`_refuse` says why a unit that fails does not permute the split
+    idempotents."""
     if act._split is not None:
         return act._split[0]
     A, group = act.algebra, act.group
     ring, r = A.ring, A.rank
     units = ring.crt_units
-    points = _point_set(act)
+    points = act.points
     if points is not None:
         t = len(units)
         act._split = (_SplitData(None, None, units, [points] * t, [[None] * r] * t),)
@@ -800,17 +802,17 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
     failure is a bug in the match.
 
     ``pi``, when given, is a bijection of the points of two certified point
-    sets (:func:`_point_set`) with f e_x = e_pi(x), and the trap runs on
-    the point maps (:func:`~pargal.gset.trap_on_points`) in O(|G| r).  There E'_g f =
-    f E_g says pi(D_g) = D'_g, and f M_g = M'_g f E_(g^-1) says
-    a'_g(pi(x)) = pi(a_g(x)) for x in D_(g^-1), both sides 0 elsewhere: a
-    certified a_g is defined exactly on D_(g^-1).  The other checks hold
-    for any bijection pi between split algebras: f is invertible with
-    inverse e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) = e_pi(x)
-    e_pi(y) because pi is injective, and f(1) = sum_x e_pi(x) = 1 because
-    it is onto.  So the point route passes or fails exactly as the matrix
-    route.  The morphism then writes the permutation matrix of pi on first
-    read, and ``fmat`` is not read.
+    sets (:attr:`PartialAction.points`) with f e_x = e_pi(x), and the trap
+    runs on the point maps (:func:`~pargal.gset.trap_on_points`) in O(|G|
+    r).  There E'_g f = f E_g says pi(D_g) = D'_g, and f M_g = M'_g f
+    E_(g^-1) says a'_g(pi(x)) = pi(a_g(x)) for x in D_(g^-1), both sides 0
+    elsewhere: a certified a_g is defined exactly on D_(g^-1).  The other
+    checks hold for any bijection pi between split algebras: f is invertible
+    with inverse e_y -> e_(pi^-1(y)), f(e_x e_y) = delta_xy e_pi(x) =
+    e_pi(x) e_pi(y) because pi is injective, and f(1) = sum_x e_pi(x) = 1
+    because it is onto.  So the point route passes or fails exactly as the
+    matrix route.  The morphism then writes the permutation matrix of pi on
+    first read, and ``fmat`` is not read.
 
     Without ``pi`` the trap runs on the matrices (:func:`_trap_on_matrices`)."""
     if pi is None:
@@ -818,7 +820,7 @@ def _certified_witness(a: PartialAction, b: PartialAction, fmat, marked=None, pi
         _trap_on_matrices(a, b, morphism)
     else:
         morphism = AlgebraMorphism.deferred(a.algebra, b.algebra, lambda: _point_matrix(a.algebra.ring, pi))
-        gset.trap_on_points(a.group, _point_set(a).maps, _point_set(b).maps, pi)
+        gset.trap_on_points(a.group, a.points.maps, b.points.maps, pi)
     if marked is not None and morphism(marked[0]) != marked[1]:
         raise AssertionError("iso_check: f does not carry the marked idempotent (bug trap)")
     return morphism

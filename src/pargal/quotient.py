@@ -31,7 +31,6 @@ from .paction import (
     PartialAction,
     _action_on_points,
     _invariants_on_points,
-    _point_set,
     galois_coordinates,
     invariants,
     restrict,
@@ -155,7 +154,7 @@ def _orbit_maps(least, comp, sources) -> list:
 def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> QuotientAction:
     """The induced partial action of G/H on S^{alpha_H} via the closed forms.
 
-    On a certified point set (:func:`~pargal.paction._point_set`) the
+    On a certified point set (:attr:`PartialAction.points`) the
     H-orbits, whose indicators span S^{alpha_H}, and the orbit maps are
     read in one call of :func:`~pargal.gset.quotient`: the closed
     form of alpha_{gH} reads x at a_(g h_i)^-1(q) for the first h_i with q
@@ -165,7 +164,7 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
     :meth:`QuotientAction.certify`.
     """
     qdata = quotient(act.group, sub, transversal)
-    points = _point_set(act)
+    points = act.points
     if points is not None:
         _, images, comp = gset.quotient(act.group, points, qdata.transversal, sub.members)
         return _quotient_on_points(act, sub, qdata, images, comp)
@@ -181,7 +180,7 @@ def quotient_action(act: PartialAction, sub: Subgroup, transversal=None) -> Quot
 def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAction:
     """alpha_{G/H} through the enveloping action: m_{1_S} o beta_g o psi_H.
 
-    On a certified point set (:func:`~pargal.paction._point_set`) the
+    On a certified point set (:attr:`PartialAction.points`) the
     pull-down, beta_g, psi_H and the embedding are 0/1 matrices on the
     classes of G x X / ~ with at most one 1 a row, so their composite is
     read as the row sources (:func:`~pargal.gset.row_sources`) of
@@ -197,16 +196,16 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     qdata = quotient(act.group, sub)
     idems = subgroup_idempotents(gd, sub)
     psi = psi_h(gd, sub, idems)
-    if _point_set(act) is not None:
+    if act.points is not None:
         pull, through, up = (gset.row_sources(m.rows) for m in (gd.down, psi.matrix, gd.embed.matrix))
-        pis = _point_set(gd.enveloping_action).maps
+        pis = gd.enveloping_action.points.maps
         sources = []
         for q in qdata.quotient.inverse:
             source = pull
             for step in (pis[act.group.inv(qdata.transversal[q])], through, up):
                 source = [None if c is None else step[c] for c in source]
             sources.append(source)
-        orbits = _point_set(restrict(act, sub))
+        orbits = restrict(act, sub).points
         return _quotient_on_points(act, sub, qdata, _orbit_maps(orbits.roots, orbits.comp, sources), orbits.comp)
     T = gd.algebra
     down = gd.down

@@ -32,7 +32,7 @@ from pargal.actionfile import (
     save_action,
 )
 from pargal.algebra import Algebra, AlgebraError, Element
-from pargal.paction import PartialAction, _point_set, verify_partial_action
+from pargal.paction import PartialAction, verify_partial_action
 from pargal.scalars import Matrix, parse_ring
 
 from test_paction import partial_zn_sets, relabel
@@ -155,7 +155,7 @@ def assert_same_outcome(path, base=None, verify=True):
     assert got.group == want.group
     assert got.algebra == want.algebra
     # the point set first: on the matrix route it is read off the matrices
-    assert _point_set(got) == _point_set(want)
+    assert got.points == want.points
     assert got.idems == want.idems
     assert got.maps == want.maps
 
@@ -226,7 +226,7 @@ def test_data_off_the_point_certificate_fails_alike_on_both_routes(doc):
         # what `pargal verify` reports, witnesses included
         got = verify_partial_action(load_action(path, verify=False)).checks
         assert got == verify_partial_action(matrix_load(path, verify=False)).checks
-        assert _point_set(load_action(path, verify=False)) is None
+        assert load_action(path, verify=False).points is None
 
 
 @st.composite

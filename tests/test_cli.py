@@ -706,9 +706,7 @@ def rank_zero(tmp_path):
 def test_a_rank_0_carrier_reads_no_orbit(argv, rank_zero, capsys):
     # a point set with no point, so every orbit read (components, enveloping
     # set, H-orbits) is empty
-    from pargal.paction import _point_set
-
-    assert _point_set(load_action(rank_zero)).maps == [[], []]
+    assert load_action(rank_zero).points.maps == [[], []]
     command, *options = argv
     assert run_cli(command, rank_zero, *options, "--json") == 0
     doc = json.loads(capsys.readouterr().out)

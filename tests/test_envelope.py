@@ -196,12 +196,11 @@ def test_globalize_over_f2():
 
 def routes_of(act):
     from pargal.envelope import _globalize_matrices, _globalize_points
-    from pargal.paction import _point_set
 
     def fields(gd):
         return gd.algebra, gd.beta, gd.embed.source, gd.embed.target, gd.embed.matrix, gd.one_s, gd.down
 
-    points = _point_set(act)
+    points = act.points
     assert points is not None
     return fields(_globalize_points(act, points)), fields(_globalize_matrices(act))
 
@@ -570,7 +569,7 @@ def test_the_enveloping_read_finds_the_identity_at_any_index():
     # reordered so that the identity has index 1: the class c(x) of (1, x)
     # lies in the identity's slot of G x X, and G is not abelian, so no
     # other slot embeds X into G x X / ~
-    from pargal.paction import _action_on_points, _point_set
+    from pargal.paction import _action_on_points
     from pargal.quotient import quotient_action, quotient_via_globalization
     from test_groups import s3
 
@@ -582,7 +581,7 @@ def test_the_enveloping_read_finds_the_identity_at_any_index():
     where = {x: i for i, x in enumerate(subset)}
     maps = [[where.get(base.mul(g, x)) for x in subset] for g in order]
     act = _action_on_points(group, Algebra.split(QQ, [f"x{x}" for x in subset]), maps, "a")
-    assert group.identity == 1 and _point_set(act) is not None
+    assert group.identity == 1 and act.points is not None
     gd = globalize(act)
     assert gd.algebra.rank == 6
     for sub in (subgroup_closure(group, []), subgroup_closure(group, [pos[1], pos[2]])):

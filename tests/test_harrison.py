@@ -47,7 +47,6 @@ from pargal.harrison import (
 )
 from pargal.paction import (
     PartialAction,
-    _point_set,
     _trap_on_matrices,
     invariants,
     inverse_action,
@@ -837,7 +836,7 @@ def test_crt_glued_action_takes_the_matrix_route(tensor_calls):
     strict=True,
     raises=AlgebraError,
     reason="the matrix route reads the delta-G invariants of this glued square as a Howell form "
-    "with more rows than its rank, a module it takes for not free over Z/6 (ROADMAP item 3a)",
+    "with more rows than its rank, a module it takes for not free over Z/6 (ROADMAP item 11)",
 )
 def test_square_of_a_glued_class_glues_the_squares_of_its_units():
     # x on the Z/2 component and the relabelled x* on the Z/3 component:
@@ -989,7 +988,7 @@ def test_non_permutation_basis_takes_the_idempotent_matrix_route(hat_calls):
 
     # Q^2 on the basis 1 = e1 + e2, e2
     act = rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]]))
-    assert _point_set(act) is None
+    assert act.points is None
     e = idempotent_class(act)
     assert len(hat_calls) == 1
     assert e.action == matrix_idempotent(act)
@@ -1095,7 +1094,7 @@ def test_single_factor_compose_is_identity():
 
 def test_certification_rejects_non_galois():
     from test_paction import rebased
-    from pargal.paction import PartialAction, _point_set
+    from pargal.paction import PartialAction
 
     triv = global_swap()
     ident = PartialAction(
@@ -1103,7 +1102,7 @@ def test_certification_rejects_non_galois():
     )
     # Q^2 on the basis 1 = e1 + e2, e2 takes the matrix route
     copy = rebased(ident, Matrix(QQ, [[1, 0], [1, 1]]))
-    assert _point_set(ident) is not None and _point_set(copy) is None
+    assert ident.points is not None and copy.points is None
     for act in (ident, copy):
         with pytest.raises(CertificationError) as exc:
             ExtensionClass.certify(act)
@@ -1284,7 +1283,7 @@ def test_the_semigroup_on_the_core_alone(pair):
         return G.mul(g, s), G.inv(s)
 
     for x, y in itertools.product(firsts, seconds):
-        rx, ry = _point_set(x.action), _point_set(y.action)
+        rx, ry = x.action.points, y.action.points
         read = gset.product(G, rx, ry)
         points = list(itertools.product(range(len(rx.maps[0])), range(len(ry.maps[0]))))
 
@@ -1299,7 +1298,7 @@ def test_the_semigroup_on_the_core_alone(pair):
         assert len(record.maps[0]) == len(d)
         assert all(point_signature(G, record, p) in translates(G, d) for p in range(len(d)))
     for c in firsts + seconds:
-        rc = _point_set(c.action)
+        rc = c.action.points
         r = len(rc.maps[0])
         idems = c.action.idems
         pairs, read = gset.hat(G, rc)
@@ -1391,7 +1390,7 @@ def test_lazy_actions_match_the_eager_oracle(pair, k):
     import math
 
     from pargal.envelope import globalize
-    from pargal.paction import _point_set, transport
+    from pargal.paction import transport
 
     a, b = pair
     G = a.group
@@ -1426,7 +1425,7 @@ def test_lazy_actions_match_the_eager_oracle(pair, k):
         assert hash(act) == hash(want) == hash(twin), name
         assert act.maps == want.maps and twin.maps == want.maps, name
         assert copy.deepcopy(act) == act and copy.deepcopy(act).maps == want.maps, name
-        assert _point_set(want) == act._points, name
+        assert want.points == act._points, name
 
 
 def test_point_classes_write_no_matrix(monkeypatch):
@@ -1470,11 +1469,10 @@ REBASE = [[1, 0], [1, 1]]  # R^2 on the basis 1 = e1 + e2, e2
 @pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
 def test_connected_action_with_a_fixed_point_has_no_coordinates(ring):
     from test_paction import rebased
-    from pargal.paction import _point_set
 
     act = z4_through_z2(ring)
     copy = rebased(act, Matrix(ring, REBASE, 2))
-    assert _point_set(act) is not None and _point_set(copy) is None
+    assert act.points is not None and copy.points is None
     for a in (act, copy):
         with pytest.raises(CertificationError) as exc:
             ExtensionClass.certify(a)
@@ -1595,9 +1593,8 @@ def eager_hat_labels(act):
 def eager_envelope_labels(act):
     """The class sums of G x X / ~, written at once by the rule of the
     product's labels (format_coords)."""
-    from pargal.paction import _point_set
 
-    maps, G, S = _point_set(act).maps, act.group, act.algebra
+    maps, G, S = act.points.maps, act.group, act.algebra
     n = S.rank
     point_labels = [f"{g}:{lab}" for g in G.labels for lab in S.labels]
     cls_of, labels = [None] * (G.order * n), []
@@ -1713,19 +1710,16 @@ def unital_ideal_ranks(act):
 @given(subset_class_pairs())
 @settings(max_examples=60, deadline=None)
 def test_ideal_ranks_on_points_match_the_unital_ideals(pair):
-    from pargal.paction import _point_set
-
     a, b = pair
     product = harrison_product(a, b)
     on_points = [a.action, b.action, product.action, idempotent_class(a.action).action]
-    assert all(_point_set(act) is not None for act in on_points)
+    assert all(act.points is not None for act in on_points)
     for act in on_points:
         assert act.ideal_ranks() == unital_ideal_ranks(act)
 
 
 def test_ideal_ranks_off_points_are_the_unital_ideals():
     from pargal.corpus import standard_corpus
-    from pargal.paction import _point_set
     from test_paction import crt_glue, rebased
 
     for ring in (QQ, Modular(2), Modular(6)):
@@ -1740,7 +1734,7 @@ def test_ideal_ranks_off_points_are_the_unital_ideals():
     for x, y in [({0, 1}, {0, 2}), ({0, 1, 2}, {0, 1, 3}), ({0, 1}, {0, 3})]:
         others.append(crt_glue(subset_class(4, x, z6).action, subset_class(4, y, z6).action))
     for act in others:
-        assert _point_set(act) is None
+        assert act.points is None
         assert act.ideal_ranks() == unital_ideal_ranks(act)
     assert others[0].ideal_ranks() == ex2.ideal_ranks()
 
@@ -1806,11 +1800,9 @@ def test_deferred_labels_hold_no_algebra(pair):
 
 
 def read_afresh(act):
-    """The record of the point set that _point_set reads off a copy of
-    ``act`` on its written 1_g and M_g, or False."""
-    copy = PartialAction(act.group, act.algebra, act.idems, act.maps)
-    _point_set(copy)
-    return copy._points
+    """The point set read off a copy of ``act`` on its written 1_g and
+    M_g (PartialAction.points), or None."""
+    return PartialAction(act.group, act.algebra, act.idems, act.maps).points
 
 
 def eager_idems(act):

@@ -488,14 +488,12 @@ def test_iso_check_refuses_uncertified_point_data_read_in_place(ring):
     # (0, 2, 1) and answered "iso" against itself
     from itertools import permutations
 
-    from pargal.paction import _point_set
-
     unit = 3 if ring == Z6 else 1
     message = f"iso_check: the split idempotents of CRT unit {unit} carry no partial G-set"
     cases = [case[1:4] for case in POINT_SET_FAILURES] + [(1, [(1, 1, 1)], [(1, 1, 2)])]
     for n, domains, maps in cases:
         act = points_action(ring, n, domains, maps)
-        assert _point_set(act) is None, maps
+        assert act.points is None, maps
         for perm in permutations(range(act.algebra.rank)):
             for a, b in ((act, relabel(act, perm)), (relabel(act, perm), act)):
                 with pytest.raises(AlgebraError) as exc:
@@ -1281,9 +1279,9 @@ def handed_over_witness(a, b, fmat, marked=None):
     """_certified_witness with f handed over as the permutation pi of the
     points, as iso_check hands it over, when both actions are certified
     point sets and f is a permutation matrix."""
-    from pargal.paction import _certified_witness, _point_set
+    from pargal.paction import _certified_witness
 
-    on_points = _point_set(a) is not None and _point_set(b) is not None
+    on_points = a.points is not None and b.points is not None
     return _certified_witness(a, b, fmat, marked, read_permutation(fmat) if on_points else None)
 
 
@@ -1429,7 +1427,6 @@ def point_trap_cases(draw):
     or a column zeroed, an entry flipped or an entry 2, which leave no
     permutation matrix."""
     from pargal.harrison import harrison_product
-    from pargal.paction import _point_set
 
     ring = draw(st.sampled_from(ORACLE_RINGS))
     n = draw(st.integers(1, 6))
@@ -1460,7 +1457,7 @@ def point_trap_cases(draw):
     elif kind == "transposition":
         # D_g is the domain of a_(g^-1), so x and y lie in the same D_g when
         # every map is defined at both or at neither
-        points = _point_set(a).maps
+        points = a.points.maps
         pairs = [
             (x, y)
             for x in range(r)
@@ -1495,12 +1492,10 @@ def test_point_trap_matches_the_dense_trap(case):
     # matrix product; every other f or carrier runs the matrix trap
     from unittest import mock
 
-    from pargal.paction import _point_set
-
     kind, a, b, fmat = case
     with mock.patch.object(Matrix, "mul", autospec=True, side_effect=Matrix.mul) as mul:
         got = trap_outcome(handed_over_witness, a, b, fmat)
-    certified = _point_set(a) is not None and _point_set(b) is not None
+    certified = a.points is not None and b.points is not None
     on_points = certified and is_permutation_matrix(fmat.rows)
     assert (mul.call_count == 0) == on_points
     assert got == trap_outcome(reference_certified_witness, a, b, fmat)
@@ -1691,14 +1686,13 @@ def test_point_witness_is_the_presentation_witness(ring, matched_sigmas, monkeyp
 
     import pargal.gset as gset
     from pargal.envelope import global_iso_check, globalize
-    from pargal.paction import _point_set
 
     handed = []
     trap = gset.trap_on_points
     monkeypatch.setattr(gset, "trap_on_points", lambda group, pa, pb, pi: handed.append(pi) or trap(group, pa, pb, pi))
 
     def assert_presentation_witness(a, b, res):
-        assert _point_set(a) is not None and _point_set(b) is not None
+        assert a.points is not None and b.points is not None
         pi = None
         if res.status == "iso":
             units = a.algebra.ring.crt_units
@@ -1990,36 +1984,39 @@ def test_point_set_route_matches_the_sparse_and_dense_routes(act, rnd):
 @given(point_set_actions())
 @settings(max_examples=150, deadline=None)
 def test_restrict_and_inverse_hand_over_the_point_maps(act):
-    # a handed-over point set must be what the reader reads off the result;
-    # an action not yet read hands over nothing, and a restriction of an
-    # uncertified one is left to be read
-    from pargal.paction import _point_set
+    # each construction reads the point set of the action it starts from,
+    # once, and nothing else; a certified one is handed over, with no matrix
+    # written, and equals the matrix relabel of the same members, while an
+    # uncertified star or transport holds no point set
+    from unittest import mock
+    from pargal import gset
     from test_harrison import read_afresh
 
-    subgroups = all_subgroups(act.group)
-    assert all(restrict(act, sub)._points is None for sub in subgroups)
-    assert inverse_action(act)._points is None
-    certified = _point_set(act) is not None
-    for sub in subgroups:
-        out = restrict(act, sub)
-        # the components of a restriction are its own: its certificate
-        # walks them when it is built
-        assert bool(out._points) == certified
-        assert not out._points or out._points == read_afresh(out)
-    star = inverse_action(act)
-    assert star._points is not None and star._points == read_afresh(star)
+    group = act.group
+    certified = read_afresh(act) is not None
+    builds = [(lambda a, sub=sub: restrict(a, sub), sub.as_group(), sub.members) for sub in all_subgroups(group)]
+    builds += [(inverse_action, group, group.inverse), (lambda a: transport(a, group, group.inverse), group, group.inverse)]
+    for build, target, members in builds:
+        parent = PartialAction(group, act.algebra, act.idems, act.maps)
+        with mock.patch.object(gset, "read", wraps=gset.read) as read:
+            out = build(parent)
+        assert read.call_count == 1 and parent._points is not None
+        if certified:
+            assert out._maps is None
+            assert out == PartialAction(target, act.algebra, [act.idems[m] for m in members], [act.maps[m] for m in members])
+    if not certified:
+        for out in (inverse_action(act), transport(act, group, group.inverse)):
+            assert out.points is None and read_afresh(out) is None
 
 
 def test_inverse_of_a_non_abelian_action_hands_over_nothing():
-    from pargal.paction import _point_set
-
     act = trivial_action(s3())
-    assert _point_set(act) is not None
+    assert act.points is not None
     star = inverse_action(act)
     assert star._points is None
     # a*_g a*_h = a_(g^-1 h^-1), which is a*_(hg), not a*_(gh): the star
     # data is a right action, and the certificate refuses it
-    assert _point_set(star) is None
+    assert star.points is None
     assert not verify_partial_action(star).passed
 
 
@@ -2049,7 +2046,7 @@ def test_split_data_matches_the_presentation_route(act):
 
     import pargal.paction as paction
     from pargal.gset import _component_from, certify
-    from pargal.paction import _point_set, _split_data
+    from pargal.paction import _split_data
 
     ring, r = act.algebra.ring, act.algebra.rank
     standard = act.algebra.is_split()
@@ -2072,13 +2069,13 @@ def test_split_data_matches_the_presentation_route(act):
         assert (data.basis is None) == standard
         # a point set hands its record over to every unit
         assert data.units == ring.crt_units
-        if _point_set(act) is not None:
-            assert all(unit is _point_set(act) for unit in data.gsets)
+        if act.points is not None:
+            assert all(unit is act.points for unit in data.gsets)
         for unit in data.gsets:
             assert unit == certify(act.group, unit.maps)
             assert sorted(y for x in unit.roots for y in _component_from(unit.maps, [None] * r, x)[0]) == list(range(r))
     if not standard:
-        assert _point_set(act) is None
+        assert act.points is None
         return
     # the reader keeps every action with 0/1 data and no column with two
     # 1s that is a partial action, as the dense reference checks it
@@ -2086,7 +2083,7 @@ def test_split_data_matches_the_presentation_route(act):
     columns = [list(col) for m in act.maps for col in zip(*m.rows)]
     readable = all(x in (0, 1) for x in stored) and all(col.count(1) <= 1 for col in columns)
     certified = readable and all(passed for _, passed, _ in report_of(reference_verify_partial_action(act)))
-    assert (_point_set(act) is not None) == certified
+    assert (act.points is not None) == certified
 
 
 def test_actions_on_points_trap_maps_that_are_no_partial_g_set():
@@ -2105,21 +2102,19 @@ def test_actions_on_points_trap_maps_that_are_no_partial_g_set():
 
 
 def test_point_set_reader_refuses_all_but_0_1_permutation_data():
-    from pargal.paction import _point_set
-
     z6 = example2(Z6)
-    assert _point_set(z6) is not None
+    assert z6.points is not None
     # an unreduced 7 over Z/6 is stored data, not the residue 1
-    assert _point_set(perturbed(z6, maps={1: [[0, 0], [7, 0]]})) is None
-    assert _point_set(perturbed(z6, idems={1: (0, 7)})) is None
+    assert perturbed(z6, maps={1: [[0, 0], [7, 0]]}).points is None
+    assert perturbed(z6, idems={1: (0, 7)}).points is None
     # a column with two 1s sends a point to two points
-    assert _point_set(perturbed(z6, maps={0: [[1, 0], [1, 1]]})) is None
+    assert perturbed(z6, maps={0: [[1, 0], [1, 1]]}).points is None
     # a row with two 1s is two points sent to one: no injective a_1, so
     # the certificate fails
-    assert _point_set(perturbed(z6, maps={0: [[1, 1], [0, 0]]})) is None
+    assert perturbed(z6, maps={0: [[1, 1], [0, 0]]}).points is None
     # a carrier on another basis has no point set
-    assert _point_set(rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]], 2))) is None
-    assert _point_set(frobenius_f4()) is None
+    assert rebased(example2(), Matrix(QQ, [[1, 0], [1, 1]], 2)).points is None
+    assert frobenius_f4().points is None
 
 
 def points_action(ring, n, domains, maps):
@@ -2154,12 +2149,12 @@ POINT_SET_FAILURES = [
                          ids=[c[0] for c in POINT_SET_FAILURES])
 def test_point_set_certificate_fails_with_the_column_checks(ring, n, domains, maps, name):
     from pargal.gset import certify
-    from pargal.paction import _point_set, _verify_on_matrices
+    from pargal.paction import _verify_on_matrices
 
     act = points_action(ring, n, domains, maps)
     # 0/1 data with one 1 at most in each column, refused by the certificate
     assert certify(act.group, [list(m) for m in maps], [[c == 1 for c in d] for d in domains]) is None
-    assert _point_set(act) is None
+    assert act.points is None
     report = report_of(verify_partial_action(act))
     assert report == report_of(_verify_on_matrices(act)) == report_of(reference_verify_partial_action(act))
     assert [check for check, passed, _ in report if not passed][0] == name
@@ -2245,7 +2240,6 @@ def partial_maps(draw):
     """A group of order <= 4 with one partial map of r <= 4 points and one
     domain per element: a partial G-set restricted to r of its points and
     possibly edited, or maps and domains drawn freely, a_1 = id or not."""
-    from pargal.paction import _point_set
 
     r = draw(st.integers(1, 4))
     if draw(st.booleans()):
@@ -2255,7 +2249,7 @@ def partial_maps(draw):
         points = draw(st.permutations(gset_points(orbits)))
         r = min(r, len(points))
         act = gset_action(QQ, n, orbits, points[:r])
-        maps = [list(m) for m in _point_set(act).maps]
+        maps = [list(m) for m in act.points.maps]
         domains = [[c == 1 for c in e.coords] for e in act.idems]
         g, i = draw(st.integers(0, n - 1)), draw(st.integers(0, r - 1))
         edit = draw(st.sampled_from(["none", "map", "domain"]))
@@ -2473,14 +2467,14 @@ def has_fixed_point(group, maps):
 @given(partial_zn_sets(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_point_decisions_match_the_matrix_route(act, data):
-    from pargal.paction import _point_set, galois_coordinates
+    from pargal.paction import galois_coordinates
 
-    points = _point_set(act).maps
+    points = act.points.maps
     r = act.algebra.rank
     copy = rebased(act, data.draw(unitriangular(act.algebra.ring, r)))
     # a permutation matrix keeps a point set, and rank 1 over F_2 has no
     # other basis
-    assume(_point_set(copy) is None)
+    assume(copy.points is None)
     try:
         outcome = certify_outcome(copy)
     except AlgebraError as exc:
@@ -2557,7 +2551,7 @@ def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
     from pargal.envelope import globalize
     from pargal.harrison import ExtensionClass, harrison_product, idempotent_class
     from pargal.gset import fixes_a_root
-    from pargal.paction import _point_set, _split_data
+    from pargal.paction import _split_data
     from pargal.quotient import quotient_action, quotient_via_globalization
     from test_harrison import cyclic_subgroups, eager_idems, eager_split_table
 
@@ -2592,7 +2586,7 @@ def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
             c = ExtensionClass.certify(glued)
             actions.append(harrison_product(c, c).action)
         except AlgebraError as exc:
-            # the Z/6 refusal of the matrix route's invariants (ROADMAP item 3)
+            # the Z/6 refusal of the matrix route's invariants (ROADMAP item 11)
             assert str(exc).startswith("subalgebra: generating rows are not a free basis over Z/6"), exc
         r = z.algebra.rank
         actions.append(crt_glue(z, relabel(inverse_action(z), data.draw(st.permutations(range(r))))))
@@ -2608,7 +2602,7 @@ def test_first_reads_and_root_reads_match_the_eager_oracles(pair, data):
             assert act.idems == eager_idems(act)
         if act.algebra._table is None:
             assert act.algebra.table == eager_split_table(act.algebra.ring, act.algebra.rank)
-        points = _point_set(act)
+        points = act.points
         gsets = [points] if points is not None else _split_data(act).gsets
         for unit in gsets:
             orbits, comp = components(unit.maps)
@@ -2627,10 +2621,9 @@ def test_the_certificate_record_matches_the_walks_it_replaced(act, data):
     # pointwise reference, on a partial Z_n-set, its restriction to each
     # cyclic subgroup, and its maps or domains with one entry perturbed
     from pargal.gset import certify
-    from pargal.paction import _point_set
     from test_harrison import cyclic_subgroups, union_find_quotient
 
-    group, maps = act.group, _point_set(act).maps
+    group, maps = act.group, act.points.maps
     r = len(maps[0])
     cases = [(group, maps)] + [(sub.as_group(), [maps[m] for m in sub.members]) for sub in cyclic_subgroups(group)]
     perturbed = [list(a) for a in maps]

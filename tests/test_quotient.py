@@ -11,7 +11,7 @@ from pargal.algebra import Algebra, AlgebraError, AlgebraMorphism, Element
 from pargal.corpus import example1, global_swap, standard_corpus, trivial_action
 from pargal.envelope import GlobalizationData, certify_globalization, fixed_ring, globalize, psi_h
 from pargal.groups import all_subgroups, is_normal, make_cyclic, quotient, subgroup_closure
-from pargal.paction import galois_coordinates, global_action, invariants, restrict, verify_partial_action
+from pargal.paction import PartialAction, galois_coordinates, global_action, invariants, restrict, verify_partial_action
 from pargal.quotient import (
     induced_map_apply,
     quotient_action,
@@ -187,7 +187,6 @@ def test_quotient_galois_check_example1():
 def test_quotient_galois_check_requires_galois_input():
     triv = global_swap()
     # identity action on R^2 is valid but not Galois
-    from pargal.paction import PartialAction
     from pargal.scalars import QQ
 
     ident = PartialAction(
@@ -231,10 +230,9 @@ def matrix_routes(act, sub):
     """quotient_action and quotient_via_globalization as a carrier without a
     certified point set takes them: closed forms evaluated as elements
     (induced_map_apply, quotient_idempotent), and m_{1_S} o beta_g o psi_H
-    as matrix products."""
-    import pargal.quotient as quotient
-
-    with mock.patch.object(quotient, "_point_set", lambda act: None):
+    as matrix products.  No action reads as a point set, so every module
+    the routes call takes its matrix route too, globalize included."""
+    with mock.patch.object(PartialAction, "points", property(lambda self: None)):
         return quotient_action(act, sub), quotient_via_globalization(act, sub)
 
 
@@ -256,14 +254,14 @@ def test_point_routes_match_the_matrix_routes(act):
 def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
     # the regular S_3-set restricted to subsets of its points, by the
     # normal subgroups {e}, A_3 and S_3
-    from pargal.paction import _action_on_points, _point_set
+    from pargal.paction import _action_on_points
 
     group = s3()
     for subset in ([0, 1, 2, 3, 4, 5], [0, 1, 3], [2, 4, 5, 1], [5]):
         pos = {x: i for i, x in enumerate(subset)}
         maps = [[pos.get(group.mul(g, x)) for x in subset] for g in group.elements()]
         act = _action_on_points(group, Algebra.split(ring, [f"x{x}" for x in subset]), maps, "a")
-        assert _point_set(act) is not None
+        assert act.points is not None
         for sub in all_subgroups(group):
             if is_normal(group, sub):
                 intrinsic, globalized = matrix_routes(act, sub)
@@ -323,8 +321,8 @@ def test_standard_carriers_take_the_point_routes(quotient_routes):
 
 
 def test_point_routes_keep_their_point_maps():
-    # no matrix is written, and the maps kept are those that _point_set
-    # reads back off the matrices written from them
+    # no matrix is written, and the maps kept are those that
+    # PartialAction.points reads back off the matrices written from them
     from pargal.harrison import ExtensionClass, cyclic_decompose
     from test_harrison import read_afresh
 

@@ -117,3 +117,17 @@ def test_only_the_core_reads_orbits():
         found += [f"{module}:{node.lineno}: defines move" for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "move"]
     assert not found, found
+
+
+def test_the_action_alone_decides_its_point_set():
+    # PartialAction.points is the one reader of the point set: no library
+    # module defines or names a helper beside it, and only paction, where
+    # the property and the builder on points live, names the slot it keeps
+    found = []
+    for module, tree in library_trees().items():
+        used = names_in(tree) | {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if "_point_set" in used:
+            found.append(f"{module}: names _point_set")
+        if "_points" in used and module != "paction.py":
+            found.append(f"{module}: names _points")
+    assert not found, found
