@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -399,9 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged; help and usage are formatted when printed
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command ``argv`` and return its exit code; usage errors and
+    ``--help`` raise ``SystemExit``.  The parser is built once per process and
+    reused, so ``run`` may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
     handler, arity = HANDLERS[args.command]
     if arity is not None and len(args.files) != arity:
         print(f"pargal {args.command}: expected {arity} file argument(s)", file=sys.stderr)

@@ -204,6 +204,56 @@ def test_unknown_command_usage_error(capsys):
     assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == list(cli.HANDLERS)
 
 
+def test_the_parser_is_built_on_the_first_run_and_reused():
+    # a fresh interpreter, so no earlier run has built the parser yet
+    probe = f"""
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import pargal, pargal.cli
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for k in range(21):
+        pargal.cli.run(["verify", {fixture("ex1")!r}, "--json"])
+        if k in (0, 20):
+            counts.append(len(built))
+print(counts)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 1, 1]"
+
+
+def test_help_after_earlier_runs_reads_the_width_it_is_printed_at(monkeypatch, capsys):
+    run_cli("verify", fixture("ex1"), "--json")
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--help")
+        assert exc.value.code == 0
+        printed = capsys.readouterr().out
+        cli.build_parser().print_help()
+        assert printed == capsys.readouterr().out
+
+
+def test_a_usage_error_leaves_the_next_run_unchanged(capsys):
+    argv = ("verify", fixture("ex1"), "--json")
+    assert run_cli(*argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run_cli("frobnicate", "x.json")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_missing_file_is_usage_error(capsys):
     assert run_cli("verify", os.path.join(CORPUS, "no-such.json")) == 2
 
@@ -396,7 +446,7 @@ def test_worked_examples_script_runs():
     assert "class map at g2 swaps v and w: True" in proc.stdout
 
 
-def test_cli_entry_point_subprocess():
+def test_cli_entry_point_subprocess(capsys):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pargal.cli", "verify", fixture("ex2")],
@@ -407,6 +457,10 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+    # the console process builds its own parser; the in-process run reuses one
+    argv = ["verify", fixture("ex2"), "--json"]
+    proc = subprocess.run([sys.executable, "-m", "pargal.cli", *argv], capture_output=True, env=env, cwd=ROOT)
+    assert (proc.returncode, proc.stdout) == (run_cli(*argv), capsys.readouterr().out.encode())
 
 
 def test_verify_reports_a_non_idempotent_domain_unit(tmp_path, capsys):
