@@ -483,10 +483,15 @@ def fixed_ring(gd: GlobalizationData, sub: Subgroup) -> SubAlgebra:
     return invariants(restrict(gd.enveloping_action, sub))
 
 
+def _pull(gd: GlobalizationData, t) -> list:
+    """iota^-1(t 1_S): the S coordinates of the T coordinates t times 1_S."""
+    return gd.down.matvec(gd.algebra.mul_coords(t, gd.one_s.coords))
+
+
 def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
     """The psi_H property suite (injectivity on S, e_H, fixed-ring identities)."""
     T = gd.algebra
-    ring = T.ring
+    S = gd.action.algebra
     G = gd.group
     rep = ActionReport()
     idems = subgroup_idempotents(gd, sub)
@@ -510,43 +515,36 @@ def psi_report(gd: GlobalizationData, sub: Subgroup) -> ActionReport:
         f"H order {sub.order}",
     )
 
+    # T^H 1_S = S^{alpha_H} as modules of S; both bases come from
+    # invariants, in canonical row form
     th = fixed_ring(gd, sub)
     s_ah = invariants(restrict(gd.action, sub))
-    # T^H 1_S = S^{alpha_H} as modules of S
-    down = gd.down
-    th_rows = [down.matvec(T.mul_coords(row_coords, list(gd.one_s.coords))) for row_coords in _sub_coords(th)]
-    lhs = canonical_row_form(Matrix.from_rows(gd.action.algebra.ring, th_rows, gd.action.algebra.rank))
-    rep.add("T^H 1_S = S^(alpha_H)", lhs == canonical_row_form(s_ah.basis), None)
+    lhs = canonical_row_form(Matrix.from_rows(S.ring, [_pull(gd, row) for row in th.basis.rows], S.rank))
+    rep.add("T^H 1_S = S^(alpha_H)", lhs == s_ah.basis, None)
 
     # psi_H(S^{alpha_H}) <= T^H, and multiplication by 1_S inverts it
-    th_module = canonical_row_form(Matrix.from_rows(ring, _sub_coords(th), T.rank))
     ok, ok_inv = True, True
     e_h_mat = T.mult_matrix(e_h.coords)
     for row in s_ah.basis.rows:
         t = psi.matrix.matvec(gd.embed.matrix.matvec(list(row)))
-        if not module_contains(th_module, t):
+        if not module_contains(th.basis, t):
             ok = False
         if e_h_mat.matvec(t) != t:
             ok_inv = False
-        back = down.matvec(T.mul_coords(t, list(gd.one_s.coords)))
-        if back != list(row):
+        if _pull(gd, t) != list(row):
             ok_inv = False
     rep.add("psi_H(S^(alpha_H)) <= T^H", ok, None)
     rep.add("psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S", ok_inv, None)
 
     # left/right T^H-linearity on a spanning set
     linear = True
-    for acoords in _sub_coords(th):
+    for acoords in th.basis.rows:
         ea = T.mult_matrix(acoords)
         if psi.matrix.mul(ea) != ea.mul(psi.matrix):
             linear = False
             break
     rep.add("psi_H is T^H-linear", linear, None)
     return rep
-
-
-def _sub_coords(sub: SubAlgebra):
-    return [list(r) for r in sub.basis.rows]
 
 
 def global_iso_check(gd1: GlobalizationData, gd2: GlobalizationData) -> IsoResult:

@@ -38,17 +38,24 @@ from .paction import (
 )
 
 
+def _closed_form(act: PartialAction, sub: Subgroup, g: int, term) -> Element:
+    """term(g h_1) + sum_{i>=2} prod_{j<i} (1 - 1_{g h_j}) term(g h_i) over
+    the members h_1 = 1, h_2, ... of H, the shape of both closed forms:
+    1~_{gH} for term(k) = 1_k, alpha_{gH}(x) for term(k) = alpha_k(x 1_{k^-1})."""
+    G = act.group
+    one = act.algebra.one()
+    ghs = [G.mul(g, h) for h in sub.members]
+    total = term(ghs[0])
+    prod = one
+    for prev, gh in zip(ghs, ghs[1:]):
+        prod = prod * (one - act.idems[prev])
+        total = total + prod * term(gh)
+    return total
+
+
 def quotient_idempotent(act: PartialAction, sub: Subgroup, g: int) -> Element:
     """The coset idempotent 1~_{gH}; independent of the representative g."""
-    G = act.group
-    A = act.algebra
-    members = sub.members
-    one = A.one()
-    total = act.idems[G.mul(g, members[0])]
-    prod = one
-    for i in range(1, len(members)):
-        prod = prod * (one - act.idems[G.mul(g, members[i - 1])])
-        total = total + prod * act.idems[G.mul(g, members[i])]
+    total = _closed_form(act, sub, g, lambda k: act.idems[k])
     if not total.is_idempotent():
         raise AssertionError("1~_{gH} failed to be idempotent (bug trap)")
     return total
@@ -56,16 +63,7 @@ def quotient_idempotent(act: PartialAction, sub: Subgroup, g: int) -> Element:
 
 def induced_map_apply(act: PartialAction, sub: Subgroup, g: int, x: Element) -> Element:
     """alpha_{gH}(x) by the closed form, evaluated on any x of the carrier."""
-    G = act.group
-    A = act.algebra
-    members = sub.members
-    total = act.apply(g, x)
-    one = A.one()
-    prod = one
-    for i in range(1, len(members)):
-        prod = prod * (one - act.idems[G.mul(g, members[i - 1])])
-        total = total + prod * act.apply(G.mul(g, members[i]), x)
-    return total
+    return _closed_form(act, sub, g, lambda k: act.apply(k, x))
 
 
 @dataclass
@@ -82,11 +80,9 @@ class QuotientAction:
         rep = verify_partial_action(self.action)
         inv_q = invariants(self.action)
         pushed = [self.carrier.include_coords(r) for r in inv_q.basis.rows]
-        lhs = canonical_row_form(
-            Matrix.from_rows(self.base.algebra.ring, pushed, self.base.algebra.rank)
-        )
-        rhs = canonical_row_form(invariants(self.base).basis)
-        rep.add("(S^alpha_H)^(alpha_G/H) = S^alpha", lhs == rhs, None)
+        lhs = canonical_row_form(Matrix.from_rows(self.base.algebra.ring, pushed, self.base.algebra.rank))
+        # invariants returns its basis in canonical row form
+        rep.add("(S^alpha_H)^(alpha_G/H) = S^alpha", lhs == invariants(self.base).basis, None)
         return rep
 
 
@@ -190,7 +186,7 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
     (:func:`_orbit_maps`) on the H-orbits, the components of the
     restriction to H (:func:`~pargal.paction.restrict`), whose
     certificate found them.  This route never evaluates the closed forms."""
-    from .envelope import globalize, psi_h, subgroup_idempotents
+    from .envelope import _pull, globalize, psi_h, subgroup_idempotents
 
     gd = globalize(act)
     qdata = quotient(act.group, sub)
@@ -207,23 +203,19 @@ def quotient_via_globalization(act: PartialAction, sub: Subgroup) -> QuotientAct
             sources.append(source)
         orbits = restrict(act, sub).points
         return _quotient_on_points(act, sub, qdata, _orbit_maps(orbits.roots, orbits.comp, sources), orbits.comp)
-    T = gd.algebra
-    down = gd.down
     emb = gd.embed.matrix
-    one_s = list(gd.one_s.coords)
+    e_h = list(idems.e_h.coords)
 
-    e_h = idems.e_h
+    def pulled(rep, t):
+        return Element(act.algebra, _pull(gd, gd.beta[rep].matvec(t)))
 
-    def tilde_for_rep(rep):
-        moved = T.mul_coords(gd.beta[rep].matvec(list(e_h.coords)), one_s)
-        return Element(act.algebra, down.matvec(moved))
-
-    def map_for_rep(rep, x):
-        t = psi.matrix.matvec(emb.matvec(list(x.coords)))
-        y = gd.beta[rep].matvec(t)
-        return Element(act.algebra, down.matvec(T.mul_coords(y, one_s)))
-
-    return _build_quotient_action(act, sub, qdata, map_for_rep, tilde_for_rep)
+    return _build_quotient_action(
+        act,
+        sub,
+        qdata,
+        lambda rep, x: pulled(rep, psi.matrix.matvec(emb.matvec(list(x.coords)))),
+        lambda rep: pulled(rep, e_h),
+    )
 
 
 def quotient_galois_check(act: PartialAction, sub: Subgroup):

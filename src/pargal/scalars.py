@@ -437,9 +437,7 @@ def _howell_rows(rows, ncols: int, n: int):
             rr, ri = mat[r], mat[i]
             mat[r] = [(x * s + y * t) % n for s, t in zip(rr, ri)]
             mat[i] = [((-(b // g)) * s + (p // g) * t) % n for s, t in zip(rr, ri)]
-        u = _unit_for(mat[r][c], n)
-        if u != 1:
-            mat[r] = [(u * x) % n for x in mat[r]]
+        # the pivot is now a gcd of divisors of n: canonical, with unit 1
         p = mat[r][c]
         for i in range(r):
             q = mat[i][c] // p

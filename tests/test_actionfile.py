@@ -126,14 +126,14 @@ def matrix_base_change(act, base):
 def matrix_load(path, base=None, verify=True):
     """``cli._load`` on the matrix route."""
     with open(path, encoding="utf-8") as fh:
-        act = matrix_route(json.load(fh), path, verify=verify)
+        act = matrix_route(json.load(fh), path, verify=verify and not base)
     if base and base != repr(act.algebra.ring):
         act = matrix_base_change(act, base)
-        if verify:
-            rep = verify_partial_action(act)
-            if not rep.passed:
-                bad = rep.failures()[0]
-                raise ActionFileError(path, f"axioms fail over {base}: {bad.name} [{bad.witness}]")
+    if verify and base:
+        rep = verify_partial_action(act)
+        if not rep.passed:
+            bad = rep.failures()[0]
+            raise ActionFileError(path, f"axioms fail over {base}: {bad.name} [{bad.witness}]")
     return act
 
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from pargal import cli
-from pargal.scalars import QQ, Matrix
+from pargal.scalars import QQ, Matrix, Modular
 from pargal.algebra import Algebra
 from pargal.actionfile import load_action, save_action
 from pargal.corpus import standard_corpus
@@ -133,6 +133,17 @@ def test_restrict_roundtrip(tmp_path, capsys):
     assert sub.group.order == 2
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("tensor", fixture("ex1")), "pargal tensor: expected 2 file argument(s)"),
+     (("suite",), "pargal suite: expected at least one file argument")],
+    ids=["tensor-one-file", "suite-no-file"],
+)
+def test_a_wrong_number_of_files_is_a_usage_error(argv, expected, capsys):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == expected + "\n"
+
+
 def test_suite_requires_single_group(capsys):
     rc = run_cli("suite", fixture("ex1"), fixture("trivial-Z2"))
     assert rc == 2
@@ -152,13 +163,24 @@ def test_suite_command_reports_the_library_suite(capsys):
     assert doc["data"] == {"iso witnesses": suite.witnesses} == {"iso witnesses": 98}
 
 
-def test_suite_command_stops_at_a_class_that_is_not_galois(tmp_path, capsys):
-    # Z_2 acting trivially on R^1 is a certified global action, but the
-    # generator fixes the one point, so no Galois coordinates exist
-    line = Algebra.split(QQ, ["e"])
+@pytest.fixture
+def fixed_point(tmp_path):
+    """Z_2 acting trivially on R^1: a certified global action, but the
+    generator fixes the one point, so no Galois coordinates exist."""
     path = str(tmp_path / "fixed.json")
-    save_action(global_action(make_cyclic(2), line, [Matrix.identity(QQ, 1)] * 2), path)
-    assert run_cli("suite", path, "--json") == 1
+    save_action(global_action(make_cyclic(2), Algebra.split(QQ, ["e"]), [Matrix.identity(QQ, 1)] * 2), path)
+    return path
+
+
+def test_galois_command_fails_on_an_action_that_is_not_galois(fixed_point, capsys):
+    assert run_cli("galois", fixed_point, "--json") == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [{"name": "partial Galois coordinates exist", "status": "fail", "witness": None}]
+    assert doc["data"] == {}
+
+
+def test_suite_command_stops_at_a_class_that_is_not_galois(fixed_point, capsys):
+    assert run_cli("suite", fixed_point, "--json") == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == [{"name": "class 0 certified", "status": "fail", "witness": "no partial Galois coordinates exist"}]
     assert doc["data"] == {}
@@ -192,6 +214,50 @@ def test_compose_refuses_a_factor_that_is_not_cyclic(names, factor, capsys):
 def test_base_override(capsys):
     rc = run_cli("verify", fixture("ex1"), "--base", "Z/2")
     assert rc == 0
+
+
+def _line_document(base, idem_g, matrix_g):
+    """Z_2 on the carrier R over ``base``, with 1_g and M_g the scalars given."""
+    return {
+        "format": 1,
+        "base": base,
+        "algebra": {"labels": ["e"], "constants": [[0, 0, 0, "1"]], "unit": ["1"]},
+        "group": {"cyclic": [2]},
+        "action": {"1": {"idempotent": ["1"], "matrix": [["1"]]},
+                   "g": {"idempotent": [idem_g], "matrix": [[matrix_g]]}},
+    }
+
+
+def test_commands_agree_on_the_axioms_over_the_base_ring(tmp_path, capsys):
+    # x -> -x is no automorphism of Q, but is the identity of Z/2: with
+    # --base every command checks the axioms over the ring it runs on
+    path = tmp_path / "negation.json"
+    path.write_text(json.dumps(_line_document("Q", "1", "-1")), encoding="utf-8")
+    assert [run_cli(c, str(path), "--base", "Z/2") for c in ("verify", "galois", "invariants")] == [0, 1, 0]
+    assert capsys.readouterr().err == ""
+    assert [run_cli(c, str(path)) for c in ("verify", "galois", "invariants")] == [1, 2, 2]
+    assert capsys.readouterr().err.count("axiom failure") == 2
+
+
+def test_a_base_change_checks_the_axioms_once(tmp_path, monkeypatch, capsys):
+    # 1_g = 3 is idempotent over Z/6 and over Z/3, where it is 0, but not
+    # over Z/4, where 3 is a unit
+    import pargal.actionfile as actionfile
+
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(_line_document("Z/6", "3", "3")), encoding="utf-8")
+    calls = []
+
+    def counted(act, verify=cli.verify_partial_action):
+        calls.append(act)
+        return verify(act)
+
+    for module in (cli, actionfile):
+        monkeypatch.setattr(module, "verify_partial_action", counted)
+    assert cli._load(str(path), "Z/3").algebra.ring == Modular(3)
+    assert len(calls) == 1 and calls[0].algebra.ring == Modular(3)
+    assert run_cli("galois", str(path), "--base", "Z/4") == 2
+    assert "three.json: axioms fail over Z/4: " in capsys.readouterr().err
 
 
 def test_unknown_command_usage_error(capsys):
@@ -351,11 +417,21 @@ VERIFY = ("verify",)
         # the loader's scalar memo must not hand true the value of 1
         (_set(["action", "g", "matrix"], [[0, 1], [True, 0]]), VERIFY,
          "/action/g/matrix/1: Invalid literal for Fraction: 'True'"),
+        (_set(["group"], {}), VERIFY, "bad.json/group: group needs either 'cyclic' or 'table'"),
+        # the orders multiply to 1, the number of action entries
+        (lambda doc: doc.update(group={"cyclic": [-1, -1]}, action={"1": doc["action"]["1"]}), VERIFY,
+         "bad.json/group: cyclic group order must be >= 1, got -1"),
+        (_set(["action", "g", "matrix"], [["0", "1"]]), VERIFY, "/action/g/matrix: expected 2 entries, got 1"),
+        (None, ("psi",), "pargal psi: this command needs --subgroup"),
+        (None, ("trace",), "pargal trace: trace needs --element with comma-separated coordinates"),
+        (None, ("decompose",), "pargal decompose: decompose needs --factors, e.g. --factors 2,2"),
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
          "unit-zero-denominator", "matrix-zero-denominator", "trace-element", "trace-element-located",
          "factors-not-integer", "factors-empty-entry", "factors-above-the-group-order",
-         "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one"],
+         "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one",
+         "group-without-kind", "cyclic-negative", "matrix-short", "psi-no-subgroup", "trace-no-element",
+         "decompose-no-factors"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys, monkeypatch):
     import pargal.harrison as harrison

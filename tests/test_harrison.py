@@ -330,12 +330,15 @@ def test_suite_single_trivial_class():
 
 
 def test_suite_rejects_corrupted_class():
+    # the corrupted fixture breaks (P3) and (P4); certify and the report
+    # carry the first
+    with pytest.raises(CertificationError, match=re.escape("not a partial action: (P3) ") + ".*g=g2, h=g"):
+        ExtensionClass.certify(corrupted_p4())
     bad = ExtensionClass(corrupted_p4())
     rep = star_product_suite([bad, trivial_extension(make_cyclic(4))])
     assert not rep.passed
     name, note = rep.failures()[0]
     assert name == "class 0 valid"
-    # the corrupted fixture breaks (P3) and (P4); the report carries the first
     assert "(P3)" in note and "g=g2" in note
 
 

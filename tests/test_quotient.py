@@ -1,12 +1,13 @@
 """Quotient actions: closed forms, the globalized oracle, Galois descent."""
 
+import contextlib
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 
-from pargal.scalars import QQ, Matrix, Modular
+from pargal.scalars import QQ, Matrix, Modular, canonical_row_form
 from pargal.algebra import Algebra, AlgebraError, AlgebraMorphism, Element
 from pargal.corpus import example1, global_swap, standard_corpus, trivial_action
 from pargal.envelope import GlobalizationData, certify_globalization, fixed_ring, globalize, psi_h
@@ -232,8 +233,13 @@ def matrix_routes(act, sub):
     (induced_map_apply, quotient_idempotent), and m_{1_S} o beta_g o psi_H
     as matrix products.  No action reads as a point set, so every module
     the routes call takes its matrix route too, globalize included."""
-    with mock.patch.object(PartialAction, "points", property(lambda self: None)):
+    with on_matrices():
         return quotient_action(act, sub), quotient_via_globalization(act, sub)
+
+
+def on_matrices():
+    """A context in which no action reads as a point set."""
+    return mock.patch.object(PartialAction, "points", property(lambda self: None))
 
 
 def presentation(qa):
@@ -250,23 +256,44 @@ def test_point_routes_match_the_matrix_routes(act):
         assert presentation(quotient_via_globalization(act, sub)) == presentation(globalized)
 
 
-@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
-def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
-    # the regular S_3-set restricted to subsets of its points, by the
-    # normal subgroups {e}, A_3 and S_3
+def s3_subset_actions(ring):
+    """The regular S_3-set restricted to subsets of its points."""
     from pargal.paction import _action_on_points
 
     group = s3()
+    out = []
     for subset in ([0, 1, 2, 3, 4, 5], [0, 1, 3], [2, 4, 5, 1], [5]):
         pos = {x: i for i, x in enumerate(subset)}
         maps = [[pos.get(group.mul(g, x)) for x in subset] for g in group.elements()]
-        act = _action_on_points(group, Algebra.split(ring, [f"x{x}" for x in subset]), maps, "a")
+        out.append(_action_on_points(group, Algebra.split(ring, [f"x{x}" for x in subset]), maps, "a"))
+    return out
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_point_routes_match_the_matrix_routes_on_s3_sets(ring):
+    # by the normal subgroups {e}, A_3 and S_3
+    group = s3()
+    for act in s3_subset_actions(ring):
         assert act.points is not None
         for sub in all_subgroups(group):
             if is_normal(group, sub):
                 intrinsic, globalized = matrix_routes(act, sub)
                 assert presentation(quotient_action(act, sub)) == presentation(intrinsic)
                 assert presentation(quotient_via_globalization(act, sub)) == presentation(globalized)
+
+
+@pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])
+def test_invariant_bases_are_in_canonical_row_form(ring):
+    # QuotientAction.certify and psi_report compare these bases as they are:
+    # on points the component indicators by least point, on matrices the
+    # canonical rows that algebra_on_module keeps
+    for act in [example1(ring), *s3_subset_actions(ring)]:
+        for route in (contextlib.nullcontext, on_matrices):
+            with route():
+                gd = globalize(act)
+                for sub in all_subgroups(act.group):
+                    for inv in (invariants(restrict(act, sub)), fixed_ring(gd, sub)):
+                        assert canonical_row_form(inv.basis) == inv.basis
 
 
 def test_point_route_traps_vectors_outside_the_invariants():

@@ -236,8 +236,8 @@ small_mod = st.sampled_from([2, 3, 4, 5, 6, 8, 9])
 
 
 @st.composite
-def modular_matrices(draw, max_rows=3, max_cols=3):
-    n = draw(small_mod)
+def modular_matrices(draw, max_rows=3, max_cols=3, moduli=small_mod):
+    n = draw(moduli)
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
     entries = st.integers(0, n - 1)
@@ -255,6 +255,19 @@ def test_canonical_row_form_is_idempotent_and_faithful(nm):
     assert canonical_row_form(h) == h
     if n ** len(rows[0]) <= 10 ** 4:
         assert enumerate_row_module(h.rows, n, h.ncols) == enumerate_row_module(rows, n)
+
+
+@given(modular_matrices(5, 4, st.sampled_from([4, 6, 8, 9, 12, 16, 18, 25, 27, 30, 32, 36, 60, 64, 81, 210])))
+@settings(max_examples=200, deadline=None)
+def test_howell_pivots_are_divisors_of_n(nm):
+    # the ext-gcd steps leave a gcd of divisors of n on the pivot, which is
+    # therefore canonical without a second normalization by a unit
+    n, rows = nm
+    h = canonical_row_form(Matrix(Modular(n), rows))
+    assert canonical_row_form(h) == h
+    for row in h.rows:
+        pivot = next(x for x in row if x)
+        assert n % pivot == 0, (row, n)
 
 
 @given(modular_matrices(max_rows=2, max_cols=2))
