@@ -395,17 +395,12 @@ class AlgebraMorphism:
 
     def multiplicative_failure(self):
         """A witness basis pair where f(xy) != f(x)f(y), or None."""
-        src, tgt = self.source, self.target
-        images = [self.matrix.matvec([1 if t == j else 0 for t in range(src.rank)]) for j in range(src.rank)]
+        src, tgt, m = self.source, self.target, self.matrix
+        units = Matrix.identity(src.ring, src.rank).rows
+        images = [m.matvec(e) for e in units]
         for i in range(src.rank):
             for j in range(i, src.rank):
-                prod_src = src.mul_coords(
-                    [1 if t == i else 0 for t in range(src.rank)],
-                    [1 if t == j else 0 for t in range(src.rank)],
-                )
-                lhs = self.matrix.matvec(prod_src)
-                rhs = tgt.mul_coords(images[i], images[j])
-                if lhs != rhs:
+                if m.matvec(src.mul_coords(units[i], units[j])) != tgt.mul_coords(images[i], images[j]):
                     return (src.labels[i], src.labels[j])
         return None
 
@@ -492,10 +487,6 @@ class SubAlgebra:
         return self.inclusion.matrix.matvec(list(coords))
 
 
-def _labels_for_rows(parent: Algebra, rows) -> list:
-    return [parent.format_coords(r) for r in rows]
-
-
 def _table_on_rows(parent: Algebra, rows, system: LinearSystem, table: dict, offset: int = 0):
     """Write into the sparse ``table`` the product of each pair of the
     basis ``rows`` i <= j of a span, solved over them by ``system``, with
@@ -522,7 +513,6 @@ def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "s
     """
     ring = parent.ring
     rows = canonical_row_form(rows)
-    k = rows.nrows
     bt = rows.transpose()
     system = LinearSystem(bt)
     _free_basis_or_raise(system, what)
@@ -537,13 +527,11 @@ def algebra_on_module(parent: Algebra, rows: Matrix, unit_coords, what: str = "s
             f"{what}: not multiplicatively closed at basis pair ({i}, {j}): "
             f"{parent.format_coords(prod)} is outside the span"
         )
-    sub = Algebra(ring, _labels_for_rows(parent, rows.rows), table, unit_sol.particular, validate=False)
-    incl = AlgebraMorphism(sub, parent, bt)
+    sub = Algebra(ring, [parent.format_coords(r) for r in rows.rows], table, unit_sol.particular, validate=False)
     # unit acts as identity on the presented basis (guards bad unit input)
-    for i in range(k):
-        if sub.mul_coords(sub.unit, [1 if t == i else 0 for t in range(k)]) != [1 if t == i else 0 for t in range(k)]:
-            raise AlgebraError(f"{what}: provided unit does not act as identity on the span")
-    return SubAlgebra(sub, parent, rows, incl, system)
+    if not sub.mult_matrix(sub.unit).is_identity():
+        raise AlgebraError(f"{what}: provided unit does not act as identity on the span")
+    return SubAlgebra(sub, parent, rows, AlgebraMorphism(sub, parent, bt), system)
 
 
 def subalgebra_from_constraints(parent: Algebra, constraints: Matrix) -> SubAlgebra:
@@ -585,27 +573,19 @@ class ProductAlgebra:
     def arity(self) -> int:
         return len(self.components)
 
-    def embed_component(self, idx: int, parent_coords):
-        """Parent coordinates (in component idx's ideal) -> product coords."""
-        comp = self.components[idx]
-        sol = comp.ideal.system.solve(list(parent_coords))
+    def embed_component(self, idx: int, parent_coords) -> list:
+        """Parent coordinates (in component idx's ideal) -> the component's
+        own coordinates, its block of the product coordinates."""
+        sol = self.components[idx].ideal.system.solve(list(parent_coords))
         if sol is None:
             raise AlgebraError(f"element is outside ideal component {idx}")
-        out = [0] * self.algebra.rank
-        out[comp.offset : comp.offset + comp.rank] = sol.particular
-        return out
+        return sol.particular
 
     def from_components(self, parent_coord_list) -> Element:
         if len(parent_coord_list) != self.arity:
             raise AlgebraError("component count mismatch")
-        out = [0] * self.algebra.rank
-        for idx, coords in enumerate(parent_coord_list):
-            comp = self.components[idx]
-            sol = comp.ideal.system.solve(list(coords))
-            if sol is None:
-                raise AlgebraError(f"component {idx} is outside its ideal")
-            out[comp.offset : comp.offset + comp.rank] = sol.particular
-        return Element(self.algebra, out)
+        coords = [c for idx, x in enumerate(parent_coord_list) for c in self.embed_component(idx, x)]
+        return Element(self.algebra, coords)
 
 
 def product_over_ideals(ideals, labels=None) -> ProductAlgebra:
@@ -747,12 +727,10 @@ def _minimal_polynomial(op: Matrix):
     """Coefficients (ascending, monic) of the minimal polynomial of op."""
     ring = op.ring
     k = op.nrows
-    powers = [Matrix.identity(ring, k)]
-    flat = [[x for row in powers[0].rows for x in row]]
-    cur = powers[0]
+    cur = Matrix.identity(ring, k)
+    flat = [[x for row in cur.rows for x in row]]
     for _ in range(k):
         cur = cur.mul(op)
-        powers.append(cur)
         flat.append([x for row in cur.rows for x in row])
     for d in range(1, k + 1):
         a = Matrix(ring, [list(col) for col in zip(*flat[:d])], d)
@@ -761,13 +739,6 @@ def _minimal_polynomial(op: Matrix):
             coeffs = [ring.neg(c) for c in sol.particular] + [1]
             return coeffs
     raise AssertionError("minimal polynomial of degree <= rank must exist")
-
-
-def _poly_eval(coeffs, x, ring):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = ring.add(ring.mul(acc, x), c)
-    return acc
 
 
 def _poly_divide_linear(coeffs, root, ring):
@@ -822,10 +793,8 @@ def _field_roots(coeffs, ring):
     while len(work) > 1 and progress:
         progress = False
         for r in candidates:
-            if _poly_eval(work, r, ring) == 0:
-                quot, rem = _poly_divide_linear(work, r, ring)
-                if rem != 0:
-                    raise AssertionError("_field_roots: a root left a remainder (bug trap)")
+            quot, rem = _poly_divide_linear(work, r, ring)
+            if rem == 0:  # the remainder is the value at r
                 roots.append(r)
                 work = quot
                 progress = True
@@ -930,11 +899,9 @@ def _split_over_zn(algebra: Algebra):
     because the e_t are so in each component; ``find_split_presentation``
     checks that (:meth:`SplitPresentation.check`).
     """
-    n = algebra.ring.n
+    n, crt = algebra.ring.n, algebra.ring.crt
     per_prime = []
-    crt_units = []
-    for p, q, u in algebra.ring.crt:
-        crt_units.append(u)
+    for p, q, _ in crt:
         local = algebra if q == n else algebra.over(Modular(q))
         if local.ring.is_field:
             idems = _split_over_field(local)
@@ -942,20 +909,14 @@ def _split_over_zn(algebra: Algebra):
             idems = _split_mod_prime_power(local, p)
         if idems is None:
             return None
-        per_prime.append([list(i.coords) for i in idems])
-    counts = {len(v) for v in per_prime}
-    if len(counts) != 1:
+        per_prime.append(sorted(list(i.coords) for i in idems))
+    if len({len(v) for v in per_prime}) != 1:
         return None
-    count = counts.pop()
-    out = []
-    for idx in range(count):
-        coords = [0] * algebra.rank
-        for u, idems in zip(crt_units, per_prime):
-            vec = sorted(idems)[idx]
-            for t in range(algebra.rank):
-                coords[t] = (coords[t] + u * vec[t]) % n
-        out.append(algebra.element(coords))
-    return out
+    # the i-th idempotents of the components, each sorted once, glued
+    return [
+        algebra.element([sum(u * v for (_, _, u), v in zip(crt, col)) % n for col in zip(*vecs)])
+        for vecs in zip(*per_prime)
+    ]
 
 
 def _split_mod_prime_power(algebra: Algebra, p: int):

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .scalars import Matrix, parse_ring
+from .scalars import BaseRing, Matrix, parse_ring
 from .algebra import Algebra, AlgebraError
 from .actionfile import ActionFileError, _scalar, load_action, save_action
 from .groups import GroupError, subgroup_closure
@@ -106,10 +106,16 @@ class Report:
 
 def _load(path: str, base=None, verify=True) -> PartialAction:
     """The action of ``path`` over ``base``, or over its own ring without
-    one; with ``verify``, its axioms checked once, over the ring it ends on."""
+    one; with ``verify``, its axioms checked once, over the ring it ends on.
+    A base change that fails, as on a denominator that is no unit in
+    ``base``, names the file and ``base``."""
     act = load_action(path, verify=verify and not base)
     if base and base != repr(act.algebra.ring):
-        act = _change_base(act, base)
+        ring = parse_ring(base)
+        try:
+            act = _change_base(act, ring)
+        except ValueError as exc:
+            raise ActionFileError(path, f"--base {base}: {exc}") from None
     if verify and base:
         rep = verify_partial_action(act)
         if not rep.passed:
@@ -118,10 +124,9 @@ def _load(path: str, base=None, verify=True) -> PartialAction:
     return act
 
 
-def _change_base(act: PartialAction, base: str) -> PartialAction:
-    """``act`` over the ring ``base``.  A certified point set stays on its
-    points: its 0/1 maps are those of R^n over any ring."""
-    ring = parse_ring(base)
+def _change_base(act: PartialAction, ring: BaseRing) -> PartialAction:
+    """``act`` over ``ring``.  A certified point set stays on its points:
+    its 0/1 maps are those of R^n over any ring."""
     points = act.points
     if points is not None:
         return _on_points(act.group, Algebra.split(ring, act.algebra.labels), points)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import Matrix, canonical_row_form, intersect_modules, kernel, module_contains, modules_equal
+from .scalars import Matrix, canonical_row_form, intersect_modules, kernel, module_contains
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -346,12 +346,12 @@ def _certify_on_matrices(gd: GlobalizationData) -> ActionReport:
 
     def g2_fails(g):
         lhs = Matrix.from_rows(ring, [emb.matvec(list(row)) for row in act.ideal(g).basis.rows], T.rank)
-        return not modules_equal(lhs, intersect_modules(emb_module, canonical_row_form(translates(g))))
+        return canonical_row_form(lhs) != intersect_modules(emb_module, translates(g))
 
     add(_G2, first_g(g2_fails))
     add(_G3, first_g(lambda g: beta[g].mul(emb).mul(act.idem_matrix(G.inv(g))) != emb.mul(act.maps[g])))
     span = Matrix.from_rows(ring, [row for g in G.elements() for row in translates(g).rows], T.rank)
-    add(_G4, None if modules_equal(span, Matrix.identity(ring, T.rank)) else "span of translates is a proper submodule")
+    add(_G4, None if canonical_row_form(span).is_identity() else "span of translates is a proper submodule")
     one = gd.one_s
     add(_UNITS, first_g(lambda g: Element(T, beta[g].matvec(list(one.coords))) * one != gd.embed(act.idems[g])))
     # restricting the globalization reproduces the action matrix-for-matrix:

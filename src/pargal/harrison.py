@@ -213,7 +213,6 @@ def hat_action(act: PartialAction) -> HatAction:
     gxg = direct_square(G)
     idems = []
     maps = []
-    idem_mats = {g: act.idem_matrix(g) for g in G.elements()}
     for l in G.elements():
         for t in G.elements():
             comps = []
@@ -233,11 +232,10 @@ def hat_action(act: PartialAction) -> HatAction:
                     continue
                 # E_h M_l E_{tg} restricted to the blocks
                 tg = G.mul(t, g)
-                op = idem_mats[h].mul(act.maps[l]).mul(idem_mats[tg])
+                op = act.idem_matrix(h).mul(act.maps[l]).mul(act.idem_matrix(tg))
                 for j, row in enumerate(comp_in.ideal.basis.rows):
-                    target = prod.embed_component(h, op.matvec(list(row)))
-                    for i in range(comp_out.rank):
-                        mat.rows[comp_out.offset + i][comp_in.offset + j] = target[comp_out.offset + i]
+                    for i, c in enumerate(prod.embed_component(h, op.matvec(list(row)))):
+                        mat.rows[comp_out.offset + i][comp_in.offset + j] = c
             maps.append(mat)
     return HatAction(act, prod, PartialAction(gxg, P, idems, maps))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .scalars import Matrix, Modular, canonical_row_form, invert, kernel, modules_equal, solve
+from .scalars import Matrix, Modular, canonical_row_form, invert, kernel, solve
 from .algebra import (
     Algebra,
     AlgebraError,
@@ -566,7 +566,7 @@ def phi_map(act: PartialAction) -> PhiMap:
     rel_module = canonical_row_form(Matrix.from_rows(A.ring, relations, r * r))
     ker = kernel(mat)
     image_rows = canonical_row_form(Matrix.from_rows(A.ring, [list(c) for c in cols], prod.algebra.rank))
-    bijective = modules_equal(ker, rel_module) and image_rows.is_identity()
+    bijective = ker == rel_module and image_rows.is_identity()
     return PhiMap(act, t, prod, morphism, bijective)
 
 

@@ -186,6 +186,8 @@ class Modular(BaseRing):
         if isinstance(x, Fraction):
             if x.denominator == 1:
                 return x.numerator % self.n
+            if gcd(x.denominator, self.n) != 1:
+                raise ValueError(f"scalar {x} has no value in Z/{self.n}: its denominator is not a unit")
             return self.div(x.numerator % self.n, x.denominator % self.n)
         return int(x) % self.n
 
@@ -311,17 +313,16 @@ class Matrix:
             out.append(acc)
         return Matrix(self.ring, out)
 
-    def add(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", f, what: str) -> "Matrix":
         if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeError("matrix addition shape mismatch")
-        f = self.ring.add
+            raise ShapeError(f"matrix {what} shape mismatch")
         return Matrix(self.ring, [[f(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
+    def add(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, self.ring.add, "addition")
+
     def sub(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeError("matrix subtraction shape mismatch")
-        f = self.ring.sub
-        return Matrix(self.ring, [[f(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        return self._entrywise(other, self.ring.sub, "subtraction")
 
     def is_identity(self) -> bool:
         return self.nrows == self.ncols and all(
@@ -528,6 +529,11 @@ class LinearSystem:
     Rows of the reduced form with a zero left block give the kernel;
     expressing b over the left blocks recovers a particular solution, which
     is normalized against the kernel so the answer is deterministic.
+
+    The kernel needs no second reduction: in an RREF (over a field) or a
+    Howell form (over Z/n; Howell, 1986) the rows that vanish on the first
+    c columns are the canonical form of the module they span, which is the
+    part of the whole module vanishing there (over Z/n, the Howell property).
     """
 
     __slots__ = ("ring", "nrows", "kernel", "_rows", "_lead_pivots", "_kernel_pivots")
@@ -572,7 +578,9 @@ def kernel(a: Matrix) -> Matrix:
 
 
 def intersect_modules(u: Matrix, v: Matrix) -> Matrix:
-    """Canonical generating set of the intersection of two row modules."""
+    """Canonical generating set of the intersection of two row modules,
+    read off one reduction: its rows are in canonical row form by the
+    argument of :class:`LinearSystem`."""
     if u.ring != v.ring:
         raise ShapeError("intersect_modules: base ring mismatch")
     if u.ncols != v.ncols:
@@ -582,7 +590,7 @@ def intersect_modules(u: Matrix, v: Matrix) -> Matrix:
     block = [list(r) + list(r) for r in u.rows] + [list(r) + [0] * n for r in v.rows]
     rows, _ = _canonical_rows(block, 2 * n, u.ring)
     inter = [row[n:] for row in rows if all(x == 0 for x in row[:n])]
-    return canonical_row_form(Matrix.from_rows(u.ring, inter, n))
+    return Matrix.from_rows(u.ring, inter, n)
 
 
 def invertible(a: Matrix) -> bool:

@@ -128,7 +128,10 @@ def matrix_load(path, base=None, verify=True):
     with open(path, encoding="utf-8") as fh:
         act = matrix_route(json.load(fh), path, verify=verify and not base)
     if base and base != repr(act.algebra.ring):
-        act = matrix_base_change(act, base)
+        try:
+            act = matrix_base_change(act, base)
+        except ValueError as exc:
+            raise ActionFileError(path, f"--base {base}: {exc}") from None
     if verify and base:
         rep = verify_partial_action(act)
         if not rep.passed:

@@ -11,6 +11,7 @@ from pargal.algebra import (
     Algebra,
     AlgebraError,
     AlgebraMorphism,
+    algebra_on_module,
     find_split_presentation,
     make_algebra,
     product_over_ideals,
@@ -146,6 +147,14 @@ def test_tensor_swap_is_multiplicative():
     assert swap.is_unital()
 
 
+def test_multiplicative_failure_names_a_square():
+    # e1 -> 2 e1 keeps every product of two distinct basis vectors and
+    # breaks only e1 e1 = e1
+    a = Algebra.split(QQ, ["e1", "e2"])
+    f = AlgebraMorphism(a, a, Matrix(QQ, [[2, 0], [0, 1]]))
+    assert f.multiplicative_failure() == ("e1", "e1")
+
+
 def test_unital_ideal_and_product():
     a = Algebra.split(QQ, ["e1", "e2", "e3"])
     e1, e2, e3 = a.basis()
@@ -165,6 +174,18 @@ def test_unital_ideal_and_product():
     # unit is the tuple of generators
     assert project_coords(prod, 0, prod.algebra.unit) == list((e1 + e2).coords)
     assert project_coords(prod, 2, prod.algebra.unit) == [0, 0, 0]
+    # from_components reads each component's coordinates in its own block
+    parts = [list(x.coords) for x in (e1 + e2 * 3, e3 * 2, a.zero(), e2 * 5)]
+    elem = prod.from_components(parts)
+    assert elem.coords == (1, 3, 2, 5)
+    assert [project_coords(prod, i, elem.coords) for i in range(4)] == parts
+    # and refuses a vector outside its ideal, the zero ideal included
+    for idx, wrong in ((1, e1), (2, e2), (3, e1 + e2)):
+        outside = parts[:idx] + [list(wrong.coords)] + parts[idx + 1 :]
+        with pytest.raises(AlgebraError, match=f"^element is outside ideal component {idx}$"):
+            prod.from_components(outside)
+    with pytest.raises(AlgebraError, match="component count mismatch"):
+        prod.from_components(parts[:3])
 
 
 def test_subalgebra_from_constraints_trivial():
@@ -190,6 +211,9 @@ def test_subalgebra_unit_absent():
     a = Algebra.split(QQ, ["e1", "e2"])
     with pytest.raises(AlgebraError, match="unit .* absent"):
         subalgebra_from_constraints(a, Matrix(QQ, [[0, 1]]))
+    # e1 lies in the span of e1 and e2 but is not its identity
+    with pytest.raises(AlgebraError, match="provided unit does not act as identity on the span"):
+        algebra_on_module(a, Matrix.identity(QQ, 2), [1, 0])
 
 
 def test_split_presentation_given_idempotent_basis():
@@ -257,6 +281,20 @@ def test_split_presentation_over_z6():
     pres = find_split_presentation(a)
     assert pres is not None
     assert [e.coords for e in pres.idempotents] == [(1, 0), (0, 1)]
+
+
+def test_zn_splitting_glues_the_sorted_idempotents_of_each_component(monkeypatch):
+    # over Z/6 any pairing of the idempotents mod 2 with those mod 3 glues
+    # to a split presentation; the i-th of each in sorted order are paired,
+    # so the order a component's splitting lists them in does not matter
+    import pargal.algebra as algebra
+
+    a = Algebra(Modular(6), ["e1", "e2", "e3"], {(i, i): ((i, 1),) for i in range(3)}, [1, 1, 1])
+    want = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert [e.coords for e in algebra._split_over_zn(a)] == want
+    split = algebra._split_over_field
+    monkeypatch.setattr(algebra, "_split_over_field", lambda b: split(b)[::-1] if b.ring == Modular(3) else split(b))
+    assert [e.coords for e in algebra._split_over_zn(a)] == want
 
 
 @pytest.mark.parametrize("ring", [QQ, Modular(2), Modular(6)], ids=["Q", "F2", "Z6"])

@@ -389,6 +389,24 @@ def _set(path, value):
 
 VERIFY = ("verify",)
 
+# a Q action of Z_2 on Q[s]/(s^2 - 1) with 1_g = (1 + s)/2 and alpha_g the
+# identity of Q 1_g: valid over Q, with no value over Z/2
+HALF = {
+    "format": 1,
+    "base": "Q",
+    "algebra": {"labels": ["1", "s"], "unit": ["1", "0"],
+                "constants": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]]},
+    "group": {"cyclic": [2]},
+    "action": {"1": {"idempotent": ["1", "0"], "matrix": [["1", "0"], ["0", "1"]]},
+               "g": {"idempotent": ["1/2", "1/2"], "matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}},
+}
+NO_VALUE = "scalar 1/2 has no value in Z/2: its denominator is not a unit"
+
+
+def _half(base):
+    """A document edit: the document HALF over ``base``."""
+    return lambda doc: (doc.clear(), doc.update(HALF, base=base))
+
 
 @pytest.mark.parametrize(
     "edit, argv, located",
@@ -425,13 +443,15 @@ VERIFY = ("verify",)
         (None, ("psi",), "pargal psi: this command needs --subgroup"),
         (None, ("trace",), "pargal trace: trace needs --element with comma-separated coordinates"),
         (None, ("decompose",), "pargal decompose: decompose needs --factors, e.g. --factors 2,2"),
+        (_half("Z/2"), VERIFY, f"bad.json/action/g/idempotent: {NO_VALUE}"),
+        (_half("Q"), ("verify", "--base", "Z/2"), f"bad.json: --base Z/2: {NO_VALUE}"),
     ],
     ids=["algebra-not-object", "constant-not-list", "index-string", "matrix-not-list",
          "unit-zero-denominator", "matrix-zero-denominator", "trace-element", "trace-element-located",
          "factors-not-integer", "factors-empty-entry", "factors-above-the-group-order",
          "format-boolean", "table-boolean", "index-boolean", "cyclic-boolean", "scalar-true-after-one",
          "group-without-kind", "cyclic-negative", "matrix-short", "psi-no-subgroup", "trace-no-element",
-         "decompose-no-factors"],
+         "decompose-no-factors", "denominator-no-unit", "denominator-no-unit-over-base"],
 )
 def test_malformed_input_exits_2_with_location(edit, argv, located, tmp_path, capsys, monkeypatch):
     import pargal.harrison as harrison

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pargal.scalars import QQ, Modular, canonical_row_form, Matrix
-from pargal.algebra import Algebra, AlgebraError, Element, subalgebra_from_constraints
+from pargal.scalars import QQ, Modular, canonical_row_form, invert, Matrix
+from pargal.algebra import Algebra, AlgebraError, AlgebraMorphism, Element, subalgebra_from_constraints
 from pargal.corpus import example1, example2, global_swap, standard_corpus, trivial_action
 from pargal.envelope import (
     certify_globalization,
@@ -110,6 +110,39 @@ def test_psi_report_all_subgroups_of_corpus():
             rep = psi_report(gd, sub)
             bad = [c.name for c in rep.failures() if c.name != iff_name]
             assert not bad, (name, sub.members, bad)
+
+
+def test_psi_report_fails_on_corrupted_data():
+    """Each corruption of Example 1's globalization fails one psi_H check
+    that the true data passes, at H = <g2>: a doubled pull-down breaks the
+    inverse by 1_S, 1_S set to 1_T puts psi_H(S^(alpha_H)) outside T^H, and
+    beta_(g2) made non-multiplicative, fixing 1_T and T^H still, breaks the
+    T^H-linearity of psi_H.
+
+    No data reaches the other failure of that inverse, e_H t != t for t =
+    psi_H(iota(s)): psi_H = sum_i e_i beta_(h_i) and e_H = sum_i e_i, with
+    the e_i orthogonal idempotents (checked on matrices, disjoint 0/1
+    indicators on classes), so e_H psi_H(x) = psi_H(x) in any commutative
+    associative T, whatever beta, iota, 1_S and the pull-down are."""
+    gd = globalize(example1())
+    sub = subgroup_closure(gd.group, [2])
+
+    def failing(data):
+        return {c.name for c in psi_report(data, sub).failures()} - {"psi_H(1_S) = 1_T iff H = G"}
+
+    def skew(rows):
+        # beta_(g2)(e_0) = e_2 + e_3 and beta_(g2)(e_2) = e_0 - e_3
+        rows[3][0] += 1
+        rows[3][2] -= 1
+
+    skewed = with_betas(gd, [edited(b, skew) if h == 2 else b for h, b in enumerate(gd.beta)])
+    assert fixed_ring(skewed, sub).basis == fixed_ring(gd, sub).basis
+    assert failing(gd) == set()
+    assert failing(replace(gd, down=Matrix(gd.down.ring, [[2 * x for x in r] for r in gd.down.rows]))) == {
+        "psi_H: S^(alpha_H) ~ T^H e_H with inverse mult by 1_S"
+    }
+    assert failing(replace(gd, one_s=gd.algebra.one())) == {"psi_H(S^(alpha_H)) <= T^H"}
+    assert failing(skewed) == {"psi_H is T^H-linear"}
 
 
 def test_psi_of_one_s_forward_direction_and_counterexample():
@@ -380,6 +413,24 @@ def test_non_standard_carriers_take_the_matrix_route(route_calls):
         assert not _certified_on_points(gd)
         assert certify_globalization(gd).passed
     assert route_calls == ["_globalize_matrices"] * 2
+
+
+def test_a_globalization_certifies_on_another_basis_of_t():
+    # Example 1's globalization with T on the basis t_0, t_0 + t_1, t_1 +
+    # t_2, ...: there no iota(S_g) is in canonical row form, and (G2) still
+    # compares it as a module
+    gd = globalize(example1())
+    k = gd.algebra.rank
+    cols = Matrix(QQ, [[1 if j in (i, i + 1) else 0 for j in range(k)] for i in range(k)])
+    to_new = invert(cols)
+    env = rebased(gd.enveloping_action, cols)
+    emb = to_new.mul(gd.embed.matrix)
+    moved = replace(gd, enveloping_action=env, embed=AlgebraMorphism(gd.action.algebra, env.algebra, emb),
+                    one_s=env.algebra.element(to_new.matvec(list(gd.one_s.coords))), down=gd.down.mul(cols))
+    for g in gd.group.elements():
+        iota_s_g = Matrix(QQ, [emb.matvec(list(row)) for row in gd.action.ideal(g).basis.rows], k)
+        assert canonical_row_form(iota_s_g) != iota_s_g
+    assert certify_globalization(moved).passed
 
 
 # On the classes of G x X / ~ the subgroup idempotents are indicator sets

@@ -104,6 +104,22 @@ def regular_z3():
     return gset_action(QQ, 3, [3], gset_points([3]))
 
 
+def skewed_partial_z3():
+    """Z_3 on Q^4 with S_(g2) = <e1, e2> and S_g = <e3, e4>, alpha_g the
+    linear bijection e1 -> 2 e3 - e4, e2 -> 2 e4 - e3, which fixes the units
+    but not products, and alpha_(g2) its inverse: (P1) fails on the basis of
+    S_(g^-1) only, as every image of the basis of S_g is 0."""
+    from pargal.algebra import Algebra
+
+    A = Algebra.split(QQ, ["e1", "e2", "e3", "e4"])
+    third = Fraction(1, 3)
+    idems = [A.one(), A.element([0, 0, 1, 1]), A.element([1, 1, 0, 0])]
+    maps = [Matrix.identity(QQ, 4),
+            Matrix(QQ, [[0] * 4, [0] * 4, [2, -1, 0, 0], [-1, 2, 0, 0]], 4),
+            Matrix(QQ, [[0, 0, 2 * third, third], [0, 0, third, 2 * third], [0] * 4, [0] * 4], 4)]
+    return PartialAction(make_cyclic(3), A, idems, maps)
+
+
 # one minimal failing action per sub-check of (P1), in the order the check
 # runs them, and one for (P3); each fails first at g (not at the identity)
 AXIOM_WITNESSES = [
@@ -117,6 +133,8 @@ AXIOM_WITNESSES = [
      P1, "g=g: alpha_g alpha_(g^-1) is not multiplication by 1_g"),
     ("multiplicative", lambda: perturbed(regular_z3(), maps={1: NON_MULTIPLICATIVE, 2: NON_MULTIPLICATIVE}),
      P1, "g=g: alpha_g not multiplicative on S_(g^-1) basis pair (0,1)"),
+    ("multiplicative-partial", skewed_partial_z3,
+     P1, "g=g: alpha_g not multiplicative on S_(g^-1) basis pair (0,0)"),
     ("p3", lambda: perturbed(example2(), maps={2: [[1, 0], [0, 0]]}, idems={2: [1, 0]}),
      P3, "g=g, h=g2"),
 ]

@@ -311,6 +311,8 @@ def test_intersection_matches_bruteforce(nm1, nm2):
         [[x % n for x in r] for r in rows2], n
     )
     assert enumerate_row_module(got.rows, n, got.ncols) == expected
+    # the zero-left rows of the reduction are read as the canonical form
+    assert canonical_row_form(got) == got
 
 
 @st.composite
@@ -345,6 +347,8 @@ def test_linear_system_reuse_matches_solve(case):
             n = a.ring.n
             assert all(a.matvec(list(x)) != b for x in product(range(n), repeat=a.ncols))
     assert system.kernel == kernel(a)
+    # the zero-left rows of [A^T | I] are read as the canonical form
+    assert canonical_row_form(system.kernel) == system.kernel
 
 
 def test_modules_equal_distinguishes():
